@@ -298,7 +298,10 @@ def cmd_table1(args, env, emit):
               IdealHNF.principal(field, field.from_rational(2))]
     ideals += [pr for pr, _e, _f in factor_rational_prime(field, 13)]
     rows = []
-    reference_pool = {3: [3.936], 7: [5.796], 14: [5.903, 6.393, 6.887]}
+    reference_pool = {}
+    for row in TABLE_REFERENCE:
+        if row["computed"]:
+            reference_pool.setdefault(row["genus"], []).append(row["systole"])
     for ideal in ideals:
         prime, t = _factored(field, ideal)[0]
         ring = FiniteQuotRing(order, prime, t, cap=args.cap)

@@ -15,12 +15,13 @@ is a division algebra there).
 Enumeration walks the coset lattice in Hermite normal form, coordinate by
 coordinate in the order x0, x1, x2, x3, pruning each block against its
 certified box.  The final coefficient is never enumerated: the norm-one
-equation determines x3^2 exactly, and a certified interval square root
-either recovers x3 in the field or proves there is none.  Every emitted
-element passes exact integer/rational checks (norm one, congruence, not
-central); the radius cut itself is decided by refinable interval
-arithmetic, which terminates because an algebraic squared norm can never
-equal the transcendental 2 cosh L.
+equation determines x3^2 exactly, and `NumberField.element_from_embeddings`,
+fed certified interval square roots of its embeddings under every sign
+pattern, either recovers x3 in the field or proves there is none.  Every
+emitted element passes exact integer/rational checks (norm one,
+congruence, not central); the radius cut itself is decided by refinable
+interval arithmetic, which terminates because an algebraic squared norm
+can never equal the transcendental 2 cosh L.
 
 Completeness of the visited region is certified (outward rounding
 everywhere, generous float slack backstopped by exact leaf checks);
@@ -33,12 +34,13 @@ increments).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
-from .intervals import RatInterval, interval_solve, iv_acosh, iv_cosh, iv_sqrt
+from .intervals import RatInterval, iv_acosh, iv_cosh, iv_sqrt
 from .numfield import FieldElement, IdealHNF
 from .orders import OrderLattice
 from .quatalg import QuatElement
@@ -117,8 +119,7 @@ class Enumerator:
         self.offset = one
 
         # certified embedding data
-        self.theta = [field.embedding_interval(s, bits) for s in range(d)]
-        self.emb = [[self.theta[s] ** m for m in range(d)] for s in range(d)]
+        theta = [field.embedding_interval(s, bits) for s in range(d)]
         self.a_emb = [algebra.a.embed(s, bits) for s in range(d)]
         self.b_emb = [algebra.b.embed(s, bits) for s in range(d)]
         for s in range(1, d):
@@ -126,7 +127,7 @@ class Enumerator:
                 raise InputError("structure constants must be negative at places >= 1")
         self.sqrt_a0 = iv_sqrt(self.a_emb[0], bits)
         # float mid tables for fast pruning
-        self.emb_f = [[float(self.emb[s][m].mid) for m in range(d)] for s in range(d)]
+        self.emb_f = [[float((theta[s] ** m).mid) for m in range(d)] for s in range(d)]
         self.a_f = [float(x.mid) for x in self.a_emb]
         self.b_f = [float(x.mid) for x in self.b_emb]
         self.sqrt_a0_f = float(self.sqrt_a0.mid)
@@ -177,17 +178,13 @@ class Enumerator:
 
     def _coord_bounds(self, boxes):
         """|c_j| bounds from the inverse embedding matrix (certified outer)."""
-        cols = []
-        for k in range(self.d):
-            unit = [RatInterval.exact(1 if s == k else 0) for s in range(self.d)]
-            cols.append(interval_solve([row[:] for row in self.emb], unit))
-        # cols[k][m] encloses (E^-1)[m][k]
+        inv = self.field.embedding_inverse(self.bits)
         bounds = []
         for l in range(4):
             for m in range(self.d):
                 total = Fraction(0)
                 for s in range(self.d):
-                    mag = max(abs(cols[s][m].lo), abs(cols[s][m].hi))
+                    mag = max(abs(inv[m][s].lo), abs(inv[m][s].hi))
                     total += mag * boxes[l][s] * self.kappa
                 bounds.append(total)
         return bounds
@@ -329,52 +326,24 @@ class Enumerator:
         """The square roots of v in K (possibly none), certified then verified."""
         if v.is_zero():
             return [self.field.zero()]
-        import itertools
-
         bits = self.bits
         for _ in range(4):
             boxes = [v.embed(s, bits) for s in range(self.d)]
             if any(b.certainly_lt(0) for b in boxes):
                 return []
-            roots = []
-            for s in range(self.d):
-                box = boxes[s]
-                lo = box.lo if box.lo > 0 else Fraction(0)
-                roots.append(iv_sqrt(RatInterval(lo, box.hi), bits)
-                             if box.hi > 0 else RatInterval.exact(0))
-            ok = True
+            roots = [iv_sqrt(RatInterval(max(box.lo, 0), box.hi), bits)
+                     if box.hi > 0 else RatInterval.exact(0) for box in boxes]
             out = {}
-            for signs in itertools.product((1, -1), repeat=self.d):
-                rhs = [roots[s] * signs[s] for s in range(self.d)]
-                try:
-                    coords = interval_solve([row[:] for row in self.emb], rhs)
-                except PrecisionError:
-                    ok = False
-                    break
-                cand = []
-                feasible = True
-                for box in coords:
-                    scaled = box * self.kappa
-                    klo = math.ceil(scaled.lo)
-                    khi = math.floor(scaled.hi)
-                    if klo > khi:
-                        feasible = False
-                        break
-                    if klo < khi:
-                        ok = False
-                        feasible = False
-                        break
-                    cand.append(Fraction(klo, self.kappa))
-                if not feasible:
-                    if not ok:
-                        break
-                    continue
-                elem = self.field.element(cand)
-                if elem * elem == v:
-                    out[elem.coords] = elem
-            if ok:
-                return list(out.values())
-            bits *= 2
+            try:
+                for signs in itertools.product((1, -1), repeat=self.d):
+                    elem = self.field.element_from_embeddings(
+                        [r * sg for r, sg in zip(roots, signs)], self.kappa, bits)
+                    if elem is not None and elem * elem == v:
+                        out[elem.coords] = elem
+            except PrecisionError:
+                bits *= 2
+                continue
+            return list(out.values())
         raise PrecisionError("field square root undecided at maximal refinement")
 
     def _emit(self, x: QuatElement, found, m_sq):
@@ -452,8 +421,6 @@ def box_bounds(order: OrderLattice, ideal: IdealHNF, radius, bits: int = 60):
         ranges = [range(-math.floor(float(coord_bound[l * d + m])),
                         math.floor(float(coord_bound[l * d + m])) + 1)
                   for m in range(d)]
-        import itertools
-
         for tup in itertools.product(*ranges):
             elem = order.algebra.field.element([Fraction(c, order.kappa) for c in tup])
             if _inside_box(enum, elem, [boxes[l][s] for s in range(d)]):

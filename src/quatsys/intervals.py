@@ -160,9 +160,6 @@ class RatInterval:
     def square(self) -> "RatInterval":
         return self ** 2
 
-    def hull(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # -- certified decisions --------------------------------------------
 
     def sign(self):
@@ -186,9 +183,6 @@ class RatInterval:
     def certainly_gt(self, other) -> bool:
         lo = other.hi if isinstance(other, RatInterval) else _frac(other)
         return self.lo > lo
-
-    def disjoint_from(self, other: "RatInterval") -> bool:
-        return self.hi < other.lo or other.hi < self.lo
 
 
 # ---------------------------------------------------------------------------

@@ -145,34 +145,15 @@ def kernel(rows, ncols):
     m = len(rows)
     aug = [list(map(int, r)) + [1 if i == j else 0 for j in range(m)]
            for i, r in enumerate(rows)]
-    echelon = _full_hnf_keep_all(aug, ncols + m)
+    # kernel rows pivot right of column ncols, so the reduction above pivots
+    # only combines them with each other and they still span the kernel
+    echelon = hnf(aug, ncols + m)
     ker = []
     for row in echelon:
         if any(row[:ncols]):
             continue
         ker.append(row[ncols:])
     return ker
-
-
-def _full_hnf_keep_all(rows, ncols):
-    work = [list(r) for r in rows if any(r)]
-    result = []
-    for col in range(ncols):
-        pivots = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not pivots:
-            work = rest
-            continue
-        piv = pivots[0]
-        for r in pivots[1:]:
-            piv, extra = _gcd_combine(piv, r, col)
-            if any(extra):
-                rest.append(extra)
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        result.append(piv)
-        work = rest
-    return result
 
 
 def intersect(rows_a, rows_b, ncols):

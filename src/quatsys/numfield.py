@@ -22,6 +22,7 @@ distinguished one used for geometry.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import sympy
@@ -29,8 +30,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_gcd
 
 from . import lattice
-from .errors import InputError, InvariantViolation
-from .intervals import RatInterval
+from .errors import InputError, InvariantViolation, PrecisionError
+from .intervals import RatInterval, interval_solve
 from .realroots import IsolatedRoot, isolate_real_roots, poly_eval_interval
 
 Q0 = Fraction(0)
@@ -65,6 +66,8 @@ class NumberField:
                       for lo, hi in sorted(roots, key=lambda ab: ab[0], reverse=True)]
 
         self._certify_power_basis_maximal()
+        # bits -> certified enclosure of the inverse embedding matrix
+        self._inverse_embedding = {}
 
         # theta^k for k = 0 .. 2d-2 as integer coordinate vectors
         d = self.degree
@@ -148,6 +151,49 @@ class NumberField:
         if not 0 <= place < self.degree:
             raise InputError(f"place index {place} out of range")
         return self.roots[place].refine_bits(bits)
+
+    def embedding_inverse(self, bits: int):
+        """Certified enclosure of the inverse of E = [theta_s^m] (rows: places).
+
+        Entry [m][s] encloses (E^-1)[m][s]: coordinate m of an element x is
+        the sum over places s of (E^-1)[m][s] * sigma_s(x).  Computed once per
+        precision and cached on the field.
+        """
+        inv = self._inverse_embedding.get(bits)
+        if inv is None:
+            d = self.degree
+            theta = [self.embedding_interval(s, bits) for s in range(d)]
+            emb = [[theta[s] ** m for m in range(d)] for s in range(d)]
+            cols = [interval_solve(emb, [RatInterval.exact(1 if s == k else 0)
+                                         for s in range(d)])
+                    for k in range(d)]
+            inv = tuple(tuple(cols[s][m] for s in range(d)) for m in range(d))
+            self._inverse_embedding[bits] = inv
+        return inv
+
+    def element_from_embeddings(self, boxes, den: int, bits: int):
+        """The unique element of (1/den) Z[theta] with sigma_s(x) in boxes[s].
+
+        Returns None when some coordinate enclosure holds no multiple of
+        1/den (no such element exists); raises PrecisionError when one holds
+        several (refine the boxes or raise `bits`).  The answer is certified
+        but callers still verify whatever exact identity they need.
+        """
+        coords = []
+        ambiguous = False
+        for row in self.embedding_inverse(bits):
+            acc = RatInterval.exact(0)
+            for entry, box in zip(row, boxes):
+                acc = acc + entry * box
+            lo = math.ceil(acc.lo * den)
+            hi = math.floor(acc.hi * den)
+            if lo > hi:
+                return None
+            ambiguous = ambiguous or lo < hi
+            coords.append(Fraction(lo, den))
+        if ambiguous:
+            raise PrecisionError("coordinate enclosure holds several lattice points")
+        return FieldElement(self, coords)
 
     def whole_ring(self) -> "IdealHNF":
         eye = [[1 if i == j else 0 for j in range(self.degree)] for i in range(self.degree)]
@@ -298,7 +344,7 @@ class FieldElement:
     def denominator(self) -> int:
         den = 1
         for c in self.coords:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = math.lcm(den, c.denominator)
         return den
 
     # -- invariants ---------------------------------------------------------
@@ -307,7 +353,6 @@ class FieldElement:
         """Matrix of multiplication by self on the power basis (rows = images)."""
         d = self.field.degree
         rows = []
-        power = self.field.one()
         theta = self.field.gen()
         cur = self
         for k in range(d):
@@ -367,12 +412,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement{self}"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _det_fraction(rows) -> Fraction:
@@ -578,7 +617,7 @@ class FractionalIdeal:
         self.den = int(den)
 
     def normalize(self) -> "FractionalIdeal":
-        g = _gcd(lattice.content([list(r) for r in self.num.mat]), self.den)
+        g = math.gcd(lattice.content([list(r) for r in self.num.mat]), self.den)
         if g <= 1:
             return self
         rows = [[x // g for x in row] for row in self.num.mat]

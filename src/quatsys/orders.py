@@ -244,10 +244,7 @@ def hurwitz_order(algebra: QuaternionAlgebra | None = None) -> OrderLattice:
     eta = K.gen()
     if K.min_poly != [-1, -2, 1, 1] or algebra.a != eta or algebra.b != eta:
         raise InputError("the Hurwitz order lives in (eta,eta) over Q(eta)")
-    tau = K.one() + eta + eta * eta
-    half = Fraction(1, 2)
-    j_prime = QuatElement(algebra, (K.from_rational(half), eta * half, tau * half, K.zero()))
-    gens = [algebra.one(), algebra.gen_i(), algebra.gen_j(), j_prime]
+    gens = [algebra.one(), algebra.gen_i(), algebra.gen_j(), hurwitz_j_prime(algebra)]
     order = OrderLattice(algebra, gens, name="hurwitz", assume_maximal=True)
     if order.kappa != 2:
         raise InvariantViolation(f"Hurwitz order should have kappa=2, got {order.kappa}")
@@ -255,6 +252,7 @@ def hurwitz_order(algebra: QuaternionAlgebra | None = None) -> OrderLattice:
 
 
 def hurwitz_j_prime(algebra: QuaternionAlgebra) -> QuatElement:
+    """j' = (1 + eta*i + tau*j)/2 with tau = 1 + eta + eta^2."""
     K = algebra.field
     eta = K.gen()
     tau = K.one() + eta + eta * eta

@@ -20,6 +20,7 @@ Ramification
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantViolation
@@ -379,7 +380,7 @@ class QuatElement:
         den = 1
         for c in self.coords:
             d = c.denominator()
-            den = den * d // _gcd_int(den, d)
+            den = math.lcm(den, d)
         return den
 
     def __str__(self):
@@ -388,9 +389,3 @@ class QuatElement:
 
     def __repr__(self):
         return f"QuatElement({self})"
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)

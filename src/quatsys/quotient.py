@@ -17,7 +17,7 @@ import numpy as np
 from . import lattice
 from .errors import CapExceeded, InputError, InvariantViolation
 from .numfield import IdealHNF, factor_ideal
-from .orders import OrderLattice
+from .orders import OrderLattice, flatten
 from .quatalg import RAMIFIED, UNDECIDED, QuaternionAlgebra
 
 DEFAULT_CAP = 10 ** 7
@@ -495,7 +495,7 @@ def _locally_equal(order: OrderLattice, reference: OrderLattice, prime: IdealHNF
         rows = list(mine)
         for alpha in pm.basis_elements():
             for w in reference.basis_elements():
-                coords = [c * scale for c in _flatten(alpha * w)]
+                coords = [c * scale for c in flatten(alpha * w)]
                 rows.append([int(c) for c in coords])
         joined = lattice.hnf(rows, order.dim)
         idx = lattice.lattice_index(lattice.hnf(theirs, order.dim), joined)
@@ -505,13 +505,6 @@ def _locally_equal(order: OrderLattice, reference: OrderLattice, prime: IdealHNF
         m += 1
         if m > 12:
             raise InvariantViolation("local index comparison did not stabilize")
-
-
-def _flatten(x):
-    out = []
-    for c in x.coords:
-        out.extend(c.coords)
-    return out
 
 
 def lambda_factor(algebra: QuaternionAlgebra, order: OrderLattice, ideal: IdealHNF,

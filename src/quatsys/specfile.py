@@ -97,10 +97,15 @@ def _parse_order(algebra: QuaternionAlgebra, value: str) -> OrderLattice:
         kappa = int(parts[0])
     except ValueError as exc:
         raise InputError(f"bad kappa {parts[0]!r}") from exc
+    if kappa < 1:
+        raise InputError(f"kappa must be a positive integer, got {kappa}")
     dim = 4 * algebra.field.degree
     rows = []
     for chunk in parts[1].split(";"):
-        vec = [int(tok) for tok in chunk.split()]
+        try:
+            vec = [int(tok) for tok in chunk.split()]
+        except ValueError as exc:
+            raise InputError(f"bad order row {chunk.strip()!r}") from exc
         if len(vec) != dim:
             raise InputError(f"order rows need {dim} integers")
         rows.append(vec)

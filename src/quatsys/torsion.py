@@ -20,16 +20,17 @@ separate exact membership query on the orders module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 
 from .errors import InputError, PrecisionError
-from .intervals import RatInterval, interval_solve
+from .intervals import RatInterval
 from .numfield import FieldElement, IdealHNF, NumberField
 from .orders import OrderLattice
-from .realroots import isolate_real_roots
+from .realroots import isolate_real_roots, refine_root
 
 _T = sympy.Symbol("t")
 
@@ -82,57 +83,37 @@ def _scale(c, p):
 def roots_in_field(field: NumberField, asc_coeffs) -> list:
     """All roots of a monic integer polynomial that lie in the field, exactly.
 
-    Certified numeric placement proposes integer coordinate vectors (roots
-    of monic integer polynomials in K are algebraic integers, hence have
-    integer coordinates here); exact arithmetic then verifies each
-    candidate, so the output carries no numerical doubt.
+    Such roots are algebraic integers, hence have integer coordinates here.
+    Every assignment of isolated real roots to the places goes through
+    `NumberField.element_from_embeddings`, which proposes the one integer
+    vector it admits, if any; exact evaluation of the polynomial verifies
+    each proposal, so the output carries no numerical doubt.  Enclosures are
+    refined to width 2^-bits for bits = 80, 160, ...; a placement still
+    ambiguous at the last attempt raises PrecisionError, never an
+    uncertified "no root".
     """
-    d = field.degree
     real_roots = isolate_real_roots(asc_coeffs)
     if not real_roots:
         return []
-    found = {}
-    width = Fraction(1, 2 ** 80)
-    for attempt in range(6):
+    bits = 80
+    for _ in range(6):
         try:
-            found = _place_roots(field, asc_coeffs, real_roots, width)
-            break
+            found = _place_roots(field, asc_coeffs, real_roots, bits)
         except PrecisionError:
-            width = width * width
-    return sorted(found.values(), key=lambda x: x.coords)
+            bits *= 2
+            continue
+        return sorted(found.values(), key=lambda x: x.coords)
+    raise PrecisionError("roots in the field undecided at maximal refinement")
 
 
-def _place_roots(field, asc_coeffs, root_intervals, width):
-    import itertools
-
-    d = field.degree
-    theta_boxes = [field.roots[s].interval(width) for s in range(d)]
-    vander = [[_ipow(theta_boxes[s], m) for m in range(d)] for s in range(d)]
-    root_boxes = []
-    from .realroots import refine_root
-
-    for lo, hi in root_intervals:
-        rlo, rhi = refine_root(asc_coeffs, lo, hi, width)
-        root_boxes.append(RatInterval(rlo, rhi))
-
+def _place_roots(field, asc_coeffs, root_intervals, bits):
+    width = Fraction(1, 2 ** bits)
+    root_boxes = [RatInterval(*refine_root(asc_coeffs, lo, hi, width))
+                  for lo, hi in root_intervals]
     found = {}
-    for assign in itertools.product(range(len(root_boxes)), repeat=d):
-        rhs = [root_boxes[a] for a in assign]
-        coords = interval_solve([row[:] for row in vander], rhs)
-        if coords is None:
-            continue
-        cand = []
-        ok = True
-        for box in coords:
-            k = _unique_integer(box)
-            if k is None:
-                ok = False
-                break
-            cand.append(k)
-        if not ok:
-            continue
-        elem = field.element(cand)
-        if _eval_in_field(field, asc_coeffs, elem).is_zero():
+    for assign in itertools.product(root_boxes, repeat=field.degree):
+        elem = field.element_from_embeddings(list(assign), 1, bits)
+        if elem is not None and _eval_in_field(field, asc_coeffs, elem).is_zero():
             found[elem.coords] = elem
     return found
 
@@ -142,22 +123,6 @@ def _eval_in_field(field, asc_coeffs, x: FieldElement) -> FieldElement:
     for c in reversed(asc_coeffs):
         acc = acc * x + field.from_rational(c)
     return acc
-
-
-def _ipow(box: RatInterval, m: int) -> RatInterval:
-    return box ** m
-
-
-def _unique_integer(box: RatInterval):
-    import math
-
-    lo = math.ceil(box.lo)
-    hi = math.floor(box.hi)
-    if lo > hi:
-        return None
-    if lo < hi:
-        raise PrecisionError("coordinate interval holds several integers")
-    return lo
 
 
 def candidate_orders(field: NumberField) -> list:

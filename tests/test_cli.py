@@ -14,6 +14,11 @@ quat: 0 1 0 | 0 1 0
 order: hurwitz
 """
 
+QUAT_SPEC = "minpoly: 1 1 -2 -1\nquat: 0 1 0 | 0 1 0"
+IDENTITY_ROWS = "; ".join(" ".join("1" if i == j else "0" for j in range(12))
+                          for i in range(12))
+NON_INTEGER_ROWS = IDENTITY_ROWS.replace("1", "x", 1)
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -44,6 +49,20 @@ def test_parse_errors():
         parse_spec_text("minpoly: 1 1\nbogus: 3")
     with pytest.raises(InputError):
         parse_spec_text("minpoly: 1 1 -2 -1\norder: hurwitz")  # order before quat
+    with pytest.raises(InputError):
+        parse_spec_text(f"{QUAT_SPEC}\norder: 1 | {NON_INTEGER_ROWS}")
+    with pytest.raises(InputError):
+        parse_spec_text(f"{QUAT_SPEC}\norder: 0 | {IDENTITY_ROWS}")  # kappa 0
+    with pytest.raises(InputError):
+        parse_spec_text(f"{QUAT_SPEC}\norder: -2 | {IDENTITY_ROWS}")  # negative kappa
+
+
+def test_cli_bad_order_line(tmp_path, capsys):
+    for order in (f"1 | {NON_INTEGER_ROWS}", f"0 | {IDENTITY_ROWS}"):
+        path = tmp_path / "field.txt"
+        path.write_text(f"{QUAT_SPEC}\norder: {order}\n")
+        code, out = _run(capsys, "--field", str(path), "field-info")
+        assert code == 1 and "error=input" in out
 
 
 def test_element_parsing(K):

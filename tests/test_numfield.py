@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatsys.errors import InputError
+from quatsys.errors import InputError, PrecisionError
+from quatsys.intervals import RatInterval
 from quatsys.numfield import (IdealHNF, NumberField, factor_ideal,
-                              factor_rational_prime, primes_up_to_norm)
+                              factor_rational_prime, hurwitz_field, primes_up_to_norm,
+                              rationals)
 
 T = sympy.Symbol("t")
 
@@ -231,3 +235,64 @@ def test_printing_formats(K, P7):
     x = (eta + 1) / 2
     assert str(x) == "(1/2, 1/2, 0)"
     assert str(P7).count(";") == 2
+
+
+# ---------------------------------------------------------------------------
+# recovering elements from certified embeddings
+# ---------------------------------------------------------------------------
+
+FIELDS = {"eta": hurwitz_field(), "Q": rationals()}
+BITS = 60
+
+
+@st.composite
+def _lattice_elements(draw):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    den = draw(st.sampled_from([1, 2]))
+    nums = draw(st.lists(st.integers(-40, 40), min_size=field.degree,
+                         max_size=field.degree))
+    return field, den, field.element([Fraction(n, den) for n in nums])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_elements())
+def test_element_from_embeddings_roundtrip(case):
+    field, den, x = case
+    boxes = [x.embed(s, BITS) for s in range(field.degree)]
+    assert field.element_from_embeddings(boxes, den, BITS) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_elements())
+def test_element_from_embeddings_off_lattice_is_none(case):
+    field, den, x = case
+    # every coordinate of x + shift sits halfway between multiples of 1/den
+    shifted = x + field.element([Fraction(1, 2 * den)] * field.degree)
+    boxes = [shifted.embed(s, BITS) for s in range(field.degree)]
+    assert field.element_from_embeddings(boxes, den, BITS) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_elements(), st.fractions(Fraction(1, 1000), 3))
+def test_element_from_embeddings_wide_box_is_ambiguous(case, extra):
+    field, den, x = case
+    # the boxes hold x + t for every rational t in [0, width], and width > 1/den,
+    # so the constant coordinate admits at least two multiples of 1/den
+    width = Fraction(1, den) + extra
+    boxes = [x.embed(s, BITS) + RatInterval(0, width) for s in range(field.degree)]
+    with pytest.raises(PrecisionError):
+        field.element_from_embeddings(boxes, den, BITS)
+
+
+def test_embedding_inverse_cached_per_precision():
+    K = hurwitz_field()
+    inv = K.embedding_inverse(BITS)
+    assert K.embedding_inverse(BITS) is inv
+    assert K.embedding_inverse(2 * BITS) is not inv
+    # the enclosure really inverts the embedding matrix
+    theta = [K.embedding_interval(s, BITS) for s in range(3)]
+    for m in range(3):
+        for k in range(3):
+            entry = sum((inv[m][s] * theta[s] ** k for s in range(3)),
+                        RatInterval.exact(0))
+            assert (1 if m == k else 0) in entry

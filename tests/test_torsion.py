@@ -1,7 +1,7 @@
 import pytest
 
-from quatsys.errors import InputError
-from quatsys.numfield import primes_up_to_norm
+from quatsys.errors import InputError, PrecisionError
+from quatsys.numfield import NumberField, primes_up_to_norm
 from quatsys.torsion import (candidate_orders, certify_torsion_free,
                              roots_in_field, two_cos_minimal_poly)
 
@@ -36,6 +36,17 @@ def test_roots_in_field(K):
     assert roots_in_field(K, two_cos_minimal_poly(5)) == []
     roots14 = roots_in_field(K, two_cos_minimal_poly(14))
     assert sorted(r.coords for r in roots14) == sorted((-r).coords for r in roots7)
+
+
+def test_roots_in_field_never_answers_uncertified(K, monkeypatch):
+    # a placement that stays ambiguous at every precision must not read as
+    # "no root in K": a missed root would hide an obstruction ideal
+    def undecided(self, boxes, den, bits):
+        raise PrecisionError("forced")
+
+    monkeypatch.setattr(NumberField, "element_from_embeddings", undecided)
+    with pytest.raises(PrecisionError):
+        roots_in_field(K, two_cos_minimal_poly(7))
 
 
 def test_unit_identity_backs_shortcircuit(K):
