@@ -254,8 +254,8 @@ def v3_enclosure(prec: int = 96) -> RatInterval:
     """Volume of the regular ideal 3-simplex: (3/2) * Im Li_2(e^(2*pi*i/3))."""
     from .intervals import _raw_to_frac
 
-    mp.prec = prec + 24
-    val = im(polylog(2, mp.e ** (2j * mp.pi / 3))) * mpf(3) / 2
+    with mp.workprec(prec + 24):
+        val = im(polylog(2, mp.e ** (2j * mp.pi / 3))) * mpf(3) / 2
     center = _raw_to_frac(val._mpf_)
     pad = Fraction(1, 2 ** prec)
     return RatInterval(center - pad, center + pad)

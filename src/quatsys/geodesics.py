@@ -14,22 +14,35 @@ is a division algebra there).
 
 Enumeration walks the coset lattice in Hermite normal form, coordinate by
 coordinate in the order x0, x1, x2, x3, pruning each block against its
-certified box.  The final coefficient is never enumerated: the norm-one
-equation determines x3^2 exactly, and `NumberField.element_from_embeddings`,
-fed certified interval square roots of its embeddings under every sign
-pattern, either recovers x3 in the field or proves there is none.  Every
-emitted element passes exact integer/rational checks (norm one,
-congruence, not central); the radius cut itself is decided by refinable
-interval arithmetic, which terminates because an algebraic squared norm
-can never equal the transcendental 2 cosh L.
+certified box.  Each node gives the next coordinate its own range, in the
+manner of Fincke-Pohst's per-level bounds.  First a per-place bound B_s on
+the current block, implied by a check the walk or the leaf already makes:
+the static box for x0; for x1, |u|, |ub| <= M at the split place and the
+unit ball elsewhere; for x2, the Frobenius budget left after u and ub at the
+split place and x3^2 >= 0 elsewhere.  Then, given the block's fixed
+coordinates, the range is exact for its last coordinate, comes from
+Fourier-Motzkin elimination of the last one for the last-but-one, and from
+the inverse embedding matrix before that.  Only nodes that the existing
+filters would reject disappear, so the emitted elements, in their order, are
+those of the static-box walk.
 
-Completeness of the visited region is certified (outward rounding
-everywhere, generous float slack backstopped by exact leaf checks);
-completeness of the *geodesic spectrum* up to a given length additionally
-needs a diameter bound for the quotient surface, which is the caller's to
-supply: `systole_search` labels each result `certified` (diameter bound
-given and satisfied) or `stabilized` (minimum unchanged across two radius
-increments).
+The final coefficient is never enumerated: the norm-one equation determines
+x3^2 exactly, and `NumberField.element_from_embeddings`, fed certified
+interval square roots of its embeddings with the positive root at place 0,
+either recovers x3 in the field or proves there is none (the other root is
+its negative).  Every emitted element passes exact integer/rational checks
+(norm one, congruence, not central); the radius cut itself is decided by
+refinable interval arithmetic, which terminates because an algebraic
+squared norm can never equal the transcendental 2 cosh L.
+
+Completeness of the visited region is certified: outward rounding
+everywhere, per-node ranges widened by a derived bound on their float
+rounding (`walkranges`), and float pre-filters whose slack
+`_SLACK` is backstopped by exact leaf checks.  Completeness of the
+*geodesic spectrum* up to a given length additionally needs a diameter
+bound for the quotient surface, which is the caller's to supply:
+`systole_search` labels each result `certified` (diameter bound given and
+satisfied) or `stabilized` (minimum unchanged across two radius increments).
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ from .intervals import RatInterval, iv_acosh, iv_cosh, iv_sqrt
 from .numfield import FieldElement, IdealHNF
 from .orders import OrderLattice
 from .quatalg import QuatElement
+from .walkranges import WalkRanges
 
 _SLACK = 1e-7  # float pre-filter slack; exact checks gate every emission
 
@@ -120,17 +134,23 @@ class Enumerator:
 
         # certified embedding data
         theta = [field.embedding_interval(s, bits) for s in range(d)]
+        split_key = self._split_key(bits)
         self.a_emb = [algebra.a.embed(s, bits) for s in range(d)]
         self.b_emb = [algebra.b.embed(s, bits) for s in range(d)]
         for s in range(1, d):
             if not (self.a_emb[s].certainly_lt(0) and self.b_emb[s].certainly_lt(0)):
                 raise InputError("structure constants must be negative at places >= 1")
         self.sqrt_a0 = iv_sqrt(self.a_emb[0], bits)
+        self._split = (split_key, self.sqrt_a0, self.b_emb[0])
         # float mid tables for fast pruning
-        self.emb_f = [[float((theta[s] ** m).mid) for m in range(d)] for s in range(d)]
+        powers = [[theta[s] ** m for m in range(d)] for s in range(d)]
+        self.emb_f = [[float(p.mid) for p in row] for row in powers]
         self.a_f = [float(x.mid) for x in self.a_emb]
         self.b_f = [float(x.mid) for x in self.b_emb]
         self.sqrt_a0_f = float(self.sqrt_a0.mid)
+
+        self._ranges = WalkRanges(powers, self.emb_f, field.embedding_inverse(bits),
+                                  self.a_emb, self.b_emb, self.sqrt_a0, self.kappa)
 
     # -- radius-dependent boxes ---------------------------------------------
 
@@ -189,6 +209,13 @@ class Enumerator:
                 bounds.append(total)
         return bounds
 
+    def _filter_bounds(self, boxes, m_val):
+        """Float bounds of the walk's filters: M for |u|, |ub| and the boxes."""
+        mf = float(m_val) * (1 + 1e-12) + 1e-12
+        box_f = [[float(boxes[l][s]) * (1 + _SLACK) + 1e-12 for s in range(self.d)]
+                 for l in range(4)]
+        return mf, box_f
+
     # -- main run --------------------------------------------------------------
 
     def run(self, radius, cap_nodes: int = 30_000_000, top_range=None):
@@ -203,10 +230,11 @@ class Enumerator:
         offset = self.offset
         emb_f = self.emb_f
         a_f, b_f = self.a_f, self.b_f
-        mf = float(m_val) * (1 + 1e-12) + 1e-12
-        box_f = [[float(boxes[l][s]) * (1 + _SLACK) + 1e-12 for s in range(d)]
-                 for l in range(4)]
+        mf, box_f = self._filter_bounds(boxes, m_val)
+        cb_f = [float(cb) for cb in coord_bound]
         t_hi_f = float(m_sq)
+        ranges = self._ranges
+        tabs = ranges.tables(boxes, m_sq, mf, box_f, coord_bound)
 
         self._m_sq = m_sq
         found = {}
@@ -225,6 +253,7 @@ class Enumerator:
             return vals
 
         x_places = [None] * 3  # float embedding rows for blocks 0..2
+        widths = [tabs.width0, None, None]  # per-node W_s of blocks 0..2
 
         def descend(j, partial_vec):
             nonlocal visited
@@ -234,10 +263,19 @@ class Enumerator:
                 self._leaf(c_vals, x_places, partial_vec, boxes, found, m_sq, mf)
                 return
             h = hnf[j][j]
-            cb = coord_bound[j]
+            cb = cb_f[j]
             p = partial_vec[j]
-            lo = math.ceil((float(-cb) - p) / h - 1e-9)
-            hi = math.floor((float(cb) - p) / h + 1e-9)
+            lo = math.ceil((-cb - p) / h - 1e-9)
+            hi = math.floor((cb - p) / h + 1e-9)
+            l, k = divmod(j, d)
+            if l and not k:
+                widths[l] = ranges.block_widths(l, x_places, tabs)
+            # level 0 keeps its static range, which `_parallel_run` splits;
+            # block 0 otherwise has only the static box, so the sum rule adds nothing
+            if j and (l or k >= d - 2):
+                c_lo, c_hi = ranges.coordinate_range(l, k, c_vals[j - k:j], widths[l], tabs)
+                lo = max(lo, (math.ceil(c_lo) - p + h - 1) // h)
+                hi = min(hi, (math.floor(c_hi) - p) // h)
             rng = range(lo, hi + 1)
             if j == 0 and self._top_range is not None:
                 rng = [n for n in rng if self._top_range[0] <= n < self._top_range[1]]
@@ -247,7 +285,6 @@ class Enumerator:
                     if n else list(partial_vec)
                 c_vals[j] = new_partial[j]
                 if (j + 1) % d == 0:
-                    l = j // d
                     vals = block_values(new_partial, l)
                     if any(abs(vals[s]) > box_f[l][s] for s in range(d)):
                         continue
@@ -335,11 +372,13 @@ class Enumerator:
                      if box.hi > 0 else RatInterval.exact(0) for box in boxes]
             out = {}
             try:
-                for signs in itertools.product((1, -1), repeat=self.d):
+                # the roots are x and -x: fix the sign at place 0, then negate
+                for signs in itertools.product((1, -1), repeat=self.d - 1):
                     elem = self.field.element_from_embeddings(
-                        [r * sg for r, sg in zip(roots, signs)], self.kappa, bits)
+                        [r * sg for r, sg in zip(roots, (1,) + signs)], self.kappa, bits)
                     if elem is not None and elem * elem == v:
                         out[elem.coords] = elem
+                        out[(-elem).coords] = -elem
             except PrecisionError:
                 bits *= 2
                 continue
@@ -381,14 +420,23 @@ class Enumerator:
         if prev is None or disp.mid < prev.displacement.mid:
             found[key] = cand
 
+    def _split_key(self, bits):
+        """When sqrt(a) and b at place 0 may be reused: the same bits and the
+        same enclosure of the place-0 root, which embeddings narrow in place."""
+        root = self.field.roots[0]
+        return bits, root.lo, root.hi
+
     def _frob_sq(self, x: QuatElement, bits: int | None = None) -> RatInterval:
         bits = bits or self.bits
         x0 = x.coords[0].embed(0, bits)
         x1 = x.coords[1].embed(0, bits)
         x2 = x.coords[2].embed(0, bits)
         x3 = x.coords[3].embed(0, bits)
-        ra = iv_sqrt(self.algebra.a.embed(0, bits), bits)
-        b0 = self.algebra.b.embed(0, bits)
+        key = self._split_key(bits)
+        if key != self._split[0]:
+            self._split = (key, iv_sqrt(self.algebra.a.embed(0, bits), bits),
+                           self.algebra.b.embed(0, bits))
+        _key, ra, b0 = self._split
         u = x0 + x1 * ra
         ub = x0 - x1 * ra
         v = x2 + x3 * ra

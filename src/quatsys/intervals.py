@@ -18,6 +18,7 @@ otherwise, so a caller can refine and retry.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -216,23 +217,42 @@ def _from_iv(x) -> RatInterval:
     return RatInterval(_raw_to_frac(lo_raw), _raw_to_frac(hi_raw))
 
 
+def _keeps_iv_prec(fn):
+    """Run fn at its own `iv.prec` and restore the caller's afterwards."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        saved = iv.prec
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            iv.prec = saved
+
+    return wrapper
+
+
+@_keeps_iv_prec
 def iv_log(x, prec: int = 64) -> RatInterval:
     return _from_iv(iv.log(_to_iv(x, prec)))
 
 
+@_keeps_iv_prec
 def iv_exp(x, prec: int = 64) -> RatInterval:
     return _from_iv(iv.exp(_to_iv(x, prec)))
 
 
+@_keeps_iv_prec
 def iv_sqrt(x, prec: int = 64) -> RatInterval:
     return _from_iv(iv.sqrt(_to_iv(x, prec)))
 
 
+@_keeps_iv_prec
 def iv_cosh(x, prec: int = 64) -> RatInterval:
     e = iv.exp(_to_iv(x, prec))
     return _from_iv((e + 1 / e) / 2)
 
 
+@_keeps_iv_prec
 def iv_acosh(x, prec: int = 64) -> RatInterval:
     """acosh(x) = log(x + sqrt(x^2-1)) for x >= 1, monotone so interval-safe."""
     t = _to_iv(x, prec)
@@ -241,11 +261,13 @@ def iv_acosh(x, prec: int = 64) -> RatInterval:
     return _from_iv(iv.log(t + iv.sqrt(t * t - 1)))
 
 
+@_keeps_iv_prec
 def iv_pi(prec: int = 64) -> RatInterval:
     iv.prec = prec
     return _from_iv(iv.pi)
 
 
+@_keeps_iv_prec
 def iv_pow(x, e: Fraction, prec: int = 64) -> RatInterval:
     """x**e for positive x and rational exponent, via exp(e*log x)."""
     t = _to_iv(x, prec)

@@ -68,6 +68,7 @@ class OrderLattice:
             raise InvariantViolation("order lattice lost rank during normalization")
         self.mat = tuple(tuple(r) for r in mat)
         self._certify()
+        self._congruence = {}  # ideal -> CongruenceIdealLattice
 
     # -- certification ------------------------------------------------------
 
@@ -147,7 +148,11 @@ class OrderLattice:
     # -- congruence structure ---------------------------------------------------
 
     def congruence_lattice(self, ideal: IdealHNF) -> "CongruenceIdealLattice":
-        return CongruenceIdealLattice(self, ideal)
+        """I*Q, built and certified once per ideal."""
+        cong = self._congruence.get(ideal)
+        if cong is None:
+            cong = self._congruence[ideal] = CongruenceIdealLattice(self, ideal)
+        return cong
 
     def in_gamma(self, ideal: IdealHNF, x: QuatElement,
                  _cong: "CongruenceIdealLattice | None" = None) -> bool:

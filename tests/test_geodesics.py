@@ -1,12 +1,22 @@
+import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from quatsys import geodesics
 from quatsys.bounds import hurwitz_context, trace_lower_bound
 from quatsys.errors import CapExceeded
-from quatsys.geodesics import (RadiusSchedule, box_bounds, enumerate_gamma,
+from quatsys.geodesics import (Enumerator, RadiusSchedule, box_bounds, enumerate_gamma,
                                systole_search)
+from quatsys.walkranges import _up, slice_range
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +160,231 @@ def test_orbifold_elliptic_alarms(QH, K):
 def test_node_cap(QH, P7):
     with pytest.raises(CapExceeded):
         enumerate_gamma(QH, P7, 6.0, cap_nodes=100)
+
+
+# -- per-node coordinate ranges ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def walk(QH, K):
+    """The Hurwitz embedding table with the whole ring's run constants at radius 3."""
+    enum = Enumerator(QH, K.whole_ring())
+    boxes, m_sq, m_val = enum._boxes(3.0)
+    bounds = enum._coord_bounds(boxes)
+    mf, box_f = enum._filter_bounds(boxes, m_val)
+    return enum, bounds, enum._ranges.tables(boxes, m_sq, mf, box_f, bounds)
+
+
+def _block_values(enum, c):
+    """Float block values exactly as the walk's block-end filter forms them."""
+    vals = []
+    for row in enum.emb_f:
+        acc = 0.0
+        for m in range(enum.d):
+            acc += c[m] * row[m]
+        vals.append(acc / enum.kappa)
+    return vals
+
+
+def _last_coordinate_interval(enum, prefix_and_c, widths):
+    """Exact real interval of the last coordinate, or None when it is empty."""
+    lo, hi = None, None
+    for row, w in zip(enum._ranges.emb_q, widths):
+        a = sum(c * row[m] for m, c in enumerate(prefix_and_c))
+        e = row[enum.d - 1]
+        x, y = sorted(((-Fraction(w) - a) / e, (Fraction(w) - a) / e))
+        lo = x if lo is None else max(lo, x)
+        hi = y if hi is None else min(hi, y)
+    return (lo, hi) if lo <= hi else None
+
+
+def _exact_pair_interval(enum, prefix, widths):
+    """Exact projection of the last two coordinates' region onto the first of them."""
+    d, q = enum.d, enum._ranges.emb_q
+    alpha = [sum(c * row[m] for m, c in enumerate(prefix)) / row[d - 1] for row in q]
+    slope = [row[d - 2] / row[d - 1] for row in q]
+    half = [Fraction(w) / abs(row[d - 1]) for w, row in zip(widths, q)]
+    lo, hi = None, None
+    for s, t in itertools.combinations(range(d), 2):
+        g = slope[s] - slope[t]
+        reach, gap = half[s] + half[t], alpha[s] - alpha[t]
+        x, y = sorted(((-reach - gap) / g, (reach - gap) / g))
+        lo = x if lo is None else max(lo, x)
+        hi = y if hi is None else min(hi, y)
+    return (lo, hi) if lo <= hi else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_range_rules_contain_every_filter_passer(walk, data):
+    enum, bounds, tabs = walk
+    d, kappa = enum.d, enum.kappa
+    l = data.draw(st.integers(0, 2), label="block")
+    k = data.draw(st.integers(0, d - 1), label="coordinate")
+    cmax = [math.floor(bounds[l * d + m]) + 1 for m in range(d)]
+    point = [data.draw(st.integers(-c, c)) for c in cmax]
+    bound = [data.draw(st.floats(0, 1)) * cap for cap in tabs.box_up[l]]
+    if data.draw(st.booleans(), label="on a face"):
+        vals = [abs(v) for v in _block_values(enum, point)]
+        bound = [max(b, v) for b, v in zip(bound, vals)]
+        face = data.draw(st.integers(0, d - 1))
+        bound[face] = vals[face]
+        assume(all(b <= cap for b, cap in zip(bound, tabs.box_up[l])))
+    widths = [_up(kappa * (Fraction(b) + Fraction(e))) for b, e in zip(bound, tabs.eps[l])]
+    prefix = point[:k]
+    lo, hi = enum._ranges.coordinate_range(l, k, prefix, widths, tabs)
+    nu = (tabs.nu_sum[l][k] if k < d - 2 else tabs.nu_pair[l] if k == d - 2
+          else tabs.nu_slice[l])
+
+    for tail in itertools.product(*(range(-c, c + 1) for c in cmax[k:])):
+        c = prefix + list(tail)
+        if all(abs(v) <= b for v, b in zip(_block_values(enum, c), bound)):
+            assert lo <= c[k] <= hi, (c, lo, hi)
+
+    # each finite endpoint lies within the widening of a feasible real point
+    if k == d - 1:
+        exact = _last_coordinate_interval(enum, prefix, widths)
+    elif k == d - 2:
+        exact = _exact_pair_interval(enum, prefix, widths)
+        if exact is not None:
+            for end in exact:
+                assert _last_coordinate_interval(enum, prefix + [end], widths) is not None
+    else:
+        inv = enum.field.embedding_inverse(enum.bits)[k]
+        reach_lo = sum(min(abs(e.lo), abs(e.hi)) * Fraction(w) for e, w in zip(inv, widths))
+        reach_hi = sum(max(abs(e.lo), abs(e.hi)) * Fraction(w) for e, w in zip(inv, widths))
+        assert -Fraction(lo) >= reach_hi and Fraction(hi) >= reach_hi
+        assert Fraction(hi) - reach_lo <= 2 * Fraction(nu)
+        exact = None
+    if exact is not None:
+        assert 0 <= exact[0] - Fraction(lo) <= 2 * Fraction(nu)
+        assert 0 <= Fraction(hi) - exact[1] <= 2 * Fraction(nu)
+
+
+def test_slice_range_handles_negative_leading_powers():
+    # |A + c e| <= W is unchanged by negating A and e; the Hurwitz table's
+    # leading powers theta_s^2 are all positive, so this branch needs its own case
+    prefix, lead, widths = [0.3, -1.2, 0.5], [0.8, 1.9, 0.45], [2.0, 3.0, 1.5]
+    ranges = [slice_range(prefix, lead, widths, 0.0),
+              slice_range([-a for a in prefix], [-e for e in lead], widths, 0.0),
+              slice_range(prefix[:1] + [-a for a in prefix[1:]],
+                          lead[:1] + [-e for e in lead[1:]], widths, 0.0)]
+    assert ranges[0][0] < ranges[0][1]
+    assert all(r == pytest.approx(ranges[0], abs=1e-12) for r in ranges)
+
+
+# Candidates of the static-box walk: record() and str(element) of each, and its
+# visited count; the per-node ranges must find the same ones with a fifth of the nodes
+REGRESSION = {
+    "P7": (6.5, 128_407, [
+        ("trace=(2, 3, 1) abs_trace=7.295897 length=[3.935946,3.935946]",
+         "(-1, -3/2, -1/2) + (-3/2, -1, 0)*i + (-1/2, 1, 1/2)*j + (0, 0, 0)*ij"),
+        ("trace=(3, 6, 2) abs_trace=13.591794 length=[5.208017,5.208017]",
+         "(3/2, 3, 1) + (0, -3/2, -1)*i + (-1/2, 5/2, 3/2)*j + (0, 0, 0)*ij"),
+    ]),
+    "P13": (7.5, 199_872, [
+        ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
+         "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
+    ]),
+    "whole ring": (3.0, 42_991, [
+        ("trace=(0, 0, 0) abs_trace=0.000000 elliptic=true",
+         "(0, 0, 0) + (0, 0, 0)*i + (0, 0, 0)*j + (-2, 1, 1)*ij"),
+        ("trace=(2, 0, -1) abs_trace=0.445042 elliptic=true",
+         "(-1, 0, 1/2) + (1/2, 0, 0)*i + (0, 0, 0)*j + (-1/2, 1/2, 1/2)*ij"),
+        ("trace=(1, 0, 0) abs_trace=1.000000 elliptic=true",
+         "(-1/2, 0, 0) + (0, 0, 0)*i + (-1, 0, 1/2)*j + (-3/2, 0, 1/2)*ij"),
+        ("trace=(0, 1, 0) abs_trace=1.246980 elliptic=true",
+         "(0, -1/2, 0) + (-1, 1/2, 1/2)*i + (0, 0, 0)*j + (3/2, 0, -1/2)*ij"),
+        ("trace=(1, -1, -1) abs_trace=1.801938 elliptic=true",
+         "(-1/2, 1/2, 1/2) + (-1, 0, 1/2)*i + (0, 0, 0)*j + (-1, 1/2, 1/2)*ij"),
+        ("trace=(1, 1, 0) abs_trace=2.246980 length=[0.983987,0.983987]",
+         "(-1/2, -1/2, 0) + (-1, 1/2, 1/2)*i + (-1, 0, 1/2)*j + (0, 0, 0)*ij"),
+        ("trace=(0, 1, 1) abs_trace=2.801938 length=[1.736006,1.736006]",
+         "(0, -1/2, -1/2) + (-1/2, 0, 0)*i + (-3/2, 0, 1/2)*j + (0, 0, 0)*ij"),
+        ("trace=(1, -2, -1) abs_trace=3.048917 length=[1.967973,1.967973]",
+         "(-1/2, 1, 1/2) + (-1/2, 1/2, 1/2)*i + (-1/2, 0, 0)*j + (0, 0, 0)*ij"),
+        ("trace=(2, 1, 0) abs_trace=3.246980 length=[2.131105,2.131105]",
+         "(-1, -1/2, 0) + (-1, 0, 1/2)*i + (-1/2, -1/2, 0)*j + (0, 0, 0)*ij"),
+        ("trace=(0, 2, 1) abs_trace=4.048917 length=[2.661931,2.661931]",
+         "(0, -1, -1/2) + (-1/2, 1, 1/2)*i + (-1, 1/2, 1/2)*j + (0, 0, 0)*ij"),
+        ("trace=(2, 2, 0) abs_trace=4.493959 length=[2.898149,2.898149]",
+         "(-1, -1, 0) + (-1, 1, 1)*i + (0, 0, 0)*j + (0, 0, 0)*ij"),
+        ("trace=(1, -2, -2) abs_trace=4.603875 length=[2.951960,2.951960]",
+         "(-1/2, 1, 1) + (-1, -1/2, 0)*i + (-1/2, 1/2, 1/2)*j + (0, 0, 0)*ij"),
+    ]),
+}
+
+
+_ENUMERATE_ONE = """
+import json, sys
+from quatsys.geodesics import enumerate_gamma
+from quatsys.numfield import IdealHNF, factor_rational_prime
+from quatsys.orders import hurwitz_order
+order = hurwitz_order()
+K = order.algebra.field
+ideal = {"P7": IdealHNF.principal(K, K.from_rational(2) - K.gen()),
+         "P13": factor_rational_prime(K, 13)[0][0], "whole ring": K.whole_ring()}[sys.argv[1]]
+cands, visited = enumerate_gamma(order, ideal, float(sys.argv[2]))
+print(json.dumps([visited, [[c.record(), str(c.element)] for c in cands]]))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSION))
+def test_per_node_ranges_keep_every_candidate(name):
+    # one enumeration in a fresh interpreter: which of two elements of equal
+    # displacement represents a class follows the rounding of their enclosures,
+    # and embeddings narrow the field's shared roots over a process's history
+    radius, static_visited, expected = REGRESSION[name]
+    env = dict(os.environ)
+    src = str(Path(geodesics.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _ENUMERATE_ONE, name, str(radius)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    visited, cands = json.loads(out)
+    assert [tuple(c) for c in cands] == expected
+    assert 5 * visited <= static_visited
+
+
+# -- leaf recovery and search bookkeeping ---------------------------------------
+
+def test_field_sqrt_fixes_the_sign_at_place_0(QH, P7, K, monkeypatch):
+    enum = Enumerator(QH, P7)
+    x = K.element([Fraction(-3, 2), 1, Fraction(1, 2)])
+    if x.sign_at(0) < 0:
+        x = -x
+    calls = []
+    recover = type(K).element_from_embeddings
+
+    def counting(self, *args):
+        calls.append(args)
+        return recover(self, *args)
+
+    monkeypatch.setattr(type(K), "element_from_embeddings", counting)
+    roots = enum._field_sqrt(x * x)
+    assert [r.coords for r in roots] == [x.coords, (-x).coords]
+    assert len(calls) == 2 ** (K.degree - 1)
+
+
+def test_frob_sq_reuses_split_place_data(run7, QH, P7):
+    enum = Enumerator(QH, P7)
+    for c in run7[0]:
+        coarse = enum._frob_sq(c.element)
+        fine = enum._frob_sq(c.element, 4 * enum.bits)
+        assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+
+
+def test_search_enumerates_once_per_radius_and_keeps_precision(QH, P7, monkeypatch):
+    from mpmath import iv, mp
+
+    radii = []
+    enumerate_once = geodesics.enumerate_gamma
+
+    def counting(order, ideal, radius, *args):
+        radii.append(radius)
+        return enumerate_once(order, ideal, radius, *args)
+
+    monkeypatch.setattr(geodesics, "enumerate_gamma", counting)
+    prec = (iv.prec, mp.prec)
+    result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 6.5))
+    assert result.mode == "stabilized"
+    assert radii == [4.5, 5.5, 6.5]
+    assert (iv.prec, mp.prec) == prec

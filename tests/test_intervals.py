@@ -90,3 +90,16 @@ def test_float_endpoints_are_outward():
     box = RatInterval(Fraction(1, 3), Fraction(2, 3))
     lo, hi = box.as_floats()
     assert Fraction(lo) <= Fraction(1, 3) and Fraction(hi) >= Fraction(2, 3)
+
+
+def test_helpers_keep_mpmath_precision():
+    from mpmath import iv, mp
+
+    from quatsys.bounds import v3_enclosure
+
+    iv_prec, mp_prec = iv.prec, mp.prec
+    iv_sqrt(Fraction(2), 200)
+    iv_acosh(Fraction(3), 150)
+    iv_cosh(Fraction(1), 300)
+    v3_enclosure(160)
+    assert (iv.prec, mp.prec) == (iv_prec, mp_prec)

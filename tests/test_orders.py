@@ -59,6 +59,14 @@ def test_congruence_lattice_index(QH, P7, P2, P13s):
     assert QH.congruence_lattice(P13s[0]).index_in_order() == 13 ** 4
 
 
+def test_congruence_lattice_built_once_per_ideal(QH, K, P7):
+    cong = QH.congruence_lattice(P7)
+    assert QH.congruence_lattice(P7) is cong
+    same_ideal = IdealHNF.principal(K, K.from_rational(2) - K.gen())
+    assert same_ideal is not P7
+    assert QH.congruence_lattice(same_ideal) is cong
+
+
 def test_gamma_membership_of_center(QH, D, P7, P2, P13s):
     one = D.one()
     for ideal in (P7, P2, P13s[0]):
