@@ -68,6 +68,8 @@ class NumberField:
         self._certify_power_basis_maximal()
         # bits -> certified enclosure of the inverse embedding matrix
         self._inverse_embedding = {}
+        # facts about the field alone that other modules compute (`cached`)
+        self._cache = {}
 
         # theta^k for k = 0 .. 2d-2 as integer coordinate vectors
         d = self.degree
@@ -194,6 +196,16 @@ class NumberField:
         if ambiguous:
             raise PrecisionError("coordinate enclosure holds several lattice points")
         return FieldElement(self, coords)
+
+    def cached(self, key: str, build):
+        """build(), computed once per field and kept under `key`.
+
+        For facts that depend on the field alone, such as the torsion traces
+        of `torsion.torsion_traces`.  A build that raises stores nothing.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def whole_ring(self) -> "IdealHNF":
         eye = [[1 if i == j else 0 for j in range(self.degree)] for i in range(self.degree)]

@@ -8,6 +8,12 @@ stabilizes, and the result is certified to contain 1, to be closed under
 multiplication and under the standard involution, to have integral reduced
 traces and norms, and to satisfy kappa | 2ab.
 
+Order-level tables: the structure constants, the involution, the norm form
+and the identity over the order's own basis are integer arrays that depend
+on the order alone.  `OrderLattice.tables` builds them on first use (never
+in the constructor) and keeps them, so every finite quotient and every
+congruence lattice of the order reads the same read-only arrays.
+
 Congruence structure: for an ideal I of the center, I*Q is the two-sided
 ideal spanned by products of an ideal basis with an order basis, and the
 level-I congruence group consists of the norm-one elements x with
@@ -16,8 +22,11 @@ x - 1 in I*Q.  Membership tests are integer lattice solves, hence exact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
 
 from . import lattice
 from .errors import InputError, InvariantViolation
@@ -37,6 +46,24 @@ def unflatten(algebra: QuaternionAlgebra, vec) -> QuatElement:
     d = algebra.field.degree
     parts = [algebra.field.element(vec[l * d:(l + 1) * d]) for l in range(4)]
     return QuatElement(algebra, parts)
+
+
+@dataclass(frozen=True)
+class OrderTables:
+    """Integer tables of an order over its basis w_0 .. w_{n-1} (read-only).
+
+    struct[a, b]       coordinates of w_a * w_b
+    invol[a]           coordinates of conj(w_a)
+    norm_tensor[a, b]  kappa times the power-basis coordinates of the
+                       1-component of w_a * conj(w_b), so that the reduced
+                       norm of x = sum x_a w_a is sum x_a x_b norm_tensor[a, b] / kappa
+    one                coordinates of 1
+    """
+
+    struct: np.ndarray
+    invol: np.ndarray
+    norm_tensor: np.ndarray
+    one: np.ndarray
 
 
 class OrderLattice:
@@ -69,6 +96,7 @@ class OrderLattice:
         self.mat = tuple(tuple(r) for r in mat)
         self._certify()
         self._congruence = {}  # ideal -> CongruenceIdealLattice
+        self._tables = None  # OrderTables, built on first use
 
     # -- certification ------------------------------------------------------
 
@@ -110,11 +138,25 @@ class OrderLattice:
             return None
         return [int(c) for c in vec]
 
-    def contains(self, x: QuatElement) -> bool:
+    def coords(self, x: QuatElement):
+        """Integer coordinates of x over the order basis, or None if x is not in the order."""
         vec = self.scaled_coords(x)
         if vec is None:
-            return False
-        return lattice.contains([list(r) for r in self.mat], vec)
+            return None
+        return lattice.solve_triangular(self.mat, vec)
+
+    def contains(self, x: QuatElement) -> bool:
+        return self.coords(x) is not None
+
+    def tables(self) -> OrderTables:
+        """Structure constants, involution, norm form and identity over the order basis.
+
+        Built once per order, on first use, from exact products of basis
+        elements; `InvariantViolation` if a product leaves the order.
+        """
+        if self._tables is None:
+            self._tables = _build_tables(self)
+        return self._tables
 
     def is_norm_one(self, x: QuatElement) -> bool:
         return self.contains(x) and x.reduced_norm() == self.algebra.field.one()
@@ -167,7 +209,11 @@ class OrderLattice:
 
 
 class CongruenceIdealLattice:
-    """The two-sided ideal I*Q as a rank-4d sublattice of the order Q."""
+    """The two-sided ideal I*Q as a rank-4d sublattice of the order Q.
+
+    `mat` is its row HNF over the scaled standard basis (as for the order),
+    `coord_mat` its row HNF over the order basis.
+    """
 
     def __init__(self, order: OrderLattice, ideal: IdealHNF):
         if ideal.field != order.algebra.field:
@@ -182,16 +228,29 @@ class CongruenceIdealLattice:
         if not lattice.is_full_rank_hnf(mat, order.dim):
             raise InvariantViolation("congruence lattice lost rank")
         self.mat = tuple(tuple(r) for r in mat)
+        coord_rows = [lattice.solve_triangular(order.mat, row) for row in self.mat]
+        if any(c is None for c in coord_rows):
+            raise InvariantViolation("congruence lattice escapes the order")
+        self.coord_mat = tuple(tuple(r) for r in lattice.hnf(coord_rows, order.dim))
         self._certify()
 
     def _certify(self):
-        basis = self.basis_elements()
-        order_basis = self.order.basis_elements()
-        for z in basis:
-            if not self.contains(z.conj()):
+        """conj(z), w*z and z*w lie in I*Q for every basis z of I*Q and w of Q.
+
+        Exact integer products through the order's tables, in order-basis
+        coordinates (Python integers, so nothing can wrap).
+        """
+        tables = self.order.tables()
+        struct = tables.struct.astype(object)
+        invol = tables.invol.astype(object)
+        for row in self.coord_mat:
+            z = np.array(row, dtype=object)
+            if not lattice.contains(self.coord_mat, z @ invol):
                 raise InvariantViolation("I*Q is not stable under the involution")
-            for w in order_basis:
-                if not (self.contains(w * z) and self.contains(z * w)):
+            # row a: w_a * z = sum_b z_b struct[a, b]; z * w_a = sum_b z_b struct[b, a]
+            for prod in (np.tensordot(struct, z, axes=([1], [0])),
+                         np.tensordot(z, struct, axes=([0], [0]))):
+                if not all(lattice.contains(self.coord_mat, vec) for vec in prod):
                     raise InvariantViolation("I*Q is not a two-sided ideal")
 
     def basis_elements(self):
@@ -319,6 +378,31 @@ def verify_trace_norm_containment(order: OrderLattice, ideal: IdealHNF,
 # ---------------------------------------------------------------------------
 # internals
 # ---------------------------------------------------------------------------
+
+
+def _build_tables(order: OrderLattice) -> OrderTables:
+    basis = order.basis_elements()
+    d = order.algebra.field.degree
+
+    def coords(x):
+        c = order.coords(x)
+        if c is None:
+            raise InvariantViolation("order closure broke while building its tables")
+        return c
+
+    struct = np.array([[coords(wa * wb) for wb in basis] for wa in basis], dtype=object)
+    invol = np.array([coords(w.conj()) for w in basis], dtype=object)
+    one = np.array(coords(order.algebra.one()), dtype=object)
+    # w_a * conj(w_b) = sum_c invol[b, c] w_a w_c, and the first d scaled
+    # standard coordinates of an element are kappa times its 1-component
+    head = np.array([row[:d] for row in order.mat], dtype=object)
+    norm_tensor = np.einsum("bc,acm,mk->abk", invol, struct, head)
+    arrays = []
+    for arr in (struct, invol, norm_tensor, one):
+        arr = arr.astype(np.int64)
+        arr.setflags(write=False)
+        arrays.append(arr)
+    return OrderTables(*arrays)
 
 
 def _module_span(algebra, generators):

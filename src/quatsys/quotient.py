@@ -2,15 +2,44 @@
 radical and semisimple type, square counting, and the index-bound factor.
 
 The exhaustive counts are the ground truth here; the closed-form counting
-identities are the claims being validated against them.  Counting passes
-are vectorized with numpy over blocks of residues, so the default
-cardinality cap of 10**7 residues stays comfortable on a desktop.
+identities are the claims being validated against them.
+
+Every ring of one order reads the order's tables (structure constants,
+involution, norm form, identity; `OrderLattice.tables`), built once per
+order.  A ring adds only its congruence lattice in order coordinates and
+the classification of the central residues O_K/p^t into units.
+
+Counting.  The reduced residues are the product set {0 <= x_j < diag_j}.
+Coordinates with diag_j == 1 are always 0; the others split into leading
+ones h and trailing ones l, each set of about sqrt(card) points, and the
+scaled norm S = kappa * nu is quadratic:
+
+    S(h + l) = S(h) + S(l) + h^T (T_k + T_k^T) l,   T = norm_tensor.
+
+S is computed over each half once, and for a block of leading residues
+the cross term of all pairs is one matrix product (block x lead) @
+(lead x |L|*r).  Divisibility by kappa is checked on the halves: every
+norm value is divisible exactly when S(h), S(l) and the cross coefficients
+(T + T^T) l are, since S(e_a + l) - S(e_a) - S(l) is the coefficient of
+h_a.  Norm values are reduced by the HNF of the central ideal.  Its rows
+with pivot 1 act linearly (the entries above a pivot 1 are 0), so they
+are applied to the halves and the cross coefficients once, leaving r
+coordinates, those with pivot > 1; each value then needs only the rest of
+the reduction before it is tallied by central class.  The halves enter
+reduced and the cross coefficients modulo the ideal's norm N (N O_K lies
+in the ideal), so a cross partial sum is at most (N - 1) times the sum of
+diag_a - 1 over the leading a.  The product runs in float64/BLAS when
+that bound (plus 2N for the halves) is below 2^53, where every partial
+sum is an exactly representable integer, and in int64 otherwise; a bound
+of 2^63 or more refuses the ring with `CapExceeded` rather than wrap.
+Each block holds at most `_CHUNK` residues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -41,64 +70,55 @@ class FiniteQuotRing:
             raise CapExceeded(
                 f"quotient has {self.cardinality} residues, above the cap {cap}")
 
-        dim = order.dim
-        self.dim = dim
-        order_mat = [list(r) for r in order.mat]
-        basis = order.basis_elements()
-
-        # structure constants over the order basis
-        self.struct = np.zeros((dim, dim, dim), dtype=np.int64)
-        for a, wa in enumerate(basis):
-            for b, wb in enumerate(basis):
-                coords = lattice.solve_triangular(order_mat, order.scaled_coords(wa * wb))
-                if coords is None:
-                    raise InvariantViolation("order closure broke during quotient build")
-                self.struct[a, b] = coords
+        self.dim = order.dim
+        self.center_dim = order.algebra.field.degree
+        self.kappa = order.kappa
+        self.tables = order.tables()
+        self.struct = self.tables.struct
+        self.invol = self.tables.invol
+        self.norm_tensor = self.tables.norm_tensor
+        self.one = self.tables.one
 
         # the congruence lattice in order-basis coordinates
-        rows = []
-        for row in order.congruence_lattice(self.ideal).mat:
-            coords = lattice.solve_triangular(order_mat, list(row))
-            if coords is None:
-                raise InvariantViolation("congruence lattice escapes the order")
-            rows.append(coords)
-        mod_mat = lattice.hnf(rows, dim)
+        mod_mat = order.congruence_lattice(self.ideal).coord_mat
         if lattice.det_upper_triangular(mod_mat) != self.cardinality:
             raise InvariantViolation("congruence lattice index mismatch")
         self.mod_mat = np.array(mod_mat, dtype=np.int64)
-        self.diag = np.array([mod_mat[k][k] for k in range(dim)], dtype=np.int64)
+        self.diag = np.array([mod_mat[k][k] for k in range(self.dim)], dtype=np.int64)
 
-        # involution as a matrix on order-basis coordinates
-        inv_rows = []
-        for w in basis:
-            coords = lattice.solve_triangular(order_mat, order.scaled_coords(w.conj()))
-            inv_rows.append(coords)
-        self.invol = np.array(inv_rows, dtype=np.int64)
-
-        # central part: kappa * x0-coords of w_a * conj(w_b), for the norm form
-        d = order.algebra.field.degree
-        self.center_dim = d
-        self.kappa = order.kappa
-        self.norm_tensor = np.zeros((dim, dim, d), dtype=np.int64)
-        for a, wa in enumerate(basis):
-            for b, wb in enumerate(basis):
-                prod = wa * wb.conj()
-                x0 = prod.coords[0]
-                self.norm_tensor[a, b] = [_int(c * self.kappa) for c in x0.coords]
-
-        # coordinates of the identity
-        one_coords = lattice.solve_triangular(order_mat,
-                                              order.scaled_coords(order.algebra.one()))
-        self.one = np.array(one_coords, dtype=np.int64)
-
-        # largest coordinate magnitude a reduced residue can have, for the
-        # float64 fast path: exact as long as every accumulated integer
-        # stays below 2^53
+        # float64 fast paths, exact while every accumulated integer stays
+        # below 2^53 (a reduced residue has coordinates below max diag)
         max_coord = int(self.diag.max())
-        self._mul_exact_float = self._tensor_bound(self.struct, max_coord) < 2 ** 53
-        self._norm_exact_float = self._tensor_bound(self.norm_tensor, max_coord) < 2 ** 53
+        self._mul_exact_float = _float_exact(self._tensor_bound(self.struct, max_coord))
+        self._norm_exact_float = _float_exact(self._tensor_bound(self.norm_tensor, max_coord))
 
-        # central residue classification: unit mask and the class of 1
+        # the split of the counting pass: the last nontrivial coordinate and
+        # as many before it as keep the product of their radices at most
+        # sqrt(card) and _CHUNK are trailing; then the cross-term bound
+        active = [j for j in range(self.dim) if self.diag[j] > 1]
+        size, m = 1, len(active)
+        limit = min(isqrt(self.cardinality), _CHUNK)
+        while m > 0 and (size == 1 or size * int(self.diag[active[m - 1]]) <= limit):
+            m -= 1
+            size *= int(self.diag[active[m]])
+        self._lead, self._trail = active[:m], active[m:]
+        norm = self.ideal.norm
+        cross_bound = (norm - 1) * sum(int(self.diag[a]) - 1 for a in self._lead)
+        self._cross_exact_float = _float_exact(cross_bound + 2 * norm)
+
+        # central residues.  HNF rows with pivot 1 act linearly (the entries
+        # above a pivot 1 are 0, so its quotient is the coordinate itself):
+        # `_center_fold` applies all of them at once and keeps the columns
+        # whose pivot exceeds 1, which `_center_sub`, the HNF restricted to
+        # those columns, finishes reducing.
+        hnf = np.array(self.ideal.mat, dtype=np.int64)
+        self._center_cols = [k for k in range(self.center_dim) if hnf[k, k] > 1]
+        fold = np.eye(self.center_dim, dtype=np.int64)
+        for j in range(self.center_dim):
+            if hnf[j, j] == 1:
+                fold[j] -= hnf[j]
+        self._center_fold = fold[:, self._center_cols]
+        self._center_sub = hnf[np.ix_(self._center_cols, self._center_cols)]
         self._center_index, self._center_units, self._center_one = \
             self._classify_center()
 
@@ -121,19 +141,9 @@ class FiniteQuotRing:
 
     def residue_blocks(self, chunk: int = _CHUNK):
         """Deterministic mixed-radix enumeration of all residues, in blocks."""
-        radices = self.diag
         total = int(self.cardinality)
-        start = 0
-        while start < total:
-            stop = min(start + chunk, total)
-            idx = np.arange(start, stop, dtype=np.int64)
-            block = np.empty((stop - start, self.dim), dtype=np.int64)
-            rest = idx
-            for j in range(self.dim - 1, -1, -1):
-                block[:, j] = rest % radices[j]
-                rest = rest // radices[j]
-            yield block
-            start = stop
+        for start in range(0, total, chunk):
+            yield _digits(start, min(start + chunk, total), self.diag)
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Componentwise ring product of two residue arrays."""
@@ -145,21 +155,29 @@ class FiniteQuotRing:
 
     def norm_map(self, x: np.ndarray) -> np.ndarray:
         """Central coordinates of nu(x) = x * x^*, reduced modulo the ideal."""
+        out = np.zeros((len(x), self.center_dim), dtype=np.int64)
+        out[:, self._center_cols] = self._norm_classes(x)
+        return out
+
+    def _norm_classes(self, x: np.ndarray) -> np.ndarray:
+        """Reduced central coordinates of nu(x) in the columns with pivot > 1."""
         scaled = _quad(x, x, self.norm_tensor, self._norm_exact_float)
+        return self._center_reduce(self._divide_kappa(scaled) @ self._center_fold)
+
+    def _divide_kappa(self, scaled: np.ndarray) -> np.ndarray:
         if (scaled % self.kappa).any():
             raise InvariantViolation("norm values are not integral")
-        vals = scaled // self.kappa
-        return self._reduce_center(vals)
+        return scaled // self.kappa
 
-    def _reduce_center(self, vals: np.ndarray) -> np.ndarray:
-        mat = [list(r) for r in self.ideal.mat]
-        out = vals.copy()
-        for j in range(self.center_dim):
-            q = out[:, j] // mat[j][j]
-            nz = q != 0
-            if nz.any():
-                out[nz] -= q[nz, None] * np.array(mat[j], dtype=np.int64)[None, :]
-        return out
+    def _center_reduce(self, folded: np.ndarray) -> np.ndarray:
+        """Finish reducing folded central coordinates by `_center_sub`, in place."""
+        for i, row in enumerate(self._center_sub):
+            if row[i + 1:].any():
+                q = folded[:, i] // row[i]
+                folded[:, i:] -= q[:, None] * row[i:]
+            else:
+                folded[:, i] %= row[i]
+        return folded
 
     def _classify_center(self):
         field = self.order.algebra.field
@@ -170,28 +188,56 @@ class FiniteQuotRing:
         units = np.zeros(int(np.prod([int(x) for x in diag])), dtype=bool)
         for rep in self.ideal.residues():
             code = int(sum(int(v) * int(s) for v, s in zip(rep, strides)))
-            elem = field.element(rep)
-            if not elem.is_zero():
-                s = IdealHNF.principal(field, elem) + self.ideal
-                units[code] = s.is_whole_ring()
+            # a residue of O_K/p^t is a unit exactly when it is not in p
+            units[code] = not self.prime.contains(field.element(rep))
         one_rep = self.ideal.reduce([1] + [0] * (self.center_dim - 1))
         one_code = int(sum(int(v) * int(s) for v, s in zip(one_rep, strides)))
-        return strides, units, one_code
+        # reduced coordinates vanish in the columns with pivot 1
+        return strides[self._center_cols], units, one_code
 
-    def _center_keys(self, vals: np.ndarray) -> np.ndarray:
-        """Mixed-radix codes of reduced central coordinates, vectorized."""
-        return vals @ self._center_index
+    def _center_keys(self, classes: np.ndarray) -> np.ndarray:
+        """Mixed-radix codes of reduced central classes, vectorized."""
+        return classes @ self._center_index
 
     # -- counting -----------------------------------------------------------
 
+    def _norm_histogram(self) -> np.ndarray:
+        """Number of residues x with nu(x) in each central class, by class key.
+
+        The split-form pass of the module docstring.
+        """
+        tensor = self.norm_tensor
+        lead, trail = self._lead, self._trail
+        r = len(self._center_cols)
+        lows = _digits(0, int(np.prod(self.diag[trail])), self.diag[trail])
+        # S(l) over the trailing half, and the cross coefficients
+        # (T + T^T)[a, trail] . l for every leading a, folded: a (lead, |L| * r) matrix
+        s_low = self._center_reduce(self._divide_kappa(_quad(
+            lows, lows, tensor[np.ix_(trail, trail)], self._norm_exact_float)) @ self._center_fold)
+        sym = tensor[np.ix_(lead, trail)] + tensor[np.ix_(trail, lead)].transpose(1, 0, 2)
+        cross = self._divide_kappa(np.einsum("ajk,nj->ank", sym, lows)) @ self._center_fold
+        cross = (cross % self.ideal.norm).reshape(len(lead), -1)
+        t_lead = tensor[np.ix_(lead, lead)]
+
+        hist = np.zeros(len(self._center_units), dtype=np.int64)
+        n_lead = int(np.prod(self.diag[lead]))
+        rows = max(1, _CHUNK // len(lows))
+        for start in range(0, n_lead, rows):
+            highs = _digits(start, min(start + rows, n_lead), self.diag[lead])
+            s_high = self._center_reduce(self._divide_kappa(
+                _quad(highs, highs, t_lead, self._norm_exact_float)) @ self._center_fold)
+            vals = _mat(highs, cross, self._cross_exact_float).reshape(len(highs), -1, r)
+            vals += s_high[:, None, :]
+            vals += s_low[None, :, :]
+            keys = self._center_keys(self._center_reduce(vals.reshape(-1, r)))
+            hist += np.bincount(keys, minlength=len(hist))
+        if int(hist.sum()) != self.cardinality:
+            raise InvariantViolation("the split pass missed residues")
+        return hist
+
     def count_units_and_norm_one(self):
-        units = 0
-        norm_one = 0
-        for block in self.residue_blocks():
-            keys = self._center_keys(self.norm_map(block))
-            units += int(self._center_units[keys].sum())
-            norm_one += int((keys == self._center_one).sum())
-        return units, norm_one
+        hist = self._norm_histogram()
+        return int(hist[self._center_units].sum()), int(hist[self._center_one])
 
     def count_units(self) -> int:
         return self.count_units_and_norm_one()[0]
@@ -200,11 +246,8 @@ class FiniteQuotRing:
         return self.count_units_and_norm_one()[1]
 
     def norm_image_size(self) -> int:
-        seen = set()
-        for block in self.residue_blocks():
-            keys = self._center_keys(self.norm_map(block))
-            seen.update(int(k) for k in keys[self._center_units[keys]])
-        return len(seen)
+        """Number of central unit classes that are norms of residues."""
+        return int(np.count_nonzero(self._norm_histogram()[self._center_units]))
 
     def involution_well_defined_sample(self, rng, samples: int = 64) -> bool:
         """The involution of a residue must not depend on the lift."""
@@ -269,7 +312,7 @@ class FiniteQuotRing:
                 for rblock in blocks:
                     prods = self.reduce(_mat(rblock, mx, self._mul_exact_float))
                     w = self.reduce(self.one[None, :] - prods)
-                    keys = self._center_keys(self.norm_map(w))
+                    keys = self._center_keys(self._norm_classes(w))
                     if not bool(self._center_units[keys].all()):
                         ok = False
                         break
@@ -309,10 +352,26 @@ class FiniteQuotRing:
         return j_size, tag
 
 
-def _int(f: Fraction) -> int:
-    if f.denominator != 1:
-        raise InvariantViolation("expected integral coordinate")
-    return int(f)
+def _float_exact(bound: int) -> bool:
+    """Whether float64 is exact for integer sums of magnitude at most `bound`.
+
+    Below 2^53 every such integer is a float64; otherwise the int64 path is
+    taken, which is exact below 2^63.  Past that even int64 would wrap, so
+    the ring is refused.
+    """
+    if bound >= 2 ** 63:
+        raise CapExceeded(f"integer sums up to {bound} would overflow int64")
+    return bound < 2 ** 53
+
+
+def _digits(start: int, stop: int, radices) -> np.ndarray:
+    """Mixed-radix digits of start .. stop-1, last digit fastest."""
+    rest = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, len(radices)), dtype=np.int64)
+    for j in range(len(radices) - 1, -1, -1):
+        out[:, j] = rest % radices[j]
+        rest = rest // radices[j]
+    return out
 
 
 def _quad(x: np.ndarray, y: np.ndarray, tensor: np.ndarray, float_ok: bool) -> np.ndarray:
@@ -415,10 +474,8 @@ def squares_count(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> int:
     squares = set()
     for rep in power.residues():
         elem = field.element(rep)
-        if elem.is_zero():
-            continue
-        if not (IdealHNF.principal(field, elem) + power).is_whole_ring():
-            continue
+        if prime.contains(elem):
+            continue  # not a unit of O_K/p^t
         key = tuple(power.reduce([int(c) for c in (elem * elem).coords]))
         squares.add(key)
     return len(squares)

@@ -6,7 +6,7 @@ the obstruction ideal <x + 1/x - 2>.  Working only with the real trace
 value x + 1/x (never constructing the extension), the certifier:
 
 * enumerates every torsion order n whose cosine trace 2*cos(2*pi/n) lies
-  in K (all n with phi(n) <= 2d, tested exactly);
+  in K (all n with phi(n) <= 2d, tested exactly), once per field;
 * forms each obstruction ideal and tests the divisibility it would impose;
   in a class-number-one field the stronger square-divisibility test
   applies (any violating ideal would contain a principal one with the
@@ -125,17 +125,25 @@ def _eval_in_field(field, asc_coeffs, x: FieldElement) -> FieldElement:
     return acc
 
 
+def torsion_traces(field: NumberField) -> tuple:
+    """(n, x) for every torsion order n with phi(n) <= 2d and every root x in K
+    of the minimal polynomial of 2*cos(2*pi/n); by n, then by coordinates.
+
+    Depends on the field alone, so it is computed once per field and kept on
+    it; a `PrecisionError` from `roots_in_field` propagates and is not kept.
+    """
+    def build():
+        bound = 2 * field.degree
+        return tuple((n, x) for n in range(1, 2 * bound * bound + 3)
+                     if sympy.totient(n) <= bound
+                     for x in roots_in_field(field, two_cos_minimal_poly(n)))
+
+    return field.cached("torsion_traces", build)
+
+
 def candidate_orders(field: NumberField) -> list:
     """All torsion orders n with phi(n) <= 2d whose cosine trace lies in K."""
-    bound = 2 * field.degree
-    ns = []
-    n = 1
-    while n <= 2 * bound * bound + 2:
-        if sympy.totient(n) <= bound:
-            if roots_in_field(field, two_cos_minimal_poly(n)):
-                ns.append(n)
-        n += 1
-    return ns
+    return sorted({n for n, _x in torsion_traces(field)})
 
 
 @dataclass
@@ -182,25 +190,24 @@ def certify_torsion_free(order: OrderLattice, ideal: IdealHNF,
     i_sq = ideal * ideal
     records = []
     blocking = []
-    for n in candidate_orders(field):
+    for n, trace_value in torsion_traces(field):
         if n <= 2:
             continue  # x = 1 is not torsion, x = -1 is central: reported separately
-        for trace_value in roots_in_field(field, two_cos_minimal_poly(n)):
-            c = trace_value - field.from_rational(2)
-            if c.is_zero():
-                continue
-            if abs(c.norm()) == 1:
-                records.append(ObstructionRecord(n, trace_value, True, None, False))
-                continue
-            obstruction = IdealHNF.principal(field, c)
-            if strong:
-                blocks = i_sq.divides(obstruction)
-            else:
-                blocks = ideal.divides(obstruction)
-            records.append(ObstructionRecord(n, trace_value, False,
-                                             obstruction.norm, blocks))
-            if blocks:
-                blocking.append(n)
+        c = trace_value - field.from_rational(2)
+        if c.is_zero():
+            continue
+        if abs(c.norm()) == 1:
+            records.append(ObstructionRecord(n, trace_value, True, None, False))
+            continue
+        obstruction = IdealHNF.principal(field, c)
+        if strong:
+            blocks = i_sq.divides(obstruction)
+        else:
+            blocks = ideal.divides(obstruction)
+        records.append(ObstructionRecord(n, trace_value, False,
+                                         obstruction.norm, blocks))
+        if blocks:
+            blocking.append(n)
     return TorsionCertificate(
         ideal_norm=ideal.norm,
         strong_form=strong,

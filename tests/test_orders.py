@@ -112,3 +112,42 @@ def test_custom_order_roundtrip(D, O_std):
     rebuilt = OrderLattice(D, O_std.basis_elements(), name="copy")
     assert rebuilt.kappa == O_std.kappa
     assert rebuilt.mat == O_std.mat
+
+
+def _fake_congruence_lattice(order, rows):
+    from quatsys import lattice
+    from quatsys.orders import CongruenceIdealLattice
+
+    fake = object.__new__(CongruenceIdealLattice)
+    fake.order = order
+    fake.coord_mat = tuple(tuple(r) for r in lattice.hnf(rows, order.dim))
+    return fake
+
+
+def test_congruence_certificate_rejects_non_ideals(QH, D):
+    from quatsys.errors import InvariantViolation
+
+    seven_q = [[7 if a == b else 0 for b in range(QH.dim)] for a in range(QH.dim)]
+    # Z*1 + 7Q is stable under the involution but not an ideal
+    ring_like = _fake_congruence_lattice(QH, seven_q + [QH.coords(D.one())])
+    with pytest.raises(InvariantViolation, match="two-sided"):
+        ring_like._certify()
+    # Z*(1 + i) + 7Q does not contain conj(1 + i) = 2 - (1 + i)
+    skew = _fake_congruence_lattice(QH, seven_q + [QH.coords(D.one() + D.gen_i())])
+    with pytest.raises(InvariantViolation, match="involution"):
+        skew._certify()
+    # 7Q itself passes
+    _fake_congruence_lattice(QH, seven_q)._certify()
+
+
+def test_congruence_lattice_in_order_coordinates(QH, O_std, P7, P2):
+    from quatsys import lattice
+
+    for order in (QH, O_std):
+        basis = order.basis_elements()
+        for ideal in (P7, P2):
+            cong = order.congruence_lattice(ideal)
+            assert lattice.det_upper_triangular(cong.coord_mat) == ideal.norm ** 4
+            for row in cong.coord_mat:
+                z = sum((c * w for c, w in zip(row, basis)), order.algebra.zero())
+                assert cong.contains(z)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from quatsys.errors import CapExceeded, InputError
+from quatsys.errors import CapExceeded, InputError, InvariantViolation
 from quatsys.numfield import factor_rational_prime
-from quatsys.quotient import (FiniteQuotRing, count_norm_one_ideal, index_bound,
-                              lambda_factor, lemma44_check, maxim_formula,
+from quatsys.quotient import (_CHUNK, FiniteQuotRing, _float_exact, count_norm_one_ideal,
+                              index_bound, lambda_factor, lemma44_check, maxim_formula,
                               nonmaximal_local_primes, norm_one_envelope)
 
 
@@ -182,3 +182,116 @@ def test_lambda_and_index_bound(D, QH, O_std, P7, P2, P13s):
 def test_quotient_rejects_bad_t(QH, P7):
     with pytest.raises(InputError):
         FiniteQuotRing(QH, P7, 0)
+
+
+# -- the split-form count against the per-residue loop ---------------------------
+
+def residue_loop_counts(ring):
+    """Oracle: (units, norm-one) from the norm of every residue, block by block.
+
+    The per-residue loop the split pass replaced: exact int64 norm values,
+    the kappa check, reduction by the ideal's HNF in Python integers, and
+    classification by exact field arithmetic (no class key or unit mask).
+    """
+    from collections import Counter
+
+    import numpy as np
+
+    field = ring.order.algebra.field
+    tally = Counter()
+    for block in ring.residue_blocks():
+        scaled = np.einsum("ni,nj,ijk->nk", block, block, ring.norm_tensor)
+        if (scaled % ring.kappa).any():
+            raise InvariantViolation("norm values are not integral")
+        tally.update(tuple(ring.ideal.reduce(row)) for row in (scaled // ring.kappa).tolist())
+    one = tuple(ring.ideal.reduce([1] + [0] * (ring.center_dim - 1)))
+    units = sum(n for rep, n in tally.items()
+                if not ring.prime.contains(field.element(list(rep))))
+    return units, tally[one]
+
+
+@pytest.fixture(scope="module")
+def small_rings(QH, O_std, P7, P2, P13s):
+    return {name: FiniteQuotRing(order, prime, 1) for name, order, prime in [
+        ("QH/P7", QH, P7), ("QH/P2", QH, P2), ("QH/P13", QH, P13s[0]),
+        ("O_std/P7", O_std, P7), ("O_std/P2", O_std, P2)]}
+
+
+@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P7", "O_std/P2"])
+def test_split_count_equals_residue_loop(small_rings, name):
+    ring = small_rings[name]
+    assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
+
+
+@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P2"])
+def test_float_and_int64_paths_agree(small_rings, name, monkeypatch):
+    ring = small_rings[name]
+    assert ring._cross_exact_float and ring._norm_exact_float
+    expected = ring.count_units_and_norm_one()
+    monkeypatch.setattr(ring, "_cross_exact_float", False)
+    monkeypatch.setattr(ring, "_norm_exact_float", False)
+    assert ring.count_units_and_norm_one() == expected
+    assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
+
+
+def test_split_keeps_blocks_small(QH, P7):
+    # a block is max(1, _CHUNK // |L|) leading residues times the |L| trailing ones
+    ring = FiniteQuotRing(QH, P7, 2)
+    lows = 1
+    for j in ring._trail:
+        lows *= int(ring.diag[j])
+    assert ring._lead and ring._trail
+    assert lows <= min(_CHUNK, 49 ** 2)
+
+
+def test_kappa_check_covers_every_part_of_the_split(small_rings, monkeypatch):
+    # one odd entry in the norm tensor makes some norm value odd (kappa = 2);
+    # the split pass must notice it whether the entry sits in the leading
+    # half, the trailing half or the cross term, as the residue loop does
+    import numpy as np
+
+    ring = small_rings["QH/P13"]
+    a, b = ring._lead[0], ring._trail[0]
+    for i, j in [(a, a), (b, b), (a, b)]:
+        bad = ring.tables.norm_tensor.copy()
+        bad[i, j, 0] += 1
+        monkeypatch.setattr(ring, "norm_tensor", bad)
+        with pytest.raises(InvariantViolation):
+            ring.count_units_and_norm_one()
+        with pytest.raises(InvariantViolation):
+            residue_loop_counts(ring)
+    monkeypatch.undo()
+    assert np.array_equal(ring.norm_tensor, ring.tables.norm_tensor)
+
+
+def test_order_tables_built_once(QH, P7, P13s):
+    r7 = FiniteQuotRing(QH, P7, 1)
+    r13 = FiniteQuotRing(QH, P13s[0], 1)
+    assert r7.tables is r13.tables is QH.tables()
+    assert r7.struct is r13.struct
+    for arr in (r7.struct, r7.invol, r7.norm_tensor, r7.one):
+        assert not arr.flags.writeable
+
+
+def test_float_exact_guard_on_a_synthetic_tensor():
+    import numpy as np
+
+    tensor = np.zeros((2, 2, 2), dtype=np.int64)
+    tensor[:, :, 0] = 2 ** 41  # worst column sum 2^43
+    tensor[:, :, 1] = -3
+    bound = FiniteQuotRing._tensor_bound
+    assert bound(tensor, 2 ** 5) == 2 ** 53
+    assert _float_exact(bound(tensor, 2 ** 5) - 1)      # float64 is exact
+    assert not _float_exact(bound(tensor, 2 ** 5))      # int64
+    assert not _float_exact(bound(tensor, 2 ** 10) - 1)
+    with pytest.raises(CapExceeded):
+        _float_exact(bound(tensor, 2 ** 10))            # 2^63 would wrap
+
+
+def test_central_units_of_a_prime_square(QH, P7):
+    # O_K/p^2 has q^2 - q units: exactly the residues outside p
+    ring = FiniteQuotRing(QH, P7, 2)
+    assert len(ring._center_units) == 49
+    assert int(ring._center_units.sum()) == 49 - 7
+    assert ring._center_units[ring._center_one]
+

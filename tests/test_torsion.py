@@ -82,3 +82,50 @@ def test_weak_form_blocks_at_obstruction(QH, K, P2):
 def test_improper_ideal_rejected(QH, K):
     with pytest.raises(InputError):
         certify_torsion_free(QH, K.whole_ring())
+
+
+def _fresh_hurwitz():
+    from quatsys.numfield import IdealHNF, hurwitz_field
+    from quatsys.orders import hurwitz_algebra, hurwitz_order
+
+    field = hurwitz_field()
+    order = hurwitz_order(hurwitz_algebra(field))
+    p7 = IdealHNF.principal(field, field.from_rational(2) - field.gen())
+    return field, order, p7
+
+
+def test_torsion_traces_computed_once_per_field(monkeypatch):
+    from quatsys import torsion
+
+    field, order, p7 = _fresh_hurwitz()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return roots_in_field(*args)
+
+    monkeypatch.setattr(torsion, "roots_in_field", spy)
+    first = certify_torsion_free(order, p7)
+    assert calls  # a new field has nothing cached
+    made = len(calls)
+    second = certify_torsion_free(order, p7)
+    p2 = [p for p in primes_up_to_norm(field, 8) if p.norm == 8][0]
+    certify_torsion_free(order, p2)
+    candidate_orders(field)
+    assert len(calls) == made
+    assert second.lines() == first.lines()
+
+
+def test_precision_failure_is_not_cached(monkeypatch):
+    field, order, p7 = _fresh_hurwitz()
+
+    def undecided(self, boxes, den, bits):
+        raise PrecisionError("forced")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NumberField, "element_from_embeddings", undecided)
+        with pytest.raises(PrecisionError):
+            certify_torsion_free(order, p7)
+    cert = certify_torsion_free(order, p7)
+    assert cert.torsion_free
+    assert candidate_orders(field) == [1, 2, 3, 4, 6, 7, 14]
