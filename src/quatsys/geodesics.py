@@ -27,17 +27,28 @@ filters would reject disappear, so the emitted elements, in their order, are
 those of the static-box walk.
 
 The final coefficient is never enumerated: the norm-one equation determines
-x3^2 exactly, and `NumberField.element_from_embeddings`, fed certified
-interval square roots of its embeddings with the positive root at place 0,
-either recovers x3 in the field or proves there is none (the other root is
-its negative).  Every emitted element passes exact integer/rational checks
-(norm one, congruence, not central); the radius cut itself is decided by
-refinable interval arithmetic, which terminates because an algebraic
-squared norm can never equal the transcendental 2 cosh L.
+x3^2 exactly.  At a leaf, floats recover x3 first (`WalkRanges.leaf_roots`):
+x3^2 at each place from the walk's block values, its square roots with the
+sign fixed at place 0, and the inverse embedding matrix give the candidate
+coordinates of each sign pattern, each under an error bound derived from the
+walk's rounding bounds.  A pattern with a coordinate farther than its bound
+from every integer has no root; any other has exactly one candidate, which
+the exact checks below then settle (x3^2 = v among them).  Only where a
+bound cannot decide (x3^2 within its bound of 0 at some place, or a bound
+reaching 1/2) does `NumberField.element_from_embeddings`, fed certified
+interval square roots, recover x3 or prove there is none.  Every emitted
+element passes exact integer/rational checks (norm one, congruence, not
+central).  The radius cut is decided in floats under a derived bound on the
+split-place Frobenius norm, and by refinable interval arithmetic where that
+bound cannot, which terminates because an algebraic squared norm can never
+equal the transcendental 2 cosh L.  Each class |trace| keeps its element of
+least Frobenius norm, the first one met in walk order on a tie, decided
+exactly (`Enumerator._frob_less`), so the representatives depend neither on
+what ran before in the process nor on how the walk was split between workers.
 
 Completeness of the visited region is certified: outward rounding
-everywhere, per-node ranges widened by a derived bound on their float
-rounding (`walkranges`), and float pre-filters whose slack
+everywhere, per-node ranges and leaf decisions under derived bounds on their
+float rounding (`walkranges`), and block-end float filters whose slack
 `_SLACK` is backstopped by exact leaf checks.  Completeness of the
 *geodesic spectrum* up to a given length additionally needs a diameter
 bound for the quotient surface, which is the caller's to supply:
@@ -49,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +71,9 @@ from .orders import OrderLattice
 from .quatalg import QuatElement
 from .walkranges import WalkRanges
 
-_SLACK = 1e-7  # float pre-filter slack; exact checks gate every emission
+_SLACK = 1e-7  # slack of the block-end float filters; exact checks gate every emission
+# Enumerator.counters: leaves = float_rejected + float_candidates + fallbacks
+LEAF_COUNTERS = ("leaves", "float_rejected", "float_candidates", "fallbacks", "field_sqrt")
 
 
 @dataclass
@@ -109,7 +123,13 @@ class EnumerationResult:
 
 
 class Enumerator:
-    """Reusable exact enumerator for one (order, ideal) pair."""
+    """Reusable exact enumerator for one (order, ideal) pair.
+
+    `counters` accumulates over runs, per name in LEAF_COUNTERS: leaves
+    reached; leaves whose floats rule out every x3 (`float_rejected`), leave
+    a candidate for the exact checks (`float_candidates`) or cannot decide
+    (`fallbacks`, recovered by `_field_sqrt`); and `_field_sqrt` calls.
+    """
 
     def __init__(self, order: OrderLattice, ideal: IdealHNF, bits: int = 60):
         algebra = order.algebra
@@ -134,19 +154,22 @@ class Enumerator:
 
         # certified embedding data
         theta = [field.embedding_interval(s, bits) for s in range(d)]
-        split_key = self._split_key(bits)
         self.a_emb = [algebra.a.embed(s, bits) for s in range(d)]
         self.b_emb = [algebra.b.embed(s, bits) for s in range(d)]
         for s in range(1, d):
             if not (self.a_emb[s].certainly_lt(0) and self.b_emb[s].certainly_lt(0)):
                 raise InputError("structure constants must be negative at places >= 1")
         self.sqrt_a0 = iv_sqrt(self.a_emb[0], bits)
-        self._split = (split_key, self.sqrt_a0, self.b_emb[0])
+        self._split = {bits: (self.sqrt_a0, self.b_emb[0])}
+        one, a, b = field.one(), algebra.a, algebra.b
+        self._inv_ab = (a * b).inverse()
+        self._one_plus_b2 = one + b * b
+        self._two_one_minus_b2 = (one - b * b) * 2
+        self.counters = Counter(dict.fromkeys(LEAF_COUNTERS, 0))
         # float mid tables for fast pruning
         powers = [[theta[s] ** m for m in range(d)] for s in range(d)]
         self.emb_f = [[float(p.mid) for p in row] for row in powers]
         self.a_f = [float(x.mid) for x in self.a_emb]
-        self.b_f = [float(x.mid) for x in self.b_emb]
         self.sqrt_a0_f = float(self.sqrt_a0.mid)
 
         self._ranges = WalkRanges(powers, self.emb_f, field.embedding_inverse(bits),
@@ -229,7 +252,7 @@ class Enumerator:
         hnf = self.hnf
         offset = self.offset
         emb_f = self.emb_f
-        a_f, b_f = self.a_f, self.b_f
+        a_f = self.a_f
         mf, box_f = self._filter_bounds(boxes, m_val)
         cb_f = [float(cb) for cb in coord_bound]
         t_hi_f = float(m_sq)
@@ -238,6 +261,7 @@ class Enumerator:
 
         self._m_sq = m_sq
         found = {}
+        self._rep_norm = {}  # enclosure of ||x||_F^2 of each class representative
         visited = 0
         c_vals = [0] * dim
 
@@ -260,7 +284,7 @@ class Enumerator:
             if visited > cap_nodes:
                 raise CapExceeded(f"enumeration exceeded {cap_nodes} nodes")
             if j == 3 * d:
-                self._leaf(c_vals, x_places, partial_vec, boxes, found, m_sq, mf)
+                self._leaf(c_vals, x_places, partial_vec, tabs, found, m_sq)
                 return
             h = hnf[j][j]
             cb = cb_f[j]
@@ -312,40 +336,55 @@ class Enumerator:
         descend(0, list(offset))
         return found, visited
 
-    # -- leaf: solve the last coefficient exactly -------------------------------
+    # -- leaf: recover the last coefficient --------------------------------------
 
-    def _leaf(self, c_vals, x_places, partial_vec, boxes, found, m_sq, mf):
+    def _leaf(self, c_vals, x_places, partial_vec, tabs, found, m_sq):
+        counters = self.counters
+        counters["leaves"] += 1
+        ranges = self._ranges
+        targets = ranges.leaf_roots(ranges.leaf_squares(x_places, tabs), tabs)
+        if targets == []:
+            counters["float_rejected"] += 1
+            return
         d, kappa = self.d, self.kappa
-        a_f, b_f = self.a_f, self.b_f
-        # float feasibility of x3^2 = (1 - x0^2 + a x1^2 + b x2^2) / (a b)
-        v_f = []
-        for s in range(d):
-            x0, x1, x2 = x_places[0][s], x_places[1][s], x_places[2][s]
-            v_f.append((1 - x0 * x0 + a_f[s] * x1 * x1 + b_f[s] * x2 * x2)
-                       / (a_f[s] * b_f[s]))
-        if any(v < -_SLACK for v in v_f):
-            return
-        if v_f[0] > float(boxes[3][0]) ** 2 * (1 + _SLACK) + _SLACK:
-            return
         kf = self.field
         inv_k = Fraction(1, kappa)
         x0e = kf.element([c * inv_k for c in c_vals[0:d]])
         x1e = kf.element([c * inv_k for c in c_vals[d:2 * d]])
         x2e = kf.element([c * inv_k for c in c_vals[2 * d:3 * d]])
-        a, b = self.algebra.a, self.algebra.b
-        v_elem = (kf.one() - x0e * x0e + a * (x1e * x1e) + b * (x2e * x2e)) / (a * b)
-        for x3e in self._field_sqrt(v_elem):
-            target = [_int_or_none(c * kappa) for c in x3e.coords]
+        v_elem = None
+        if targets is None:
+            # the floats cannot decide: certified recovery, roots already verified
+            counters["fallbacks"] += 1
+            v_elem = self._x3_square(x0e, x1e, x2e)
+            targets = [[_int_or_none(c * kappa) for c in x3e.coords]
+                       for x3e in self._field_sqrt(v_elem)]
+            verified = True
+        else:
+            counters["float_candidates"] += 1
+            verified = False
+        for target in targets:
             if any(t is None for t in target):
                 continue
             if not self._congruence_tail(partial_vec, target):
                 continue
+            x3e = kf.element([t * inv_k for t in target])
+            if not verified:
+                if v_elem is None:
+                    v_elem = self._x3_square(x0e, x1e, x2e)
+                if x3e * x3e != v_elem:
+                    continue
             x = QuatElement(self.algebra, (x0e, x1e, x2e, x3e))
             if x.reduced_norm() != kf.one():
                 raise InvariantViolation("norm-one identity failed at an exact leaf")
             if x.is_central():
                 continue  # +-1 are the only central norm-one elements on the coset
-            self._emit(x, found, m_sq)
+            self._emit(x, found, m_sq, ranges.split_norm(x_places, target, tabs))
+
+    def _x3_square(self, x0e, x1e, x2e):
+        """x3^2 from the norm-one equation: (1 - x0^2 + a x1^2 + b x2^2) / (ab)."""
+        a, b = self.algebra.a, self.algebra.b
+        return (self.field.one() - x0e * x0e + a * (x1e * x1e) + b * (x2e * x2e)) * self._inv_ab
 
     def _congruence_tail(self, partial_vec, target) -> bool:
         d = self.d
@@ -361,6 +400,7 @@ class Enumerator:
 
     def _field_sqrt(self, v: FieldElement):
         """The square roots of v in K (possibly none), certified then verified."""
+        self.counters["field_sqrt"] += 1
         if v.is_zero():
             return [self.field.zero()]
         bits = self.bits
@@ -385,18 +425,32 @@ class Enumerator:
             return list(out.values())
         raise PrecisionError("field square root undecided at maximal refinement")
 
-    def _emit(self, x: QuatElement, found, m_sq):
-        fr = self._frob_sq(x)
-        bits = self.bits
-        while not (fr.certainly_le(m_sq) or fr.certainly_gt(m_sq)):
-            bits *= 2
-            if bits > 4096:
-                raise PrecisionError("radius cut undecided; increase precision")
-            fr = self._frob_sq(x, bits)
-        if fr.certainly_gt(m_sq):
+    def _emit(self, x: QuatElement, found, m_sq, approx):
+        """Keep x if ||x||_F^2 <= m_sq, as its class representative if it is one.
+
+        approx: floats lo <= ||x||_F^2 <= hi (`WalkRanges.split_norm`); where
+        they cannot decide the radius cut, certified enclosures are refined.
+        """
+        norm = RatInterval(*approx)
+        fr = None
+        if not (norm.certainly_le(m_sq) or norm.certainly_gt(m_sq)):
+            norm = fr = self._frob_sq(x)
+            bits = self.bits
+            while not (fr.certainly_le(m_sq) or fr.certainly_gt(m_sq)):
+                bits *= 2
+                if bits > 4096:
+                    raise PrecisionError("radius cut undecided; increase precision")
+                norm = fr = self._frob_sq(x, bits)
+        if norm.certainly_gt(m_sq):
             return
         trace = x.reduced_trace()
         key = max(trace.coords, tuple(-c for c in trace.coords))
+        prev = found.get(key)
+        if prev is not None and not self._frob_less(x, prev.element, norm, self._rep_norm[key]):
+            return
+        self._rep_norm[key] = norm
+        if fr is None:
+            fr = self._frob_sq(x)
         disp = iv_acosh(fr / 2, self.bits) if fr.certainly_gt(2) else RatInterval.exact(0)
         tr_box = trace.embed(0, self.bits).abs()
         elliptic = tr_box.certainly_lt(2)
@@ -408,7 +462,7 @@ class Enumerator:
         length = None
         if not elliptic:
             length = iv_acosh(tr_box / 2, self.bits) * 2
-        cand = GeodesicCandidate(
+        found[key] = GeodesicCandidate(
             element=x,
             trace=trace if key == trace.coords else -trace,
             abs_trace=float(tr_box.mid),
@@ -416,15 +470,38 @@ class Enumerator:
             displacement=disp,
             is_elliptic=elliptic,
         )
-        prev = found.get(key)
-        if prev is None or disp.mid < prev.displacement.mid:
-            found[key] = cand
 
-    def _split_key(self, bits):
-        """When sqrt(a) and b at place 0 may be reused: the same bits and the
-        same enclosure of the place-0 root, which embeddings narrow in place."""
-        root = self.field.roots[0]
-        return bits, root.lo, root.hi
+    def _frob_parts(self, x: QuatElement):
+        """(alpha, beta) in K with ||x||_F^2 = alpha + beta sqrt(a) at the split place:
+        alpha = 2 (x0^2 + a x1^2) + (1 + b^2)(x2^2 + a x3^2), beta = 2 (1 - b^2) x2 x3."""
+        x0, x1, x2, x3 = x.coords
+        a = self.algebra.a
+        alpha = ((x0 * x0 + a * (x1 * x1)) * 2
+                 + self._one_plus_b2 * (x2 * x2 + a * (x3 * x3)))
+        return alpha.coords, (self._two_one_minus_b2 * (x2 * x3)).coords
+
+    def _frob_less(self, x: QuatElement, y: QuatElement, fx=None, fy=None) -> bool:
+        """Whether ||x||_F^2 < ||y||_F^2 at the split place, decided exactly.
+
+        fx, fy: enclosures of the two norms, if known.  a is not a square in K
+        (it is negative at the other places), so the two norms are equal
+        exactly when their (alpha, beta) are; otherwise they differ and
+        refining their enclosures separates them.  This is the representative
+        rule of a class: the least norm, the first one met on a tie.
+        """
+        if fx is None:
+            fx = self._frob_sq(x)
+        if fy is None:
+            fy = self._frob_sq(y)
+        bits = self.bits
+        while not (fx.certainly_lt(fy) or fy.certainly_lt(fx)):
+            if bits == self.bits and self._frob_parts(x) == self._frob_parts(y):
+                return False
+            bits *= 2
+            if bits > 4096:
+                raise PrecisionError("Frobenius norms not separated; increase precision")
+            fx, fy = self._frob_sq(x, bits), self._frob_sq(y, bits)
+        return fx.certainly_lt(fy)
 
     def _frob_sq(self, x: QuatElement, bits: int | None = None) -> RatInterval:
         bits = bits or self.bits
@@ -432,11 +509,11 @@ class Enumerator:
         x1 = x.coords[1].embed(0, bits)
         x2 = x.coords[2].embed(0, bits)
         x3 = x.coords[3].embed(0, bits)
-        key = self._split_key(bits)
-        if key != self._split[0]:
-            self._split = (key, iv_sqrt(self.algebra.a.embed(0, bits), bits),
-                           self.algebra.b.embed(0, bits))
-        _key, ra, b0 = self._split
+        split = self._split.get(bits)
+        if split is None:
+            split = self._split[bits] = (iv_sqrt(self.algebra.a.embed(0, bits), bits),
+                                         self.algebra.b.embed(0, bits))
+        ra, b0 = split
         u = x0 + x1 * ra
         ub = x0 - x1 * ra
         v = x2 + x3 * ra
@@ -532,13 +609,15 @@ def _parallel_run(enum: Enumerator, radius, cap_nodes, jobs):
             parts = pool.map(_run_chunk, chunks, chunksize=1)
     finally:
         _WORK = None
+    # merge in walk order, so each class keeps the representative the serial run keeps
     found = {}
     visited = 0
-    for part_found, part_visited in parts:
+    for _chunk, (part_found, part_visited, part_counters) in sorted(zip(chunks, parts), key=lambda cp: cp[0]):
         visited += part_visited
+        enum.counters.update(part_counters)
         for key, cand in part_found.items():
             prev = found.get(key)
-            if prev is None or cand.displacement.mid < prev.displacement.mid:
+            if prev is None or enum._frob_less(cand.element, prev.element):
                 found[key] = cand
     return found, visited
 
@@ -548,7 +627,9 @@ _WORK = None
 
 def _run_chunk(chunk):
     enum, radius, cap_nodes = _WORK
-    return enum.run(radius, cap_nodes, top_range=chunk)
+    enum.counters = Counter(dict.fromkeys(LEAF_COUNTERS, 0))  # this worker's copy, per chunk
+    found, visited = enum.run(radius, cap_nodes, top_range=chunk)
+    return found, visited, enum.counters
 
 
 @dataclass

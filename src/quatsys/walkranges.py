@@ -16,6 +16,11 @@ answer it over the reals:
 rule returns (lo, hi) widened by `nu`, the bound on its own float rounding
 from `WalkRanges.tables`.  The widths W_s come from per-place bounds B_s
 that `WalkRanges.block_widths` derives from the blocks already fixed.
+
+At a leaf the last coefficient x3 is recovered in floats under the same
+rounding model: `WalkRanges.leaf_squares` gives x3^2 at each place with a
+derived error bound, and `WalkRanges.leaf_roots` the only integer vectors
+kappa x3 those floats leave, or None where the bound cannot decide.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from .errors import InvariantViolation
 from .intervals import RatInterval
 
 _UNIT = Fraction(1, 2 ** 53)
+_U = 2.0 ** -53
+# the leaf bounds are evaluated in floats from non-negative terms (and the
+# sum sqrt(V) + sqrt(V - Delta), a few roundings from its real value) with
+# fewer than 100 roundings each; times 1 + 2^-44 > 1 + gamma_100 they stay upper bounds
+_OWN = 1 + 2.0 ** -44
 
 
 def _gamma(n):
@@ -48,6 +58,7 @@ class WalkTables:
     nu_slice: list     # nu_*[l]: rounding widening of each rule's endpoints
     nu_pair: list
     nu_sum: list       # nu_sum[l][k]
+    v0_max: float      # boxes[3][0]^2 rounded up: beyond it x3 fails the radius cut
 
 
 class WalkRanges:
@@ -93,6 +104,13 @@ class WalkRanges:
         self.rb_f = [_up(1 / x.lo) for x in b_abs]
         self.ra0_f = _up(1 / sqrt_a0.lo)
         self.cb_f = _up((RatInterval.exact(1) / (b_emb[0] * b_emb[0])).hi + 1)
+        # leaf recovery: float tables of a, b and E^-1 and their distance to the truth
+        self.a_f, self.ea = _mid_and_error(a_emb)
+        self.b_f, self.eb = _mid_and_error(b_emb)
+        self.einv = [_mid_and_error(row) for row in inverse]
+        (self.ra0_mid,), (self.ra0_err,) = _mid_and_error([sqrt_a0])
+        self.emb_err_f = [_up(e) for e in self.emb_err[0]]
+        self.gamma = [float(_gamma(n)) for n in range(d + 6)]  # gamma_n as floats
 
     def tables(self, boxes, m_sq, mf, box_f, coord_bound) -> WalkTables:
         """Per-run constants for the static boxes and the walk's filter bounds.
@@ -172,7 +190,8 @@ class WalkRanges:
             eps=[[_up(x) for x in row] for row in eps],
             delta=[[_up(x) for x in row] for row in delta],
             width0=[_up(x) for x in width0],
-            nu_slice=nu_slice, nu_pair=nu_pair, nu_sum=nu_sum)
+            nu_slice=nu_slice, nu_pair=nu_pair, nu_sum=nu_sum,
+            v0_max=_up(boxes[3][0] ** 2))
 
     def block_widths(self, l, x_places, tabs):
         """Widths W_s = kappa (B_s + delta) of block l >= 1 at the current node.
@@ -220,6 +239,149 @@ class WalkRanges:
         if k == d - 1:
             return slice_range(prefix, self.lead, widths, tabs.nu_slice[l])
         return pair_range(prefix, self.inv_lead, widths, self.pairs, tabs.nu_pair[l])
+
+    def leaf_squares(self, x_places, tabs):
+        """Float x3^2 = (1 - x0^2 + a x1^2 + b x2^2) / (ab) at each place, with
+        a bound on its error: a list of (V_s, Delta_s), or None if a bound fails.
+
+        Inputs at place s: the walk's block values X_l with |X_l - sigma_s(x_l)|
+        <= e_l = eps[l][s] (`tables`), and the float tables A, B of a, b, within
+        e_a, e_b of sigma_s(a), sigma_s(b).  N = 1 - X0^2 + A X1^2 + B X2^2 is
+        evaluated as written: terms of at most two products, three additions,
+        so N is within gamma_5 S of its real value, S = 1 + X0^2 + |A| X1^2 +
+        |B| X2^2.  That real value is within
+        e_0 (2|X0| + e_0) + |A| e_1 (2|X1| + e_1) + e_a (|X1| + e_1)^2 + (same for x2)
+        of the exact n, since A X1^2 - a x1^2 = A (X1^2 - x1^2) + (A - a) x1^2;
+        the sum with gamma_5 S is E_n.  D = fl(AB) is within E_d = 2u|D| + |A| e_b
+        + |B| e_a + e_a e_b of ab; requiring 4 E_d <= |D| keeps |ab| >= |D|/2, so
+        |N/D - n/ab| <= E_n/|D| + 2 (|N| + E_n) E_d/|D|^2, and the division adds
+        2u|V|.  Delta_s is that sum.
+        """
+        out = []
+        for s in range(self.d):
+            x0, x1, x2 = x_places[0][s], x_places[1][s], x_places[2][s]
+            e0, e1, e2 = tabs.eps[0][s], tabs.eps[1][s], tabs.eps[2][s]
+            a, b, ea, eb = self.a_f[s], self.b_f[s], self.ea[s], self.eb[s]
+            num = 1 - x0 * x0 + a * x1 * x1 + b * x2 * x2
+            den = a * b
+            v = num / den
+            y0, y1, y2, aa, ab_, ad = abs(x0), abs(x1), abs(x2), abs(a), abs(b), abs(den)
+            err_n = (e0 * (2 * y0 + e0) + aa * e1 * (2 * y1 + e1) + ea * (y1 + e1) ** 2
+                     + ab_ * e2 * (2 * y2 + e2) + eb * (y2 + e2) ** 2
+                     + self.gamma[5] * (1 + y0 * y0 + aa * y1 * y1 + ab_ * y2 * y2))
+            err_d = 2 * _U * ad + aa * eb + ab_ * ea + ea * eb
+            if 4 * err_d > ad:
+                return None
+            out.append((v, (err_n / ad + 2 * (abs(num) + err_n) * err_d / (ad * ad)
+                            + 2 * _U * abs(v)) * _OWN))
+        return out
+
+    def leaf_roots(self, squares, tabs):
+        """The integer vectors kappa x3 with x3^2 = v that the floats leave.
+
+        Returns [] when the floats prove there is none, None when they cannot
+        decide (a bound failed, some V_s is within Delta_s of 0, or a
+        coordinate bound reaches 1/2), and otherwise one vector per sign
+        pattern that the floats admit, followed by its negative, in the order
+        of `Enumerator._field_sqrt`: signs fixed positive at place 0, the
+        other places running through (+, -) lexicographically.  A candidate
+        still needs the exact check x3^2 = v.
+
+        Some V_s + Delta_s < 0 means v is negative at s, and V_0 - Delta_0 above
+        boxes[3][0]^2 means x3 fails the radius cut (the box bounds |x3| for
+        every element within the radius).  Otherwise every V_s > Delta_s, so
+        v_s >= V_s - Delta_s > 0 and R = fl(sqrt(V)) has
+        |R - sqrt(v)| <= |V - v| / (sqrt(V) + sqrt(v)) + u sqrt(V)
+                      <= Delta / (sqrt(V) + sqrt(V - Delta)) + 2u R = rho,
+        at most min(Delta/sqrt(V), sqrt(Delta)) + 2u R.  The root of a sign
+        pattern sg has coordinates c_m = kappa sum_s E^-1[m][s] sg_s sqrt(v_s);
+        the float C_m = kappa sum_s F[m][s] sg_s R_s, with F the float table of
+        E^-1 within e_F, is within
+        beta_m = kappa sum_s (|F| (rho_s + gamma_{d+1} R_s) + e_F (R_s + rho_s))
+        of it (d products, d - 1 additions, the factor kappa).  With every
+        beta_m < 1/2 at most one integer lies within beta_m of C_m, so a
+        pattern with a coordinate farther than beta_m from every integer has
+        no root in (1/kappa) Z[theta], and any other has only round(C).
+        """
+        if squares is None:
+            return None
+        if any(v + dv < 0 for v, dv in squares):
+            return []
+        if squares[0][0] - squares[0][1] > tabs.v0_max:
+            return []
+        if not all(v - dv > 0 for v, dv in squares):
+            return None
+        roots, rho = [], []
+        for v, dv in squares:
+            r = math.sqrt(v)
+            roots.append(r)
+            rho.append((dv / (r + math.sqrt(v - dv)) + 2 * _U * r) * _OWN)
+        kappa, gamma = self.kappa, self.gamma[self.d + 1]
+        beta = []
+        for f_row, e_row in self.einv:
+            acc = 0.0
+            for f, e, r, p in zip(f_row, e_row, roots, rho):
+                acc += abs(f) * (p + gamma * r) + e * (r + p)
+            beta.append(kappa * acc * _OWN)
+        if any(b >= 0.5 for b in beta):
+            return None
+        out = []
+        for signs in itertools.product((1.0, -1.0), repeat=self.d - 1):
+            signed = [r * sg for r, sg in zip(roots, (1.0,) + signs)]
+            cand = []
+            for (f_row, _e), b in zip(self.einv, beta):
+                acc = 0.0
+                for f, x in zip(f_row, signed):
+                    acc += f * x
+                c = kappa * acc
+                k = round(c)
+                if abs(c - k) > b:
+                    break
+                cand.append(k)
+            else:
+                out += [cand, [-k for k in cand]]
+        return out
+
+    def split_norm(self, x_places, target, tabs):
+        """Floats lo <= ||x||_F^2 <= hi at the split place for the leaf's x.
+
+        x0, x1, x2 are the walk's block values at place 0 (errors e_l =
+        eps[l][0]); x3 = target / kappa is formed the same way, with the error
+        (sum_m |t_m| |emb_f - theta^m| + gamma_{d+2} sum_m |t_m emb_f|) / kappa.
+        Each of u, ub = X0 +- X1 R and v, q = X2 +- X3 R, with R the float of
+        sqrt(a) at place 0 (within e_R), is within e_Y + R e_Z + e_R (|Z| + e_Z)
+        + gamma_2 (|Y| + |Z R|) of its exact value; w = fl(B q) within |B| e_q +
+        e_b (|q| + e_q) + 2u|w|.  A square P^2 is within e_P (2|P| + e_P) of the
+        exact one, and the sum of the four squares adds gamma_4 times itself.
+        """
+        d, kappa, gamma = self.d, self.kappa, self.gamma
+        acc = mag = tab = 0.0
+        for t, f, e in zip(target, self.emb_f[0], self.emb_err_f):
+            acc += t * f
+            mag += abs(t * f)
+            tab += abs(t) * e
+        x3 = acc / kappa
+        e3 = (tab + gamma[d + 2] * mag) / kappa * _OWN
+        x0, x1, x2 = x_places[0][0], x_places[1][0], x_places[2][0]
+        e0, e1, e2 = tabs.eps[0][0], tabs.eps[1][0], tabs.eps[2][0]
+        ra, era = self.ra0_mid, self.ra0_err
+        parts = []
+        for y, ey, z, ez in ((x0, e0, x1, e1), (x0, e0, -x1, e1),
+                             (x2, e2, x3, e3), (x2, e2, -x3, e3)):
+            p = y + z * ra
+            parts.append((p, ey + ra * ez + era * (abs(z) + ez)
+                          + gamma[2] * (abs(y) + abs(z * ra))))
+        q, eq = parts.pop()
+        b, eb = self.b_f[0], self.eb[0]
+        w = b * q
+        parts.append((w, abs(b) * eq + eb * (abs(q) + eq) + 2 * _U * abs(w)))
+        total = 0.0
+        err = 0.0
+        for p, ep in parts:
+            total += p * p
+            err += ep * (2 * abs(p) + ep)
+        err = (err + gamma[4] * total) * _OWN
+        return math.nextafter(total - err, -math.inf), math.nextafter(total + err, math.inf)
 
 
 def sum_range(einv_row, widths, nu):
@@ -270,6 +432,13 @@ def pair_range(prefix, inv_lead, widths, pairs, nu):
         if y < hi:
             hi = y
     return lo - nu, hi + nu
+
+
+def _mid_and_error(encl):
+    """Float mids of enclosures and upper bounds on their distance to the truth."""
+    mids = [float(x.mid) for x in encl]
+    return mids, [_up(max(abs(Fraction(m) - x.lo), abs(Fraction(m) - x.hi)))
+                  for m, x in zip(mids, encl)]
 
 
 def _up(x) -> float:

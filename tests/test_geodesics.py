@@ -273,7 +273,9 @@ def test_slice_range_handles_negative_leading_powers():
 
 
 # Candidates of the static-box walk: record() and str(element) of each, and its
-# visited count; the per-node ranges must find the same ones with a fifth of the nodes
+# visited count; the per-node ranges must find the same ones with a fifth of the nodes.
+# Each class is represented by its element of least Frobenius norm, the first one
+# met in walk order on a tie (trace (2, 0, -1) is such a tie).
 REGRESSION = {
     "P7": (6.5, 128_407, [
         ("trace=(2, 3, 1) abs_trace=7.295897 length=[3.935946,3.935946]",
@@ -289,7 +291,7 @@ REGRESSION = {
         ("trace=(0, 0, 0) abs_trace=0.000000 elliptic=true",
          "(0, 0, 0) + (0, 0, 0)*i + (0, 0, 0)*j + (-2, 1, 1)*ij"),
         ("trace=(2, 0, -1) abs_trace=0.445042 elliptic=true",
-         "(-1, 0, 1/2) + (1/2, 0, 0)*i + (0, 0, 0)*j + (-1/2, 1/2, 1/2)*ij"),
+         "(-1, 0, 1/2) + (-1/2, 0, 0)*i + (0, 0, 0)*j + (-1/2, 1/2, 1/2)*ij"),
         ("trace=(1, 0, 0) abs_trace=1.000000 elliptic=true",
          "(-1/2, 0, 0) + (0, 0, 0)*i + (-1, 0, 1/2)*j + (-3/2, 0, 1/2)*ij"),
         ("trace=(0, 1, 0) abs_trace=1.246980 elliptic=true",
@@ -330,9 +332,7 @@ print(json.dumps([visited, [[c.record(), str(c.element)] for c in cands]]))
 
 @pytest.mark.parametrize("name", sorted(REGRESSION))
 def test_per_node_ranges_keep_every_candidate(name):
-    # one enumeration in a fresh interpreter: which of two elements of equal
-    # displacement represents a class follows the rounding of their enclosures,
-    # and embeddings narrow the field's shared roots over a process's history
+    # one enumeration in a fresh interpreter, apart from the rest of the suite
     radius, static_visited, expected = REGRESSION[name]
     env = dict(os.environ)
     src = str(Path(geodesics.__file__).resolve().parents[1])
@@ -388,3 +388,153 @@ def test_search_enumerates_once_per_radius_and_keeps_precision(QH, P7, monkeypat
     assert result.mode == "stabilized"
     assert radii == [4.5, 5.5, 6.5]
     assert (iv.prec, mp.prec) == prec
+
+
+# -- float recovery of x3 at the leaves -----------------------------------------
+
+@pytest.fixture(scope="module")
+def ring3(QH, K):
+    return enumerate_gamma(QH, K.whole_ring(), 3.0)
+
+
+@pytest.fixture(scope="module")
+def leaf_walk(QH, K, ring3):
+    """Whole-ring run constants at radius 7, and norm-one elements inside its box."""
+    enum = Enumerator(QH, K.whole_ring())
+    boxes, m_sq, m_val = enum._boxes(7.0)
+    bounds = enum._coord_bounds(boxes)
+    mf, box_f = enum._filter_bounds(boxes, m_val)
+    tabs = enum._ranges.tables(boxes, m_sq, mf, box_f, bounds)
+    group = [c.element for c in ring3[0]]
+    group += [x.conj() for x in group]
+    group += [x * y for x in group[:12] for y in group]
+    inside = [x for x in group
+              if all(abs(c * enum.kappa) <= bounds[l * enum.d + m]
+                     for l in range(3) for m, c in enumerate(x.coords[l].coords))]
+    return enum, tabs, inside, bounds
+
+
+def _leaf_floats(enum, x0, x1, x2):
+    """The walk's float block values of x0, x1, x2 (kappa-scaled integer coordinates)."""
+    return [_block_values(enum, [int(c * enum.kappa) for c in x.coords]) for x in (x0, x1, x2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_leaf_roots_agree_with_field_sqrt(leaf_walk, K, data):
+    # exact squares from products of group elements, and nearby non-squares
+    enum, tabs, group, bounds = leaf_walk
+    x = data.draw(st.sampled_from(group), label="element")
+    x0, x1, x2 = x.coords[:3]
+    if data.draw(st.booleans(), label="perturb"):
+        shift = K.element([Fraction(data.draw(st.integers(-2, 2)), enum.kappa)
+                           for _ in range(enum.d)])
+        x2 = x2 + shift
+    assume(all(abs(c * enum.kappa) <= bounds[2 * enum.d + m] for m, c in enumerate(x2.coords)))
+    ranges = enum._ranges
+    got = ranges.leaf_roots(ranges.leaf_squares(_leaf_floats(enum, x0, x1, x2), tabs), tabs)
+    v = enum._x3_square(x0, x1, x2)
+    exact = [[c * enum.kappa for c in r.coords] for r in enum._field_sqrt(v)]
+    if got is None:
+        # deferred: only where v is within the bound of 0 at some place
+        assert any(abs(float(v.embed(s, 80).mid)) < 1e-9 for s in range(enum.d))
+        return
+    roots = [c for c in got
+             if K.element([Fraction(t, enum.kappa) for t in c]) ** 2 == v]
+    assert roots == exact
+
+
+def test_leaf_bound_covers_inputs_at_the_edge_of_their_error(leaf_walk):
+    # every float block value moved by 0.95 of its error bound eps, in the
+    # direction that pushes one root coordinate furthest: the root must survive
+    enum, tabs, group, _bounds = leaf_walk
+    ranges, d, kappa = enum._ranges, enum.d, enum.kappa
+    checked = 0
+    for x in group[::7]:
+        if x.coords[3].is_zero():
+            continue
+        exact = [[x.coords[l].embed(s, 120) for s in range(d)] for l in range(4)]
+        sign0 = 1 if exact[3][0].mid > 0 else -1
+        target = [sign0 * int(c * kappa) for c in x.coords[3].coords]
+        for m, push in itertools.product(range(d), (1, -1)):
+            floats = [[0.0] * d for _ in range(3)]
+            for s in range(d):
+                a, b = ranges.a_f[s], ranges.b_f[s]
+                want = push * math.copysign(1, ranges.einv[m][0][s] * exact[3][s].mid)
+                slopes = [-float(exact[0][s].mid), a * float(exact[1][s].mid),
+                          b * float(exact[2][s].mid)]
+                for l in range(3):
+                    e = tabs.eps[l][s]
+                    step = Fraction(0.95 * e) * int(want * math.copysign(1, slopes[l] / (a * b)))
+                    floats[l][s] = float(exact[l][s].mid + step)
+                    assert abs(Fraction(floats[l][s]) - exact[l][s].mid) + exact[l][s].width <= e
+            got = ranges.leaf_roots(ranges.leaf_squares(floats, tabs), tabs)
+            assert got is not None and target in got, (str(x), m, push)
+            checked += 1
+    assert checked >= 100
+
+
+def test_leaf_defers_near_zero_and_when_bounds_reach_half(leaf_walk, K):
+    enum, tabs, group, _bounds = leaf_walk
+    ranges = enum._ranges
+    # x3 = 0: v is 0 at every place, which the floats cannot tell from a tiny v
+    flat = next(x for x in group if x.coords[3].is_zero())
+    squares = ranges.leaf_squares(_leaf_floats(enum, *flat.coords[:3]), tabs)
+    assert ranges.leaf_roots(squares, tabs) is None
+    # v_s just above its bound at one place still defers; just below 0 rejects
+    ok = [(1.0, 1e-12)] * enum.d
+    assert ranges.leaf_roots([(1e-12, 1e-12)] + ok[1:], tabs) is None
+    assert ranges.leaf_roots(ok[:1] + [(-2e-12, 1e-12)] + ok[2:], tabs) == []
+    # a root with a half-integer coordinate: rejected under tight bounds,
+    # deferred once the bounds reach 1/2 and both neighbours are in reach
+    half = K.element([Fraction(3, 4), Fraction(-1, 2), Fraction(1, 2)])
+    vals = [float(half.embed(s, 80).mid) ** 2 for s in range(enum.d)]
+    assert ranges.leaf_roots([(v, v * 1e-14) for v in vals], tabs) == []
+    assert ranges.leaf_roots([(v, v * 0.99) for v in vals], tabs) is None
+
+
+def test_leaf_counters_partition_the_leaves(QH, P7):
+    serial = Enumerator(QH, P7)
+    _found, visited = serial.run(5.5)
+    counts = serial.counters
+    assert counts["leaves"] == (counts["float_rejected"] + counts["float_candidates"]
+                                + counts["fallbacks"])
+    assert counts["field_sqrt"] == counts["fallbacks"]
+    assert counts["float_rejected"] > counts["fallbacks"]
+    parallel = Enumerator(QH, P7)
+    assert geodesics._parallel_run(parallel, 5.5, 30_000_000, 2)[1] == visited
+    assert parallel.counters == counts
+
+
+def test_class_representatives_do_not_depend_on_history(QH, P7, K, ring3):
+    # the least Frobenius norm, first met in walk order on a tie, whatever ran
+    # before in the process and however the walk was split between workers
+    first = [str(c.element) for c in ring3[0]]
+    assert first == [e for _r, e in REGRESSION["whole ring"][2]]
+    enumerate_gamma(QH, P7, 6.5)
+    for jobs in (1, 2):
+        cands, _ = enumerate_gamma(QH, K.whole_ring(), 3.0, jobs=jobs)
+        assert [str(c.element) for c in cands] == first
+
+
+def test_split_norm_encloses_the_frobenius_norm(leaf_walk):
+    # float block values moved by 0.95 of eps in the direction that moves
+    # ||x||_F^2 furthest; the float bounds of the radius cut must still hold it
+    enum, tabs, group, _bounds = leaf_walk
+    ranges, d, kappa = enum._ranges, enum.d, enum.kappa
+    for x in group[::5]:
+        exact = [x.coords[l].embed(0, 120) for l in range(4)]
+        true = enum._frob_sq(x, 200)
+        a0, b0 = ranges.a_f[0], ranges.b_f[0]
+        slopes = [exact[0].mid, a0 * exact[1].mid,
+                  exact[2].mid * (1 + b0 * b0) + exact[3].mid * ranges.ra0_mid * (1 - b0 * b0)]
+        target = [int(c * kappa) for c in x.coords[3].coords]
+        for push in (1, -1):
+            floats = _leaf_floats(enum, *x.coords[:3])
+            for l in range(3):
+                e = tabs.eps[l][0]
+                floats[l][0] = float(exact[l].mid + Fraction(0.95 * e) * push
+                                     * (1 if slopes[l] > 0 else -1))
+                assert abs(Fraction(floats[l][0]) - exact[l].mid) + exact[l].width <= e
+            lo, hi = ranges.split_norm(floats, target, tabs)
+            assert Fraction(lo) <= true.lo and true.hi <= Fraction(hi), (str(x), push)
