@@ -2,8 +2,8 @@
 
 Walks the coset 1 + I*Q inside certified coefficient boxes, solves the
 norm-one equation for the last coefficient, and reports the minimum
-translation length with a stabilization tag.  The five short principal
-congruence covers reproduce the published systole values.
+translation length, certified by the trace coset 2 + I^2.  The five short
+principal congruence covers reproduce the published systole values.
 """
 
 import time

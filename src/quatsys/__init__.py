@@ -14,7 +14,7 @@ from .numfield import (FieldElement, FractionalIdeal, IdealHNF, NumberField,
                        primes_up_to_norm, rationals)
 from .quatalg import QuatElement, QuaternionAlgebra, RamificationReport
 from .orders import (CongruenceIdealLattice, OrderLattice, hurwitz_algebra,
-                     hurwitz_j_prime, hurwitz_order, standard_order,
+                     hurwitz_j_prime, hurwitz_order, hurwitz_preset, standard_order,
                      verify_trace_norm_containment)
 from .quotient import (FiniteQuotRing, LambdaFactor, count_norm_one_ideal,
                        index_bound, lambda_factor, lemma44_check, maxim_formula,
@@ -25,7 +25,7 @@ from .bounds import (GeometryContext, genus_from_index, hurwitz_43_check,
                      hurwitz_43_range_check, hurwitz_context, kleinian_bounds,
                      length_from_trace, psl_index, sys_lower_bound_from_genus,
                      sys_lower_bound_from_ideal, trace_bound_pair,
-                     trace_lower_bound, v3_enclosure)
+                     trace_coset_minimum, trace_lower_bound, v3_enclosure)
 from .geodesics import (EnumerationResult, GeodesicCandidate, RadiusSchedule,
                         box_bounds, enumerate_gamma, systole_search)
 

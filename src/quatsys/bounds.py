@@ -12,6 +12,7 @@ labelled companions for display.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from mpmath import im, mp, mpf, polylog
 from .errors import InputError, InvariantViolation, PrecisionError
 from .intervals import RatInterval, iv_acosh, iv_log, iv_pow, iv_sqrt
 from .numfield import IdealHNF
-from .orders import OrderLattice, hurwitz_algebra, hurwitz_order
+from .orders import OrderLattice, hurwitz_preset
 
 
 @dataclass
@@ -48,9 +49,11 @@ class GeometryContext:
 
 
 def hurwitz_context() -> GeometryContext:
-    """The (2,3,7) base orbifold: area pi/21, lambda = 1, kappa = 2."""
-    return GeometryContext(order=hurwitz_order(hurwitz_algebra()),
-                           covolume_pi=Fraction(1, 21))
+    """The (2,3,7) base orbifold: area pi/21, lambda = 1, kappa = 2.
+
+    Every call shares the process's one Hurwitz order (`orders.hurwitz_preset`).
+    """
+    return GeometryContext(order=hurwitz_preset(), covolume_pi=Fraction(1, 21))
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,120 @@ def trace_bound_pair(ctx: GeometryContext, ideal: IdealHNF):
     if sharp < coarse:
         raise InvariantViolation("sharp trace bound fell below the coarse one")
     return sharp, coarse
+
+
+@dataclass
+class TraceCosetMinimum:
+    """Least |sigma_0(t)| over the traces a hyperbolic element of Gamma(I) can have.
+
+    traces: the minimisers t* (t and -t when both lie in 2 + I^2).
+    abs_trace: enclosure of |sigma_0(t*)|; length: L* = 2 acosh(|sigma_0 t*|/2).
+    """
+
+    traces: list
+    abs_trace: RatInterval
+    length: RatInterval
+
+    def is_minimiser(self, trace) -> bool:
+        return any(trace == t for t in self.traces)
+
+
+def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
+                        bits: int = 60) -> TraceCosetMinimum | None:
+    """The systole floor L* of Gamma(I) from the trace coset 2 + I^2 (exact).
+
+    For gamma = 1 + q in Gamma(I), q in I*Q, nrd gamma = 1 gives
+    trd q = -nrd q, and nrd(I*Q) lies in I^2, so trd gamma lies in 2 + I^2.
+    At a ramified real place a non-central norm-one element has
+    |sigma_s(trd gamma)| < 2, and a hyperbolic one has |sigma_0| > 2.  The
+    least |sigma_0(t)| over such t bounds every translation length from
+    below by L*; an element of trace t* realises it.
+
+    The walk covers the rank-d lattice 2 + I^2 in its HNF coordinates under
+    a |sigma_0| cap that doubles until the least admissible point lies under
+    it.  Coordinate ranges come from the certified inverse embedding matrix.
+    Admissibility and the order by |sigma_0| are decided on certified
+    embeddings, refined until they separate: |sigma_s t| = 2 only for
+    t = +-2, and |sigma_0 t| = |sigma_0 t'| in K only for t = +-t'.
+    Returns None unless the algebra is split at place 0 and ramified at
+    every other real place.
+    """
+    algebra = order.algebra
+    if not algebra.is_cocompact_presentation():
+        return None
+    field = algebra.field
+    d = field.degree
+    square = ideal * ideal
+    ramified = [s for s in algebra.real_ramified_places() if s != 0]
+    spread = [[max(abs(e.lo), abs(e.hi)) for e in row]
+              for row in field.embedding_inverse(bits)]
+    cap = Fraction(4)
+    while True:
+        limits = [cap] + [Fraction(2)] * (d - 1)
+        bound = [sum(w * b for w, b in zip(row, limits)) for row in spread]
+        best = []
+        for coords in _coset_points(square.mat, bound):
+            t = field.element(coords)
+            if any(_abs_vs_two(t, s, bits) >= 0 for s in ramified) or \
+                    _abs_vs_two(t, 0, bits) <= 0:
+                continue
+            cmp = compare_abs0(t, best[0], bits) if best else -1
+            if cmp < 0:
+                best = [t]
+            elif cmp == 0:
+                best.append(t)
+        if best:
+            box = best[0].embed(0, bits).abs()
+            if box.certainly_le(cap):
+                return TraceCosetMinimum(best, box, length_from_trace(box, prec=bits))
+        cap *= 2
+
+
+def _abs_vs_two(t, place: int, bits: int) -> int:
+    """Sign of |sigma_place(t)| - 2, exact: zero only for t = +-2."""
+    if t.is_rational():
+        v = abs(t.coords[0])
+        return (v > 2) - (v < 2)
+    while True:
+        box = t.embed(place, bits).abs()
+        if box.certainly_lt(2):
+            return -1
+        if box.certainly_gt(2):
+            return 1
+        bits *= 2
+
+
+def _coset_points(hnf, bound):
+    """Integer coordinate vectors of 2 + (lattice of `hnf`) with |c_m| <= bound[m]."""
+    d = len(hnf)
+    c = [0] * d
+    c[0] = 2
+
+    def walk(m, vec):
+        h = hnf[m][m]
+        lo = math.ceil((-bound[m] - vec[m]) / h)
+        hi = math.floor((bound[m] - vec[m]) / h)
+        for n in range(lo, hi + 1):
+            nxt = [v + n * r for v, r in zip(vec, hnf[m])] if n else vec
+            if m + 1 == d:
+                yield nxt
+            else:
+                yield from walk(m + 1, nxt)
+
+    yield from walk(0, c)
+
+
+def compare_abs0(t, u, bits: int) -> int:
+    """Sign of |sigma_0 t| - |sigma_0 u|, exact: equal only when t = +-u."""
+    if t == u or t == -u:
+        return 0
+    while True:
+        a, b = t.embed(0, bits).abs(), u.embed(0, bits).abs()
+        if a.certainly_lt(b):
+            return -1
+        if b.certainly_lt(a):
+            return 1
+        bits *= 2
 
 
 def kleinian_trace_bounds(d: int, norm_i: int, norm_two_plus_kappa: int | None = None,

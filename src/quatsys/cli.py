@@ -13,17 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 
-from .bounds import (GeometryContext, asymptotic_strings, explicit_constant,
-                     four_thirds_log_genus, fuchsian_sr_bound, genus_from_index,
-                     hurwitz_43_check, psl_index, r_invariant,
+from .bounds import (asymptotic_strings, explicit_constant, four_thirds_log_genus,
+                     fuchsian_sr_bound, genus_from_index, hurwitz_43_check,
+                     hurwitz_context, psl_index, r_invariant,
                      sys_lower_bound_from_genus, sys_lower_bound_from_ideal,
                      trace_bound_pair)
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .geodesics import RadiusSchedule, systole_search
 from .numfield import IdealHNF, factor_rational_prime
-from .orders import hurwitz_algebra, hurwitz_order
 from .quotient import DEFAULT_CAP, FiniteQuotRing, maxim_formula
 from .specfile import format_element, parse_element, parse_spec_file
 from .torsion import certify_torsion_free
@@ -99,7 +97,8 @@ def build_parser() -> _Parser:
     _ideal_flags(sp)
     sp.add_argument("--radius", default="5:1:12", help="schedule L0:STEP:MAX")
     sp.add_argument("--diameter", type=float, default=None,
-                    help="diameter bound of the quotient, enables certified mode")
+                    help="diameter bound of the quotient; certifies where the "
+                         "trace coset 2 + I^2 does not")
 
     add("table1", "summary table over the five short congruence covers")
     return p
@@ -117,10 +116,9 @@ def _load(args):
     if args.hurwitz and args.field:
         raise InputError("choose either --hurwitz or --field")
     if args.hurwitz:
-        algebra = hurwitz_algebra()
-        order = hurwitz_order(algebra)
-        ctx = GeometryContext(order=order, covolume_pi=Fraction(1, 21))
-        return {"field": algebra.field, "algebra": algebra, "order": order, "ctx": ctx}
+        ctx = hurwitz_context()
+        algebra = ctx.order.algebra
+        return {"field": algebra.field, "algebra": algebra, "order": ctx.order, "ctx": ctx}
     if args.field:
         spec = parse_spec_file(args.field)
         out = dict(spec)

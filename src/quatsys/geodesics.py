@@ -49,11 +49,17 @@ what ran before in the process nor on how the walk was split between workers.
 Completeness of the visited region is certified: outward rounding
 everywhere, per-node ranges and leaf decisions under derived bounds on their
 float rounding (`walkranges`), and block-end float filters whose slack
-`_SLACK` is backstopped by exact leaf checks.  Completeness of the
-*geodesic spectrum* up to a given length additionally needs a diameter
-bound for the quotient surface, which is the caller's to supply:
-`systole_search` labels each result `certified` (diameter bound given and
-satisfied) or `stabilized` (minimum unchanged across two radius increments).
+`_SLACK` is backstopped by exact leaf checks.  The systole itself is
+certified from traces, with no diameter bound: every hyperbolic gamma in
+Gamma(I) has trd gamma in 2 + I^2 with |sigma_s(trd gamma)| < 2 at the
+ramified places, so the least admissible |sigma_0| over that coset
+(`bounds.trace_coset_minimum`) gives a floor L* on every translation length,
+and an enumerated element whose trace is a minimiser proves sys = L*.
+`systole_search` starts at the first scheduled radius not below L* and
+labels each result `certified` with its `certificate` (`trace-coset`, or
+`diameter` when a caller-supplied diameter bound of the quotient settles it)
+or, failing both, `stabilized` (minimum unchanged across two radius
+increments).
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import compare_abs0, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .intervals import RatInterval, iv_acosh, iv_cosh, iv_sqrt
 from .numfield import FieldElement, IdealHNF
@@ -107,6 +114,7 @@ class EnumerationResult:
     visited: int
     mode: str                          # certified | stabilized | searching
     candidates: list
+    certificate: str | None = None     # trace-coset | diameter, when certified
 
     def records(self):
         out = [f"ideal={self.ideal_hnf}", f"norm={self.ideal_norm}",
@@ -116,7 +124,10 @@ class EnumerationResult:
         if self.min_length is not None:
             out.append(f"min_length=[{float(self.min_length.lo):.6f},"
                        f"{float(self.min_length.hi):.6f}]")
-        out += [f"mode={self.mode}", f"visited={self.visited}",
+        out.append(f"mode={self.mode}")
+        if self.certificate is not None:
+            out.append(f"certificate={self.certificate}")
+        out += [f"visited={self.visited}",
                 f"distinct_traces={self.distinct_traces}",
                 f"elliptic={self.elliptic_count}"]
         return out
@@ -663,31 +674,42 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
                    progress=None) -> EnumerationResult:
     """Increasing-radius search until certified or stabilized.
 
-    certified: a user diameter bound D for the quotient guarantees every
-    geodesic of length <= current best has a conjugate displacing the
-    basepoint by <= L, via cosh(L/2) >= cosh(best/2)*cosh(D).
-    stabilized: the minimal |trace| survived two radius increments.
+    certified, certificate `trace-coset`: the least hyperbolic trace found
+    is a minimiser t* of `bounds.trace_coset_minimum`, so the systole is
+    L* = 2 acosh(|sigma_0 t*|/2).  Radii below L* are skipped: a hyperbolic
+    element displaces the basepoint by at least its translation length.
+    certified, certificate `diameter`: a user diameter bound D for the
+    quotient guarantees every geodesic of length <= current best has a
+    conjugate displacing the basepoint by <= L, via
+    cosh(L/2) >= cosh(best/2)*cosh(D), decided in interval arithmetic.
+    stabilized: neither certificate applies, and the minimal |trace|
+    survived two radius increments.
 
     `progress(result)` is invoked with the intermediate EnumerationResult
-    after each radius (visited nodes, current minimum, mode so far).
+    after each enumerated radius (visited nodes, current minimum, mode so far).
     """
+    coset = trace_coset_minimum(order, ideal, bits)
     best_key = None
     streak = 0
     last = None
     for radius in schedule.radii():
+        if coset is not None and coset.length.certainly_gt(radius):
+            continue
         cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes, bits, jobs)
         hyper = [c for c in cands if not c.is_elliptic]
         elliptic = [c for c in cands if c.is_elliptic]
         min_cand = hyper[0] if hyper else None
+        mode, certificate = "searching", None
+        realised = _coset_realised(coset, hyper, bits) if coset is not None else None
+        if realised is not None:
+            min_cand, mode, certificate = realised, "certified", "trace-coset"
         key = min_cand.trace.coords if min_cand else None
-        mode = "searching"
         if key is not None:
             streak = streak + 1 if key == best_key else 0
             best_key = key
-            if diameter_bound is not None:
-                need = math.cosh(float(min_cand.length.hi) / 2) * math.cosh(diameter_bound)
-                if math.cosh(radius / 2) >= need:
-                    mode = "certified"
+            if mode != "certified" and diameter_bound is not None and \
+                    _diameter_certifies(radius, min_cand.length, diameter_bound, bits):
+                mode, certificate = "certified", "diameter"
             if mode != "certified" and streak >= 2:
                 mode = "stabilized"
         threshold = trace_threshold if trace_threshold is not None else math.inf
@@ -702,6 +724,7 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
             visited=visited,
             mode=mode,
             candidates=cands,
+            certificate=certificate,
         )
         if progress is not None:
             progress(last)
@@ -709,3 +732,30 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
             return last
     raise CapExceeded(f"radius schedule exhausted; best so far: "
                       f"{last.records() if last else 'nothing found'}")
+
+
+def _coset_realised(coset, hyper, bits):
+    """The candidate whose trace is a coset minimiser t*, or None.
+
+    Raises InvariantViolation for a hyperbolic trace with |sigma_0| below
+    |sigma_0 t*| (decided exactly), which the trace-coset lemma forbids.
+    """
+    realised = None
+    for cand in hyper:
+        if cand.length.certainly_gt(coset.length):
+            continue
+        trace = cand.element.reduced_trace()
+        if coset.is_minimiser(trace):
+            realised = realised or cand
+            continue
+        if compare_abs0(trace, coset.traces[0], bits) <= 0:
+            raise InvariantViolation(
+                f"trace {trace} of {cand.element} is not above the coset minimum "
+                f"{coset.traces[0]} of 2 + I^2")
+    return realised
+
+
+def _diameter_certifies(radius, length: RatInterval, diameter_bound: float, bits: int) -> bool:
+    """cosh(radius/2) >= cosh(length/2) * cosh(D), certified in intervals."""
+    need = iv_cosh(length.hi / 2, bits) * iv_cosh(Fraction(diameter_bound), bits)
+    return need.certainly_le(iv_cosh(Fraction(radius) / 2, bits))

@@ -22,6 +22,7 @@ x - 1 in I*Q.  Membership tests are integer lattice solves, hence exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -313,6 +314,17 @@ def hurwitz_order(algebra: QuaternionAlgebra | None = None) -> OrderLattice:
     if order.kappa != 2:
         raise InvariantViolation(f"Hurwitz order should have kappa=2, got {order.kappa}")
     return order
+
+
+@functools.cache
+def hurwitz_preset() -> OrderLattice:
+    """The Hurwitz order over its own Q(eta), built and certified once per process.
+
+    `bounds.hurwitz_context` and the CLI's `--hurwitz` preset share it, and
+    with it the caches its field and its tables keep, so repeated calls do
+    not rebuild them.  Every result is a function of the order alone.
+    """
+    return hurwitz_order(hurwitz_algebra())
 
 
 def hurwitz_j_prime(algebra: QuaternionAlgebra) -> QuatElement:

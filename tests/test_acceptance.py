@@ -32,7 +32,7 @@ def ideals(K, P7, P2, P13s):
 
 @pytest.fixture(scope="session")
 def searches(QH, ideals):
-    """One stabilized systole search per ideal, shared by several criteria."""
+    """One certified systole search per ideal, shared by several criteria."""
     out = {}
     for ideal in ideals:
         out[ideal.mat] = systole_search(QH, ideal, RadiusSchedule(4.5, 1.0, 14.0),
@@ -54,14 +54,15 @@ def test_criterion_2_table_systoles(searches, ideals):
     pool = {k: list(v) for k, v in REFERENCE_SYSTOLES.items()}
     for ideal in ideals:
         result = searches[ideal.mat]
-        assert result.mode == "stabilized"
+        assert result.mode == "certified"
+        assert result.certificate == "trace-coset"
         value = float(result.min_length.mid)
         matches = [v for v in pool[ideal.norm] if abs(v - value) <= 1e-3]
         assert matches, f"systole {value} has no reference partner at norm {ideal.norm}"
         pool[ideal.norm].remove(matches[0])
     assert not any(pool.values())
     print("ACCEPTANCE 2 PASS: enumerated systoles match 3.936, 5.796, "
-          "{5.903, 6.393, 6.887} within 1e-3, each stabilized over two increments")
+          "{5.903, 6.393, 6.887} within 1e-3, each certified by the trace coset 2 + I^2")
 
 
 def test_criterion_3_genus_pipeline(QH, ideals):

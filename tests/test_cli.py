@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,5 +158,48 @@ def test_cli_systole_small(capsys):
     code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7",
                      "--radius", "4.5:1:9")
     assert code == 0
-    assert "mode=stabilized" in out
+    assert "mode=certified" in out and "certificate=trace-coset" in out
     assert "min_length=[3.93" in out
+
+
+SYSTOLE_ARGV = [["--hurwitz", "systole", "--prime", "7", "--radius", "4.5:1:14"],
+                ["--hurwitz", "systole", "--prime", "13", "--index", "0",
+                 "--radius", "4.5:1:14"]]
+
+
+def _records(text):
+    return [ln for ln in text.splitlines() if not ln.startswith("elapsed=")]
+
+
+def test_cli_builds_the_hurwitz_order_once_and_matches_a_fresh_interpreter(capsys,
+                                                                            monkeypatch):
+    from quatsys import orders
+
+    src = str(Path(orders.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    fresh = [_records(subprocess.run([sys.executable, "-m", "quatsys.cli", *argv],
+                                     env=env, capture_output=True, text=True,
+                                     timeout=300, check=True).stdout)
+             for argv in SYSTOLE_ARGV]
+    builds = []
+    build = orders.hurwitz_order
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(orders, "hurwitz_order", counting)
+    orders.hurwitz_preset.cache_clear()
+    for _ in range(2):
+        for argv, expected in zip(SYSTOLE_ARGV, fresh):
+            code, out = _run(capsys, *argv)
+            assert code == 0 and _records(out) == expected
+    assert len(builds) == 1
+    assert "certificate=trace-coset" in fresh[0]
+
+
+def test_cli_systole_records_do_not_depend_on_jobs(capsys):
+    _, serial = _run(capsys, *SYSTOLE_ARGV[1], "--jobs", "1")
+    _, parallel = _run(capsys, *SYSTOLE_ARGV[1], "--jobs", "2")
+    assert _records(serial) == _records(parallel)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -12,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatsys import geodesics
-from quatsys.bounds import hurwitz_context, trace_lower_bound
-from quatsys.errors import CapExceeded
+from quatsys.bounds import hurwitz_context, trace_coset_minimum, trace_lower_bound
+from quatsys.errors import CapExceeded, InvariantViolation
 from quatsys.geodesics import (Enumerator, RadiusSchedule, box_bounds, enumerate_gamma,
                                systole_search)
 from quatsys.walkranges import _up, slice_range
@@ -124,9 +125,11 @@ def test_parallel_matches_serial(QH, P7):
     assert [c.trace.coords for c in serial] == [c.trace.coords for c in parallel]
 
 
-def test_systole_search_stabilizes(QH, P7):
+def test_systole_search_stabilizes(QH, P7, monkeypatch):
+    # the fallback rule, with the trace-coset certificate unavailable
+    monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: None)
     result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0))
-    assert result.mode == "stabilized"
+    assert result.mode == "stabilized" and result.certificate is None
     assert abs(float(result.min_length.mid) - 3.936) < 1e-3
 
 
@@ -385,6 +388,13 @@ def test_search_enumerates_once_per_radius_and_keeps_precision(QH, P7, monkeypat
     monkeypatch.setattr(geodesics, "enumerate_gamma", counting)
     prec = (iv.prec, mp.prec)
     result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 6.5))
+    assert result.mode == "certified"
+    assert radii == [4.5]
+    assert (iv.prec, mp.prec) == prec
+    # the stabilized fallback walks the schedule, once per radius
+    radii.clear()
+    monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: None)
+    result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 6.5))
     assert result.mode == "stabilized"
     assert radii == [4.5, 5.5, 6.5]
     assert (iv.prec, mp.prec) == prec
@@ -538,3 +548,95 @@ def test_split_norm_encloses_the_frobenius_norm(leaf_walk):
                 assert abs(Fraction(floats[l][0]) - exact[l].mid) + exact[l].width <= e
             lo, hi = ranges.split_norm(floats, target, tabs)
             assert Fraction(lo) <= true.lo and true.hi <= Fraction(hi), (str(x), push)
+
+
+# -- the trace coset 2 + I^2 ------------------------------------------------------
+
+# coset minimum per level: (|sigma_0 t*|, L*), matching the published systoles
+COSET_MINIMA = {"P7": (7.29590, 3.936), "P2": (18.19567, 5.796), "P13#0": (19.19567, 5.903),
+                "P13#1": (31.34242, 6.887), "P13#2": (24.49157, 6.393)}
+
+
+@pytest.fixture(scope="module")
+def levels(P7, P2, P13s):
+    return dict(zip(COSET_MINIMA, [P7, P2] + P13s))
+
+
+def test_trace_coset_minimum_at_the_table_levels(QH, levels):
+    ctx = hurwitz_context()
+    for name, ideal in levels.items():
+        coset = trace_coset_minimum(QH, ideal)
+        abs_trace, systole = COSET_MINIMA[name]
+        assert abs(float(coset.abs_trace.mid) - abs_trace) < 1e-5
+        assert abs(float(coset.length.mid) - systole) < 1e-3
+        assert coset.length.width < Fraction(1, 2 ** 40)
+        # the paper's norm-inequality floor is a weaker form of the same bound
+        assert coset.abs_trace.certainly_gt(trace_lower_bound(ctx, ideal, sharp=True))
+        square = ideal * ideal
+        for t in coset.traces:
+            assert square.contains(t - 2)
+            assert t.embed(0, 80).abs().certainly_gt(2)
+            assert all(t.embed(s, 80).abs().certainly_lt(2) for s in (1, 2))
+    # t and -t both lie in 2 + I^2 exactly when 4 lies in I^2, as at <2>
+    assert len(trace_coset_minimum(QH, levels["P2"]).traces) == 2
+    assert len(trace_coset_minimum(QH, levels["P7"]).traces) == 1
+
+
+def test_trace_coset_minimum_needs_a_cocompact_presentation(K):
+    from quatsys.orders import standard_order
+    from quatsys.quatalg import QuaternionAlgebra
+
+    split = QuaternionAlgebra(K, K.one(), K.one())
+    assert trace_coset_minimum(standard_order(split), K.whole_ring()) is None
+
+
+@pytest.mark.parametrize("name,radius", [("P7", 6.5), ("P13#0", 7.5)])
+def test_enumerated_traces_lie_in_the_coset(QH, levels, name, radius):
+    # the lemma on data: trd gamma in 2 + I^2, |sigma_s(trd gamma)| < 2 for s >= 1
+    ideal = levels[name]
+    square = ideal * ideal
+    cands, _ = enumerate_gamma(QH, ideal, radius)
+    hyper = [c for c in cands if not c.is_elliptic]
+    assert hyper
+    coset = trace_coset_minimum(QH, ideal)
+    for c in hyper:
+        t = c.element.reduced_trace()
+        assert square.contains(t - 2)
+        assert all(t.embed(s, 80).abs().certainly_lt(2) for s in (1, 2))
+        assert not t.embed(0, 80).abs().certainly_lt(coset.abs_trace.lo)
+
+
+def test_certified_search_skips_radii_below_the_coset_floor(QH, levels):
+    seen = []
+    result = systole_search(QH, levels["P13#0"], RadiusSchedule(4.5, 1.0, 14.0),
+                            progress=lambda step: seen.append(step.radius))
+    assert seen == [6.5] and result.radius == 6.5
+    assert result.mode == "certified" and result.certificate == "trace-coset"
+    assert "certificate=trace-coset" in result.records()
+    coset = trace_coset_minimum(QH, levels["P13#0"])
+    assert coset.is_minimiser(result.candidates[0].element.reduced_trace())
+    # both enclose L*
+    assert not result.min_length.certainly_lt(coset.length)
+    assert not coset.length.certainly_lt(result.min_length)
+
+
+def test_trace_below_the_coset_minimum_is_an_invariant_violation(QH, P7, K, monkeypatch):
+    true = trace_coset_minimum(QH, P7)
+    fake = dataclasses.replace(true, traces=[K.from_rational(100)])
+    monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: fake)
+    with pytest.raises(InvariantViolation):
+        systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0))
+
+
+def test_diameter_certificate_is_decided_in_intervals(QH, P7, monkeypatch):
+    monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: None)
+    result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0), diameter_bound=0.3)
+    assert result.mode == "certified" and result.certificate == "diameter"
+    assert "certificate=diameter" in result.records()
+    # cosh(4.5/2) / cosh(3.936/2) = 1.3177...: a diameter just above acosh of it
+    # needs the next radius, one just below certifies at 4.5
+    edge = math.acosh(math.cosh(2.25) / math.cosh(float(result.min_length.mid) / 2))
+    assert systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0),
+                          diameter_bound=edge - 1e-6).radius == 4.5
+    assert systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0),
+                          diameter_bound=edge + 1e-6).radius == 5.5
