@@ -6,8 +6,6 @@ for maximal orders at split primes, and the index bound lambda * Norm^3.
 The semisimple type of the t=1 quotient is classified by brute force.
 """
 
-import random
-
 from quatsys import FiniteQuotRing, IdealHNF, index_bound, lambda_factor, maxim_formula
 from quatsys.numfield import factor_rational_prime
 from quatsys.orders import hurwitz_algebra, hurwitz_order, standard_order
@@ -44,8 +42,3 @@ ringO = FiniteQuotRing(O, p2, 1)
 radical, tag = ringO.radical_and_type()
 print(f"\nstandard order at <2>: radical size {radical}, semisimple type {tag}")
 print("norm-one count:", ringO.count_norm_one())
-
-# the involution descends to every quotient
-rng = random.Random(1)
-print("involution well-defined on residues:",
-      ringO.involution_well_defined_sample(rng))

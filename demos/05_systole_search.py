@@ -34,7 +34,7 @@ ideals += [(f"p13#{k}", pr, None) for k, (pr, _e, _f)
 print("ideal     systole    reference  mode        seconds")
 for name, ideal, ref in ideals:
     t0 = time.time()
-    result = systole_search(QH, ideal, RadiusSchedule(4.5, 1.0, 14.0), jobs=2)
+    result = systole_search(QH, ideal, RadiusSchedule(4.5, 1.0, 14.0))
     val = float(result.min_length.mid)
     print(f"{name:<9} {val:<10.4f} {ref if ref else '(table)':<10} "
           f"{result.mode:<11} {time.time() - t0:.1f}")

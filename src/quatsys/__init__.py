@@ -27,7 +27,7 @@ from .bounds import (GeometryContext, genus_from_index, hurwitz_43_check,
                      sys_lower_bound_from_ideal, trace_bound_pair,
                      trace_coset_minimum, trace_lower_bound, v3_enclosure)
 from .geodesics import (EnumerationResult, GeodesicCandidate, RadiusSchedule,
-                        box_bounds, enumerate_gamma, systole_search)
+                        enumerate_gamma, systole_search)
 
 __version__ = "0.1.0"
 

@@ -11,6 +11,7 @@ exhaustion, 3 violated invariant.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -21,8 +22,8 @@ from .bounds import (asymptotic_strings, explicit_constant, four_thirds_log_genu
                      trace_bound_pair)
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .geodesics import RadiusSchedule, systole_search
-from .numfield import IdealHNF, factor_rational_prime
-from .quotient import DEFAULT_CAP, FiniteQuotRing, maxim_formula
+from .numfield import IdealHNF, factor_ideal, factor_rational_prime
+from .quotient import DEFAULT_CAP, FiniteQuotRing, index_bound, maxim_formula
 from .specfile import format_element, parse_element, parse_spec_file
 from .torsion import certify_torsion_free
 
@@ -45,6 +46,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _diameter(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _global_flags(parser, defaults: bool):
     """The shared flags, attachable before or after the subcommand."""
     d = (lambda v: v) if defaults else (lambda _v: argparse.SUPPRESS)
@@ -55,8 +70,8 @@ def _global_flags(parser, defaults: bool):
     parser.add_argument("--out", default=d(None),
                         help="write records to this file instead of stdout")
     parser.add_argument("--jobs", type=int, default=d(1),
-                        help="parallel workers for enumeration")
-    parser.add_argument("--precision", type=int, default=d(60),
+                        help="accepted and ignored: the enumeration runs serially")
+    parser.add_argument("--precision", type=_positive_int, default=d(60),
                         help="working precision in bits")
     parser.add_argument("--cap", type=int, default=d(DEFAULT_CAP),
                         help="residue/node cap for exhaustive passes")
@@ -96,7 +111,7 @@ def build_parser() -> _Parser:
     sp = add("systole", "exact enumeration of short congruence elements")
     _ideal_flags(sp)
     sp.add_argument("--radius", default="5:1:12", help="schedule L0:STEP:MAX")
-    sp.add_argument("--diameter", type=float, default=None,
+    sp.add_argument("--diameter", type=_diameter, default=None,
                     help="diameter bound of the quotient; certifies where the "
                          "trace coset 2 + I^2 does not")
 
@@ -136,8 +151,9 @@ def _pick_ideal(args, field) -> IdealHNF:
     if getattr(args, "prime", None):
         factors = factor_rational_prime(field, args.prime)
         idx = getattr(args, "index", 0)
-        if idx >= len(factors):
-            raise InputError(f"only {len(factors)} primes above {args.prime}")
+        if not 0 <= idx < len(factors):
+            raise InputError(f"--index must lie in [0, {len(factors)}): "
+                             f"{len(factors)} primes above {args.prime}")
         return factors[idx][0]
     raise InputError("select an ideal with --ideal or --prime [--index]")
 
@@ -185,7 +201,7 @@ def cmd_ramification(args, env, emit):
 def cmd_quotient_count(args, env, emit):
     order = _need_order(env)
     ideal = _pick_ideal(args, env["field"])
-    prime_factors = [(p, t) for p, t in _factored(env["field"], ideal)]
+    prime_factors = factor_ideal(env["field"], ideal)
     if len(prime_factors) != 1:
         raise InputError("quotient-count expects a prime-power ideal")
     prime, t_from_ideal = prime_factors[0]
@@ -201,12 +217,6 @@ def cmd_quotient_count(args, env, emit):
         radical, tag = ring.radical_and_type()
         line += f" type={tag} radical={radical}"
     emit(line)
-
-
-def _factored(field, ideal):
-    from .numfield import factor_ideal
-
-    return factor_ideal(field, ideal)
 
 
 def cmd_torsion_check(args, env, emit):
@@ -228,11 +238,9 @@ def cmd_bounds(args, env, emit):
     emit(f"ideal_norm={ideal.norm}")
     emit(f"trace_floor_sharp={float(sharp):.6f}")
     emit(f"trace_floor_coarse={float(coarse):.6f}")
-    from .quotient import index_bound
-
     bound = index_bound(env["algebra"], order, ideal)
     emit(f"index_bound={bound}")
-    prime_factors = _factored(env["field"], ideal)
+    prime_factors = factor_ideal(env["field"], ideal)
     count = 1
     for prime, t in prime_factors:
         count *= FiniteQuotRing(order, prime, t, cap=args.cap).count_norm_one()
@@ -278,7 +286,7 @@ def cmd_systole(args, env, emit):
                  f"classes={step.distinct_traces} current_min={cur}")
 
     result = systole_search(order, ideal, schedule, diameter_bound=args.diameter,
-                            bits=args.precision, jobs=args.jobs, progress=progress)
+                            bits=args.precision, progress=progress)
     for line in result.records():
         emit(line)
     for cand in result.candidates:
@@ -301,7 +309,7 @@ def cmd_table1(args, env, emit):
         if row["computed"]:
             reference_pool.setdefault(row["genus"], []).append(row["systole"])
     for ideal in ideals:
-        prime, t = _factored(field, ideal)[0]
+        prime, t = factor_ideal(field, ideal)[0]
         ring = FiniteQuotRing(order, prime, t, cap=args.cap)
         count = ring.count_norm_one()
         minus = order.minus_one_in_gamma(ideal)
@@ -311,7 +319,7 @@ def cmd_table1(args, env, emit):
         if not cert.torsion_free:
             raise InvariantViolation(f"ideal of norm {ideal.norm} not torsion-free")
         result = systole_search(order, ideal, RadiusSchedule(4.5, 1.0, 14.0),
-                                bits=args.precision, jobs=args.jobs)
+                                bits=args.precision)
         sys_mid = float(result.min_length.mid)
         matches = [v for v in reference_pool.get(genus, [])
                    if abs(v - sys_mid) <= 1.5e-3]

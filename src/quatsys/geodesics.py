@@ -13,18 +13,19 @@ coefficients are pinned to the unit ball of the norm form (the completion
 is a division algebra there).
 
 Enumeration walks the coset lattice in Hermite normal form, coordinate by
-coordinate in the order x0, x1, x2, x3, pruning each block against its
-certified box.  Each node gives the next coordinate its own range, in the
-manner of Fincke-Pohst's per-level bounds.  First a per-place bound B_s on
-the current block, implied by a check the walk or the leaf already makes:
+coordinate in the order x0, x1, x2, x3, inside certified boxes.  Each node
+gives the next coordinate its own range, in the manner of Fincke-Pohst's
+per-level bounds.  First a per-place bound B_s on the current block, implied
+by the exact checks at the leaf (norm one and the radius cut):
 the static box for x0; for x1, |u|, |ub| <= M at the split place and the
 unit ball elsewhere; for x2, the Frobenius budget left after u and ub at the
 split place and x3^2 >= 0 elsewhere.  Then, given the block's fixed
 coordinates, the range is exact for its last coordinate, comes from
 Fourier-Motzkin elimination of the last one for the last-but-one, and from
-the inverse embedding matrix before that.  Only nodes that the existing
-filters would reject disappear, so the emitted elements, in their order, are
-those of the static-box walk.
+the inverse embedding matrix before that.  These ranges are the walk's only
+float pruning, and they drop only nodes below which the exact leaf checks
+would emit nothing, so the emitted elements, in their order, are those of
+the static-box walk.
 
 The final coefficient is never enumerated: the norm-one equation determines
 x3^2 exactly.  At a leaf, floats recover x3 first (`WalkRanges.leaf_roots`):
@@ -43,16 +44,15 @@ split-place Frobenius norm, and by refinable interval arithmetic where that
 bound cannot, which terminates because an algebraic squared norm can never
 equal the transcendental 2 cosh L.  Each class |trace| keeps its element of
 least Frobenius norm, the first one met in walk order on a tie, decided
-exactly (`Enumerator._frob_less`), so the representatives depend neither on
-what ran before in the process nor on how the walk was split between workers.
+exactly (`Enumerator._frob_less`), so the representatives do not depend on
+what ran before in the process.
 
 Completeness of the visited region is certified: outward rounding
-everywhere, per-node ranges and leaf decisions under derived bounds on their
-float rounding (`walkranges`), and block-end float filters whose slack
-`_SLACK` is backstopped by exact leaf checks.  The systole itself is
-certified from traces, with no diameter bound: every hyperbolic gamma in
-Gamma(I) has trd gamma in 2 + I^2 with |sigma_s(trd gamma)| < 2 at the
-ramified places, so the least admissible |sigma_0| over that coset
+everywhere, an exact static range, and per-node ranges and leaf decisions
+under derived bounds on their float rounding (`walkranges`).  The systole
+itself is certified from traces, with no diameter bound: every hyperbolic
+gamma in Gamma(I) has trd gamma in 2 + I^2 with |sigma_s(trd gamma)| < 2 at
+the ramified places, so the least admissible |sigma_0| over that coset
 (`bounds.trace_coset_minimum`) gives a floor L* on every translation length,
 and an enumerated element whose trace is a minimiser proves sys = L*.
 `systole_search` starts at the first scheduled radius not below L* and
@@ -78,7 +78,6 @@ from .orders import OrderLattice
 from .quatalg import QuatElement
 from .walkranges import WalkRanges
 
-_SLACK = 1e-7  # slack of the block-end float filters; exact checks gate every emission
 # Enumerator.counters: leaves = float_rejected + float_candidates + fallbacks
 LEAF_COUNTERS = ("leaves", "float_rejected", "float_candidates", "fallbacks", "field_sqrt")
 
@@ -177,11 +176,9 @@ class Enumerator:
         self._one_plus_b2 = one + b * b
         self._two_one_minus_b2 = (one - b * b) * 2
         self.counters = Counter(dict.fromkeys(LEAF_COUNTERS, 0))
-        # float mid tables for fast pruning
+        # float table of the walk's block values
         powers = [[theta[s] ** m for m in range(d)] for s in range(d)]
         self.emb_f = [[float(p.mid) for p in row] for row in powers]
-        self.a_f = [float(x.mid) for x in self.a_emb]
-        self.sqrt_a0_f = float(self.sqrt_a0.mid)
 
         self._ranges = WalkRanges(powers, self.emb_f, field.embedding_inverse(bits),
                                   self.a_emb, self.b_emb, self.sqrt_a0, self.kappa)
@@ -196,7 +193,6 @@ class Enumerator:
         m_sq = t_encl.hi                      # upper bound for 2 cosh L
         m_val = iv_sqrt(RatInterval.exact(m_sq), self.bits).hi
         half_m2 = iv_sqrt(RatInterval.exact(m_sq / 2), self.bits).hi
-        a0 = self.a_emb[0]
         b0 = self.b_emb[0]
         inv_sqrt_a0 = (RatInterval.exact(1) / self.sqrt_a0).hi
         # |x2|, |x3| from v^2 + w^2 <= 2 cosh L via Cauchy-Schwarz
@@ -243,16 +239,9 @@ class Enumerator:
                 bounds.append(total)
         return bounds
 
-    def _filter_bounds(self, boxes, m_val):
-        """Float bounds of the walk's filters: M for |u|, |ub| and the boxes."""
-        mf = float(m_val) * (1 + 1e-12) + 1e-12
-        box_f = [[float(boxes[l][s]) * (1 + _SLACK) + 1e-12 for s in range(self.d)]
-                 for l in range(4)]
-        return mf, box_f
-
     # -- main run --------------------------------------------------------------
 
-    def run(self, radius, cap_nodes: int = 30_000_000, top_range=None):
+    def run(self, radius, cap_nodes: int = 30_000_000):
         """All congruence elements with ||gamma||_F^2 <= 2 cosh(radius).
 
         Returns (candidates keyed by |trace|, visited node count).
@@ -261,16 +250,11 @@ class Enumerator:
         coord_bound = self._coord_bounds(boxes)
         d, dim, kappa = self.d, self.dim, self.kappa
         hnf = self.hnf
-        offset = self.offset
         emb_f = self.emb_f
-        a_f = self.a_f
-        mf, box_f = self._filter_bounds(boxes, m_val)
-        cb_f = [float(cb) for cb in coord_bound]
-        t_hi_f = float(m_sq)
+        cb_int = [math.floor(cb) for cb in coord_bound]
         ranges = self._ranges
-        tabs = ranges.tables(boxes, m_sq, mf, box_f, coord_bound)
+        tabs = ranges.tables(boxes, m_sq, m_val, coord_bound)
 
-        self._m_sq = m_sq
         found = {}
         self._rep_norm = {}  # enclosure of ||x||_F^2 of each class representative
         visited = 0
@@ -297,54 +281,30 @@ class Enumerator:
             if j == 3 * d:
                 self._leaf(c_vals, x_places, partial_vec, tabs, found, m_sq)
                 return
+            # the static range: the integers c_j = p + n h with |c_j| <= coord_bound[j]
             h = hnf[j][j]
-            cb = cb_f[j]
+            b = cb_int[j]
             p = partial_vec[j]
-            lo = math.ceil((-cb - p) / h - 1e-9)
-            hi = math.floor((cb - p) / h + 1e-9)
+            lo = -((b + p) // h)
+            hi = (b - p) // h
             l, k = divmod(j, d)
             if l and not k:
                 widths[l] = ranges.block_widths(l, x_places, tabs)
-            # level 0 keeps its static range, which `_parallel_run` splits;
-            # block 0 otherwise has only the static box, so the sum rule adds nothing
+            # block 0 has only the static box, so the sum rule adds nothing there
             if j and (l or k >= d - 2):
                 c_lo, c_hi = ranges.coordinate_range(l, k, c_vals[j - k:j], widths[l], tabs)
                 lo = max(lo, (math.ceil(c_lo) - p + h - 1) // h)
                 hi = min(hi, (math.floor(c_hi) - p) // h)
-            rng = range(lo, hi + 1)
-            if j == 0 and self._top_range is not None:
-                rng = [n for n in rng if self._top_range[0] <= n < self._top_range[1]]
-            for n in rng:
+            for n in range(lo, hi + 1):
                 visited += 1
                 new_partial = [pv + n * hv for pv, hv in zip(partial_vec, hnf[j])] \
                     if n else list(partial_vec)
                 c_vals[j] = new_partial[j]
                 if (j + 1) % d == 0:
-                    vals = block_values(new_partial, l)
-                    if any(abs(vals[s]) > box_f[l][s] for s in range(d)):
-                        continue
-                    x_places[l] = vals
-                    # joint split-place filters once a block pair is known
-                    if l == 1:
-                        u = x_places[0][0] + x_places[1][0] * self.sqrt_a0_f
-                        ub = x_places[0][0] - x_places[1][0] * self.sqrt_a0_f
-                        if abs(u) > mf or abs(ub) > mf:
-                            continue
-                        bad = False
-                        for s in range(1, d):
-                            if (x_places[0][s] ** 2 + abs(a_f[s]) * x_places[1][s] ** 2
-                                    > 1 + _SLACK):
-                                bad = True
-                                break
-                        if bad:
-                            continue
-                        if abs(u * ub - 1) > t_hi_f * (1 + _SLACK):
-                            # |v*w| = |u*ub - 1| <= M^2 is forced by the norm equation
-                            continue
+                    x_places[l] = block_values(new_partial, l)
                 descend(j + 1, new_partial)
 
-        self._top_range = top_range
-        descend(0, list(offset))
+        descend(0, list(self.offset))
         return found, visited
 
     # -- leaf: recover the last coefficient --------------------------------------
@@ -541,106 +501,12 @@ def _int_or_none(f: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def box_bounds(order: OrderLattice, ideal: IdealHNF, radius, bits: int = 60):
-    """Per-coefficient admissible lattice points (scaled integer coordinates).
-
-    Congruence is not applied here; these are the embedding boxes that the
-    joint enumeration refines.  Monotone in the radius.
-    """
-    enum = Enumerator(order, ideal, bits)
-    boxes, _m_sq, _m = enum._boxes(radius)
-    coord_bound = enum._coord_bounds(boxes)
-    d = enum.d
-    out = []
-    for l in range(4):
-        pts = []
-        ranges = [range(-math.floor(float(coord_bound[l * d + m])),
-                        math.floor(float(coord_bound[l * d + m])) + 1)
-                  for m in range(d)]
-        for tup in itertools.product(*ranges):
-            elem = order.algebra.field.element([Fraction(c, order.kappa) for c in tup])
-            if _inside_box(enum, elem, [boxes[l][s] for s in range(d)]):
-                pts.append(tup)
-        out.append(sorted(pts))
-    return out
-
-
-def _inside_box(enum, elem, bound):
-    for s in range(enum.d):
-        box = elem.embed(s, enum.bits).abs()
-        limit = Fraction(bound[s])
-        if box.certainly_le(limit):
-            continue
-        if box.certainly_gt(limit):
-            return False
-        # undecided: exact tie is only possible for rational embeddings
-        if elem.is_rational():
-            if abs(elem.coords[0]) <= limit:
-                continue
-            return False
-        box = elem.embed(s, enum.bits * 8).abs()
-        if not box.certainly_le(limit):
-            return False
-    return True
-
-
 def enumerate_gamma(order: OrderLattice, ideal: IdealHNF, radius,
-                    cap_nodes: int = 30_000_000, bits: int = 60, jobs: int = 1):
+                    cap_nodes: int = 30_000_000, bits: int = 60):
     """Sorted GeodesicCandidate list for the given displacement radius."""
-    enum = Enumerator(order, ideal, bits)
-    if jobs > 1:
-        found, visited = _parallel_run(enum, radius, cap_nodes, jobs)
-    else:
-        found, visited = enum.run(radius, cap_nodes)
+    found, visited = Enumerator(order, ideal, bits).run(radius, cap_nodes)
     cands = sorted(found.values(), key=lambda c: (c.abs_trace, c.trace.coords))
     return cands, visited
-
-
-def _parallel_run(enum: Enumerator, radius, cap_nodes, jobs):
-    import multiprocessing as mp
-
-    boxes, _m_sq, _m = enum._boxes(radius)
-    coord_bound = enum._coord_bounds(boxes)
-    h = enum.hnf[0][0]
-    p = enum.offset[0]
-    cb = coord_bound[0]
-    lo0 = math.ceil((float(-cb) - p) / h - 1e-9)
-    hi0 = math.floor((float(cb) - p) / h + 1e-9)
-    n_chunks = max(jobs * 16, 1)
-    width = max(1, (hi0 + 1 - lo0 + n_chunks - 1) // n_chunks)
-    chunks = [(k, min(k + width, hi0 + 1)) for k in range(lo0, hi0 + 1, width)]
-    # the work concentrates near the middle of the range; hand those out first
-    mid = (lo0 + hi0) / 2
-    chunks.sort(key=lambda ab: abs((ab[0] + ab[1]) / 2 - mid))
-    ctx = mp.get_context("fork")
-    global _WORK
-    _WORK = (enum, radius, cap_nodes)
-    try:
-        with ctx.Pool(jobs) as pool:
-            parts = pool.map(_run_chunk, chunks, chunksize=1)
-    finally:
-        _WORK = None
-    # merge in walk order, so each class keeps the representative the serial run keeps
-    found = {}
-    visited = 0
-    for _chunk, (part_found, part_visited, part_counters) in sorted(zip(chunks, parts), key=lambda cp: cp[0]):
-        visited += part_visited
-        enum.counters.update(part_counters)
-        for key, cand in part_found.items():
-            prev = found.get(key)
-            if prev is None or enum._frob_less(cand.element, prev.element):
-                found[key] = cand
-    return found, visited
-
-
-_WORK = None
-
-
-def _run_chunk(chunk):
-    enum, radius, cap_nodes = _WORK
-    enum.counters = Counter(dict.fromkeys(LEAF_COUNTERS, 0))  # this worker's copy, per chunk
-    found, visited = enum.run(radius, cap_nodes, top_range=chunk)
-    return found, visited, enum.counters
 
 
 @dataclass
@@ -655,6 +521,8 @@ class RadiusSchedule:
             a, b, c = (float(x) for x in text.split(":"))
         except ValueError as exc:
             raise InputError(f"bad radius schedule {text!r}; want L0:STEP:MAX") from exc
+        if not all(math.isfinite(x) for x in (a, b, c)):
+            raise InputError(f"radius schedule {text!r} needs finite values")
         if b <= 0 or c < a:
             raise InputError("radius schedule must increase")
         return cls(a, b, c)
@@ -669,7 +537,7 @@ class RadiusSchedule:
 def systole_search(order: OrderLattice, ideal: IdealHNF,
                    schedule: RadiusSchedule = RadiusSchedule(5.0, 1.0, 12.0),
                    diameter_bound: float | None = None,
-                   cap_nodes: int = 30_000_000, bits: int = 60, jobs: int = 1,
+                   cap_nodes: int = 30_000_000, bits: int = 60,
                    trace_threshold: float | None = None,
                    progress=None) -> EnumerationResult:
     """Increasing-radius search until certified or stabilized.
@@ -695,7 +563,7 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
     for radius in schedule.radii():
         if coset is not None and coset.length.certainly_gt(radius):
             continue
-        cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes, bits, jobs)
+        cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes, bits)
         hyper = [c for c in cands if not c.is_elliptic]
         elliptic = [c for c in cands if c.is_elliptic]
         min_cand = hyper[0] if hyper else None

@@ -76,9 +76,6 @@ class RatInterval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
     def __repr__(self):
         return f"RatInterval({self.lo}, {self.hi})"
 

@@ -239,27 +239,8 @@ class FiniteQuotRing:
         hist = self._norm_histogram()
         return int(hist[self._center_units].sum()), int(hist[self._center_one])
 
-    def count_units(self) -> int:
-        return self.count_units_and_norm_one()[0]
-
     def count_norm_one(self) -> int:
         return self.count_units_and_norm_one()[1]
-
-    def norm_image_size(self) -> int:
-        """Number of central unit classes that are norms of residues."""
-        return int(np.count_nonzero(self._norm_histogram()[self._center_units]))
-
-    def involution_well_defined_sample(self, rng, samples: int = 64) -> bool:
-        """The involution of a residue must not depend on the lift."""
-        ideal_rows = self.mod_mat
-        for _ in range(samples):
-            x = np.array([[rng.randrange(0, int(d)) for d in self.diag]], dtype=np.int64)
-            shift = np.zeros((1, self.dim), dtype=np.int64)
-            for row in ideal_rows:
-                shift += rng.randrange(-2, 3) * row[None, :]
-            if not np.array_equal(self.involution(x), self.involution(x + shift)):
-                return False
-        return True
 
     # -- radical and semisimple type (t == 1) ---------------------------------
 
@@ -286,8 +267,7 @@ class FiniteQuotRing:
         """Jacobson radical via the nil-ideal test: x in J iff R*x is nilpotent.
 
         Equivalent to the unit-perturbation definition (1 - r*x*s invertible
-        for all r, s) on finite rings; `radical_unit_definition` computes
-        the latter for cross-checking.
+        for all r, s) on finite rings; the tests cross-check the two.
         """
         nil = self.nilpotents()
         all_res = np.concatenate(list(self.residue_blocks()))
@@ -298,27 +278,6 @@ class FiniteQuotRing:
             if all(tuple(int(v) for v in row) in nil for row in prods):
                 radical.add(x)
         return radical
-
-    def radical_unit_definition(self) -> set:
-        """x such that 1 - r*x is a unit for every r (finite-ring radical)."""
-        if self.cardinality >= 10 ** 4:
-            raise CapExceeded("unit-perturbation radical limited to rings below 10^4")
-        blocks = list(self.residue_blocks(chunk=512))
-        out = set()
-        for block in self.residue_blocks():
-            for x in block:
-                mx = self.left_mult_matrix(x)
-                ok = True
-                for rblock in blocks:
-                    prods = self.reduce(_mat(rblock, mx, self._mul_exact_float))
-                    w = self.reduce(self.one[None, :] - prods)
-                    keys = self._center_keys(self._norm_classes(w))
-                    if not bool(self._center_units[keys].all()):
-                        ok = False
-                        break
-                if ok:
-                    out.add(tuple(int(v) for v in x))
-        return out
 
     def radical_and_type(self):
         """(radical size, semisimple type tag) for the t == 1 quotient.

@@ -49,7 +49,7 @@ def _gamma(n):
 @dataclass
 class WalkTables:
     """Per-run constants: static boxes, error bounds and rule widenings."""
-    mf: float          # float bound of the |u|, |ub| filter, the M of B_s
+    mf: float          # M >= |u|, |ub| rounded up, the M of B_s
     m_sq_f: float      # 2 cosh L rounded up
     box_up: list       # box_up[l][s]: static box rounded up
     eps: list          # eps[l][s]: error of a float block value
@@ -112,15 +112,14 @@ class WalkRanges:
         self.emb_err_f = [_up(e) for e in self.emb_err[0]]
         self.gamma = [float(_gamma(n)) for n in range(d + 6)]  # gamma_n as floats
 
-    def tables(self, boxes, m_sq, mf, box_f, coord_bound) -> WalkTables:
-        """Per-run constants for the static boxes and the walk's filter bounds.
+    def tables(self, boxes, m_sq, m_val, coord_bound) -> WalkTables:
+        """Per-run constants for the static boxes and the bound M = m_val on |u|, |ub|.
 
         Rounding model: u = 2^-53, gamma_n = n u / (1 - n u) bounds the
         relative error of n roundings, and a float sum of products is within
         gamma_n of its exact value times the sum of the absolute values of its
-        terms.  The walk's coordinates obey |c_j| <= coord_bound[j] + 1 (the
-        static range's 1e-9 tolerance times an HNF pivot h < 10^9 stays below
-        1), so every such sum is bounded by a run constant:
+        terms.  The walk's coordinates obey |c_j| <= coord_bound[j] (the
+        static range is exact), so every such sum is bounded by a run constant:
 
         * eps[l][s] bounds |X - sigma_s(x_l)| for a float block value X of the
           walk (d products, d - 1 additions, one division), counting the table
@@ -135,22 +134,23 @@ class WalkRanges:
           sqrt(q + Delta) <= sqrt(q) + sqrt(Delta); with 2u for the square
           root and 3u for forming W this gives delta[l][s], and
           W_s = kappa (min(B_s, box) + delta[l][s]) bounds the exact width.
+          There |X| <= ymax = (1 + gamma_{d+2}) mag[l][s] / kappa, where
+          mag[l][s] bounds the sum of |c_m emb_f[s][m]| over a block.
         * Each range rule's endpoint is a fixed expression in the block prefix
           sums and the W_s; nu_* is gamma of its rounding count times its
           absolute-value counterpart, with magnitudes lam = 2 (mag + W) that
-          absorb every (1 + O(u)) factor on them (mag[l][s] bounds the sum
-          of |c_m emb_f[s][m]| over a block).
+          absorb every (1 + O(u)) factor on them.
         """
         d, kappa = self.d, self.kappa
         emb_q, lead = self.emb_q, [row[d - 1] for row in self.emb_q]
-        cbf = [cb + 1 for cb in coord_bound]
-        mag = [[sum(cbf[l * d + m] * abs(emb_q[s][m]) for m in range(d)) for s in range(d)]
-               for l in range(3)]
-        eps = [[(sum(cbf[l * d + m] * self.emb_err[s][m] for m in range(d))
+        mag = [[sum(coord_bound[l * d + m] * abs(emb_q[s][m]) for m in range(d))
+                for s in range(d)] for l in range(3)]
+        eps = [[(sum(coord_bound[l * d + m] * self.emb_err[s][m] for m in range(d))
                  + _gamma(d + 2) * mag[l][s]) / kappa for s in range(d)] for l in range(3)]
-        ymax = [[Fraction(x) for x in row] for row in box_f[:2]]
+        ymax = [[(1 + _gamma(d + 2)) * x / kappa for x in row] for row in mag[:2]]
         box_up = [[_up(boxes[l][s]) for s in range(d)] for l in range(3)]
         cap = [[Fraction(x) for x in row] for row in box_up]
+        mf = _up(m_val)
         m_sq_f = _up(m_sq)
 
         unit = _UNIT
@@ -197,7 +197,7 @@ class WalkRanges:
         """Widths W_s = kappa (B_s + delta) of block l >= 1 at the current node.
 
         B_s bounds |sigma_s(x_l)| for every element that the enumerator's
-        existing checks would emit below this node:
+        exact leaf checks would emit below this node:
 
         * block 1, place 0: |u|, |ub| <= M gives (M - |x0|)/sqrt(a);
         * block 1, place s >= 1: the unit ball gives sqrt((1 - x0^2)/|a|);

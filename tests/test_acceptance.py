@@ -35,8 +35,7 @@ def searches(QH, ideals):
     """One certified systole search per ideal, shared by several criteria."""
     out = {}
     for ideal in ideals:
-        out[ideal.mat] = systole_search(QH, ideal, RadiusSchedule(4.5, 1.0, 14.0),
-                                        jobs=2)
+        out[ideal.mat] = systole_search(QH, ideal, RadiusSchedule(4.5, 1.0, 14.0))
     return out
 
 

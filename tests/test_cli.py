@@ -134,6 +134,15 @@ def test_cli_exit_codes(capsys):
     assert code == 1
     code, out = _run(capsys, "--hurwitz", "--bogus-flag", "field-info")
     assert code == 1 and "error=input" in out
+    # malformed numbers: non-finite radii and diameters, a negative index or precision
+    for argv in (["systole", "--prime", "7", "--radius", "inf:1:inf"],
+                 ["systole", "--prime", "7", "--radius", "4.5:1:nan"],
+                 ["systole", "--prime", "13", "--index", "-1"],
+                 ["field-info", "--precision", "-5"],
+                 ["systole", "--prime", "7", "--precision", "0"],
+                 *(["systole", "--prime", "7", "--diameter", v] for v in ("nan", "inf", "-1"))):
+        code, out = _run(capsys, "--hurwitz", *argv)
+        assert code == 1 and "error=input" in out, argv
     code, out = _run(capsys, "--hurwitz", "quotient-count", "--prime", "7",
                      "--t", "3", "--cap", "1000")
     assert code == 2 and "error=cap" in out

@@ -37,3 +37,12 @@ def test_demo_torsion_and_bounds():
             _, norm, _floor, count, psl, genus, _log = line.split()
             rows[int(norm)] = (int(count), int(psl), int(genus))
     assert rows == {7: (336, 168, 3), 8: (504, 504, 7), 13: (2184, 1092, 14)}
+
+
+def test_demo_systole_search():
+    out = run_demo("05_systole_search.py")
+    rows = [line.split() for line in out.splitlines()
+            if line.startswith(("<2-eta>", "<2>", "p13#"))]
+    assert [row[0] for row in rows] == ["<2-eta>", "<2>", "p13#0", "p13#1", "p13#2"]
+    assert all(row[3] == "certified" for row in rows)
+    assert rows[0][1] == "3.9359"

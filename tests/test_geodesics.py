@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from quatsys import geodesics
 from quatsys.bounds import hurwitz_context, trace_coset_minimum, trace_lower_bound
 from quatsys.errors import CapExceeded, InvariantViolation
-from quatsys.geodesics import (Enumerator, RadiusSchedule, box_bounds, enumerate_gamma,
-                               systole_search)
+from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
 from quatsys.walkranges import _up, slice_range
 
 
@@ -107,6 +106,48 @@ def test_empty_at_tiny_radius(QH, P7):
     assert cands == []
 
 
+def box_bounds(order, ideal, radius, bits=60):
+    """Per-coefficient lattice points inside the certified embedding boxes.
+
+    Scaled integer coordinates, congruence not applied: the boxes that the
+    joint enumeration refines.  Monotone in the radius.
+    """
+    enum = Enumerator(order, ideal, bits)
+    boxes, _m_sq, _m = enum._boxes(radius)
+    coord_bound = enum._coord_bounds(boxes)
+    d = enum.d
+    out = []
+    for l in range(4):
+        caps = [math.floor(coord_bound[l * d + m]) for m in range(d)]
+        ranges = [range(-c, c + 1) for c in caps]
+        pts = []
+        for tup in itertools.product(*ranges):
+            elem = order.algebra.field.element([Fraction(c, order.kappa) for c in tup])
+            if _inside_box(enum, elem, boxes[l]):
+                pts.append(tup)
+        out.append(sorted(pts))
+    return out
+
+
+def _inside_box(enum, elem, bound):
+    for s in range(enum.d):
+        box = elem.embed(s, enum.bits).abs()
+        limit = Fraction(bound[s])
+        if box.certainly_le(limit):
+            continue
+        if box.certainly_gt(limit):
+            return False
+        # undecided: exact tie is only possible for rational embeddings
+        if elem.is_rational():
+            if abs(elem.coords[0]) <= limit:
+                continue
+            return False
+        box = elem.embed(s, enum.bits * 8).abs()
+        if not box.certainly_le(limit):
+            return False
+    return True
+
+
 def test_box_bounds_contents(QH, P7):
     boxes = box_bounds(QH, P7, 4.0)
     x0 = set(boxes[0])
@@ -116,13 +157,6 @@ def test_box_bounds_contents(QH, P7):
     smaller = box_bounds(QH, P7, 3.0)
     for l in range(4):
         assert set(smaller[l]) <= set(boxes[l])
-
-
-def test_parallel_matches_serial(QH, P7):
-    serial, v1 = enumerate_gamma(QH, P7, 5.0, jobs=1)
-    parallel, v2 = enumerate_gamma(QH, P7, 5.0, jobs=2)
-    assert v1 == v2
-    assert [c.trace.coords for c in serial] == [c.trace.coords for c in parallel]
 
 
 def test_systole_search_stabilizes(QH, P7, monkeypatch):
@@ -173,12 +207,11 @@ def walk(QH, K):
     enum = Enumerator(QH, K.whole_ring())
     boxes, m_sq, m_val = enum._boxes(3.0)
     bounds = enum._coord_bounds(boxes)
-    mf, box_f = enum._filter_bounds(boxes, m_val)
-    return enum, bounds, enum._ranges.tables(boxes, m_sq, mf, box_f, bounds)
+    return enum, bounds, enum._ranges.tables(boxes, m_sq, m_val, bounds)
 
 
 def _block_values(enum, c):
-    """Float block values exactly as the walk's block-end filter forms them."""
+    """Float block values exactly as the walk forms them."""
     vals = []
     for row in enum.emb_f:
         acc = 0.0
@@ -275,22 +308,31 @@ def test_slice_range_handles_negative_leading_powers():
     assert all(r == pytest.approx(ranges[0], abs=1e-12) for r in ranges)
 
 
-# Candidates of the static-box walk: record() and str(element) of each, and its
-# visited count; the per-node ranges must find the same ones with a fifth of the nodes.
-# Each class is represented by its element of least Frobenius norm, the first one
-# met in walk order on a tie (trace (2, 0, -1) is such a tie).
+# Candidates of the static-box walk: record() and str(element) of each.  The
+# per-node ranges must find the same ones, with exactly this many visited nodes
+# and leaf counters (LEAF_COUNTERS order: leaves, float_rejected,
+# float_candidates, fallbacks, field_sqrt); the static-box walk visited 128,407,
+# 199,872 and 42,991 nodes for P7, P13 and the whole ring.  Each class is
+# represented by its element of least Frobenius norm, the first one met in walk
+# order on a tie (trace (2, 0, -1) is such a tie).
 REGRESSION = {
-    "P7": (6.5, 128_407, [
+    "P7": ("P7", 6.5, 11_485, (277, 210, 58, 9, 9), [
         ("trace=(2, 3, 1) abs_trace=7.295897 length=[3.935946,3.935946]",
          "(-1, -3/2, -1/2) + (-3/2, -1, 0)*i + (-1/2, 1, 1/2)*j + (0, 0, 0)*ij"),
         ("trace=(3, 6, 2) abs_trace=13.591794 length=[5.208017,5.208017]",
          "(3/2, 3, 1) + (0, -3/2, -1)*i + (-1/2, 5/2, 3/2)*j + (0, 0, 0)*ij"),
     ]),
-    "P13": (7.5, 199_872, [
+    "P13": ("P13", 7.5, 14_554, (159, 138, 16, 5, 5), [
         ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
          "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
     ]),
-    "whole ring": (3.0, 42_991, [
+    "P13 at 8.5": ("P13", 8.5, 54_265, (757, 704, 44, 9, 9), [
+        ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
+         "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
+        ("trace=(12, 29, 12) abs_trace=66.821906 length=[8.403614,8.403614]",
+         "(-6, -29/2, -6) + (0, 0, 0)*i + (-11/2, -13, -11/2)*j + (-3/2, -3/2, -1/2)*ij"),
+    ]),
+    "whole ring": ("whole ring", 3.0, 5_323, (693, 82, 545, 66, 66), [
         ("trace=(0, 0, 0) abs_trace=0.000000 elliptic=true",
          "(0, 0, 0) + (0, 0, 0)*i + (0, 0, 0)*j + (-2, 1, 1)*ij"),
         ("trace=(2, 0, -1) abs_trace=0.445042 elliptic=true",
@@ -321,30 +363,33 @@ REGRESSION = {
 
 _ENUMERATE_ONE = """
 import json, sys
-from quatsys.geodesics import enumerate_gamma
+from quatsys.geodesics import LEAF_COUNTERS, Enumerator
 from quatsys.numfield import IdealHNF, factor_rational_prime
 from quatsys.orders import hurwitz_order
 order = hurwitz_order()
 K = order.algebra.field
 ideal = {"P7": IdealHNF.principal(K, K.from_rational(2) - K.gen()),
          "P13": factor_rational_prime(K, 13)[0][0], "whole ring": K.whole_ring()}[sys.argv[1]]
-cands, visited = enumerate_gamma(order, ideal, float(sys.argv[2]))
-print(json.dumps([visited, [[c.record(), str(c.element)] for c in cands]]))
+enum = Enumerator(order, ideal)
+found, visited = enum.run(float(sys.argv[2]))
+cands = sorted(found.values(), key=lambda c: (c.abs_trace, c.trace.coords))
+print(json.dumps([visited, [enum.counters[k] for k in LEAF_COUNTERS],
+                  [[c.record(), str(c.element)] for c in cands]]))
 """
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSION))
 def test_per_node_ranges_keep_every_candidate(name):
     # one enumeration in a fresh interpreter, apart from the rest of the suite
-    radius, static_visited, expected = REGRESSION[name]
+    ideal, radius, expected_visited, expected_counters, expected = REGRESSION[name]
     env = dict(os.environ)
     src = str(Path(geodesics.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _ENUMERATE_ONE, name, str(radius)],
+    out = subprocess.run([sys.executable, "-c", _ENUMERATE_ONE, ideal, str(radius)],
                          env=env, capture_output=True, text=True, check=True).stdout
-    visited, cands = json.loads(out)
+    visited, counters, cands = json.loads(out)
     assert [tuple(c) for c in cands] == expected
-    assert 5 * visited <= static_visited
+    assert (visited, tuple(counters)) == (expected_visited, expected_counters)
 
 
 # -- leaf recovery and search bookkeeping ---------------------------------------
@@ -413,8 +458,7 @@ def leaf_walk(QH, K, ring3):
     enum = Enumerator(QH, K.whole_ring())
     boxes, m_sq, m_val = enum._boxes(7.0)
     bounds = enum._coord_bounds(boxes)
-    mf, box_f = enum._filter_bounds(boxes, m_val)
-    tabs = enum._ranges.tables(boxes, m_sq, mf, box_f, bounds)
+    tabs = enum._ranges.tables(boxes, m_sq, m_val, bounds)
     group = [c.element for c in ring3[0]]
     group += [x.conj() for x in group]
     group += [x * y for x in group[:12] for y in group]
@@ -504,27 +548,23 @@ def test_leaf_defers_near_zero_and_when_bounds_reach_half(leaf_walk, K):
 
 
 def test_leaf_counters_partition_the_leaves(QH, P7):
-    serial = Enumerator(QH, P7)
-    _found, visited = serial.run(5.5)
-    counts = serial.counters
+    enum = Enumerator(QH, P7)
+    enum.run(5.5)
+    counts = enum.counters
     assert counts["leaves"] == (counts["float_rejected"] + counts["float_candidates"]
                                 + counts["fallbacks"])
     assert counts["field_sqrt"] == counts["fallbacks"]
     assert counts["float_rejected"] > counts["fallbacks"]
-    parallel = Enumerator(QH, P7)
-    assert geodesics._parallel_run(parallel, 5.5, 30_000_000, 2)[1] == visited
-    assert parallel.counters == counts
 
 
 def test_class_representatives_do_not_depend_on_history(QH, P7, K, ring3):
     # the least Frobenius norm, first met in walk order on a tie, whatever ran
-    # before in the process and however the walk was split between workers
+    # before in the process
     first = [str(c.element) for c in ring3[0]]
-    assert first == [e for _r, e in REGRESSION["whole ring"][2]]
+    assert first == [e for _r, e in REGRESSION["whole ring"][-1]]
     enumerate_gamma(QH, P7, 6.5)
-    for jobs in (1, 2):
-        cands, _ = enumerate_gamma(QH, K.whole_ring(), 3.0, jobs=jobs)
-        assert [str(c.element) for c in cands] == first
+    cands, _ = enumerate_gamma(QH, K.whole_ring(), 3.0)
+    assert [str(c.element) for c in cands] == first
 
 
 def test_split_norm_encloses_the_frobenius_norm(leaf_walk):
