@@ -3,7 +3,8 @@
 For a prime power p^t the quotient ring has Norm(p^t)^4 residues; its
 norm-one count is compared against the closed form q^{3t}(1 - q^{-2})
 for maximal orders at split primes, and the index bound lambda * Norm^3.
-The semisimple type of the t=1 quotient is classified by brute force.
+The semisimple type of the t=1 quotient and the size of its radical are
+read off its unit count.
 """
 
 from quatsys import FiniteQuotRing, IdealHNF, index_bound, lambda_factor, maxim_formula

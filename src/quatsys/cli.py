@@ -73,7 +73,7 @@ def _global_flags(parser, defaults: bool):
                         help="accepted and ignored: the enumeration runs serially")
     parser.add_argument("--precision", type=_positive_int, default=d(60),
                         help="working precision in bits")
-    parser.add_argument("--cap", type=int, default=d(DEFAULT_CAP),
+    parser.add_argument("--cap", type=_positive_int, default=d(DEFAULT_CAP),
                         help="residue/node cap for exhaustive passes")
     parser.add_argument("--asymptotic", action="store_true", default=d(False),
                         help="also print the asymptotic-form strings (display only)")
@@ -96,7 +96,7 @@ def build_parser() -> _Parser:
     _ideal_flags(sp, prime_only=True)
 
     sp = add("ramification", "real and finite ramification of the algebra")
-    sp.add_argument("--norm-bound", type=int, default=50)
+    sp.add_argument("--norm-bound", type=_positive_int, default=50)
 
     sp = add("quotient-count", "unit/norm-one counts of Q/(p^t Q)")
     _ideal_flags(sp)

@@ -4,15 +4,16 @@ An order is stored over the scaled standard basis (1/kappa) * {1,i,j,ij} x
 (power basis of K), with kappa the least positive integer clearing all
 denominators of the supplied basis.  Construction never trusts its input:
 module generators are closed under multiplication until the lattice
-stabilizes, and the result is certified to contain 1, to be closed under
-multiplication and under the standard involution, to have integral reduced
-traces and norms, and to satisfy kappa | 2ab.
+stabilizes, and the last closure pass multiplied every pair of basis
+elements of the final lattice.
 
 Order-level tables: the structure constants, the involution, the norm form
 and the identity over the order's own basis are integer arrays that depend
-on the order alone.  `OrderLattice.tables` builds them on first use (never
-in the constructor) and keeps them, so every finite quotient and every
-congruence lattice of the order reads the same read-only arrays.
+on the order alone.  The constructor builds them (`OrderLattice.tables`)
+from that pass's products and certifies the order from them: it contains
+1, is closed under multiplication and the standard involution, has
+integral reduced traces and norms, and kappa | 2ab.  Every finite quotient
+and congruence lattice of the order reads the same read-only arrays.
 
 Congruence structure: for an ideal I of the center, I*Q is the two-sided
 ideal spanned by products of an ideal basis with an order basis, and the
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from . import lattice
 from .errors import InputError, InvariantViolation
 from .numfield import FieldElement, IdealHNF, NumberField, hurwitz_field
 from .quatalg import QuatElement, QuaternionAlgebra
+
+_MAX_CLOSE_ITERS = 12
 
 
 def flatten(x: QuatElement):
@@ -71,16 +74,16 @@ class OrderLattice:
     """An order containing O_K, with certified multiplicative closure."""
 
     def __init__(self, algebra: QuaternionAlgebra, generators, name=None,
-                 assume_maximal=False, max_close_iters=12):
+                 assume_maximal=False):
         self.algebra = algebra
         self.name = name or "order"
         self.assume_maximal = bool(assume_maximal)
         basis = _module_span(algebra, generators)
-        for _ in range(max_close_iters):
+        # `_hnf_span` is canonical, so the span stops growing when it repeats
+        for _ in range(_MAX_CLOSE_ITERS):
             products = [w1 * w2 for w1 in basis for w2 in basis]
             new_basis = _hnf_span(algebra, basis + products)
-            if _same_span(algebra, basis, new_basis):
-                basis = new_basis
+            if new_basis == basis:
                 break
             basis = new_basis
         else:
@@ -90,32 +93,31 @@ class OrderLattice:
             raise InputError(f"order lattice has rank {len(basis)}, expected {dim}")
 
         self.kappa = _lcd(basis)
-        rows = [[_as_int(c * self.kappa) for c in flatten(w)] for w in basis]
-        mat = lattice.hnf(rows, dim)
-        if not lattice.is_full_rank_hnf(mat, dim):
+        # kappa * basis is the row HNF already: the HNF of a lattice scaled
+        # by a positive integer is the scaled HNF
+        self.mat = tuple(tuple(_as_int(c * self.kappa) for c in flatten(w)) for w in basis)
+        if not lattice.is_full_rank_hnf(self.mat, dim):
             raise InvariantViolation("order lattice lost rank during normalization")
-        self.mat = tuple(tuple(r) for r in mat)
-        self._certify()
+        tables = _build_tables(self, basis, products)
+        self._certify(tables)
+        self.tables = tables
         self._congruence = {}  # ideal -> CongruenceIdealLattice
-        self._tables = None  # OrderTables, built on first use
 
     # -- certification ------------------------------------------------------
 
-    def _certify(self):
-        algebra = self.algebra
-        if not self.contains(algebra.one()):
-            raise InvariantViolation("order does not contain 1")
-        basis = self.basis_elements()
-        for w1 in basis:
-            for w2 in basis:
-                if not self.contains(w1 * w2):
-                    raise InvariantViolation("order is not closed under multiplication")
-        for w in basis:
-            if not self.contains(w.conj()):
-                raise InvariantViolation("order is not closed under the involution")
-            if not w.reduced_trace().is_integral() or not w.reduced_norm().is_integral():
-                raise InvariantViolation("order element with non-integral trace or norm")
-        quota = algebra.a * algebra.b * 2
+    def _certify(self, tables: OrderTables):
+        """Certify the order from its tables; no quaternion is multiplied.
+
+        The tables exist, so the lattice contains 1 and is closed under
+        multiplication and the involution.  The reduced trace of w_a is
+        2 head_a / kappa and its reduced norm norm_tensor[a, a] / kappa,
+        with head_a the first d entries of row a of `mat`.
+        """
+        d = self.algebra.field.degree
+        if (any(2 * c % self.kappa for row in self.mat for c in row[:d])
+                or (tables.norm_tensor.diagonal() % self.kappa).any()):
+            raise InvariantViolation("order element with non-integral trace or norm")
+        quota = self.algebra.a * self.algebra.b * 2
         if not (quota * Fraction(1, self.kappa)).is_integral():
             raise InvariantViolation(f"kappa={self.kappa} does not divide 2ab")
 
@@ -148,16 +150,6 @@ class OrderLattice:
 
     def contains(self, x: QuatElement) -> bool:
         return self.coords(x) is not None
-
-    def tables(self) -> OrderTables:
-        """Structure constants, involution, norm form and identity over the order basis.
-
-        Built once per order, on first use, from exact products of basis
-        elements; `InvariantViolation` if a product leaves the order.
-        """
-        if self._tables is None:
-            self._tables = _build_tables(self)
-        return self._tables
 
     def is_norm_one(self, x: QuatElement) -> bool:
         return self.contains(x) and x.reduced_norm() == self.algebra.field.one()
@@ -241,7 +233,7 @@ class CongruenceIdealLattice:
         Exact integer products through the order's tables, in order-basis
         coordinates (Python integers, so nothing can wrap).
         """
-        tables = self.order.tables()
+        tables = self.order.tables
         struct = tables.struct.astype(object)
         invol = tables.invol.astype(object)
         for row in self.coord_mat:
@@ -392,19 +384,25 @@ def verify_trace_norm_containment(order: OrderLattice, ideal: IdealHNF,
 # ---------------------------------------------------------------------------
 
 
-def _build_tables(order: OrderLattice) -> OrderTables:
-    basis = order.basis_elements()
-    d = order.algebra.field.degree
+def _build_tables(order: OrderLattice, basis, products) -> OrderTables:
+    """The order's tables from `products` = [w_a * w_b for w_a, w_b in basis].
 
-    def coords(x):
-        c = order.coords(x)
-        if c is None:
-            raise InvariantViolation("order closure broke while building its tables")
-        return c
+    `basis` is the order's basis (the rows of `mat` over kappa).  A table
+    with an entry outside the order raises `InvariantViolation`, so the
+    tables exist only for a lattice that contains 1 and is closed under
+    multiplication and under the involution.
+    """
+    n, d = order.dim, order.algebra.field.degree
 
-    struct = np.array([[coords(wa * wb) for wb in basis] for wa in basis], dtype=object)
-    invol = np.array([coords(w.conj()) for w in basis], dtype=object)
-    one = np.array(coords(order.algebra.one()), dtype=object)
+    def table(elems, shape, failure):
+        rows = [order.coords(x) for x in elems]
+        if any(r is None for r in rows):
+            raise InvariantViolation(failure)
+        return np.array(rows, dtype=object).reshape(shape)
+
+    one = table([order.algebra.one()], (n,), "order does not contain 1")
+    struct = table(products, (n, n, n), "order is not closed under multiplication")
+    invol = table([w.conj() for w in basis], (n, n), "order is not closed under the involution")
     # w_a * conj(w_b) = sum_c invol[b, c] w_a w_c, and the first d scaled
     # standard coordinates of an element are kappa times its 1-component
     head = np.array([row[:d] for row in order.mat], dtype=object)
@@ -441,23 +439,6 @@ def _hnf_span(algebra, elems):
     mat = lattice.hnf(rows, 4 * algebra.field.degree)
     inv = Fraction(1, den)
     return [unflatten(algebra, [c * inv for c in row]) for row in mat]
-
-
-def _same_span(algebra, basis_a, basis_b):
-    def canon(basis):
-        den = 1
-        for e in basis:
-            for c in flatten(e):
-                den = lcm(den, c.denominator)
-        rows = [[int(c * den) for c in flatten(e)] for e in basis]
-        g = lattice.content(rows)
-        g = gcd(g, den)
-        if g > 1:
-            rows = [[x // g for x in r] for r in rows]
-            den //= g
-        return den, lattice.hnf(rows, 4 * algebra.field.degree)
-
-    return canon(basis_a) == canon(basis_b)
 
 
 def _lcd(basis) -> int:

@@ -1,5 +1,6 @@
 """Finite quotients Q/(p^t Q): exhaustive unit and norm-one counting,
-radical and semisimple type, square counting, and the index-bound factor.
+radical and semisimple type from the unit count, square counting, and the
+index-bound factor.
 
 The exhaustive counts are the ground truth here; the closed-form counting
 identities are the claims being validated against them.
@@ -73,7 +74,7 @@ class FiniteQuotRing:
         self.dim = order.dim
         self.center_dim = order.algebra.field.degree
         self.kappa = order.kappa
-        self.tables = order.tables()
+        self.tables = order.tables
         self.struct = self.tables.struct
         self.invol = self.tables.invol
         self.norm_tensor = self.tables.norm_tensor
@@ -86,11 +87,10 @@ class FiniteQuotRing:
         self.mod_mat = np.array(mod_mat, dtype=np.int64)
         self.diag = np.array([mod_mat[k][k] for k in range(self.dim)], dtype=np.int64)
 
-        # float64 fast paths, exact while every accumulated integer stays
+        # float64 fast path, exact while every accumulated integer stays
         # below 2^53 (a reduced residue has coordinates below max diag)
-        max_coord = int(self.diag.max())
-        self._mul_exact_float = _float_exact(self._tensor_bound(self.struct, max_coord))
-        self._norm_exact_float = _float_exact(self._tensor_bound(self.norm_tensor, max_coord))
+        self._norm_exact_float = _float_exact(
+            self._tensor_bound(self.norm_tensor, int(self.diag.max())))
 
         # the split of the counting pass: the last nontrivial coordinate and
         # as many before it as keep the product of their radices at most
@@ -126,43 +126,6 @@ class FiniteQuotRing:
     def _tensor_bound(tensor, max_coord):
         worst = int(np.abs(tensor).sum(axis=(0, 1)).max())
         return worst * max_coord * max_coord
-
-    # -- residue plumbing -------------------------------------------------
-
-    def reduce(self, arr: np.ndarray) -> np.ndarray:
-        """Canonical representatives modulo the congruence lattice (vectorized)."""
-        out = arr.copy()
-        for j in range(self.dim):
-            q = out[:, j] // self.diag[j]
-            nz = q != 0
-            if nz.any():
-                out[nz] -= q[nz, None] * self.mod_mat[j][None, :]
-        return out
-
-    def residue_blocks(self, chunk: int = _CHUNK):
-        """Deterministic mixed-radix enumeration of all residues, in blocks."""
-        total = int(self.cardinality)
-        for start in range(0, total, chunk):
-            yield _digits(start, min(start + chunk, total), self.diag)
-
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Componentwise ring product of two residue arrays."""
-        z = _quad(x, y, self.struct, self._mul_exact_float)
-        return self.reduce(z)
-
-    def involution(self, x: np.ndarray) -> np.ndarray:
-        return self.reduce(x @ self.invol)
-
-    def norm_map(self, x: np.ndarray) -> np.ndarray:
-        """Central coordinates of nu(x) = x * x^*, reduced modulo the ideal."""
-        out = np.zeros((len(x), self.center_dim), dtype=np.int64)
-        out[:, self._center_cols] = self._norm_classes(x)
-        return out
-
-    def _norm_classes(self, x: np.ndarray) -> np.ndarray:
-        """Reduced central coordinates of nu(x) in the columns with pivot > 1."""
-        scaled = _quad(x, x, self.norm_tensor, self._norm_exact_float)
-        return self._center_reduce(self._divide_kappa(scaled) @ self._center_fold)
 
     def _divide_kappa(self, scaled: np.ndarray) -> np.ndarray:
         if (scaled % self.kappa).any():
@@ -244,71 +207,38 @@ class FiniteQuotRing:
 
     # -- radical and semisimple type (t == 1) ---------------------------------
 
-    def nilpotents(self):
-        """Set of nilpotent residues as coordinate tuples (t == 1 only)."""
-        if self.t != 1:
-            raise InputError("nilpotent census only implemented for t == 1")
-        nil = set()
-        for block in self.residue_blocks():
-            z = block
-            # dimension 4 over the residue field: x nilpotent iff x^4 == 0
-            for _ in range(2):
-                z = self.mul(z, z)
-            mask = ~z.any(axis=1)
-            for row in block[mask]:
-                nil.add(tuple(int(v) for v in row))
-        return nil
-
-    def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix M with (r @ M) = coordinates of r*x."""
-        return np.einsum("j,ijl->il", x, self.struct)
-
-    def radical(self) -> set:
-        """Jacobson radical via the nil-ideal test: x in J iff R*x is nilpotent.
-
-        Equivalent to the unit-perturbation definition (1 - r*x*s invertible
-        for all r, s) on finite rings; the tests cross-check the two.
-        """
-        nil = self.nilpotents()
-        all_res = np.concatenate(list(self.residue_blocks()))
-        radical = set()
-        for x in sorted(nil):
-            mx = self.left_mult_matrix(np.array(x, dtype=np.int64))
-            prods = self.reduce(_mat(all_res, mx, self._mul_exact_float))
-            if all(tuple(int(v) for v in row) in nil for row in prods):
-                radical.add(x)
-        return radical
-
     def radical_and_type(self):
         """(radical size, semisimple type tag) for the t == 1 quotient.
 
-        The tag is determined by the order and unit count of T = R/J, which
-        separate the six possible semisimple types of a 4-dimensional
-        algebra with involution over the residue field.
+        R = Q/pQ is a 4-dimensional algebra over F_q = O_K/p whose every x
+        satisfies x^2 - trd(x) x + nrd(x) = 0, so each element of T = R/J
+        has degree at most 2 over F_q.  By Wedderburn T is a product of
+        matrix rings over extensions of F_q, of dimension at most 4; degree
+        at most 2 leaves F_q, F_q2, F_q x F_q and M2(F_q) ((b, 0) has degree
+        3 when b generates F_q2), and F_2^3 and F_2^4 ((0, 1, c) has degree
+        3 in F_q^3 when q > 2).  x is a unit exactly when its image in T is,
+        so R has q^(4 - dim T) * |T^x| units.  These counts are pairwise
+        distinct (q^3 (q-1), q^2 (q^2-1), q^2 (q-1)^2, q (q-1) (q^2-1), and
+        2 and 1 at q = 2), so the exact unit count names T and |J|.  A count
+        that matches no type raises `InvariantViolation`.
         """
         if self.t != 1:
             raise InputError("type classification only applies to t == 1")
-        j_size = len(self.radical())
         units, _ = self.count_units_and_norm_one()
-        if units % j_size or self.cardinality % j_size:
-            raise InvariantViolation("radical size does not divide the counts")
-        t_card = self.cardinality // j_size
-        t_units = units // j_size
         q = self.q
-        table = {
-            (q, q - 1): "F_q",
-            (q ** 2, q ** 2 - 1): "F_q2",
-            (q ** 2, (q - 1) ** 2): "F_q x F_q",
-            (q ** 3, (q - 1) * (q ** 2 - 1)): "F_q x F_q2",
-            (q ** 4, (q ** 2 - 1) * (q ** 2 - q)): "M2(F_q)",
-            (q ** 4, (q ** 2 - 1) ** 2): "F_q2 x F_q2",
-        }
-        tag = table.get((t_card, t_units))
-        if tag is None:
-            raise InvariantViolation(
-                f"semisimple part (card={t_card}, units={t_units}) matches none of "
-                f"the six admissible types")
-        return j_size, tag
+        types = [  # (tag, dim T, |T^x|)
+            ("F_q", 1, q - 1),
+            ("F_q2", 2, q ** 2 - 1),
+            ("F_q x F_q", 2, (q - 1) ** 2),
+            ("M2(F_q)", 4, (q ** 2 - 1) * (q ** 2 - q)),
+        ]
+        if q == 2:
+            types += [("F_q x F_q x F_q", 3, 1), ("F_q x F_q x F_q x F_q", 4, 1)]
+        for tag, dim, t_units in types:
+            if q ** (4 - dim) * t_units == units:
+                return q ** (4 - dim), tag
+        raise InvariantViolation(
+            f"{units} units match none of the admissible semisimple types")
 
 
 def _float_exact(bound: int) -> bool:
@@ -378,9 +308,10 @@ def unit_envelope(q: int) -> int:
     """Upper bound for units of any t=1 quotient: the supremum q^2 (q^2 - 1).
 
     With R = T + J of dimension 4 over F_q, the unit count is
-    |J| * |T^x| = q^(4 - dim T) * |T^x|; maximizing over the six admissible
-    semisimple types gives the local-ring case T = F_{q^2} (the quotient of
-    a maximal order in the division case), with q^2 (q^2 - 1) units.
+    |J| * |T^x| = q^(4 - dim T) * |T^x|; maximizing over the admissible
+    semisimple types (`FiniteQuotRing.radical_and_type`) gives the
+    local-ring case T = F_{q^2} (the quotient of a maximal order in the
+    division case), with q^2 (q^2 - 1) units.
     """
     return q ** 2 * (q ** 2 - 1)
 

@@ -105,6 +105,9 @@ def test_cli_quotient_count(capsys):
     assert code == 0
     assert "norm_one=336" in out and "formula=336" in out and "match=true" in out
     assert "type=M2(F_q)" in out
+    # the type comes from the unit count, so a large residue field is cheap
+    code, out = _run(capsys, "--hurwitz", "quotient-count", "--prime", "43", "--t", "1")
+    assert code == 0 and "type=M2(F_q) radical=1" in out
 
 
 def test_cli_quotient_count_by_ideal_generators(capsys):
@@ -134,13 +137,16 @@ def test_cli_exit_codes(capsys):
     assert code == 1
     code, out = _run(capsys, "--hurwitz", "--bogus-flag", "field-info")
     assert code == 1 and "error=input" in out
-    # malformed numbers: non-finite radii and diameters, a negative index or precision
+    # malformed numbers: non-finite radii and diameters, a negative index,
+    # precision, norm bound or cap
     for argv in (["systole", "--prime", "7", "--radius", "inf:1:inf"],
                  ["systole", "--prime", "7", "--radius", "4.5:1:nan"],
                  ["systole", "--prime", "13", "--index", "-1"],
                  ["field-info", "--precision", "-5"],
                  ["systole", "--prime", "7", "--precision", "0"],
-                 *(["systole", "--prime", "7", "--diameter", v] for v in ("nan", "inf", "-1"))):
+                 *(["systole", "--prime", "7", "--diameter", v] for v in ("nan", "inf", "-1")),
+                 ["ramification", "--norm-bound", "-5"],
+                 ["quotient-count", "--prime", "7", "--cap", "-1"]):
         code, out = _run(capsys, "--hurwitz", *argv)
         assert code == 1 and "error=input" in out, argv
     code, out = _run(capsys, "--hurwitz", "quotient-count", "--prime", "7",

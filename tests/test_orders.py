@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from quatsys.errors import InputError
+from quatsys import lattice
+from quatsys.errors import InputError, InvariantViolation
 from quatsys.numfield import IdealHNF
-from quatsys.orders import (OrderLattice, hurwitz_j_prime,
+from quatsys.orders import (OrderLattice, hurwitz_j_prime, hurwitz_order, standard_order,
                             verify_trace_norm_containment)
+from quatsys.quatalg import QuatElement
 
 
 def test_standard_order_shape(O_std, D):
@@ -33,6 +35,35 @@ def test_certification_catches_non_orders(D):
     third = D.element(K.from_rational(Fraction(1, 3)), 0, 0, 0)
     with pytest.raises(InputError):
         OrderLattice(D, [D.one(), third, D.gen_i(), D.gen_j(), D.gen_ij()])
+    # closed under multiplication, but without 1
+    with pytest.raises(InvariantViolation, match="order does not contain 1"):
+        OrderLattice(D, [D.gen_i() * 2, D.gen_j() * 2])
+
+
+def test_order_and_tables_take_one_closure_pass(D, monkeypatch):
+    # module span (4 generators times 1, eta, eta^2), then n^2 products per
+    # closure pass: Hurwitz 9^2 + 12^2, standard 12^2; the last pass gives
+    # the tables and the certificate, so nothing is multiplied again
+    calls = []
+    product = QuatElement.__mul__
+    monkeypatch.setattr(QuatElement, "__mul__", lambda x, y: calls.append(1) or product(x, y))
+    for build, expected in ((hurwitz_order, 12 + 81 + 144), (standard_order, 12 + 144)):
+        calls.clear()
+        assert build(D).tables.struct.shape == (12, 12, 12)
+        assert len(calls) == expected
+
+
+def test_tables_equal_exact_products_of_the_basis(QH, O_std, D):
+    for order in (QH, O_std):
+        assert [list(r) for r in order.mat] == lattice.hnf(order.mat, order.dim)
+        basis = order.basis_elements()
+        tables = order.tables
+        assert tables.struct.tolist() == [[order.coords(a * b) for b in basis] for a in basis]
+        assert tables.invol.tolist() == [order.coords(w.conj()) for w in basis]
+        assert tables.one.tolist() == order.coords(D.one())
+        head = [[c * order.kappa for c in (a * b.conj()).coords[0].coords] for b in basis
+                for a in basis]
+        assert tables.norm_tensor.transpose(1, 0, 2).reshape(-1, 3).tolist() == head
 
 
 def test_involution_stability_of_bases(QH, O_std):

@@ -6,9 +6,62 @@ import pytest
 
 from quatsys.errors import CapExceeded, InputError, InvariantViolation
 from quatsys.numfield import factor_rational_prime
-from quatsys.quotient import (_CHUNK, FiniteQuotRing, _float_exact, _mat, count_norm_one_ideal,
-                              index_bound, lambda_factor, lemma44_check, maxim_formula,
-                              nonmaximal_local_primes, norm_one_envelope)
+from quatsys.orders import OrderLattice
+from quatsys.quatalg import QuaternionAlgebra
+from quatsys.quotient import (_CHUNK, FiniteQuotRing, _digits, _float_exact, _mat, _quad,
+                              count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
+                              maxim_formula, nonmaximal_local_primes, norm_one_envelope)
+
+
+# -- ring operations that only the tests use ------------------------------------
+
+def residue_blocks(ring, chunk: int = _CHUNK):
+    """Deterministic mixed-radix enumeration of all residues, in blocks."""
+    total = int(ring.cardinality)
+    for start in range(0, total, chunk):
+        yield _digits(start, min(start + chunk, total), ring.diag)
+
+
+def all_residues(ring) -> np.ndarray:
+    return np.concatenate(list(residue_blocks(ring)))
+
+
+def reduce(ring, arr: np.ndarray) -> np.ndarray:
+    """Canonical representatives modulo the congruence lattice (vectorized)."""
+    out = arr.copy()
+    for j in range(ring.dim):
+        q = out[:, j] // ring.diag[j]
+        nz = q != 0
+        if nz.any():
+            out[nz] -= q[nz, None] * ring.mod_mat[j][None, :]
+    return out
+
+
+def mul_exact_float(ring) -> bool:
+    """Whether float64 is exact for products of reduced residues."""
+    return _float_exact(ring._tensor_bound(ring.struct, int(ring.diag.max())))
+
+
+def mul(ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Componentwise ring product of two residue arrays."""
+    return reduce(ring, _quad(x, y, ring.struct, mul_exact_float(ring)))
+
+
+def involution(ring, x: np.ndarray) -> np.ndarray:
+    return reduce(ring, x @ ring.invol)
+
+
+def norm_classes(ring, x: np.ndarray) -> np.ndarray:
+    """Reduced central coordinates of nu(x) in the columns with pivot > 1."""
+    scaled = _quad(x, x, ring.norm_tensor, ring._norm_exact_float)
+    return ring._center_reduce(ring._divide_kappa(scaled) @ ring._center_fold)
+
+
+def norm_map(ring, x: np.ndarray) -> np.ndarray:
+    """Central coordinates of nu(x) = x * x^*, reduced modulo the ideal."""
+    out = np.zeros((len(x), ring.center_dim), dtype=np.int64)
+    out[:, ring._center_cols] = norm_classes(ring, x)
+    return out
 
 
 # -- oracles: slow definitions that the library's paths are checked against -----
@@ -25,30 +78,59 @@ def involution_well_defined_sample(ring, rng, samples: int = 64) -> bool:
         shift = np.zeros((1, ring.dim), dtype=np.int64)
         for row in ring.mod_mat:
             shift += rng.randrange(-2, 3) * row[None, :]
-        if not np.array_equal(ring.involution(x), ring.involution(x + shift)):
+        if not np.array_equal(involution(ring, x), involution(ring, x + shift)):
             return False
     return True
 
 
 def radical_unit_definition(ring) -> set:
-    """x such that 1 - r*x is a unit for every r (finite-ring radical)."""
+    """x such that 1 - r*x is a unit for every r (finite-ring radical).
+
+    The products r*x come from `ring.struct`, batched over x and over r.
+    Q/pQ is a vector space over F_l, l the rational prime under p (l*Q
+    lies in p*Q), so reduction is additive modulo l: the canonical residue
+    of y is (y @ C) mod l, with C the canonical residues of the basis
+    vectors.  Its mixed-radix code indexes a table of whether 1 - y is a
+    unit.
+    """
     assert ring.cardinality < 10 ** 4, "unit-perturbation radical limited to rings below 10^4"
-    blocks = list(ring.residue_blocks(chunk=512))
+    ell = min(f for f in range(2, ring.q + 1) if ring.q % f == 0)
+    res = all_residues(ring)
+    strides = np.array([int(np.prod(ring.diag[j + 1:])) for j in range(ring.dim)])
+    # struct_c[a, b] = (w_a * w_b) @ C
+    struct_c = ring.struct @ reduce(ring, np.eye(ring.dim, dtype=np.int64))
+    float_ok = _float_exact(ring._tensor_bound(struct_c, int(ring.diag.max())))
+    # res[k] is the residue of code k
+    one_minus_is_unit = ring._center_units[
+        ring._center_keys(norm_classes(ring, ring.one[None, :] - res))]
     out = set()
-    for block in ring.residue_blocks():
-        for x in block:
-            mx = ring.left_mult_matrix(x)
-            ok = True
-            for rblock in blocks:
-                prods = ring.reduce(_mat(rblock, mx, ring._mul_exact_float))
-                w = ring.reduce(ring.one[None, :] - prods)
-                keys = ring._center_keys(ring._norm_classes(w))
-                if not bool(ring._center_units[keys].all()):
-                    ok = False
-                    break
-            if ok:
-                out.add(tuple(int(v) for v in x))
+    batch = max(1, _CHUNK // len(res))
+    for start in range(0, len(res), batch):
+        xs = res[start:start + batch]
+        # column block c of `left` maps r to (r * xs[c]) @ C
+        left = np.einsum("cj,ijl->icl", xs, struct_c).reshape(ring.dim, -1)
+        codes = (_mat(res, left, float_ok) % ell).reshape(-1, ring.dim) @ strides
+        units = one_minus_is_unit[codes].reshape(len(res), len(xs))
+        out.update(tuple(int(v) for v in x) for x in xs[units.all(axis=0)])
     return out
+
+
+@pytest.fixture(scope="module")
+def rational_rings(QQ):
+    """The two types no Hurwitz-field ring reaches, over Q.
+
+    Z<i, 3j> in (1, 1) at 3 and the Hurwitz quaternions
+    Z<i, j, (1+i+j+ij)/2> in (-1, -1) at 2.
+    """
+    split = QuaternionAlgebra(QQ, QQ.from_rational(1), QQ.from_rational(1))
+    lattice_3j = OrderLattice(split, [split.one(), split.gen_i(), split.gen_j() * 3])
+    definite = QuaternionAlgebra(QQ, QQ.from_rational(-1), QQ.from_rational(-1))
+    half = QQ.from_rational(Fraction(1, 2))
+    hurwitz = OrderLattice(definite, [
+        definite.one(), definite.gen_i(), definite.gen_j(),
+        (definite.one() + definite.gen_i() + definite.gen_j() + definite.gen_ij()) * half])
+    return {"Z<i,3j>/3": FiniteQuotRing(lattice_3j, factor_rational_prime(QQ, 3)[0][0], 1),
+            "Hurwitz/2": FiniteQuotRing(hurwitz, factor_rational_prime(QQ, 2)[0][0], 1)}
 
 
 def test_cardinalities(QH, P7, P2):
@@ -105,30 +187,30 @@ def test_norm_map_properties(QH, P7):
 def test_ring_axioms_on_sampled_triples(QH, P7):
     ring = FiniteQuotRing(QH, P7, 1)
     rng = random.Random(8)
-    all_res = np.concatenate(list(ring.residue_blocks()))
+    all_res = all_residues(ring)
     idx = [rng.randrange(len(all_res)) for _ in range(3 * 40)]
     x, y, z = (all_res[idx[k::3]] for k in range(3))
-    assert np.array_equal(ring.mul(ring.mul(x, y), z), ring.mul(x, ring.mul(y, z)))
-    assert np.array_equal(ring.mul(x, ring.reduce(y + z)),
-                          ring.reduce(ring.mul(x, y) + ring.mul(x, z)))
+    assert np.array_equal(mul(ring, mul(ring, x, y), z), mul(ring, x, mul(ring, y, z)))
+    assert np.array_equal(mul(ring, x, reduce(ring, y + z)),
+                          reduce(ring, mul(ring, x, y) + mul(ring, x, z)))
     one = np.repeat(ring.one[None, :], len(x), axis=0)
-    assert np.array_equal(ring.mul(x, one), ring.reduce(x))
+    assert np.array_equal(mul(ring, x, one), reduce(ring, x))
     # involution is an anti-automorphism on the quotient
-    assert np.array_equal(ring.involution(ring.mul(x, y)),
-                          ring.mul(ring.involution(y), ring.involution(x)))
+    assert np.array_equal(involution(ring, mul(ring, x, y)),
+                          mul(ring, involution(ring, y), involution(ring, x)))
 
 
 def test_norm_map_multiplicative_exact(QH, P7):
     ring = FiniteQuotRing(QH, P7, 1)
     K = QH.algebra.field
     rng = random.Random(12)
-    all_res = np.concatenate(list(ring.residue_blocks()))
+    all_res = all_residues(ring)
     sel = rng.sample(range(len(all_res)), 40)
     x = all_res[sel]
     y = all_res[sel[::-1]]
-    nx = ring.norm_map(x)
-    ny = ring.norm_map(y)
-    nxy = ring.norm_map(ring.mul(x, y))
+    nx = norm_map(ring, x)
+    ny = norm_map(ring, y)
+    nxy = norm_map(ring, mul(ring, x, y))
     for a, b, c in zip(nx, ny, nxy):
         ea = K.element([int(v) for v in a])
         eb = K.element([int(v) for v in b])
@@ -137,20 +219,30 @@ def test_norm_map_multiplicative_exact(QH, P7):
             [int(t) for t in ec.coords]
 
 
-def test_radical_types(QH, O_std, P7, P2):
+def test_radical_types(QH, O_std, P7, P2, rational_rings):
     assert FiniteQuotRing(QH, P7, 1).radical_and_type() == (1, "M2(F_q)")
     assert FiniteQuotRing(QH, P2, 1).radical_and_type() == (1, "M2(F_q)")
     assert FiniteQuotRing(O_std, P7, 1).radical_and_type() == (1, "M2(F_q)")
     # the standard order is not maximal at 2: big radical, field residue
     size, tag = FiniteQuotRing(O_std, P2, 1).radical_and_type()
     assert size == 8 ** 3 and tag == "F_q"
+    assert rational_rings["Z<i,3j>/3"].radical_and_type() == (9, "F_q x F_q")
+    assert rational_rings["Hurwitz/2"].radical_and_type() == (4, "F_q2")
 
 
-def test_radical_agreement_below_1e4(QH, O_std, P7, P2):
-    r1 = FiniteQuotRing(QH, P7, 1)
-    assert r1.radical() == radical_unit_definition(r1)
-    r2 = FiniteQuotRing(O_std, P2, 1)
-    assert r2.radical() == radical_unit_definition(r2)
+def test_radical_agreement_below_1e4(QH, O_std, P7, P2, rational_rings):
+    for ring in (FiniteQuotRing(QH, P7, 1), FiniteQuotRing(O_std, P2, 1),
+                 *rational_rings.values()):
+        assert len(radical_unit_definition(ring)) == ring.radical_and_type()[0]
+
+
+def test_unit_count_outside_every_type_is_refused(QH, P7, monkeypatch):
+    ring = FiniteQuotRing(QH, P7, 1)
+    monkeypatch.setattr(ring, "count_units_and_norm_one", lambda: (2015, 336))
+    with pytest.raises(InvariantViolation, match="admissible"):
+        ring.radical_and_type()
+    with pytest.raises(InputError):
+        FiniteQuotRing(QH, P7, 2).radical_and_type()
 
 
 def test_envelopes_hold(QH, O_std, P7, P2, P13s, D):
@@ -164,7 +256,7 @@ def test_envelopes_hold(QH, O_std, P7, P2, P13s, D):
         q = ring.q
         envelope = norm_one_envelope(q, 1, division, e if e else 0)
         assert Fraction(norm_one, q ** 3) <= envelope
-        # unit envelope from the six-type classification; |GL_2(F_7)| = 2016
+        # unit envelope from the type classification; |GL_2(F_7)| = 2016
         # already exceeds the naive split value q^2 (q-1)^2 = 1764, while the
         # true supremum q^2 (q^2 - 1) covers every constructed ring
         assert units <= unit_envelope(q)
@@ -234,7 +326,7 @@ def residue_loop_counts(ring):
 
     field = ring.order.algebra.field
     tally = Counter()
-    for block in ring.residue_blocks():
+    for block in residue_blocks(ring):
         scaled = np.einsum("ni,nj,ijk->nk", block, block, ring.norm_tensor)
         if (scaled % ring.kappa).any():
             raise InvariantViolation("norm values are not integral")
@@ -300,7 +392,7 @@ def test_kappa_check_covers_every_part_of_the_split(small_rings, monkeypatch):
 def test_order_tables_built_once(QH, P7, P13s):
     r7 = FiniteQuotRing(QH, P7, 1)
     r13 = FiniteQuotRing(QH, P13s[0], 1)
-    assert r7.tables is r13.tables is QH.tables()
+    assert r7.tables is r13.tables is QH.tables
     assert r7.struct is r13.struct
     for arr in (r7.struct, r7.invol, r7.norm_tensor, r7.one):
         assert not arr.flags.writeable
