@@ -78,6 +78,10 @@ from .orders import OrderLattice
 from .quatalg import QuatElement
 from .walkranges import WalkRanges
 
+# the walk's float precision (IEEE double significands): coarser enclosures
+# widen its boxes and ranges without making anything cheaper
+FLOAT_BITS = 53
+
 # Enumerator.counters: leaves = float_rejected + float_candidates + fallbacks
 LEAF_COUNTERS = ("leaves", "float_rejected", "float_candidates", "fallbacks", "field_sqrt")
 
@@ -150,7 +154,7 @@ class Enumerator:
         self.ideal = ideal
         self.algebra = algebra
         self.field = field
-        self.bits = bits
+        self.bits = bits = max(bits, FLOAT_BITS)
         d = field.degree
         self.d = d
         self.dim = 4 * d
@@ -556,6 +560,7 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
     `progress(result)` is invoked with the intermediate EnumerationResult
     after each enumerated radius (visited nodes, current minimum, mode so far).
     """
+    bits = max(bits, FLOAT_BITS)
     coset = trace_coset_minimum(order, ideal, bits)
     best_key = None
     streak = 0

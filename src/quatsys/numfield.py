@@ -251,7 +251,7 @@ def _pad(a, n):
 
 def _to_gf(asc_coeffs, p):
     desc = [ZZ(int(c) % p) for c in reversed(asc_coeffs)]
-    while len(desc) > 1 and desc[0] == 0:
+    while desc and desc[0] == 0:  # the zero polynomial is []
         desc.pop(0)
     return desc
 

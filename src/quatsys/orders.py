@@ -98,6 +98,8 @@ class OrderLattice:
         self.mat = tuple(tuple(_as_int(c * self.kappa) for c in flatten(w)) for w in basis)
         if not lattice.is_full_rank_hnf(self.mat, dim):
             raise InvariantViolation("order lattice lost rank during normalization")
+        if not self.contains(algebra.one()):
+            raise InputError("generators span a ring without 1: order does not contain 1")
         tables = _build_tables(self, basis, products)
         self._certify(tables)
         self.tables = tables
@@ -213,18 +215,20 @@ class CongruenceIdealLattice:
             raise InputError("ideal and order live over different fields")
         self.order = order
         self.ideal = ideal
+        # alpha * w_b = sum_a alpha_a struct[a, b], alpha_a the order coordinates
+        # of alpha (O_K lies in the order, which contains 1)
+        struct = order.tables.struct.astype(object)
         rows = []
         for alpha in ideal.basis_elements():
-            for w in order.basis_elements():
-                rows.append(order.scaled_coords(alpha * w))
-        mat = lattice.hnf(rows, order.dim)
-        if not lattice.is_full_rank_hnf(mat, order.dim):
+            coords = np.array(order.coords(order.algebra.element(alpha, 0, 0, 0)), dtype=object)
+            rows.extend(np.tensordot(coords, struct, axes=([0], [0])).tolist())
+        coord_mat = lattice.hnf(rows, order.dim)
+        if not lattice.is_full_rank_hnf(coord_mat, order.dim):
             raise InvariantViolation("congruence lattice lost rank")
-        self.mat = tuple(tuple(r) for r in mat)
-        coord_rows = [lattice.solve_triangular(order.mat, row) for row in self.mat]
-        if any(c is None for c in coord_rows):
-            raise InvariantViolation("congruence lattice escapes the order")
-        self.coord_mat = tuple(tuple(r) for r in lattice.hnf(coord_rows, order.dim))
+        self.coord_mat = tuple(tuple(r) for r in coord_mat)
+        basis = np.array(order.mat, dtype=object)
+        self.mat = tuple(tuple(r) for r in lattice.hnf(
+            (np.array(coord_mat, dtype=object) @ basis).tolist(), order.dim))
         self._certify()
 
     def _certify(self):

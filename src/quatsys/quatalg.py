@@ -9,13 +9,13 @@ Ramification
 ------------
 * at a real place: the algebra stays a division algebra exactly when both
   structure constants are negative there; decided from certified signs.
-* at a finite prime: decided by bounded-exhaustive search for a primitive
-  zero of the norm form modulo increasing prime powers.  A found zero is
-  only accepted with a verified Hensel condition (some partial derivative
-  of valuation s with level k > 2s), so "split" answers are certificates;
-  "ramified" answers are certificates too, because an isotropic completion
-  would force a primitive zero at every level.  If the configured caps are
-  reached first the status is reported as undecided, never guessed.
+* at a finite prime p: ramified exactly when the Hilbert symbol (a, b)_p
+  is -1 (Voight, Quaternion Algebras, ch. 12 and 14).  At odd p it is the
+  tame symbol, a quadratic residue symbol in O_K/p from Euler's criterion;
+  in particular p splits when it divides neither a nor b.  At a dyadic p
+  Hilbert reciprocity gives it from the real places and the odd primes,
+  after b is moved by the local square theorem so that it is a square at
+  every other dyadic prime.  Every status is decided; none is searched.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import lattice
 from .errors import InputError, InvariantViolation
-from .lattice import make_reducer
-from .numfield import FieldElement, IdealHNF, NumberField, primes_up_to_norm
+from .numfield import (FieldElement, IdealHNF, NumberField, factor_ideal,
+                       factor_rational_prime, primes_up_to_norm)
 
 SPLIT = "split"
 RAMIFIED = "ramified"
-UNDECIDED = "undecided"
 
 
 class QuaternionAlgebra:
@@ -102,172 +102,49 @@ class QuaternionAlgebra:
 
     # -- ramification at finite primes -------------------------------------
 
-    def norm_form_coeffs(self):
-        one = self.field.one()
-        return (one, -self.a, -self.b, self.ab)
+    def finite_prime_status(self, prime: IdealHNF) -> str:
+        """`ramified` exactly when the Hilbert symbol (a, b)_p is -1."""
+        if prime.norm % 2:
+            symbol = _tame_symbol(self.a, self.b, prime)
+        else:
+            symbol = self._dyadic_symbol(prime)
+        return RAMIFIED if symbol < 0 else SPLIT
 
-    def finite_prime_status(self, prime: IdealHNF, max_level: int = 6,
-                            pair_cap: int = 1 << 23) -> str:
-        status, _w = self.finite_prime_status_witnessed(prime, max_level, pair_cap)
-        return status
+    def _dyadic_symbol(self, prime: IdealHNF) -> int:
+        """(a, b)_p at a dyadic p by Hilbert reciprocity on (a, b').
 
-    def finite_prime_status_witnessed(self, prime: IdealHNF, max_level: int = 6,
-                                      pair_cap: int = 1 << 23):
-        """(status, witness); witness is (level, lambda residue 4-tuple) for splits."""
-        K = self.field
-        two = IdealHNF.principal(K, K.from_rational(2))
-        diadic_e = two.valuation(prime) if prime.divides(two) else 0
-        level = 1
-        while level <= max_level:
-            q_k = prime.norm ** level
-            if q_k * q_k > pair_cap:
-                return UNDECIDED, None
-            found = self._search_level(prime, level)
-            if found == "no_primitive_zero":
-                return RAMIFIED, None
-            if found is not None and found != "no_certificate":
-                return SPLIT, (level, found)
-            level += 1
-            # a diadic certificate needs level > 2e, skip hopeless early levels
-            if diadic_e and level <= 2 * diadic_e:
-                level = 2 * diadic_e + 1
-                if level > max_level:
-                    break
-        return UNDECIDED, None
-
-    def _search_level(self, prime: IdealHNF, k: int):
-        """One level of the primitive-zero search modulo prime**k.
-
-        Meet in the middle: the norm form splits as
-        (l1^2 - a*l2^2) - (b*l3^2 - a*b*l4^2); a zero is a value collision
-        between the two halves.  Per matched value we track the least
-        attainable derivative valuation with and without half-primitivity,
-        which is enough to decide the Hensel condition for the best
-        combined tuple without storing all pairs.
+        b' = b mod p^(v_p(b) + 2e + 1) and b' = 1 mod p'^(2e' + 1) at every
+        other dyadic p', so by the local square theorem b'/b is a square at
+        p and b' one at each p'.  The product of (a, b')_v over all places
+        is 1, and the places left are real or odd primes dividing a b'.
         """
         K = self.field
-        P = prime ** k
-        c1, c2, c3, c4 = self.norm_form_coeffs()
-        residues = [tuple(r) for r in P.residues()]
-        powers = [prime ** v for v in range(1, k + 1)]
+        b = self.b
+        far = K.whole_ring()
+        for other, e, _f in factor_rational_prime(K, 2):
+            if other == prime:
+                near = prime ** (IdealHNF.principal(K, b).valuation(prime) + 2 * e + 1)
+            else:
+                far = far * other ** (2 * e + 1)
+        if not far.is_whole_ring():
+            x = _split_one(near, far)
+            b = b * (1 - x) + x
+        symbol = 1
+        for s in range(K.degree):
+            if self.a.sign_at(s) < 0 and b.sign_at(s) < 0:
+                symbol = -symbol
+        for r, _v in factor_ideal(K, IdealHNF.principal(K, self.a * b)):
+            if r.norm % 2:
+                symbol *= _tame_symbol(self.a, b, r)
+        return symbol
 
-        def val_below_k(elem: FieldElement) -> int:
-            # valuation of a residue representative, capped at k
-            if elem.is_zero():
-                return k
-            v = 0
-            while v < k and powers[v].contains(elem):
-                v += 1
-            return v
-
-        two_elem = K.from_rational(2)
-        in_prime = []
-        coeff_val = [[], [], [], []]
-        coeffs = (c1, c2, c3, c4)
-        sq_scaled = [[], [], [], []]  # coords of c_i * r^2 reduced mod P, per residue
-        for r in residues:
-            elem = K.element(r)
-            in_prime.append(prime.contains(elem))
-            sq = elem * elem
-            for idx in range(4):
-                coeff_val[idx].append(val_below_k(two_elem * coeffs[idx] * elem))
-                scaled = coeffs[idx] * sq
-                sq_scaled[idx].append(tuple(P.reduce([int(c) for c in scaled.coords])))
-
-        side_a = self._half_table(P, residues, sq_scaled[0], sq_scaled[1],
-                                  in_prime, coeff_val[0], coeff_val[1])
-        # the collision equation is c1 l1^2 + c2 l2^2 = -(c3 l3^2 + c4 l4^2)
-        neg_b1 = [tuple(P.reduce([-x for x in v])) for v in sq_scaled[2]]
-        neg_b2 = [tuple(P.reduce([-x for x in v])) for v in sq_scaled[3]]
-        side_b = self._half_table(P, residues, neg_b1, neg_b2,
-                                  in_prime, coeff_val[2], coeff_val[3])
-
-        any_primitive = False
-        best = None
-        for value, rec_a in side_a.items():
-            rec_b = side_b.get(value)
-            if rec_b is None:
-                continue
-            for s_a, w_a, s_b, w_b in _primitive_combos(rec_a, rec_b):
-                any_primitive = True
-                s = min(s_a, s_b)
-                if 2 * s < k:
-                    witness = w_a + w_b
-                    if best is None or witness < best[1]:
-                        best = (s, witness)
-        if best is not None:
-            return best[1]
-        if not any_primitive:
-            return "no_primitive_zero"
-        return "no_certificate"
-
-    def _half_table(self, P, residues, tab1, tab2, in_prime, val1, val2):
-        """value -> [min val any pair, witness, min val half-primitive pair, witness]."""
-        table = {}
-        mat = [list(r) for r in P.mat]
-        n = len(residues)
-        reduce_mod = make_reducer(mat)
-        for a in range(n):
-            va = tab1[a]
-            v1 = val1[a]
-            p1 = not in_prime[a]
-            r1 = residues[a]
-            for b in range(n):
-                value = reduce_mod([x + y for x, y in zip(va, tab2[b])])
-                s = v1 if v1 < val2[b] else val2[b]
-                prim = p1 or (not in_prime[b])
-                rec = table.get(value)
-                pair = (r1, residues[b])
-                if rec is None:
-                    table[value] = [s, pair, s if prim else None, pair if prim else None]
-                else:
-                    if s < rec[0] or (s == rec[0] and pair < rec[1]):
-                        rec[0], rec[1] = s, pair
-                    if prim and (rec[2] is None or s < rec[2]
-                                 or (s == rec[2] and pair < rec[3])):
-                        rec[2], rec[3] = s, pair
-        return table
-
-    def is_isotropy_witness(self, prime: IdealHNF, level: int, lam) -> bool:
-        """Check a claimed certified zero of the norm form modulo prime**level."""
-        K = self.field
-        P = prime ** level
-        elems = [x if isinstance(x, FieldElement) else K.from_rational(x) for x in lam]
-        if all(prime.contains(e) for e in elems):
-            return False  # not primitive
-        c = self.norm_form_coeffs()
-        total = K.zero()
-        for ci, li in zip(c, elems):
-            total = total + ci * li * li
-        if not P.contains(total):
-            return False
-        two = K.from_rational(2)
-        for ci, li in zip(c, elems):
-            grad = two * ci * li
-            v = 0
-            power = prime
-            while v < level and power.contains(grad):
-                power = power * prime
-                v += 1
-            if 2 * v < level:
-                return True
-        return False
-
-    def ramification_report(self, norm_bound: int = 50, max_level: int = 6,
-                            pair_cap: int = 1 << 23) -> "RamificationReport":
-        finite = []
-        undecided = []
-        for prime in primes_up_to_norm(self.field, norm_bound):
-            status = self.finite_prime_status(prime, max_level, pair_cap)
-            if status == RAMIFIED:
-                finite.append(prime)
-            elif status == UNDECIDED:
-                undecided.append(prime)
+    def ramification_report(self, norm_bound: int = 50) -> "RamificationReport":
+        finite = [prime for prime in primes_up_to_norm(self.field, norm_bound)
+                  if self.finite_prime_status(prime) == RAMIFIED]
         real = self.real_ramified_places()
         return RamificationReport(
             real_ramified=real,
             finite_ramified=finite,
-            undecided=undecided,
             norm_bound=norm_bound,
             parity_consistent=(len(real) + len(finite)) % 2 == 0,
         )
@@ -277,7 +154,6 @@ class QuaternionAlgebra:
 class RamificationReport:
     real_ramified: list
     finite_ramified: list
-    undecided: list
     norm_bound: int
     parity_consistent: bool
 
@@ -285,20 +161,69 @@ class RamificationReport:
         lines = [f"real_ramified={','.join(map(str, self.real_ramified)) or '-'}"]
         for p in self.finite_ramified:
             lines.append(f"finite_ramified_norm={p.norm}")
-        for p in self.undecided:
-            lines.append(f"undecided_norm={p.norm}")
         lines.append(f"norm_bound={self.norm_bound}")
         lines.append(f"parity_consistent={str(self.parity_consistent).lower()}")
         return lines
 
 
-def _primitive_combos(rec_a, rec_b):
-    a_any, a_any_w, a_prim, a_prim_w = rec_a
-    b_any, b_any_w, b_prim, b_prim_w = rec_b
-    if a_prim is not None:
-        yield a_prim, a_prim_w, b_any, b_any_w
-    if b_prim is not None:
-        yield a_any, a_any_w, b_prim, b_prim_w
+def _tame_symbol(a: FieldElement, b: FieldElement, prime: IdealHNF) -> int:
+    """(a, b)_p at an odd p: the residue symbol of (-1)^(alpha beta) a^beta / b^alpha."""
+    alpha = IdealHNF.principal(prime.field, a).valuation(prime)
+    beta = IdealHNF.principal(prime.field, b).valuation(prime)
+    if alpha == beta == 0:
+        return 1
+    return _residue_symbol(a ** beta * b ** (-alpha) * (-1) ** (alpha * beta), prime)
+
+
+def _residue_symbol(c: FieldElement, prime: IdealHNF) -> int:
+    """(c | p) for a p-unit c at an odd p, by Euler's criterion in O_K/p.
+
+    Multiplying c by squares of p-units leaves the symbol unchanged.  An
+    element t of the product of the other primes p' | l, each to the power
+    k e' with l^k the l-part of c's denominator, that lies outside p makes
+    c t^2 integral at every prime above l; the integer denominator D left
+    is prime to l, and c t^2 D^2 is integral.
+    """
+    K = prime.field
+    # O_K/p is elementary abelian: every HNF diagonal entry is 1 or l
+    ell = max(prime.mat[i][i] for i in range(K.degree))
+    k, den = 0, c.denominator()
+    while den % ell == 0:
+        k, den = k + 1, den // ell
+    if k:
+        clear = K.whole_ring()
+        for other, e, _f in factor_rational_prime(K, ell):
+            if other != prime:
+                clear = clear * other ** (k * e)
+        t = next(x for x in clear.basis_elements() if not prime.contains(x))
+        c = c * t * t
+    c = c * c.denominator() ** 2
+    residue = lambda x: K.element(prime.reduce([int(v) for v in x.coords]))
+    power, base, n = K.one(), residue(c), (prime.norm - 1) // 2
+    while n:
+        if n & 1:
+            power = residue(power * base)
+        base, n = residue(base * base), n >> 1
+    for sign in (1, -1):
+        if power == residue(K.from_rational(sign)):
+            return sign
+    raise InvariantViolation("Euler's criterion gave neither 1 nor -1")
+
+
+def _split_one(near: IdealHNF, far: IdealHNF) -> FieldElement:
+    """x in `near` with 1 - x in `far`, for coprime ideals (CRT).
+
+    One augmented HNF of the stacked bases, as in `lattice.kernel`: near + far
+    is the whole ring, so the echelon row with pivot 1 in column 0 carries
+    the coefficients u with u @ stacked = 1.
+    """
+    K = near.field
+    d = K.degree
+    stacked = [list(r) for r in near.mat] + [list(r) for r in far.mat]
+    aug = [row + [1 if i == j else 0 for j in range(2 * d)] for i, row in enumerate(stacked)]
+    u = lattice.hnf(aug, 3 * d)[0][d:]
+    x = [sum(c * row[m] for c, row in zip(u[:d], near.mat)) for m in range(d)]
+    return K.element(x)
 
 
 class QuatElement:

@@ -48,7 +48,7 @@ from . import lattice
 from .errors import CapExceeded, InputError, InvariantViolation
 from .numfield import IdealHNF, factor_ideal
 from .orders import OrderLattice, flatten
-from .quatalg import RAMIFIED, UNDECIDED, QuaternionAlgebra
+from .quatalg import RAMIFIED, QuaternionAlgebra
 
 DEFAULT_CAP = 10 ** 7
 _CHUNK = 1 << 15
@@ -409,14 +409,12 @@ class LambdaFactor:
     t2_norms: list
     diadic_exponents: dict
     value: Fraction
-    undecided_norms: list
 
     def records(self):
         return [
             f"t1={','.join(map(str, self.t1_norms)) or '-'}",
             f"t2={','.join(map(str, self.t2_norms)) or '-'}",
             f"lambda={self.value}",
-            f"undecided={','.join(map(str, self.undecided_norms)) or '-'}",
         ]
 
 
@@ -475,16 +473,12 @@ def lambda_factor(algebra: QuaternionAlgebra, order: OrderLattice, ideal: IdealH
 
     two = IdealHNF.principal(field, field.from_rational(2))
     value = Fraction(1)
-    t1_norms, t2_norms, undecided = [], [], []
+    t1_norms, t2_norms = [], []
     diadic_exponents = {}
     t2_set = {p.mat for p in t2}
     third_product = 1
     for prime in primes:
-        status = algebra.finite_prime_status(prime)
-        if status == UNDECIDED:
-            undecided.append(prime.norm)
-            raise CapExceeded(f"ramification undecided at a prime of norm {prime.norm}")
-        in_t1 = status == RAMIFIED
+        in_t1 = algebra.finite_prime_status(prime) == RAMIFIED
         in_t2 = prime.mat in t2_set
         if in_t1:
             t1_norms.append(prime.norm)
@@ -501,7 +495,7 @@ def lambda_factor(algebra: QuaternionAlgebra, order: OrderLattice, ideal: IdealH
                 third_product *= prime.norm ** e
     if third_product > 2 ** field.degree:
         raise InvariantViolation("diadic product exceeds Norm(2) = 2^d")
-    return LambdaFactor(t1_norms, t2_norms, diadic_exponents, value, undecided)
+    return LambdaFactor(t1_norms, t2_norms, diadic_exponents, value)
 
 
 def index_bound(algebra: QuaternionAlgebra, order: OrderLattice, ideal: IdealHNF,

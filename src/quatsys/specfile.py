@@ -124,7 +124,7 @@ def parse_element(field: NumberField, text: str) -> FieldElement:
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
         coords = [Fraction(tok) for tok in toks]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad element {text!r}") from exc
     if len(coords) == 1:
         return field.from_rational(coords[0])

@@ -137,7 +137,9 @@ def test_criterion_6_four_thirds_bound():
 
 def test_criterion_7_ramification(D, QQ):
     report = D.ramification_report(50)
-    assert report.finite_ramified == [] and report.undecided == []
+    assert report.finite_ramified == []
+    assert all(D.finite_prime_status(prime) in ("split", "ramified")
+               for prime in primes_up_to_norm(D.field, 50))
     assert report.real_ramified == [1, 2]
     Dq = QuaternionAlgebra(QQ, QQ.from_rational(2), QQ.from_rational(3))
     finite = [p.norm for p in Dq.ramification_report(13).finite_ramified]

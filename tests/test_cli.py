@@ -5,9 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quatsys.cli import main
 from quatsys.errors import InputError
+from quatsys.numfield import hurwitz_field
 from quatsys.specfile import (format_element, parse_element, parse_spec_text)
 
 HURWITZ_SPEC = """
@@ -146,6 +149,7 @@ def test_cli_exit_codes(capsys):
                  ["systole", "--prime", "7", "--precision", "0"],
                  *(["systole", "--prime", "7", "--diameter", v] for v in ("nan", "inf", "-1")),
                  ["ramification", "--norm-bound", "-5"],
+                 ["systole", "--ideal", "1/0"],
                  ["quotient-count", "--prime", "7", "--cap", "-1"]):
         code, out = _run(capsys, "--hurwitz", *argv)
         assert code == 1 and "error=input" in out, argv
@@ -218,3 +222,60 @@ def test_cli_systole_records_do_not_depend_on_jobs(capsys):
     _, serial = _run(capsys, *SYSTOLE_ARGV[1], "--jobs", "1")
     _, parallel = _run(capsys, *SYSTOLE_ARGV[1], "--jobs", "2")
     assert _records(serial) == _records(parallel)
+
+
+def test_cli_small_precision_does_not_widen_the_walk(capsys):
+    # the walk computes in doubles, so bits below 53 are raised to 53
+    argv = ["--hurwitz", "systole", "--prime", "7", "--radius", "4.5:1:9"]
+    _, coarse = _run(capsys, *argv, "--precision", "1")
+    _, double = _run(capsys, *argv, "--precision", "53")
+    assert _records(coarse) == _records(double)
+    assert "visited=1145" in coarse
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the definition-file parser: a value or InputError, never a traceback
+# ---------------------------------------------------------------------------
+
+TOKEN = st.one_of(st.integers(-4, 4).map(str),
+                  st.sampled_from(["1/2", "-1/3", "x", "", "|", ";", "(", ")", ",",
+                                   "1/0", "0/0", "1e3", "nan", "inf"]))
+TOKENS = st.lists(TOKEN, max_size=12)
+ORDER_ROW = st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(
+    lambda r: " ".join(map(str, r)))
+SPEC_LINE = st.one_of(
+    st.tuples(st.sampled_from(["name", "minpoly", "quat", "order", "bogus"]),
+              TOKENS.map(" ".join)).map(lambda kv: f"{kv[0]}: {kv[1]}"),
+    st.sampled_from(["minpoly: 1 1 -2 -1", "minpoly: 1 -1 -4", "minpoly: 1 0",
+                     "minpoly: 1 0 -8", "quat: 0 1 0 | 0 1 0", "quat: -1 | -3",
+                     "order: standard", "order: hurwitz"]),
+    st.tuples(st.integers(-1, 3), st.lists(ORDER_ROW, min_size=3, max_size=5)).map(
+        lambda t: f"order: {t[0]} | " + "; ".join(t[1])),
+    st.text(max_size=20))
+
+
+SPEC_HEADER = st.sampled_from(["", "minpoly: 1 0\nquat: -1 | -3",
+                               "minpoly: 1 0\nquat: 1 | 2", QUAT_SPEC])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.tuples(SPEC_HEADER, st.lists(SPEC_LINE, max_size=4)).map(
+    lambda hl: "\n".join([hl[0], *hl[1]])))
+def test_parse_spec_text_fuzz(text):
+    try:
+        spec = parse_spec_text(text)
+    except InputError:
+        return
+    assert "field" in spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(max_size=20), TOKENS.map(",".join),
+                 TOKENS.map(lambda t: "(" + ",".join(t) + ")")))
+def test_parse_element_fuzz(text):
+    K = hurwitz_field()
+    try:
+        x = parse_element(K, text)
+    except InputError:
+        return
+    assert x.field == K

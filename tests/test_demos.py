@@ -1,6 +1,7 @@
 """The demos run end to end in a fresh interpreter with `src` on the path."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,34 @@ def test_demo_field_and_ideals():
     assert "discriminant: 49" in out
     assert "Norm(<2 - eta>) = 7" in out
     assert "<7> == <2 - eta>^3: True" in out
+
+
+def test_demo_quaternion_algebra():
+    out = run_demo("02_quaternion_algebra.py")
+    assert "real places: ['split', 'ramified', 'ramified']" in out
+    assert "j'^2 == j' + (1 + 3 eta): True" in out
+    statuses = [line.split()[2] for line in out.splitlines()
+                if line.startswith("  norm ")]
+    assert len(statuses) == 15 and set(statuses) == {"split"}
+    assert "  norm  8: split    (the one dyadic prime" in out
+    assert "real_ramified=1,2" in out and "parity_consistent=true" in out
+    assert "(2,3) over Q, finite ramification <= 13: [2, 3]" in out
+
+
+def test_demo_congruence_quotients():
+    out = run_demo("03_congruence_quotients.py")
+    rows = {}
+    for line in out.splitlines():
+        if "q=" in line and "norm_one=" in line:
+            fields = dict(re.findall(r"(\w+)=\s*(\S+)", line))
+            rows[line.split()[0]] = fields
+    assert {name: (f["norm_one"], f["formula"], f["type"], f["lambda"], f["bound"])
+            for name, f in rows.items()} == {
+        "<2-eta>": ("336", "336", "M2(F_q)", "1", "343"),
+        "<2>": ("504", "504", "M2(F_q)", "1", "512"),
+        "p13": ("2184", "2184", "M2(F_q)", "1", "2197")}
+    assert "<2-eta>^2: residues=5764801, norm_one=115248 == formula 115248" in out
+    assert "standard order at <2>: radical size 512, semisimple type F_q" in out
 
 
 def test_demo_torsion_and_bounds():

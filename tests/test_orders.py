@@ -35,8 +35,8 @@ def test_certification_catches_non_orders(D):
     third = D.element(K.from_rational(Fraction(1, 3)), 0, 0, 0)
     with pytest.raises(InputError):
         OrderLattice(D, [D.one(), third, D.gen_i(), D.gen_j(), D.gen_ij()])
-    # closed under multiplication, but without 1
-    with pytest.raises(InvariantViolation, match="order does not contain 1"):
+    # closed under multiplication, but without 1: bad input, not a defect
+    with pytest.raises(InputError, match="order does not contain 1"):
         OrderLattice(D, [D.gen_i() * 2, D.gen_j() * 2])
 
 
@@ -182,3 +182,16 @@ def test_congruence_lattice_in_order_coordinates(QH, O_std, P7, P2):
             for row in cong.coord_mat:
                 z = sum((c * w for c, w in zip(row, basis)), order.algebra.zero())
                 assert cong.contains(z)
+
+
+def test_congruence_lattice_equals_the_span_of_products(QH, O_std, P7, P2, P13s):
+    # I*Q from the structure constants is the span of the products alpha * w
+    for order in (QH, O_std):
+        for ideal in [P7, P2, P7 * P7] + P13s:
+            rows = [order.scaled_coords(alpha * w) for alpha in ideal.basis_elements()
+                    for w in order.basis_elements()]
+            mat = lattice.hnf(rows, order.dim)
+            coord_rows = [lattice.solve_triangular(order.mat, row) for row in mat]
+            cong = order.congruence_lattice(ideal)
+            assert cong.mat == tuple(tuple(r) for r in mat)
+            assert cong.coord_mat == tuple(tuple(r) for r in lattice.hnf(coord_rows, order.dim))
