@@ -20,7 +20,7 @@ from .quotient import (FiniteQuotRing, LambdaFactor, count_norm_one_ideal,
                        index_bound, lambda_factor, lemma44_check, maxim_formula,
                        squares_count)
 from .torsion import (TorsionCertificate, candidate_orders, certify_torsion_free,
-                      roots_in_field, two_cos_minimal_poly)
+                      roots_in_field)
 from .bounds import (GeometryContext, genus_from_index, hurwitz_43_check,
                      hurwitz_43_range_check, hurwitz_context, kleinian_bounds,
                      length_from_trace, psl_index, sys_lower_bound_from_genus,

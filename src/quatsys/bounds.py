@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import im, mp, mpf, polylog
 
 from .errors import InputError, InvariantViolation, PrecisionError
 from .intervals import RatInterval, iv_acosh, iv_log, iv_pow, iv_sqrt
-from .numfield import IdealHNF
+from .numfield import IdealHNF, abs_vs_two
 from .orders import OrderLattice, hurwitz_preset
 
 
@@ -110,33 +109,27 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
     least |sigma_0(t)| over such t bounds every translation length from
     below by L*; an element of trace t* realises it.
 
-    The walk covers the rank-d lattice 2 + I^2 in its HNF coordinates under
-    a |sigma_0| cap that doubles until the least admissible point lies under
-    it.  Coordinate ranges come from the certified inverse embedding matrix.
-    Admissibility and the order by |sigma_0| are decided on certified
-    embeddings, refined until they separate: |sigma_s t| = 2 only for
-    t = +-2, and |sigma_0 t| = |sigma_0 t'| in K only for t = +-t'.
-    Returns None unless the algebra is split at place 0 and ramified at
-    every other real place.
+    The walk (`NumberField.box_walk`) covers the rank-d lattice 2 + I^2
+    under a |sigma_0| cap that doubles until the least admissible point lies
+    under it.  Admissibility and the order by |sigma_0| are decided on
+    certified embeddings, refined until they separate: |sigma_s t| = 2 only
+    for t = +-2 (`numfield.abs_vs_two`), and |sigma_0 t| = |sigma_0 t'| in K
+    only for t = +-t'.  Returns None unless the algebra is split at place 0
+    and ramified at every other real place.
     """
     algebra = order.algebra
     if not algebra.is_cocompact_presentation():
         return None
     field = algebra.field
-    d = field.degree
     square = ideal * ideal
     ramified = [s for s in algebra.real_ramified_places() if s != 0]
-    spread = [[max(abs(e.lo), abs(e.hi)) for e in row]
-              for row in field.embedding_inverse(bits)]
     cap = Fraction(4)
     while True:
-        limits = [cap] + [Fraction(2)] * (d - 1)
-        bound = [sum(w * b for w, b in zip(row, limits)) for row in spread]
         best = []
-        for coords in _coset_points(square.mat, bound):
-            t = field.element(coords)
-            if any(_abs_vs_two(t, s, bits) >= 0 for s in ramified) or \
-                    _abs_vs_two(t, 0, bits) <= 0:
+        limits = [cap] + [Fraction(2)] * (field.degree - 1)
+        for t in field.box_walk(limits, bits, square.mat, shift=2):
+            if any(abs_vs_two(t, s, bits) >= 0 for s in ramified) or \
+                    abs_vs_two(t, 0, bits) <= 0:
                 continue
             cmp = compare_abs0(t, best[0], bits) if best else -1
             if cmp < 0:
@@ -148,40 +141,6 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
             if box.certainly_le(cap):
                 return TraceCosetMinimum(best, box, length_from_trace(box, prec=bits))
         cap *= 2
-
-
-def _abs_vs_two(t, place: int, bits: int) -> int:
-    """Sign of |sigma_place(t)| - 2, exact: zero only for t = +-2."""
-    if t.is_rational():
-        v = abs(t.coords[0])
-        return (v > 2) - (v < 2)
-    while True:
-        box = t.embed(place, bits).abs()
-        if box.certainly_lt(2):
-            return -1
-        if box.certainly_gt(2):
-            return 1
-        bits *= 2
-
-
-def _coset_points(hnf, bound):
-    """Integer coordinate vectors of 2 + (lattice of `hnf`) with |c_m| <= bound[m]."""
-    d = len(hnf)
-    c = [0] * d
-    c[0] = 2
-
-    def walk(m, vec):
-        h = hnf[m][m]
-        lo = math.ceil((-bound[m] - vec[m]) / h)
-        hi = math.floor((bound[m] - vec[m]) / h)
-        for n in range(lo, hi + 1):
-            nxt = [v + n * r for v, r in zip(vec, hnf[m])] if n else vec
-            if m + 1 == d:
-                yield nxt
-            else:
-                yield from walk(m + 1, nxt)
-
-    yield from walk(0, c)
 
 
 def compare_abs0(t, u, bits: int) -> int:
@@ -310,28 +269,31 @@ def _hurwitz_chain(genus: int, prec: int) -> RatInterval:
 
 def hurwitz_43_range_check(lo: int = 65, hi: int = 10 ** 4,
                            log_samples_to: int = 10 ** 6, n_log_samples: int = 200):
-    """Check the 4/3 inequality on [lo, hi] and log-spaced points above.
+    """The genera on [lo, hi] and at log-spaced points above that fail the 4/3
+    inequality.
 
-    A vectorized float sweep with a conservative error margin settles the
-    bulk; any genus landing inside the margin is re-decided with certified
-    interval arithmetic.
+    f(g) = 2 log(A - 3) - (4/3) log g, A = (21(g-1)/16)^(2/3), is increasing
+    for g >= 5: f'(g) = (4/3) [A / ((A - 3)(g - 1)) - 1/g] > 0, as A > 3 there
+    makes A / (A - 3) > 1.  So a genus fails exactly when it lies below the
+    least passing one, found by bisection with the certified
+    `hurwitz_43_check`; below 5 the chain is vacuous and the inequality is
+    not established.
     """
-    gs = np.arange(lo, hi + 1, dtype=np.float64)
+    gs = set(range(lo, hi + 1))
     if log_samples_to > hi:
-        extra = np.unique(np.round(np.logspace(np.log10(hi + 1),
-                                               np.log10(log_samples_to),
-                                               n_log_samples)).astype(np.int64))
-        gs = np.concatenate([gs, extra.astype(np.float64)])
-    lhs = 2 * np.log(np.power(21 * (gs - 1) / 16, 2.0 / 3.0) - 3)
-    rhs = (4.0 / 3.0) * np.log(gs)
-    margin = 1e-9 * np.maximum(1.0, np.abs(lhs) + np.abs(rhs))
-    undecided = gs[np.abs(lhs - rhs) <= margin]
-    failed = gs[lhs - rhs < -margin]
-    bad = [int(g) for g in failed if not hurwitz_43_check(int(g))]
-    for g in undecided:
-        if not hurwitz_43_check(int(g)):
-            bad.append(int(g))
-    return sorted(bad)
+        a, b = math.log10(hi + 1), math.log10(log_samples_to)
+        step = (b - a) / max(n_log_samples - 1, 1)
+        gs.update(round(10 ** (a + k * step)) for k in range(n_log_samples))
+    least, top = 5, max(gs, default=0)
+    if top < least or not hurwitz_43_check(top):
+        return sorted(gs)
+    while least < top:
+        mid = (least + top) // 2
+        if hurwitz_43_check(mid):
+            top = mid
+        else:
+            least = mid + 1
+    return sorted(g for g in gs if g < top)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +367,7 @@ class KleinianReport:
 
 
 def kleinian_bounds(d: int, norm_i: int, lambda_value, base_simplicial_volume,
-                    torsion_free_base: bool, norm_two_plus_kappa: int | None = None,
-                    prec: int = 64) -> KleinianReport:
+                    torsion_free_base: bool, prec: int = 64) -> KleinianReport:
     """Plug-in evaluators for the 3-manifold tower; all inputs supplied by the caller.
 
     The cover volume obeys ||X_I|| <= ||X_1|| * lambda * Norm(I)^3, and the
@@ -420,16 +381,15 @@ def kleinian_bounds(d: int, norm_i: int, lambda_value, base_simplicial_volume,
     if base_vol <= 0:
         raise InputError("simplicial volume of the base must be positive")
     cover_bound = base_vol * lam * Fraction(norm_i) ** 3
-    _sharp, coarse = kleinian_trace_bounds(d, norm_i, norm_two_plus_kappa, prec)
+    _sharp, coarse = kleinian_trace_bounds(d, norm_i)
     sys_floor = None
     if coarse - 1 > 1:
         sys_floor = iv_log(coarse - 1, prec) * 2
     sr_floor = None
     if sys_floor is not None and sys_floor.certainly_gt(0):
         v3 = v3_enclosure(prec)
-        sr_floor = (sys_floor ** 3) / (RatInterval.exact(cover_bound) * v3) \
-            * Fraction(1, 1)
         # SR = sys^3 / vol, vol = ||X|| * v3 <= cover_bound * v3
+        sr_floor = (sys_floor ** 3) / (RatInterval.exact(cover_bound) * v3)
     return KleinianReport(norm_i, lam, base_vol, cover_bound, coarse,
                           sys_floor, sr_floor, torsion_free_base)
 

@@ -286,7 +286,7 @@ def cmd_systole(args, env, emit):
                  f"classes={step.distinct_traces} current_min={cur}")
 
     result = systole_search(order, ideal, schedule, diameter_bound=args.diameter,
-                            bits=args.precision, progress=progress)
+                            cap_nodes=args.cap, bits=args.precision, progress=progress)
     for line in result.records():
         emit(line)
     for cand in result.candidates:
@@ -319,7 +319,7 @@ def cmd_table1(args, env, emit):
         if not cert.torsion_free:
             raise InvariantViolation(f"ideal of norm {ideal.norm} not torsion-free")
         result = systole_search(order, ideal, RadiusSchedule(4.5, 1.0, 14.0),
-                                bits=args.precision)
+                                cap_nodes=args.cap, bits=args.precision)
         sys_mid = float(result.min_length.mid)
         matches = [v for v in reference_pool.get(genus, [])
                    if abs(v - sys_mid) <= 1.5e-3]

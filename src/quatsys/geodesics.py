@@ -73,7 +73,7 @@ from fractions import Fraction
 from .bounds import compare_abs0, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .intervals import RatInterval, iv_acosh, iv_cosh, iv_sqrt
-from .numfield import FieldElement, IdealHNF
+from .numfield import FieldElement, IdealHNF, abs_vs_two
 from .orders import OrderLattice
 from .quatalg import QuatElement
 from .walkranges import WalkRanges
@@ -231,17 +231,9 @@ class Enumerator:
         return boxes, m_sq, m_val
 
     def _coord_bounds(self, boxes):
-        """|c_j| bounds from the inverse embedding matrix (certified outer)."""
-        inv = self.field.embedding_inverse(self.bits)
-        bounds = []
-        for l in range(4):
-            for m in range(self.d):
-                total = Fraction(0)
-                for s in range(self.d):
-                    mag = max(abs(inv[m][s].lo), abs(inv[m][s].hi))
-                    total += mag * boxes[l][s] * self.kappa
-                bounds.append(total)
-        return bounds
+        """|c_j| bounds, block by block, by `NumberField.coordinate_bounds`."""
+        return [b * self.kappa for row in boxes
+                for b in self.field.coordinate_bounds(row, self.bits)]
 
     # -- main run --------------------------------------------------------------
 
@@ -427,15 +419,16 @@ class Enumerator:
         if fr is None:
             fr = self._frob_sq(x)
         disp = iv_acosh(fr / 2, self.bits) if fr.certainly_gt(2) else RatInterval.exact(0)
+        side = abs_vs_two(trace, 0, self.bits)
+        if side == 0:
+            raise InvariantViolation(f"parabolic element {x} in a cocompact group")
         tr_box = trace.embed(0, self.bits).abs()
-        elliptic = tr_box.certainly_lt(2)
-        if not elliptic and not tr_box.certainly_gt(2):
-            if trace.is_rational() and abs(trace.coords[0]) == 2:
-                raise InvariantViolation(f"parabolic element {x} in a cocompact group")
-            tr_box = trace.embed(0, 4 * self.bits).abs()
-            elliptic = tr_box.certainly_lt(2)
         length = None
-        if not elliptic:
+        if side > 0:
+            bits = self.bits
+            while not tr_box.certainly_gt(2):
+                bits *= 2
+                tr_box = trace.embed(0, bits).abs()
             length = iv_acosh(tr_box / 2, self.bits) * 2
         found[key] = GeodesicCandidate(
             element=x,
@@ -443,7 +436,7 @@ class Enumerator:
             abs_trace=float(tr_box.mid),
             length=length,
             displacement=disp,
-            is_elliptic=elliptic,
+            is_elliptic=side < 0,
         )
 
     def _frob_parts(self, x: QuatElement):
@@ -542,7 +535,6 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
                    schedule: RadiusSchedule = RadiusSchedule(5.0, 1.0, 12.0),
                    diameter_bound: float | None = None,
                    cap_nodes: int = 30_000_000, bits: int = 60,
-                   trace_threshold: float | None = None,
                    progress=None) -> EnumerationResult:
     """Increasing-radius search until certified or stabilized.
 
@@ -585,14 +577,13 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
                 mode, certificate = "certified", "diameter"
             if mode != "certified" and streak >= 2:
                 mode = "stabilized"
-        threshold = trace_threshold if trace_threshold is not None else math.inf
         last = EnumerationResult(
             ideal_hnf=str(ideal),
             ideal_norm=ideal.norm,
             radius=radius,
             min_trace=min_cand.trace if min_cand else None,
             min_length=min_cand.length if min_cand else None,
-            distinct_traces=sum(1 for c in hyper if c.abs_trace <= threshold),
+            distinct_traces=len(hyper),
             elliptic_count=len(elliptic),
             visited=visited,
             mode=mode,

@@ -16,7 +16,8 @@ positive integer denominator.
 Real embeddings are certified: each is an isolated root of the minimal
 polynomial carrying an exact rational enclosure, refinable on demand.
 Embeddings are indexed in decreasing root order; index 0 is the
-distinguished one used for geometry.
+distinguished one used for geometry.  The elements of a lattice coset whose
+embeddings lie in a given box are listed by one walk (`box_walk`).
 """
 
 from __future__ import annotations
@@ -196,6 +197,39 @@ class NumberField:
         if ambiguous:
             raise PrecisionError("coordinate enclosure holds several lattice points")
         return FieldElement(self, coords)
+
+    def coordinate_bounds(self, limits, bits: int) -> list:
+        """|c_m| <= sum_s |E^-1[m][s]| * limits[s] for every x = sum_m c_m theta^m
+        with |sigma_s x| <= limits[s]; E^-1 is the certified `embedding_inverse`,
+        so the bounds are exact Fractions that hold."""
+        return [sum(max(abs(e.lo), abs(e.hi)) * b for e, b in zip(row, limits))
+                for row in self.embedding_inverse(bits)]
+
+    def box_walk(self, limits, bits: int, hnf=None, shift: int = 0):
+        """The elements of shift + L inside the box of `coordinate_bounds`.
+
+        L is the integer lattice of the upper-triangular row HNF `hnf`,
+        Z[theta] by default.  The box holds every element of shift + L with
+        |sigma_s x| <= limits[s]; callers decide the exact condition on each
+        element.  Over Z[theta] the elements come in coordinate order.
+        """
+        d = self.degree
+        if hnf is None:
+            hnf = [[int(i == j) for j in range(d)] for i in range(d)]
+        bound = self.coordinate_bounds(limits, bits)
+
+        def walk(m, vec):
+            h = hnf[m][m]
+            lo = math.ceil((-bound[m] - vec[m]) / h)
+            hi = math.floor((bound[m] - vec[m]) / h)
+            for n in range(lo, hi + 1):
+                nxt = [v + n * r for v, r in zip(vec, hnf[m])] if n else vec
+                if m + 1 == d:
+                    yield FieldElement(self, nxt)
+                else:
+                    yield from walk(m + 1, nxt)
+
+        yield from walk(0, [shift] + [0] * (d - 1))
 
     def cached(self, key: str, build):
         """build(), computed once per field and kept under `key`.
@@ -424,6 +458,20 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement{self}"
+
+
+def abs_vs_two(t: FieldElement, place: int, bits: int) -> int:
+    """Sign of |sigma_place(t)| - 2, exact: zero only for t = +-2."""
+    if t.is_rational():
+        v = abs(t.coords[0])
+        return (v > 2) - (v < 2)
+    while True:
+        box = t.embed(place, bits).abs()
+        if box.certainly_lt(2):
+            return -1
+        if box.certainly_gt(2):
+            return 1
+        bits *= 2
 
 
 def _det_fraction(rows) -> Fraction:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import lattice
 from .errors import InputError, InvariantViolation
 from .numfield import (FieldElement, IdealHNF, NumberField, factor_ideal,
-                       factor_rational_prime, primes_up_to_norm)
+                       factor_rational_prime)
 
 SPLIT = "split"
 RAMIFIED = "ramified"
@@ -139,12 +139,18 @@ class QuaternionAlgebra:
         return symbol
 
     def ramification_report(self, norm_bound: int = 50) -> "RamificationReport":
-        finite = [prime for prime in primes_up_to_norm(self.field, norm_bound)
-                  if self.finite_prime_status(prime) == RAMIFIED]
+        """Ramified places; the finite ones listed up to `norm_bound`.
+
+        Every ramified prime divides 2ab, so the parity runs over all of them.
+        """
+        K = self.field
+        finite = sorted((r for r, _v in factor_ideal(K, IdealHNF.principal(K, self.ab * 2))
+                         if self.finite_prime_status(r) == RAMIFIED),
+                        key=lambda r: (r.norm, r.mat))
         real = self.real_ramified_places()
         return RamificationReport(
             real_ramified=real,
-            finite_ramified=finite,
+            finite_ramified=[r for r in finite if r.norm <= norm_bound],
             norm_bound=norm_bound,
             parity_consistent=(len(real) + len(finite)) % 2 == 0,
         )

@@ -5,8 +5,10 @@ extension by a root of unity x, and forces the congruence ideal to divide
 the obstruction ideal <x + 1/x - 2>.  Working only with the real trace
 value x + 1/x (never constructing the extension), the certifier:
 
-* enumerates every torsion order n whose cosine trace 2*cos(2*pi/n) lies
-  in K (all n with phi(n) <= 2d, tested exactly), once per field;
+* finds every cosine trace 2*cos(2*pi*k/n) in K, once per field, by
+  Kronecker's theorem: they are exactly the integers of K whose conjugates
+  all lie in [-2, 2], which one box walk over Z[theta] lists; the order n
+  of each follows exactly from the recurrence for x^k + x^-k;
 * forms each obstruction ideal and tests the divisibility it would impose;
   in a class-number-one field the stronger square-divisibility test
   applies (any violating ideal would contain a principal one with the
@@ -20,102 +22,32 @@ separate exact membership query on the orders module.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-import sympy
-
-from .errors import InputError, PrecisionError
-from .intervals import RatInterval
-from .numfield import FieldElement, IdealHNF, NumberField
+from .errors import InputError
+from .numfield import FieldElement, IdealHNF, NumberField, abs_vs_two
 from .orders import OrderLattice
-from .realroots import isolate_real_roots, refine_root
+from .realroots import isolate_real_roots
 
-_T = sympy.Symbol("t")
-
-
-def two_cos_minimal_poly(n: int) -> list:
-    """Ascending integer coefficients of the minimal polynomial of 2*cos(2*pi/n)."""
-    if n < 1:
-        raise InputError("n must be positive")
-    if n == 1:
-        return [-2, 1]
-    if n == 2:
-        return [2, 1]
-    cyc = sympy.Poly(sympy.cyclotomic_poly(n, _T), _T).all_coeffs()
-    cyc = [int(c) for c in reversed(cyc)]  # ascending, degree phi(n), palindromic
-    phi = len(cyc) - 1
-    half = phi // 2
-    # write x^k + x^-k as p_k(y), y = x + 1/x:  p_0 = 2, p_1 = y, p_k = y*p_{k-1} - p_{k-2}
-    p_prev = [2]
-    p_cur = [0, 1]
-    out = _scale(cyc[half], [1])
-    for k in range(1, half + 1):
-        if k == 1:
-            pk = p_cur
-        else:
-            pk = _sub(_shift_mul_y(p_cur), p_prev)
-            p_prev, p_cur = p_cur, pk
-        out = _add(out, _scale(cyc[half + k], pk))
-    return [int(c) for c in out]
-
-
-def _shift_mul_y(p):
-    return [0] + list(p)
-
-
-def _add(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
-def _sub(a, b):
-    return _add(a, [-x for x in b])
-
-
-def _scale(c, p):
-    return [c * x for x in p]
+# precision of the walk's certified inverse embedding matrix
+_BITS = 60
 
 
 def roots_in_field(field: NumberField, asc_coeffs) -> list:
-    """All roots of a monic integer polynomial that lie in the field, exactly.
+    """All roots in K of a monic integer polynomial, exactly, by coordinates.
 
-    Such roots are algebraic integers, hence have integer coordinates here.
-    Every assignment of isolated real roots to the places goes through
-    `NumberField.element_from_embeddings`, which proposes the one integer
-    vector it admits, if any; exact evaluation of the polynomial verifies
-    each proposal, so the output carries no numerical doubt.  Enclosures are
-    refined to width 2^-bits for bits = 80, 160, ...; a placement still
-    ambiguous at the last attempt raises PrecisionError, never an
-    uncertified "no root".
+    Such roots are algebraic integers, hence lie in Z[theta], and every
+    conjugate of one is a real root of the polynomial.  So they lie in the
+    box of `NumberField.box_walk` whose limit at every place is the largest
+    |endpoint| of the isolated real roots; exact evaluation keeps each point
+    of the box that is a root, so the output carries no numerical doubt.
     """
     real_roots = isolate_real_roots(asc_coeffs)
     if not real_roots:
         return []
-    bits = 80
-    for _ in range(6):
-        try:
-            found = _place_roots(field, asc_coeffs, real_roots, bits)
-        except PrecisionError:
-            bits *= 2
-            continue
-        return sorted(found.values(), key=lambda x: x.coords)
-    raise PrecisionError("roots in the field undecided at maximal refinement")
-
-
-def _place_roots(field, asc_coeffs, root_intervals, bits):
-    width = Fraction(1, 2 ** bits)
-    root_boxes = [RatInterval(*refine_root(asc_coeffs, lo, hi, width))
-                  for lo, hi in root_intervals]
-    found = {}
-    for assign in itertools.product(root_boxes, repeat=field.degree):
-        elem = field.element_from_embeddings(list(assign), 1, bits)
-        if elem is not None and _eval_in_field(field, asc_coeffs, elem).is_zero():
-            found[elem.coords] = elem
-    return found
+    limit = max(max(abs(lo), abs(hi)) for lo, hi in real_roots)
+    return [x for x in field.box_walk([limit] * field.degree, _BITS)
+            if _eval_in_field(field, asc_coeffs, x).is_zero()]
 
 
 def _eval_in_field(field, asc_coeffs, x: FieldElement) -> FieldElement:
@@ -126,23 +58,35 @@ def _eval_in_field(field, asc_coeffs, x: FieldElement) -> FieldElement:
 
 
 def torsion_traces(field: NumberField) -> tuple:
-    """(n, x) for every torsion order n with phi(n) <= 2d and every root x in K
-    of the minimal polynomial of 2*cos(2*pi/n); by n, then by coordinates.
+    """(n, t) for every cosine trace t = 2*cos(2*pi*k/n), gcd(k, n) = 1, in K;
+    by n, then by coordinates.
 
+    By Kronecker's theorem these are the integers of K with |sigma_s t| <= 2
+    at every place, found by `NumberField.box_walk` with limit 2.  The order
+    n is the least k >= 1 with s_k = 2, where s_0 = 2, s_1 = t and
+    s_(k+1) = t s_k - s_(k-1), so s_k = x^k + x^-k for x + 1/x = t.
     Depends on the field alone, so it is computed once per field and kept on
-    it; a `PrecisionError` from `roots_in_field` propagates and is not kept.
+    it; a `PrecisionError` from the walk propagates and is not kept.
     """
     def build():
-        bound = 2 * field.degree
-        return tuple((n, x) for n in range(1, 2 * bound * bound + 3)
-                     if sympy.totient(n) <= bound
-                     for x in roots_in_field(field, two_cos_minimal_poly(n)))
+        d = field.degree
+        found = [(_root_of_unity_order(t), t)
+                 for t in field.box_walk([2] * d, _BITS)
+                 if all(abs_vs_two(t, s, _BITS) <= 0 for s in range(d))]
+        return tuple(sorted(found, key=lambda nt: (nt[0], nt[1].coords)))
 
     return field.cached("torsion_traces", build)
 
 
+def _root_of_unity_order(t: FieldElement) -> int:
+    prev, cur, k = t.field.from_rational(2), t, 1
+    while cur != 2:
+        prev, cur, k = cur, t * cur - prev, k + 1
+    return k
+
+
 def candidate_orders(field: NumberField) -> list:
-    """All torsion orders n with phi(n) <= 2d whose cosine trace lies in K."""
+    """All torsion orders n whose cosine trace lies in K."""
     return sorted({n for n, _x in torsion_traces(field)})
 
 

@@ -96,6 +96,14 @@ def test_four_thirds_boundary():
     assert hurwitz_43_check(65)
     assert not hurwitz_43_check(64)
     assert hurwitz_43_range_check(65, 2000, 10 ** 6, 120) == []
+    assert hurwitz_43_range_check(60, 70, 70, 0) == [60, 61, 62, 63, 64]
+
+
+def test_four_thirds_range_matches_a_linear_scan():
+    failing = [g for g in range(5, 140) if not hurwitz_43_check(g)]
+    assert failing == list(range(5, 65))
+    for top in range(5, 140):
+        assert hurwitz_43_range_check(5, top, top, 0) == [g for g in failing if g <= top]
 
 
 def test_sys_floor_vacuous_and_meaningful(ctx, P7, P13s):

@@ -158,6 +158,11 @@ def test_cli_exit_codes(capsys):
     assert code == 2 and "error=cap" in out
 
 
+def test_cli_cap_bounds_the_systole_walk(capsys):
+    code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7", "--cap", "100")
+    assert code == 2 and "error=cap" in out
+
+
 def test_cli_determinism_modulo_elapsed(capsys):
     _, out1 = _run(capsys, "--hurwitz", "ideal-factor", "--prime", "13")
     _, out2 = _run(capsys, "--hurwitz", "ideal-factor", "--prime", "13")

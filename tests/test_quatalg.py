@@ -93,6 +93,18 @@ def test_two_three_algebra_over_Q(QQ):
     assert report.parity_consistent
 
 
+def test_ramification_parity_counts_primes_above_the_bound(QQ):
+    # every ramified prime divides 2ab, so the parity is whole whatever the bound
+    Dq = QuaternionAlgebra(QQ, QQ.from_rational(2), QQ.from_rational(3))
+    report = Dq.ramification_report(2)
+    assert [p.norm for p in report.finite_ramified] == [2]
+    assert report.parity_consistent
+    hamilton = QuaternionAlgebra(QQ, QQ.from_rational(-1), QQ.from_rational(-1))
+    report = hamilton.ramification_report(1)
+    assert report.finite_ramified == [] and report.real_ramified == [0]
+    assert report.parity_consistent
+
+
 def test_hurwitz_ramification_report(D):
     report = D.ramification_report(50)
     assert report.finite_ramified == []

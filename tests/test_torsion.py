@@ -1,9 +1,87 @@
+import itertools
+from fractions import Fraction
+
 import pytest
+import sympy
 
 from quatsys.errors import InputError, PrecisionError
+from quatsys.intervals import RatInterval
 from quatsys.numfield import NumberField, primes_up_to_norm
-from quatsys.torsion import (candidate_orders, certify_torsion_free,
-                             roots_in_field, two_cos_minimal_poly)
+from quatsys.realroots import isolate_real_roots, refine_root
+from quatsys.torsion import (candidate_orders, certify_torsion_free, roots_in_field,
+                             torsion_traces)
+
+_T = sympy.Symbol("t")
+
+
+def two_cos_minimal_poly(n: int) -> list:
+    """Ascending integer coefficients of the minimal polynomial of 2*cos(2*pi/n)."""
+    if n < 1:
+        raise InputError("n must be positive")
+    if n == 1:
+        return [-2, 1]
+    if n == 2:
+        return [2, 1]
+    cyc = sympy.Poly(sympy.cyclotomic_poly(n, _T), _T).all_coeffs()
+    cyc = [int(c) for c in reversed(cyc)]  # ascending, degree phi(n), palindromic
+    phi = len(cyc) - 1
+    half = phi // 2
+    # write x^k + x^-k as p_k(y), y = x + 1/x:  p_0 = 2, p_1 = y, p_k = y*p_{k-1} - p_{k-2}
+    p_prev = [2]
+    p_cur = [0, 1]
+    out = _scale(cyc[half], [1])
+    for k in range(1, half + 1):
+        if k == 1:
+            pk = p_cur
+        else:
+            pk = _sub(_shift_mul_y(p_cur), p_prev)
+            p_prev, p_cur = p_cur, pk
+        out = _add(out, _scale(cyc[half + k], pk))
+    return [int(c) for c in out]
+
+
+def _shift_mul_y(p):
+    return [0] + list(p)
+
+
+def _add(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def _sub(a, b):
+    return _add(a, [-x for x in b])
+
+
+def _scale(c, p):
+    return [c * x for x in p]
+
+
+def placed_roots(field, asc_coeffs, bits=80):
+    """Roots in K by the former search: every placement of the polynomial's
+    real roots at the places, recovered from certified embeddings and
+    verified by exact evaluation; by coordinates."""
+    width = Fraction(1, 2 ** bits)
+    boxes = [RatInterval(*refine_root(asc_coeffs, lo, hi, width))
+             for lo, hi in isolate_real_roots(asc_coeffs)]
+    found = {}
+    for assign in itertools.product(boxes, repeat=field.degree):
+        x = field.element_from_embeddings(list(assign), 1, bits)
+        if x is not None and sum((x ** k * c for k, c in enumerate(asc_coeffs)),
+                                 field.zero()).is_zero():
+            found[x.coords] = x
+    return [found[key] for key in sorted(found)]
+
+
+def oracle_traces(field):
+    """(n, x) for every n with phi(n) <= 2d and every root x in K of the
+    minimal polynomial of 2*cos(2*pi/n), found by `placed_roots`."""
+    bound = 2 * field.degree
+    return [(n, x) for n in range(1, 2 * bound * bound + 3)
+            if sympy.totient(n) <= bound
+            for x in placed_roots(field, two_cos_minimal_poly(n))]
 
 
 @pytest.mark.parametrize("n,coeffs", [
@@ -28,6 +106,19 @@ def test_candidates(K, QQ):
     assert candidate_orders(K) == [1, 2, 3, 4, 6, 7, 14]
 
 
+# Q, Q(sqrt 2), Q(sqrt 3), Q(sqrt 5), Q(sqrt 17), Q(eta) and the real
+# cyclotomic fields of conductor 9, 16 and 20, each by a power basis
+# minimal polynomial
+ORACLE_FIELDS = [[1, 0], [1, 0, -2], [1, 0, -3], [1, -1, -1], [1, -1, -4],
+                 [1, 1, -2, -1], [1, 0, -3, 1], [1, 0, -4, 0, 2], [1, 0, -5, 0, 5]]
+
+
+@pytest.mark.parametrize("minpoly", ORACLE_FIELDS)
+def test_torsion_traces_match_the_placement_oracle(minpoly):
+    field = NumberField(minpoly)
+    assert list(torsion_traces(field)) == oracle_traces(field)
+
+
 def test_roots_in_field(K):
     eta = K.gen()
     roots7 = roots_in_field(K, two_cos_minimal_poly(7))
@@ -36,17 +127,12 @@ def test_roots_in_field(K):
     assert roots_in_field(K, two_cos_minimal_poly(5)) == []
     roots14 = roots_in_field(K, two_cos_minimal_poly(14))
     assert sorted(r.coords for r in roots14) == sorted((-r).coords for r in roots7)
-
-
-def test_roots_in_field_never_answers_uncertified(K, monkeypatch):
-    # a placement that stays ambiguous at every precision must not read as
-    # "no root in K": a missed root would hide an obstruction ideal
-    def undecided(self, boxes, den, bits):
-        raise PrecisionError("forced")
-
-    monkeypatch.setattr(NumberField, "element_from_embeddings", undecided)
-    with pytest.raises(PrecisionError):
-        roots_in_field(K, two_cos_minimal_poly(7))
+    for n in (1, 2, 3, 4, 6, 7, 9, 14):
+        poly = two_cos_minimal_poly(n)
+        assert roots_in_field(K, poly) == placed_roots(K, poly)
+    # no real roots, and a square root of a non-square
+    assert roots_in_field(K, [1, 0, 1]) == []
+    assert roots_in_field(K, [-2, 0, 1]) == []
 
 
 def test_unit_identity_backs_shortcircuit(K):
@@ -95,16 +181,15 @@ def _fresh_hurwitz():
 
 
 def test_torsion_traces_computed_once_per_field(monkeypatch):
-    from quatsys import torsion
-
     field, order, p7 = _fresh_hurwitz()
     calls = []
+    walk = NumberField.box_walk
 
-    def spy(*args):
+    def spy(self, *args, **kwargs):
         calls.append(args)
-        return roots_in_field(*args)
+        return walk(self, *args, **kwargs)
 
-    monkeypatch.setattr(torsion, "roots_in_field", spy)
+    monkeypatch.setattr(NumberField, "box_walk", spy)
     first = certify_torsion_free(order, p7)
     assert calls  # a new field has nothing cached
     made = len(calls)
@@ -118,12 +203,15 @@ def test_torsion_traces_computed_once_per_field(monkeypatch):
 
 def test_precision_failure_is_not_cached(monkeypatch):
     field, order, p7 = _fresh_hurwitz()
+    walk = NumberField.box_walk
 
-    def undecided(self, boxes, den, bits):
+    def fails_midway(self, *args, **kwargs):
+        points = walk(self, *args, **kwargs)
+        yield next(points)
         raise PrecisionError("forced")
 
     with monkeypatch.context() as patch:
-        patch.setattr(NumberField, "element_from_embeddings", undecided)
+        patch.setattr(NumberField, "box_walk", fails_midway)
         with pytest.raises(PrecisionError):
             certify_torsion_free(order, p7)
     cert = certify_torsion_free(order, p7)
