@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from mpmath import im, mp, mpf, polylog
 
-from .errors import InputError, InvariantViolation, PrecisionError
-from .intervals import RatInterval, iv_acosh, iv_log, iv_pow, iv_sqrt
+from .errors import InputError, InvariantViolation
+from .intervals import RatInterval, iv_acosh, iv_log, iv_pow, iv_sqrt, refine
 from .numfield import IdealHNF, abs_vs_two
 from .orders import OrderLattice, hurwitz_preset
 
@@ -147,13 +147,7 @@ def compare_abs0(t, u, bits: int) -> int:
     """Sign of |sigma_0 t| - |sigma_0 u|, exact: equal only when t = +-u."""
     if t == u or t == -u:
         return 0
-    while True:
-        a, b = t.embed(0, bits).abs(), u.embed(0, bits).abs()
-        if a.certainly_lt(b):
-            return -1
-        if b.certainly_lt(a):
-            return 1
-        bits *= 2
+    return refine(lambda b: (t.embed(0, b).abs() - u.embed(0, b).abs()).sign(), bits)
 
 
 def kleinian_trace_bounds(d: int, norm_i: int, norm_two_plus_kappa: int | None = None,
@@ -250,14 +244,11 @@ def four_thirds_log_genus(genus: int, prec: int = 64) -> RatInterval:
 
 def hurwitz_43_check(genus: int, prec: int = 96) -> bool:
     """Certified test of 2*log((21(g-1)/16)^(2/3) - 3) >= (4/3)*log(g)."""
-    for p in (prec, 4 * prec, 16 * prec):
-        lhs = _hurwitz_chain(genus, p)
-        rhs = four_thirds_log_genus(genus, p)
-        if lhs.certainly_gt(rhs):
-            return True
-        if rhs.certainly_gt(lhs):
-            return False
-    raise PrecisionError(f"4/3 comparison undecided at genus {genus}")
+    def decide(p):
+        gap = (_hurwitz_chain(genus, p) - four_thirds_log_genus(genus, p)).sign()
+        return None if gap is None else gap >= 0
+
+    return refine(decide, prec, 16 * prec)
 
 
 def _hurwitz_chain(genus: int, prec: int) -> RatInterval:

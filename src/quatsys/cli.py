@@ -23,8 +23,9 @@ from .bounds import (asymptotic_strings, explicit_constant, four_thirds_log_genu
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .geodesics import RadiusSchedule, systole_search
 from .numfield import IdealHNF, factor_ideal, factor_rational_prime
-from .quotient import DEFAULT_CAP, FiniteQuotRing, index_bound, maxim_formula
-from .specfile import format_element, parse_element, parse_spec_file
+from .quotient import (DEFAULT_CAP, FiniteQuotRing, count_norm_one_ideal, index_bound,
+                       maxim_formula)
+from .specfile import parse_element, parse_spec_file
 from .torsion import certify_torsion_free
 
 # independently published systole values for the short principal congruence
@@ -174,8 +175,8 @@ def cmd_field_info(args, env, emit):
         emit(f"embedding_{s}=[{float(box.lo)!r},{float(box.hi)!r}]")
     if "algebra" in env:
         alg = env["algebra"]
-        emit(f"quat_a={format_element(alg.a)}")
-        emit(f"quat_b={format_element(alg.b)}")
+        emit(f"quat_a={alg.a}")
+        emit(f"quat_b={alg.b}")
     if "order" in env and env["order"] is not None:
         emit(f"order={env['order'].name}")
         emit(f"kappa={env['order'].kappa}")
@@ -240,10 +241,7 @@ def cmd_bounds(args, env, emit):
     emit(f"trace_floor_coarse={float(coarse):.6f}")
     bound = index_bound(env["algebra"], order, ideal)
     emit(f"index_bound={bound}")
-    prime_factors = factor_ideal(env["field"], ideal)
-    count = 1
-    for prime, t in prime_factors:
-        count *= FiniteQuotRing(order, prime, t, cap=args.cap).count_norm_one()
+    count = count_norm_one_ideal(order, ideal, cap=args.cap)
     emit(f"norm_one_count={count}")
     cert = certify_torsion_free(order, ideal)
     emit(f"torsion_free={str(cert.torsion_free).lower()}")
@@ -309,9 +307,7 @@ def cmd_table1(args, env, emit):
         if row["computed"]:
             reference_pool.setdefault(row["genus"], []).append(row["systole"])
     for ideal in ideals:
-        prime, t = factor_ideal(field, ideal)[0]
-        ring = FiniteQuotRing(order, prime, t, cap=args.cap)
-        count = ring.count_norm_one()
+        count = count_norm_one_ideal(order, ideal, cap=args.cap)
         minus = order.minus_one_in_gamma(ideal)
         pidx = psl_index(count, minus)
         genus = genus_from_index(ctx, pidx)

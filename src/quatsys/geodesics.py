@@ -72,7 +72,7 @@ from fractions import Fraction
 
 from .bounds import compare_abs0, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
-from .intervals import RatInterval, iv_acosh, iv_cosh, iv_sqrt
+from .intervals import RatInterval, iv_acosh, iv_cosh, iv_sqrt, refine
 from .numfield import FieldElement, IdealHNF, abs_vs_two
 from .orders import OrderLattice
 from .quatalg import QuatElement
@@ -96,13 +96,12 @@ class GeodesicCandidate:
     is_elliptic: bool
 
     def record(self):
-        tr = f"({', '.join(str(c) for c in self.trace.coords)})"
         if self.length is not None:
             lo, hi = float(self.length.lo), float(self.length.hi)
             kind = f"length=[{lo:.6f},{hi:.6f}]"
         else:
             kind = "elliptic=true"
-        return f"trace={tr} abs_trace={self.abs_trace:.6f} {kind}"
+        return f"trace={self.trace} abs_trace={self.abs_trace:.6f} {kind}"
 
 
 @dataclass
@@ -123,7 +122,7 @@ class EnumerationResult:
         out = [f"ideal={self.ideal_hnf}", f"norm={self.ideal_norm}",
                f"radius={self.radius:g}"]
         if self.min_trace is not None:
-            out.append(f"min_trace=({', '.join(str(c) for c in self.min_trace.coords)})")
+            out.append(f"min_trace={self.min_trace}")
         if self.min_length is not None:
             out.append(f"min_length=[{float(self.min_length.lo):.6f},"
                        f"{float(self.min_length.hi):.6f}]")
@@ -370,8 +369,8 @@ class Enumerator:
         self.counters["field_sqrt"] += 1
         if v.is_zero():
             return [self.field.zero()]
-        bits = self.bits
-        for _ in range(4):
+
+        def roots_at(bits):
             boxes = [v.embed(s, bits) for s in range(self.d)]
             if any(b.certainly_lt(0) for b in boxes):
                 return []
@@ -387,10 +386,10 @@ class Enumerator:
                         out[elem.coords] = elem
                         out[(-elem).coords] = -elem
             except PrecisionError:
-                bits *= 2
-                continue
+                return None
             return list(out.values())
-        raise PrecisionError("field square root undecided at maximal refinement")
+
+        return refine(roots_at, self.bits, 8 * self.bits)
 
     def _emit(self, x: QuatElement, found, m_sq, approx):
         """Keep x if ||x||_F^2 <= m_sq, as its class representative if it is one.
@@ -398,16 +397,13 @@ class Enumerator:
         approx: floats lo <= ||x||_F^2 <= hi (`WalkRanges.split_norm`); where
         they cannot decide the radius cut, certified enclosures are refined.
         """
-        norm = RatInterval(*approx)
+        def cut(box):
+            return box if box.certainly_le(m_sq) or box.certainly_gt(m_sq) else None
+
+        norm = cut(RatInterval(*approx))
         fr = None
-        if not (norm.certainly_le(m_sq) or norm.certainly_gt(m_sq)):
-            norm = fr = self._frob_sq(x)
-            bits = self.bits
-            while not (fr.certainly_le(m_sq) or fr.certainly_gt(m_sq)):
-                bits *= 2
-                if bits > 4096:
-                    raise PrecisionError("radius cut undecided; increase precision")
-                norm = fr = self._frob_sq(x, bits)
+        if norm is None:
+            norm = fr = refine(lambda bits: cut(self._frob_sq(x, bits)), self.bits, 4096)
         if norm.certainly_gt(m_sq):
             return
         trace = x.reduced_trace()
@@ -422,14 +418,13 @@ class Enumerator:
         side = abs_vs_two(trace, 0, self.bits)
         if side == 0:
             raise InvariantViolation(f"parabolic element {x} in a cocompact group")
-        tr_box = trace.embed(0, self.bits).abs()
-        length = None
-        if side > 0:
-            bits = self.bits
-            while not tr_box.certainly_gt(2):
-                bits *= 2
-                tr_box = trace.embed(0, bits).abs()
-            length = iv_acosh(tr_box / 2, self.bits) * 2
+
+        def trace_box(bits):
+            box = trace.embed(0, bits).abs()
+            return box if side < 0 or box.certainly_gt(2) else None
+
+        tr_box = refine(trace_box, self.bits)
+        length = iv_acosh(tr_box / 2, self.bits) * 2 if side > 0 else None
         found[key] = GeodesicCandidate(
             element=x,
             trace=trace if key == trace.coords else -trace,
@@ -457,19 +452,19 @@ class Enumerator:
         refining their enclosures separates them.  This is the representative
         rule of a class: the least norm, the first one met on a tie.
         """
-        if fx is None:
-            fx = self._frob_sq(x)
-        if fy is None:
-            fy = self._frob_sq(y)
-        bits = self.bits
-        while not (fx.certainly_lt(fy) or fy.certainly_lt(fx)):
-            if bits == self.bits and self._frob_parts(x) == self._frob_parts(y):
-                return False
-            bits *= 2
-            if bits > 4096:
-                raise PrecisionError("Frobenius norms not separated; increase precision")
-            fx, fy = self._frob_sq(x, bits), self._frob_sq(y, bits)
-        return fx.certainly_lt(fy)
+        fx = fx or self._frob_sq(x)
+        fy = fy or self._frob_sq(y)
+        if (fx - fy).sign() is None and self._frob_parts(x) == self._frob_parts(y):
+            return False
+
+        def less(bits):
+            if bits > self.bits:
+                gap = (self._frob_sq(x, bits) - self._frob_sq(y, bits)).sign()
+            else:
+                gap = (fx - fy).sign()
+            return None if gap is None else gap < 0
+
+        return refine(less, self.bits, 4096)
 
     def _frob_sq(self, x: QuatElement, bits: int | None = None) -> RatInterval:
         bits = bits or self.bits

@@ -12,8 +12,9 @@ Two layers, matched to how they are used:
   with the binary endpoints converted exactly to fractions.
 
 All comparisons offered here are *certified*: they return an answer only
-when the intervals actually separate, and raise ``PrecisionError``
-otherwise, so a caller can refine and retry.
+when the intervals actually separate.  ``refine`` is the one retry loop:
+it reruns a decision on enclosures at doubling precision until it answers,
+and raises ``PrecisionError`` past an optional cap.
 """
 
 from __future__ import annotations
@@ -155,9 +156,6 @@ class RatInterval:
             return -self
         return RatInterval(_ZERO, max(-self.lo, self.hi))
 
-    def square(self) -> "RatInterval":
-        return self ** 2
-
     # -- certified decisions --------------------------------------------
 
     def sign(self):
@@ -234,11 +232,6 @@ def iv_log(x, prec: int = 64) -> RatInterval:
 
 
 @_keeps_iv_prec
-def iv_exp(x, prec: int = 64) -> RatInterval:
-    return _from_iv(iv.exp(_to_iv(x, prec)))
-
-
-@_keeps_iv_prec
 def iv_sqrt(x, prec: int = 64) -> RatInterval:
     return _from_iv(iv.sqrt(_to_iv(x, prec)))
 
@@ -300,20 +293,15 @@ def interval_solve(mat, rhs):
     return [rows[k][n] / rows[k][k] for k in range(n)]
 
 
-def certified_compare(make_interval, rhs: Fraction, max_prec: int = 4096):
-    """Certified comparison of a refinable quantity against an exact rational.
-
-    ``make_interval(prec)`` must return a RatInterval enclosing a fixed real
-    number; enclosures are expected to shrink as ``prec`` grows.  Returns -1,
-    0 or +1 for the sign of (quantity - rhs).  Raises PrecisionError if the
-    comparison stays undecided at ``max_prec`` (which for an exact tie can
-    only be avoided by the caller testing equality exactly).
+def refine(decide, bits: int, max_bits: int | None = None):
+    """The first answer of decide(b) that is not None, for b = bits, 2 bits,
+    4 bits, ...; decide works on enclosures at b bits and answers None while
+    they do not separate.  Raises PrecisionError once b would pass max_bits.
     """
-    prec = 64
-    while prec <= max_prec:
-        box = make_interval(prec) - rhs
-        s = box.sign()
-        if s is not None:
-            return s
-        prec *= 2
-    raise PrecisionError(f"comparison undecided at {max_prec} bits")
+    while True:
+        answer = decide(bits)
+        if answer is not None:
+            return answer
+        bits *= 2
+        if max_bits is not None and bits > max_bits:
+            raise PrecisionError(f"undecided at {max_bits} bits")

@@ -124,22 +124,6 @@ def reduce_mod(mat, vec):
     return vec
 
 
-def make_reducer(mat):
-    """Closure computing hashable canonical representatives modulo `mat`."""
-    rows = [tuple(r) for r in mat]
-    n = len(rows)
-
-    def red(vec):
-        for j in range(n):
-            q = vec[j] // rows[j][j]
-            if q:
-                rj = rows[j]
-                vec = [a - q * b for a, b in zip(vec, rj)]
-        return tuple(vec)
-
-    return red
-
-
 def kernel(rows, ncols):
     """Basis of the left integer kernel {u : u @ rows == 0}."""
     m = len(rows)

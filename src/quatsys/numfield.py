@@ -32,8 +32,9 @@ from sympy.polys.galoistools import gf_factor, gf_gcd
 
 from . import lattice
 from .errors import InputError, InvariantViolation, PrecisionError
-from .intervals import RatInterval, interval_solve
-from .realroots import IsolatedRoot, isolate_real_roots, poly_eval_interval
+from .intervals import RatInterval, interval_solve, refine
+from .realroots import (IsolatedRoot, isolate_real_roots, poly_eval_interval, poly_mul,
+                        poly_sub, poly_xgcd_mod)
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -109,12 +110,10 @@ class NumberField:
         h_lift = [Fraction(1)]
         for fac, e in factors:
             fac_asc = [int(c) for c in reversed(fac)]
-            g_lift = _poly_mul_q(g_lift, [Fraction(c) for c in fac_asc])
+            g_lift = poly_mul(g_lift, [Fraction(c) for c in fac_asc])
             for _ in range(e - 1):
-                h_lift = _poly_mul_q(h_lift, [Fraction(c) for c in fac_asc])
-        gh = _poly_mul_q(g_lift, h_lift)
-        m_asc = [Fraction(c) for c in self.min_poly]
-        diff = [a - b for a, b in zip(_pad(gh, len(m_asc)), m_asc)]
+                h_lift = poly_mul(h_lift, [Fraction(c) for c in fac_asc])
+        diff = poly_sub(poly_mul(g_lift, h_lift), self.min_poly)
         big_f = [int(c) // p for c in diff]  # all entries divisible by p by construction
         fbar = _to_gf(big_f, p)
         gbar = _to_gf([int(c) for c in g_lift], p)
@@ -270,19 +269,6 @@ def hurwitz_field() -> NumberField:
     return NumberField([1, 1, -2, -1], name="Q(eta)", class_number_one=True)
 
 
-def _poly_mul_q(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _pad(a, n):
-    return list(a) + [Fraction(0)] * (n - len(a))
-
-
 def _to_gf(asc_coeffs, p):
     desc = [ZZ(int(c) % p) for c in reversed(asc_coeffs)]
     while desc and desc[0] == 0:  # the zero polynomial is []
@@ -417,13 +403,11 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         # extended Euclid of the coordinate polynomial against the minimal polynomial
-        m = [Fraction(c) for c in self.field.min_poly]
-        a = list(self.coords)
-        g, inv = _poly_xgcd_mod(a, m)
+        d = self.field.degree
+        g, inv = poly_xgcd_mod(self.coords, self.field.min_poly)
         if len(g) != 1:
             raise InvariantViolation("minimal polynomial not coprime to nonzero element")
-        scale = g[0]
-        coords = [c / scale for c in _pad(inv, self.field.degree)[: self.field.degree]]
+        coords = [c / g[0] for c in (inv + [Q0] * d)[:d]]
         return FieldElement(self.field, coords)
 
     # -- embeddings -----------------------------------------------------------
@@ -439,19 +423,11 @@ class FieldElement:
                 return box
             width = width / 4
 
-    def embeddings(self, bits: int = 53):
-        return [self.embed(s, bits) for s in range(self.field.degree)]
-
     def sign_at(self, place: int) -> int:
         """Certified sign of the image at a real place (0 only for the zero element)."""
         if self.is_zero():
             return 0
-        bits = 30
-        while True:
-            s = self.embed(place, bits).sign()
-            if s is not None:
-                return s
-            bits *= 2
+        return refine(lambda bits: self.embed(place, bits).sign(), 30)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -465,13 +441,7 @@ def abs_vs_two(t: FieldElement, place: int, bits: int) -> int:
     if t.is_rational():
         v = abs(t.coords[0])
         return (v > 2) - (v < 2)
-    while True:
-        box = t.embed(place, bits).abs()
-        if box.certainly_lt(2):
-            return -1
-        if box.certainly_gt(2):
-            return 1
-        bits *= 2
+    return refine(lambda b: (t.embed(place, b).abs() - 2).sign(), bits)
 
 
 def _det_fraction(rows) -> Fraction:
@@ -492,26 +462,6 @@ def _det_fraction(rows) -> Fraction:
             if f:
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
     return det
-
-
-def _poly_xgcd_mod(a, m):
-    """(gcd, u) with u*a = gcd modulo m, over Q[t]; gcd returned unnormalized."""
-    from .realroots import poly_divmod, poly_degree, _trim
-
-    r0, r1 = _trim(m), _trim(a)
-    s0, s1 = [Q0], [Q1]
-    while poly_degree(r1) > 0:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, _trim(r) or [Q0]
-        s0, s1 = s1, _poly_sub(s0, _poly_mul_q(q, s1))
-        if poly_degree(r1) < 0:
-            raise InvariantViolation("element shares a factor with the minimal polynomial")
-    return r1, s1
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [x - y for x, y in zip(_pad(a, n), _pad(b, n))]
 
 
 # ---------------------------------------------------------------------------

@@ -156,25 +156,6 @@ class OrderLattice:
     def is_norm_one(self, x: QuatElement) -> bool:
         return self.contains(x) and x.reduced_norm() == self.algebra.field.one()
 
-    def index_in(self, larger: "OrderLattice") -> int:
-        """Lattice index [larger : self]; requires self to be a sublattice."""
-        scale = lcm(self.kappa, larger.kappa)
-        mine = [[x * (scale // self.kappa) for x in row] for row in self.mat]
-        theirs = [[x * (scale // larger.kappa) for x in row] for row in larger.mat]
-        for row in mine:
-            if not lattice.contains(theirs, row):
-                raise InputError("not a sublattice")
-        return lattice.lattice_index(theirs, lattice.hnf(mine, self.dim))
-
-    def intersect(self, other: "OrderLattice"):
-        """Basis elements of the intersection lattice (not itself an OrderLattice)."""
-        scale = lcm(self.kappa, other.kappa)
-        mine = [[x * (scale // self.kappa) for x in row] for row in self.mat]
-        theirs = [[x * (scale // other.kappa) for x in row] for row in other.mat]
-        meet = lattice.intersect(mine, theirs, self.dim)
-        inv = Fraction(1, scale)
-        return [unflatten(self.algebra, [c * inv for c in row]) for row in meet]
-
     def __eq__(self, other):
         return (isinstance(other, OrderLattice) and self.algebra == other.algebra
                 and self.kappa == other.kappa and self.mat == other.mat)
@@ -259,10 +240,6 @@ class CongruenceIdealLattice:
         if vec is None:
             return False
         return lattice.contains([list(r) for r in self.mat], vec)
-
-    def index_in_order(self) -> int:
-        return lattice.lattice_index([list(r) for r in self.order.mat],
-                                     [list(r) for r in self.mat])
 
     def random_element(self, rng, spread=6) -> QuatElement:
         coeffs = [rng.randrange(-spread, spread + 1) for _ in range(self.order.dim)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantViolation
 from .intervals import RatInterval
 
 
@@ -65,6 +66,37 @@ def poly_divmod(num, den):
         if not rem:
             rem = [Fraction(0)]
     return quot if quot else [Fraction(0)], _trim(rem) or [Fraction(0)]
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _pad(a, n):
+    return list(a) + [Fraction(0)] * (n - len(a))
+
+
+def poly_sub(a, b):
+    n = max(len(a), len(b))
+    return [x - y for x, y in zip(_pad(a, n), _pad(b, n))]
+
+
+def poly_xgcd_mod(a, m):
+    """(gcd, u) with u*a = gcd modulo m, over Q[t]; gcd returned unnormalized."""
+    r0, r1 = _trim(m), _trim(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while poly_degree(r1) > 0:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, _trim(r) or [Fraction(0)]
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+        if poly_degree(r1) < 0:
+            raise InvariantViolation("element shares a factor with the minimal polynomial")
+    return r1, s1
 
 
 def poly_gcd(a, b):

@@ -131,7 +131,3 @@ def parse_element(field: NumberField, text: str) -> FieldElement:
     if len(coords) != field.degree:
         raise InputError(f"element needs {field.degree} coordinates, got {len(coords)}")
     return field.element(coords)
-
-
-def format_element(elem: FieldElement) -> str:
-    return "(" + ", ".join(str(c) for c in elem.coords) + ")"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .numfield import FieldElement, IdealHNF, NumberField, abs_vs_two
 from .orders import OrderLattice
-from .realroots import isolate_real_roots
+from .realroots import isolate_real_roots, poly_eval
 
 # precision of the walk's certified inverse embedding matrix
 _BITS = 60
@@ -47,14 +47,7 @@ def roots_in_field(field: NumberField, asc_coeffs) -> list:
         return []
     limit = max(max(abs(lo), abs(hi)) for lo, hi in real_roots)
     return [x for x in field.box_walk([limit] * field.degree, _BITS)
-            if _eval_in_field(field, asc_coeffs, x).is_zero()]
-
-
-def _eval_in_field(field, asc_coeffs, x: FieldElement) -> FieldElement:
-    acc = field.zero()
-    for c in reversed(asc_coeffs):
-        acc = acc * x + field.from_rational(c)
-    return acc
+            if poly_eval(asc_coeffs, x) == 0]
 
 
 def torsion_traces(field: NumberField) -> tuple:

@@ -1,0 +1,88 @@
+"""API-surface guard: every function in src/quatsys has a caller.
+
+A function or method whose name no code in src/, perfbench/ or demos/
+refers to, and which quatsys does not export, is either dead or an oracle
+that belongs in tests/.  Dunders and overrides of a base-class method are
+called by the language or the base class and are not listed.  The scan lists
+the rest; each one kept must be on the allowlist below with its reason.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import quatsys
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "quatsys"
+
+ALLOWED = {
+    "unit_envelope": "the stated bound q^2 (q^2 - 1) on the units of a t = 1 quotient; "
+                     "test_quotient checks the counts against it",
+    "norm_one_envelope": "the stated envelope of norm-one count / q^(3t) for non-maximal "
+                         "orders; test_quotient checks the counts against it",
+    "kleinian_sr_constant": "the paper's 3-manifold systolic-ratio constant C1 = (8/27) / v3; "
+                            "test_bounds checks its value",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def _referenced(tree) -> set:
+    """Names the code refers to: loads, attributes, imports, and string
+    constants that are dotted paths (perfbench wraps functions by name)."""
+    docs = {id(d) for d in _docstrings(tree)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docs and _DOTTED.fullmatch(node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def _overrides(module, tree) -> set:
+    """Methods of the module's classes that override a base-class attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = getattr(module, node.name).__mro__[1:]
+            out |= {item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and any(hasattr(base, item.name) for base in bases)}
+    return out
+
+
+def uncalled_functions() -> list:
+    defined = set()
+    referenced = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = importlib.import_module(f"quatsys.{path.stem}")
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        defined -= _overrides(module, tree)
+        referenced |= _referenced(tree)
+    for folder in ("perfbench", "demos"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            referenced |= _referenced(ast.parse(path.read_text()))
+    return sorted(name for name in defined - referenced - set(quatsys.__all__)
+                  if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_uncalled_function_is_allowlisted():
+    assert uncalled_functions() == sorted(ALLOWED)

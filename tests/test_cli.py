@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from quatsys.cli import main
 from quatsys.errors import InputError
 from quatsys.numfield import hurwitz_field
-from quatsys.specfile import (format_element, parse_element, parse_spec_text)
+from quatsys.specfile import parse_element, parse_spec_text
 
 HURWITZ_SPEC = """
 # the real subfield of the 7th cyclotomic field
@@ -77,7 +77,7 @@ def test_element_parsing(K):
     assert str(x) == "(1/2, -3, 0)"
     y = parse_element(K, "7")
     assert y == K.from_rational(7)
-    assert format_element(y) == "(7, 0, 0)"
+    assert str(y) == "(7, 0, 0)"
     with pytest.raises(InputError):
         parse_element(K, "(1, 2)")
 

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 from quatsys import geodesics
 from quatsys.bounds import hurwitz_context, trace_coset_minimum, trace_lower_bound
-from quatsys.errors import CapExceeded, InvariantViolation
+from quatsys.errors import CapExceeded, InvariantViolation, PrecisionError
 from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
+from quatsys.intervals import RatInterval
+from quatsys.numfield import FieldElement, IdealHNF
+from quatsys.orders import hurwitz_order
 from quatsys.walkranges import _up, slice_range
 
 
@@ -410,6 +413,65 @@ def test_field_sqrt_fixes_the_sign_at_place_0(QH, P7, K, monkeypatch):
     roots = enum._field_sqrt(x * x)
     assert [r.coords for r in roots] == [x.coords, (-x).coords]
     assert len(calls) == 2 ** (K.degree - 1)
+
+
+@pytest.mark.parametrize("sign,side_test,schedule", [
+    (1, True, [60, 120, 60]),   # side refines to 120 bits; the box reads the narrowed root
+    (-1, True, [60, 120, 60]),  # elliptic: the box is taken as it comes
+    (1, False, [60, 120]),      # side known without embedding: the box refines itself
+])
+def test_emit_keeps_the_refinement_schedule_of_its_trace(monkeypatch, sign, side_test, schedule):
+    # x = t/2 with |sigma_0 t| - 2 = +-2^-70 or so (w = eta^2 - 2 is a unit,
+    # small at place 0); the schedules are those of the loops these replaced
+    order = hurwitz_order()  # fresh roots: no earlier call has narrowed them
+    K = order.algebra.field
+    enum = Enumerator(order, IdealHNF.principal(K, K.from_rational(2) - K.gen()))
+    enum._rep_norm = {}
+    t = 2 * sign + (K.gen() ** 2 - 2) ** 60
+    if not side_test:
+        monkeypatch.setattr(geodesics, "abs_vs_two", lambda *args: sign)
+    asked = []
+    embed = FieldElement.embed
+
+    def spy(self, place, bits=53):
+        asked.append((self.coords, bits))
+        return embed(self, place, bits)
+
+    monkeypatch.setattr(FieldElement, "embed", spy)
+    found = {}
+    enum._emit(order.algebra.element(t / 2, 0, 0, 0), found, Fraction(10 ** 6), (0.0, 0.0))
+    assert [bits for coords, bits in asked if coords == t.coords] == schedule
+    assert [c.is_elliptic for c in found.values()] == [sign < 0]
+
+
+def test_refinement_caps_at_the_enumerator_sites(QH, P7, K, monkeypatch):
+    enum = Enumerator(QH, P7)
+    asked = []
+
+    def undecided(self, boxes, den, bits):
+        asked.append(bits)
+        raise PrecisionError("forced")
+
+    monkeypatch.setattr(type(K), "element_from_embeddings", undecided)
+    with pytest.raises(PrecisionError):
+        enum._field_sqrt(K.element([2, 1, 0]))
+    assert asked == [60, 120, 240, 480]  # four attempts
+    asked.clear()
+    monkeypatch.setattr(Enumerator, "_frob_sq",
+                        lambda self, y, bits=None: asked.append(bits) or RatInterval(0, 10))
+    with pytest.raises(PrecisionError):
+        enum._emit(QH.algebra.one(), {}, Fraction(5), (0.0, 10.0))
+    assert asked == [60, 120, 240, 480, 960, 1920, 3840]  # radius cut: 4096 bits
+
+
+def test_frob_less_refines_only_what_the_given_enclosures_leave_open(QH, P7, D, monkeypatch):
+    enum = Enumerator(QH, P7)
+    x, y = D.one(), D.gen_i()
+    monkeypatch.setattr(Enumerator, "_frob_sq", lambda *args: pytest.fail("refined"))
+    assert enum._frob_less(x, y, RatInterval(1, 2), RatInterval(3, 4))
+    assert not enum._frob_less(y, x, RatInterval(3, 4), RatInterval(1, 2))
+    # overlapping enclosures of equal (alpha, beta): a tie, decided exactly
+    assert not enum._frob_less(x, x, RatInterval(1, 4), RatInterval(2, 3))
 
 
 def test_frob_sq_reuses_split_place_data(run7, QH, P7):

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from quatsys.errors import PrecisionError
-from quatsys.intervals import (RatInterval, certified_compare, interval_solve,
-                               iv_acosh, iv_cosh, iv_exp, iv_log, iv_pi, iv_pow,
-                               iv_sqrt)
+from quatsys.intervals import (RatInterval, interval_solve, iv_acosh, iv_cosh, iv_log,
+                               iv_pi, iv_pow, iv_sqrt, refine)
 
 
 def test_exact_ring_ops():
@@ -46,7 +45,7 @@ def test_certified_sign_and_compare():
 
 @pytest.mark.parametrize("fn,arg,ref", [
     (iv_log, Fraction(49, 16), math.log(49 / 16)),
-    (iv_exp, Fraction(1, 3), math.exp(1 / 3)),
+    (iv_log, Fraction(1, 3), math.log(1 / 3)),
     (iv_sqrt, Fraction(2), math.sqrt(2)),
     (iv_cosh, Fraction(3), math.cosh(3)),
     (iv_acosh, Fraction(5, 2), math.acosh(2.5)),
@@ -79,11 +78,26 @@ def test_interval_solve_flags_singular():
         interval_solve(mat, [RatInterval.exact(0), RatInterval.exact(0)])
 
 
-def test_certified_compare_refines():
-    # sqrt(2) vs 1.41421356: needs a few refinements to separate
+def test_refine_doubles_until_decided():
+    # sqrt(2) vs 1.41421356 (gap about 2^-27) separates at 32 bits, not at 16
     target = Fraction(141421356, 100000000)
-    sign = certified_compare(lambda prec: iv_sqrt(Fraction(2), prec), target)
-    assert sign == 1
+    asked = []
+
+    def decide(prec):
+        asked.append(prec)
+        return (iv_sqrt(Fraction(2), prec) - target).sign()
+
+    assert refine(decide, 8) == 1
+    assert asked == [8, 16, 32]
+    # the first answer that is not None is returned, even a falsy one
+    assert refine(lambda prec: False if prec >= 16 else None, 4) is False
+    # past the cap: every precision up to it is tried, then PrecisionError
+    asked.clear()
+    with pytest.raises(PrecisionError):
+        refine(asked.append, 8, 40)
+    assert asked == [8, 16, 32]
+    # the start precision is tried even when it exceeds the cap
+    assert refine(decide, 64, 32) == 1
 
 
 def test_float_endpoints_are_outward():

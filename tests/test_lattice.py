@@ -53,12 +53,3 @@ def test_lattice_index():
     outer = [[1, 0], [0, 1]]
     inner = [[2, 1], [0, 3]]
     assert lattice.lattice_index(outer, inner) == 6
-
-
-def test_make_reducer_matches_reduce_mod():
-    rng = random.Random(3)
-    mat = lattice.hnf([[3, 1, 0], [0, 2, 1], [0, 0, 7]], 3)
-    red = lattice.make_reducer(mat)
-    for _ in range(100):
-        vec = [rng.randrange(-40, 40) for _ in range(3)]
-        assert list(red(list(vec))) == lattice.reduce_mod(mat, vec)

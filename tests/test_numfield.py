@@ -5,12 +5,14 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
+from quatsys.bounds import compare_abs0
 from quatsys.errors import InputError, PrecisionError
 from quatsys.intervals import RatInterval
-from quatsys.numfield import (IdealHNF, NumberField, factor_ideal,
-                              factor_rational_prime, hurwitz_field, primes_up_to_norm,
-                              rationals)
+from quatsys.numfield import (FieldElement, IdealHNF, NumberField, abs_vs_two,
+                              factor_ideal, factor_rational_prime, hurwitz_field,
+                              primes_up_to_norm, rationals)
 
 T = sympy.Symbol("t")
 
@@ -296,3 +298,69 @@ def test_embedding_inverse_cached_per_precision():
             entry = sum((inv[m][s] * theta[s] ** k for s in range(3)),
                         RatInterval.exact(0))
             assert (1 if m == k else 0) in entry
+
+
+# -- certified comparisons ---------------------------------------------------------
+
+
+def embed_spy(monkeypatch):
+    """(coords, bits) of every FieldElement.embed call, in call order."""
+    asked = []
+    embed = FieldElement.embed
+
+    def spy(self, place, bits=53):
+        asked.append((self.coords, bits))
+        return embed(self, place, bits)
+
+    monkeypatch.setattr(FieldElement, "embed", spy)
+    return asked
+
+
+# eta^k is tiny at place 1 and w^k at place 0 (w = eta^2 - 2, both units), so
+# each comparison below needs several refinements; the schedules are those of
+# the hand-written loops the comparisons replaced, which the field's shared
+# root enclosures (and so every printed record) depend on
+REFINEMENT_SCHEDULES = [
+    (lambda eta: abs_vs_two(2 - eta ** 40, 1, 4), -1, [4, 8, 16, 32, 64]),
+    (lambda eta: abs_vs_two(2 + eta ** 40, 1, 4), 1, [4, 8, 16, 32, 64]),
+    (lambda eta: (eta ** 60).sign_at(1), 1, [30, 60, 120]),
+    (lambda eta: (-eta ** 31).sign_at(1), 1, [30, 60]),
+    (lambda eta: compare_abs0(eta.field.from_rational(3), 3 + (eta * eta - 2) ** 40, 4),
+     -1, [4, 4, 8, 8, 16, 16, 32, 32, 64, 64]),
+    (lambda eta: compare_abs0(-3 - (eta * eta - 2) ** 40, eta.field.from_rational(3), 4),
+     1, [4, 4, 8, 8, 16, 16, 32, 32, 64, 64]),
+]
+
+
+@pytest.mark.parametrize("compare,answer,schedule", REFINEMENT_SCHEDULES)
+def test_comparisons_keep_their_refinement_schedule(monkeypatch, compare, answer, schedule):
+    eta = hurwitz_field().gen()  # fresh roots: no earlier call has narrowed them
+    asked = embed_spy(monkeypatch)
+    assert compare(eta) == answer
+    assert [bits for _coords, bits in asked] == schedule
+
+
+_SMALL = st.fractions(min_value=-12, max_value=12, max_denominator=4)
+_COORDS = st.lists(_SMALL, min_size=3, max_size=3)
+
+
+def _conjugates(x):
+    """sigma_s(x) at 300 bits; the roots 2 cos(2 pi k / 7) in decreasing order."""
+    roots = [2 * mp.cos(2 * mp.pi * k / 7) for k in (1, 2, 3)]
+    return [sum(mp.mpf(c.numerator) / c.denominator * r ** k
+                for k, c in enumerate(x.coords)) for r in roots]
+
+
+def _sign(v):
+    return 0 if abs(v) < mp.mpf(2) ** -200 else (1 if v > 0 else -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_COORDS, _COORDS, st.integers(0, 2))
+def test_comparisons_agree_with_300_bit_conjugates(K, tc, uc, place):
+    t, u = K.element(tc), K.element(uc)
+    with mp.workprec(300):
+        ct, cu = _conjugates(t), _conjugates(u)
+        assert t.sign_at(place) == _sign(ct[place])
+        assert abs_vs_two(t, place, 8) == _sign(abs(ct[place]) - 2)
+        assert compare_abs0(t, u, 8) == _sign(abs(ct[0]) - abs(cu[0]))

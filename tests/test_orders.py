@@ -25,8 +25,9 @@ def test_hurwitz_order_shape(QH, O_std, D):
     assert QH.contains(jp)
     assert not O_std.contains(jp)
     # the standard order sits inside with 2-power index
-    idx = O_std.index_in(QH)
-    assert idx == 64
+    inner = [[QH.kappa * x for x in row] for row in O_std.mat]
+    assert all(lattice.contains(QH.mat, row) for row in inner)
+    assert lattice.lattice_index(QH.mat, lattice.hnf(inner, QH.dim)) == 64
     assert QH.assume_maximal
 
 
@@ -85,9 +86,8 @@ def test_norm_one_membership(QH, D):
 
 
 def test_congruence_lattice_index(QH, P7, P2, P13s):
-    assert QH.congruence_lattice(P7).index_in_order() == 7 ** 4
-    assert QH.congruence_lattice(P2).index_in_order() == 8 ** 4
-    assert QH.congruence_lattice(P13s[0]).index_in_order() == 13 ** 4
+    for ideal, index in ((P7, 7 ** 4), (P2, 8 ** 4), (P13s[0], 13 ** 4)):
+        assert lattice.lattice_index(QH.mat, QH.congruence_lattice(ideal).mat) == index
 
 
 def test_congruence_lattice_built_once_per_ideal(QH, K, P7):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatsys.lattice import make_reducer
+from quatsys.lattice import reduce_mod
 from quatsys.numfield import (FieldElement, IdealHNF, NumberField, factor_ideal,
                               factor_rational_prime, hurwitz_field, primes_up_to_norm,
                               rationals)
@@ -347,14 +347,13 @@ def _half_table(P, residues, tab1, tab2, in_prime, val1, val2):
     table = {}
     mat = [list(r) for r in P.mat]
     n = len(residues)
-    reduce_mod = make_reducer(mat)
     for a in range(n):
         va = tab1[a]
         v1 = val1[a]
         p1 = not in_prime[a]
         r1 = residues[a]
         for b in range(n):
-            value = reduce_mod([x + y for x, y in zip(va, tab2[b])])
+            value = tuple(reduce_mod(mat, [x + y for x, y in zip(va, tab2[b])]))
             s = v1 if v1 < val2[b] else val2[b]
             prim = p1 or (not in_prime[b])
             rec = table.get(value)
