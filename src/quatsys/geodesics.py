@@ -66,13 +66,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import compare_abs0, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
-from .intervals import RatInterval, iv_acosh, iv_cosh, iv_sqrt, refine
+from .intervals import RatInterval, iv_acosh, iv_cosh, iv_log, iv_sqrt, refine
 from .numfield import FieldElement, IdealHNF, abs_vs_two
 from .orders import OrderLattice
 from .quatalg import QuatElement
@@ -81,6 +82,9 @@ from .walkranges import WalkRanges
 # the walk's float precision (IEEE double significands): coarser enclosures
 # widen its boxes and ranges without making anything cheaper
 FLOAT_BITS = 53
+
+# the largest double: the walk holds its bounds as doubles (`WalkRanges.tables`)
+DOUBLE_MAX = Fraction(sys.float_info.max)
 
 # Enumerator.counters: leaves = float_rejected + float_candidates + fallbacks
 LEAF_COUNTERS = ("leaves", "float_rejected", "float_candidates", "fallbacks", "field_sqrt")
@@ -189,10 +193,21 @@ class Enumerator:
     # -- radius-dependent boxes ---------------------------------------------
 
     def _boxes(self, radius):
-        """Certified per-coefficient embedding bounds B[l][s] (Fractions, outer)."""
+        """Certified per-coefficient embedding bounds B[l][s] (Fractions, outer).
+
+        Raises InputError for a radius whose bounds leave the double range.
+        The walk's largest doubles are 2 cosh L (`WalkTables.m_sq_f`) and the
+        square of x3's box at the split place (`WalkTables.v0_max`); its other
+        bounds grow as their square roots.  2 cosh L > e^L, so no radius above
+        log DOUBLE_MAX fits, which is decided before cosh is enclosed.
+        """
         # the exact binary value of the radius is the radius; box and emission
         # cut use the same enclosure, so the visited set is well defined
-        t_encl = iv_cosh(Fraction(radius), self.bits) * 2
+        radius = Fraction(radius)
+        if radius > iv_log(DOUBLE_MAX, self.bits).hi:
+            raise InputError(f"radius {float(radius):g} is too large: 2 cosh L "
+                             f"exceeds the largest double")
+        t_encl = iv_cosh(radius, self.bits) * 2
         m_sq = t_encl.hi                      # upper bound for 2 cosh L
         m_val = iv_sqrt(RatInterval.exact(m_sq), self.bits).hi
         half_m2 = iv_sqrt(RatInterval.exact(m_sq / 2), self.bits).hi
@@ -227,6 +242,9 @@ class Enumerator:
                         row.append((RatInterval.exact(1) /
                                     iv_sqrt(a_s * b_s, self.bits)).hi)
             boxes.append(row)
+        if max(m_sq, boxes[3][0] ** 2) > DOUBLE_MAX:
+            raise InputError(f"radius {float(radius):g} is too large: the walk's "
+                             f"squared bounds exceed the largest double")
         return boxes, m_sq, m_val
 
     def _coord_bounds(self, boxes):
@@ -314,27 +332,25 @@ class Enumerator:
             return
         d, kappa = self.d, self.kappa
         kf = self.field
-        inv_k = Fraction(1, kappa)
-        x0e = kf.element([c * inv_k for c in c_vals[0:d]])
-        x1e = kf.element([c * inv_k for c in c_vals[d:2 * d]])
-        x2e = kf.element([c * inv_k for c in c_vals[2 * d:3 * d]])
+        x0e = FieldElement(kf, c_vals[0:d], kappa)
+        x1e = FieldElement(kf, c_vals[d:2 * d], kappa)
+        x2e = FieldElement(kf, c_vals[2 * d:3 * d], kappa)
         v_elem = None
         if targets is None:
-            # the floats cannot decide: certified recovery, roots already verified
+            # the floats cannot decide: certified recovery, roots already verified;
+            # a root outside (1/kappa) Z[theta] is off the lattice
             counters["fallbacks"] += 1
             v_elem = self._x3_square(x0e, x1e, x2e)
-            targets = [[_int_or_none(c * kappa) for c in x3e.coords]
-                       for x3e in self._field_sqrt(v_elem)]
+            targets = [[n * (kappa // x3e.den) for n in x3e.num]
+                       for x3e in self._field_sqrt(v_elem) if kappa % x3e.den == 0]
             verified = True
         else:
             counters["float_candidates"] += 1
             verified = False
         for target in targets:
-            if any(t is None for t in target):
-                continue
             if not self._congruence_tail(partial_vec, target):
                 continue
-            x3e = kf.element([t * inv_k for t in target])
+            x3e = FieldElement(kf, target, kappa)
             if not verified:
                 if v_elem is None:
                     v_elem = self._x3_square(x0e, x1e, x2e)
@@ -383,8 +399,8 @@ class Enumerator:
                     elem = self.field.element_from_embeddings(
                         [r * sg for r, sg in zip(roots, (1,) + signs)], self.kappa, bits)
                     if elem is not None and elem * elem == v:
-                        out[elem.coords] = elem
-                        out[(-elem).coords] = -elem
+                        out[elem] = elem
+                        out[-elem] = -elem
             except PrecisionError:
                 return None
             return list(out.values())
@@ -407,7 +423,7 @@ class Enumerator:
         if norm.certainly_gt(m_sq):
             return
         trace = x.reduced_trace()
-        key = max(trace.coords, tuple(-c for c in trace.coords))
+        key = (max(trace.num, tuple(-n for n in trace.num)), trace.den)
         prev = found.get(key)
         if prev is not None and not self._frob_less(x, prev.element, norm, self._rep_norm[key]):
             return
@@ -427,7 +443,7 @@ class Enumerator:
         length = iv_acosh(tr_box / 2, self.bits) * 2 if side > 0 else None
         found[key] = GeodesicCandidate(
             element=x,
-            trace=trace if key == trace.coords else -trace,
+            trace=trace if key[0] == trace.num else -trace,
             abs_trace=float(tr_box.mid),
             length=length,
             displacement=disp,
@@ -482,10 +498,6 @@ class Enumerator:
         v = x2 + x3 * ra
         w = b0 * (x2 - x3 * ra)
         return u * u + ub * ub + v * v + w * w
-
-
-def _int_or_none(f: Fraction):
-    return int(f) if f.denominator == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Totally real number fields, their integers, and ideal arithmetic.
 
 A field K = Q(theta) is given by the monic integer minimal polynomial of
-theta; elements are exact rational coordinate vectors over the power basis
-1, theta, ..., theta^(d-1).  Construction certifies that the polynomial is
-irreducible, totally real, and that Z[theta] is the full ring of integers
-(via the Dedekind criterion at every prime whose square divides the
-polynomial discriminant); fields failing any check are rejected, which
-keeps "integral element" synonymous with "integer coordinates" everywhere
-downstream.
+theta; an element is a vector of integer numerators over the power basis
+1, theta, ..., theta^(d-1) and one positive common denominator, in lowest
+terms (gcd(den, *num) = 1), so its arithmetic is integer arithmetic and
+its rational coordinates are num[m] / den (Cohen, GTM 138, 4.2).
+Construction certifies that the polynomial is irreducible, totally real,
+and that Z[theta] is the full ring of integers (via the Dedekind criterion
+at every prime whose square divides the polynomial discriminant); fields
+failing any check are rejected, which keeps "integral element" synonymous
+with "den = 1" everywhere downstream.
 
 Integral ideals are integer lattices in row Hermite normal form over the
 power basis; fractional ideals are an integral numerator with a minimal
@@ -125,27 +127,30 @@ class NumberField:
     # -- element constructors -------------------------------------------
 
     def element(self, coords) -> "FieldElement":
+        """The element with the given rational coordinates over the power basis."""
         coords = list(coords)
         if len(coords) != self.degree:
             raise InputError(f"expected {self.degree} coordinates, got {len(coords)}")
-        return FieldElement(self, [Fraction(c) for c in coords])
+        coords = [c if isinstance(c, int) else Fraction(c) for c in coords]
+        den = math.lcm(*(c.denominator for c in coords))
+        return FieldElement(self, [c.numerator * (den // c.denominator) for c in coords], den)
 
     def zero(self):
-        return self.element([0] * self.degree)
+        return FieldElement(self, (0,) * self.degree)
 
     def one(self):
-        return self.from_rational(1)
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1))
 
     def from_rational(self, r):
-        coords = [Fraction(r)] + [Q0] * (self.degree - 1)
-        return FieldElement(self, coords)
+        r = r if isinstance(r, int) else Fraction(r)
+        return FieldElement(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def gen(self):
         if self.degree == 1:
             return self.from_rational(-self.min_poly[0])
-        coords = [Q0] * self.degree
-        coords[1] = Q1
-        return FieldElement(self, coords)
+        num = [0] * self.degree
+        num[1] = 1
+        return FieldElement(self, num)
 
     # -- embeddings -------------------------------------------------------
 
@@ -181,7 +186,7 @@ class NumberField:
         several (refine the boxes or raise `bits`).  The answer is certified
         but callers still verify whatever exact identity they need.
         """
-        coords = []
+        num = []
         ambiguous = False
         for row in self.embedding_inverse(bits):
             acc = RatInterval.exact(0)
@@ -192,10 +197,10 @@ class NumberField:
             if lo > hi:
                 return None
             ambiguous = ambiguous or lo < hi
-            coords.append(Fraction(lo, den))
+            num.append(lo)
         if ambiguous:
             raise PrecisionError("coordinate enclosure holds several lattice points")
-        return FieldElement(self, coords)
+        return FieldElement(self, num, den)
 
     def coordinate_bounds(self, limits, bits: int) -> list:
         """|c_m| <= sum_s |E^-1[m][s]| * limits[s] for every x = sum_m c_m theta^m
@@ -277,13 +282,36 @@ def _to_gf(asc_coeffs, p):
 
 
 class FieldElement:
-    """Element of K as an exact rational coordinate vector over the power basis."""
+    """Element of K as integer numerators over one common denominator.
 
-    __slots__ = ("field", "coords")
+    x = (num[0] + num[1] theta + ... + num[d-1] theta^(d-1)) / den with
+    den >= 1 and gcd(den, *num) = 1, so every element has exactly one
+    (num, den): equality, hashing and the predicates read them directly, and
+    the ring operations work on integers only.  The constructor reduces any
+    nonzero den to this form.  `coords` gives the rational coordinates as
+    Fractions, built once on first use.
+    """
 
-    def __init__(self, field: NumberField, coords):
+    __slots__ = ("field", "num", "den", "_coords")
+
+    def __init__(self, field: NumberField, num, den: int = 1):
+        if den != 1:
+            if den < 0:
+                num, den = [-n for n in num], -den
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = [n // g for n in num], den // g
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.num = tuple(num)
+        self.den = den
+        self._coords = None
+
+    @property
+    def coords(self) -> tuple:
+        """Rational coordinates over the power basis (read-only Fractions)."""
+        if self._coords is None:
+            self._coords = tuple(Fraction(n, self.den) for n in self.num)
+        return self._coords
 
     # -- ring structure ---------------------------------------------------
 
@@ -291,12 +319,16 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, [a + b for a, b in zip(self.coords, other.coords)])
+        p, q = self.den, other.den
+        if p == q:
+            return FieldElement(self.field, [a + b for a, b in zip(self.num, other.num)], p)
+        return FieldElement(self.field, [a * q + b * p for a, b in zip(self.num, other.num)],
+                            p * q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -308,23 +340,28 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return FieldElement(self.field, [a * other for a in self.num], self.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self.field.degree
-        conv = [Q0] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
+        field = self.field
+        d = field.degree
+        conv = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coords):
+                for j, b in enumerate(other.num):
                     if b:
                         conv[i + j] += a * b
-        out = [Q0] * d
-        for k, c in enumerate(conv):
+        # theta^k for k >= d folds back through the power table
+        out = conv[:d]
+        for k in range(d, 2 * d - 1):
+            c = conv[k]
             if c:
-                for m, w in enumerate(self.field._pow[k]):
+                for m, w in enumerate(field._pow[k]):
                     if w:
                         out[m] += c * w
-        return FieldElement(self.field, out)
+        return FieldElement(field, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -349,7 +386,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise InputError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -357,27 +394,28 @@ class FieldElement:
         return NotImplemented
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        return isinstance(other, FieldElement) and self.coords == other.coords
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and self.is_rational())
+        return False
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def denominator(self) -> int:
-        den = 1
-        for c in self.coords:
-            den = math.lcm(den, c.denominator)
-        return den
+        """The least positive integer n with n * self integral."""
+        return self.den
 
     # -- invariants ---------------------------------------------------------
 
@@ -402,23 +440,28 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid of the coordinate polynomial against the minimal polynomial
+        # 1/x = den / num(theta): extended Euclid of num against the minimal polynomial
         d = self.field.degree
-        g, inv = poly_xgcd_mod(self.coords, self.field.min_poly)
+        g, inv = poly_xgcd_mod(self.num, self.field.min_poly)
         if len(g) != 1:
             raise InvariantViolation("minimal polynomial not coprime to nonzero element")
-        coords = [c / g[0] for c in (inv + [Q0] * d)[:d]]
-        return FieldElement(self.field, coords)
+        return self.field.element([c * self.den / g[0] for c in (inv + [Q0] * d)[:d]])
 
     # -- embeddings -----------------------------------------------------------
 
     def embed(self, place: int, bits: int = 53) -> RatInterval:
-        """Certified interval containing the image at the given real place."""
+        """Certified interval containing the image at the given real place.
+
+        Horner on the numerators, then one exact division by den: the same
+        enclosure as Horner on the rational coordinates.
+        """
         target = Fraction(1, 2 ** bits)
         root = self.field.roots[place]
         width = root.hi - root.lo
         while True:
-            box = poly_eval_interval(self.coords, root.interval(width))
+            box = poly_eval_interval(self.num, root.interval(width))
+            if self.den != 1:
+                box = box / self.den
             if box.width <= target or self.is_rational():
                 return box
             width = width / 4
@@ -506,7 +549,7 @@ class IdealHNF:
         for g in gens:
             cur = g
             for _ in range(field.degree):
-                rows.append([int(c) for c in cur.coords])
+                rows.append(list(cur.num))
                 cur = cur * theta
         return cls(field, rows)
 
@@ -522,7 +565,7 @@ class IdealHNF:
     def contains(self, elem: FieldElement) -> bool:
         if not elem.is_integral():
             return False
-        return lattice.contains([list(r) for r in self.mat], [int(c) for c in elem.coords])
+        return lattice.contains([list(r) for r in self.mat], list(elem.num))
 
     def reduce(self, coords):
         return lattice.reduce_mod([list(r) for r in self.mat], coords)
@@ -559,7 +602,7 @@ class IdealHNF:
         rows = []
         for a in self.basis_elements():
             for b in other.basis_elements():
-                rows.append([int(c) for c in (a * b).coords])
+                rows.append(list((a * b).num))
         return IdealHNF(self.field, rows)
 
     def __pow__(self, n: int) -> "IdealHNF":
@@ -596,7 +639,7 @@ class IdealHNF:
             row = []
             for b in basis:
                 prod = theta_k * b
-                row.extend(int(c) for c in prod.coords)
+                row.extend(prod.num)
             big.append(row)
         ncols = d * d
         stacked = big + [[n if i == j else 0 for j in range(ncols)] for i in range(ncols)]

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,15 @@ def test_cli_exit_codes(capsys):
     code, out = _run(capsys, "--hurwitz", "quotient-count", "--prime", "7",
                      "--t", "3", "--cap", "1000")
     assert code == 2 and "error=cap" in out
+
+
+def test_cli_rejects_a_radius_beyond_the_double_range(capsys):
+    for argv in (["--radius", "1e5:1:1e5"], ["--radius", "2000:1:2000", "--cap", "1000"],
+                 ["--radius", "1e308:1:1e308"]):
+        started = time.monotonic()
+        code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7", *argv)
+        assert code == 1 and "error=input" in out and "too large" in out, argv
+        assert time.monotonic() - started < 1.0, argv
 
 
 def test_cli_cap_bounds_the_systole_walk(capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from quatsys import geodesics
 from quatsys.bounds import hurwitz_context, trace_coset_minimum, trace_lower_bound
-from quatsys.errors import CapExceeded, InvariantViolation, PrecisionError
+from quatsys.errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
 from quatsys.intervals import RatInterval
 from quatsys.numfield import FieldElement, IdealHNF
@@ -200,6 +200,27 @@ def test_orbifold_elliptic_alarms(QH, K):
 def test_node_cap(QH, P7):
     with pytest.raises(CapExceeded):
         enumerate_gamma(QH, P7, 6.0, cap_nodes=100)
+
+
+def test_radius_beyond_the_double_range_is_input_error(QH, P7):
+    """2 cosh L > e^L: no radius above log of the largest double has float
+    bounds, and the largest float radius below it still walks (to the cap)."""
+    below = math.log(sys.float_info.max)
+    with pytest.raises(CapExceeded):
+        enumerate_gamma(QH, P7, below, cap_nodes=100)
+    for radius in (math.nextafter(below, math.inf), 2000.0, 1e308):
+        with pytest.raises(InputError, match="too large"):
+            enumerate_gamma(QH, P7, radius, cap_nodes=100)
+
+
+
+def test_radius_check_uses_the_enclosure_of_2_cosh_l(QH, P7, monkeypatch):
+    """A limit between e^2 and 2 cosh 2 passes the test on e^L, and the
+    enclosure of 2 cosh L then rejects the radius."""
+    monkeypatch.setattr(geodesics, "DOUBLE_MAX", Fraction(745, 100))
+    assert math.exp(2.0) < 7.45 < 2 * math.cosh(2.0)
+    with pytest.raises(InputError, match="squared bounds"):
+        enumerate_gamma(QH, P7, 2.0)
 
 
 # -- per-node coordinate ranges ------------------------------------------------

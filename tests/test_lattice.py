@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from quatsys import lattice
 
 
@@ -12,6 +15,54 @@ def test_hnf_canonical_form():
             assert 0 <= mat[k][i] < mat[i][i]
         for j in range(i):
             assert mat[i][j] == 0
+
+
+@st.composite
+def lattice_bases(draw):
+    """(M, U): an integer matrix M, full rank or of rank r < its row count, and
+    a unimodular U built from random elementary row operations."""
+    n = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(n, ncols)))
+    entries = st.integers(-9, 9)
+    left = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                         min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                          min_size=rank, max_size=rank))
+    if draw(st.booleans()):
+        mat = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                            min_size=n, max_size=n))
+    else:
+        mat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if right
+               else [0] * ncols for row in left]
+    unimodular = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and i != j:
+            q = draw(st.integers(-5, 5))
+            unimodular[i] = [a + q * b for a, b in zip(unimodular[i], unimodular[j])]
+        elif kind == "swap":
+            unimodular[i], unimodular[j] = unimodular[j], unimodular[i]
+        elif kind == "negate":
+            unimodular[i] = [-a for a in unimodular[i]]
+    return mat, unimodular, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_bases())
+def test_hnf_is_canonical_under_unimodular_row_operations(case):
+    mat, unimodular, ncols = case
+    product = [[sum(u * row[c] for u, row in zip(urow, mat)) for c in range(ncols)]
+               for urow in unimodular]
+    form = lattice.hnf(mat, ncols)
+    assert lattice.hnf(product, ncols) == form
+    # row echelon, positive pivots, entries above each pivot reduced below it
+    pivots = [next(c for c, x in enumerate(row) if x) for row in form]
+    assert pivots == sorted(set(pivots))
+    for i, (row, p) in enumerate(zip(form, pivots)):
+        assert row[p] > 0
+        assert all(0 <= above[p] < row[p] for above in form[:i])
 
 
 def test_solve_and_reduce_roundtrip():
