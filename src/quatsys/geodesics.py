@@ -529,12 +529,17 @@ class RadiusSchedule:
             raise InputError(f"radius schedule {text!r} needs finite values")
         if b <= 0 or c < a:
             raise InputError("radius schedule must increase")
+        top = max(abs(a), abs(c))
+        if c > a and top + b == top:  # below the float spacing, r += step stalls
+            raise InputError(f"radius step {b:g} cannot advance a radius of {top:g}")
         return cls(a, b, c)
 
     def radii(self):
         r = self.start
         while r <= self.stop + 1e-9:
             yield r
+            if r + self.step == r:  # a one-radius schedule whose step cannot advance
+                return
             r += self.step
 
 

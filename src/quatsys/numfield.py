@@ -9,7 +9,9 @@ Construction certifies that the polynomial is irreducible, totally real,
 and that Z[theta] is the full ring of integers (via the Dedekind criterion
 at every prime whose square divides the polynomial discriminant); fields
 failing any check are rejected, which keeps "integral element" synonymous
-with "den = 1" everywhere downstream.
+with "den = 1" everywhere downstream.  The discriminant, the irreducibility
+certificate, the factorisations modulo p (Dedekind-Kummer) and the rational
+primes come from `polys`.
 
 Integral ideals are integer lattices in row Hermite normal form over the
 power basis; fractional ideals are an integral numerator with a minimal
@@ -28,18 +30,14 @@ import itertools
 import math
 from fractions import Fraction
 
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_gcd
-
 from . import lattice
 from .errors import InputError, InvariantViolation, PrecisionError
 from .intervals import RatInterval, interval_solve, refine
-from .realroots import (IsolatedRoot, isolate_real_roots, poly_eval_interval, poly_mul,
-                        poly_sub, poly_xgcd_mod)
+from .polys import (det_fraction, discriminant, factorint, gf_factor, gf_gcd, gf_reduce,
+                    isprime, poly_mul, poly_sub, poly_xgcd_mod, real_rooted_irreducible)
+from .realroots import IsolatedRoot, isolate_real_roots, poly_eval_interval
 
 Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 class NumberField:
@@ -56,16 +54,17 @@ class NumberField:
         self.name = name or f"field-deg{self.degree}"
         self.class_number_one = bool(class_number_one)
 
-        t = sympy.Symbol("t")
-        poly = sympy.Poly(coeffs, t)
-        if self.degree > 1 and not poly.is_irreducible:
+        self.disc = discriminant(self.min_poly)
+        if self.disc == 0:  # a repeated factor
             raise InputError("minimal polynomial is reducible over Q")
-        self.disc = int(sympy.discriminant(poly)) if self.degree > 1 else 1
-
         roots = isolate_real_roots(self.min_poly)
         if len(roots) != self.degree:
             raise InputError(
                 f"field is not totally real: {len(roots)} real roots, degree {self.degree}")
+        # fresh enclosures, so that the test leaves the field's roots as isolated
+        if not real_rooted_irreducible(self.min_poly,
+                                       [IsolatedRoot(self.min_poly, lo, hi) for lo, hi in roots]):
+            raise InputError("minimal polynomial is reducible over Q")
         self.roots = [IsolatedRoot(self.min_poly, lo, hi)
                       for lo, hi in sorted(roots, key=lambda ab: ab[0], reverse=True)]
 
@@ -97,32 +96,25 @@ class NumberField:
         """Dedekind criterion at every prime p with p^2 | disc(m)."""
         if self.degree == 1:
             return
-        for p, e in sympy.factorint(abs(self.disc)).items():
+        for p, e in factorint(abs(self.disc)).items():
             if e < 2:
                 continue
-            if not self._dedekind_ok(int(p)):
+            if not self._dedekind_ok(p):
                 raise InputError(
                     f"Z[theta] is not maximal at p={p}; only monogenic fields with "
                     f"polynomial discriminant equal to the field discriminant are supported")
 
     def _dedekind_ok(self, p: int) -> bool:
-        mono = [ZZ(c) for c in reversed(self.min_poly)]
-        _, factors = gf_factor(mono, p, ZZ)
-        g_lift = [Fraction(1)]
-        h_lift = [Fraction(1)]
-        for fac, e in factors:
-            fac_asc = [int(c) for c in reversed(fac)]
-            g_lift = poly_mul(g_lift, [Fraction(c) for c in fac_asc])
+        g_lift = [1]
+        h_lift = [1]
+        for fac, e in gf_factor(self.min_poly, p):
+            g_lift = poly_mul(g_lift, fac)
             for _ in range(e - 1):
-                h_lift = poly_mul(h_lift, [Fraction(c) for c in fac_asc])
+                h_lift = poly_mul(h_lift, fac)
         diff = poly_sub(poly_mul(g_lift, h_lift), self.min_poly)
         big_f = [int(c) // p for c in diff]  # all entries divisible by p by construction
-        fbar = _to_gf(big_f, p)
-        gbar = _to_gf([int(c) for c in g_lift], p)
-        hbar = _to_gf([int(c) for c in h_lift], p)
-        g1 = gf_gcd(fbar, gbar, p, ZZ)
-        g2 = gf_gcd(g1, hbar, p, ZZ)
-        return len(g2) == 1  # gcd == constant
+        g = gf_gcd(gf_reduce(big_f, p), gf_reduce(g_lift, p), p)
+        return len(gf_gcd(g, gf_reduce(h_lift, p), p)) == 1  # gcd == constant
 
     # -- element constructors -------------------------------------------
 
@@ -272,13 +264,6 @@ def hurwitz_field() -> NumberField:
     domain, which the constructor records as an assumption flag.
     """
     return NumberField([1, 1, -2, -1], name="Q(eta)", class_number_one=True)
-
-
-def _to_gf(asc_coeffs, p):
-    desc = [ZZ(int(c) % p) for c in reversed(asc_coeffs)]
-    while desc and desc[0] == 0:  # the zero polynomial is []
-        desc.pop(0)
-    return desc
 
 
 class FieldElement:
@@ -432,7 +417,7 @@ class FieldElement:
         return rows
 
     def norm(self) -> Fraction:
-        return _det_fraction(self.mult_matrix())
+        return det_fraction(self.mult_matrix())
 
     def trace(self) -> Fraction:
         return sum(row[k] for k, row in enumerate(self.mult_matrix()))
@@ -485,26 +470,6 @@ def abs_vs_two(t: FieldElement, place: int, bits: int) -> int:
         v = abs(t.coords[0])
         return (v > 2) - (v < 2)
     return refine(lambda b: (t.embed(place, b).abs() - 2).sign(), bits)
-
-
-def _det_fraction(rows) -> Fraction:
-    n = len(rows)
-    mat = [list(map(Fraction, r)) for r in rows]
-    det = Q1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Q0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +683,11 @@ def factor_rational_prime(field: NumberField, p: int):
     mirrors the factorization of the minimal polynomial modulo p.
     """
     p = int(p)
-    if p < 2 or not sympy.isprime(p):
+    if not isprime(p):
         raise InputError(f"{p} is not a rational prime")
-    mono = [ZZ(c) for c in reversed(field.min_poly)]
-    _, factors = gf_factor(mono, p, ZZ)
     out = []
     theta = field.gen()
-    for fac, e in factors:
-        asc = [int(c) for c in reversed(fac)]
+    for asc, e in gf_factor(field.min_poly, p):
         g_theta = field.zero()
         power = field.one()
         for c in asc:
@@ -733,7 +695,7 @@ def factor_rational_prime(field: NumberField, p: int):
             power = power * theta
         prime = IdealHNF.from_generators(field, [field.from_rational(p), g_theta])
         f = len(asc) - 1
-        out.append((prime, int(e), f))
+        out.append((prime, e, f))
     out.sort(key=lambda t: (t[2], t[0].mat))
 
     total = sum(e * f for _, e, f in out)
@@ -750,8 +712,8 @@ def factor_rational_prime(field: NumberField, p: int):
 def primes_up_to_norm(field: NumberField, bound: int):
     """All prime ideals of norm <= bound, sorted by (norm, HNF)."""
     out = []
-    for p in sympy.primerange(2, bound + 1):
-        for prime, _e, f in factor_rational_prime(field, int(p)):
+    for p in filter(isprime, range(2, bound + 1)):
+        for prime, _e, f in factor_rational_prime(field, p):
             if prime.norm <= bound:
                 out.append(prime)
     out.sort(key=lambda pr: (pr.norm, pr.mat))
@@ -761,8 +723,8 @@ def primes_up_to_norm(field: NumberField, bound: int):
 def factor_ideal(field: NumberField, ideal: IdealHNF):
     """Prime factorization of an integral ideal as [(prime, exponent)]."""
     out = []
-    for p in sorted(sympy.factorint(ideal.norm)):
-        for prime, _e, _f in factor_rational_prime(field, int(p)):
+    for p in factorint(ideal.norm):
+        for prime, _e, _f in factor_rational_prime(field, p):
             v = ideal.valuation(prime)
             if v > 0:
                 out.append((prime, v))

@@ -158,9 +158,9 @@ class FiniteQuotRing:
         # reduced coordinates vanish in the columns with pivot 1
         return strides[self._center_cols], units, one_code
 
-    def _center_keys(self, classes: np.ndarray) -> np.ndarray:
+    def _center_keys(self, classes: np.ndarray, out=None) -> np.ndarray:
         """Mixed-radix codes of reduced central classes, vectorized."""
-        return classes @ self._center_index
+        return np.matmul(classes, self._center_index, out=out)
 
     # -- counting -----------------------------------------------------------
 
@@ -185,14 +185,21 @@ class FiniteQuotRing:
         hist = np.zeros(len(self._center_units), dtype=np.int64)
         n_lead = int(np.prod(self.diag[lead]))
         rows = max(1, _CHUNK // len(lows))
+        # the chunk's values and keys reuse two buffers: fresh arrays of this
+        # size on every chunk can cost a page fault per 4 KiB, whenever the C
+        # allocator hands freed memory back to the system between chunks
+        vals_buf = np.empty((min(rows, n_lead), cross.shape[1]), dtype=np.int64)
+        keys_buf = np.empty(vals_buf.size // r, dtype=np.int64)
         for start in range(0, n_lead, rows):
             highs = _digits(start, min(start + rows, n_lead), self.diag[lead])
+            n = len(highs)
             s_high = self._center_reduce(self._divide_kappa(
                 _quad(highs, highs, t_lead, self._norm_exact_float)) @ self._center_fold)
-            vals = _mat(highs, cross, self._cross_exact_float).reshape(len(highs), -1, r)
+            vals = _mat(highs, cross, self._cross_exact_float, vals_buf[:n]).reshape(n, -1, r)
             vals += s_high[:, None, :]
             vals += s_low[None, :, :]
-            keys = self._center_keys(self._center_reduce(vals.reshape(-1, r)))
+            keys = self._center_keys(self._center_reduce(vals.reshape(-1, r)),
+                                     keys_buf[:n * len(lows)])
             hist += np.bincount(keys, minlength=len(hist))
         if int(hist.sum()) != self.cardinality:
             raise InvariantViolation("the split pass missed residues")
@@ -278,10 +285,17 @@ def _quad(x: np.ndarray, y: np.ndarray, tensor: np.ndarray, float_ok: bool) -> n
     return np.einsum("ni,nj,ijk->nk", x, y, tensor, optimize=True)
 
 
-def _mat(a: np.ndarray, b: np.ndarray, float_ok: bool) -> np.ndarray:
-    if float_ok:
-        return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a @ b
+def _mat(a: np.ndarray, b: np.ndarray, float_ok: bool, out=None) -> np.ndarray:
+    """a @ b exactly, into the int64 array `out` when given; float64/BLAS
+    when provably lossless."""
+    if not float_ok:
+        return np.matmul(a, b, out=out)
+    prod = a.astype(np.float64) @ b.astype(np.float64)
+    np.rint(prod, out=prod)
+    if out is None:
+        return prod.astype(np.int64)
+    out[...] = prod
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,15 @@ refinement to any requested width.  Everything here is Fraction-exact, so
 the returned intervals are certified enclosures, not floating point guesses.
 
 Polynomials are dense coefficient lists in *ascending* order
-(``coeffs[k]`` multiplies ``x**k``).
+(``coeffs[k]`` multiplies ``x**k``); the Q[t] arithmetic lives in `polys`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantViolation
 from .intervals import RatInterval
+from .polys import poly_degree, poly_deriv, poly_divmod, poly_gcd, trim
 
 
 def poly_eval(coeffs, x: Fraction) -> Fraction:
@@ -31,102 +31,22 @@ def poly_eval_interval(coeffs, x: RatInterval) -> RatInterval:
     return acc
 
 
-def poly_deriv(coeffs):
-    return [k * Fraction(c) for k, c in enumerate(coeffs)][1:]
-
-
-def poly_degree(coeffs) -> int:
-    d = len(coeffs) - 1
-    while d >= 0 and coeffs[d] == 0:
-        d -= 1
-    return d
-
-
-def _trim(coeffs):
-    d = poly_degree(coeffs)
-    return [Fraction(c) for c in coeffs[: d + 1]]
-
-
-def poly_divmod(num, den):
-    num = _trim(num)
-    den = _trim(den)
-    if poly_degree(den) < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    dd = poly_degree(den)
-    lead = den[dd]
-    while poly_degree(rem) >= dd:
-        dr = poly_degree(rem)
-        f = rem[dr] / lead
-        quot[dr - dd] = f
-        for k in range(dd + 1):
-            rem[dr - dd + k] -= f * den[k]
-        rem = rem[:dr]  # the leading term cancelled exactly
-        if not rem:
-            rem = [Fraction(0)]
-    return quot if quot else [Fraction(0)], _trim(rem) or [Fraction(0)]
-
-
-def poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _pad(a, n):
-    return list(a) + [Fraction(0)] * (n - len(a))
-
-
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [x - y for x, y in zip(_pad(a, n), _pad(b, n))]
-
-
-def poly_xgcd_mod(a, m):
-    """(gcd, u) with u*a = gcd modulo m, over Q[t]; gcd returned unnormalized."""
-    r0, r1 = _trim(m), _trim(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while poly_degree(r1) > 0:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, _trim(r) or [Fraction(0)]
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        if poly_degree(r1) < 0:
-            raise InvariantViolation("element shares a factor with the minimal polynomial")
-    return r1, s1
-
-
-def poly_gcd(a, b):
-    """Monic gcd over the rationals."""
-    a, b = _trim(a), _trim(b)
-    while poly_degree(b) >= 0:
-        _, r = poly_divmod(a, b)
-        a, b = b, _trim(r)
-    if poly_degree(a) < 0:
-        return [Fraction(0)]
-    lead = a[poly_degree(a)]
-    return [c / lead for c in a]
-
-
 def squarefree_part(coeffs):
     d = poly_gcd(coeffs, poly_deriv(coeffs))
     if poly_degree(d) <= 0:
-        return _trim(coeffs)
+        return trim(coeffs)
     q, r = poly_divmod(coeffs, d)
     assert poly_degree(r) < 0 or all(c == 0 for c in r)
-    return _trim(q)
+    return trim(q)
 
 
 def sturm_chain(coeffs):
-    p0 = _trim(coeffs)
-    p1 = _trim(poly_deriv(p0))
+    p0 = trim(coeffs)
+    p1 = trim(poly_deriv(p0))
     chain = [p0, p1]
     while poly_degree(chain[-1]) > 0:
         _, r = poly_divmod(chain[-2], chain[-1])
-        r = _trim([-c for c in r])
+        r = trim([-c for c in r])
         if poly_degree(r) < 0:
             break
         chain.append(r)
@@ -149,7 +69,7 @@ def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
 
 def root_bound(coeffs) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
-    coeffs = _trim(coeffs)
+    coeffs = trim(coeffs)
     lead = abs(coeffs[-1])
     if len(coeffs) == 1:
         return Fraction(1)
@@ -216,7 +136,7 @@ class IsolatedRoot:
     """One real root of a squarefree integer polynomial, refinable on demand."""
 
     def __init__(self, coeffs, lo: Fraction, hi: Fraction):
-        self.coeffs = _trim(coeffs)
+        self.coeffs = trim(coeffs)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
 

@@ -168,6 +168,18 @@ def test_cli_rejects_a_radius_beyond_the_double_range(capsys):
         assert time.monotonic() - started < 1.0, argv
 
 
+def test_cli_rejects_a_radius_step_that_cannot_advance(capsys):
+    started = time.monotonic()
+    code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7",
+                     "--radius", "1:1e-20:2")
+    assert code == 1 and "error=input" in out and "cannot advance" in out
+    # one radius, below L*: the schedule ends without a search
+    code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7",
+                     "--radius", "1:1e-20:1")
+    assert code == 2 and "error=cap" in out and "exhausted" in out
+    assert time.monotonic() - started < 1.0
+
+
 def test_cli_cap_bounds_the_systole_walk(capsys):
     code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7", "--cap", "100")
     assert code == 2 and "error=cap" in out
@@ -231,6 +243,22 @@ def test_cli_builds_the_hurwitz_order_once_and_matches_a_fresh_interpreter(capsy
             assert code == 0 and _records(out) == expected
     assert len(builds) == 1
     assert "certificate=trace-coset" in fresh[0]
+
+
+def test_cli_systole_leaves_sympy_unimported():
+    """sympy is a test oracle only: set-up and a whole systole run never load it."""
+    from quatsys import orders
+
+    src = str(Path(orders.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys, quatsys, quatsys.cli\n"
+              "quatsys.hurwitz_context()\n"
+              f"assert quatsys.cli.main({SYSTOLE_ARGV[0]!r}) == 0\n"
+              "print('sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_cli_systole_records_do_not_depend_on_jobs(capsys):

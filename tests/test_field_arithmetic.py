@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatsys.numfield import FieldElement, NumberField, hurwitz_field, rationals
-from quatsys.realroots import poly_xgcd_mod
+from quatsys.polys import poly_xgcd_mod
 
 FIELDS = {"Q(eta)": hurwitz_field(), "Q": rationals(),
           "Q(sqrt5)": NumberField([1, -1, -1], name="Q(sqrt5)")}
