@@ -5,13 +5,13 @@ theta; an element is a vector of integer numerators over the power basis
 1, theta, ..., theta^(d-1) and one positive common denominator, in lowest
 terms (gcd(den, *num) = 1), so its arithmetic is integer arithmetic and
 its rational coordinates are num[m] / den (Cohen, GTM 138, 4.2).
-Construction certifies that the polynomial is irreducible, totally real,
-and that Z[theta] is the full ring of integers (via the Dedekind criterion
-at every prime whose square divides the polynomial discriminant); fields
-failing any check are rejected, which keeps "integral element" synonymous
-with "den = 1" everywhere downstream.  The discriminant, the irreducibility
-certificate, the factorisations modulo p (Dedekind-Kummer) and the rational
-primes come from `polys`.
+Construction certifies that the polynomial, of degree at most MAX_DEGREE,
+is irreducible, totally real, and that Z[theta] is the full ring of integers
+(via the Dedekind criterion at every prime whose square divides the
+polynomial discriminant); fields failing any check are rejected, which
+keeps "integral element" synonymous with "den = 1" everywhere downstream.
+The discriminant, the irreducibility certificate, the factorisations
+modulo p (Dedekind-Kummer) and the rational primes come from `polys`.
 
 Integral ideals are integer lattices in row Hermite normal form over the
 power basis; fractional ideals are an integral numerator with a minimal
@@ -38,6 +38,10 @@ from .polys import (det_fraction, discriminant, factorint, gf_factor, gf_gcd, gf
 from .realroots import IsolatedRoot, isolate_real_roots, poly_eval_interval
 
 Q0 = Fraction(0)
+# The irreducibility certificate tries all 2^(d-1) root subsets of size <= d/2
+# (`polys.real_rooted_irreducible`): about 2 s at degree 12 on a 2-vCPU VM,
+# and twice that for each further degree, so larger fields are refused.
+MAX_DEGREE = 12
 
 
 class NumberField:
@@ -49,6 +53,9 @@ class NumberField:
             raise InputError("minimal polynomial must have degree >= 1")
         if coeffs[0] != 1:
             raise InputError("minimal polynomial must be monic")
+        if len(coeffs) - 1 > MAX_DEGREE:
+            raise InputError(f"minimal polynomial has degree {len(coeffs) - 1}; "
+                             f"at most {MAX_DEGREE} is supported")
         self.min_poly = list(reversed(coeffs))  # ascending
         self.degree = len(coeffs) - 1
         self.name = name or f"field-deg{self.degree}"

@@ -28,7 +28,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import InvariantViolation
+from .errors import CapExceeded, InvariantViolation
 from .intervals import RatInterval, refine
 
 # ---------------------------------------------------------------------------
@@ -391,13 +391,24 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+# Pollard-Brent iterations allowed for one split: rho finds a prime factor p
+# in about sqrt(p) of them, so this reaches every p up to about 10^9, at
+# about 0.25 s for a 40-digit n (2-vCPU VM, Python 3.11)
+_RHO_STEPS = 1 << 18
+
+
 def _pollard_brent(n: int) -> int:
     """A proper divisor of the odd composite n that is not a perfect power
     (Brent, BIT 20 (1980)); the polynomials y^2 + c, c = 1, 2, ..., start
-    at y = 2, so the divisor found is the same on every call."""
+    at y = 2, so the divisor found is the same on every call.  Raises
+    CapExceeded after _RHO_STEPS iterations, counted over every c."""
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # r to move x, at most r more in the batches
+            if steps > _RHO_STEPS:
+                raise CapExceeded(f"no factor of {n} found in {_RHO_STEPS} Pollard-Brent steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -437,7 +448,10 @@ def _split(n: int, mult: int, out: dict):
 
 
 def factorint(n: int) -> dict:
-    """{prime: exponent} for an integer n >= 1, primes ascending."""
+    """{prime: exponent} for an integer n >= 1, primes ascending.
+
+    Raises CapExceeded when a composite part has no prime factor in reach of
+    _RHO_STEPS, as with two prime factors of more than about ten digits."""
     if n < 1:
         raise ValueError(f"factorint needs n >= 1, got {n}")
     out = {}
@@ -455,7 +469,7 @@ def factorint(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def real_rooted_irreducible(coeffs, roots, bits: int = 8) -> bool:
+def real_rooted_irreducible(coeffs, roots) -> bool:
     """Whether a monic squarefree integer polynomial of degree d, all of whose
     d roots are real, is irreducible over Q.
 
@@ -465,12 +479,14 @@ def real_rooted_irreducible(coeffs, roots, bits: int = 8) -> bool:
     and then it is prod_{i in S} (t - r_i) for a k-subset S of the roots.
     Each subset's coefficients are enclosed and refined until one of them
     holds no integer (no factor) or each holds exactly one (a candidate,
-    settled by exact division).
+    settled by exact division).  An irreducible polynomial costs all
+    2^(d-1) subsets, so the time doubles with each degree (about 2 s at
+    d = 12; `numfield.MAX_DEGREE`).
     """
     d = len(coeffs) - 1
     for k in range(1, d // 2 + 1):
         for subset in itertools.combinations(roots, k):
-            candidate = refine(functools.partial(_subset_factor, subset), bits)
+            candidate = refine(functools.partial(_subset_factor, subset), 8)
             if candidate and poly_degree(poly_divmod(coeffs, candidate)[1]) < 0:
                 return False
     return True

@@ -180,6 +180,16 @@ def test_cli_rejects_a_radius_step_that_cannot_advance(capsys):
     assert time.monotonic() - started < 1.0
 
 
+def test_cli_stops_factoring_an_ideal_norm_with_two_large_prime_factors(capsys):
+    # the norm is (p q)^3 with p and q prime, of 20 digits each
+    pq = 10000000000000000051 * 30000000000000000041
+    for command in ("bounds", "quotient-count"):
+        started = time.monotonic()
+        code, out = _run(capsys, "--hurwitz", command, "--ideal", f"{pq},0,0")
+        assert code == 2 and "error=cap" in out and "Pollard-Brent" in out, command
+        assert time.monotonic() - started < 1.0, command
+
+
 def test_cli_cap_bounds_the_systole_walk(capsys):
     code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7", "--cap", "100")
     assert code == 2 and "error=cap" in out

@@ -10,8 +10,8 @@ from mpmath import mp
 from quatsys.bounds import compare_abs0
 from quatsys.errors import InputError, PrecisionError
 from quatsys.intervals import RatInterval
-from quatsys.numfield import (FieldElement, IdealHNF, NumberField, abs_vs_two,
-                              factor_ideal, factor_rational_prime, hurwitz_field,
+from quatsys.numfield import (MAX_DEGREE, FieldElement, IdealHNF, NumberField,
+                              abs_vs_two, factor_ideal, factor_rational_prime, hurwitz_field,
                               primes_up_to_norm, rationals)
 
 T = sympy.Symbol("t")
@@ -45,6 +45,10 @@ def test_constructor_rejects_bad_fields():
     with pytest.raises(InputError):
         # the classic non-monogenic-at-2 cubic: disc = 4*503, index 2
         NumberField([1, -1, -2, -8])
+    # prod (t - k), k = 1 .. 13: totally real, refused for its degree alone
+    poly = sympy.Poly(sympy.prod([T - k for k in range(1, MAX_DEGREE + 2)]), T)
+    with pytest.raises(InputError, match=f"at most {MAX_DEGREE}"):
+        NumberField([int(c) for c in poly.all_coeffs()])
 
 
 def test_hurwitz_field_invariants(K):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor as sympy_gf_factor
 
-from quatsys.errors import InputError
+from quatsys.errors import CapExceeded, InputError
 from quatsys.numfield import NumberField
 from quatsys.polys import (discriminant, factorint, gf_factor, isprime,
                            real_rooted_irreducible)
@@ -145,6 +145,12 @@ def test_factorint_matches_sympy(n):
                                (2 ** 31 - 1) ** 2 * (2 ** 61 - 1), 1009 ** 5])
 def test_factorint_of_large_composites(n):
     assert factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}
+
+
+def test_factorint_stops_on_two_large_prime_factors():
+    # sympy's ECM splits this; Pollard-Brent would need about 10^10 steps
+    with pytest.raises(CapExceeded, match="Pollard-Brent"):
+        factorint(10000000000000000051 * 30000000000000000041)
 
 
 def test_factorint_rejects_non_positive_input():
