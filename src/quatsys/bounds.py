@@ -19,7 +19,7 @@ from fractions import Fraction
 from mpmath import im, mp, mpf, polylog
 
 from .errors import InputError, InvariantViolation
-from .intervals import RatInterval, iv_acosh, iv_log, iv_pow, iv_sqrt, refine
+from .intervals import START_BITS, RatInterval, iv_acosh, iv_log, iv_pow, iv_sqrt, refine
 from .numfield import IdealHNF, abs_vs_two
 from .orders import OrderLattice, hurwitz_preset
 
@@ -98,8 +98,7 @@ class TraceCosetMinimum:
         return any(trace == t for t in self.traces)
 
 
-def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
-                        bits: int = 60) -> TraceCosetMinimum | None:
+def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinimum | None:
     """The systole floor L* of Gamma(I) from the trace coset 2 + I^2 (exact).
 
     For gamma = 1 + q in Gamma(I), q in I*Q, nrd gamma = 1 gives
@@ -122,24 +121,23 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
         return None
     field = algebra.field
     square = ideal * ideal
-    ramified = [s for s in algebra.real_ramified_places() if s != 0]
     cap = Fraction(4)
     while True:
         best = []
         limits = [cap] + [Fraction(2)] * (field.degree - 1)
-        for t in field.box_walk(limits, bits, square.mat, shift=2):
-            if any(abs_vs_two(t, s, bits) >= 0 for s in ramified) or \
-                    abs_vs_two(t, 0, bits) <= 0:
+        for t in field.box_walk(limits, square.mat, shift=2):
+            if any(abs_vs_two(t, s, START_BITS) >= 0 for s in range(1, field.degree)) or \
+                    abs_vs_two(t, 0, START_BITS) <= 0:
                 continue
-            cmp = compare_abs0(t, best[0], bits) if best else -1
+            cmp = compare_abs0(t, best[0], START_BITS) if best else -1
             if cmp < 0:
                 best = [t]
             elif cmp == 0:
                 best.append(t)
         if best:
-            box = best[0].embed(0, bits).abs()
+            box = best[0].embed(0, START_BITS).abs()
             if box.certainly_le(cap):
-                return TraceCosetMinimum(best, box, length_from_trace(box, prec=bits))
+                return TraceCosetMinimum(best, box, length_from_trace(box, prec=START_BITS))
         cap *= 2
 
 

@@ -22,6 +22,7 @@ from .bounds import (asymptotic_strings, explicit_constant, four_thirds_log_genu
                      trace_bound_pair)
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .geodesics import RadiusSchedule, systole_search
+from .intervals import START_BITS
 from .numfield import IdealHNF, factor_ideal, factor_rational_prime
 from .quotient import (DEFAULT_CAP, FiniteQuotRing, count_norm_one_ideal, index_bound,
                        maxim_formula)
@@ -72,8 +73,6 @@ def _global_flags(parser, defaults: bool):
                         help="write records to this file instead of stdout")
     parser.add_argument("--jobs", type=int, default=d(1),
                         help="accepted and ignored: the enumeration runs serially")
-    parser.add_argument("--precision", type=_positive_int, default=d(60),
-                        help="working precision in bits")
     parser.add_argument("--cap", type=_positive_int, default=d(DEFAULT_CAP),
                         help="residue/node cap for exhaustive passes")
     parser.add_argument("--asymptotic", action="store_true", default=d(False),
@@ -171,7 +170,7 @@ def cmd_field_info(args, env, emit):
     emit(f"minpoly={' '.join(str(c) for c in reversed(field.min_poly))}")
     emit(f"disc={field.disc}")
     for s in range(field.degree):
-        box = field.embedding_interval(s, args.precision)
+        box = field.embedding_interval(s, START_BITS)
         emit(f"embedding_{s}=[{float(box.lo)!r},{float(box.hi)!r}]")
     if "algebra" in env:
         alg = env["algebra"]
@@ -284,7 +283,7 @@ def cmd_systole(args, env, emit):
                  f"classes={step.distinct_traces} current_min={cur}")
 
     result = systole_search(order, ideal, schedule, diameter_bound=args.diameter,
-                            cap_nodes=args.cap, bits=args.precision, progress=progress)
+                            cap_nodes=args.cap, progress=progress)
     for line in result.records():
         emit(line)
     for cand in result.candidates:
@@ -315,7 +314,7 @@ def cmd_table1(args, env, emit):
         if not cert.torsion_free:
             raise InvariantViolation(f"ideal of norm {ideal.norm} not torsion-free")
         result = systole_search(order, ideal, RadiusSchedule(4.5, 1.0, 14.0),
-                                cap_nodes=args.cap, bits=args.precision)
+                                cap_nodes=args.cap)
         sys_mid = float(result.min_length.mid)
         matches = [v for v in reference_pool.get(genus, [])
                    if abs(v - sys_mid) <= 1.5e-3]

@@ -73,18 +73,16 @@ from fractions import Fraction
 
 from .bounds import compare_abs0, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
-from .intervals import RatInterval, iv_acosh, iv_cosh, iv_log, iv_sqrt, refine
-from .numfield import FieldElement, IdealHNF, abs_vs_two
+from .intervals import START_BITS, RatInterval, iv_acosh, iv_cosh, iv_log, iv_sqrt, refine
+from .numfield import FieldElement, IdealHNF
 from .orders import OrderLattice
 from .quatalg import QuatElement
 from .walkranges import WalkRanges
 
-# the walk's float precision (IEEE double significands): coarser enclosures
-# widen its boxes and ranges without making anything cheaper
-FLOAT_BITS = 53
-
 # the largest double: the walk holds its bounds as doubles (`WalkRanges.tables`)
 DOUBLE_MAX = Fraction(sys.float_info.max)
+# the most radii a parsed schedule may hold
+MAX_RADII = 10_000
 
 # Enumerator.counters: leaves = float_rejected + float_candidates + fallbacks
 LEAF_COUNTERS = ("leaves", "float_rejected", "float_candidates", "fallbacks", "field_sqrt")
@@ -148,7 +146,7 @@ class Enumerator:
     (`fallbacks`, recovered by `_field_sqrt`); and `_field_sqrt` calls.
     """
 
-    def __init__(self, order: OrderLattice, ideal: IdealHNF, bits: int = 60):
+    def __init__(self, order: OrderLattice, ideal: IdealHNF):
         algebra = order.algebra
         field = algebra.field
         if not algebra.is_cocompact_presentation():
@@ -157,7 +155,7 @@ class Enumerator:
         self.ideal = ideal
         self.algebra = algebra
         self.field = field
-        self.bits = bits = max(bits, FLOAT_BITS)
+        self.bits = bits = START_BITS
         d = field.degree
         self.d = d
         self.dim = 4 * d
@@ -250,7 +248,7 @@ class Enumerator:
     def _coord_bounds(self, boxes):
         """|c_j| bounds, block by block, by `NumberField.coordinate_bounds`."""
         return [b * self.kappa for row in boxes
-                for b in self.field.coordinate_bounds(row, self.bits)]
+                for b in self.field.coordinate_bounds(row)]
 
     # -- main run --------------------------------------------------------------
 
@@ -431,15 +429,16 @@ class Enumerator:
         if fr is None:
             fr = self._frob_sq(x)
         disp = iv_acosh(fr / 2, self.bits) if fr.certainly_gt(2) else RatInterval.exact(0)
-        side = abs_vs_two(trace, 0, self.bits)
+
+        def side_and_box(bits):
+            # one enclosure of |sigma_0 t| (exact if t is rational) for side and length
+            box = trace.embed(0, bits).abs()
+            side = (box - 2).sign()
+            return None if side is None else (side, box)
+
+        side, tr_box = refine(side_and_box, self.bits)
         if side == 0:
             raise InvariantViolation(f"parabolic element {x} in a cocompact group")
-
-        def trace_box(bits):
-            box = trace.embed(0, bits).abs()
-            return box if side < 0 or box.certainly_gt(2) else None
-
-        tr_box = refine(trace_box, self.bits)
         length = iv_acosh(tr_box / 2, self.bits) * 2 if side > 0 else None
         found[key] = GeodesicCandidate(
             element=x,
@@ -506,15 +505,17 @@ class Enumerator:
 
 
 def enumerate_gamma(order: OrderLattice, ideal: IdealHNF, radius,
-                    cap_nodes: int = 30_000_000, bits: int = 60):
+                    cap_nodes: int = 30_000_000):
     """Sorted GeodesicCandidate list for the given displacement radius."""
-    found, visited = Enumerator(order, ideal, bits).run(radius, cap_nodes)
+    found, visited = Enumerator(order, ideal).run(radius, cap_nodes)
     cands = sorted(found.values(), key=lambda c: (c.abs_trace, c.trace.coords))
     return cands, visited
 
 
 @dataclass
 class RadiusSchedule:
+    """The radii start + k step for k = 0, 1, ..., up to stop plus 1e-9 of a step."""
+
     start: float
     step: float
     stop: float
@@ -530,30 +531,32 @@ class RadiusSchedule:
         if b <= 0 or c < a:
             raise InputError("radius schedule must increase")
         top = max(abs(a), abs(c))
-        if c > a and top + b == top:  # below the float spacing, r += step stalls
+        if c > a and top + b == top:  # below the float spacing, radii repeat
             raise InputError(f"radius step {b:g} cannot advance a radius of {top:g}")
-        return cls(a, b, c)
+        schedule = cls(a, b, c)
+        if schedule.count() > MAX_RADII:
+            raise InputError(f"radius schedule {text!r} has {schedule.count()} radii; "
+                             f"at most {MAX_RADII} are supported")
+        return schedule
 
-    def radii(self):
-        r = self.start
-        while r <= self.stop + 1e-9:
-            yield r
-            if r + self.step == r:  # a one-radius schedule whose step cannot advance
-                return
-            r += self.step
+    def count(self) -> int:
+        """The number of radii."""
+        span = (Fraction(self.stop) - Fraction(self.start)) / Fraction(self.step)
+        return max(0, math.floor(span + Fraction(1, 10 ** 9)) + 1)
 
 
 def systole_search(order: OrderLattice, ideal: IdealHNF,
                    schedule: RadiusSchedule = RadiusSchedule(5.0, 1.0, 12.0),
                    diameter_bound: float | None = None,
-                   cap_nodes: int = 30_000_000, bits: int = 60,
+                   cap_nodes: int = 30_000_000,
                    progress=None) -> EnumerationResult:
     """Increasing-radius search until certified or stabilized.
 
     certified, certificate `trace-coset`: the least hyperbolic trace found
     is a minimiser t* of `bounds.trace_coset_minimum`, so the systole is
     L* = 2 acosh(|sigma_0 t*|/2).  Radii below L* are skipped: a hyperbolic
-    element displaces the basepoint by at least its translation length.
+    element displaces the basepoint by at least its translation length, and
+    the search starts at the index of the first radius not below L*.
     certified, certificate `diameter`: a user diameter bound D for the
     quotient guarantees every geodesic of length <= current best has a
     conjugate displacing the basepoint by <= L, via
@@ -564,20 +567,23 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
     `progress(result)` is invoked with the intermediate EnumerationResult
     after each enumerated radius (visited nodes, current minimum, mode so far).
     """
-    bits = max(bits, FLOAT_BITS)
-    coset = trace_coset_minimum(order, ideal, bits)
+    coset = trace_coset_minimum(order, ideal)
+    # within one of the first radius not below L*; the check in the loop settles it
+    first = 0 if coset is None else max(0, math.floor(
+        (coset.length.lo - Fraction(schedule.start)) / Fraction(schedule.step)))
     best_key = None
     streak = 0
     last = None
-    for radius in schedule.radii():
+    for k in range(first, schedule.count()):
+        radius = schedule.start + k * schedule.step
         if coset is not None and coset.length.certainly_gt(radius):
             continue
-        cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes, bits)
+        cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes)
         hyper = [c for c in cands if not c.is_elliptic]
         elliptic = [c for c in cands if c.is_elliptic]
         min_cand = hyper[0] if hyper else None
         mode, certificate = "searching", None
-        realised = _coset_realised(coset, hyper, bits) if coset is not None else None
+        realised = _coset_realised(coset, hyper) if coset is not None else None
         if realised is not None:
             min_cand, mode, certificate = realised, "certified", "trace-coset"
         key = min_cand.trace.coords if min_cand else None
@@ -585,7 +591,7 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
             streak = streak + 1 if key == best_key else 0
             best_key = key
             if mode != "certified" and diameter_bound is not None and \
-                    _diameter_certifies(radius, min_cand.length, diameter_bound, bits):
+                    _diameter_certifies(radius, min_cand.length, diameter_bound):
                 mode, certificate = "certified", "diameter"
             if mode != "certified" and streak >= 2:
                 mode = "stabilized"
@@ -610,7 +616,7 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
                       f"{last.records() if last else 'nothing found'}")
 
 
-def _coset_realised(coset, hyper, bits):
+def _coset_realised(coset, hyper):
     """The candidate whose trace is a coset minimiser t*, or None.
 
     Raises InvariantViolation for a hyperbolic trace with |sigma_0| below
@@ -624,14 +630,14 @@ def _coset_realised(coset, hyper, bits):
         if coset.is_minimiser(trace):
             realised = realised or cand
             continue
-        if compare_abs0(trace, coset.traces[0], bits) <= 0:
+        if compare_abs0(trace, coset.traces[0], START_BITS) <= 0:
             raise InvariantViolation(
                 f"trace {trace} of {cand.element} is not above the coset minimum "
                 f"{coset.traces[0]} of 2 + I^2")
     return realised
 
 
-def _diameter_certifies(radius, length: RatInterval, diameter_bound: float, bits: int) -> bool:
+def _diameter_certifies(radius, length: RatInterval, diameter_bound: float) -> bool:
     """cosh(radius/2) >= cosh(length/2) * cosh(D), certified in intervals."""
-    need = iv_cosh(length.hi / 2, bits) * iv_cosh(Fraction(diameter_bound), bits)
-    return need.certainly_le(iv_cosh(Fraction(radius) / 2, bits))
+    need = iv_cosh(length.hi / 2, START_BITS) * iv_cosh(Fraction(diameter_bound), START_BITS)
+    return need.certainly_le(iv_cosh(Fraction(radius) / 2, START_BITS))

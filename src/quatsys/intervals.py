@@ -29,6 +29,10 @@ from .errors import PrecisionError
 
 _ZERO = Fraction(0)
 
+# the start precision, in bits, of every certified enclosure whose precision no
+# caller chooses; the walk computes in doubles, so under 53 would only widen it
+START_BITS = 60
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):

@@ -17,11 +17,13 @@ Integral ideals are integer lattices in row Hermite normal form over the
 power basis; fractional ideals are an integral numerator with a minimal
 positive integer denominator.
 
-Real embeddings are certified: each is an isolated root of the minimal
-polynomial carrying an exact rational enclosure, refinable on demand.
-Embeddings are indexed in decreasing root order; index 0 is the
-distinguished one used for geometry.  The elements of a lattice coset whose
-embeddings lie in a given box are listed by one walk (`box_walk`).
+Real embeddings are certified: enclosures of each root of the minimal
+polynomial are bisected from its isolating interval and cached per precision,
+so an embedding depends on the element, the place and the precision alone,
+not on what ran before.  Embeddings are indexed in decreasing root order;
+index 0 is the distinguished one used for geometry.  The elements of a
+lattice coset whose embeddings lie in a given box are listed by one walk
+(`box_walk`).
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from fractions import Fraction
 
 from . import lattice
 from .errors import InputError, InvariantViolation, PrecisionError
-from .intervals import RatInterval, interval_solve, refine
+from .intervals import START_BITS, RatInterval, interval_solve, refine
 from .polys import (det_fraction, discriminant, factorint, gf_factor, gf_gcd, gf_reduce,
                     isprime, poly_mul, poly_sub, poly_xgcd_mod, real_rooted_irreducible)
-from .realroots import IsolatedRoot, isolate_real_roots, poly_eval_interval
+from .realroots import isolate_real_roots, poly_eval_interval, refine_root
 
 Q0 = Fraction(0)
 # The irreducibility certificate tries all 2^(d-1) root subsets of size <= d/2
@@ -68,12 +70,12 @@ class NumberField:
         if len(roots) != self.degree:
             raise InputError(
                 f"field is not totally real: {len(roots)} real roots, degree {self.degree}")
-        # fresh enclosures, so that the test leaves the field's roots as isolated
-        if not real_rooted_irreducible(self.min_poly,
-                                       [IsolatedRoot(self.min_poly, lo, hi) for lo, hi in roots]):
+        # the isolating intervals, by place; never narrowed
+        self.roots = [RatInterval(lo, hi) for lo, hi in sorted(roots, reverse=True)]
+        # per place: bits -> enclosure of the root (`embedding_interval`)
+        self._root_boxes = [{} for _ in roots]
+        if not real_rooted_irreducible(self.min_poly, self.embedding_interval):
             raise InputError("minimal polynomial is reducible over Q")
-        self.roots = [IsolatedRoot(self.min_poly, lo, hi)
-                      for lo, hi in sorted(roots, key=lambda ab: ab[0], reverse=True)]
 
         self._certify_power_basis_maximal()
         # bits -> certified enclosure of the inverse embedding matrix
@@ -154,9 +156,27 @@ class NumberField:
     # -- embeddings -------------------------------------------------------
 
     def embedding_interval(self, place: int, bits: int = 53) -> RatInterval:
+        """Enclosure of theta at the place, of width at most 2^-bits.
+
+        Bisection from the isolating interval follows one chain of intervals
+        (`realroots.refine_root`), so the box of each precision, rounded up to
+        a multiple of 8 bits, is cached and bisected from the nearest coarser
+        one, with the same endpoints whatever is cached.  A rational root
+        (degree 1), around which that margin depends on the width, is not.
+        """
         if not 0 <= place < self.degree:
             raise InputError(f"place index {place} out of range")
-        return self.roots[place].refine_bits(bits)
+        if self.degree == 1:
+            return RatInterval(*refine_root(self.min_poly, self.roots[0].lo, self.roots[0].hi,
+                                            Fraction(1, 2 ** bits)))
+        bits = -(-bits // 8) * 8
+        boxes = self._root_boxes[place]
+        if bits not in boxes:
+            coarser = [b for b in boxes if b < bits]
+            start = boxes[max(coarser)] if coarser else self.roots[place]
+            boxes[bits] = RatInterval(*refine_root(self.min_poly, start.lo, start.hi,
+                                                   Fraction(1, 2 ** bits)))
+        return boxes[bits]
 
     def embedding_inverse(self, bits: int):
         """Certified enclosure of the inverse of E = [theta_s^m] (rows: places).
@@ -201,14 +221,14 @@ class NumberField:
             raise PrecisionError("coordinate enclosure holds several lattice points")
         return FieldElement(self, num, den)
 
-    def coordinate_bounds(self, limits, bits: int) -> list:
+    def coordinate_bounds(self, limits) -> list:
         """|c_m| <= sum_s |E^-1[m][s]| * limits[s] for every x = sum_m c_m theta^m
-        with |sigma_s x| <= limits[s]; E^-1 is the certified `embedding_inverse`,
-        so the bounds are exact Fractions that hold."""
+        with |sigma_s x| <= limits[s]; E^-1 is the certified `embedding_inverse`
+        at START_BITS, so the bounds are exact Fractions that hold."""
         return [sum(max(abs(e.lo), abs(e.hi)) * b for e, b in zip(row, limits))
-                for row in self.embedding_inverse(bits)]
+                for row in self.embedding_inverse(START_BITS)]
 
-    def box_walk(self, limits, bits: int, hnf=None, shift: int = 0):
+    def box_walk(self, limits, hnf=None, shift: int = 0):
         """The elements of shift + L inside the box of `coordinate_bounds`.
 
         L is the integer lattice of the upper-triangular row HNF `hnf`,
@@ -219,7 +239,7 @@ class NumberField:
         d = self.degree
         if hnf is None:
             hnf = [[int(i == j) for j in range(d)] for i in range(d)]
-        bound = self.coordinate_bounds(limits, bits)
+        bound = self.coordinate_bounds(limits)
 
         def walk(m, vec):
             h = hnf[m][m]
@@ -442,26 +462,28 @@ class FieldElement:
     # -- embeddings -----------------------------------------------------------
 
     def embed(self, place: int, bits: int = 53) -> RatInterval:
-        """Certified interval containing the image at the given real place.
+        """Certified interval of width at most 2^-bits containing the image at
+        the given real place.
 
-        Horner on the numerators, then one exact division by den: the same
-        enclosure as Horner on the rational coordinates.
+        Horner on the numerators over an enclosure of theta, then one exact
+        division by den.  The precision of theta starts at bits plus the size
+        of the numerators and grows by what the box still lacks, so the
+        enclosure depends on the element, the place and bits alone.
         """
+        if self.is_rational():
+            return RatInterval.exact(Fraction(self.num[0], self.den))
         target = Fraction(1, 2 ** bits)
-        root = self.field.roots[place]
-        width = root.hi - root.lo
+        root_bits = bits + 4 + max(abs(n) for n in self.num).bit_length()
         while True:
-            box = poly_eval_interval(self.num, root.interval(width))
+            box = poly_eval_interval(self.num, self.field.embedding_interval(place, root_bits))
             if self.den != 1:
                 box = box / self.den
-            if box.width <= target or self.is_rational():
+            if box.width <= target:
                 return box
-            width = width / 4
+            root_bits += math.ceil(box.width / target).bit_length()
 
     def sign_at(self, place: int) -> int:
         """Certified sign of the image at a real place (0 only for the zero element)."""
-        if self.is_zero():
-            return 0
         return refine(lambda bits: self.embed(place, bits).sign(), 30)
 
     def __str__(self):
@@ -472,10 +494,8 @@ class FieldElement:
 
 
 def abs_vs_two(t: FieldElement, place: int, bits: int) -> int:
-    """Sign of |sigma_place(t)| - 2, exact: zero only for t = +-2."""
-    if t.is_rational():
-        v = abs(t.coords[0])
-        return (v > 2) - (v < 2)
+    """Sign of |sigma_place(t)| - 2, exact: zero only for t = +-2 (`embed` is
+    exact on rationals)."""
     return refine(lambda b: (t.embed(place, b).abs() - 2).sign(), bits)
 
 

@@ -469,12 +469,12 @@ def factorint(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def real_rooted_irreducible(coeffs, roots) -> bool:
+def real_rooted_irreducible(coeffs, root_box) -> bool:
     """Whether a monic squarefree integer polynomial of degree d, all of whose
     d roots are real, is irreducible over Q.
 
-    `roots` holds one enclosure per root, each with ``refine_bits(b)``
-    returning a RatInterval of width at most 2^-b.  By Gauss's lemma a
+    ``root_box(k, b)`` is a RatInterval of width at most 2^-b around root k,
+    for k = 0 .. d-1 (`NumberField.embedding_interval`).  By Gauss's lemma a
     factor of degree k <= d/2 may be taken monic with integer coefficients,
     and then it is prod_{i in S} (t - r_i) for a k-subset S of the roots.
     Each subset's coefficients are enclosed and refined until one of them
@@ -485,20 +485,20 @@ def real_rooted_irreducible(coeffs, roots) -> bool:
     """
     d = len(coeffs) - 1
     for k in range(1, d // 2 + 1):
-        for subset in itertools.combinations(roots, k):
-            candidate = refine(functools.partial(_subset_factor, subset), 8)
+        for subset in itertools.combinations(range(d), k):
+            candidate = refine(functools.partial(_subset_factor, root_box, subset), 8)
             if candidate and poly_degree(poly_divmod(coeffs, candidate)[1]) < 0:
                 return False
     return True
 
 
-def _subset_factor(subset, bits: int):
+def _subset_factor(root_box, subset, bits: int):
     """False when some coefficient of prod (t - r) over the subset's roots
     holds no integer at this precision, the integer coefficients when each
     holds exactly one, None while some holds several."""
     prod = [RatInterval.exact(1)]
-    for root in subset:
-        box = root.refine_bits(bits)
+    for k in subset:
+        box = root_box(k, bits)
         shifted = [RatInterval.exact(0)] + prod
         prod = [s - box * c for s, c in zip(shifted, prod + [RatInterval.exact(0)])]
     out = []

@@ -44,6 +44,9 @@ class QuaternionAlgebra:
         self.a = a
         self.b = b
         self.ab = a * b
+        # decided once per algebra, from two certified signs per place
+        self._real_status = tuple(RAMIFIED if a.sign_at(s) < 0 and b.sign_at(s) < 0 else SPLIT
+                                  for s in range(field.degree))
 
     def element(self, x0, x1, x2, x3) -> "QuatElement":
         coerce = lambda v: v if isinstance(v, FieldElement) else self.field.from_rational(v)
@@ -83,22 +86,14 @@ class QuaternionAlgebra:
 
     def real_place_status(self, place: int) -> str:
         """Split unless both constants are negative under the embedding."""
-        sa = self.a.sign_at(place)
-        sb = self.b.sign_at(place)
-        if sa == 0 or sb == 0:
-            raise InvariantViolation("structure constant vanishes at a real place")
-        return RAMIFIED if (sa < 0 and sb < 0) else SPLIT
+        return self._real_status[place]
 
     def real_ramified_places(self):
-        return [s for s in range(self.field.degree)
-                if self.real_place_status(s) == RAMIFIED]
+        return [s for s, status in enumerate(self._real_status) if status == RAMIFIED]
 
     def is_cocompact_presentation(self) -> bool:
         """Split at the distinguished place, division algebra at all others."""
-        if self.real_place_status(0) != SPLIT:
-            return False
-        return all(self.real_place_status(s) == RAMIFIED
-                   for s in range(1, self.field.degree))
+        return self._real_status == (SPLIT,) + (RAMIFIED,) * (self.field.degree - 1)
 
     # -- ramification at finite primes -------------------------------------
 

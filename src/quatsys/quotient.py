@@ -75,16 +75,12 @@ class FiniteQuotRing:
         self.center_dim = order.algebra.field.degree
         self.kappa = order.kappa
         self.tables = order.tables
-        self.struct = self.tables.struct
-        self.invol = self.tables.invol
         self.norm_tensor = self.tables.norm_tensor
-        self.one = self.tables.one
 
         # the congruence lattice in order-basis coordinates
         mod_mat = order.congruence_lattice(self.ideal).coord_mat
         if lattice.det_upper_triangular(mod_mat) != self.cardinality:
             raise InvariantViolation("congruence lattice index mismatch")
-        self.mod_mat = np.array(mod_mat, dtype=np.int64)
         self.diag = np.array([mod_mat[k][k] for k in range(self.dim)], dtype=np.int64)
 
         # float64 fast path, exact while every accumulated integer stays

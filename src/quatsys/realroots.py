@@ -110,7 +110,11 @@ def isolate_real_roots(coeffs) -> list[tuple[Fraction, Fraction]]:
 
 
 def refine_root(coeffs, lo: Fraction, hi: Fraction, width: Fraction):
-    """Shrink an isolating interval of a squarefree poly below `width` by bisection."""
+    """Shrink an isolating interval of a squarefree poly below `width` by bisection.
+
+    The halves depend on (lo, hi) alone, so refining a returned interval
+    continues one chain, unless it hits a rational root (a width-dependent margin).
+    """
     slo = poly_eval(coeffs, lo)
     shi = poly_eval(coeffs, hi)
     if slo == 0 or shi == 0:
@@ -130,26 +134,3 @@ def refine_root(coeffs, lo: Fraction, hi: Fraction, width: Fraction):
         else:
             hi = mid
     return lo, hi
-
-
-class IsolatedRoot:
-    """One real root of a squarefree integer polynomial, refinable on demand."""
-
-    def __init__(self, coeffs, lo: Fraction, hi: Fraction):
-        self.coeffs = trim(coeffs)
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-
-    def interval(self, width: Fraction | None = None) -> RatInterval:
-        if width is not None and self.hi - self.lo > width:
-            self.lo, self.hi = refine_root(self.coeffs, self.lo, self.hi, width)
-        return RatInterval(self.lo, self.hi)
-
-    def refine_bits(self, bits: int) -> RatInterval:
-        return self.interval(Fraction(1, 2 ** bits))
-
-    def __float__(self):
-        return float(self.interval(Fraction(1, 2 ** 60)).mid)
-
-    def __repr__(self):
-        return f"IsolatedRoot(~{float(self):.12g})"

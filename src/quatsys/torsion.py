@@ -25,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
+from .intervals import START_BITS
 from .numfield import FieldElement, IdealHNF, NumberField, abs_vs_two
 from .orders import OrderLattice
 from .realroots import isolate_real_roots, poly_eval
-
-# precision of the walk's certified inverse embedding matrix
-_BITS = 60
 
 
 def roots_in_field(field: NumberField, asc_coeffs) -> list:
@@ -46,7 +44,7 @@ def roots_in_field(field: NumberField, asc_coeffs) -> list:
     if not real_roots:
         return []
     limit = max(max(abs(lo), abs(hi)) for lo, hi in real_roots)
-    return [x for x in field.box_walk([limit] * field.degree, _BITS)
+    return [x for x in field.box_walk([limit] * field.degree)
             if poly_eval(asc_coeffs, x) == 0]
 
 
@@ -64,8 +62,8 @@ def torsion_traces(field: NumberField) -> tuple:
     def build():
         d = field.degree
         found = [(_root_of_unity_order(t), t)
-                 for t in field.box_walk([2] * d, _BITS)
-                 if all(abs_vs_two(t, s, _BITS) <= 0 for s in range(d))]
+                 for t in field.box_walk([2] * d)
+                 if all(abs_vs_two(t, s, START_BITS) <= 0 for s in range(d))]
         return tuple(sorted(found, key=lambda nt: (nt[0], nt[1].coords)))
 
     return field.cached("torsion_traces", build)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quatsys.cli import main
+from quatsys.cli import build_parser, main
 from quatsys.errors import InputError
 from quatsys.numfield import hurwitz_field
 from quatsys.specfile import parse_element, parse_spec_text
@@ -142,7 +142,7 @@ def test_cli_exit_codes(capsys):
     code, out = _run(capsys, "--hurwitz", "--bogus-flag", "field-info")
     assert code == 1 and "error=input" in out
     # malformed numbers: non-finite radii and diameters, a negative index,
-    # precision, norm bound or cap
+    # norm bound or cap; --precision is no flag at all
     for argv in (["systole", "--prime", "7", "--radius", "inf:1:inf"],
                  ["systole", "--prime", "7", "--radius", "4.5:1:nan"],
                  ["systole", "--prime", "13", "--index", "-1"],
@@ -157,6 +157,11 @@ def test_cli_exit_codes(capsys):
     code, out = _run(capsys, "--hurwitz", "quotient-count", "--prime", "7",
                      "--t", "3", "--cap", "1000")
     assert code == 2 and "error=cap" in out
+
+
+def test_cli_has_no_precision_flag():
+    # every enclosure starts at one fixed precision (`intervals.START_BITS`)
+    assert "--precision" not in build_parser().format_help()
 
 
 def test_cli_rejects_a_radius_beyond_the_double_range(capsys):
@@ -177,6 +182,15 @@ def test_cli_rejects_a_radius_step_that_cannot_advance(capsys):
     code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7",
                      "--radius", "1:1e-20:1")
     assert code == 2 and "error=cap" in out and "exhausted" in out
+    assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.parametrize("schedule", ["1:1e-15:2", "1:1e-6:9"])
+def test_cli_rejects_a_schedule_of_too_many_radii(capsys, schedule):
+    # each step advances, but the radii below L* alone would take hours to pass
+    started = time.monotonic()
+    code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7", "--radius", schedule)
+    assert code == 1 and "error=input" in out and "radii" in out
     assert time.monotonic() - started < 1.0
 
 
@@ -275,15 +289,6 @@ def test_cli_systole_records_do_not_depend_on_jobs(capsys):
     _, serial = _run(capsys, *SYSTOLE_ARGV[1], "--jobs", "1")
     _, parallel = _run(capsys, *SYSTOLE_ARGV[1], "--jobs", "2")
     assert _records(serial) == _records(parallel)
-
-
-def test_cli_small_precision_does_not_widen_the_walk(capsys):
-    # the walk computes in doubles, so bits below 53 are raised to 53
-    argv = ["--hurwitz", "systole", "--prime", "7", "--radius", "4.5:1:9"]
-    _, coarse = _run(capsys, *argv, "--precision", "1")
-    _, double = _run(capsys, *argv, "--precision", "53")
-    assert _records(coarse) == _records(double)
-    assert "visited=1145" in coarse
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from quatsys.errors import CapExceeded, InputError, InvariantViolation, Precisio
 from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
 from quatsys.intervals import RatInterval
 from quatsys.numfield import FieldElement, IdealHNF
-from quatsys.orders import hurwitz_order
 from quatsys.walkranges import _up, slice_range
 
 
@@ -109,13 +109,13 @@ def test_empty_at_tiny_radius(QH, P7):
     assert cands == []
 
 
-def box_bounds(order, ideal, radius, bits=60):
+def box_bounds(order, ideal, radius):
     """Per-coefficient lattice points inside the certified embedding boxes.
 
     Scaled integer coordinates, congruence not applied: the boxes that the
     joint enumeration refines.  Monotone in the radius.
     """
-    enum = Enumerator(order, ideal, bits)
+    enum = Enumerator(order, ideal)
     boxes, _m_sq, _m = enum._boxes(radius)
     coord_bound = enum._coord_bounds(boxes)
     d = enum.d
@@ -436,21 +436,15 @@ def test_field_sqrt_fixes_the_sign_at_place_0(QH, P7, K, monkeypatch):
     assert len(calls) == 2 ** (K.degree - 1)
 
 
-@pytest.mark.parametrize("sign,side_test,schedule", [
-    (1, True, [60, 120, 60]),   # side refines to 120 bits; the box reads the narrowed root
-    (-1, True, [60, 120, 60]),  # elliptic: the box is taken as it comes
-    (1, False, [60, 120]),      # side known without embedding: the box refines itself
-])
-def test_emit_keeps_the_refinement_schedule_of_its_trace(monkeypatch, sign, side_test, schedule):
-    # x = t/2 with |sigma_0 t| - 2 = +-2^-70 or so (w = eta^2 - 2 is a unit,
-    # small at place 0); the schedules are those of the loops these replaced
-    order = hurwitz_order()  # fresh roots: no earlier call has narrowed them
-    K = order.algebra.field
-    enum = Enumerator(order, IdealHNF.principal(K, K.from_rational(2) - K.gen()))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_emit_keeps_the_refinement_schedule_of_its_trace(monkeypatch, QH, P7, sign):
+    # x = t/2 with |sigma_0 t| - 2 = +-2^-93 or so (w = eta^2 - 2 is a unit,
+    # small at place 0): one enclosure of the trace per precision decides the
+    # side of 2 and gives the length
+    K = QH.algebra.field
+    enum = Enumerator(QH, P7)
     enum._rep_norm = {}
-    t = 2 * sign + (K.gen() ** 2 - 2) ** 60
-    if not side_test:
-        monkeypatch.setattr(geodesics, "abs_vs_two", lambda *args: sign)
+    t = 2 * sign + (K.gen() ** 2 - 2) ** 80
     asked = []
     embed = FieldElement.embed
 
@@ -460,8 +454,8 @@ def test_emit_keeps_the_refinement_schedule_of_its_trace(monkeypatch, sign, side
 
     monkeypatch.setattr(FieldElement, "embed", spy)
     found = {}
-    enum._emit(order.algebra.element(t / 2, 0, 0, 0), found, Fraction(10 ** 6), (0.0, 0.0))
-    assert [bits for coords, bits in asked if coords == t.coords] == schedule
+    enum._emit(QH.algebra.element(t / 2, 0, 0, 0), found, Fraction(10 ** 6), (0.0, 0.0))
+    assert [bits for coords, bits in asked if coords == t.coords] == [60, 120]
     assert [c.is_elliptic for c in found.values()] == [sign < 0]
 
 
@@ -741,6 +735,18 @@ def test_certified_search_skips_radii_below_the_coset_floor(QH, levels):
     # both enclose L*
     assert not result.min_length.certainly_lt(coset.length)
     assert not coset.length.certainly_lt(result.min_length)
+
+
+def test_search_starts_at_the_first_radius_not_below_the_floor(QH, levels):
+    seen = []
+    systole_search(QH, levels["P7"], RadiusSchedule(0.5, 0.5, 9.0),
+                   progress=lambda step: seen.append(step.radius))
+    assert seen[0] == 4.0  # L* = 3.936
+    # 10^15 radii, all below L* = 3.936: none is visited one by one
+    started = time.monotonic()
+    with pytest.raises(CapExceeded, match="exhausted"):
+        systole_search(QH, levels["P7"], RadiusSchedule(1.0, 1e-15, 2.0))
+    assert time.monotonic() - started < 1.0
 
 
 def test_trace_below_the_coset_minimum_is_an_invariant_violation(QH, P7, K, monkeypatch):

@@ -321,14 +321,15 @@ def embed_spy(monkeypatch):
 
 
 # eta^k is tiny at place 1 and w^k at place 0 (w = eta^2 - 2, both units), so
-# each comparison below needs several refinements; the schedules are those of
-# the hand-written loops the comparisons replaced, which the field's shared
-# root enclosures (and so every printed record) depend on
+# each comparison below needs several refinements; the schedules start and
+# double as the hand-written loops the comparisons replaced did, and stop at
+# the first enclosure that separates (`embed` may return one narrower than
+# 2^-bits, which decides the two sign_at cases a doubling earlier)
 REFINEMENT_SCHEDULES = [
     (lambda eta: abs_vs_two(2 - eta ** 40, 1, 4), -1, [4, 8, 16, 32, 64]),
     (lambda eta: abs_vs_two(2 + eta ** 40, 1, 4), 1, [4, 8, 16, 32, 64]),
-    (lambda eta: (eta ** 60).sign_at(1), 1, [30, 60, 120]),
-    (lambda eta: (-eta ** 31).sign_at(1), 1, [30, 60]),
+    (lambda eta: (eta ** 60).sign_at(1), 1, [30, 60]),
+    (lambda eta: (-eta ** 31).sign_at(1), 1, [30]),
     (lambda eta: compare_abs0(eta.field.from_rational(3), 3 + (eta * eta - 2) ** 40, 4),
      -1, [4, 4, 8, 8, 16, 16, 32, 32, 64, 64]),
     (lambda eta: compare_abs0(-3 - (eta * eta - 2) ** 40, eta.field.from_rational(3), 4),
@@ -338,7 +339,7 @@ REFINEMENT_SCHEDULES = [
 
 @pytest.mark.parametrize("compare,answer,schedule", REFINEMENT_SCHEDULES)
 def test_comparisons_keep_their_refinement_schedule(monkeypatch, compare, answer, schedule):
-    eta = hurwitz_field().gen()  # fresh roots: no earlier call has narrowed them
+    eta = hurwitz_field().gen()
     asked = embed_spy(monkeypatch)
     assert compare(eta) == answer
     assert [bits for _coords, bits in asked] == schedule
@@ -368,3 +369,41 @@ def test_comparisons_agree_with_300_bit_conjugates(K, tc, uc, place):
         assert t.sign_at(place) == _sign(ct[place])
         assert abs_vs_two(t, place, 8) == _sign(abs(ct[place]) - 2)
         assert compare_abs0(t, u, 8) == _sign(abs(ct[0]) - abs(cu[0]))
+
+
+# -- history independence --------------------------------------------------------
+
+
+def _ends(box):
+    return box.lo, box.hi
+
+
+_PRECISION = st.integers(8, 512)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COORDS, _COORDS, st.integers(0, 2), st.integers(0, 2), _PRECISION, _PRECISION)
+def test_embeddings_do_not_depend_on_earlier_calls(xc, yc, place, other_place, b1, b2):
+    fresh, used = hurwitz_field(), hurwitz_field()
+    used.element(yc).embed(other_place, b2)
+    assert _ends(used.element(xc).embed(place, b1)) == _ends(fresh.element(xc).embed(place, b1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_COORDS, st.integers(0, 2), _PRECISION, _PRECISION)
+def test_embedding_inverse_does_not_depend_on_earlier_calls(yc, place, b1, b2):
+    fresh, used = hurwitz_field(), hurwitz_field()
+    used.element(yc).embed(place, b2)
+    used.embedding_inverse(b2)
+    assert [[_ends(e) for e in row] for row in used.embedding_inverse(b1)] == \
+        [[_ends(e) for e in row] for row in fresh.embedding_inverse(b1)]
+
+
+def test_a_fine_embedding_leaves_coarse_ones_and_the_roots_alone():
+    K = hurwitz_field()
+    roots = [_ends(r) for r in K.roots]
+    x = K.element([3, 8, 4])
+    coarse = _ends(x.embed(0, 60))
+    assert x.embed(0, 1024).width <= Fraction(1, 2 ** 1024)
+    assert _ends(x.embed(0, 60)) == coarse
+    assert [_ends(r) for r in K.roots] == roots

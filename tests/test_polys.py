@@ -1,5 +1,7 @@
 """The exact polynomial and integer helpers of `quatsys.polys`, against sympy."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -11,7 +13,8 @@ from quatsys.errors import CapExceeded, InputError
 from quatsys.numfield import NumberField
 from quatsys.polys import (discriminant, factorint, gf_factor, isprime,
                            real_rooted_irreducible)
-from quatsys.realroots import IsolatedRoot, isolate_real_roots
+from quatsys.intervals import RatInterval
+from quatsys.realroots import isolate_real_roots, refine_root
 
 T = sympy.Symbol("t")
 
@@ -30,7 +33,8 @@ def _irreducible(coeffs):
         return False
     roots = isolate_real_roots(coeffs)
     assert len(roots) == len(coeffs) - 1
-    return real_rooted_irreducible(coeffs, [IsolatedRoot(coeffs, lo, hi) for lo, hi in roots])
+    return real_rooted_irreducible(coeffs, lambda k, bits: RatInterval(
+        *refine_root(coeffs, *roots[k], Fraction(1, 2 ** bits))))
 
 
 @given(MONIC)

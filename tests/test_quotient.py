@@ -26,29 +26,35 @@ def all_residues(ring) -> np.ndarray:
     return np.concatenate(list(residue_blocks(ring)))
 
 
+def mod_mat(ring) -> np.ndarray:
+    """The congruence lattice's row HNF over the order basis."""
+    return np.array(ring.order.congruence_lattice(ring.ideal).coord_mat, dtype=np.int64)
+
+
 def reduce(ring, arr: np.ndarray) -> np.ndarray:
     """Canonical representatives modulo the congruence lattice (vectorized)."""
     out = arr.copy()
+    rows = mod_mat(ring)
     for j in range(ring.dim):
         q = out[:, j] // ring.diag[j]
         nz = q != 0
         if nz.any():
-            out[nz] -= q[nz, None] * ring.mod_mat[j][None, :]
+            out[nz] -= q[nz, None] * rows[j][None, :]
     return out
 
 
 def mul_exact_float(ring) -> bool:
     """Whether float64 is exact for products of reduced residues."""
-    return _float_exact(ring._tensor_bound(ring.struct, int(ring.diag.max())))
+    return _float_exact(ring._tensor_bound(ring.tables.struct, int(ring.diag.max())))
 
 
 def mul(ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Componentwise ring product of two residue arrays."""
-    return reduce(ring, _quad(x, y, ring.struct, mul_exact_float(ring)))
+    return reduce(ring, _quad(x, y, ring.tables.struct, mul_exact_float(ring)))
 
 
 def involution(ring, x: np.ndarray) -> np.ndarray:
-    return reduce(ring, x @ ring.invol)
+    return reduce(ring, x @ ring.tables.invol)
 
 
 def norm_classes(ring, x: np.ndarray) -> np.ndarray:
@@ -76,7 +82,7 @@ def involution_well_defined_sample(ring, rng, samples: int = 64) -> bool:
     for _ in range(samples):
         x = np.array([[rng.randrange(0, int(d)) for d in ring.diag]], dtype=np.int64)
         shift = np.zeros((1, ring.dim), dtype=np.int64)
-        for row in ring.mod_mat:
+        for row in mod_mat(ring):
             shift += rng.randrange(-2, 3) * row[None, :]
         if not np.array_equal(involution(ring, x), involution(ring, x + shift)):
             return False
@@ -86,7 +92,7 @@ def involution_well_defined_sample(ring, rng, samples: int = 64) -> bool:
 def radical_unit_definition(ring) -> set:
     """x such that 1 - r*x is a unit for every r (finite-ring radical).
 
-    The products r*x come from `ring.struct`, batched over x and over r.
+    The products r*x come from `ring.tables.struct`, batched over x and over r.
     Q/pQ is a vector space over F_l, l the rational prime under p (l*Q
     lies in p*Q), so reduction is additive modulo l: the canonical residue
     of y is (y @ C) mod l, with C the canonical residues of the basis
@@ -98,11 +104,11 @@ def radical_unit_definition(ring) -> set:
     res = all_residues(ring)
     strides = np.array([int(np.prod(ring.diag[j + 1:])) for j in range(ring.dim)])
     # struct_c[a, b] = (w_a * w_b) @ C
-    struct_c = ring.struct @ reduce(ring, np.eye(ring.dim, dtype=np.int64))
+    struct_c = ring.tables.struct @ reduce(ring, np.eye(ring.dim, dtype=np.int64))
     float_ok = _float_exact(ring._tensor_bound(struct_c, int(ring.diag.max())))
     # res[k] is the residue of code k
     one_minus_is_unit = ring._center_units[
-        ring._center_keys(norm_classes(ring, ring.one[None, :] - res))]
+        ring._center_keys(norm_classes(ring, ring.tables.one[None, :] - res))]
     out = set()
     batch = max(1, _CHUNK // len(res))
     for start in range(0, len(res), batch):
@@ -193,7 +199,7 @@ def test_ring_axioms_on_sampled_triples(QH, P7):
     assert np.array_equal(mul(ring, mul(ring, x, y), z), mul(ring, x, mul(ring, y, z)))
     assert np.array_equal(mul(ring, x, reduce(ring, y + z)),
                           reduce(ring, mul(ring, x, y) + mul(ring, x, z)))
-    one = np.repeat(ring.one[None, :], len(x), axis=0)
+    one = np.repeat(ring.tables.one[None, :], len(x), axis=0)
     assert np.array_equal(mul(ring, x, one), reduce(ring, x))
     # involution is an anti-automorphism on the quotient
     assert np.array_equal(involution(ring, mul(ring, x, y)),
@@ -393,8 +399,8 @@ def test_order_tables_built_once(QH, P7, P13s):
     r7 = FiniteQuotRing(QH, P7, 1)
     r13 = FiniteQuotRing(QH, P13s[0], 1)
     assert r7.tables is r13.tables is QH.tables
-    assert r7.struct is r13.struct
-    for arr in (r7.struct, r7.invol, r7.norm_tensor, r7.one):
+    tables = r7.tables
+    for arr in (tables.struct, tables.invol, r7.norm_tensor, tables.one):
         assert not arr.flags.writeable
 
 
