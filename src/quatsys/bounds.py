@@ -98,7 +98,7 @@ class TraceCosetMinimum:
         return any(trace == t for t in self.traces)
 
 
-def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinimum | None:
+def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinimum:
     """The systole floor L* of Gamma(I) from the trace coset 2 + I^2 (exact).
 
     For gamma = 1 + q in Gamma(I), q in I*Q, nrd gamma = 1 gives
@@ -113,12 +113,12 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinim
     under it.  Admissibility and the order by |sigma_0| are decided on
     certified embeddings, refined until they separate: |sigma_s t| = 2 only
     for t = +-2 (`numfield.abs_vs_two`), and |sigma_0 t| = |sigma_0 t'| in K
-    only for t = +-t'.  Returns None unless the algebra is split at place 0
-    and ramified at every other real place.
+    only for t = +-t'.  Raises `InputError` unless the algebra is split at
+    place 0 and ramified at every other real place.
     """
     algebra = order.algebra
     if not algebra.is_cocompact_presentation():
-        return None
+        raise InputError("need the algebra split at place 0 and ramified elsewhere")
     field = algebra.field
     square = ideal * ideal
     cap = Fraction(4)

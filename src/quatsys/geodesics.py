@@ -94,7 +94,6 @@ class GeodesicCandidate:
     trace: FieldElement
     abs_trace: float
     length: RatInterval | None        # None for non-hyperbolic (torsion alarm)
-    displacement: RatInterval
     is_elliptic: bool
 
     def record(self):
@@ -415,9 +414,8 @@ class Enumerator:
             return box if box.certainly_le(m_sq) or box.certainly_gt(m_sq) else None
 
         norm = cut(RatInterval(*approx))
-        fr = None
         if norm is None:
-            norm = fr = refine(lambda bits: cut(self._frob_sq(x, bits)), self.bits, 4096)
+            norm = refine(lambda bits: cut(self._frob_sq(x, bits)), self.bits, 4096)
         if norm.certainly_gt(m_sq):
             return
         trace = x.reduced_trace()
@@ -426,9 +424,6 @@ class Enumerator:
         if prev is not None and not self._frob_less(x, prev.element, norm, self._rep_norm[key]):
             return
         self._rep_norm[key] = norm
-        if fr is None:
-            fr = self._frob_sq(x)
-        disp = iv_acosh(fr / 2, self.bits) if fr.certainly_gt(2) else RatInterval.exact(0)
 
         def side_and_box(bits):
             # one enclosure of |sigma_0 t| (exact if t is rational) for side and length
@@ -445,7 +440,6 @@ class Enumerator:
             trace=trace if key[0] == trace.num else -trace,
             abs_trace=float(tr_box.mid),
             length=length,
-            displacement=disp,
             is_elliptic=side < 0,
         )
 
@@ -569,21 +563,21 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
     """
     coset = trace_coset_minimum(order, ideal)
     # within one of the first radius not below L*; the check in the loop settles it
-    first = 0 if coset is None else max(0, math.floor(
+    first = max(0, math.floor(
         (coset.length.lo - Fraction(schedule.start)) / Fraction(schedule.step)))
     best_key = None
     streak = 0
     last = None
     for k in range(first, schedule.count()):
         radius = schedule.start + k * schedule.step
-        if coset is not None and coset.length.certainly_gt(radius):
+        if coset.length.certainly_gt(radius):
             continue
         cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes)
         hyper = [c for c in cands if not c.is_elliptic]
         elliptic = [c for c in cands if c.is_elliptic]
         min_cand = hyper[0] if hyper else None
         mode, certificate = "searching", None
-        realised = _coset_realised(coset, hyper) if coset is not None else None
+        realised = _coset_realised(coset, hyper)
         if realised is not None:
             min_cand, mode, certificate = realised, "certified", "trace-coset"
         key = min_cand.trace.coords if min_cand else None

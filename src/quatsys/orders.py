@@ -8,12 +8,12 @@ stabilizes, and the last closure pass multiplied every pair of basis
 elements of the final lattice.
 
 Order-level tables: the structure constants, the involution, the norm form
-and the identity over the order's own basis are integer arrays that depend
-on the order alone.  The constructor builds them (`OrderLattice.tables`)
-from that pass's products and certifies the order from them: it contains
-1, is closed under multiplication and the standard involution, has
-integral reduced traces and norms, and kappa | 2ab.  Every finite quotient
-and congruence lattice of the order reads the same read-only arrays.
+and the identity over the order's own basis are tuples of Python integers
+that depend on the order alone.  The constructor builds them
+(`OrderLattice.tables`) from that pass's products and certifies the order
+from them: it contains 1, is closed under multiplication and the standard
+involution, has integral reduced traces and norms, and kappa | 2ab.  Every
+finite quotient and congruence lattice of the order reads the same tables.
 
 Congruence structure: for an ideal I of the center, I*Q is the two-sided
 ideal spanned by products of an ideal basis with an order basis, and the
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from . import lattice
 from .errors import InputError, InvariantViolation
 from .numfield import FieldElement, IdealHNF, NumberField, hurwitz_field
@@ -38,36 +36,44 @@ from .quatalg import QuatElement, QuaternionAlgebra
 _MAX_CLOSE_ITERS = 12
 
 
-def flatten(x: QuatElement):
-    """4d rational coordinates of a quaternion over the standard basis."""
-    out = []
+def scaled_row(x: QuatElement, kappa: int):
+    """Integer coordinates of kappa*x over the scaled standard basis, or None.
+
+    A coordinate num/den in lowest terms (gcd(den, *num) = 1) has
+    kappa*num/den integral exactly when den divides kappa.
+    """
+    row = []
     for c in x.coords:
-        out.extend(c.coords)
-    return out
+        if kappa % c.den:
+            return None
+        scale = kappa // c.den
+        row.extend(n * scale for n in c.num)
+    return row
 
 
-def unflatten(algebra: QuaternionAlgebra, vec) -> QuatElement:
+def unflatten(algebra: QuaternionAlgebra, row, den: int = 1) -> QuatElement:
+    """The quaternion with scaled standard coordinates `row` over `den`."""
     d = algebra.field.degree
-    parts = [algebra.field.element(vec[l * d:(l + 1) * d]) for l in range(4)]
-    return QuatElement(algebra, parts)
+    return QuatElement(algebra, [FieldElement(algebra.field, row[l * d:(l + 1) * d], den)
+                                 for l in range(4)])
 
 
 @dataclass(frozen=True)
 class OrderTables:
-    """Integer tables of an order over its basis w_0 .. w_{n-1} (read-only).
+    """Integer tables of an order over its basis w_0 .. w_{n-1}, as tuples of ints.
 
-    struct[a, b]       coordinates of w_a * w_b
+    struct[a][b]       coordinates of w_a * w_b
     invol[a]           coordinates of conj(w_a)
-    norm_tensor[a, b]  kappa times the power-basis coordinates of the
+    norm_tensor[a][b]  kappa times the power-basis coordinates of the
                        1-component of w_a * conj(w_b), so that the reduced
-                       norm of x = sum x_a w_a is sum x_a x_b norm_tensor[a, b] / kappa
+                       norm of x = sum x_a w_a is sum x_a x_b norm_tensor[a][b] / kappa
     one                coordinates of 1
     """
 
-    struct: np.ndarray
-    invol: np.ndarray
-    norm_tensor: np.ndarray
-    one: np.ndarray
+    struct: tuple
+    invol: tuple
+    norm_tensor: tuple
+    one: tuple
 
 
 class OrderLattice:
@@ -78,24 +84,21 @@ class OrderLattice:
         self.algebra = algebra
         self.name = name or "order"
         self.assume_maximal = bool(assume_maximal)
-        basis = _module_span(algebra, generators)
+        kappa, mat = _module_span(algebra, generators)
         # `_hnf_span` is canonical, so the span stops growing when it repeats
         for _ in range(_MAX_CLOSE_ITERS):
+            basis = [unflatten(algebra, row, kappa) for row in mat]
             products = [w1 * w2 for w1 in basis for w2 in basis]
-            new_basis = _hnf_span(algebra, basis + products)
-            if new_basis == basis:
+            span = _hnf_span(algebra, basis + products)
+            if span == (kappa, mat):
                 break
-            basis = new_basis
+            kappa, mat = span
         else:
             raise InputError("generators do not span an order: closure did not stabilize")
+        self.kappa, self.mat = kappa, mat
         dim = 4 * algebra.field.degree
-        if len(basis) != dim:
-            raise InputError(f"order lattice has rank {len(basis)}, expected {dim}")
-
-        self.kappa = _lcd(basis)
-        # kappa * basis is the row HNF already: the HNF of a lattice scaled
-        # by a positive integer is the scaled HNF
-        self.mat = tuple(tuple(_as_int(c * self.kappa) for c in flatten(w)) for w in basis)
+        if len(self.mat) != dim:
+            raise InputError(f"order lattice has rank {len(self.mat)}, expected {dim}")
         if not lattice.is_full_rank_hnf(self.mat, dim):
             raise InvariantViolation("order lattice lost rank during normalization")
         if not self.contains(algebra.one()):
@@ -112,15 +115,16 @@ class OrderLattice:
 
         The tables exist, so the lattice contains 1 and is closed under
         multiplication and the involution.  The reduced trace of w_a is
-        2 head_a / kappa and its reduced norm norm_tensor[a, a] / kappa,
+        2 head_a / kappa and its reduced norm norm_tensor[a][a] / kappa,
         with head_a the first d entries of row a of `mat`.
         """
         d = self.algebra.field.degree
         if (any(2 * c % self.kappa for row in self.mat for c in row[:d])
-                or (tables.norm_tensor.diagonal() % self.kappa).any()):
+                or any(c % self.kappa for a, plane in enumerate(tables.norm_tensor)
+                       for c in plane[a])):
             raise InvariantViolation("order element with non-integral trace or norm")
         quota = self.algebra.a * self.algebra.b * 2
-        if not (quota * Fraction(1, self.kappa)).is_integral():
+        if quota.den != 1 or any(c % self.kappa for c in quota.num):
             raise InvariantViolation(f"kappa={self.kappa} does not divide 2ab")
 
     # -- basic structure ------------------------------------------------------
@@ -133,19 +137,11 @@ class OrderLattice:
         return self.algebra.field.from_rational(self.kappa)
 
     def basis_elements(self):
-        inv = Fraction(1, self.kappa)
-        return [unflatten(self.algebra, [c * inv for c in row]) for row in self.mat]
-
-    def scaled_coords(self, x: QuatElement):
-        """Integer coordinates of kappa*x over the standard basis, or None."""
-        vec = [c * self.kappa for c in flatten(x)]
-        if any(c.denominator != 1 for c in vec):
-            return None
-        return [int(c) for c in vec]
+        return [unflatten(self.algebra, row, self.kappa) for row in self.mat]
 
     def coords(self, x: QuatElement):
         """Integer coordinates of x over the order basis, or None if x is not in the order."""
-        vec = self.scaled_coords(x)
+        vec = scaled_row(x, self.kappa)
         if vec is None:
             return None
         return lattice.solve_triangular(self.mat, vec)
@@ -196,20 +192,19 @@ class CongruenceIdealLattice:
             raise InputError("ideal and order live over different fields")
         self.order = order
         self.ideal = ideal
-        # alpha * w_b = sum_a alpha_a struct[a, b], alpha_a the order coordinates
+        # alpha * w_b = sum_a alpha_a struct[a][b], alpha_a the order coordinates
         # of alpha (O_K lies in the order, which contains 1)
-        struct = order.tables.struct.astype(object)
+        columns = list(zip(*order.tables.struct))  # columns[b][a] = struct[a][b]
         rows = []
         for alpha in ideal.basis_elements():
-            coords = np.array(order.coords(order.algebra.element(alpha, 0, 0, 0)), dtype=object)
-            rows.extend(np.tensordot(coords, struct, axes=([0], [0])).tolist())
+            coords = order.coords(order.algebra.element(alpha, 0, 0, 0))
+            rows.extend(_combine(coords, column) for column in columns)
         coord_mat = lattice.hnf(rows, order.dim)
         if not lattice.is_full_rank_hnf(coord_mat, order.dim):
             raise InvariantViolation("congruence lattice lost rank")
         self.coord_mat = tuple(tuple(r) for r in coord_mat)
-        basis = np.array(order.mat, dtype=object)
         self.mat = tuple(tuple(r) for r in lattice.hnf(
-            (np.array(coord_mat, dtype=object) @ basis).tolist(), order.dim))
+            [_combine(r, order.mat) for r in coord_mat], order.dim))
         self._certify()
 
     def _certify(self):
@@ -219,36 +214,26 @@ class CongruenceIdealLattice:
         coordinates (Python integers, so nothing can wrap).
         """
         tables = self.order.tables
-        struct = tables.struct.astype(object)
-        invol = tables.invol.astype(object)
-        for row in self.coord_mat:
-            z = np.array(row, dtype=object)
-            if not lattice.contains(self.coord_mat, z @ invol):
+        columns = list(zip(*tables.struct))  # columns[a][b] = struct[b][a]
+        for z in self.coord_mat:
+            if not lattice.contains(self.coord_mat, _combine(z, tables.invol)):
                 raise InvariantViolation("I*Q is not stable under the involution")
-            # row a: w_a * z = sum_b z_b struct[a, b]; z * w_a = sum_b z_b struct[b, a]
-            for prod in (np.tensordot(struct, z, axes=([1], [0])),
-                         np.tensordot(z, struct, axes=([0], [0]))):
-                if not all(lattice.contains(self.coord_mat, vec) for vec in prod):
+            # w_a * z = sum_b z_b struct[a][b]; z * w_a = sum_b z_b struct[b][a]
+            for plane, column in zip(tables.struct, columns):
+                if not (lattice.contains(self.coord_mat, _combine(z, plane))
+                        and lattice.contains(self.coord_mat, _combine(z, column))):
                     raise InvariantViolation("I*Q is not a two-sided ideal")
 
     def basis_elements(self):
-        inv = Fraction(1, self.order.kappa)
-        return [unflatten(self.order.algebra, [c * inv for c in row]) for row in self.mat]
+        return [unflatten(self.order.algebra, row, self.order.kappa) for row in self.mat]
 
     def contains(self, x: QuatElement) -> bool:
-        vec = self.order.scaled_coords(x)
-        if vec is None:
-            return False
-        return lattice.contains([list(r) for r in self.mat], vec)
+        vec = scaled_row(x, self.order.kappa)
+        return vec is not None and lattice.contains(self.mat, vec)
 
     def random_element(self, rng, spread=6) -> QuatElement:
         coeffs = [rng.randrange(-spread, spread + 1) for _ in range(self.order.dim)]
-        vec = [0] * self.order.dim
-        for c, row in zip(coeffs, self.mat):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, row)]
-        inv = Fraction(1, self.order.kappa)
-        return unflatten(self.order.algebra, [c * inv for c in vec])
+        return unflatten(self.order.algebra, _combine(coeffs, self.mat), self.order.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -375,25 +360,33 @@ def _build_tables(order: OrderLattice, basis, products) -> OrderTables:
     """
     n, d = order.dim, order.algebra.field.degree
 
-    def table(elems, shape, failure):
+    def table(elems, failure):
         rows = [order.coords(x) for x in elems]
         if any(r is None for r in rows):
             raise InvariantViolation(failure)
-        return np.array(rows, dtype=object).reshape(shape)
+        return tuple(tuple(r) for r in rows)
 
-    one = table([order.algebra.one()], (n,), "order does not contain 1")
-    struct = table(products, (n, n, n), "order is not closed under multiplication")
-    invol = table([w.conj() for w in basis], (n, n), "order is not closed under the involution")
-    # w_a * conj(w_b) = sum_c invol[b, c] w_a w_c, and the first d scaled
+    (one,) = table([order.algebra.one()], "order does not contain 1")
+    flat = table(products, "order is not closed under multiplication")
+    struct = tuple(flat[a * n:(a + 1) * n] for a in range(n))
+    invol = table([w.conj() for w in basis], "order is not closed under the involution")
+    # w_a * conj(w_b) = sum_c invol[b][c] w_a w_c, and the first d scaled
     # standard coordinates of an element are kappa times its 1-component
-    head = np.array([row[:d] for row in order.mat], dtype=object)
-    norm_tensor = np.einsum("bc,acm,mk->abk", invol, struct, head)
-    arrays = []
-    for arr in (struct, invol, norm_tensor, one):
-        arr = arr.astype(np.int64)
-        arr.setflags(write=False)
-        arrays.append(arr)
-    return OrderTables(*arrays)
+    head = [row[:d] for row in order.mat]
+    norm_tensor = []
+    for plane in struct:
+        heads = [_combine(coords, head) for coords in plane]  # kappa (w_a w_c)_0
+        norm_tensor.append(tuple(tuple(_combine(invol[b], heads)) for b in range(n)))
+    return OrderTables(struct, invol, tuple(norm_tensor), one)
+
+
+def _combine(coeffs, rows) -> list:
+    """The integer row sum_k coeffs[k] * rows[k]."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return out
 
 
 def _module_span(algebra, generators):
@@ -409,28 +402,12 @@ def _module_span(algebra, generators):
 
 
 def _hnf_span(algebra, elems):
-    den = 1
-    flat = []
-    for e in elems:
-        vec = flatten(e)
-        flat.append(vec)
-        for c in vec:
-            den = lcm(den, c.denominator)
-    rows = [[int(c * den) for c in vec] for vec in flat]
-    mat = lattice.hnf(rows, 4 * algebra.field.degree)
-    inv = Fraction(1, den)
-    return [unflatten(algebra, [c * inv for c in row]) for row in mat]
+    """(kappa, HNF rows) of the Z-span of `elems` over the scaled standard basis.
 
-
-def _lcd(basis) -> int:
-    den = 1
-    for e in basis:
-        for c in flatten(e):
-            den = lcm(den, c.denominator)
-    return den
-
-
-def _as_int(f: Fraction) -> int:
-    if f.denominator != 1:
-        raise InvariantViolation("expected an integer coordinate")
-    return int(f)
+    kappa, the least common denominator of the elements' coordinates, is
+    the least positive integer that makes the span integral, so the pair
+    is canonical for the lattice.
+    """
+    kappa = lcm(*(c.den for e in elems for c in e.coords))
+    rows = [scaled_row(e, kappa) for e in elems]
+    return kappa, tuple(tuple(r) for r in lattice.hnf(rows, 4 * algebra.field.degree))

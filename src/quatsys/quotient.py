@@ -6,9 +6,11 @@ The exhaustive counts are the ground truth here; the closed-form counting
 identities are the claims being validated against them.
 
 Every ring of one order reads the order's tables (structure constants,
-involution, norm form, identity; `OrderLattice.tables`), built once per
-order.  A ring adds only its congruence lattice in order coordinates and
-the classification of the central residues O_K/p^t into units.
+involution, norm form, identity; `OrderLattice.tables`, Python integers),
+built once per order.  A ring adds its norm form as a read-only int64
+array (a table that does not fit int64 raises `CapExceeded`), its
+congruence lattice in order coordinates, and the classification of the
+central residues O_K/p^t into units.  It counts its residues at most once.
 
 Counting.  The reduced residues are the product set {0 <= x_j < diag_j}.
 Coordinates with diag_j == 1 are always 0; the others split into leading
@@ -40,14 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
 from . import lattice
 from .errors import CapExceeded, InputError, InvariantViolation
 from .numfield import IdealHNF, factor_ideal
-from .orders import OrderLattice, flatten
+from .orders import OrderLattice, scaled_row
 from .quatalg import RAMIFIED, QuaternionAlgebra
 
 DEFAULT_CAP = 10 ** 7
@@ -75,7 +77,7 @@ class FiniteQuotRing:
         self.center_dim = order.algebra.field.degree
         self.kappa = order.kappa
         self.tables = order.tables
-        self.norm_tensor = self.tables.norm_tensor
+        self.norm_tensor = _int64(self.tables.norm_tensor)
 
         # the congruence lattice in order-basis coordinates
         mod_mat = order.congruence_lattice(self.ideal).coord_mat
@@ -117,10 +119,12 @@ class FiniteQuotRing:
         self._center_sub = hnf[np.ix_(self._center_cols, self._center_cols)]
         self._center_index, self._center_units, self._center_one = \
             self._classify_center()
+        self._counts = None
 
     @staticmethod
     def _tensor_bound(tensor, max_coord):
-        worst = int(np.abs(tensor).sum(axis=(0, 1)).max())
+        # in Python integers, so the bound itself cannot wrap
+        worst = int(np.abs(np.array(tensor, dtype=object)).sum(axis=(0, 1)).max())
         return worst * max_coord * max_coord
 
     def _divide_kappa(self, scaled: np.ndarray) -> np.ndarray:
@@ -202,8 +206,11 @@ class FiniteQuotRing:
         return hist
 
     def count_units_and_norm_one(self):
-        hist = self._norm_histogram()
-        return int(hist[self._center_units].sum()), int(hist[self._center_one])
+        """(units, norm-one residues), counted on the first call only."""
+        if self._counts is None:
+            hist = self._norm_histogram()
+            self._counts = int(hist[self._center_units].sum()), int(hist[self._center_one])
+        return self._counts
 
     def count_norm_one(self) -> int:
         return self.count_units_and_norm_one()[1]
@@ -254,6 +261,16 @@ def _float_exact(bound: int) -> bool:
     if bound >= 2 ** 63:
         raise CapExceeded(f"integer sums up to {bound} would overflow int64")
     return bound < 2 ** 53
+
+
+def _int64(table) -> np.ndarray:
+    """A read-only int64 array of an order table; `CapExceeded` if it does not fit."""
+    try:
+        arr = np.array(table, dtype=np.int64)
+    except OverflowError as exc:
+        raise CapExceeded("an order table entry does not fit int64") from exc
+    arr.setflags(write=False)
+    return arr
 
 
 def _digits(start: int, stop: int, radices) -> np.ndarray:
@@ -438,9 +455,7 @@ def nonmaximal_local_primes(order: OrderLattice, reference: OrderLattice, primes
 
 
 def _locally_equal(order: OrderLattice, reference: OrderLattice, prime: IdealHNF) -> bool:
-    from math import lcm as _lcm
-
-    scale = _lcm(order.kappa, reference.kappa)
+    scale = lcm(order.kappa, reference.kappa)
     mine = [[x * (scale // order.kappa) for x in row] for row in order.mat]
     theirs = [[x * (scale // reference.kappa) for x in row] for row in reference.mat]
     prev = None
@@ -450,8 +465,7 @@ def _locally_equal(order: OrderLattice, reference: OrderLattice, prime: IdealHNF
         rows = list(mine)
         for alpha in pm.basis_elements():
             for w in reference.basis_elements():
-                coords = [c * scale for c in flatten(alpha * w)]
-                rows.append([int(c) for c in coords])
+                rows.append(scaled_row(alpha * w, scale))
         joined = lattice.hnf(rows, order.dim)
         idx = lattice.lattice_index(lattice.hnf(theirs, order.dim), joined)
         if idx == prev:

@@ -111,8 +111,7 @@ def _parse_order(algebra: QuaternionAlgebra, value: str) -> OrderLattice:
         rows.append(vec)
     if len(rows) != dim:
         raise InputError(f"order needs {dim} rows")
-    inv = Fraction(1, kappa)
-    gens = [unflatten(algebra, [c * inv for c in row]) for row in rows]
+    gens = [unflatten(algebra, row, kappa) for row in rows]
     return OrderLattice(algebra, gens, name="custom")
 
 

@@ -5,6 +5,9 @@ refers to, and which quatsys does not export, is either dead or an oracle
 that belongs in tests/.  Dunders and overrides of a base-class method are
 called by the language or the base class and are not listed.  The scan lists
 the rest; each one kept must be on the allowlist below with its reason.
+
+A second scan keeps numpy inside the quotient-counting kernel: no other
+module of src/quatsys imports it.
 """
 
 import ast
@@ -86,3 +89,24 @@ def uncalled_functions() -> list:
 
 def test_every_uncalled_function_is_allowlisted():
     assert uncalled_functions() == sorted(ALLOWED)
+
+
+def numpy_importers() -> list:
+    """The modules of src/quatsys with an import of numpy or a numpy submodule."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                out.append(path.name)
+                break
+    return out
+
+
+def test_only_the_quotient_kernel_imports_numpy():
+    assert numpy_importers() == ["quotient.py"]

@@ -114,6 +114,32 @@ def test_cli_quotient_count(capsys):
     assert code == 0 and "type=M2(F_q) radical=1" in out
 
 
+def test_cli_quotient_count_counts_the_quotient_once(capsys, monkeypatch):
+    # the residue type comes from the same count as units= and norm_one=
+    from quatsys.quotient import FiniteQuotRing
+
+    calls = []
+    histogram = FiniteQuotRing._norm_histogram
+    monkeypatch.setattr(FiniteQuotRing, "_norm_histogram",
+                        lambda ring: calls.append(ring) or histogram(ring))
+    code, out = _run(capsys, "--hurwitz", "quotient-count", "--prime", "7")
+    assert code == 0 and "norm_one=336" in out and "type=M2(F_q) radical=1" in out
+    assert len(calls) == 1
+
+
+def test_cli_order_with_tables_beyond_int64(tmp_path, capsys):
+    # ab = 10^20 exceeds 2^63: the order's tables are Python integers, and
+    # only the quotient count, which needs int64, refuses the order
+    path = tmp_path / "field.txt"
+    path.write_text("minpoly: 1 0\nquat: 10000000000 | 10000000000\n"
+                    "order: 1 | 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\n")
+    for command in ("field-info", "ramification"):
+        code, out = _run(capsys, "--field", str(path), command)
+        assert code == 0 and "error=" not in out, command
+    code, out = _run(capsys, "--field", str(path), "quotient-count", "--prime", "3")
+    assert code == 2 and _records(out)[-1].startswith("error=cap")
+
+
 def test_cli_quotient_count_by_ideal_generators(capsys):
     code, out = _run(capsys, "--hurwitz", "quotient-count", "--ideal", "2,-1,0")
     assert code == 0

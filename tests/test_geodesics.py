@@ -164,7 +164,7 @@ def test_box_bounds_contents(QH, P7):
 
 def test_systole_search_stabilizes(QH, P7, monkeypatch):
     # the fallback rule, with the trace-coset certificate unavailable
-    monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: None)
+    monkeypatch.setattr(geodesics, "_coset_realised", lambda *args: None)
     result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0))
     assert result.mode == "stabilized" and result.certificate is None
     assert abs(float(result.min_length.mid) - 3.936) < 1e-3
@@ -515,7 +515,7 @@ def test_search_enumerates_once_per_radius_and_keeps_precision(QH, P7, monkeypat
     assert (iv.prec, mp.prec) == prec
     # the stabilized fallback walks the schedule, once per radius
     radii.clear()
-    monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: None)
+    monkeypatch.setattr(geodesics, "_coset_realised", lambda *args: None)
     result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 6.5))
     assert result.mode == "stabilized"
     assert radii == [4.5, 5.5, 6.5]
@@ -704,7 +704,8 @@ def test_trace_coset_minimum_needs_a_cocompact_presentation(K):
     from quatsys.quatalg import QuaternionAlgebra
 
     split = QuaternionAlgebra(K, K.one(), K.one())
-    assert trace_coset_minimum(standard_order(split), K.whole_ring()) is None
+    with pytest.raises(InputError, match="split at place 0"):
+        trace_coset_minimum(standard_order(split), K.whole_ring())
 
 
 @pytest.mark.parametrize("name,radius", [("P7", 6.5), ("P13#0", 7.5)])
@@ -758,7 +759,7 @@ def test_trace_below_the_coset_minimum_is_an_invariant_violation(QH, P7, K, monk
 
 
 def test_diameter_certificate_is_decided_in_intervals(QH, P7, monkeypatch):
-    monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: None)
+    monkeypatch.setattr(geodesics, "_coset_realised", lambda *args: None)
     result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0), diameter_bound=0.3)
     assert result.mode == "certified" and result.certificate == "diameter"
     assert "certificate=diameter" in result.records()

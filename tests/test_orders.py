@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quatsys import lattice
 from quatsys.errors import InputError, InvariantViolation
 from quatsys.numfield import IdealHNF
-from quatsys.orders import (OrderLattice, hurwitz_j_prime, hurwitz_order, standard_order,
-                            verify_trace_norm_containment)
+from quatsys.orders import (OrderLattice, hurwitz_j_prime, hurwitz_order, scaled_row,
+                            standard_order, verify_trace_norm_containment)
 from quatsys.quatalg import QuatElement
 
 
@@ -50,7 +51,7 @@ def test_order_and_tables_take_one_closure_pass(D, monkeypatch):
     monkeypatch.setattr(QuatElement, "__mul__", lambda x, y: calls.append(1) or product(x, y))
     for build, expected in ((hurwitz_order, 12 + 81 + 144), (standard_order, 12 + 144)):
         calls.clear()
-        assert build(D).tables.struct.shape == (12, 12, 12)
+        assert np.array(build(D).tables.struct, dtype=np.int64).shape == (12, 12, 12)
         assert len(calls) == expected
 
 
@@ -58,13 +59,16 @@ def test_tables_equal_exact_products_of_the_basis(QH, O_std, D):
     for order in (QH, O_std):
         assert [list(r) for r in order.mat] == lattice.hnf(order.mat, order.dim)
         basis = order.basis_elements()
-        tables = order.tables
-        assert tables.struct.tolist() == [[order.coords(a * b) for b in basis] for a in basis]
-        assert tables.invol.tolist() == [order.coords(w.conj()) for w in basis]
-        assert tables.one.tolist() == order.coords(D.one())
+        struct, invol, norm_tensor, one = (
+            np.array(table, dtype=np.int64) for table in (
+                order.tables.struct, order.tables.invol, order.tables.norm_tensor,
+                order.tables.one))
+        assert struct.tolist() == [[order.coords(a * b) for b in basis] for a in basis]
+        assert invol.tolist() == [order.coords(w.conj()) for w in basis]
+        assert one.tolist() == order.coords(D.one())
         head = [[c * order.kappa for c in (a * b.conj()).coords[0].coords] for b in basis
                 for a in basis]
-        assert tables.norm_tensor.transpose(1, 0, 2).reshape(-1, 3).tolist() == head
+        assert norm_tensor.transpose(1, 0, 2).reshape(-1, 3).tolist() == head
 
 
 def test_involution_stability_of_bases(QH, O_std):
@@ -188,7 +192,7 @@ def test_congruence_lattice_equals_the_span_of_products(QH, O_std, P7, P2, P13s)
     # I*Q from the structure constants is the span of the products alpha * w
     for order in (QH, O_std):
         for ideal in [P7, P2, P7 * P7] + P13s:
-            rows = [order.scaled_coords(alpha * w) for alpha in ideal.basis_elements()
+            rows = [scaled_row(alpha * w, order.kappa) for alpha in ideal.basis_elements()
                     for w in order.basis_elements()]
             mat = lattice.hnf(rows, order.dim)
             coord_rows = [lattice.solve_triangular(order.mat, row) for row in mat]

@@ -43,18 +43,23 @@ def reduce(ring, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def struct(ring) -> np.ndarray:
+    """The order's structure constants as an int64 array."""
+    return np.array(ring.tables.struct, dtype=np.int64)
+
+
 def mul_exact_float(ring) -> bool:
     """Whether float64 is exact for products of reduced residues."""
-    return _float_exact(ring._tensor_bound(ring.tables.struct, int(ring.diag.max())))
+    return _float_exact(ring._tensor_bound(struct(ring), int(ring.diag.max())))
 
 
 def mul(ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Componentwise ring product of two residue arrays."""
-    return reduce(ring, _quad(x, y, ring.tables.struct, mul_exact_float(ring)))
+    return reduce(ring, _quad(x, y, struct(ring), mul_exact_float(ring)))
 
 
 def involution(ring, x: np.ndarray) -> np.ndarray:
-    return reduce(ring, x @ ring.tables.invol)
+    return reduce(ring, x @ np.array(ring.tables.invol, dtype=np.int64))
 
 
 def norm_classes(ring, x: np.ndarray) -> np.ndarray:
@@ -104,11 +109,11 @@ def radical_unit_definition(ring) -> set:
     res = all_residues(ring)
     strides = np.array([int(np.prod(ring.diag[j + 1:])) for j in range(ring.dim)])
     # struct_c[a, b] = (w_a * w_b) @ C
-    struct_c = ring.tables.struct @ reduce(ring, np.eye(ring.dim, dtype=np.int64))
+    struct_c = struct(ring) @ reduce(ring, np.eye(ring.dim, dtype=np.int64))
     float_ok = _float_exact(ring._tensor_bound(struct_c, int(ring.diag.max())))
     # res[k] is the residue of code k
     one_minus_is_unit = ring._center_units[
-        ring._center_keys(norm_classes(ring, ring.tables.one[None, :] - res))]
+        ring._center_keys(norm_classes(ring, np.array([ring.tables.one]) - res))]
     out = set()
     batch = max(1, _CHUNK // len(res))
     for start in range(0, len(res), batch):
@@ -199,7 +204,7 @@ def test_ring_axioms_on_sampled_triples(QH, P7):
     assert np.array_equal(mul(ring, mul(ring, x, y), z), mul(ring, x, mul(ring, y, z)))
     assert np.array_equal(mul(ring, x, reduce(ring, y + z)),
                           reduce(ring, mul(ring, x, y) + mul(ring, x, z)))
-    one = np.repeat(ring.tables.one[None, :], len(x), axis=0)
+    one = np.repeat(np.array([ring.tables.one]), len(x), axis=0)
     assert np.array_equal(mul(ring, x, one), reduce(ring, x))
     # involution is an anti-automorphism on the quotient
     assert np.array_equal(involution(ring, mul(ring, x, y)),
@@ -350,6 +355,11 @@ def small_rings(QH, O_std, P7, P2, P13s):
         ("O_std/P7", O_std, P7), ("O_std/P2", O_std, P2)]}
 
 
+def fresh(ring):
+    """A new ring over the same order and ideal, not yet counted."""
+    return FiniteQuotRing(ring.order, ring.prime, ring.t)
+
+
 @pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P7", "O_std/P2"])
 def test_split_count_equals_residue_loop(small_rings, name):
     ring = small_rings[name]
@@ -358,9 +368,9 @@ def test_split_count_equals_residue_loop(small_rings, name):
 
 @pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P2"])
 def test_float_and_int64_paths_agree(small_rings, name, monkeypatch):
-    ring = small_rings[name]
+    expected = small_rings[name].count_units_and_norm_one()
+    ring = fresh(small_rings[name])  # a ring counts once; this one has not
     assert ring._cross_exact_float and ring._norm_exact_float
-    expected = ring.count_units_and_norm_one()
     monkeypatch.setattr(ring, "_cross_exact_float", False)
     monkeypatch.setattr(ring, "_norm_exact_float", False)
     assert ring.count_units_and_norm_one() == expected
@@ -384,7 +394,8 @@ def test_kappa_check_covers_every_part_of_the_split(small_rings, monkeypatch):
     ring = small_rings["QH/P13"]
     a, b = ring._lead[0], ring._trail[0]
     for i, j in [(a, a), (b, b), (a, b)]:
-        bad = ring.tables.norm_tensor.copy()
+        ring = fresh(ring)  # a ring counts once; this one has not
+        bad = ring.norm_tensor.copy()
         bad[i, j, 0] += 1
         monkeypatch.setattr(ring, "norm_tensor", bad)
         with pytest.raises(InvariantViolation):
@@ -400,8 +411,11 @@ def test_order_tables_built_once(QH, P7, P13s):
     r13 = FiniteQuotRing(QH, P13s[0], 1)
     assert r7.tables is r13.tables is QH.tables
     tables = r7.tables
-    for arr in (tables.struct, tables.invol, r7.norm_tensor, tables.one):
-        assert not arr.flags.writeable
+    # the tables are Python integers; a ring holds its norm form as int64
+    for table in (tables.struct, tables.invol, tables.norm_tensor, tables.one):
+        assert isinstance(table, tuple)
+    assert np.array_equal(r7.norm_tensor, tables.norm_tensor)
+    assert r7.norm_tensor.dtype == np.int64 and not r7.norm_tensor.flags.writeable
 
 
 def test_float_exact_guard_on_a_synthetic_tensor():
