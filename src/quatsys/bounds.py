@@ -19,7 +19,8 @@ from fractions import Fraction
 from mpmath import im, mp, mpf, polylog
 
 from .errors import InputError, InvariantViolation
-from .intervals import START_BITS, RatInterval, iv_acosh, iv_log, iv_pow, iv_sqrt, refine
+from .intervals import (START_BITS, RatInterval, _raw_to_frac, iv_acosh, iv_log, iv_pi,
+                        iv_pow, iv_sqrt, refine)
 from .numfield import IdealHNF, abs_vs_two
 from .orders import OrderLattice, hurwitz_preset
 
@@ -126,10 +127,10 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinim
         best = []
         limits = [cap] + [Fraction(2)] * (field.degree - 1)
         for t in field.box_walk(limits, square.mat, shift=2):
-            if any(abs_vs_two(t, s, START_BITS) >= 0 for s in range(1, field.degree)) or \
-                    abs_vs_two(t, 0, START_BITS) <= 0:
+            if any(abs_vs_two(t, s) >= 0 for s in range(1, field.degree)) or \
+                    abs_vs_two(t, 0) <= 0:
                 continue
-            cmp = compare_abs0(t, best[0], START_BITS) if best else -1
+            cmp = compare_abs0(t, best[0]) if best else -1
             if cmp < 0:
                 best = [t]
             elif cmp == 0:
@@ -137,25 +138,24 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinim
         if best:
             box = best[0].embed(0, START_BITS).abs()
             if box.certainly_le(cap):
-                return TraceCosetMinimum(best, box, length_from_trace(box, prec=START_BITS))
+                return TraceCosetMinimum(best, box, length_from_trace(box))
         cap *= 2
 
 
-def compare_abs0(t, u, bits: int) -> int:
+def compare_abs0(t, u) -> int:
     """Sign of |sigma_0 t| - |sigma_0 u|, exact: equal only when t = +-u."""
     if t == u or t == -u:
         return 0
-    return refine(lambda b: (t.embed(0, b).abs() - u.embed(0, b).abs()).sign(), bits)
+    return refine(lambda b: (t.embed(0, b).abs() - u.embed(0, b).abs()).sign(), START_BITS)
 
 
-def kleinian_trace_bounds(d: int, norm_i: int, norm_two_plus_kappa: int | None = None,
-                          prec: int = 64):
+def kleinian_trace_bounds(d: int, norm_i: int, norm_two_plus_kappa: int | None = None):
     """(sharp enclosure or None, coarse Fraction) for the 3-manifold case."""
     coarse = Fraction(norm_i) / Fraction(2) ** (d - 2) - 2
     sharp = None
     if norm_two_plus_kappa is not None:
-        denom = iv_sqrt(Fraction(norm_two_plus_kappa), prec) * \
-            iv_pow(Fraction(2), Fraction(d, 2) - 2, prec)
+        denom = iv_sqrt(Fraction(norm_two_plus_kappa), START_BITS) * \
+            iv_pow(Fraction(2), Fraction(d, 2) - 2, START_BITS)
         sharp = RatInterval.exact(norm_i) / denom - 2
     return sharp, coarse
 
@@ -165,7 +165,7 @@ def kleinian_trace_bounds(d: int, norm_i: int, norm_two_plus_kappa: int | None =
 # ---------------------------------------------------------------------------
 
 
-def length_from_trace(trace, exact: bool = True, prec: int = 64) -> RatInterval:
+def length_from_trace(trace, exact: bool = True) -> RatInterval:
     """Geodesic length from a translation trace.
 
     exact: 2*acosh(|t|/2), the true length of the hyperbolic element.
@@ -177,10 +177,10 @@ def length_from_trace(trace, exact: bool = True, prec: int = 64) -> RatInterval:
     if exact:
         if not t.certainly_gt(2):
             raise InputError("exact length needs |trace| > 2 (hyperbolic element)")
-        return iv_acosh(t / 2, prec) * 2
+        return iv_acosh(t / 2, START_BITS) * 2
     if not t.certainly_gt(1):
         raise InputError("length bound needs |trace| > 1")
-    return iv_log(t - 1, prec) * 2
+    return iv_log(t - 1, START_BITS) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +212,15 @@ def genus_from_index(ctx: GeometryContext, projective_index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sys_lower_bound_from_ideal(ctx: GeometryContext, ideal: IdealHNF,
-                               sharp: bool = True, prec: int = 64):
-    """2*log(trace floor - 1); None when the value would be <= 0 (vacuous)."""
-    floor = trace_lower_bound(ctx, ideal, sharp=sharp)
+def sys_lower_bound_from_ideal(ctx: GeometryContext, ideal: IdealHNF):
+    """2*log(sharp trace floor - 1); None when the value would be <= 0 (vacuous)."""
+    floor = trace_lower_bound(ctx, ideal)
     if floor <= 2:
         return None
-    return iv_log(floor - 1, prec) * 2
+    return length_from_trace(floor, exact=False)
 
 
-def sys_lower_bound_from_genus(ctx: GeometryContext, genus: int, prec: int = 64):
+def sys_lower_bound_from_genus(ctx: GeometryContext, genus: int):
     """Explicit chain: 2*log( (4*pi*(g-1)/(nu*lambda))^(2/3) / 2^(2d-2) - 3 ).
 
     The area ratio 4*pi*(g-1)/nu is rational because nu is a rational
@@ -230,23 +229,23 @@ def sys_lower_bound_from_genus(ctx: GeometryContext, genus: int, prec: int = 64)
     if genus < 2:
         raise InputError("genus must be at least 2")
     ratio = Fraction(4) * (genus - 1) / (ctx.covolume_pi * ctx.lambda_value)
-    base = iv_pow(ratio, Fraction(2, 3), prec) / Fraction(2) ** (2 * ctx.degree - 2) - 3
+    base = iv_pow(ratio, Fraction(2, 3), START_BITS) / Fraction(2) ** (2 * ctx.degree - 2) - 3
     if not base.certainly_gt(1):
         return None
-    return iv_log(base, prec) * 2
+    return iv_log(base, START_BITS) * 2
 
 
-def four_thirds_log_genus(genus: int, prec: int = 64) -> RatInterval:
+def four_thirds_log_genus(genus: int, prec: int = START_BITS) -> RatInterval:
     return iv_log(Fraction(genus), prec) * Fraction(4, 3)
 
 
-def hurwitz_43_check(genus: int, prec: int = 96) -> bool:
+def hurwitz_43_check(genus: int) -> bool:
     """Certified test of 2*log((21(g-1)/16)^(2/3) - 3) >= (4/3)*log(g)."""
     def decide(p):
         gap = (_hurwitz_chain(genus, p) - four_thirds_log_genus(genus, p)).sign()
         return None if gap is None else gap >= 0
 
-    return refine(decide, prec, 16 * prec)
+    return refine(decide, START_BITS, 1536)
 
 
 def _hurwitz_chain(genus: int, prec: int) -> RatInterval:
@@ -290,38 +289,33 @@ def hurwitz_43_range_check(lo: int = 65, hi: int = 10 ** 4,
 # ---------------------------------------------------------------------------
 
 
-def explicit_constant(ctx: GeometryContext, prec: int = 64) -> RatInterval:
+def explicit_constant(ctx: GeometryContext) -> RatInterval:
     """The bracketed constant of the surface bound: log(2^(3d-5) * nu * lambda / pi).
 
     nu/pi is rational, so this is the log of an exact rational.
     """
     value = Fraction(2) ** (3 * ctx.degree - 5) * ctx.covolume_pi * ctx.lambda_value
-    return iv_log(value, prec)
+    return iv_log(value, START_BITS)
 
 
 def r_invariant(ctx: GeometryContext):
     """R = 8^d * nu * lambda, reported as (rational coefficient of pi, enclosure)."""
     coeff = Fraction(8) ** ctx.degree * ctx.covolume_pi * ctx.lambda_value
-    from .intervals import iv_pi
-
-    return coeff, iv_pi(64) * coeff
+    return coeff, iv_pi(START_BITS) * coeff
 
 
-def fuchsian_sr_bound(ctx: GeometryContext, genus: int, prec: int = 64):
+def fuchsian_sr_bound(ctx: GeometryContext, genus: int):
     """(4/(9*pi)) * (log g - c)^2 / g with the explicit constant c."""
-    from .intervals import iv_pi
-
-    c = explicit_constant(ctx, prec)
-    diff = iv_log(Fraction(genus), prec) - c
+    diff = iv_log(Fraction(genus), START_BITS) - explicit_constant(ctx)
     if not diff.certainly_gt(0):
         return None
-    return diff * diff * Fraction(4, 9 * genus) / iv_pi(prec)
+    return diff * diff * Fraction(4, 9 * genus) / iv_pi(START_BITS)
 
 
-def v3_enclosure(prec: int = 96) -> RatInterval:
-    """Volume of the regular ideal 3-simplex: (3/2) * Im Li_2(e^(2*pi*i/3))."""
-    from .intervals import _raw_to_frac
-
+def v3_enclosure() -> RatInterval:
+    """Volume of the regular ideal 3-simplex: (3/2) * Im Li_2(e^(2*pi*i/3)),
+    at 96 bits rather than START_BITS, as its value is pinned to 1e-25."""
+    prec = 96
     with mp.workprec(prec + 24):
         val = im(polylog(2, mp.e ** (2j * mp.pi / 3))) * mpf(3) / 2
     center = _raw_to_frac(val._mpf_)
@@ -356,7 +350,7 @@ class KleinianReport:
 
 
 def kleinian_bounds(d: int, norm_i: int, lambda_value, base_simplicial_volume,
-                    torsion_free_base: bool, prec: int = 64) -> KleinianReport:
+                    torsion_free_base: bool) -> KleinianReport:
     """Plug-in evaluators for the 3-manifold tower; all inputs supplied by the caller.
 
     The cover volume obeys ||X_I|| <= ||X_1|| * lambda * Norm(I)^3, and the
@@ -373,19 +367,19 @@ def kleinian_bounds(d: int, norm_i: int, lambda_value, base_simplicial_volume,
     _sharp, coarse = kleinian_trace_bounds(d, norm_i)
     sys_floor = None
     if coarse - 1 > 1:
-        sys_floor = iv_log(coarse - 1, prec) * 2
+        sys_floor = length_from_trace(coarse, exact=False)
     sr_floor = None
     if sys_floor is not None and sys_floor.certainly_gt(0):
-        v3 = v3_enclosure(prec)
+        v3 = v3_enclosure()
         # SR = sys^3 / vol, vol = ||X|| * v3 <= cover_bound * v3
         sr_floor = (sys_floor ** 3) / (RatInterval.exact(cover_bound) * v3)
     return KleinianReport(norm_i, lam, base_vol, cover_bound, coarse,
                           sys_floor, sr_floor, torsion_free_base)
 
 
-def kleinian_sr_constant(prec: int = 96) -> RatInterval:
+def kleinian_sr_constant() -> RatInterval:
     """C1 = (8/27) / v3."""
-    return RatInterval.exact(Fraction(8, 27)) / v3_enclosure(prec)
+    return RatInterval.exact(Fraction(8, 27)) / v3_enclosure()
 
 
 def asymptotic_strings(ctx: GeometryContext) -> list:

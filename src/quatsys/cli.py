@@ -331,10 +331,13 @@ def cmd_table1(args, env, emit):
              f"systole={sys_mid:.3f} reference={ref if ref is not None else 'none'} "
              f"bound={bound_col:.3f} mode={result.mode} "
              f"pass={str(ref is not None).lower()}")
-    ref_row = TABLE_REFERENCE[-1]
-    emit(f"ideal_norm=- genus={ref_row['genus']} group_order=1344 "
-         f"systole=- reference={ref_row['systole']} "
-         f"bound={float(four_thirds_log_genus(ref_row['genus']).mid):.3f} "
+    ref_genus = TABLE_REFERENCE[-1]["genus"]
+    # the cover's index, from the area relation 4 pi (g - 1) = index * area
+    ref_row = {"genus": ref_genus, "group_order": int(4 * (ref_genus - 1) / ctx.covolume_pi),
+               "reference": TABLE_REFERENCE[-1]["systole"],
+               "bound": float(four_thirds_log_genus(ref_genus).mid)}
+    emit(f"ideal_norm=- genus={ref_genus} group_order={ref_row['group_order']} "
+         f"systole=- reference={ref_row['reference']} bound={ref_row['bound']:.3f} "
          f"mode=reference pass=-")
     emit("")
     emit(_render_table(rows, ref_row))
@@ -350,8 +353,8 @@ def _render_table(rows, ref_row):
                      f"{r['reference'] if r['reference'] else '-':>7} "
                      f"{r['bound']:>7.3f} {r['mode']:>11} "
                      f"{'ok' if r['pass'] else 'FAIL':>5}")
-    lines.append(f"{ref_row['genus']:>5} {1344:>6} {'-':>9} {ref_row['systole']:>7} "
-                 f"{3.778:>7.3f} {'reference':>11} {'-':>5}")
+    lines.append(f"{ref_row['genus']:>5} {ref_row['group_order']:>6} {'-':>9} "
+                 f"{ref_row['reference']:>7} {ref_row['bound']:>7.3f} {'reference':>11} {'-':>5}")
     return "\n".join(lines)
 
 
@@ -378,9 +381,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     started = time.monotonic()
     lines = []
+    out = None
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        if args.out:
+            try:  # fail before the command runs, but truncate only once it has
+                out = open(args.out, "a", encoding="utf-8")
+            except OSError as exc:
+                raise InputError(f"cannot write --out {args.out}: {exc.strerror}") from exc
         env = _load(args)
         COMMANDS[args.command](args, env, lines.append)
         code = 0
@@ -395,12 +404,12 @@ def main(argv=None) -> int:
         code = 3
     lines.append(f"elapsed={time.monotonic() - started:.3f}s")
     text = "\n".join(lines) + "\n"
-    out_path = getattr(locals().get("args", None), "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        with out:
+            out.truncate(0)
+            out.write(text)
     return code
 
 

@@ -452,17 +452,15 @@ class Enumerator:
                  + self._one_plus_b2 * (x2 * x2 + a * (x3 * x3)))
         return alpha.coords, (self._two_one_minus_b2 * (x2 * x3)).coords
 
-    def _frob_less(self, x: QuatElement, y: QuatElement, fx=None, fy=None) -> bool:
+    def _frob_less(self, x: QuatElement, y: QuatElement, fx, fy) -> bool:
         """Whether ||x||_F^2 < ||y||_F^2 at the split place, decided exactly.
 
-        fx, fy: enclosures of the two norms, if known.  a is not a square in K
+        fx, fy: enclosures of the two norms.  a is not a square in K
         (it is negative at the other places), so the two norms are equal
         exactly when their (alpha, beta) are; otherwise they differ and
         refining their enclosures separates them.  This is the representative
         rule of a class: the least norm, the first one met on a tie.
         """
-        fx = fx or self._frob_sq(x)
-        fy = fy or self._frob_sq(y)
         if (fx - fy).sign() is None and self._frob_parts(x) == self._frob_parts(y):
             return False
 
@@ -475,8 +473,7 @@ class Enumerator:
 
         return refine(less, self.bits, 4096)
 
-    def _frob_sq(self, x: QuatElement, bits: int | None = None) -> RatInterval:
-        bits = bits or self.bits
+    def _frob_sq(self, x: QuatElement, bits: int) -> RatInterval:
         x0 = x.coords[0].embed(0, bits)
         x1 = x.coords[1].embed(0, bits)
         x2 = x.coords[2].embed(0, bits)
@@ -624,7 +621,7 @@ def _coset_realised(coset, hyper):
         if coset.is_minimiser(trace):
             realised = realised or cand
             continue
-        if compare_abs0(trace, coset.traces[0], START_BITS) <= 0:
+        if compare_abs0(trace, coset.traces[0]) <= 0:
             raise InvariantViolation(
                 f"trace {trace} of {cand.element} is not above the coset minimum "
                 f"{coset.traces[0]} of 2 + I^2")

@@ -7,9 +7,9 @@ Two layers, matched to how they are used:
   computed through any number of +,-,* stays a true enclosure.  These carry
   the real embeddings of number field elements.
 
-* ``ivreal`` helpers -- enclosures of transcendental expressions (log,
-  acosh, pi, ...) via mpmath's interval context, returned as ``RatInterval``
-  with the binary endpoints converted exactly to fractions.
+* ``iv_log``, ``iv_sqrt``, ``iv_cosh``, ``iv_acosh``, ``iv_pi``, ``iv_pow`` --
+  enclosures of transcendental expressions via mpmath's interval context,
+  returned as ``RatInterval`` with the binary endpoints converted exactly.
 
 All comparisons offered here are *certified*: they return an answer only
 when the intervals actually separate.  ``refine`` is the one retry loop:
@@ -29,8 +29,8 @@ from .errors import PrecisionError
 
 _ZERO = Fraction(0)
 
-# the start precision, in bits, of every certified enclosure whose precision no
-# caller chooses; the walk computes in doubles, so under 53 would only widen it
+# the start precision, in bits, of every enclosure and `refine` loop but v3's and
+# the irreducibility test's; the walk computes in doubles, so under 53 only widens
 START_BITS = 60
 
 
@@ -231,23 +231,23 @@ def _keeps_iv_prec(fn):
 
 
 @_keeps_iv_prec
-def iv_log(x, prec: int = 64) -> RatInterval:
+def iv_log(x, prec: int) -> RatInterval:
     return _from_iv(iv.log(_to_iv(x, prec)))
 
 
 @_keeps_iv_prec
-def iv_sqrt(x, prec: int = 64) -> RatInterval:
+def iv_sqrt(x, prec: int) -> RatInterval:
     return _from_iv(iv.sqrt(_to_iv(x, prec)))
 
 
 @_keeps_iv_prec
-def iv_cosh(x, prec: int = 64) -> RatInterval:
+def iv_cosh(x, prec: int) -> RatInterval:
     e = iv.exp(_to_iv(x, prec))
     return _from_iv((e + 1 / e) / 2)
 
 
 @_keeps_iv_prec
-def iv_acosh(x, prec: int = 64) -> RatInterval:
+def iv_acosh(x, prec: int) -> RatInterval:
     """acosh(x) = log(x + sqrt(x^2-1)) for x >= 1, monotone so interval-safe."""
     t = _to_iv(x, prec)
     if t.a < 1:
@@ -256,13 +256,13 @@ def iv_acosh(x, prec: int = 64) -> RatInterval:
 
 
 @_keeps_iv_prec
-def iv_pi(prec: int = 64) -> RatInterval:
+def iv_pi(prec: int) -> RatInterval:
     iv.prec = prec
     return _from_iv(iv.pi)
 
 
 @_keeps_iv_prec
-def iv_pow(x, e: Fraction, prec: int = 64) -> RatInterval:
+def iv_pow(x, e: Fraction, prec: int) -> RatInterval:
     """x**e for positive x and rational exponent, via exp(e*log x)."""
     t = _to_iv(x, prec)
     if t.a <= 0:

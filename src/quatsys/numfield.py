@@ -155,7 +155,7 @@ class NumberField:
 
     # -- embeddings -------------------------------------------------------
 
-    def embedding_interval(self, place: int, bits: int = 53) -> RatInterval:
+    def embedding_interval(self, place: int, bits: int) -> RatInterval:
         """Enclosure of theta at the place, of width at most 2^-bits.
 
         Bisection from the isolating interval follows one chain of intervals
@@ -461,7 +461,7 @@ class FieldElement:
 
     # -- embeddings -----------------------------------------------------------
 
-    def embed(self, place: int, bits: int = 53) -> RatInterval:
+    def embed(self, place: int, bits: int) -> RatInterval:
         """Certified interval of width at most 2^-bits containing the image at
         the given real place.
 
@@ -484,7 +484,7 @@ class FieldElement:
 
     def sign_at(self, place: int) -> int:
         """Certified sign of the image at a real place (0 only for the zero element)."""
-        return refine(lambda bits: self.embed(place, bits).sign(), 30)
+        return refine(lambda bits: self.embed(place, bits).sign(), START_BITS)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -493,10 +493,10 @@ class FieldElement:
         return f"FieldElement{self}"
 
 
-def abs_vs_two(t: FieldElement, place: int, bits: int) -> int:
+def abs_vs_two(t: FieldElement, place: int) -> int:
     """Sign of |sigma_place(t)| - 2, exact: zero only for t = +-2 (`embed` is
     exact on rationals)."""
-    return refine(lambda b: (t.embed(place, b).abs() - 2).sign(), bits)
+    return refine(lambda b: (t.embed(place, b).abs() - 2).sign(), START_BITS)
 
 
 # ---------------------------------------------------------------------------

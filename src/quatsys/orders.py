@@ -231,8 +231,8 @@ class CongruenceIdealLattice:
         vec = scaled_row(x, self.order.kappa)
         return vec is not None and lattice.contains(self.mat, vec)
 
-    def random_element(self, rng, spread=6) -> QuatElement:
-        coeffs = [rng.randrange(-spread, spread + 1) for _ in range(self.order.dim)]
+    def random_element(self, rng) -> QuatElement:
+        coeffs = [rng.randrange(-6, 7) for _ in range(self.order.dim)]
         return unflatten(self.order.algebra, _combine(coeffs, self.mat), self.order.kappa)
 
 

@@ -64,9 +64,10 @@ def parse_spec_text(text: str) -> dict:
 def parse_spec_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_spec_text(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse_spec_text(text)
 
 
 def _parse_quat(field: NumberField, value: str) -> QuaternionAlgebra:

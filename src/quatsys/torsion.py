@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .intervals import START_BITS
 from .numfield import FieldElement, IdealHNF, NumberField, abs_vs_two
 from .orders import OrderLattice
 from .realroots import isolate_real_roots, poly_eval
@@ -63,7 +62,7 @@ def torsion_traces(field: NumberField) -> tuple:
         d = field.degree
         found = [(_root_of_unity_order(t), t)
                  for t in field.box_walk([2] * d)
-                 if all(abs_vs_two(t, s, START_BITS) <= 0 for s in range(d))]
+                 if all(abs_vs_two(t, s) <= 0 for s in range(d))]
         return tuple(sorted(found, key=lambda nt: (nt[0], nt[1].coords)))
 
     return field.cached("torsion_traces", build)
@@ -111,17 +110,16 @@ class TorsionCertificate:
         return out
 
 
-def certify_torsion_free(order: OrderLattice, ideal: IdealHNF,
-                         principal: bool | None = None) -> TorsionCertificate:
+def certify_torsion_free(order: OrderLattice, ideal: IdealHNF) -> TorsionCertificate:
     """Certificate that the level-I congruence group has no non-central torsion.
 
-    `principal` overrides the strong (square-divisibility) form; by default
-    it follows the field's class-number-one flag.
+    The strong (square-divisibility) form applies when the field carries
+    the class-number-one flag.
     """
     field = order.algebra.field
     if ideal.is_whole_ring():
         raise InputError("the improper ideal defines the full group; certificate undefined")
-    strong = field.class_number_one if principal is None else bool(principal)
+    strong = field.class_number_one
     i_sq = ideal * ideal
     records = []
     blocking = []

@@ -244,10 +244,28 @@ def test_cli_determinism_modulo_elapsed(capsys):
 
 def test_cli_out_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
+    target.write_text("stale\n" * 100)   # replaced, not appended to
     code = main(["--hurwitz", "--out", str(target), "ideal-factor", "--prime", "7"])
     assert code == 0
     assert capsys.readouterr().out == ""
-    assert "norm=7" in target.read_text()
+    assert target.read_text().startswith("prime=7 norm=7")
+    assert "stale" not in target.read_text()
+
+
+def test_cli_out_path_that_cannot_be_written(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "report.txt", tmp_path):
+        code, out = _run(capsys, "--hurwitz", "--out", str(target), "field-info")
+        assert code == 1, target
+        assert len(_records(out)) == 1, target
+        assert _records(out)[0].startswith(f"error=input cannot write --out {target}:"), target
+
+
+def test_cli_field_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "field.txt"
+    path.write_bytes(b"minpoly: 1 0\xff\n")
+    code, out = _run(capsys, "--field", str(path), "field-info")
+    assert code == 1
+    assert _records(out)[0].startswith(f"error=input cannot read {path}:")
 
 
 def test_cli_systole_small(capsys):

@@ -492,7 +492,7 @@ def test_frob_less_refines_only_what_the_given_enclosures_leave_open(QH, P7, D, 
 def test_frob_sq_reuses_split_place_data(run7, QH, P7):
     enum = Enumerator(QH, P7)
     for c in run7[0]:
-        coarse = enum._frob_sq(c.element)
+        coarse = enum._frob_sq(c.element, enum.bits)
         fine = enum._frob_sq(c.element, 4 * enum.bits)
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 

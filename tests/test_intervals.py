@@ -115,5 +115,5 @@ def test_helpers_keep_mpmath_precision():
     iv_sqrt(Fraction(2), 200)
     iv_acosh(Fraction(3), 150)
     iv_cosh(Fraction(1), 300)
-    v3_enclosure(160)
+    v3_enclosure()
     assert (iv.prec, mp.prec) == (iv_prec, mp_prec)

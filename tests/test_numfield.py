@@ -312,7 +312,7 @@ def embed_spy(monkeypatch):
     asked = []
     embed = FieldElement.embed
 
-    def spy(self, place, bits=53):
+    def spy(self, place, bits):
         asked.append((self.coords, bits))
         return embed(self, place, bits)
 
@@ -320,20 +320,19 @@ def embed_spy(monkeypatch):
     return asked
 
 
-# eta^k is tiny at place 1 and w^k at place 0 (w = eta^2 - 2, both units), so
-# each comparison below needs several refinements; the schedules start and
-# double as the hand-written loops the comparisons replaced did, and stop at
-# the first enclosure that separates (`embed` may return one narrower than
-# 2^-bits, which decides the two sign_at cases a doubling earlier)
+# eta^k is tiny at place 1 and w^k at place 0 (w = eta^2 - 2, both units):
+# |eta^100| ~ 2^-117 and |eta^150|, |w^150| ~ 2^-175 there, so each comparison
+# below needs several refinements; the schedules start at START_BITS, double,
+# and stop at the first enclosure that separates
 REFINEMENT_SCHEDULES = [
-    (lambda eta: abs_vs_two(2 - eta ** 40, 1, 4), -1, [4, 8, 16, 32, 64]),
-    (lambda eta: abs_vs_two(2 + eta ** 40, 1, 4), 1, [4, 8, 16, 32, 64]),
-    (lambda eta: (eta ** 60).sign_at(1), 1, [30, 60]),
-    (lambda eta: (-eta ** 31).sign_at(1), 1, [30]),
-    (lambda eta: compare_abs0(eta.field.from_rational(3), 3 + (eta * eta - 2) ** 40, 4),
-     -1, [4, 4, 8, 8, 16, 16, 32, 32, 64, 64]),
-    (lambda eta: compare_abs0(-3 - (eta * eta - 2) ** 40, eta.field.from_rational(3), 4),
-     1, [4, 4, 8, 8, 16, 16, 32, 32, 64, 64]),
+    (lambda eta: abs_vs_two(2 - eta ** 150, 1), -1, [60, 120, 240]),
+    (lambda eta: abs_vs_two(2 + eta ** 150, 1), 1, [60, 120, 240]),
+    (lambda eta: (eta ** 100).sign_at(1), 1, [60, 120]),
+    (lambda eta: (-eta ** 31).sign_at(1), 1, [60]),
+    (lambda eta: compare_abs0(eta.field.from_rational(3), 3 + (eta * eta - 2) ** 150),
+     -1, [60, 60, 120, 120, 240, 240]),
+    (lambda eta: compare_abs0(-3 - (eta * eta - 2) ** 150, eta.field.from_rational(3)),
+     1, [60, 60, 120, 120, 240, 240]),
 ]
 
 
@@ -367,8 +366,8 @@ def test_comparisons_agree_with_300_bit_conjugates(K, tc, uc, place):
     with mp.workprec(300):
         ct, cu = _conjugates(t), _conjugates(u)
         assert t.sign_at(place) == _sign(ct[place])
-        assert abs_vs_two(t, place, 8) == _sign(abs(ct[place]) - 2)
-        assert compare_abs0(t, u, 8) == _sign(abs(ct[0]) - abs(cu[0]))
+        assert abs_vs_two(t, place) == _sign(abs(ct[place]) - 2)
+        assert compare_abs0(t, u) == _sign(abs(ct[0]) - abs(cu[0]))
 
 
 # -- history independence --------------------------------------------------------

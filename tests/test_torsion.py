@@ -6,7 +6,8 @@ import sympy
 
 from quatsys.errors import InputError, PrecisionError
 from quatsys.intervals import RatInterval
-from quatsys.numfield import NumberField, primes_up_to_norm
+from quatsys.numfield import IdealHNF, NumberField, primes_up_to_norm
+from quatsys.orders import hurwitz_algebra, hurwitz_order
 from quatsys.realroots import isolate_real_roots, refine_root
 from quatsys.torsion import (candidate_orders, certify_torsion_free, roots_in_field,
                              torsion_traces)
@@ -156,9 +157,13 @@ def test_all_small_primes_certified(QH, K):
 
 
 def test_weak_form_blocks_at_obstruction(QH, K, P2):
-    # with only the divisibility test (no principality), the even prime is
-    # blocked by the order-4 trace: <2> divides <0 - 2>
-    cert = certify_torsion_free(QH, P2, principal=False)
+    # over the same field without the class-number-one flag only the
+    # divisibility test applies, and the even prime is blocked by the
+    # order-4 trace: <2> divides <0 - 2>
+    plain = NumberField([1, 1, -2, -1])
+    cert = certify_torsion_free(hurwitz_order(hurwitz_algebra(plain)),
+                                IdealHNF.principal(plain, plain.from_rational(2)))
+    assert not cert.strong_form
     assert not cert.torsion_free
     assert 4 in cert.blocking_orders
     # the strong square form certifies it
