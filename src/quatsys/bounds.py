@@ -16,11 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import im, mp, mpf, polylog
-
 from .errors import InputError, InvariantViolation
-from .intervals import (START_BITS, RatInterval, _raw_to_frac, iv_acosh, iv_log, iv_pi,
-                        iv_pow, iv_sqrt, refine)
+from .intervals import START_BITS, RatInterval, iv_acosh, iv_log, iv_pi, iv_pow, iv_sqrt, refine
 from .numfield import IdealHNF, abs_vs_two
 from .orders import OrderLattice, hurwitz_preset
 
@@ -313,14 +310,25 @@ def fuchsian_sr_bound(ctx: GeometryContext, genus: int):
 
 
 def v3_enclosure() -> RatInterval:
-    """Volume of the regular ideal 3-simplex: (3/2) * Im Li_2(e^(2*pi*i/3)),
-    at 96 bits rather than START_BITS, as its value is pinned to 1e-25."""
+    """Volume of the regular ideal 3-simplex, v3 = Cl_2(pi/3), at 96 bits
+    rather than START_BITS, as its value is pinned to 1e-25.
+
+    Cl_2(t) = t - t log t + sum_{n>=1} |B_2n| t^(2n+1) / (2n (2n+1)!) for
+    0 < t < 2 pi.  As |B_2n| <= 4 (2n)! / (2 pi)^(2n), term n is at most
+    4 t 36^-n / (2n (2n+1)) < 36^-n at t = pi/3, so the terms past n = N sum
+    to less than 36^-N, which is below 2^-prec for N = prec // 5 + 1.
+    """
     prec = 96
-    with mp.workprec(prec + 24):
-        val = im(polylog(2, mp.e ** (2j * mp.pi / 3))) * mpf(3) / 2
-    center = _raw_to_frac(val._mpf_)
-    pad = Fraction(1, 2 ** prec)
-    return RatInterval(center - pad, center + pad)
+    count = prec // 5 + 1
+    bernoulli = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        bernoulli.append(-sum(math.comb(m + 1, k) * b for k, b in enumerate(bernoulli)) / (m + 1))
+    theta = iv_pi(prec) / 3
+    total = theta - theta * iv_log(theta, prec)
+    for n in range(1, count + 1):
+        coeff = abs(bernoulli[2 * n]) / (2 * n * math.factorial(2 * n + 1))
+        total += theta ** (2 * n + 1) * coeff
+    return total + RatInterval(0, Fraction(1, 36 ** count))
 
 
 @dataclass

@@ -8,8 +8,10 @@ Two layers, matched to how they are used:
   the real embeddings of number field elements.
 
 * ``iv_log``, ``iv_sqrt``, ``iv_cosh``, ``iv_acosh``, ``iv_pi``, ``iv_pow`` --
-  enclosures of transcendental expressions via mpmath's interval context,
-  returned as ``RatInterval`` with the binary endpoints converted exactly.
+  enclosures of transcendental expressions, returned as ``RatInterval``: ln,
+  exp and sqrt from the standard library's correctly rounded ``decimal``
+  under explicit contexts, widened by one unit in the last place, and pi
+  from Machin's formula with exact alternating-series bounds.
 
 All comparisons offered here are *certified*: they return an answer only
 when the intervals actually separate.  ``refine`` is the one retry loop:
@@ -19,15 +21,15 @@ and raises ``PrecisionError`` past an optional cap.
 
 from __future__ import annotations
 
-import functools
 import math
+from decimal import (ROUND_CEILING, ROUND_FLOOR, Context, DivisionByZero, InvalidOperation,
+                     Overflow)
 from fractions import Fraction
-
-from mpmath import iv
 
 from .errors import PrecisionError
 
 _ZERO = Fraction(0)
+_EXPONENT_LIMIT = 10 ** 6  # of every decimal Context: no enclosure comes near it
 
 # the start precision, in bits, of every enclosure and `refine` loop but v3's and
 # the irreducibility test's; the walk computes in doubles, so under 53 only widens
@@ -186,89 +188,93 @@ class RatInterval:
 
 
 # ---------------------------------------------------------------------------
-# mpmath bridge for transcendental enclosures
+# transcendental enclosures over the standard library's decimal
 # ---------------------------------------------------------------------------
 
 
-def _raw_to_frac(raw) -> Fraction:
-    """Exact value of a raw mpf tuple (sign, mantissa, exponent, bitcount)."""
-    sign, man, exp, _bc = raw
-    if man == 0 and exp != 0:
-        raise PrecisionError("non-finite endpoint in interval computation")
-    fr = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -fr if sign else fr
+def _box(x) -> RatInterval:
+    return x if isinstance(x, RatInterval) else RatInterval.exact(x)
 
 
-def _to_iv(x, prec: int):
-    """Enclose a Fraction/int/RatInterval in an mpmath interval at `prec` bits."""
-    iv.prec = prec
-    if isinstance(x, RatInterval):
-        lo, hi = x.lo, x.hi
-    else:
-        lo = hi = _frac(x)
-    lo_iv = iv.mpf(lo.numerator) / lo.denominator
-    hi_iv = iv.mpf(hi.numerator) / hi.denominator
-    return iv.mpf([lo_iv.a, hi_iv.b])
+def _increasing(op: str, x, prec: int) -> RatInterval:
+    """Enclosure of ln, exp or sqrt (op) over x at about prec bits.
+
+    Each endpoint is rounded outward to a decimal of `digits` digits, with
+    10^(1 - digits) <= 2^-(prec + scale) / 10, and the increasing op applied to it.
+    Python documents ln, exp and sqrt as correctly rounded, so the true value
+    at the rounded endpoint is within half a unit in the last place of the
+    result; widening by one full unit also covers a result that rounded up
+    across a power of ten, where the unit below is a tenth of the one above.
+    A zero result is exact (ln 1 or sqrt 0) and is not widened.  For exp,
+    2^scale bounds the argument, so its rounding error, which is exp's relative
+    error, is at most 2^-prec / 10; ln and sqrt need no scale.  Every Context
+    is given in full, as a bare Context() copies the global DefaultContext.
+    """
+    box = _box(x)
+    scale = int(max(-box.lo, box.hi)).bit_length() if op == "exp" else 0
+    digits = math.ceil((prec + scale) * math.log10(2)) + 2
+    ends = []
+    for end, rounding, side in ((box.lo, ROUND_FLOOR, -1), (box.hi, ROUND_CEILING, 1)):
+        ctx = Context(prec=digits, rounding=rounding, Emin=-_EXPONENT_LIMIT,
+                      Emax=_EXPONENT_LIMIT, traps=[InvalidOperation, DivisionByZero, Overflow])
+        value = getattr(ctx, op)(ctx.divide(end.numerator, end.denominator))
+        bound = Fraction(value)
+        if value:
+            bound += side * Fraction(10) ** (value.adjusted() + 1 - digits)
+        ends.append(bound)
+    return RatInterval(*ends)
 
 
-def _from_iv(x) -> RatInterval:
-    lo_raw, hi_raw = x._mpi_
-    return RatInterval(_raw_to_frac(lo_raw), _raw_to_frac(hi_raw))
-
-
-def _keeps_iv_prec(fn):
-    """Run fn at its own `iv.prec` and restore the caller's afterwards."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        saved = iv.prec
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            iv.prec = saved
-
-    return wrapper
-
-
-@_keeps_iv_prec
 def iv_log(x, prec: int) -> RatInterval:
-    return _from_iv(iv.log(_to_iv(x, prec)))
+    return _increasing("ln", x, prec)
 
 
-@_keeps_iv_prec
 def iv_sqrt(x, prec: int) -> RatInterval:
-    return _from_iv(iv.sqrt(_to_iv(x, prec)))
+    return _increasing("sqrt", x, prec)
 
 
-@_keeps_iv_prec
 def iv_cosh(x, prec: int) -> RatInterval:
-    e = iv.exp(_to_iv(x, prec))
-    return _from_iv((e + 1 / e) / 2)
+    """cosh(x) = (e + 1/e)/2 with e = exp(x), for x >= 0."""
+    t = _box(x)
+    if t.lo < 0:
+        raise ValueError(f"iv_cosh needs x >= 0, got enclosure {t}")
+    e = _increasing("exp", t, prec)
+    return (e + RatInterval.exact(1) / e) / 2
 
 
-@_keeps_iv_prec
 def iv_acosh(x, prec: int) -> RatInterval:
     """acosh(x) = log(x + sqrt(x^2-1)) for x >= 1, monotone so interval-safe."""
-    t = _to_iv(x, prec)
-    if t.a < 1:
+    t = _box(x)
+    if t.lo < 1:
         raise ValueError(f"acosh needs x >= 1, got enclosure {t}")
-    return _from_iv(iv.log(t + iv.sqrt(t * t - 1)))
+    return _increasing("ln", t + _increasing("sqrt", t * t - 1, prec), prec)
 
 
-@_keeps_iv_prec
 def iv_pi(prec: int) -> RatInterval:
-    iv.prec = prec
-    return _from_iv(iv.pi)
+    """Machin's pi = 16 atan(1/5) - 4 atan(1/239), each atan to 2^-(prec+5)."""
+    return _atan_inv(5, prec + 5) * 16 - _atan_inv(239, prec + 5) * 4
 
 
-@_keeps_iv_prec
+def _atan_inv(n: int, bits: int) -> RatInterval:
+    """atan(1/n) for an integer n > 1, to 2^-bits: the terms of the alternating
+    series sum_k (-1)^k / ((2k+1) n^(2k+1)) decrease, so each partial sum and
+    the next bracket its value."""
+    total, k = _ZERO, 0
+    while True:
+        term = Fraction((-1) ** k, (2 * k + 1) * n ** (2 * k + 1))
+        if abs(term) < Fraction(1, 2 ** bits):
+            return RatInterval(min(total, total + term), max(total, total + term))
+        total += term
+        k += 1
+
+
 def iv_pow(x, e: Fraction, prec: int) -> RatInterval:
-    """x**e for positive x and rational exponent, via exp(e*log x)."""
-    t = _to_iv(x, prec)
-    if t.a <= 0:
+    """x**e for positive x and rational exponent, via exp(e*log x); its
+    relative width grows with |e log x|."""
+    t = _box(x)
+    if t.lo <= 0:
         raise ValueError("iv_pow needs a positive base enclosure")
-    ee = iv.mpf(e.numerator) / e.denominator
-    return _from_iv(iv.exp(ee * iv.log(t)))
+    return _increasing("exp", _increasing("ln", t, prec) * e, prec)
 
 
 def interval_solve(mat, rhs):

@@ -67,11 +67,12 @@ class FiniteQuotRing:
         self.prime = prime
         self.t = t
         self.q = prime.norm
+        # as q >= 2, q^(4t) > cap exactly when q^min(4t, bits of cap) > cap
+        if self.q ** min(4 * t, cap.bit_length()) > cap:
+            raise CapExceeded(f"quotient has q^(4t) = {self.q}^{4 * t} residues, "
+                              f"above the cap {cap}")
         self.ideal = prime ** t
         self.cardinality = self.ideal.norm ** 4
-        if self.cardinality > cap:
-            raise CapExceeded(
-                f"quotient has {self.cardinality} residues, above the cap {cap}")
 
         self.dim = order.dim
         self.center_dim = order.algebra.field.degree

@@ -6,8 +6,9 @@ that belongs in tests/.  Dunders and overrides of a base-class method are
 called by the language or the base class and are not listed.  The scan lists
 the rest; each one kept must be on the allowlist below with its reason.
 
-A second scan keeps numpy inside the quotient-counting kernel: no other
-module of src/quatsys imports it.
+A second scan keeps third-party imports where `IMPORTERS` lists them: numpy
+inside the quotient-counting kernel and mpmath, a test oracle, nowhere.  A
+fresh interpreter checks that set-up leaves mpmath unloaded.
 
 A third keeps one start precision: every `refine` loop in src/quatsys starts
 at `intervals.START_BITS`, or at `self.bits` inside `Enumerator`, which sets
@@ -16,7 +17,10 @@ it to START_BITS.  Each other start must be on its allowlist with its reason.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import quatsys
@@ -95,8 +99,12 @@ def test_every_uncalled_function_is_allowlisted():
     assert uncalled_functions() == sorted(ALLOWED)
 
 
-def numpy_importers() -> list:
-    """The modules of src/quatsys with an import of numpy or a numpy submodule."""
+# the modules of src/quatsys that may import each third-party package
+IMPORTERS = {"numpy": ["quotient.py"], "mpmath": []}
+
+
+def importers(package: str) -> list:
+    """The modules of src/quatsys with an import of package or a submodule of it."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -106,14 +114,29 @@ def numpy_importers() -> list:
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] == package for name in names):
                 out.append(path.name)
                 break
     return out
 
 
 def test_only_the_quotient_kernel_imports_numpy():
-    assert numpy_importers() == ["quotient.py"]
+    assert importers("numpy") == IMPORTERS["numpy"]
+
+
+def test_no_module_imports_mpmath():
+    assert importers("mpmath") == IMPORTERS["mpmath"]
+
+
+def test_set_up_leaves_mpmath_unloaded():
+    paths = (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    script = ("import sys, quatsys, quatsys.cli\n"
+              "quatsys.hurwitz_context()\n"
+              "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 REFINE_STARTS = {

@@ -185,6 +185,17 @@ def test_cli_exit_codes(capsys):
     assert code == 2 and "error=cap" in out
 
 
+@pytest.mark.parametrize("t", [10_000, 1_000_000])
+def test_cli_quotient_count_refuses_a_large_t_before_forming_the_ideal(capsys, t):
+    # 7^(4t) has too many digits to print, and p^t takes seconds to form
+    started = time.monotonic()
+    code, out = _run(capsys, "--hurwitz", "quotient-count", "--prime", "7", "--t", str(t))
+    assert code == 2
+    assert _records(out) == [f"error=cap quotient has q^(4t) = 7^{4 * t} residues, "
+                             "above the cap 10000000"]
+    assert time.monotonic() - started < 1.0
+
+
 def test_cli_has_no_precision_flag():
     # every enclosure starts at one fixed precision (`intervals.START_BITS`)
     assert "--precision" not in build_parser().format_help()

@@ -1,8 +1,13 @@
+import decimal
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from quatsys.bounds import v3_enclosure
 from quatsys.errors import PrecisionError
 from quatsys.intervals import (RatInterval, interval_solve, iv_acosh, iv_cosh, iv_log,
                                iv_pi, iv_pow, iv_sqrt, refine)
@@ -43,17 +48,46 @@ def test_certified_sign_and_compare():
     assert RatInterval(1, 2).certainly_le(2)
 
 
-@pytest.mark.parametrize("fn,arg,ref", [
-    (iv_log, Fraction(49, 16), math.log(49 / 16)),
-    (iv_log, Fraction(1, 3), math.log(1 / 3)),
-    (iv_sqrt, Fraction(2), math.sqrt(2)),
-    (iv_cosh, Fraction(3), math.cosh(3)),
-    (iv_acosh, Fraction(5, 2), math.acosh(2.5)),
-])
-def test_transcendental_enclosures(fn, arg, ref):
-    box = fn(arg, 80)
-    assert box.lo <= Fraction(ref) <= box.hi or abs(float(box.mid) - ref) < 1e-12
-    assert float(box.width) < 1e-15
+def _fractions(lo, hi):
+    return st.fractions(lo, hi, max_denominator=10 ** 9)
+
+
+# name: (arguments, enclosure, mpmath's function); the exponents of iv_pow are
+# as small as the library's, since its width grows with |e log x|
+ENCLOSURES = {
+    "log": (st.tuples(_fractions(Fraction(1, 10 ** 6), 10 ** 6)), iv_log, mpmath.log),
+    "sqrt": (st.tuples(_fractions(0, 10 ** 6)), iv_sqrt, mpmath.sqrt),
+    "cosh": (st.tuples(_fractions(0, 50)), iv_cosh, mpmath.cosh),
+    "acosh": (st.tuples(_fractions(1, 10 ** 6)), iv_acosh, mpmath.acosh),
+    "pow": (st.tuples(_fractions(Fraction(1, 10 ** 6), 10 ** 6), _fractions(-2, 2)),
+            iv_pow, mpmath.power),
+    "pi": (st.tuples(), iv_pi, lambda: +mpmath.pi),
+}
+
+
+def _exact(value) -> Fraction:
+    man, exp = value.man_exp  # of |value|
+    return int(mpmath.sign(value)) * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("name", sorted(ENCLOSURES))
+@given(data=st.data(), prec=st.sampled_from([60, 96, 240]))
+def test_enclosures_contain_the_value_and_are_narrow(name, data, prec):
+    args, enclose, reference = ENCLOSURES[name]
+    args = data.draw(args)
+    box = enclose(*args, prec)
+    with mpmath.workprec(prec + 120):
+        value = _exact(reference(*(mpmath.mpf(a.numerator) / a.denominator for a in args)))
+    assert box.lo <= value <= box.hi
+    assert box.width <= max(1, abs(value)) / 2 ** (prec - 4)
+
+
+def test_v3_contains_the_clausen_value():
+    with mpmath.workprec(300):
+        value = _exact(mpmath.clsin(2, mpmath.pi / 3))
+    box = v3_enclosure()
+    assert box.lo <= value <= box.hi
+    assert box.width <= Fraction(1, 2 ** 92)
 
 
 def test_pi_and_rational_power():
@@ -106,14 +140,24 @@ def test_float_endpoints_are_outward():
     assert Fraction(lo) <= Fraction(1, 3) and Fraction(hi) >= Fraction(2, 3)
 
 
-def test_helpers_keep_mpmath_precision():
-    from mpmath import iv, mp
+def _endpoints():
+    # 10^20 and cosh(30) lie above the Emax the test sets
+    boxes = [iv_log(Fraction(49, 16), 96), iv_log(Fraction(10) ** 20, 60),
+             iv_sqrt(Fraction(2), 200), iv_cosh(Fraction(30), 150), iv_acosh(Fraction(5, 2), 80),
+             iv_pi(300), iv_pow(Fraction(84), Fraction(2, 3), 120), v3_enclosure()]
+    return [(box.lo, box.hi) for box in boxes]
 
-    from quatsys.bounds import v3_enclosure
 
-    iv_prec, mp_prec = iv.prec, mp.prec
-    iv_sqrt(Fraction(2), 200)
-    iv_acosh(Fraction(3), 150)
-    iv_cosh(Fraction(1), 300)
-    v3_enclosure()
-    assert (iv.prec, mp.prec) == (iv_prec, mp_prec)
+def test_enclosures_ignore_the_global_decimal_contexts():
+    expected = _endpoints()
+    contexts = (decimal.getcontext(), decimal.DefaultContext)
+    saved = [(ctx.prec, ctx.rounding, ctx.Emax) for ctx in contexts]
+    try:
+        for ctx in contexts:
+            ctx.prec, ctx.rounding, ctx.Emax = 5, decimal.ROUND_UP, 10
+        before = [repr(ctx) for ctx in contexts]
+        assert _endpoints() == expected
+        assert [repr(ctx) for ctx in contexts] == before
+    finally:
+        for ctx, (prec, rounding, emax) in zip(contexts, saved):
+            ctx.prec, ctx.rounding, ctx.Emax = prec, rounding, emax
