@@ -47,6 +47,19 @@ least Frobenius norm, the first one met in walk order on a tie, decided
 exactly (`Enumerator._frob_less`), so the representatives do not depend on
 what ran before in the process.
 
+The walk visits one member of each symmetry orbit.  Gamma(I) is closed under
+x -> conj(x) = trd x - x (I*Q is certified stable under the involution), and
+under x -> -x exactly when -1 is in Gamma(I), that is when 2 is in I*Q.  Both
+maps keep ||x||_F (||conj(x)||_F = ||x^-1||_F = ||x||_F in SL_2) and the
+class |trace|.  In the scaled coordinates conj negates blocks 1-3 and -x all
+four, and the walk meets coordinates in increasing lexicographic order (the
+HNF diagonal is positive).  So the member met first is the one whose blocks
+1-2, and block 0 as well when -x is in the group, are lexicographically
+non-positive: for d <= j < 3d, c_j is capped at 0 while c_d .. c_{j-1} are
+all 0, and likewise for j < d while c_0 .. c_{j-1} are.  The first
+least-norm element of a class is the first member of its own orbit, so it
+survives the cut and every representative is the full walk's.
+
 Completeness of the visited region is certified: outward rounding
 everywhere, an exact static range, and per-node ranges and leaf decisions
 under derived bounds on their float rounding (`walkranges`).  The systole
@@ -162,6 +175,10 @@ class Enumerator:
 
         cong = order.congruence_lattice(ideal)
         self.hnf = [list(r) for r in cong.mat]
+        self._tail_rows = [row[3 * d:] for row in self.hnf[3 * d:]]
+        # the orbit rule (module docstring) starts at block 1 for x -> conj(x),
+        # at block 0 when x -> -x maps Gamma(I) to itself too
+        self._orbit_from = 0 if order.minus_one_in_gamma(ideal) else d
         one = [0] * self.dim
         one[0] = self.kappa
         self.offset = one
@@ -283,8 +300,10 @@ class Enumerator:
 
         x_places = [None] * 3  # float embedding rows for blocks 0..2
         widths = [tabs.width0, None, None]  # per-node W_s of blocks 0..2
+        orbit_from = self._orbit_from
 
-        def descend(j, partial_vec):
+        def descend(j, partial_vec, tied):
+            # tied: the coordinates of the current orbit rule so far are all 0
             nonlocal visited
             if visited > cap_nodes:
                 raise CapExceeded(f"enumeration exceeded {cap_nodes} nodes")
@@ -305,6 +324,8 @@ class Enumerator:
                 c_lo, c_hi = ranges.coordinate_range(l, k, c_vals[j - k:j], widths[l], tabs)
                 lo = max(lo, (math.ceil(c_lo) - p + h - 1) // h)
                 hi = min(hi, (math.floor(c_hi) - p) // h)
+            if tied and j >= orbit_from:
+                hi = min(hi, (-p) // h)  # the orbit member with c_j <= 0
             for n in range(lo, hi + 1):
                 visited += 1
                 new_partial = [pv + n * hv for pv, hv in zip(partial_vec, hnf[j])] \
@@ -312,9 +333,9 @@ class Enumerator:
                 c_vals[j] = new_partial[j]
                 if (j + 1) % d == 0:
                     x_places[l] = block_values(new_partial, l)
-                descend(j + 1, new_partial)
+                descend(j + 1, new_partial, j + 1 == d or (tied and not c_vals[j]))
 
-        descend(0, list(self.offset))
+        descend(0, list(self.offset), True)
         return found, visited
 
     # -- leaf: recover the last coefficient --------------------------------------
@@ -368,7 +389,7 @@ class Enumerator:
     def _congruence_tail(self, partial_vec, target) -> bool:
         d = self.d
         res = [t - p for t, p in zip(target, partial_vec[3 * d:])]
-        rows = [row[3 * d:] for row in self.hnf[3 * d:]]
+        rows = self._tail_rows
         for k in range(d):
             if res[k] % rows[k][k]:
                 return False
@@ -419,7 +440,7 @@ class Enumerator:
         if norm.certainly_gt(m_sq):
             return
         trace = x.reduced_trace()
-        key = (max(trace.num, tuple(-n for n in trace.num)), trace.den)
+        key = _class_key(trace)
         prev = found.get(key)
         if prev is not None and not self._frob_less(x, prev.element, norm, self._rep_norm[key]):
             return
@@ -605,6 +626,11 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
             return last
     raise CapExceeded(f"radius schedule exhausted; best so far: "
                       f"{last.records() if last else 'nothing found'}")
+
+
+def _class_key(trace: FieldElement):
+    """The class of |trace| in `Enumerator.run`'s result: t and -t share it."""
+    return (max(trace.num, tuple(-n for n in trace.num)), trace.den)
 
 
 def _coset_realised(coset, hyper):

@@ -386,9 +386,11 @@ class SquaresReport:
 def squares_count(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> int:
     """Exhaustive count of squares in the unit group of O_K/p^t."""
     field = prime.field
+    q = prime.norm
+    # as q >= 2, q^t > cap exactly when q^min(t, bits of cap) > cap
+    if q ** min(t, cap.bit_length()) > cap:
+        raise CapExceeded(f"O_K/p^t has q^t = {q}^{t} residues, above the cap {cap}")
     power = prime ** t
-    if power.norm > cap:
-        raise CapExceeded(f"{power.norm} central residues above cap")
     squares = set()
     for rep in power.residues():
         elem = field.element(rep)

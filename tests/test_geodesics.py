@@ -333,30 +333,31 @@ def test_slice_range_handles_negative_leading_powers():
 
 
 # Candidates of the static-box walk: record() and str(element) of each.  The
-# per-node ranges must find the same ones, with exactly this many visited nodes
-# and leaf counters (LEAF_COUNTERS order: leaves, float_rejected,
-# float_candidates, fallbacks, field_sqrt); the static-box walk visited 128,407,
-# 199,872 and 42,991 nodes for P7, P13 and the whole ring.  Each class is
-# represented by its element of least Frobenius norm, the first one met in walk
-# order on a tie (trace (2, 0, -1) is such a tie).
+# per-node ranges and the orbit rule must find the same ones, with exactly this
+# many visited nodes and leaf counters (LEAF_COUNTERS order: leaves,
+# float_rejected, float_candidates, fallbacks, field_sqrt); without the orbit
+# rule the walk visited 11,485, 14,554, 54,265 and 5,323 nodes, and the
+# static-box walk 128,407, 199,872 and 42,991 for P7, P13 and the whole ring.
+# Each class is represented by its element of least Frobenius norm, the first
+# one met in walk order on a tie (trace (2, 0, -1) is such a tie).
 REGRESSION = {
-    "P7": ("P7", 6.5, 11_485, (277, 210, 58, 9, 9), [
+    "P7": ("P7", 6.5, 5_885, (141, 107, 29, 5, 5), [
         ("trace=(2, 3, 1) abs_trace=7.295897 length=[3.935946,3.935946]",
          "(-1, -3/2, -1/2) + (-3/2, -1, 0)*i + (-1/2, 1, 1/2)*j + (0, 0, 0)*ij"),
         ("trace=(3, 6, 2) abs_trace=13.591794 length=[5.208017,5.208017]",
          "(3/2, 3, 1) + (0, -3/2, -1)*i + (-1/2, 5/2, 3/2)*j + (0, 0, 0)*ij"),
     ]),
-    "P13": ("P13", 7.5, 14_554, (159, 138, 16, 5, 5), [
+    "P13": ("P13", 7.5, 7_463, (81, 70, 8, 3, 3), [
         ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
          "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
     ]),
-    "P13 at 8.5": ("P13", 8.5, 54_265, (757, 704, 44, 9, 9), [
+    "P13 at 8.5": ("P13", 8.5, 27_432, (381, 354, 22, 5, 5), [
         ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
          "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
         ("trace=(12, 29, 12) abs_trace=66.821906 length=[8.403614,8.403614]",
          "(-6, -29/2, -6) + (0, 0, 0)*i + (-11/2, -13, -11/2)*j + (-3/2, -3/2, -1/2)*ij"),
     ]),
-    "whole ring": ("whole ring", 3.0, 5_323, (693, 82, 545, 66, 66), [
+    "whole ring": ("whole ring", 3.0, 1_486, (191, 25, 149, 17, 17), [
         ("trace=(0, 0, 0) abs_trace=0.000000 elliptic=true",
          "(0, 0, 0) + (0, 0, 0)*i + (0, 0, 0)*j + (-2, 1, 1)*ij"),
         ("trace=(2, 0, -1) abs_trace=0.445042 elliptic=true",
@@ -414,6 +415,58 @@ def test_per_node_ranges_keep_every_candidate(name):
     visited, counters, cands = json.loads(out)
     assert [tuple(c) for c in cands] == expected
     assert (visited, tuple(counters)) == (expected_visited, expected_counters)
+
+
+# -- the orbit rule: one member of each {x, conj(x)} (and {+-x, +-conj(x)}) ----
+
+# the five table1 levels at their certifying radii, the orbifold list, and P7 at 6.5
+ORBIT_LEVELS = [("P7", 4.5), ("P8", 6.5), ("P13 0", 6.5), ("P13 1", 7.5), ("P13 2", 6.5),
+                ("whole ring", 3.0), ("P7", 6.5)]
+
+
+@pytest.fixture(scope="module")
+def orbit_ideals(K, P7, P2, P13s):
+    return {"P7": P7, "P8": P2, "P13 0": P13s[0], "P13 1": P13s[1], "P13 2": P13s[2],
+            "whole ring": K.whole_ring()}
+
+
+@pytest.mark.parametrize("level, radius", ORBIT_LEVELS)
+def test_orbit_rule_keeps_every_class_representative(QH, orbit_ideals, level, radius,
+                                                      monkeypatch):
+    # the oracle is the full walk: the orbit rule switched off past the last
+    # walked coordinate
+    ideal = orbit_ideals[level]
+    found, visited = Enumerator(QH, ideal).run(radius)
+    oracle = Enumerator(QH, ideal)
+    monkeypatch.setattr(oracle, "_orbit_from", 3 * oracle.d)
+    full, full_visited = oracle.run(radius)
+    assert found.keys() == full.keys()
+    for key, cand in full.items():
+        assert str(found[key].element) == str(cand.element)
+        assert found[key].record() == cand.record()
+    assert (sum(c.is_elliptic for c in found.values())
+            == sum(c.is_elliptic for c in full.values()))
+    share = 0.30 if QH.minus_one_in_gamma(ideal) else 0.55
+    assert visited <= share * full_visited, (visited, full_visited)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_maps_keep_the_coset_the_norm_and_the_class(QH, orbit_ideals, data):
+    # x -> conj(x), and x -> -x when -1 is in Gamma(I), map the coset 1 + IQ to
+    # itself with the same split-place Frobenius norm and the same |trace| class
+    ideal = orbit_ideals[data.draw(st.sampled_from(sorted(orbit_ideals)), label="ideal")]
+    cong = QH.congruence_lattice(ideal)
+    enum = Enumerator(QH, ideal)
+    x = QH.algebra.one()
+    for b in cong.basis_elements():
+        x = x + b * data.draw(st.integers(-6, 6))
+    mates = [x.conj()] + ([-x, -x.conj()] if QH.minus_one_in_gamma(ideal) else [])
+    for y in mates:
+        assert cong.contains(y - 1)
+        assert enum._frob_parts(y) == enum._frob_parts(x)
+        assert (geodesics._class_key(y.reduced_trace())
+                == geodesics._class_key(x.reduced_trace()))
 
 
 # -- leaf recovery and search bookkeeping ---------------------------------------

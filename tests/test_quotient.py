@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ from quatsys.orders import OrderLattice
 from quatsys.quatalg import QuaternionAlgebra
 from quatsys.quotient import (_CHUNK, FiniteQuotRing, _digits, _float_exact, _mat, _quad,
                               count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
-                              maxim_formula, nonmaximal_local_primes, norm_one_envelope)
+                              maxim_formula, nonmaximal_local_primes, norm_one_envelope,
+                              squares_count)
 
 
 # -- ring operations that only the tests use ------------------------------------
@@ -156,6 +158,15 @@ def test_cap_policy(QH, P7, P2):
     # the default cap of 1e7 admits the 49^4 ring and rejects the 64^4 one
     with pytest.raises(CapExceeded):
         FiniteQuotRing(QH, P2, 2)
+
+
+@pytest.mark.parametrize("check", [squares_count, lemma44_check])
+def test_square_count_cap_is_checked_before_the_power(P7, check):
+    # 7^10000 has 8,451 digits: the cap is decided from q and t alone
+    started = time.monotonic()
+    with pytest.raises(CapExceeded, match=r"q\^t = 7\^10000 residues"):
+        check(P7, 10_000)
+    assert time.monotonic() - started < 1.0
 
 
 def test_maxim_formula_values():
