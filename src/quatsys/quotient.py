@@ -19,23 +19,30 @@ scaled norm S = kappa * nu is quadratic:
 
     S(h + l) = S(h) + S(l) + h^T (T_k + T_k^T) l,   T = norm_tensor.
 
-S is computed over each half once, and for a block of leading residues
-the cross term of all pairs is one matrix product (block x lead) @
-(lead x |L|*r).  Divisibility by kappa is checked on the halves: every
-norm value is divisible exactly when S(h), S(l) and the cross coefficients
-(T + T^T) l are, since S(e_a + l) - S(e_a) - S(l) is the coefficient of
-h_a.  Norm values are reduced by the HNF of the central ideal.  Its rows
-with pivot 1 act linearly (the entries above a pivot 1 are 0), so they
-are applied to the halves and the cross coefficients once, leaving r
-coordinates, those with pivot > 1; each value then needs only the rest of
-the reduction before it is tallied by central class.  The halves enter
-reduced and the cross coefficients modulo the ideal's norm N (N O_K lies
-in the ideal), so a cross partial sum is at most (N - 1) times the sum of
-diag_a - 1 over the leading a.  The product runs in float64/BLAS when
-that bound (plus 2N for the halves) is below 2^53, where every partial
-sum is an exactly representable integer, and in int64 otherwise; a bound
-of 2^63 or more refuses the ring with `CapExceeded` rather than wrap.
-Each block holds at most `_CHUNK` residues.
+S is computed over each half once, and the cross coefficients
+c_a(l) = (T + T^T)[a] l once for every leading a.  Divisibility by kappa is
+checked on these parts: every norm value is divisible exactly when S(h),
+S(l) and the cross coefficients are, since S(e_a + l) - S(e_a) - S(l) is
+the coefficient of h_a.  Central values are reduced by the HNF of the
+ideal.  Its rows with pivot 1 act linearly (the entries above a pivot 1
+are 0), so they are applied to the parts once, leaving r coordinates, those
+with pivot p_k > 1; the rest of the HNF (`_center_reduce`) then puts each
+part's coordinate k in [0, p_k), the cross coefficients included, as h_a
+is an integer.  The raw value of a pair,
+
+    v_k = sum_a h_a c_ak(l) + S(h)_k + S(l)_k,
+
+is then a sum of non-negative terms below V_k = (p_k - 1)(D + 2) + 1, with
+D the sum of diag_a - 1 over the leading a, and its mixed-radix raw code in
+the V_k is below M = prod V_k.  A block of leading residues, each row
+[h | S(h) | 1], times the fixed matrix [cross; r indicator rows; S(l)] in
+that radix gives the raw codes of all its pairs in one matrix product,
+tallied by one `bincount` into a histogram of M bins.  Once per ring the
+nonzero bins are decoded, reduced and keyed by central class.  Every
+partial sum of a code lies in [0, M), so the product runs in float64/BLAS
+when M < 2^53 and in int64 otherwise; a ring with M above its cap, or at
+2^63 or more, is refused with `CapExceeded`.  Each block holds at most
+`_CHUNK` residues.
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ class FiniteQuotRing:
 
         # the split of the counting pass: the last nontrivial coordinate and
         # as many before it as keep the product of their radices at most
-        # sqrt(card) and _CHUNK are trailing; then the cross-term bound
+        # sqrt(card) and _CHUNK are trailing
         active = [j for j in range(self.dim) if self.diag[j] > 1]
         size, m = 1, len(active)
         limit = min(isqrt(self.cardinality), _CHUNK)
@@ -101,9 +108,6 @@ class FiniteQuotRing:
             m -= 1
             size *= int(self.diag[active[m]])
         self._lead, self._trail = active[:m], active[m:]
-        norm = self.ideal.norm
-        cross_bound = (norm - 1) * sum(int(self.diag[a]) - 1 for a in self._lead)
-        self._cross_exact_float = _float_exact(cross_bound + 2 * norm)
 
         # central residues.  HNF rows with pivot 1 act linearly (the entries
         # above a pivot 1 are 0, so its quotient is the coordinate itself):
@@ -120,6 +124,23 @@ class FiniteQuotRing:
         self._center_sub = hnf[np.ix_(self._center_cols, self._center_cols)]
         self._center_index, self._center_units, self._center_one = \
             self._classify_center()
+
+        # the raw range of the counting pass: coordinate k of a raw value is
+        # below V_k = (p_k - 1)(D + 2) + 1, D the sum of diag_a - 1 over the
+        # leading a, and a raw code is below M = prod V_k
+        spread = sum(int(self.diag[a]) - 1 for a in self._lead) + 2
+        radices = [(int(p) - 1) * spread + 1 for p in np.diag(self._center_sub)]
+        weights = [1] * len(radices)
+        for k in range(len(radices) - 2, -1, -1):
+            weights[k] = weights[k + 1] * radices[k + 1]
+        self._raw_range = weights[0] * radices[0]
+        if self._raw_range > cap:
+            raise CapExceeded(f"the counting pass has M = {self._raw_range} raw codes, "
+                              f"above the cap {cap}")
+        # every partial sum of a raw code is a non-negative integer below M
+        self._cross_exact_float = _float_exact(self._raw_range)
+        self._raw_radices = np.array(radices, dtype=np.int64)
+        self._raw_weights = np.array(weights, dtype=np.int64)
         self._counts = None
 
     @staticmethod
@@ -159,9 +180,9 @@ class FiniteQuotRing:
         # reduced coordinates vanish in the columns with pivot 1
         return strides[self._center_cols], units, one_code
 
-    def _center_keys(self, classes: np.ndarray, out=None) -> np.ndarray:
+    def _center_keys(self, classes: np.ndarray) -> np.ndarray:
         """Mixed-radix codes of reduced central classes, vectorized."""
-        return np.matmul(classes, self._center_index, out=out)
+        return classes @ self._center_index
 
     # -- counting -----------------------------------------------------------
 
@@ -174,34 +195,38 @@ class FiniteQuotRing:
         lead, trail = self._lead, self._trail
         r = len(self._center_cols)
         lows = _digits(0, int(np.prod(self.diag[trail])), self.diag[trail])
-        # S(l) over the trailing half, and the cross coefficients
-        # (T + T^T)[a, trail] . l for every leading a, folded: a (lead, |L| * r) matrix
-        s_low = self._center_reduce(self._divide_kappa(_quad(
-            lows, lows, tensor[np.ix_(trail, trail)], self._norm_exact_float)) @ self._center_fold)
+        highs = _digits(0, int(np.prod(self.diag[lead])), self.diag[lead])
+
+        def half_norms(half, idx):
+            """S over one half, folded and reduced."""
+            scaled = _quad(half, half, tensor[np.ix_(idx, idx)], self._norm_exact_float)
+            return self._center_reduce(self._divide_kappa(scaled) @ self._center_fold)
+
+        s_low, s_high = half_norms(lows, trail), half_norms(highs, lead)
+        # the cross coefficients (T + T^T)[a, trail] . l for every leading a,
+        # folded and reduced
         sym = tensor[np.ix_(lead, trail)] + tensor[np.ix_(trail, lead)].transpose(1, 0, 2)
         cross = self._divide_kappa(np.einsum("ajk,nj->ank", sym, lows)) @ self._center_fold
-        cross = (cross % self.ideal.norm).reshape(len(lead), -1)
-        t_lead = tensor[np.ix_(lead, lead)]
+        cross = self._center_reduce(cross.reshape(-1, r)).reshape(len(lead), len(lows), r)
+        # [cross; one indicator row per k; S(l)] in the raw radix: a leading
+        # residue's row [h | S(h) | 1] times it is the raw code of every pair
+        indicators = np.broadcast_to(np.eye(r, dtype=np.int64)[:, None, :], (r, len(lows), r))
+        dtype = np.float64 if self._cross_exact_float else np.int64
+        right = (np.concatenate([cross, indicators, s_low[None]]) @ self._raw_weights).astype(dtype)
+        left = np.concatenate([highs, s_high, np.ones((len(highs), 1), dtype=np.int64)],
+                              axis=1, dtype=dtype)
 
-        hist = np.zeros(len(self._center_units), dtype=np.int64)
-        n_lead = int(np.prod(self.diag[lead]))
+        raw = np.zeros(self._raw_range, dtype=np.int64)
         rows = max(1, _CHUNK // len(lows))
-        # the chunk's values and keys reuse two buffers: fresh arrays of this
-        # size on every chunk can cost a page fault per 4 KiB, whenever the C
-        # allocator hands freed memory back to the system between chunks
-        vals_buf = np.empty((min(rows, n_lead), cross.shape[1]), dtype=np.int64)
-        keys_buf = np.empty(vals_buf.size // r, dtype=np.int64)
-        for start in range(0, n_lead, rows):
-            highs = _digits(start, min(start + rows, n_lead), self.diag[lead])
-            n = len(highs)
-            s_high = self._center_reduce(self._divide_kappa(
-                _quad(highs, highs, t_lead, self._norm_exact_float)) @ self._center_fold)
-            vals = _mat(highs, cross, self._cross_exact_float, vals_buf[:n]).reshape(n, -1, r)
-            vals += s_high[:, None, :]
-            vals += s_low[None, :, :]
-            keys = self._center_keys(self._center_reduce(vals.reshape(-1, r)),
-                                     keys_buf[:n * len(lows)])
-            hist += np.bincount(keys, minlength=len(hist))
+        for start in range(0, len(left), rows):
+            codes = (left[start:start + rows] @ right).astype(np.int64, copy=False)
+            raw += np.bincount(codes.ravel(), minlength=self._raw_range)
+
+        # fold the raw codes into central classes, once for the ring
+        seen = np.flatnonzero(raw)
+        classes = self._center_reduce(seen[:, None] // self._raw_weights % self._raw_radices)
+        hist = np.zeros(len(self._center_units), dtype=np.int64)
+        np.add.at(hist, self._center_keys(classes), raw[seen])
         if int(hist.sum()) != self.cardinality:
             raise InvariantViolation("the split pass missed residues")
         return hist
@@ -297,19 +322,6 @@ def _quad(x: np.ndarray, y: np.ndarray, tensor: np.ndarray, float_ok: bool) -> n
         out = np.einsum("nj,njk->nk", yf, tmp, optimize=True)
         return np.rint(out).astype(np.int64)
     return np.einsum("ni,nj,ijk->nk", x, y, tensor, optimize=True)
-
-
-def _mat(a: np.ndarray, b: np.ndarray, float_ok: bool, out=None) -> np.ndarray:
-    """a @ b exactly, into the int64 array `out` when given; float64/BLAS
-    when provably lossless."""
-    if not float_ok:
-        return np.matmul(a, b, out=out)
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    np.rint(prod, out=prod)
-    if out is None:
-        return prod.astype(np.int64)
-    out[...] = prod
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,16 @@ def test_cli_quotient_count_counts_the_quotient_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cli_quotient_count_at_the_largest_raw_range(capsys):
+    # (4) = P2^2: 16.8 M residues, three central coordinates with pivot 4 and
+    # M = 61^3 = 226,981 raw codes, the largest of any Hurwitz ring below 2e7
+    code, out = _run(capsys, "--hurwitz", "quotient-count", "--ideal", "4,0,0",
+                     "--cap", "20000000")
+    assert code == 0
+    assert _records(out) == ["prime=8 t=2 q=8 units=14450688 norm_one=258048 "
+                             "formula=258048 match=true"]
+
+
 def test_cli_order_with_tables_beyond_int64(tmp_path, capsys):
     # ab = 10^20 exceeds 2^63: the order's tables are Python integers, and
     # only the quotient count, which needs int64, refuses the order

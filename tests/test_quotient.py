@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quatsys import quotient
 from quatsys.errors import CapExceeded, InputError, InvariantViolation
-from quatsys.numfield import factor_rational_prime
-from quatsys.orders import OrderLattice
+from quatsys.numfield import NumberField, factor_rational_prime
+from quatsys.orders import OrderLattice, standard_order
 from quatsys.quatalg import QuaternionAlgebra
-from quatsys.quotient import (_CHUNK, FiniteQuotRing, _digits, _float_exact, _mat, _quad,
+from quatsys.quotient import (_CHUNK, FiniteQuotRing, _digits, _float_exact, _quad,
                               count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
                               maxim_formula, nonmaximal_local_primes, norm_one_envelope,
                               squares_count)
@@ -53,6 +54,13 @@ def struct(ring) -> np.ndarray:
 def mul_exact_float(ring) -> bool:
     """Whether float64 is exact for products of reduced residues."""
     return _float_exact(ring._tensor_bound(struct(ring), int(ring.diag.max())))
+
+
+def exact_mat(a: np.ndarray, b: np.ndarray, float_ok: bool) -> np.ndarray:
+    """a @ b exactly; float64/BLAS when provably lossless."""
+    if not float_ok:
+        return a @ b
+    return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def mul(ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -122,7 +130,7 @@ def radical_unit_definition(ring) -> set:
         xs = res[start:start + batch]
         # column block c of `left` maps r to (r * xs[c]) @ C
         left = np.einsum("cj,ijl->icl", xs, struct_c).reshape(ring.dim, -1)
-        codes = (_mat(res, left, float_ok) % ell).reshape(-1, ring.dim) @ strides
+        codes = (exact_mat(res, left, float_ok) % ell).reshape(-1, ring.dim) @ strides
         units = one_minus_is_unit[codes].reshape(len(res), len(xs))
         out.update(tuple(int(v) for v in x) for x in xs[units.all(axis=0)])
     return out
@@ -359,11 +367,24 @@ def residue_loop_counts(ring):
     return units, tally[one]
 
 
+def sqrt3_ring():
+    """The standard order of (-1, -1) over Q(sqrt 3) at P2^3, P2 = (1 + sqrt 3).
+
+    Its central HNF [[2, 2], [0, 4]] is not diagonal, so the reduction of the
+    central classes subtracts a whole row, not only a residue mod the pivot.
+    """
+    field = NumberField([1, 0, -3])
+    algebra = QuaternionAlgebra(field, field.from_rational(-1), field.from_rational(-1))
+    return FiniteQuotRing(standard_order(algebra), factor_rational_prime(field, 2)[0][0], 3)
+
+
 @pytest.fixture(scope="module")
 def small_rings(QH, O_std, P7, P2, P13s):
-    return {name: FiniteQuotRing(order, prime, 1) for name, order, prime in [
+    rings = {name: FiniteQuotRing(order, prime, 1) for name, order, prime in [
         ("QH/P7", QH, P7), ("QH/P2", QH, P2), ("QH/P13", QH, P13s[0]),
         ("O_std/P7", O_std, P7), ("O_std/P2", O_std, P2)]}
+    rings["Q(sqrt3)/P2^3"] = sqrt3_ring()
+    return rings
 
 
 def fresh(ring):
@@ -371,13 +392,25 @@ def fresh(ring):
     return FiniteQuotRing(ring.order, ring.prime, ring.t)
 
 
-@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P7", "O_std/P2"])
+@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P7", "O_std/P2",
+                                  "Q(sqrt3)/P2^3"])
 def test_split_count_equals_residue_loop(small_rings, name):
     ring = small_rings[name]
     assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
 
 
-@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P2"])
+def test_a_non_diagonal_central_hnf(small_rings):
+    ring = small_rings["Q(sqrt3)/P2^3"]
+    assert ring._center_sub.tolist() == [[2, 2], [0, 4]]
+    assert ring.cardinality == 4096
+    # raw values, as the fold meets them, reduce as the ideal's HNF does
+    raw = np.array([(a, b) for a in range(12) for b in range(12)], dtype=np.int64)
+    assert ring._center_reduce(raw.copy()).tolist() == \
+        [ring.ideal.reduce([int(a), int(b)]) for a, b in raw]
+    assert ring.count_units_and_norm_one() == (2048, 1024)
+
+
+@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P2", "Q(sqrt3)/P2^3"])
 def test_float_and_int64_paths_agree(small_rings, name, monkeypatch):
     expected = small_rings[name].count_units_and_norm_one()
     ring = fresh(small_rings[name])  # a ring counts once; this one has not
@@ -396,6 +429,40 @@ def test_split_keeps_blocks_small(QH, P7):
         lows *= int(ring.diag[j])
     assert ring._lead and ring._trail
     assert lows <= min(_CHUNK, 49 ** 2)
+
+
+def test_raw_codes_stay_below_the_raw_range(QH, K, P7, monkeypatch):
+    # M = prod V_k, V_k = (p_k - 1)(D + 2) + 1: every raw code of a full pass
+    # lies in [0, M)
+    P27 = factor_rational_prime(K, 3)[0][0]
+    P43 = factor_rational_prime(K, 43)[0][0]
+    bincount = np.bincount
+    for prime, t, raw_range in [(P7, 2, 24_649), (P27, 1, 24_389), (P43, 1, 3_613)]:
+        ring = FiniteQuotRing(QH, prime, t)
+        assert ring._raw_range == raw_range
+        bounds = []
+        monkeypatch.setattr(np, "bincount", lambda codes, minlength=0: bounds.append(
+            (int(codes.min()), int(codes.max()))) or bincount(codes, minlength=minlength))
+        expected = maxim_formula(ring.q, t, False)
+        assert ring.count_norm_one() == expected
+        monkeypatch.undo()
+        assert bounds and min(lo for lo, _ in bounds) >= 0
+        assert max(hi for _, hi in bounds) < raw_range
+
+
+def test_a_raw_range_above_the_cap_is_refused(monkeypatch):
+    # no ring here has more raw codes than residues, but a split with one
+    # trailing coordinate gives Q(zeta_15)^+ at its inert prime (2) (65,536
+    # residues) M = 18^4 = 104,976 raw codes
+    field = NumberField([1, -1, -4, 4, 1])
+    algebra = QuaternionAlgebra(field, field.from_rational(-1), field.from_rational(-1))
+    order = standard_order(algebra)
+    two = factor_rational_prime(field, 2)[0][0]
+    assert FiniteQuotRing(order, two, 1)._raw_range == 11 ** 4
+    monkeypatch.setattr(quotient, "_CHUNK", 1)
+    assert FiniteQuotRing(order, two, 1, cap=18 ** 4)._raw_range == 18 ** 4
+    with pytest.raises(CapExceeded, match="M = 104976 raw codes, above the cap 70000"):
+        FiniteQuotRing(order, two, 1, cap=70_000)
 
 
 def test_kappa_check_covers_every_part_of_the_split(small_rings, monkeypatch):
