@@ -557,10 +557,10 @@ class IdealHNF:
     def contains(self, elem: FieldElement) -> bool:
         if not elem.is_integral():
             return False
-        return lattice.contains([list(r) for r in self.mat], list(elem.num))
+        return lattice.contains(self.mat, elem.num)
 
     def reduce(self, coords):
-        return lattice.reduce_mod([list(r) for r in self.mat], coords)
+        return lattice.reduce_mod(self.mat, coords)
 
     def residues(self):
         """Deterministic iterator over coset representatives of O_K modulo self."""
@@ -587,8 +587,7 @@ class IdealHNF:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "IdealHNF") -> "IdealHNF":
-        rows = [list(r) for r in self.mat] + [list(r) for r in other.mat]
-        return IdealHNF(self.field, rows)
+        return IdealHNF(self.field, self.mat + other.mat)
 
     def __mul__(self, other: "IdealHNF") -> "IdealHNF":
         rows = []
@@ -610,14 +609,11 @@ class IdealHNF:
         return result
 
     def intersect(self, other: "IdealHNF") -> "IdealHNF":
-        rows = lattice.intersect([list(r) for r in self.mat],
-                                 [list(r) for r in other.mat], self.field.degree)
-        return IdealHNF(self.field, rows)
+        return IdealHNF(self.field, lattice.intersect(self.mat, other.mat, self.field.degree))
 
     def divides(self, other: "IdealHNF") -> bool:
         """self | other, equivalently other is contained in self."""
-        return all(lattice.contains([list(r) for r in self.mat], list(row))
-                   for row in other.mat)
+        return all(lattice.contains(self.mat, row) for row in other.mat)
 
     def inverse(self) -> "FractionalIdeal":
         """The fractional ideal {u in K : u * self is integral}."""

@@ -18,7 +18,10 @@ finite quotient and congruence lattice of the order reads the same tables.
 Congruence structure: for an ideal I of the center, I*Q is the two-sided
 ideal spanned by products of an ideal basis with an order basis, and the
 level-I congruence group consists of the norm-one elements x with
-x - 1 in I*Q.  Membership tests are integer lattice solves, hence exact.
+x - 1 in I*Q.  I*Q is certified two-sided on the order's ring generators:
+it is stable under the involution and under left multiplication by theta
+and by the generators the order was built from.  Membership tests are
+integer lattice solves, hence exact.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class OrderLattice:
     def __init__(self, algebra: QuaternionAlgebra, generators, name=None,
                  assume_maximal=False):
         self.algebra = algebra
+        self.generators = generators = tuple(generators)
         self.name = name or "order"
         self.assume_maximal = bool(assume_maximal)
         kappa, mat = _module_span(algebra, generators)
@@ -161,6 +165,21 @@ class OrderLattice:
 
     # -- congruence structure ---------------------------------------------------
 
+    def left_matrix(self, x: QuatElement) -> tuple:
+        """Rows x * w_b = sum_a x_a struct[a][b] over the order basis, for x in
+        the order; x * z = sum_b z_b (x * w_b)."""
+        coords = self.coords(x)
+        return tuple(tuple(_combine(coords, column)) for column in zip(*self.tables.struct))
+
+    @functools.cached_property
+    def ring_multipliers(self) -> tuple:
+        """`left_matrix` of theta and of each non-integer generator.  With 1 they
+        generate the order as a ring: the closure loop builds the ring generated
+        by the g * theta^k, which holds 1 and so theta."""
+        theta = self.algebra.element(self.algebra.field.gen(), 0, 0, 0)
+        return tuple(self.left_matrix(x) for x in (theta, *self.generators)
+                     if not (x.is_central() and x.coords[0].is_rational()))
+
     def congruence_lattice(self, ideal: IdealHNF) -> "CongruenceIdealLattice":
         """I*Q, built and certified once per ideal."""
         cong = self._congruence.get(ideal)
@@ -192,13 +211,9 @@ class CongruenceIdealLattice:
             raise InputError("ideal and order live over different fields")
         self.order = order
         self.ideal = ideal
-        # alpha * w_b = sum_a alpha_a struct[a][b], alpha_a the order coordinates
-        # of alpha (O_K lies in the order, which contains 1)
-        columns = list(zip(*order.tables.struct))  # columns[b][a] = struct[a][b]
-        rows = []
-        for alpha in ideal.basis_elements():
-            coords = order.coords(order.algebra.element(alpha, 0, 0, 0))
-            rows.extend(_combine(coords, column) for column in columns)
+        # the products alpha * w_b (O_K lies in the order, which contains 1)
+        rows = [row for alpha in ideal.basis_elements()
+                for row in order.left_matrix(order.algebra.element(alpha, 0, 0, 0))]
         coord_mat = lattice.hnf(rows, order.dim)
         if not lattice.is_full_rank_hnf(coord_mat, order.dim):
             raise InvariantViolation("congruence lattice lost rank")
@@ -208,21 +223,20 @@ class CongruenceIdealLattice:
         self._certify()
 
     def _certify(self):
-        """conj(z), w*z and z*w lie in I*Q for every basis z of I*Q and w of Q.
+        """conj(z) and g * z lie in I*Q for every basis z of I*Q and every g
+        of `order.ring_multipliers`, in exact order-basis coordinates.
 
-        Exact integer products through the order's tables, in order-basis
-        coordinates (Python integers, so nothing can wrap).
+        {x in Q : x * I*Q lies in I*Q} is a subring of Q holding 1, theta and
+        the generators, hence Q, so I*Q is a left ideal; Q is stable under the
+        involution (its tables certify it), so z * w = conj(conj(w) conj(z)).
         """
-        tables = self.order.tables
-        columns = list(zip(*tables.struct))  # columns[a][b] = struct[b][a]
+        invol = self.order.tables.invol
         for z in self.coord_mat:
-            if not lattice.contains(self.coord_mat, _combine(z, tables.invol)):
+            if not lattice.contains(self.coord_mat, _combine(z, invol)):
                 raise InvariantViolation("I*Q is not stable under the involution")
-            # w_a * z = sum_b z_b struct[a][b]; z * w_a = sum_b z_b struct[b][a]
-            for plane, column in zip(tables.struct, columns):
-                if not (lattice.contains(self.coord_mat, _combine(z, plane))
-                        and lattice.contains(self.coord_mat, _combine(z, column))):
-                    raise InvariantViolation("I*Q is not a two-sided ideal")
+            if not all(lattice.contains(self.coord_mat, _combine(z, m))
+                       for m in self.order.ring_multipliers):
+                raise InvariantViolation("I*Q is not a two-sided ideal")
 
     def basis_elements(self):
         return [unflatten(self.order.algebra, row, self.order.kappa) for row in self.mat]

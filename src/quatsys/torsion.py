@@ -9,7 +9,8 @@ value x + 1/x (never constructing the extension), the certifier:
   Kronecker's theorem: they are exactly the integers of K whose conjugates
   all lie in [-2, 2], which one box walk over Z[theta] lists; the order n
   of each follows exactly from the recurrence for x^k + x^-k;
-* forms each obstruction ideal and tests the divisibility it would impose;
+* forms each obstruction ideal once per field, and for each congruence
+  ideal tests the divisibility it would impose;
   in a class-number-one field the stronger square-divisibility test
   applies (any violating ideal would contain a principal one with the
   same obstruction, forcing I^2 to divide it);
@@ -56,7 +57,8 @@ def torsion_traces(field: NumberField) -> tuple:
     n is the least k >= 1 with s_k = 2, where s_0 = 2, s_1 = t and
     s_(k+1) = t s_k - s_(k-1), so s_k = x^k + x^-k for x + 1/x = t.
     Depends on the field alone, so it is computed once per field and kept on
-    it; a `PrecisionError` from the walk propagates and is not kept.
+    it, as are the obstruction ideals `certify_torsion_free` tests against;
+    a `PrecisionError` from the walk propagates and neither is kept.
     """
     def build():
         d = field.degree
@@ -120,31 +122,29 @@ def certify_torsion_free(order: OrderLattice, ideal: IdealHNF) -> TorsionCertifi
     if ideal.is_whole_ring():
         raise InputError("the improper ideal defines the full group; certificate undefined")
     strong = field.class_number_one
-    i_sq = ideal * ideal
+    divisor = ideal * ideal if strong else ideal
     records = []
-    blocking = []
-    for n, trace_value in torsion_traces(field):
-        if n <= 2:
-            continue  # x = 1 is not torsion, x = -1 is central: reported separately
-        c = trace_value - field.from_rational(2)
-        if c.is_zero():
-            continue
-        if abs(c.norm()) == 1:
-            records.append(ObstructionRecord(n, trace_value, True, None, False))
-            continue
-        obstruction = IdealHNF.principal(field, c)
-        if strong:
-            blocks = i_sq.divides(obstruction)
-        else:
-            blocks = ideal.divides(obstruction)
-        records.append(ObstructionRecord(n, trace_value, False,
-                                         obstruction.norm, blocks))
-        if blocks:
-            blocking.append(n)
+    for n, trace_value, obstruction in _obstructions(field):
+        unit = obstruction is None
+        records.append(ObstructionRecord(n, trace_value, unit,
+                                         None if unit else obstruction.norm,
+                                         not unit and divisor.divides(obstruction)))
+    blocking = sorted({r.n for r in records if r.blocks})
     return TorsionCertificate(
         ideal_norm=ideal.norm,
         strong_form=strong,
         records=records,
         torsion_free=not blocking,
-        blocking_orders=sorted(set(blocking)),
+        blocking_orders=blocking,
     )
+
+
+def _obstructions(field: NumberField) -> tuple:
+    """(n, t, <t - 2>) for each torsion trace of `torsion_traces` with n > 2
+    (x = 1 is not torsion, x = -1 is central: reported separately), with
+    None for <t - 2> when t - 2 is a unit; kept on the field."""
+    def obstruction(c):
+        return None if abs(c.norm()) == 1 else IdealHNF.principal(field, c)
+
+    return field.cached("torsion_obstructions", lambda: tuple(
+        (n, t, obstruction(t - 2)) for n, t in torsion_traces(field) if n > 2))

@@ -42,3 +42,18 @@ def P2(K):
 @pytest.fixture(scope="session")
 def P13s(K):
     return [pr for pr, _e, _f in factor_rational_prime(K, 13)]
+
+
+B6_SPEC = """name: B6max
+minpoly: 1 0
+quat: 3 | -1
+order: 2 | 2 0 0 0 ; 0 2 0 0 ; 0 0 2 0 ; 1 1 1 1
+"""
+
+
+@pytest.fixture(scope="session")
+def B6():
+    """The maximal order of (3, -1) over Q, ramified at 2 and 3, as a `--field` file."""
+    from quatsys.specfile import parse_spec_text
+
+    return parse_spec_text(B6_SPEC)["order"]

@@ -7,8 +7,8 @@ import pytest
 from quatsys import lattice
 from quatsys.errors import InputError, InvariantViolation
 from quatsys.numfield import IdealHNF
-from quatsys.orders import (OrderLattice, hurwitz_j_prime, hurwitz_order, scaled_row,
-                            standard_order, verify_trace_norm_containment)
+from quatsys.orders import (OrderLattice, _combine, hurwitz_j_prime, hurwitz_order,
+                            scaled_row, standard_order, verify_trace_norm_containment)
 from quatsys.quatalg import QuatElement
 
 
@@ -199,3 +199,116 @@ def test_congruence_lattice_equals_the_span_of_products(QH, O_std, P7, P2, P13s)
             cong = order.congruence_lattice(ideal)
             assert cong.mat == tuple(tuple(r) for r in mat)
             assert cong.coord_mat == tuple(tuple(r) for r in lattice.hnf(coord_rows, order.dim))
+
+
+def _all_maps_verdict(cong):
+    """The former certificate, kept as the oracle: conj(z), w*z and z*w for
+    every basis z of the lattice and every basis element w of the order
+    (25 maps on a rank-12 order).  The failure it finds first, or None."""
+    tables = cong.order.tables
+    columns = list(zip(*tables.struct))  # columns[a][b] = struct[b][a]
+    for z in cong.coord_mat:
+        if not lattice.contains(cong.coord_mat, _combine(z, tables.invol)):
+            return "involution"
+        # w_a * z = sum_b z_b struct[a][b]; z * w_a = sum_b z_b struct[b][a]
+        for plane, column in zip(tables.struct, columns):
+            if not (lattice.contains(cong.coord_mat, _combine(z, plane))
+                    and lattice.contains(cong.coord_mat, _combine(z, column))):
+                return "two-sided"
+    return None
+
+
+def _certificate_verdict(cong):
+    try:
+        cong._certify()
+    except InvariantViolation as exc:
+        return "involution" if "involution" in str(exc) else "two-sided"
+    return None
+
+
+def _fake_lattices(order, rng):
+    """Lattices between 7Q and Q: Z*1, O_K*1, Z*(1 + i) and random elements
+    on top of 7Q, and 7Q itself."""
+    alg = order.algebra
+    seven_q = [[7 if a == b else 0 for b in range(order.dim)] for a in range(order.dim)]
+    o_k = [order.coords(alg.element(alpha, 0, 0, 0))
+           for alpha in alg.field.whole_ring().basis_elements()]
+    extras = [[], [order.coords(alg.one())], o_k, [order.coords(alg.one() + alg.gen_i())]]
+    extras += [[[rng.randrange(-3, 4) for _ in range(order.dim)]] for _ in range(6)]
+    return [_fake_congruence_lattice(order, seven_q + extra) for extra in extras]
+
+
+def test_generator_certificate_agrees_with_all_maps(QH, O_std, B6, P2, P7, P13s):
+    rng = random.Random(20)
+    for order in (QH, O_std):
+        for ideal in [P2, P7, P7 * P7, P2 * P2] + P13s:
+            cong = order.congruence_lattice(ideal)
+            assert _certificate_verdict(cong) is None
+            assert _all_maps_verdict(cong) is None
+    QQ = B6.algebra.field
+    for p in (2, 3, 5):
+        cong = B6.congruence_lattice(IdealHNF.principal(QQ, QQ.from_rational(p)))
+        assert _certificate_verdict(cong) is None
+        assert _all_maps_verdict(cong) is None
+    verdicts = []
+    for order in (QH, O_std, B6):
+        for fake in _fake_lattices(order, rng):
+            verdicts.append(_certificate_verdict(fake))
+            assert verdicts[-1] == _all_maps_verdict(fake)
+    assert set(verdicts) == {None, "involution", "two-sided"}
+
+
+def test_generator_certificate_catches_a_failure_at_a_generator(QH, O_std, D):
+    # O_K*1 + 7Q is stable under the involution and under theta, not under i
+    for order in (QH, O_std):
+        seven_q = [[7 if a == b else 0 for b in range(order.dim)] for a in range(order.dim)]
+        o_k = [order.coords(D.element(alpha, 0, 0, 0))
+               for alpha in D.field.whole_ring().basis_elements()]
+        fake = _fake_congruence_lattice(order, seven_q + o_k)
+        theta = order.left_matrix(D.element(D.field.gen(), 0, 0, 0))
+        for z in fake.coord_mat:
+            assert lattice.contains(fake.coord_mat, _combine(z, order.tables.invol))
+            assert lattice.contains(fake.coord_mat, _combine(z, theta))
+        assert not lattice.contains(fake.coord_mat, order.coords(D.gen_i()))
+        with pytest.raises(InvariantViolation, match="two-sided"):
+            fake._certify()
+        assert _all_maps_verdict(fake) == "two-sided"
+
+
+def test_ring_multipliers_are_theta_and_the_generators(QH, O_std, B6, D):
+    # 1 is skipped, and so is theta = 0 over Q
+    gens = {"hurwitz": [D.gen_i(), D.gen_j(), hurwitz_j_prime(D)],
+            "standard": [D.gen_i(), D.gen_j(), D.gen_ij()]}
+    for order in (QH, O_std):
+        theta = D.element(D.field.gen(), 0, 0, 0)
+        assert order.ring_multipliers == tuple(order.left_matrix(x)
+                                               for x in [theta] + gens[order.name])
+    assert len(B6.ring_multipliers) == 3
+    basis = QH.basis_elements()
+    x = hurwitz_j_prime(D)
+    for b, row in enumerate(QH.left_matrix(x)):
+        assert tuple(row) == tuple(QH.coords(x * basis[b]))
+
+
+def test_congruence_lattice_at_p7_makes_sixty_membership_solves(QH, P7, monkeypatch):
+    from quatsys.orders import CongruenceIdealLattice
+
+    QH.ring_multipliers  # built with the first congruence lattice and kept
+    calls = []
+    solve = lattice.contains
+
+    def counting(mat, vec):
+        calls.append(1)
+        return solve(mat, vec)
+
+    monkeypatch.setattr(lattice, "contains", counting)
+    CongruenceIdealLattice(QH, P7)
+    # 12 basis rows times conj, theta, i, j and j'; all 25 maps made 300
+    assert len(calls) == 60
+
+
+def test_ring_multipliers_wait_for_the_first_congruence_lattice(D, P7):
+    order = hurwitz_order(D)
+    assert "ring_multipliers" not in vars(order)
+    order.congruence_lattice(P7)
+    assert "ring_multipliers" in vars(order)

@@ -9,8 +9,8 @@ from quatsys.intervals import RatInterval
 from quatsys.numfield import IdealHNF, NumberField, primes_up_to_norm
 from quatsys.orders import hurwitz_algebra, hurwitz_order
 from quatsys.realroots import isolate_real_roots, refine_root
-from quatsys.torsion import (candidate_orders, certify_torsion_free, roots_in_field,
-                             torsion_traces)
+from quatsys.torsion import (ObstructionRecord, TorsionCertificate, candidate_orders,
+                             certify_torsion_free, roots_in_field, torsion_traces)
 
 _T = sympy.Symbol("t")
 
@@ -222,3 +222,62 @@ def test_precision_failure_is_not_cached(monkeypatch):
     cert = certify_torsion_free(order, p7)
     assert cert.torsion_free
     assert candidate_orders(field) == [1, 2, 3, 4, 6, 7, 14]
+
+
+def uncached_certificate_lines(order, ideal):
+    """The certificate as computed before the obstructions were kept per field:
+    every obstruction ideal is formed afresh for the ideal at hand."""
+    field = order.algebra.field
+    strong = field.class_number_one
+    i_sq = ideal * ideal
+    records, blocking = [], []
+    for n, trace_value in torsion_traces(field):
+        if n <= 2:
+            continue
+        c = trace_value - field.from_rational(2)
+        if c.is_zero():
+            continue
+        if abs(c.norm()) == 1:
+            records.append(ObstructionRecord(n, trace_value, True, None, False))
+            continue
+        obstruction = IdealHNF.principal(field, c)
+        blocks = (i_sq if strong else ideal).divides(obstruction)
+        records.append(ObstructionRecord(n, trace_value, False, obstruction.norm, blocks))
+        if blocks:
+            blocking.append(n)
+    return TorsionCertificate(ideal.norm, strong, records, not blocking,
+                              sorted(set(blocking))).lines()
+
+
+def test_certificate_matches_the_uncached_oracle(QH, K, P7, B6):
+    for prime in primes_up_to_norm(K, 100) + [P7 * P7]:
+        assert certify_torsion_free(QH, prime).lines() == uncached_certificate_lines(QH, prime)
+    QQ = B6.algebra.field
+    for p in (2, 3, 4, 5, 7, 9):
+        ideal = IdealHNF.principal(QQ, QQ.from_rational(p))
+        assert certify_torsion_free(B6, ideal).lines() == uncached_certificate_lines(B6, ideal)
+    # the weak form over a field without the class-number-one flag
+    plain = NumberField([1, 1, -2, -1])
+    order = hurwitz_order(hurwitz_algebra(plain))
+    for p in (2, 3, 7):
+        ideal = IdealHNF.principal(plain, plain.from_rational(p))
+        assert certify_torsion_free(order, ideal).lines() == uncached_certificate_lines(order, ideal)
+
+
+def test_obstruction_ideals_built_once_per_field(monkeypatch):
+    field, order, p7 = _fresh_hurwitz()
+    p13 = primes_up_to_norm(field, 13)[-1]
+    calls = []
+    principal = IdealHNF.principal.__func__
+
+    def spy(cls, *args):
+        calls.append(args)
+        return principal(cls, *args)
+
+    monkeypatch.setattr(IdealHNF, "principal", classmethod(spy))
+    first = certify_torsion_free(order, p7)
+    # <t - 2> for t = -1 (n = 3), 0 (n = 4) and the three conjugates of eta (n = 7)
+    assert len(calls) == sum(not r.unit_shortcircuit for r in first.records) == 5
+    second = certify_torsion_free(order, p13)
+    assert len(calls) == 5
+    assert second.ideal_norm == 13 and second.torsion_free
