@@ -155,15 +155,6 @@ def intersect(rows_a, rows_b, ncols):
     return hnf(out, ncols)
 
 
-def lattice_index(outer, inner) -> int:
-    """Index [outer : inner] for full-rank HNF lattices with inner <= outer."""
-    do = det_upper_triangular(outer)
-    di = det_upper_triangular(inner)
-    if di % do != 0:
-        raise ValueError("inner lattice is not a sublattice of outer")
-    return di // do
-
-
 def content(rows) -> int:
     g = 0
     for r in rows:

@@ -10,6 +10,7 @@ is irreducible, totally real, and that Z[theta] is the full ring of integers
 (via the Dedekind criterion at every prime whose square divides the
 polynomial discriminant); fields failing any check are rejected, which
 keeps "integral element" synonymous with "den = 1" everywhere downstream.
+A Minkowski bound below 2 certifies class number one (`class_number_one`).
 The discriminant, the irreducibility certificate, the factorisations
 modulo p (Dedekind-Kummer) and the rational primes come from `polys`.
 
@@ -49,7 +50,7 @@ MAX_DEGREE = 12
 class NumberField:
     """A totally real field Q(theta) with maximal power-basis order Z[theta]."""
 
-    def __init__(self, coeffs_desc, name=None, class_number_one=False):
+    def __init__(self, coeffs_desc, name=None):
         coeffs = [int(c) for c in coeffs_desc]
         if len(coeffs) < 2:
             raise InputError("minimal polynomial must have degree >= 1")
@@ -61,7 +62,6 @@ class NumberField:
         self.min_poly = list(reversed(coeffs))  # ascending
         self.degree = len(coeffs) - 1
         self.name = name or f"field-deg{self.degree}"
-        self.class_number_one = bool(class_number_one)
 
         self.disc = discriminant(self.min_poly)
         if self.disc == 0:  # a repeated factor
@@ -78,13 +78,16 @@ class NumberField:
             raise InputError("minimal polynomial is reducible over Q")
 
         self._certify_power_basis_maximal()
+        # Minkowski: every ideal class holds an integral ideal of norm at most
+        # M = (d!/d^d) sqrt|d_K|, so M < 2 proves h = 1; False leaves h open
+        d = self.degree
+        self.class_number_one = math.factorial(d) ** 2 * abs(self.disc) < 4 * d ** (2 * d)
         # bits -> certified enclosure of the inverse embedding matrix
         self._inverse_embedding = {}
         # facts about the field alone that other modules compute (`cached`)
         self._cache = {}
 
         # theta^k for k = 0 .. 2d-2 as integer coordinate vectors
-        d = self.degree
         self._pow = []
         vec = [0] * d
         vec[0] = 1
@@ -280,7 +283,7 @@ class NumberField:
 
 def rationals() -> NumberField:
     """Q presented as the degree-1 field with minimal polynomial t."""
-    return NumberField([1, 0], name="Q", class_number_one=True)
+    return NumberField([1, 0], name="Q")
 
 
 def hurwitz_field() -> NumberField:
@@ -288,9 +291,9 @@ def hurwitz_field() -> NumberField:
 
     The generator eta = 2*cos(2*pi/7) has minimal polynomial
     t^3 + t^2 - 2t - 1; the ring of integers Z[eta] is a principal ideal
-    domain, which the constructor records as an assumption flag.
+    domain, as Minkowski's bound M = (6/27) * 7 < 2 certifies on construction.
     """
-    return NumberField([1, 1, -2, -1], name="Q(eta)", class_number_one=True)
+    return NumberField([1, 1, -2, -1], name="Q(eta)")
 
 
 class FieldElement:

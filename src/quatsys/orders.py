@@ -13,7 +13,8 @@ that depend on the order alone.  The constructor builds them
 (`OrderLattice.tables`) from that pass's products and certifies the order
 from them: it contains 1, is closed under multiplication and the standard
 involution, has integral reduced traces and norms, and kappa | 2ab.  Every
-finite quotient and congruence lattice of the order reads the same tables.
+finite quotient and congruence lattice of the order reads the same tables,
+and so does the maximality test on its discriminant (`nonmaximal_primes`).
 
 Congruence structure: for an ideal I of the center, I*Q is the two-sided
 ideal spanned by products of an ideal basis with an order basis, and the
@@ -29,12 +30,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
 
 from . import lattice
 from .errors import InputError, InvariantViolation
-from .numfield import FieldElement, IdealHNF, NumberField, hurwitz_field
-from .quatalg import QuatElement, QuaternionAlgebra
+from .numfield import FieldElement, IdealHNF, NumberField, factor_rational_prime, hurwitz_field
+from .polys import det_fraction, factorint
+from .quatalg import RAMIFIED, QuatElement, QuaternionAlgebra
 
 _MAX_CLOSE_ITERS = 12
 
@@ -82,12 +84,10 @@ class OrderTables:
 class OrderLattice:
     """An order containing O_K, with certified multiplicative closure."""
 
-    def __init__(self, algebra: QuaternionAlgebra, generators, name=None,
-                 assume_maximal=False):
+    def __init__(self, algebra: QuaternionAlgebra, generators, name=None):
         self.algebra = algebra
         self.generators = generators = tuple(generators)
         self.name = name or "order"
-        self.assume_maximal = bool(assume_maximal)
         kappa, mat = _module_span(algebra, generators)
         # `_hnf_span` is canonical, so the span stops growing when it repeats
         for _ in range(_MAX_CLOSE_ITERS):
@@ -130,6 +130,45 @@ class OrderLattice:
         quota = self.algebra.a * self.algebra.b * 2
         if quota.den != 1 or any(c % self.kappa for c in quota.num):
             raise InvariantViolation(f"kappa={self.kappa} does not divide 2ab")
+
+    # -- maximality -------------------------------------------------------------
+
+    def discriminant_norm(self) -> int:
+        """N(disc O), from |det Tr_{K/Q} trd(w_a w_b)| = d_K^4 N(disc O)^2.
+
+        trd(w_c) = 2 head_c / kappa (see `_certify`), so the Gram entry of
+        w_a, w_b is sum_c struct[a][b][c] tau_c with tau_c = Tr_{K/Q} trd(w_c).
+        """
+        field = self.algebra.field
+        d = field.degree
+        tau = [int(FieldElement(field, row[:d], self.kappa).trace() * 2) for row in self.mat]
+        gram = [[sum(s * t for s, t in zip(entry, tau)) for entry in plane]
+                for plane in self.tables.struct]
+        square, rest = divmod(int(abs(det_fraction(gram))), field.disc ** 4)
+        root = isqrt(square)
+        if rest or root * root != square:
+            raise InvariantViolation(f"order discriminant {square} over d_K^4 is not a square")
+        return root
+
+    @functools.cached_property
+    def nonmaximal_primes(self) -> frozenset:
+        """The rational primes p at which the order is not maximal.
+
+        A maximal order's reduced discriminant is the product of the finite
+        primes where the algebra ramifies; a smaller order's is a proper
+        multiple of it at every prime where the order is not maximal.  So the
+        order is maximal at every prime above p exactly when the p-part of
+        N(disc O) is the product of N(P) over the ramified P | p.  Computed on
+        first use, never by the constructor.
+        """
+        algebra = self.algebra
+        out = set()
+        for p, e in factorint(self.discriminant_norm()).items():
+            ramified = [prime.norm for prime, _e, _f in factor_rational_prime(algebra.field, p)
+                        if algebra.finite_prime_status(prime) == RAMIFIED]
+            if p ** e != prod(ramified):
+                out.add(p)
+        return frozenset(out)
 
     # -- basic structure ------------------------------------------------------
 
@@ -271,9 +310,9 @@ def hurwitz_algebra(field: NumberField | None = None) -> QuaternionAlgebra:
 def hurwitz_order(algebra: QuaternionAlgebra | None = None) -> OrderLattice:
     """The maximal order Z[eta][i, j, j'] with j' = (1 + eta*i + tau*j)/2.
 
-    tau = 1 + eta + eta^2.  Maximality is recorded as an assumption flag; it
-    is cross-validated downstream by the quotient-counting identities that
-    hold only for maximal orders.
+    tau = 1 + eta + eta^2.  Its maximality is certified from its discriminant:
+    N(disc O) = 1 and the algebra is unramified at every finite prime, so
+    `nonmaximal_primes` is empty.
     """
     if algebra is None:
         algebra = hurwitz_algebra()
@@ -282,7 +321,7 @@ def hurwitz_order(algebra: QuaternionAlgebra | None = None) -> OrderLattice:
     if K.min_poly != [-1, -2, 1, 1] or algebra.a != eta or algebra.b != eta:
         raise InputError("the Hurwitz order lives in (eta,eta) over Q(eta)")
     gens = [algebra.one(), algebra.gen_i(), algebra.gen_j(), hurwitz_j_prime(algebra)]
-    order = OrderLattice(algebra, gens, name="hurwitz", assume_maximal=True)
+    order = OrderLattice(algebra, gens, name="hurwitz")
     if order.kappa != 2:
         raise InvariantViolation(f"Hurwitz order should have kappa=2, got {order.kappa}")
     return order

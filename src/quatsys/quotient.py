@@ -49,14 +49,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
 from . import lattice
 from .errors import CapExceeded, InputError, InvariantViolation
 from .numfield import IdealHNF, factor_ideal
-from .orders import OrderLattice, scaled_row
+from .orders import OrderLattice
 from .quatalg import RAMIFIED, QuaternionAlgebra
 
 DEFAULT_CAP = 10 ** 7
@@ -460,65 +460,25 @@ class LambdaFactor:
         ]
 
 
-def nonmaximal_local_primes(order: OrderLattice, reference: OrderLattice, primes):
-    """Primes among `primes` where `order` is a proper local suborder of `reference`."""
-    out = []
-    for prime in primes:
-        if not _locally_equal(order, reference, prime):
-            out.append(prime)
-    return out
-
-
-def _locally_equal(order: OrderLattice, reference: OrderLattice, prime: IdealHNF) -> bool:
-    scale = lcm(order.kappa, reference.kappa)
-    mine = [[x * (scale // order.kappa) for x in row] for row in order.mat]
-    theirs = [[x * (scale // reference.kappa) for x in row] for row in reference.mat]
-    prev = None
-    m = 1
-    while True:
-        pm = prime ** m
-        rows = list(mine)
-        for alpha in pm.basis_elements():
-            for w in reference.basis_elements():
-                rows.append(scaled_row(alpha * w, scale))
-        joined = lattice.hnf(rows, order.dim)
-        idx = lattice.lattice_index(lattice.hnf(theirs, order.dim), joined)
-        if idx == prev:
-            return idx == 1
-        prev = idx
-        m += 1
-        if m > 12:
-            raise InvariantViolation("local index comparison did not stabilize")
-
-
-def lambda_factor(algebra: QuaternionAlgebra, order: OrderLattice, ideal: IdealHNF,
-                  reference_maximal: OrderLattice | None = None) -> LambdaFactor:
+def lambda_factor(algebra: QuaternionAlgebra, order: OrderLattice,
+                  ideal: IdealHNF) -> LambdaFactor:
     """The product over primes dividing the ideal that scales the index bound.
 
-    T1: primes where the algebra ramifies; T2: primes where the order is not
-    maximal.  Contribution (1 + 1/q) for T1 \\ T2, a factor 2 for T2, and an
-    extra q^e for even primes in T2.
+    T1: primes where the algebra ramifies; T2: primes above a rational prime
+    in `order.nonmaximal_primes`.  A prime in T2 where the order is maximal
+    only raises the bound.  Contribution (1 + 1/q) for T1 \\ T2, a factor 2
+    for T2, and an extra q^e for even primes in T2.
     """
     field = algebra.field
-    factorization = factor_ideal(field, ideal)
-    primes = [p for p, _t in factorization]
-    if order.assume_maximal:
-        t2 = []
-    elif reference_maximal is not None:
-        t2 = nonmaximal_local_primes(order, reference_maximal, primes)
-    else:
-        raise InputError("cannot decide maximality: pass a reference maximal order "
-                         "or construct the order with assume_maximal=True")
-
+    nonmaximal = order.nonmaximal_primes
     two = IdealHNF.principal(field, field.from_rational(2))
     value = Fraction(1)
     t1_norms, t2_norms = [], []
     diadic_exponents = {}
-    t2_set = {p.mat for p in t2}
     third_product = 1
-    for prime in primes:
+    for prime, _t in factor_ideal(field, ideal):
         in_t1 = algebra.finite_prime_status(prime) == RAMIFIED
-        in_t2 = prime.mat in t2_set
+        in_t2 = any(prime.norm % p == 0 for p in nonmaximal)
         if in_t1:
             t1_norms.append(prime.norm)
         if in_t2:
@@ -537,10 +497,9 @@ def lambda_factor(algebra: QuaternionAlgebra, order: OrderLattice, ideal: IdealH
     return LambdaFactor(t1_norms, t2_norms, diadic_exponents, value)
 
 
-def index_bound(algebra: QuaternionAlgebra, order: OrderLattice, ideal: IdealHNF,
-                reference_maximal: OrderLattice | None = None) -> int:
+def index_bound(algebra: QuaternionAlgebra, order: OrderLattice, ideal: IdealHNF) -> int:
     """lambda * Norm(I)^3, an upper bound for the congruence index."""
-    lam = lambda_factor(algebra, order, ideal, reference_maximal)
+    lam = lambda_factor(algebra, order, ideal)
     bound = lam.value * Fraction(ideal.norm) ** 3
     if bound.denominator != 1:
         raise InvariantViolation("index bound should be an integer")

@@ -11,9 +11,11 @@ value x + 1/x (never constructing the extension), the certifier:
   of each follows exactly from the recurrence for x^k + x^-k;
 * forms each obstruction ideal once per field, and for each congruence
   ideal tests the divisibility it would impose;
-  in a class-number-one field the stronger square-divisibility test
+  in a field whose Minkowski bound proves class number one
+  (`NumberField.class_number_one`) the stronger square-divisibility test
   applies (any violating ideal would contain a principal one with the
-  same obstruction, forcing I^2 to divide it);
+  same obstruction, forcing I^2 to divide it); in any other field the
+  divisibility test, which is sound for every class number;
 * short-circuits obstruction values that are units.
 
 A "torsion-free" verdict is therefore a certificate that the congruence
@@ -115,8 +117,9 @@ class TorsionCertificate:
 def certify_torsion_free(order: OrderLattice, ideal: IdealHNF) -> TorsionCertificate:
     """Certificate that the level-I congruence group has no non-central torsion.
 
-    The strong (square-divisibility) form applies when the field carries
-    the class-number-one flag.
+    The strong (square-divisibility) form applies when Minkowski's bound
+    proves that the field has class number one; otherwise the weak
+    (divisibility) form, which holds for every class number.
     """
     field = order.algebra.field
     if ideal.is_whole_ring():

@@ -1,7 +1,17 @@
 import pytest
 
+from quatsys import lattice
 from quatsys.numfield import IdealHNF, factor_rational_prime, hurwitz_field, rationals
 from quatsys.orders import hurwitz_algebra, hurwitz_order, standard_order
+
+
+def lattice_index(outer, inner) -> int:
+    """Oracle: index [outer : inner] of full-rank HNF lattices with inner <= outer."""
+    do = lattice.det_upper_triangular(outer)
+    di = lattice.det_upper_triangular(inner)
+    if di % do != 0:
+        raise ValueError("inner lattice is not a sublattice of outer")
+    return di // do
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +67,19 @@ def B6():
     from quatsys.specfile import parse_spec_text
 
     return parse_spec_text(B6_SPEC)["order"]
+
+
+Q2MAX_SPEC = """name: Q2max
+minpoly: 1 0 -2
+quat: 1 1 | -1 0
+order: 2 | 1 0 1 0 1 1 1 1 ; 0 1 0 0 0 1 0 0 ; 0 0 2 0 0 0 0 0 ; 0 0 0 1 0 0 0 1 ; 0 0 0 0 2 0 0 0 ; 0 0 0 0 0 2 0 0 ; 0 0 0 0 0 0 2 0 ; 0 0 0 0 0 0 0 2
+"""
+
+
+@pytest.fixture(scope="session")
+def Q2max():
+    """The maximal order of (1 + sqrt 2, -1) over Q(sqrt 2), ramified at one real
+    place and at P2 = (sqrt 2), as a `--field` file."""
+    from quatsys.specfile import parse_spec_text
+
+    return parse_spec_text(Q2MAX_SPEC)["order"]

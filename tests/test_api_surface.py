@@ -13,6 +13,10 @@ fresh interpreter checks that set-up leaves mpmath unloaded.
 A third keeps one start precision: every `refine` loop in src/quatsys starts
 at `intervals.START_BITS`, or at `self.bits` inside `Enumerator`, which sets
 it to START_BITS.  Each other start must be on its allowlist with its reason.
+
+A fourth keeps the retired assumption knobs out: class number one and
+maximality are worked out from the field and the order, so no call in
+src/quatsys passes them and no function there accepts them.
 """
 
 import ast
@@ -173,3 +177,27 @@ def refine_starts() -> list:
 
 def test_every_refine_loop_starts_at_start_bits():
     assert refine_starts() == sorted(REFINE_STARTS)
+
+
+ASSUMPTION_KNOBS = {"class_number_one", "assume_maximal", "reference_maximal"}
+
+
+def assumption_knobs() -> list:
+    """(module, line, name) of every keyword argument a call in src/quatsys
+    passes and every parameter a function there accepts that is a knob."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                names = [k.arg for k in node.keywords]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            else:
+                continue
+            out += [(path.name, node.lineno, name) for name in names if name in ASSUMPTION_KNOBS]
+    return out
+
+
+def test_no_assumption_knob_is_passed_or_accepted():
+    assert assumption_knobs() == []

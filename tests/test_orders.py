@@ -11,6 +11,8 @@ from quatsys.orders import (OrderLattice, _combine, hurwitz_j_prime, hurwitz_ord
                             scaled_row, standard_order, verify_trace_norm_containment)
 from quatsys.quatalg import QuatElement
 
+from conftest import lattice_index
+
 
 def test_standard_order_shape(O_std, D):
     assert O_std.kappa == 1
@@ -28,8 +30,25 @@ def test_hurwitz_order_shape(QH, O_std, D):
     # the standard order sits inside with 2-power index
     inner = [[QH.kappa * x for x in row] for row in O_std.mat]
     assert all(lattice.contains(QH.mat, row) for row in inner)
-    assert lattice.lattice_index(QH.mat, lattice.hnf(inner, QH.dim)) == 64
-    assert QH.assume_maximal
+    assert lattice_index(QH.mat, lattice.hnf(inner, QH.dim)) == 64
+    # maximal at every prime
+    assert QH.nonmaximal_primes == frozenset()
+
+
+def test_discriminant_norms_decide_maximality(QH, O_std, B6, Q2max):
+    # N(disc O) is the product of the ramified primes' norms exactly at the
+    # primes where the order is maximal: B6 ramifies at 2 and 3, Q2max at
+    # P2 = (sqrt 2) of norm 2, and (eta, eta) at no finite prime
+    for order, disc_norm, nonmaximal in ((QH, 1, set()), (O_std, 64, {2}),
+                                         (B6, 6, set()), (Q2max, 2, set())):
+        assert order.discriminant_norm() == disc_norm
+        assert order.nonmaximal_primes == nonmaximal
+
+
+def test_maximality_is_decided_on_first_use_only(D):
+    order = hurwitz_order(D)
+    assert "nonmaximal_primes" not in vars(order)
+    assert not order.nonmaximal_primes and "nonmaximal_primes" in vars(order)
 
 
 def test_certification_catches_non_orders(D):
@@ -91,7 +110,7 @@ def test_norm_one_membership(QH, D):
 
 def test_congruence_lattice_index(QH, P7, P2, P13s):
     for ideal, index in ((P7, 7 ** 4), (P2, 8 ** 4), (P13s[0], 13 ** 4)):
-        assert lattice.lattice_index(QH.mat, QH.congruence_lattice(ideal).mat) == index
+        assert lattice_index(QH.mat, QH.congruence_lattice(ideal).mat) == index
 
 
 def test_congruence_lattice_built_once_per_ideal(QH, K, P7):

@@ -1,19 +1,22 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
-from quatsys import quotient
+from quatsys import lattice, quotient
 from quatsys.errors import CapExceeded, InputError, InvariantViolation
 from quatsys.numfield import NumberField, factor_rational_prime
-from quatsys.orders import OrderLattice, standard_order
+from quatsys.orders import OrderLattice, scaled_row, standard_order
+from quatsys.polys import factorint
 from quatsys.quatalg import QuaternionAlgebra
 from quatsys.quotient import (_CHUNK, FiniteQuotRing, _digits, _float_exact, _quad,
                               count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
-                              maxim_formula, nonmaximal_local_primes, norm_one_envelope,
-                              squares_count)
+                              maxim_formula, norm_one_envelope, squares_count)
+
+from conftest import lattice_index
 
 
 # -- ring operations that only the tests use ------------------------------------
@@ -330,12 +333,39 @@ def test_lambda_and_index_bound(D, QH, O_std, P7, P2, P13s):
     # strict inequality of the counts against the cube
     assert 336 < 343 and 504 < 512 and 2184 < 2197
     # the standard order is non-maximal exactly at 2
-    nm = nonmaximal_local_primes(O_std, QH, [P7, P2, P13s[0]])
-    assert [p.norm for p in nm] == [8]
-    lam_o = lambda_factor(D, O_std, P2, reference_maximal=QH)
+    lam_o = lambda_factor(D, O_std, P2)
     assert lam_o.value == 2 * 8  # factor 2 and the diadic 8^e with e=1
-    with pytest.raises(InputError):
-        lambda_factor(D, O_std, P2)  # maximality undecidable without a reference
+    assert lambda_factor(D, O_std, P7).value == 1
+
+
+def locally_equal(order, reference, prime) -> bool:
+    """Oracle: whether order and reference agree at prime, by the local index.
+
+    [reference : order + prime^m * reference] for m = 1, 2, ... until it
+    repeats; the two agree locally exactly when it settles at 1.
+    """
+    scale = lcm(order.kappa, reference.kappa)
+    mine = [[x * (scale // order.kappa) for x in row] for row in order.mat]
+    theirs = lattice.hnf([[x * (scale // reference.kappa) for x in row]
+                          for row in reference.mat], order.dim)
+    prev = None
+    for m in range(1, 13):
+        rows = list(mine)
+        for alpha in (prime ** m).basis_elements():
+            for w in reference.basis_elements():
+                rows.append(scaled_row(alpha * w, scale))
+        idx = lattice_index(theirs, lattice.hnf(rows, order.dim))
+        if idx == prev:
+            return idx == 1
+        prev = idx
+    raise AssertionError("local index comparison did not stabilize")
+
+
+def test_nonmaximal_primes_agree_with_the_local_index_oracle(QH, O_std, P2, P7, P13s):
+    assert not locally_equal(O_std, QH, P2)
+    for prime in [P2, P7, *P13s]:
+        (p,) = factorint(prime.norm)
+        assert locally_equal(O_std, QH, prime) == (p not in O_std.nonmaximal_primes)
 
 
 def test_quotient_rejects_bad_t(QH, P7):

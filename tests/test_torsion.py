@@ -7,7 +7,8 @@ import sympy
 from quatsys.errors import InputError, PrecisionError
 from quatsys.intervals import RatInterval
 from quatsys.numfield import IdealHNF, NumberField, primes_up_to_norm
-from quatsys.orders import hurwitz_algebra, hurwitz_order
+from quatsys.orders import hurwitz_algebra, hurwitz_order, standard_order
+from quatsys.quatalg import QuaternionAlgebra
 from quatsys.realroots import isolate_real_roots, refine_root
 from quatsys.torsion import (ObstructionRecord, TorsionCertificate, candidate_orders,
                              certify_torsion_free, roots_in_field, torsion_traces)
@@ -156,17 +157,23 @@ def test_all_small_primes_certified(QH, K):
         assert certify_torsion_free(QH, prime).torsion_free
 
 
-def test_weak_form_blocks_at_obstruction(QH, K, P2):
-    # over the same field without the class-number-one flag only the
-    # divisibility test applies, and the even prime is blocked by the
-    # order-4 trace: <2> divides <0 - 2>
-    plain = NumberField([1, 1, -2, -1])
-    cert = certify_torsion_free(hurwitz_order(hurwitz_algebra(plain)),
-                                IdealHNF.principal(plain, plain.from_rational(2)))
+def sqrt6_standard_order():
+    """The standard order of (-1, -1) over Q(sqrt 6), whose Minkowski bound
+    sqrt 6 is above 2, so that its class number is left undecided."""
+    field = NumberField([1, 0, -6])
+    minus_one = field.from_rational(-1)
+    return standard_order(QuaternionAlgebra(field, minus_one, minus_one))
+
+
+def test_weak_form_blocks_at_obstruction(QH, P2):
+    # without a proof of class number one only the divisibility test
+    # applies, and (2) is blocked by the order-4 trace: <2> divides <0 - 2>
+    order = sqrt6_standard_order()
+    field = order.algebra.field
+    cert = certify_torsion_free(order, IdealHNF.principal(field, field.from_rational(2)))
     assert not cert.strong_form
-    assert not cert.torsion_free
-    assert 4 in cert.blocking_orders
-    # the strong square form certifies it
+    assert cert.lines()[-1] == "verdict=possibly-torsion(n=4)"
+    # the strong square form certifies the Hurwitz group at P2
     assert certify_torsion_free(QH, P2).torsion_free
 
 
@@ -256,10 +263,11 @@ def test_certificate_matches_the_uncached_oracle(QH, K, P7, B6):
     for p in (2, 3, 4, 5, 7, 9):
         ideal = IdealHNF.principal(QQ, QQ.from_rational(p))
         assert certify_torsion_free(B6, ideal).lines() == uncached_certificate_lines(B6, ideal)
-    # the weak form over a field without the class-number-one flag
-    plain = NumberField([1, 1, -2, -1])
-    order = hurwitz_order(hurwitz_algebra(plain))
-    for p in (2, 3, 7):
+    # the weak form, over a field without a proof of class number one
+    order = sqrt6_standard_order()
+    plain = order.algebra.field
+    assert not plain.class_number_one
+    for p in (2, 3, 5):
         ideal = IdealHNF.principal(plain, plain.from_rational(p))
         assert certify_torsion_free(order, ideal).lines() == uncached_certificate_lines(order, ideal)
 
