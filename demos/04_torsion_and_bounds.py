@@ -9,8 +9,8 @@ genus, and the trace floor turns into a systole floor.
 
 from quatsys import IdealHNF, candidate_orders, certify_torsion_free
 from quatsys.bounds import (four_thirds_log_genus, fuchsian_sr_bound,
-                            genus_from_index, hurwitz_43_check, hurwitz_context,
-                            psl_index, sys_lower_bound_from_genus,
+                            genus_from_index, hurwitz_43_check, hurwitz_43_threshold,
+                            hurwitz_context, psl_index, sys_lower_bound_from_genus,
                             trace_bound_pair)
 from quatsys.numfield import factor_rational_prime
 from quatsys.quotient import FiniteQuotRing
@@ -37,11 +37,13 @@ for prime in [p7, IdealHNF.principal(K, K.from_rational(2)),
     print(f"norm {prime.norm:>2}    {float(sharp):>9.4f}  {count:>5}  {pidx:>4} "
           f" {genus:>4}   {float(four_thirds_log_genus(genus).mid):>8.3f}")
 
-# the genus-chain systole floor becomes meaningful at genus 65, which is
-# exactly where it overtakes (4/3) log g
-for g in (64, 65, 100, 10 ** 4):
+# the genus-chain systole floor overtakes (4/3) log g at one genus, and stays
+# above it from there on, as the gap is increasing in g
+threshold = hurwitz_43_threshold()
+print(f"\nthe 4/3 bound holds from genus {threshold} on")
+for g in (4, threshold - 1, threshold, 100, 10 ** 4):
     chain = sys_lower_bound_from_genus(ctx, g)
-    ok = hurwitz_43_check(g) if chain is not None else False
+    ok = hurwitz_43_check(g)
     print(f"g={g:>6}: chain floor = "
           f"{float(chain.mid):.4f}" if chain else f"g={g:>6}: chain vacuous",
           f"  4/3-bound holds: {ok}")

@@ -22,7 +22,7 @@ from .quotient import (FiniteQuotRing, LambdaFactor, count_norm_one_ideal,
 from .torsion import (TorsionCertificate, candidate_orders, certify_torsion_free,
                       roots_in_field)
 from .bounds import (GeometryContext, genus_from_index, hurwitz_43_check,
-                     hurwitz_43_range_check, hurwitz_context, kleinian_bounds,
+                     hurwitz_43_threshold, hurwitz_context, kleinian_bounds,
                      length_from_trace, psl_index, sys_lower_bound_from_genus,
                      sys_lower_bound_from_ideal, trace_bound_pair,
                      trace_coset_minimum, trace_lower_bound, v3_enclosure)

@@ -12,11 +12,12 @@ labelled companions for display.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, InvariantViolation
+from .errors import CapExceeded, InputError, InvariantViolation
 from .intervals import START_BITS, RatInterval, iv_acosh, iv_log, iv_pi, iv_pow, iv_sqrt, refine
 from .numfield import IdealHNF, abs_vs_two
 from .orders import OrderLattice, hurwitz_preset
@@ -96,7 +97,8 @@ class TraceCosetMinimum:
         return any(trace == t for t in self.traces)
 
 
-def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinimum:
+def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
+                        cap_nodes: int = 30_000_000) -> TraceCosetMinimum:
     """The systole floor L* of Gamma(I) from the trace coset 2 + I^2 (exact).
 
     For gamma = 1 + q in Gamma(I), q in I*Q, nrd gamma = 1 gives
@@ -112,7 +114,8 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinim
     certified embeddings, refined until they separate: |sigma_s t| = 2 only
     for t = +-2 (`numfield.abs_vs_two`), and |sigma_0 t| = |sigma_0 t'| in K
     only for t = +-t'.  Raises `InputError` unless the algebra is split at
-    place 0 and ramified at every other real place.
+    place 0 and ramified at every other real place, and `CapExceeded` once
+    the walks, counted together, pass `cap_nodes` points.
     """
     algebra = order.algebra
     if not algebra.is_cocompact_presentation():
@@ -120,10 +123,14 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF) -> TraceCosetMinim
     field = algebra.field
     square = ideal * ideal
     cap = Fraction(4)
+    walked = 0
     while True:
         best = []
         limits = [cap] + [Fraction(2)] * (field.degree - 1)
         for t in field.box_walk(limits, square.mat, shift=2):
+            walked += 1
+            if walked > cap_nodes:
+                raise CapExceeded(f"trace-coset walk exceeded {cap_nodes} points")
             if any(abs_vs_two(t, s) >= 0 for s in range(1, field.degree)) or \
                     abs_vs_two(t, 0) <= 0:
                 continue
@@ -217,7 +224,7 @@ def sys_lower_bound_from_ideal(ctx: GeometryContext, ideal: IdealHNF):
     return length_from_trace(floor, exact=False)
 
 
-def sys_lower_bound_from_genus(ctx: GeometryContext, genus: int):
+def sys_lower_bound_from_genus(ctx: GeometryContext, genus: int, prec: int = START_BITS):
     """Explicit chain: 2*log( (4*pi*(g-1)/(nu*lambda))^(2/3) / 2^(2d-2) - 3 ).
 
     The area ratio 4*pi*(g-1)/nu is rational because nu is a rational
@@ -226,10 +233,10 @@ def sys_lower_bound_from_genus(ctx: GeometryContext, genus: int):
     if genus < 2:
         raise InputError("genus must be at least 2")
     ratio = Fraction(4) * (genus - 1) / (ctx.covolume_pi * ctx.lambda_value)
-    base = iv_pow(ratio, Fraction(2, 3), START_BITS) / Fraction(2) ** (2 * ctx.degree - 2) - 3
+    base = iv_pow(ratio, Fraction(2, 3), prec) / Fraction(2) ** (2 * ctx.degree - 2) - 3
     if not base.certainly_gt(1):
         return None
-    return iv_log(base, START_BITS) * 2
+    return iv_log(base, prec) * 2
 
 
 def four_thirds_log_genus(genus: int, prec: int = START_BITS) -> RatInterval:
@@ -237,48 +244,41 @@ def four_thirds_log_genus(genus: int, prec: int = START_BITS) -> RatInterval:
 
 
 def hurwitz_43_check(genus: int) -> bool:
-    """Certified test of 2*log((21(g-1)/16)^(2/3) - 3) >= (4/3)*log(g)."""
+    """Certified test of the genus chain >= (4/3)*log(g) for the (2,3,7) tower,
+    where the chain is 2*log((21(g-1)/16)^(2/3) - 3); False while it is vacuous."""
+    ctx = hurwitz_context()
+
     def decide(p):
-        gap = (_hurwitz_chain(genus, p) - four_thirds_log_genus(genus, p)).sign()
+        chain = sys_lower_bound_from_genus(ctx, genus, p)
+        if chain is None:
+            return False
+        gap = (chain - four_thirds_log_genus(genus, p)).sign()
         return None if gap is None else gap >= 0
 
     return refine(decide, START_BITS, 1536)
 
 
-def _hurwitz_chain(genus: int, prec: int) -> RatInterval:
-    base = iv_pow(Fraction(21 * (genus - 1), 16), Fraction(2, 3), prec) - 3
-    if not base.certainly_gt(0):
-        raise InputError(f"chain vacuous at genus {genus}")
-    return iv_log(base, prec) * 2
-
-
-def hurwitz_43_range_check(lo: int = 65, hi: int = 10 ** 4,
-                           log_samples_to: int = 10 ** 6, n_log_samples: int = 200):
-    """The genera on [lo, hi] and at log-spaced points above that fail the 4/3
-    inequality.
+@functools.cache
+def hurwitz_43_threshold() -> int:
+    """The least genus from which the 4/3 inequality holds, for every larger one too.
 
     f(g) = 2 log(A - 3) - (4/3) log g, A = (21(g-1)/16)^(2/3), is increasing
     for g >= 5: f'(g) = (4/3) [A / ((A - 3)(g - 1)) - 1/g] > 0, as A > 3 there
-    makes A / (A - 3) > 1.  So a genus fails exactly when it lies below the
-    least passing one, found by bisection with the certified
-    `hurwitz_43_check`; below 5 the chain is vacuous and the inequality is
-    not established.
+    makes A / (A - 3) > 1.  So a genus passes `hurwitz_43_check` exactly when
+    it is at least the least passing one, found by doubling from 5 and then
+    bisection.  Below 8 the chain is vacuous (A - 3 <= 1), and the check reads
+    False there, as f < 0.
     """
-    gs = set(range(lo, hi + 1))
-    if log_samples_to > hi:
-        a, b = math.log10(hi + 1), math.log10(log_samples_to)
-        step = (b - a) / max(n_log_samples - 1, 1)
-        gs.update(round(10 ** (a + k * step)) for k in range(n_log_samples))
-    least, top = 5, max(gs, default=0)
-    if top < least or not hurwitz_43_check(top):
-        return sorted(gs)
+    least, top = 5, 5
+    while not hurwitz_43_check(top):
+        least, top = top + 1, 2 * top
     while least < top:
         mid = (least + top) // 2
         if hurwitz_43_check(mid):
             top = mid
         else:
             least = mid + 1
-    return sorted(g for g in gs if g < top)
+    return top
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ exhaustion, 3 violated invariant.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
 from .bounds import (asymptotic_strings, explicit_constant, four_thirds_log_genus,
-                     fuchsian_sr_bound, genus_from_index, hurwitz_43_check,
+                     fuchsian_sr_bound, genus_from_index, hurwitz_43_threshold,
                      hurwitz_context, psl_index, r_invariant,
                      sys_lower_bound_from_genus, sys_lower_bound_from_ideal,
                      trace_bound_pair)
@@ -52,13 +51,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _diameter(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -111,9 +103,6 @@ def build_parser() -> _Parser:
     sp = add("systole", "exact enumeration of short congruence elements")
     _ideal_flags(sp)
     sp.add_argument("--radius", default="5:1:12", help="schedule L0:STEP:MAX")
-    sp.add_argument("--diameter", type=_diameter, default=None,
-                    help="diameter bound of the quotient; certifies where the "
-                         "trace coset 2 + I^2 does not")
 
     add("table1", "summary table over the five short congruence covers")
     return p
@@ -147,15 +136,22 @@ def _pick_ideal(args, field) -> IdealHNF:
     ideal_text = getattr(args, "ideal", None)
     if ideal_text:
         gens = [parse_element(field, chunk) for chunk in ideal_text.split(";")]
-        return IdealHNF.from_generators(field, gens)
-    if getattr(args, "prime", None):
+        ideal = IdealHNF.from_generators(field, gens)
+    elif getattr(args, "prime", None):
         factors = factor_rational_prime(field, args.prime)
         idx = getattr(args, "index", 0)
         if not 0 <= idx < len(factors):
             raise InputError(f"--index must lie in [0, {len(factors)}): "
                              f"{len(factors)} primes above {args.prime}")
-        return factors[idx][0]
-    raise InputError("select an ideal with --ideal or --prime [--index]")
+        ideal = factors[idx][0]
+    else:
+        raise InputError("select an ideal with --ideal or --prime [--index]")
+    try:  # every command's records print the norm
+        str(ideal.norm)
+    except ValueError:
+        raise InputError(f"the ideal's norm has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    return ideal
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +232,11 @@ def cmd_bounds(args, env, emit):
     ideal = _pick_ideal(args, env["field"])
     sharp, coarse = trace_bound_pair(ctx, ideal)
     emit(f"ideal_norm={ideal.norm}")
-    emit(f"trace_floor_sharp={float(sharp):.6f}")
-    emit(f"trace_floor_coarse={float(coarse):.6f}")
+    try:
+        emit(f"trace_floor_sharp={float(sharp):.6f}")
+        emit(f"trace_floor_coarse={float(coarse):.6f}")
+    except OverflowError:
+        raise InputError("the trace floor exceeds the largest double") from None
     bound = index_bound(env["algebra"], order, ideal)
     emit(f"index_bound={bound}")
     count = count_norm_one_ideal(order, ideal, cap=args.cap)
@@ -258,8 +257,8 @@ def cmd_bounds(args, env, emit):
     floor_genus = sys_lower_bound_from_genus(ctx, genus)
     emit("sys_floor_genus_chain=" + (f"{float(floor_genus.mid):.6f}"
                                      if floor_genus is not None else "vacuous"))
-    emit(f"four_thirds_check={str(hurwitz_43_check(genus)).lower()}"
-         if genus >= 65 else f"four_thirds_check=below-range(g={genus})")
+    emit("four_thirds_check=true" if genus >= hurwitz_43_threshold()
+         else f"four_thirds_check=below-range(g={genus})")
     sr = fuchsian_sr_bound(ctx, genus)
     emit("sr_floor=" + (f"{float(sr.mid):.6g}" if sr is not None else "vacuous"))
     coeff, encl = r_invariant(ctx)
@@ -282,8 +281,8 @@ def cmd_systole(args, env, emit):
             emit(f"progress radius={step.radius:g} visited={step.visited} "
                  f"classes={step.distinct_traces} current_min={cur}")
 
-    result = systole_search(order, ideal, schedule, diameter_bound=args.diameter,
-                            cap_nodes=args.cap, progress=progress)
+    result = systole_search(order, ideal, schedule, cap_nodes=args.cap,
+                            progress=progress)
     for line in result.records():
         emit(line)
     for cand in result.candidates:

@@ -69,10 +69,8 @@ the ramified places, so the least admissible |sigma_0| over that coset
 (`bounds.trace_coset_minimum`) gives a floor L* on every translation length,
 and an enumerated element whose trace is a minimiser proves sys = L*.
 `systole_search` starts at the first scheduled radius not below L* and
-labels each result `certified` with its `certificate` (`trace-coset`, or
-`diameter` when a caller-supplied diameter bound of the quotient settles it)
-or, failing both, `stabilized` (minimum unchanged across two radius
-increments).
+labels each result `certified` with its `certificate` (`trace-coset`) or,
+failing that, `stabilized` (minimum unchanged across two radius increments).
 """
 
 from __future__ import annotations
@@ -130,7 +128,7 @@ class EnumerationResult:
     visited: int
     mode: str                          # certified | stabilized | searching
     candidates: list
-    certificate: str | None = None     # trace-coset | diameter, when certified
+    certificate: str | None = None     # trace-coset, when certified
 
     def records(self):
         out = [f"ideal={self.ideal_hnf}", f"norm={self.ideal_norm}",
@@ -163,6 +161,8 @@ class Enumerator:
         field = algebra.field
         if not algebra.is_cocompact_presentation():
             raise InputError("need the algebra split at place 0 and ramified elsewhere")
+        if algebra.a.sign_at(0) < 0:  # i |-> diag(sqrt a, -sqrt a) needs a > 0 there
+            raise InputError("need a > 0 at place 0; present the algebra as (b, a)")
         self.order = order
         self.ideal = ideal
         self.algebra = algebra
@@ -185,13 +185,16 @@ class Enumerator:
 
         # certified embedding data
         theta = [field.embedding_interval(s, bits) for s in range(d)]
-        self.a_emb = [algebra.a.embed(s, bits) for s in range(d)]
-        self.b_emb = [algebra.b.embed(s, bits) for s in range(d)]
-        for s in range(1, d):
-            if not (self.a_emb[s].certainly_lt(0) and self.b_emb[s].certainly_lt(0)):
-                raise InputError("structure constants must be negative at places >= 1")
-        self.sqrt_a0 = iv_sqrt(self.a_emb[0], bits)
-        self._split = {bits: (self.sqrt_a0, self.b_emb[0])}
+        # enclosures of a and b that exclude 0, as the walk divides by them; the
+        # signs are those the presentation checks above decided
+        def signed(ab_bits):
+            embs = [[x.embed(s, ab_bits) for s in range(d)] for x in (algebra.a, algebra.b)]
+            return None if any(e.sign() is None for row in embs for e in row) \
+                else (ab_bits, *embs)
+
+        self._ab_bits, self.a_emb, self.b_emb = refine(signed, START_BITS)
+        self.sqrt_a0 = iv_sqrt(self.a_emb[0], self._ab_bits)
+        self._split = {self._ab_bits: (self.sqrt_a0, self.b_emb[0])}
         one, a, b = field.one(), algebra.a, algebra.b
         self._inv_ab = (a * b).inverse()
         self._one_plus_b2 = one + b * b
@@ -499,10 +502,13 @@ class Enumerator:
         x1 = x.coords[1].embed(0, bits)
         x2 = x.coords[2].embed(0, bits)
         x3 = x.coords[3].embed(0, bits)
-        split = self._split.get(bits)
+        # sqrt(a) and b no coarser than the walk's enclosures, which exclude 0
+        split_bits = max(bits, self._ab_bits)
+        split = self._split.get(split_bits)
         if split is None:
-            split = self._split[bits] = (iv_sqrt(self.algebra.a.embed(0, bits), bits),
-                                         self.algebra.b.embed(0, bits))
+            split = self._split[split_bits] = (
+                iv_sqrt(self.algebra.a.embed(0, split_bits), split_bits),
+                self.algebra.b.embed(0, split_bits))
         ra, b0 = split
         u = x0 + x1 * ra
         ub = x0 - x1 * ra
@@ -559,7 +565,6 @@ class RadiusSchedule:
 
 def systole_search(order: OrderLattice, ideal: IdealHNF,
                    schedule: RadiusSchedule = RadiusSchedule(5.0, 1.0, 12.0),
-                   diameter_bound: float | None = None,
                    cap_nodes: int = 30_000_000,
                    progress=None) -> EnumerationResult:
     """Increasing-radius search until certified or stabilized.
@@ -569,17 +574,13 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
     L* = 2 acosh(|sigma_0 t*|/2).  Radii below L* are skipped: a hyperbolic
     element displaces the basepoint by at least its translation length, and
     the search starts at the index of the first radius not below L*.
-    certified, certificate `diameter`: a user diameter bound D for the
-    quotient guarantees every geodesic of length <= current best has a
-    conjugate displacing the basepoint by <= L, via
-    cosh(L/2) >= cosh(best/2)*cosh(D), decided in interval arithmetic.
-    stabilized: neither certificate applies, and the minimal |trace|
+    stabilized: the certificate does not apply, and the minimal |trace|
     survived two radius increments.
 
     `progress(result)` is invoked with the intermediate EnumerationResult
     after each enumerated radius (visited nodes, current minimum, mode so far).
     """
-    coset = trace_coset_minimum(order, ideal)
+    coset = trace_coset_minimum(order, ideal, cap_nodes)
     # within one of the first radius not below L*; the check in the loop settles it
     first = max(0, math.floor(
         (coset.length.lo - Fraction(schedule.start)) / Fraction(schedule.step)))
@@ -602,9 +603,6 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
         if key is not None:
             streak = streak + 1 if key == best_key else 0
             best_key = key
-            if mode != "certified" and diameter_bound is not None and \
-                    _diameter_certifies(radius, min_cand.length, diameter_bound):
-                mode, certificate = "certified", "diameter"
             if mode != "certified" and streak >= 2:
                 mode = "stabilized"
         last = EnumerationResult(
@@ -652,9 +650,3 @@ def _coset_realised(coset, hyper):
                 f"trace {trace} of {cand.element} is not above the coset minimum "
                 f"{coset.traces[0]} of 2 + I^2")
     return realised
-
-
-def _diameter_certifies(radius, length: RatInterval, diameter_bound: float) -> bool:
-    """cosh(radius/2) >= cosh(length/2) * cosh(D), certified in intervals."""
-    need = iv_cosh(length.hi / 2, START_BITS) * iv_cosh(Fraction(diameter_bound), START_BITS)
-    return need.certainly_le(iv_cosh(Fraction(radius) / 2, START_BITS))

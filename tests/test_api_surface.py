@@ -15,7 +15,8 @@ at `intervals.START_BITS`, or at `self.bits` inside `Enumerator`, which sets
 it to START_BITS.  Each other start must be on its allowlist with its reason.
 
 A fourth keeps the retired assumption knobs out: class number one and
-maximality are worked out from the field and the order, so no call in
+maximality are worked out from the field and the order, and no systole is
+certified from a diameter bound the caller types in, so no call in
 src/quatsys passes them and no function there accepts them.
 """
 
@@ -179,7 +180,8 @@ def test_every_refine_loop_starts_at_start_bits():
     assert refine_starts() == sorted(REFINE_STARTS)
 
 
-ASSUMPTION_KNOBS = {"class_number_one", "assume_maximal", "reference_maximal"}
+ASSUMPTION_KNOBS = {"class_number_one", "assume_maximal", "reference_maximal",
+                    "diameter_bound"}
 
 
 def assumption_knobs() -> list:

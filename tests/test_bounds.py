@@ -6,7 +6,7 @@ import pytest
 
 from quatsys.bounds import (explicit_constant, four_thirds_log_genus,
                             fuchsian_sr_bound, genus_from_index, hurwitz_43_check,
-                            hurwitz_43_range_check, hurwitz_context, kleinian_bounds,
+                            hurwitz_43_threshold, hurwitz_context, kleinian_bounds,
                             kleinian_sr_constant, kleinian_trace_bounds,
                             length_from_trace, psl_index, r_invariant,
                             sys_lower_bound_from_genus, sys_lower_bound_from_ideal,
@@ -92,18 +92,23 @@ def test_bound_column(ctx):
         assert round(float(four_thirds_log_genus(g).mid), 3) == val
 
 
-def test_four_thirds_boundary():
+def test_four_thirds_boundary(ctx):
+    assert hurwitz_43_threshold() == 65
     assert hurwitz_43_check(65)
     assert not hurwitz_43_check(64)
-    assert hurwitz_43_range_check(65, 2000, 10 ** 6, 120) == []
-    assert hurwitz_43_range_check(60, 70, 70, 0) == [60, 61, 62, 63, 64]
+    # below genus 8 the chain is vacuous, and the inequality reads as not
+    # established rather than raising
+    for g in range(2, 8):
+        assert sys_lower_bound_from_genus(ctx, g) is None
+        assert not hurwitz_43_check(g)
+    assert sys_lower_bound_from_genus(ctx, 8) is not None
 
 
 def test_four_thirds_range_matches_a_linear_scan():
-    failing = [g for g in range(5, 140) if not hurwitz_43_check(g)]
-    assert failing == list(range(5, 65))
-    for top in range(5, 140):
-        assert hurwitz_43_range_check(5, top, top, 0) == [g for g in failing if g <= top]
+    # the oracle: every genus of 5..139 checked on its own, against the
+    # threshold that bisection and the monotone gap give
+    passing = [g for g in range(5, 140) if hurwitz_43_check(g)]
+    assert passing == list(range(hurwitz_43_threshold(), 140))
 
 
 def test_sys_floor_vacuous_and_meaningful(ctx, P7, P13s):

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quatsys.cli import build_parser, main
+from quatsys.cli import COMMANDS, build_parser, main
 from quatsys.errors import InputError
 from quatsys.numfield import hurwitz_field
 from quatsys.specfile import parse_element, parse_spec_text
@@ -25,6 +28,8 @@ order: hurwitz
 """
 
 QUAT_SPEC = "minpoly: 1 1 -2 -1\nquat: 0 1 0 | 0 1 0"
+# split at its one real place, but a < 0 there
+MINUS1_3_SPEC = "minpoly: 1 0\nquat: -1 | 3\norder: standard\n"
 IDENTITY_ROWS = "; ".join(" ".join("1" if i == j else "0" for j in range(12))
                           for i in range(12))
 NON_INTEGER_ROWS = IDENTITY_ROWS.replace("1", "x", 1)
@@ -198,14 +203,15 @@ def test_cli_exit_codes(capsys):
     assert code == 1
     code, out = _run(capsys, "--hurwitz", "--bogus-flag", "field-info")
     assert code == 1 and "error=input" in out
-    # malformed numbers: non-finite radii and diameters, a negative index,
-    # norm bound or cap; --precision is no flag at all
+    # malformed numbers: non-finite radii, a negative index, norm bound or
+    # cap; --precision and --diameter are no flags at all (a diameter the
+    # program does not derive certifies nothing)
     for argv in (["systole", "--prime", "7", "--radius", "inf:1:inf"],
                  ["systole", "--prime", "7", "--radius", "4.5:1:nan"],
                  ["systole", "--prime", "13", "--index", "-1"],
                  ["field-info", "--precision", "-5"],
                  ["systole", "--prime", "7", "--precision", "0"],
-                 *(["systole", "--prime", "7", "--diameter", v] for v in ("nan", "inf", "-1")),
+                 ["systole", "--prime", "7", "--diameter", "1"],
                  ["ramification", "--norm-bound", "-5"],
                  ["systole", "--ideal", "1/0"],
                  ["quotient-count", "--prime", "7", "--cap", "-1"]):
@@ -214,6 +220,36 @@ def test_cli_exit_codes(capsys):
     code, out = _run(capsys, "--hurwitz", "quotient-count", "--prime", "7",
                      "--t", "3", "--cap", "1000")
     assert code == 2 and "error=cap" in out
+
+
+def test_cli_refuses_a_negative_a_at_the_split_place(capsys, tmp_path):
+    path = tmp_path / "minus1_3.txt"
+    path.write_text(MINUS1_3_SPEC)
+    code, out = _run(capsys, "--field", str(path), "systole", "--prime", "5")
+    assert code == 1
+    assert _records(out) == ["error=input need a > 0 at place 0; present the algebra as (b, a)"]
+
+
+def test_cli_bounds_refuses_a_trace_floor_beyond_the_double_range(capsys):
+    # norm 10^156: the sharp floor is about 10^312 / 2^10
+    code, out = _run(capsys, "--hurwitz", "bounds", "--ideal", "1e52")
+    assert code == 1
+    assert _records(out) == [f"ideal_norm={10 ** 156}",
+                             "error=input the trace floor exceeds the largest double"]
+    # norm 10^6000 has too many digits to print
+    for command in ("bounds", "torsion-check", "systole"):
+        code, out = _run(capsys, "--hurwitz", command, "--ideal", "1e2000")
+        assert code == 1
+        assert _records(out) == ["error=input the ideal's norm has more than "
+                                 f"{sys.get_int_max_str_digits()} digits"]
+
+
+def test_cli_cap_bounds_the_trace_coset_walk(capsys):
+    started = time.monotonic()
+    code, out = _run(capsys, "--hurwitz", "systole", "--ideal", "7", "--cap", "20000")
+    assert code == 2
+    assert _records(out) == ["error=cap trace-coset walk exceeded 20000 points"]
+    assert time.monotonic() - started < 5.0
 
 
 @pytest.mark.parametrize("t", [10_000, 1_000_000])
@@ -423,3 +459,70 @@ def test_parse_element_fuzz(text):
     except InputError:
         return
     assert x.field == K
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing whole argv lists: an exit code of 0-3 in bounded time, never a
+# traceback
+# ---------------------------------------------------------------------------
+
+FUZZ_FIELDS = {"b6": B6_SPEC, "q2max": Q2MAX_SPEC, "minus1_3": MINUS1_3_SPEC}
+# valid values first: hypothesis draws the first of a list most often, so most
+# examples run deep, and the malformed and huge ones vary them
+FUZZ_NUMBER = st.sampled_from(["7", "13", "5", "2", "0", "-1", "x", "1/0", "2.5", "9" * 40])
+FUZZ_IDEAL = st.sampled_from(["7", "13", "8", "2,-1,0;3", "1e52", "1e2000", "0,0,0", "("])
+FUZZ_FLAG = st.one_of(
+    st.tuples(st.just("--radius"),
+              st.sampled_from(["4.5:1:9", "5:1:12", "1:1e-15:2", "3:1:2", "inf:1:inf",
+                               "1e308:1:1e308", "4.5:1:nan", "x"])),
+    st.tuples(st.sampled_from(["--index", "--t", "--norm-bound", "--jobs",
+                               "--diameter", "--bogus"]), FUZZ_NUMBER),
+    st.tuples(st.just("--out"), st.sampled_from(["out.txt", "no-dir/out.txt", "."])),
+    st.just(("--asymptotic",)))
+FUZZ_ARGV = st.tuples(
+    st.sampled_from([["--hurwitz"], ["--field", "minus1_3"], ["--field", "b6"],
+                     ["--field", "q2max"], [], ["--hurwitz", "--field", "b6"]]),
+    st.sampled_from(list(COMMANDS)),
+    st.one_of(st.tuples(st.just("--ideal"), FUZZ_IDEAL),
+              st.tuples(st.just("--prime"), FUZZ_NUMBER), st.just(())),
+    st.lists(FUZZ_FLAG, max_size=3),
+    st.sampled_from(["3000", "1000", "50", "1", "0", "x"]))
+
+# seconds an argv may take; the slowest passing example takes under one
+FUZZ_SECONDS = 10
+
+
+class _Expired(Exception):
+    pass
+
+
+def _expire(signum, frame):
+    raise _Expired(f"no exit within {FUZZ_SECONDS} s")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(FUZZ_ARGV)
+def test_cli_argv_fuzz(tmp_path, parts):
+    field, command, ideal, flags, cap = parts
+    argv = []
+    for arg in field:
+        if arg in FUZZ_FIELDS:
+            path = tmp_path / f"{arg}.txt"
+            path.write_text(FUZZ_FIELDS[arg])
+            arg = str(path)
+        argv.append(arg)
+    argv += [command, *ideal]
+    for flag, *value in flags:
+        argv += [flag, *(str(tmp_path / v) if flag == "--out" else v for v in value)]
+    argv += ["--cap", cap]
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2, 3), argv

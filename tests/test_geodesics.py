@@ -17,7 +17,7 @@ from quatsys import geodesics
 from quatsys.bounds import hurwitz_context, trace_coset_minimum, trace_lower_bound
 from quatsys.errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
-from quatsys.intervals import RatInterval
+from quatsys.intervals import START_BITS, RatInterval
 from quatsys.numfield import FieldElement, IdealHNF
 from quatsys.walkranges import _up, slice_range
 
@@ -168,15 +168,6 @@ def test_systole_search_stabilizes(QH, P7, monkeypatch):
     result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0))
     assert result.mode == "stabilized" and result.certificate is None
     assert abs(float(result.min_length.mid) - 3.936) < 1e-3
-
-
-def test_certificate_mode_formula(QH, P7):
-    # a (mathematically unjustified) tiny diameter flips the result to
-    # certified as soon as cosh(L/2) >= cosh(best/2) * cosh(diam)
-    result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0), diameter_bound=0.3)
-    assert result.mode == "certified"
-    need = math.cosh(float(result.min_length.hi) / 2) * math.cosh(0.3)
-    assert math.cosh(result.radius / 2) >= need
 
 
 def test_schedule_exhaustion_raises(QH, P7):
@@ -756,6 +747,25 @@ def test_trace_coset_minimum_needs_a_cocompact_presentation(K):
         trace_coset_minimum(standard_order(split), K.whole_ring())
 
 
+def test_enumerator_narrows_the_structure_constants_until_their_signs_show(QH, P7):
+    from quatsys.numfield import NumberField
+    from quatsys.orders import standard_order
+    from quatsys.quatalg import QuaternionAlgebra
+
+    K2 = NumberField([1, 0, -2])
+    a = K2.element([1, 1]) ** 61   # sigma_1(a) = (1 - sqrt 2)^61 ~ -4.5e-24
+    algebra = QuaternionAlgebra(K2, a, K2.from_rational(-1))
+    assert algebra.is_cocompact_presentation()
+    assert a.embed(1, START_BITS).sign() is None
+    enum = Enumerator(standard_order(algebra), IdealHNF.principal(K2, K2.from_rational(3)))
+    assert all(e.sign() is not None for e in enum.a_emb + enum.b_emb)
+    assert list(enum._split) == [enum._ab_bits] and enum._ab_bits > START_BITS
+    _found, visited = enum.run(3.0)
+    assert visited == 11_177
+    # the Hurwitz signs show at the start precision: its walk is unchanged
+    assert Enumerator(QH, P7)._ab_bits == START_BITS
+
+
 @pytest.mark.parametrize("name,radius", [("P7", 6.5), ("P13#0", 7.5)])
 def test_enumerated_traces_lie_in_the_coset(QH, levels, name, radius):
     # the lemma on data: trd gamma in 2 + I^2, |sigma_s(trd gamma)| < 2 for s >= 1
@@ -804,17 +814,3 @@ def test_trace_below_the_coset_minimum_is_an_invariant_violation(QH, P7, K, monk
     monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: fake)
     with pytest.raises(InvariantViolation):
         systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0))
-
-
-def test_diameter_certificate_is_decided_in_intervals(QH, P7, monkeypatch):
-    monkeypatch.setattr(geodesics, "_coset_realised", lambda *args: None)
-    result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0), diameter_bound=0.3)
-    assert result.mode == "certified" and result.certificate == "diameter"
-    assert "certificate=diameter" in result.records()
-    # cosh(4.5/2) / cosh(3.936/2) = 1.3177...: a diameter just above acosh of it
-    # needs the next radius, one just below certifies at 4.5
-    edge = math.acosh(math.cosh(2.25) / math.cosh(float(result.min_length.mid) / 2))
-    assert systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0),
-                          diameter_bound=edge - 1e-6).radius == 4.5
-    assert systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0),
-                          diameter_bound=edge + 1e-6).radius == 5.5
