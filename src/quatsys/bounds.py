@@ -108,31 +108,44 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
     least |sigma_0(t)| over such t bounds every translation length from
     below by L*; an element of trace t* realises it.
 
-    The walk (`NumberField.box_walk`) covers the rank-d lattice 2 + I^2
-    under a |sigma_0| cap that doubles until the least admissible point lies
-    under it.  Admissibility and the order by |sigma_0| are decided on
-    certified embeddings, refined until they separate: |sigma_s t| = 2 only
-    for t = +-2 (`numfield.abs_vs_two`), and |sigma_0 t| = |sigma_0 t'| in K
+    The walk (`NumberField.box_walk`, per-node ranges) covers the rank-d
+    lattice 2 + I^2 under a |sigma_0| cap that doubles until the least
+    admissible point lies under it.  Admissibility compares |sigma_s t| with
+    2 in floats first (`walkranges.PlaceTable.vs_two`): the float
+    X = sum_m t_m emb_f[s][m] of the walk's integer coordinates is within
+    E = sum_m |t_m| |emb_f - theta_s^m| + gamma_d sum_m |t_m emb_f[s][m]| of
+    sigma_s t (the table error plus d products and d - 1 additions), so
+    |X| + E < 2 or |X| - E > 2 decides it; only a point where neither holds
+    goes to the exact `numfield.abs_vs_two`, which refines certified
+    embeddings until they separate (|sigma_s t| = 2 only for t = +-2).  The
+    order by |sigma_0| is decided exactly: |sigma_0 t| = |sigma_0 t'| in K
     only for t = +-t'.  Raises `InputError` unless the algebra is split at
     place 0 and ramified at every other real place, and `CapExceeded` once
-    the walks, counted together, pass `cap_nodes` points.
+    the walks, counted together, pass `cap_nodes` nodes.
     """
     algebra = order.algebra
     if not algebra.is_cocompact_presentation():
         raise InputError("need the algebra split at place 0 and ramified elsewhere")
     field = algebra.field
+    table = field.place_table()
     square = ideal * ideal
     cap = Fraction(4)
     walked = 0
+
+    def vs_two(t, s):  # the walk's points are integral: t = sum_m t.num[m] theta^m
+        return table.vs_two(t.num, s) or abs_vs_two(t, s)
+
+    def count_node():
+        nonlocal walked
+        walked += 1
+        if walked > cap_nodes:
+            raise CapExceeded(f"trace-coset walk exceeded {cap_nodes} nodes")
+
     while True:
         best = []
         limits = [cap] + [Fraction(2)] * (field.degree - 1)
-        for t in field.box_walk(limits, square.mat, shift=2):
-            walked += 1
-            if walked > cap_nodes:
-                raise CapExceeded(f"trace-coset walk exceeded {cap_nodes} points")
-            if any(abs_vs_two(t, s) >= 0 for s in range(1, field.degree)) or \
-                    abs_vs_two(t, 0) <= 0:
+        for t in field.box_walk(limits, square.mat, shift=2, on_node=count_node):
+            if any(vs_two(t, s) >= 0 for s in range(1, field.degree)) or vs_two(t, 0) <= 0:
                 continue
             cmp = compare_abs0(t, best[0]) if best else -1
             if cmp < 0:

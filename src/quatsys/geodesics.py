@@ -71,6 +71,15 @@ and an enumerated element whose trace is a minimiser proves sys = L*.
 `systole_search` starts at the first scheduled radius not below L* and
 labels each result `certified` with its `certificate` (`trace-coset`) or,
 failing that, `stabilized` (minimum unchanged across two radius increments).
+
+That element is searched for first by a pinned walk.  An element of trace
+t has x0 = t/2, so its block 0 is the prefix c_0 .. c_(d-1) = kappa t/2;
+`Enumerator.run` takes the prefixes of the minimisers and walks only below
+them, in one descent, with the same ranges, orbit rule and leaf checks as
+the full walk.  So it emits the full walk's elements of those traces, and
+each class representative is the full walk's.  A radius whose pinned walk
+finds none walks the full ball too, as the oracle of the trace-coset lemma
+(no hyperbolic trace below t*) and for the stabilized streak.
 """
 
 from __future__ import annotations
@@ -167,7 +176,7 @@ class Enumerator:
         self.ideal = ideal
         self.algebra = algebra
         self.field = field
-        self.bits = bits = START_BITS
+        self.bits = START_BITS
         d = field.degree
         self.d = d
         self.dim = 4 * d
@@ -183,8 +192,6 @@ class Enumerator:
         one[0] = self.kappa
         self.offset = one
 
-        # certified embedding data
-        theta = [field.embedding_interval(s, bits) for s in range(d)]
         # enclosures of a and b that exclude 0, as the walk divides by them; the
         # signs are those the presentation checks above decided
         def signed(ab_bits):
@@ -200,12 +207,10 @@ class Enumerator:
         self._one_plus_b2 = one + b * b
         self._two_one_minus_b2 = (one - b * b) * 2
         self.counters = Counter(dict.fromkeys(LEAF_COUNTERS, 0))
-        # float table of the walk's block values
-        powers = [[theta[s] ** m for m in range(d)] for s in range(d)]
-        self.emb_f = [[float(p.mid) for p in row] for row in powers]
-
-        self._ranges = WalkRanges(powers, self.emb_f, field.embedding_inverse(bits),
-                                  self.a_emb, self.b_emb, self.sqrt_a0, self.kappa)
+        # the field's float table at START_BITS = self.bits
+        self._ranges = WalkRanges(field.place_table(), self.a_emb, self.b_emb,
+                                  self.sqrt_a0, self.kappa)
+        self.emb_f = self._ranges.emb_f  # float table of the walk's block values
 
     # -- radius-dependent boxes ---------------------------------------------
 
@@ -271,8 +276,26 @@ class Enumerator:
 
     # -- main run --------------------------------------------------------------
 
-    def run(self, radius, cap_nodes: int = 30_000_000):
+    def block0_prefixes(self, traces):
+        """The block-0 coordinates c_0 .. c_(d-1) = kappa t/2 of an element of
+        trace t, for each t whose kappa t/2 is integral (no element of the
+        coset has any other trace among them)."""
+        out = set()
+        for t in traces:
+            num = [n * self.kappa for n in t.num]
+            if all(n % (2 * t.den) == 0 for n in num):
+                out.add(tuple(n // (2 * t.den) for n in num))
+        return sorted(out)
+
+    def run(self, radius, cap_nodes: int = 30_000_000, prefixes=None):
         """All congruence elements with ||gamma||_F^2 <= 2 cosh(radius).
+
+        prefixes: if given, only the elements whose block 0 is one of these
+        coordinate tuples (`block0_prefixes`), walked in one descent that
+        takes, at each of the first d coordinates, only the values of the
+        prefixes that agree so far.  Every node below a prefix gets the same
+        ranges and orbit rule as in the full walk, so the elements emitted,
+        and each class representative, are those of the full walk under it.
 
         Returns (candidates keyed by |trace|, visited node count).
         """
@@ -329,7 +352,14 @@ class Enumerator:
                 hi = min(hi, (math.floor(c_hi) - p) // h)
             if tied and j >= orbit_from:
                 hi = min(hi, (-p) // h)  # the orbit member with c_j <= 0
-            for n in range(lo, hi + 1):
+            steps = range(lo, hi + 1)
+            if prefixes is not None and j < d:
+                # the values c_j of the prefixes that agree with c_0 .. c_(j-1)
+                fixed = tuple(c_vals[:j])
+                pinned = {(q[j] - p) // h for q in prefixes
+                          if q[:j] == fixed and (q[j] - p) % h == 0}
+                steps = sorted(n for n in pinned if lo <= n <= hi)
+            for n in steps:
                 visited += 1
                 new_partial = [pv + n * hv for pv, hv in zip(partial_vec, hnf[j])] \
                     if n else list(partial_vec)
@@ -523,9 +553,14 @@ class Enumerator:
 
 
 def enumerate_gamma(order: OrderLattice, ideal: IdealHNF, radius,
-                    cap_nodes: int = 30_000_000):
-    """Sorted GeodesicCandidate list for the given displacement radius."""
-    found, visited = Enumerator(order, ideal).run(radius, cap_nodes)
+                    cap_nodes: int = 30_000_000, enumerator=None, prefixes=None):
+    """Sorted GeodesicCandidate list for the given displacement radius.
+
+    enumerator: an `Enumerator` of (order, ideal) to reuse, else a new one;
+    prefixes: walk only under these block-0 prefixes (`Enumerator.run`).
+    """
+    enumerator = enumerator or Enumerator(order, ideal)
+    found, visited = enumerator.run(radius, cap_nodes, prefixes)
     cands = sorted(found.values(), key=lambda c: (c.abs_trace, c.trace.coords))
     return cands, visited
 
@@ -577,10 +612,20 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
     stabilized: the certificate does not apply, and the minimal |trace|
     survived two radius increments.
 
+    Each radius first walks only the elements of trace t*: one pinned run of
+    the search's `Enumerator` under the block-0 prefixes x0 = t*/2 of the
+    minimisers.  An element found there certifies the radius, and the
+    result holds that class alone.  Only where none is found does the radius
+    also walk the full ball, whose classes then make the result (its
+    `visited` counts both runs): they feed the stabilized streak and the
+    check that no hyperbolic trace lies below t* (`_coset_realised`).
+
     `progress(result)` is invoked with the intermediate EnumerationResult
     after each enumerated radius (visited nodes, current minimum, mode so far).
     """
     coset = trace_coset_minimum(order, ideal, cap_nodes)
+    enumerator = Enumerator(order, ideal)
+    prefixes = enumerator.block0_prefixes(coset.traces)
     # within one of the first radius not below L*; the check in the loop settles it
     first = max(0, math.floor(
         (coset.length.lo - Fraction(schedule.start)) / Fraction(schedule.step)))
@@ -591,12 +636,21 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
         radius = schedule.start + k * schedule.step
         if coset.length.certainly_gt(radius):
             continue
-        cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes)
+        cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes,
+                                         enumerator=enumerator, prefixes=prefixes)
+        realised = _coset_realised(coset, cands)
+        if realised is None:
+            cands, full = enumerate_gamma(order, ideal, radius, cap_nodes,
+                                          enumerator=enumerator)
+            visited += full
+            realised = _coset_realised(coset, cands)
+            if realised is not None:
+                raise InvariantViolation(f"the full ball realises {realised.trace} "
+                                         f"where the pinned walk did not")
         hyper = [c for c in cands if not c.is_elliptic]
         elliptic = [c for c in cands if c.is_elliptic]
         min_cand = hyper[0] if hyper else None
         mode, certificate = "searching", None
-        realised = _coset_realised(coset, hyper)
         if realised is not None:
             min_cand, mode, certificate = realised, "certified", "trace-coset"
         key = min_cand.trace.coords if min_cand else None
@@ -631,15 +685,15 @@ def _class_key(trace: FieldElement):
     return (max(trace.num, tuple(-n for n in trace.num)), trace.den)
 
 
-def _coset_realised(coset, hyper):
+def _coset_realised(coset, cands):
     """The candidate whose trace is a coset minimiser t*, or None.
 
     Raises InvariantViolation for a hyperbolic trace with |sigma_0| below
     |sigma_0 t*| (decided exactly), which the trace-coset lemma forbids.
     """
     realised = None
-    for cand in hyper:
-        if cand.length.certainly_gt(coset.length):
+    for cand in cands:
+        if cand.is_elliptic or cand.length.certainly_gt(coset.length):
             continue
         trace = cand.element.reduced_trace()
         if coset.is_minimiser(trace):

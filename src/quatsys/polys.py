@@ -395,20 +395,30 @@ def _iroot(n: int, k: int) -> int:
 # in about sqrt(p) of them, so this reaches every p up to about 10^9, at
 # about 0.25 s for a 40-digit n (2-vCPU VM, Python 3.11)
 _RHO_STEPS = 1 << 18
+# above this many bits of n a step's products grow with n (0.9 s for the full
+# budget at 512 bits, 7.6 s at 2000), so the budget shrinks as the square of
+# the size, which keeps one split below about 0.4 s at any size
+_RHO_BITS = 256
+
+
+def _rho_budget(n: int) -> int:
+    """The Pollard-Brent steps allowed for splitting n."""
+    bits = n.bit_length()
+    return _RHO_STEPS if bits <= _RHO_BITS else _RHO_STEPS * _RHO_BITS ** 2 // bits ** 2
 
 
 def _pollard_brent(n: int) -> int:
     """A proper divisor of the odd composite n that is not a perfect power
     (Brent, BIT 20 (1980)); the polynomials y^2 + c, c = 1, 2, ..., start
     at y = 2, so the divisor found is the same on every call.  Raises
-    CapExceeded after _RHO_STEPS iterations, counted over every c."""
-    steps = 0
+    CapExceeded after `_rho_budget(n)` iterations, counted over every c."""
+    steps, budget = 0, _rho_budget(n)
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r  # r to move x, at most r more in the batches
-            if steps > _RHO_STEPS:
-                raise CapExceeded(f"no factor of {n} found in {_RHO_STEPS} Pollard-Brent steps")
+            if steps > budget:
+                raise CapExceeded(f"no factor of {n} found in {budget} Pollard-Brent steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -451,7 +461,7 @@ def factorint(n: int) -> dict:
     """{prime: exponent} for an integer n >= 1, primes ascending.
 
     Raises CapExceeded when a composite part has no prime factor in reach of
-    _RHO_STEPS, as with two prime factors of more than about ten digits."""
+    `_rho_budget`, as with two prime factors of more than about ten digits."""
     if n < 1:
         raise ValueError(f"factorint needs n >= 1, got {n}")
     out = {}

@@ -11,6 +11,7 @@ Polynomials are dense coefficient lists in *ascending* order
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .intervals import RatInterval
@@ -114,23 +115,43 @@ def refine_root(coeffs, lo: Fraction, hi: Fraction, width: Fraction):
 
     The halves depend on (lo, hi) alone, so refining a returned interval
     continues one chain, unless it hits a rational root (a width-dependent margin).
+    The bisection runs on integers: the endpoints are a/q and b/q over one
+    common denominator q, which each halving doubles, and f(x/q) has the sign
+    of the homogenised sum_k c_k x^k q^(n-k) (q > 0, the c_k scaled to
+    integers by a positive factor).  The endpoints are those of bisecting
+    the Fractions.
     """
-    slo = poly_eval(coeffs, lo)
-    shi = poly_eval(coeffs, hi)
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in reversed(coeffs)]  # descending integer coefficients
+
+    def sign(x, q):
+        acc, qk = ints[0], 1
+        for c in ints[1:]:
+            qk *= q
+            acc = acc * x + c * qk
+        return (acc > 0) - (acc < 0)
+
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    q = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    slo, shi = sign(a, q), sign(b, q)
     if slo == 0 or shi == 0:
         raise ValueError("isolating interval endpoints must not be roots")
-    if (slo > 0) == (shi > 0):
+    if slo == shi:
         raise ValueError("interval does not bracket a sign change")
-    neg_left = slo < 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = poly_eval(coeffs, mid)
+    w_num, w_den = width.numerator, width.denominator
+    while (b - a) * w_den > w_num * q:
+        mid = a + b  # (lo + hi) / 2 = mid / 2q
+        v = sign(mid, 2 * q)
         if v == 0:
             # exact rational root: collapse around it
-            eps = min(width, hi - lo) / 4
-            return (mid - eps, mid + eps) if width > 0 else (mid, mid)
-        if (v < 0) == neg_left:
-            lo = mid
+            root = Fraction(mid, 2 * q)
+            eps = min(width, Fraction(b - a, q)) / 4
+            return (root - eps, root + eps) if width > 0 else (root, root)
+        a, b, q = 2 * a, 2 * b, 2 * q
+        if v == slo:
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, q), Fraction(b, q)

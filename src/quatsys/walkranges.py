@@ -1,4 +1,4 @@
-"""Per-node coordinate ranges for the enumerator's walk of the congruence lattice.
+"""Per-node coordinate ranges for the walks of the enumerator and the box walk.
 
 A block x_l = (1/kappa) sum_m c_m theta^m of a quaternion coefficient is
 walked coordinate by coordinate.  Each node asks for every integer c_k that
@@ -12,10 +12,15 @@ answer it over the reals:
   (Fourier-Motzkin), one condition per pair of places;
 * earlier ones, `sum_range`: the inverse embedding matrix.
 
-`WalkRanges.coordinate_range` applies the rule for coordinate k.  Each
-rule returns (lo, hi) widened by `nu`, the bound on its own float rounding
-from `WalkRanges.tables`.  The widths W_s come from per-place bounds B_s
-that `WalkRanges.block_widths` derives from the blocks already fixed.
+`PlaceTable.rule_range` applies the rule for coordinate k.  Each rule
+returns (lo, hi) widened by `nu`, the bound on its own float rounding
+(`PlaceTable.widenings`).  A `PlaceTable` holds what depends on the field
+alone; `NumberField.box_walk` runs the rules with the widths of a fixed box
+(`PlaceTable.box_ranges`), and `PlaceTable.vs_two` compares |sigma_s x|
+with 2 in floats under the same rounding model.  For the enumerator,
+`WalkRanges` adds its algebra's constants: `WalkRanges.tables` the per-run
+widenings, and `WalkRanges.block_widths` the widths W_s from per-place
+bounds B_s derived from the blocks already fixed.
 
 At a leaf the last coefficient x3 is recovered in floats under the same
 rounding model: `WalkRanges.leaf_squares` gives x3^2 at each place with a
@@ -39,6 +44,8 @@ _U = 2.0 ** -53
 # sum sqrt(V) + sqrt(V - Delta), a few roundings from its real value) with
 # fewer than 100 roundings each; times 1 + 2^-44 > 1 + gamma_100 they stay upper bounds
 _OWN = 1 + 2.0 ** -44
+# every integer of magnitude at most 2^53 is a float
+_EXACT_INT = 2 ** 53
 
 
 def _gamma(n):
@@ -61,26 +68,30 @@ class WalkTables:
     v0_max: float      # boxes[3][0]^2 rounded up: beyond it x3 fails the radius cut
 
 
-class WalkRanges:
-    """Field data of the per-node ranges for one enumerator.
+class PlaceTable:
+    """The float table of theta_s^m and the field constants of the range rules.
 
-    `powers[s][m]` encloses theta_s^m, `emb_f` is its float table (the
-    walk's block values), `inverse` the certified inverse embedding matrix;
-    `a_emb`, `b_emb` and `sqrt_a0` enclose the structure constants.
+    `powers[s][m]` encloses theta_s^m and `inverse` is the certified inverse
+    embedding matrix.  `emb_f` is the float table of the powers (the sums the
+    rules and the walk form), `emb_q` the same floats as exact rationals and
+    `emb_err` their distance to theta_s^m.  A field keeps one table for its
+    box walks (`NumberField.place_table`); each enumerator's `WalkRanges`
+    extends one with the structure constants of its algebra.
     """
 
-    def __init__(self, powers, emb_f, inverse, a_emb, b_emb, sqrt_a0, kappa):
-        d = len(emb_f)
-        self.d, self.kappa, self.emb_f = d, kappa, emb_f
-        # the float table as exact rationals, and its distance to theta_s^m
-        self.emb_q = [[Fraction(f) for f in row] for row in emb_f]
+    def __init__(self, powers, inverse):
+        d = len(powers)
+        self.d = d
+        self.emb_f = [[float(p.mid) for p in row] for row in powers]
+        self.emb_q = [[Fraction(f) for f in row] for row in self.emb_f]
         self.emb_err = [[max(abs(q - p.lo), abs(q - p.hi)) for q, p in zip(qrow, prow)]
                         for qrow, prow in zip(self.emb_q, powers)]
+        self.emb_err_f = [[_up(e) for e in row] for row in self.emb_err]
         self.einv_up = [[_up(max(abs(e.lo), abs(e.hi))) for e in row] for row in inverse]
         lead = [row[d - 1] for row in self.emb_q]
         if any(e == 0 for e in lead):
             raise InvariantViolation("zero leading embedding power")
-        self.lead = [row[d - 1] for row in emb_f]
+        self.lead = [row[d - 1] for row in self.emb_f]
         self.inv_lead = [float(1 / e) for e in lead]
         # eliminating a block's last coordinate leaves, for each pair of places,
         # a slope difference 1/theta_s - 1/theta_t; taken exactly from the
@@ -95,6 +106,98 @@ class WalkRanges:
                     raise InvariantViolation("two places share a slope")
                 self.pairs.append((s, t, float(1 / g)))
                 self.pair_inv_g.append(abs(1 / g))
+        self.einv = [_mid_and_error(row) for row in inverse]
+        self.gamma = [float(_gamma(n)) for n in range(d + 6)]  # gamma_n as floats
+
+    def widenings(self, lam):
+        """(nu_slice, nu_pair, nu_sum[k]): the rounding widening of each rule.
+
+        lam[s] bounds every magnitude a rule meets at place s (its prefix sums,
+        the widths W_s and their (1 + O(u)) factors); each endpoint is a fixed
+        expression in them, so nu is gamma of its rounding count times the
+        endpoint's absolute-value counterpart (`WalkRanges.tables`).
+        """
+        d = self.d
+        lead = [row[d - 1] for row in self.emb_q]
+        reach = [x / abs(e) for x, e in zip(lam, lead)]
+        nu_slice = _up(_gamma(d + 3) * max(reach))
+        nu_pair = _up(_gamma(d + 5) * max(
+            ((reach[s] + reach[t]) * inv_g
+             for (s, t, _), inv_g in zip(self.pairs, self.pair_inv_g)), default=0))
+        nu_sum = [_up(_gamma(2 * d + 1) * sum(e * x for e, x in zip(self.einv_up[k], lam)))
+                  for k in range(d)]
+        return nu_slice, nu_pair, nu_sum
+
+    def rule_range(self, k, fixed, widths, nu):
+        """Real range of coordinate k given the first k, `fixed`, with widening nu."""
+        d = self.d
+        if k < d - 2:
+            return sum_range(self.einv_up[k], widths, nu)
+        prefix = []
+        for row in self.emb_f:
+            acc = 0.0
+            for m in range(k):
+                acc += fixed[m] * row[m]
+            prefix.append(acc)
+        if k == d - 1:
+            return slice_range(prefix, self.lead, widths, nu)
+        return pair_range(prefix, self.inv_lead, widths, self.pairs, nu)
+
+    def box_ranges(self, limits, bound):
+        """Widths W_s and widenings nu[k] of a walk of the box |sigma_s x| <= limits[s].
+
+        The walk's points x = sum_m c_m theta^m have |c_m| <= bound[m] (its
+        static range), so |sum_m c_m emb_f[s][m] - sigma_s x| <= sum_m bound[m]
+        emb_err[s][m], and W_s = limits[s] plus that sum holds every point of
+        the box.  The rules' magnitudes are lam = 2 (mag + W), mag[s] bounding
+        sum_m |c_m emb_f[s][m]|, as in `WalkRanges.tables`.
+        """
+        d = self.d
+        widths = [limit + sum(b * e for b, e in zip(bound, row))
+                  for limit, row in zip(limits, self.emb_err)]
+        mag = [sum(b * abs(q) for b, q in zip(bound, row)) for row in self.emb_q]
+        nu_slice, nu_pair, nu_sum = self.widenings([2 * (m + w) for m, w in zip(mag, widths)])
+        nu = [nu_sum[k] if k < d - 2 else nu_pair if k == d - 2 else nu_slice
+              for k in range(d)]
+        return [_up(w) for w in widths], nu
+
+    def vs_two(self, num, s):
+        """Sign of |sigma_s x| - 2 for x = sum_m num[m] theta^m, or None if the
+        floats cannot decide it.
+
+        X = sum_m num[m] emb_f[s][m] takes d products and d - 1 additions,
+        exact in its inputs while every |num[m]| <= 2^53, so |X - sigma_s x| <=
+        E = sum_m |num[m]| emb_err[s][m] + gamma_d sum_m |num[m] emb_f[s][m]|;
+        E is formed from non-negative terms and rounded up by _OWN.  Rounding
+        is monotone and 2 is a float, so fl(|X| + E) < 2 proves |sigma_s x| < 2
+        and fl(|X| - E) > 2 proves |sigma_s x| > 2.  Never 0: |sigma_s x| = 2
+        is left to the exact test.
+        """
+        acc = mag = tab = 0.0
+        for c, f, e in zip(num, self.emb_f[s], self.emb_err_f[s]):
+            if abs(c) > _EXACT_INT:
+                return None
+            acc += c * f
+            mag += abs(c * f)
+            tab += abs(c) * e
+        err = (tab + self.gamma[self.d] * mag) * _OWN
+        if abs(acc) + err < 2:
+            return -1
+        if abs(acc) - err > 2:
+            return 1
+        return None
+
+
+class WalkRanges(PlaceTable):
+    """Field and algebra data of the per-node ranges for one enumerator.
+
+    `table` is the field's `PlaceTable`, whose data it shares; `a_emb`,
+    `b_emb` and `sqrt_a0` enclose the structure constants.
+    """
+
+    def __init__(self, table, a_emb, b_emb, sqrt_a0, kappa):
+        vars(self).update(vars(table))
+        self.kappa = kappa
         # directed float constants of the per-node bounds
         a_abs = [x.abs() for x in a_emb]
         b_abs = [x.abs() for x in b_emb]
@@ -104,13 +207,10 @@ class WalkRanges:
         self.rb_f = [_up(1 / x.lo) for x in b_abs]
         self.ra0_f = _up(1 / sqrt_a0.lo)
         self.cb_f = _up((RatInterval.exact(1) / (b_emb[0] * b_emb[0])).hi + 1)
-        # leaf recovery: float tables of a, b and E^-1 and their distance to the truth
+        # leaf recovery: float tables of a and b and their distance to the truth
         self.a_f, self.ea = _mid_and_error(a_emb)
         self.b_f, self.eb = _mid_and_error(b_emb)
-        self.einv = [_mid_and_error(row) for row in inverse]
         (self.ra0_mid,), (self.ra0_err,) = _mid_and_error([sqrt_a0])
-        self.emb_err_f = [_up(e) for e in self.emb_err[0]]
-        self.gamma = [float(_gamma(n)) for n in range(d + 6)]  # gamma_n as floats
 
     def tables(self, boxes, m_sq, m_val, coord_bound) -> WalkTables:
         """Per-run constants for the static boxes and the bound M = m_val on |u|, |ub|.
@@ -142,7 +242,7 @@ class WalkRanges:
           absorb every (1 + O(u)) factor on them.
         """
         d, kappa = self.d, self.kappa
-        emb_q, lead = self.emb_q, [row[d - 1] for row in self.emb_q]
+        emb_q = self.emb_q
         mag = [[sum(coord_bound[l * d + m] * abs(emb_q[s][m]) for m in range(d))
                 for s in range(d)] for l in range(3)]
         eps = [[(sum(coord_bound[l * d + m] * self.emb_err[s][m] for m in range(d))
@@ -175,22 +275,13 @@ class WalkRanges:
         lam = [[2 * (mag[l][s] + (width0[s] if l == 0 else kappa * (cap[l][s] + delta[l][s])))
                 for s in range(d)] for l in range(3)]
 
-        nu_slice = [_up(_gamma(d + 3) * max(lam[l][s] / abs(lead[s]) for s in range(d)))
-                    for l in range(3)]
-        nu_pair = []
-        for l in range(3):
-            reach = [lam[l][s] / abs(lead[s]) for s in range(d)]
-            nu_pair.append(_up(_gamma(d + 5) * max(
-                ((reach[s] + reach[t]) * inv_g
-                 for (s, t, _), inv_g in zip(self.pairs, self.pair_inv_g)), default=0)))
-        nu_sum = [[_up(_gamma(2 * d + 1) * sum(e * x for e, x in zip(self.einv_up[k], lam[l])))
-                   for k in range(d)] for l in range(3)]
+        nu_slice, nu_pair, nu_sum = zip(*(self.widenings(row) for row in lam))
         return WalkTables(
             mf=mf, m_sq_f=m_sq_f, box_up=box_up,
             eps=[[_up(x) for x in row] for row in eps],
             delta=[[_up(x) for x in row] for row in delta],
             width0=[_up(x) for x in width0],
-            nu_slice=nu_slice, nu_pair=nu_pair, nu_sum=nu_sum,
+            nu_slice=list(nu_slice), nu_pair=list(nu_pair), nu_sum=list(nu_sum),
             v0_max=_up(boxes[3][0] ** 2))
 
     def block_widths(self, l, x_places, tabs):
@@ -228,17 +319,9 @@ class WalkRanges:
     def coordinate_range(self, l, k, fixed, widths, tabs):
         """Real range of coordinate k of block l given its first k, `fixed`."""
         d = self.d
-        if k < d - 2:
-            return sum_range(self.einv_up[k], widths, tabs.nu_sum[l][k])
-        prefix = []
-        for row in self.emb_f:
-            acc = 0.0
-            for m in range(k):
-                acc += fixed[m] * row[m]
-            prefix.append(acc)
-        if k == d - 1:
-            return slice_range(prefix, self.lead, widths, tabs.nu_slice[l])
-        return pair_range(prefix, self.inv_lead, widths, self.pairs, tabs.nu_pair[l])
+        nu = (tabs.nu_sum[l][k] if k < d - 2 else tabs.nu_pair[l] if k == d - 2
+              else tabs.nu_slice[l])
+        return self.rule_range(k, fixed, widths, nu)
 
     def leaf_squares(self, x_places, tabs):
         """Float x3^2 = (1 - x0^2 + a x1^2 + b x2^2) / (ab) at each place, with
@@ -356,7 +439,7 @@ class WalkRanges:
         """
         d, kappa, gamma = self.d, self.kappa, self.gamma
         acc = mag = tab = 0.0
-        for t, f, e in zip(target, self.emb_f[0], self.emb_err_f):
+        for t, f, e in zip(target, self.emb_f[0], self.emb_err_f[0]):
             acc += t * f
             mag += abs(t * f)
             tab += abs(t) * e

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from quatsys import lattice
-from quatsys.numfield import IdealHNF, factor_rational_prime, hurwitz_field, rationals
+from quatsys.numfield import (FieldElement, IdealHNF, factor_rational_prime, hurwitz_field,
+                              rationals)
 from quatsys.orders import hurwitz_algebra, hurwitz_order, standard_order
 
 
@@ -12,6 +15,27 @@ def lattice_index(outer, inner) -> int:
     if di % do != 0:
         raise ValueError("inner lattice is not a sublattice of outer")
     return di // do
+
+
+def static_box_walk(field, limits, hnf=None, shift=0):
+    """Oracle: every element of shift + L in the static box of
+    `NumberField.coordinate_bounds`, in coordinate order, with no per-node range."""
+    d = field.degree
+    if hnf is None:
+        hnf = [[int(i == j) for j in range(d)] for i in range(d)]
+    bound = field.coordinate_bounds(limits)
+
+    def walk(m, vec):
+        h = hnf[m][m]
+        for n in range(math.ceil((-bound[m] - vec[m]) / h),
+                       math.floor((bound[m] - vec[m]) / h) + 1):
+            nxt = [v + n * r for v, r in zip(vec, hnf[m])]
+            if m + 1 == d:
+                yield FieldElement(field, nxt)
+            else:
+                yield from walk(m + 1, nxt)
+
+    yield from walk(0, [shift] + [0] * (d - 1))
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quatsys.bounds import hurwitz_context, trace_coset_minimum
 from quatsys.cli import COMMANDS, build_parser, main
 from quatsys.errors import InputError
-from quatsys.numfield import hurwitz_field
+from quatsys.numfield import IdealHNF, hurwitz_field
 from quatsys.specfile import parse_element, parse_spec_text
 
 from conftest import B6_SPEC, Q2MAX_SPEC
@@ -245,11 +246,54 @@ def test_cli_bounds_refuses_a_trace_floor_beyond_the_double_range(capsys):
 
 
 def test_cli_cap_bounds_the_trace_coset_walk(capsys):
+    # the ranged walk reaches the minimum at (7) in a few hundred nodes; the cap
+    # counts every node of the walks together
     started = time.monotonic()
-    code, out = _run(capsys, "--hurwitz", "systole", "--ideal", "7", "--cap", "20000")
+    code, out = _run(capsys, "--hurwitz", "systole", "--ideal", "7", "--cap", "100")
     assert code == 2
-    assert _records(out) == ["error=cap trace-coset walk exceeded 20000 points"]
+    assert _records(out) == ["error=cap trace-coset walk exceeded 100 nodes"]
     assert time.monotonic() - started < 5.0
+    order = hurwitz_context().order
+    field = order.algebra.field
+    coset = trace_coset_minimum(order, IdealHNF.principal(field, field.from_rational(7)))
+    assert [str(t) for t in coset.traces] == ["(-3183, -8918, -3969)"]
+    assert f"{float(coset.abs_trace.mid):.6f} {float(coset.length.mid):.6f}" == \
+        "20475.192932 19.853939"
+
+
+def test_cli_quotient_count_gives_up_factoring_a_large_norm_fast(tmp_path, capsys):
+    # the norm of 10^300 + sqrt 2 has 600 digits: each Pollard-Brent step
+    # multiplies numbers of that size, so its budget shrinks with them
+    path = tmp_path / "q2max.txt"
+    path.write_text(Q2MAX_SPEC)
+    started = time.monotonic()
+    code, out = _run(capsys, "--field", str(path), "quotient-count", "--ideal", "1e300,1",
+                     "--t", "5", "--cap", "1000")
+    assert code == 2
+    (line,) = _records(out)
+    assert re.fullmatch(r"error=cap no factor of \d+ found in \d+ Pollard-Brent steps", line)
+    assert time.monotonic() - started < 1.0
+
+
+# (flags, min_length) of the Hurwitz tower levels that certify at a few
+# hundred to a thousand nodes (ROADMAP item 2)
+TOWER_LEVELS = [
+    (["--ideal", "3"], "10.451262"),
+    (["--prime", "29", "--index", "2"], "8.680029"),
+    (["--prime", "41", "--index", "1"], "9.839866"),
+    (["--ideal", "4"], "11.592598"),
+]
+
+
+@pytest.mark.parametrize("flags,length", TOWER_LEVELS)
+def test_cli_certifies_the_cheap_tower_levels(capsys, flags, length):
+    code, out = _run(capsys, "--hurwitz", "systole", *flags, "--radius", "4.5:1:20")
+    assert code == 0
+    lines = out.splitlines()
+    assert "mode=certified" in lines and "certificate=trace-coset" in lines
+    assert f"min_length=[{length},{length}]" in lines
+    visited = int(next(ln for ln in lines if ln.startswith("visited="))[len("visited="):])
+    assert visited < 2_000
 
 
 @pytest.mark.parametrize("t", [10_000, 1_000_000])

@@ -14,11 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatsys import geodesics
-from quatsys.bounds import hurwitz_context, trace_coset_minimum, trace_lower_bound
+from conftest import static_box_walk
+from quatsys.bounds import compare_abs0, hurwitz_context, trace_coset_minimum, trace_lower_bound
 from quatsys.errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
 from quatsys.intervals import START_BITS, RatInterval
-from quatsys.numfield import FieldElement, IdealHNF
+from quatsys.numfield import FieldElement, IdealHNF, abs_vs_two, factor_rational_prime
 from quatsys.walkranges import _up, slice_range
 
 
@@ -542,23 +543,32 @@ def test_frob_sq_reuses_split_place_data(run7, QH, P7):
 
 
 def test_search_enumerates_once_per_radius_and_keeps_precision(QH, P7, monkeypatch):
-    radii = []
-    enumerate_once = geodesics.enumerate_gamma
+    # one enumerator per search; each radius walks the pinned prefixes of t*
+    # first, and the full ball only where they realise nothing
+    runs, built = [], []
+    run_once, init_once = Enumerator.run, Enumerator.__init__
 
-    def counting(order, ideal, radius, *args):
-        radii.append(radius)
-        return enumerate_once(order, ideal, radius, *args)
+    def counting_run(self, radius, cap_nodes=30_000_000, prefixes=None):
+        runs.append((radius, "pinned" if prefixes is not None else "full"))
+        return run_once(self, radius, cap_nodes, prefixes)
 
-    monkeypatch.setattr(geodesics, "enumerate_gamma", counting)
+    def counting_init(self, *args):
+        built.append(self)
+        init_once(self, *args)
+
+    monkeypatch.setattr(Enumerator, "run", counting_run)
+    monkeypatch.setattr(Enumerator, "__init__", counting_init)
     result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 6.5))
     assert result.mode == "certified"
-    assert radii == [4.5]
-    # the stabilized fallback walks the schedule, once per radius
-    radii.clear()
+    assert runs == [(4.5, "pinned")] and len(built) == 1
+    # the stabilized fallback walks the schedule: a full ball at every radius
+    runs.clear()
+    built.clear()
     monkeypatch.setattr(geodesics, "_coset_realised", lambda *args: None)
     result = systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 6.5))
     assert result.mode == "stabilized"
-    assert radii == [4.5, 5.5, 6.5]
+    assert runs == [(r, walk) for r in (4.5, 5.5, 6.5) for walk in ("pinned", "full")]
+    assert len(built) == 1
 
 
 # -- float recovery of x3 at the leaves -----------------------------------------
@@ -711,6 +721,10 @@ def test_split_norm_encloses_the_frobenius_norm(leaf_walk):
 # coset minimum per level: (|sigma_0 t*|, L*), matching the published systoles
 COSET_MINIMA = {"P7": (7.29590, 3.936), "P2": (18.19567, 5.796), "P13#0": (19.19567, 5.903),
                 "P13#1": (31.34242, 6.887), "P13#2": (24.49157, 6.393)}
+# the radius at which `table1`'s schedule 4.5:1:14 certifies each level, and
+# the nodes of its pinned walk there
+CERTIFYING_RADIUS = {"P7": 4.5, "P2": 6.5, "P13#0": 6.5, "P13#1": 7.5, "P13#2": 6.5}
+PINNED_VISITED = {"P7": 101, "P2": 130, "P13#0": 235, "P13#1": 177, "P13#2": 187}
 
 
 @pytest.fixture(scope="module")
@@ -814,3 +828,77 @@ def test_trace_below_the_coset_minimum_is_an_invariant_violation(QH, P7, K, monk
     monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: fake)
     with pytest.raises(InvariantViolation):
         systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0))
+
+
+@pytest.mark.parametrize("name", list(CERTIFYING_RADIUS))
+def test_pinned_walk_agrees_with_the_full_ball(QH, levels, name):
+    ideal, radius = levels[name], CERTIFYING_RADIUS[name]
+    coset = trace_coset_minimum(QH, ideal)
+    enum = Enumerator(QH, ideal)
+    full, full_visited = enumerate_gamma(QH, ideal, radius, enumerator=enum)
+    # the oracle: no hyperbolic trace of the full ball lies below t*, and t* is there
+    rep = geodesics._coset_realised(coset, full)
+    assert rep is not None
+    pinned, pinned_visited = enumerate_gamma(
+        QH, ideal, radius, enumerator=enum, prefixes=enum.block0_prefixes(coset.traces))
+    assert [c.element for c in pinned] == [rep.element]
+    assert (pinned[0].length.lo, pinned[0].length.hi) == (rep.length.lo, rep.length.hi)
+    assert pinned_visited == PINNED_VISITED[name] < full_visited
+    # and the search certifies there from the pinned walk alone
+    result = systole_search(QH, ideal, RadiusSchedule(4.5, 1.0, 14.0))
+    assert (result.radius, result.mode, result.visited) == (radius, "certified", pinned_visited)
+
+
+def test_block0_prefixes_skip_traces_off_the_lattice(QH, O_std, P7, K):
+    t = K.element([2, 3, 1])
+    # kappa = 2: block 0 holds the coordinates of 2 x0 = t
+    enum = Enumerator(QH, P7)
+    assert enum.block0_prefixes([t, -t, t]) == [(-2, -3, -1), (2, 3, 1)]
+    assert enum.block0_prefixes([K.element([Fraction(1, 2), 0, 0])]) == []
+    # kappa = 1: those of x0 = t/2, integral only for t in 2 Z[eta]
+    assert Enumerator(O_std, P7).block0_prefixes([t, 2 * t]) == [(2, 3, 1)]
+
+
+def static_box_coset_traces(order, ideal):
+    """Oracle: the minimisers of `trace_coset_minimum` from the static coordinate
+    box, every point decided by the exact tests."""
+    field = order.algebra.field
+    d = field.degree
+    square = ideal * ideal
+    cap = Fraction(4)
+    while True:
+        best = []
+        for t in static_box_walk(field, [cap] + [Fraction(2)] * (d - 1), square.mat, 2):
+            if any(abs_vs_two(t, s) >= 0 for s in range(1, d)) or abs_vs_two(t, 0) <= 0:
+                continue
+            cmp = compare_abs0(t, best[0]) if best else -1
+            if cmp < 0:
+                best = [t]
+            elif cmp == 0:
+                best.append(t)
+        if best and best[0].embed(0, START_BITS).abs().certainly_le(cap):
+            return best
+        cap *= 2
+
+
+def test_trace_coset_minimum_matches_the_static_box_walk(QH, levels, B6, Q2max):
+    cases = [(QH, ideal) for ideal in levels.values()]
+    q = B6.algebra.field
+    cases.append((B6, IdealHNF.principal(q, q.from_rational(11))))
+    f = Q2max.algebra.field
+    cases.append((Q2max, factor_rational_prime(f, 7)[0][0]))
+    for order, ideal in cases:
+        assert trace_coset_minimum(order, ideal).traces == static_box_coset_traces(order, ideal)
+
+
+def test_pinned_walk_emits_the_full_walks_classes_of_its_traces(QH, K, ring3):
+    # the elements of class |t| have x0 = +-t/2, so pinning the prefixes of
+    # +-t for a set of classes gives exactly their full-walk representatives;
+    # pairs of classes whose prefixes share leading coordinates must not mix
+    cands, _ = ring3
+    enum = Enumerator(QH, K.whole_ring())
+    for chosen in itertools.combinations(cands, 2):
+        traces = [t for c in chosen for t in (c.trace, -c.trace)]
+        pinned, _ = enumerate_gamma(QH, K.whole_ring(), 3.0, enumerator=enum,
+                                    prefixes=enum.block0_prefixes(traces))
+        assert [c.element for c in pinned] == [c.element for c in chosen]

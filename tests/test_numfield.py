@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from conftest import static_box_walk
 from quatsys.bounds import compare_abs0
 from quatsys.errors import InputError, PrecisionError
-from quatsys.intervals import RatInterval
+from quatsys.intervals import START_BITS, RatInterval, refine
 from quatsys.numfield import (MAX_DEGREE, FieldElement, IdealHNF, NumberField,
                               abs_vs_two, factor_ideal, factor_rational_prime, hurwitz_field,
                               primes_up_to_norm, rationals)
@@ -426,3 +429,111 @@ def test_a_fine_embedding_leaves_coarse_ones_and_the_roots_alone():
     assert x.embed(0, 1024).width <= Fraction(1, 2 ** 1024)
     assert _ends(x.embed(0, 60)) == coarse
     assert [_ends(r) for r in K.roots] == roots
+
+
+# -- the float check of |sigma_s| against 2 ----------------------------------------
+
+
+def _vs_two_cases(K):
+    """Integral elements at and near |sigma_s| = 2: eta^k is tiny at place 1 and
+    w^k = (eta^2 - 2)^k at place 0, both units."""
+    eta = K.gen()
+    w = eta * eta - 2
+    yield from (K.from_rational(2), K.from_rational(-2), K.one(), K.zero())
+    for k in (40, 100, 150):
+        for unit in (eta ** k, w ** k):
+            yield from (2 - unit, 2 + unit, unit - 2, -2 - unit)
+
+
+def test_float_check_agrees_with_abs_vs_two_at_the_edges(K):
+    table = K.place_table()
+    decided = 0
+    for t in _vs_two_cases(K):
+        for s in range(3):
+            got = table.vs_two(t.num, s)
+            assert got in (None, abs_vs_two(t, s)), (str(t), s)
+            decided += got is not None
+            if max(abs(n) for n in t.num) > 2 ** 53:
+                assert got is None  # beyond 2^53 a coordinate is not a float
+    # +-2 sit on the boundary: only the exact test can say 0
+    for t in (K.from_rational(2), K.from_rational(-2)):
+        assert [table.vs_two(t.num, s) for s in range(3)] == [None] * 3
+        assert [abs_vs_two(t, s) for s in range(3)] == [0] * 3
+    # eta^40 is ~1e-14 at place 1, below the float error of its ~1e10 coordinates
+    eta40 = K.gen() ** 40
+    assert table.vs_two((2 - eta40).num, 1) is None and abs_vs_two(2 - eta40, 1) == -1
+    assert decided > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.integers(0, 60),
+       st.sampled_from([1, -1]), st.booleans(), st.integers(0, 2))
+def test_float_check_agrees_with_abs_vs_two_near_two(K, small, k, sign, at_zero, place):
+    eta = K.gen()
+    unit = (eta * eta - 2 if at_zero else eta) ** k
+    t = K.from_rational(2 * sign) + K.element(small) * unit
+    got = K.place_table().vs_two(t.num, place)
+    assert got in (None, abs_vs_two(t, place))
+
+
+# -- the ranged box walk ----------------------------------------------------------
+
+
+def _outside(x, limits):
+    """Whether |sigma_s x| > limits[s] at some place, decided exactly."""
+    for s, limit in enumerate(limits):
+        if x.is_rational():
+            if abs(x.coords[0]) > limit:
+                return True
+        elif refine(lambda b: (x.embed(s, b).abs() - limit).sign(), START_BITS) > 0:
+            return True
+    return False
+
+
+# field, largest limit: the static box of Q(zeta_15)^+ grows as limit^4
+BOX_FIELDS = {"Q(eta)": ([1, 1, -2, -1], 6), "Q(sqrt2)": ([1, 0, -2], 12), "Q": ([1, 0], 12),
+              "Q(zeta15)+": ([1, -1, -4, 4, 1], 3)}
+
+
+@functools.cache
+def _box_field(name):
+    return NumberField(BOX_FIELDS[name][0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BOX_FIELDS)), st.data())
+def test_box_walk_keeps_every_point_of_the_box_in_order(name, data):
+    field = _box_field(name)
+    d, top = field.degree, BOX_FIELDS[name][1]
+    limits = [data.draw(st.fractions(Fraction(1, 10), top, max_denominator=16))
+              for _ in range(d)]
+    hnf = None
+    if data.draw(st.booleans(), label="lattice"):
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+        hnf = _random_ideal(field, rng).mat
+    shift = data.draw(st.integers(-3, 3), label="shift")
+    ranged = [x.num for x in field.box_walk(limits, hnf, shift)]
+    static = [x.num for x in static_box_walk(field, limits, hnf, shift)]
+    kept = set(ranged)
+    assert kept <= set(static)
+    # the ranges drop only points outside the box, and keep the walk's order
+    assert ranged == [x for x in static if x in kept]
+    assert all(_outside(FieldElement(field, x), limits) for x in static if x not in kept)
+
+
+def test_box_walk_keeps_points_on_the_faces_of_the_box(K):
+    # each box is the enclosure of x's own |sigma_s x| at 200 bits, so x lies
+    # within 2^-200 of a face at every place: the rounding widening keeps it
+    for coords in itertools.product(range(-2, 3), repeat=3):
+        x = K.element(coords)
+        limits = [x.embed(s, 200).abs().hi for s in range(3)]
+        assert x.num in [y.num for y in K.box_walk(limits)], coords
+
+
+def test_box_walk_beyond_the_double_range_keeps_its_static_range(K):
+    # 2^1100 has no float: the walk falls back to the static box, whose
+    # first points are those of the static oracle
+    limits = [Fraction(2) ** 1100, 2, 2]
+    first = list(itertools.islice(K.box_walk(limits), 5))
+    assert [x.num for x in first] == \
+        [x.num for x in itertools.islice(static_box_walk(K, limits), 5)]

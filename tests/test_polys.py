@@ -1,5 +1,6 @@
 """The exact polynomial and integer helpers of `quatsys.polys`, against sympy."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor as sympy_gf_factor
 
+from quatsys import polys
 from quatsys.errors import CapExceeded, InputError
 from quatsys.numfield import NumberField
 from quatsys.polys import (discriminant, factorint, gf_factor, isprime,
@@ -155,6 +157,18 @@ def test_factorint_stops_on_two_large_prime_factors():
     # sympy's ECM splits this; Pollard-Brent would need about 10^10 steps
     with pytest.raises(CapExceeded, match="Pollard-Brent"):
         factorint(10000000000000000051 * 30000000000000000041)
+
+
+def test_pollard_brent_budget_shrinks_with_the_size_of_n():
+    assert polys._rho_budget(2 ** 255) == polys._RHO_STEPS
+    assert polys._rho_budget(2 ** 511) == polys._RHO_STEPS // 4
+    # two primes of 1000 bits: no split, and about as fast as at 40 digits
+    p = sympy.nextprime(2 ** 1000)
+    q = sympy.nextprime(3 * 2 ** 999)
+    started = time.monotonic()
+    with pytest.raises(CapExceeded, match=f"in {polys._rho_budget(p * q)} Pollard-Brent"):
+        factorint(p * q)
+    assert time.monotonic() - started < 1.0
 
 
 def test_factorint_rejects_non_positive_input():
