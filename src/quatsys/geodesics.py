@@ -13,19 +13,19 @@ coefficients are pinned to the unit ball of the norm form (the completion
 is a division algebra there).
 
 Enumeration walks the coset lattice in Hermite normal form, coordinate by
-coordinate in the order x0, x1, x2, x3, inside certified boxes.  Each node
-gives the next coordinate its own range, in the manner of Fincke-Pohst's
-per-level bounds.  First a per-place bound B_s on the current block, implied
-by the exact checks at the leaf (norm one and the radius cut):
-the static box for x0; for x1, |u|, |ub| <= M at the split place and the
-unit ball elsewhere; for x2, the Frobenius budget left after u and ub at the
-split place and x3^2 >= 0 elsewhere.  Then, given the block's fixed
-coordinates, the range is exact for its last coordinate, comes from
-Fourier-Motzkin elimination of the last one for the last-but-one, and from
-the inverse embedding matrix before that.  These ranges are the walk's only
-float pruning, and they drop only nodes below which the exact leaf checks
-would emit nothing, so the emitted elements, in their order, are those of
-the static-box walk.
+coordinate in the order x0, x1, x2, inside certified boxes, by the lattice
+walk `walkranges.walk` that `NumberField.box_walk` runs too.  Each node gives
+the next coordinate its own range, in the manner of Fincke-Pohst's per-level
+bounds.  First a per-place bound B_s on the current block, implied by the
+exact checks at the leaf (norm one and the radius cut): the static box for
+x0; for x1, |u|, |ub| <= M at the split place and the unit ball elsewhere;
+for x2, the Frobenius budget left after u and ub at the split place and
+x3^2 >= 0 elsewhere.  Then, given the block's fixed coordinates, the range
+is exact for its last coordinate, comes from Fourier-Motzkin elimination of
+the last one for the last-but-one, and from the inverse embedding matrix
+before that.  These ranges are the walk's only float pruning, and they drop
+only nodes below which the exact leaf checks would emit nothing, so the
+emitted elements, in their order, are those of the static-box walk.
 
 The final coefficient is never enumerated: the norm-one equation determines
 x3^2 exactly.  At a leaf, floats recover x3 first (`WalkRanges.leaf_roots`):
@@ -74,12 +74,13 @@ failing that, `stabilized` (minimum unchanged across two radius increments).
 
 That element is searched for first by a pinned walk.  An element of trace
 t has x0 = t/2, so its block 0 is the prefix c_0 .. c_(d-1) = kappa t/2;
-`Enumerator.run` takes the prefixes of the minimisers and walks only below
-them, in one descent, with the same ranges, orbit rule and leaf checks as
-the full walk.  So it emits the full walk's elements of those traces, and
-each class representative is the full walk's.  A radius whose pinned walk
-finds none walks the full ball too, as the oracle of the trace-coset lemma
-(no hyperbolic trace below t*) and for the stabilized streak.
+`Enumerator.run` takes the prefixes of the minimisers as point ranges of
+its walk at the first d coordinates, and keeps the ranges, orbit rule and
+leaf checks of the full walk below them.  So it emits the full walk's
+elements of those traces, and each class representative is the full walk's.
+A radius whose pinned walk finds none walks the full ball too, as the oracle
+of the trace-coset lemma (no hyperbolic trace below t*) and for the
+stabilized streak.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ from .intervals import START_BITS, RatInterval, iv_acosh, iv_cosh, iv_log, iv_sq
 from .numfield import FieldElement, IdealHNF
 from .orders import OrderLattice
 from .quatalg import QuatElement
-from .walkranges import WalkRanges
+from .walkranges import WalkRanges, walk
 
 # the largest double: the walk holds its bounds as doubles (`WalkRanges.tables`)
 DOUBLE_MAX = Fraction(sys.float_info.max)
@@ -179,18 +180,16 @@ class Enumerator:
         self.bits = START_BITS
         d = field.degree
         self.d = d
-        self.dim = 4 * d
         self.kappa = order.kappa
 
-        cong = order.congruence_lattice(ideal)
-        self.hnf = [list(r) for r in cong.mat]
-        self._tail_rows = [row[3 * d:] for row in self.hnf[3 * d:]]
+        hnf = [list(r) for r in order.congruence_lattice(ideal).mat]
+        # the walk fixes x0, x1, x2; x3 is recovered at the leaf (`_leaf`)
+        self._walk_rows = hnf[:3 * d]
+        self._tail_rows = [row[3 * d:] for row in hnf[3 * d:]]
         # the orbit rule (module docstring) starts at block 1 for x -> conj(x),
         # at block 0 when x -> -x maps Gamma(I) to itself too
         self._orbit_from = 0 if order.minus_one_in_gamma(ideal) else d
-        one = [0] * self.dim
-        one[0] = self.kappa
-        self.offset = one
+        self.offset = [self.kappa] + [0] * (4 * d - 1)
 
         # enclosures of a and b that exclude 0, as the walk divides by them; the
         # signs are those the presentation checks above decided
@@ -201,7 +200,17 @@ class Enumerator:
 
         self._ab_bits, self.a_emb, self.b_emb = refine(signed, START_BITS)
         self.sqrt_a0 = iv_sqrt(self.a_emb[0], self._ab_bits)
-        self._split = {self._ab_bits: (self.sqrt_a0, self.b_emb[0])}
+        # the radius-free parts of the boxes (`_boxes`): 1/sqrt(a) and 1 + 1/b^2
+        # at the split place, and the unit-ball rows 1, 1/sqrt|a|, 1/sqrt|b|,
+        # 1/sqrt|ab| at the ramified places
+        unit = RatInterval.exact(1)
+        self._inv_sqrt_a0 = (unit / self.sqrt_a0).hi
+        self._one_plus_inv_b2 = unit + unit / (self.b_emb[0] * self.b_emb[0])
+        a_abs = [x.abs() for x in self.a_emb[1:]]
+        b_abs = [x.abs() for x in self.b_emb[1:]]
+        self._ramified_boxes = [[Fraction(1)] * (d - 1)] + [
+            [(unit / iv_sqrt(x, self.bits)).hi for x in row]
+            for row in (a_abs, b_abs, [a * b for a, b in zip(a_abs, b_abs)])]
         one, a, b = field.one(), algebra.a, algebra.b
         self._inv_ab = (a * b).inverse()
         self._one_plus_b2 = one + b * b
@@ -233,37 +242,10 @@ class Enumerator:
         m_sq = t_encl.hi                      # upper bound for 2 cosh L
         m_val = iv_sqrt(RatInterval.exact(m_sq), self.bits).hi
         half_m2 = iv_sqrt(RatInterval.exact(m_sq / 2), self.bits).hi
-        b0 = self.b_emb[0]
-        inv_sqrt_a0 = (RatInterval.exact(1) / self.sqrt_a0).hi
         # |x2|, |x3| from v^2 + w^2 <= 2 cosh L via Cauchy-Schwarz
-        one_plus = RatInterval.exact(1) + RatInterval.exact(1) / (b0 * b0)
-        vw = iv_sqrt(RatInterval.exact(m_sq) * one_plus, self.bits).hi / 2
-        boxes = []
-        for l in range(4):
-            row = []
-            for s in range(self.d):
-                if s == 0:
-                    if l == 0:
-                        row.append(half_m2)
-                    elif l == 1:
-                        row.append(half_m2 * inv_sqrt_a0)
-                    elif l == 2:
-                        row.append(vw)
-                    else:
-                        row.append(vw * inv_sqrt_a0)
-                else:
-                    a_s = self.a_emb[s].abs()
-                    b_s = self.b_emb[s].abs()
-                    if l == 0:
-                        row.append(Fraction(1))
-                    elif l == 1:
-                        row.append((RatInterval.exact(1) / iv_sqrt(a_s, self.bits)).hi)
-                    elif l == 2:
-                        row.append((RatInterval.exact(1) / iv_sqrt(b_s, self.bits)).hi)
-                    else:
-                        row.append((RatInterval.exact(1) /
-                                    iv_sqrt(a_s * b_s, self.bits)).hi)
-            boxes.append(row)
+        vw = iv_sqrt(RatInterval.exact(m_sq) * self._one_plus_inv_b2, self.bits).hi / 2
+        split = [half_m2, half_m2 * self._inv_sqrt_a0, vw, vw * self._inv_sqrt_a0]
+        boxes = [[x] + row for x, row in zip(split, self._ramified_boxes)]
         if max(m_sq, boxes[3][0] ** 2) > DOUBLE_MAX:
             raise InputError(f"radius {float(radius):g} is too large: the walk's "
                              f"squared bounds exceed the largest double")
@@ -290,28 +272,29 @@ class Enumerator:
     def run(self, radius, cap_nodes: int = 30_000_000, prefixes=None):
         """All congruence elements with ||gamma||_F^2 <= 2 cosh(radius).
 
+        One `walkranges.walk` of x0, x1, x2, whose `node_ranges` give each
+        coordinate its rule range under the block's widths W_s, capped at 0
+        by the orbit rule; each full vector goes to `_leaf`.
         prefixes: if given, only the elements whose block 0 is one of these
-        coordinate tuples (`block0_prefixes`), walked in one descent that
-        takes, at each of the first d coordinates, only the values of the
-        prefixes that agree so far.  Every node below a prefix gets the same
-        ranges and orbit rule as in the full walk, so the elements emitted,
-        and each class representative, are those of the full walk under it.
+        coordinate tuples (`block0_prefixes`): at each of the first d
+        coordinates the same walk takes, as point ranges, only the values of
+        the prefixes that agree so far.  Every node below a prefix gets the
+        same ranges and orbit rule as in the full walk, so the elements
+        emitted, and each class representative, are those of the full walk
+        under it.
 
         Returns (candidates keyed by |trace|, visited node count).
         """
         boxes, m_sq, m_val = self._boxes(radius)
         coord_bound = self._coord_bounds(boxes)
-        d, dim, kappa = self.d, self.dim, self.kappa
-        hnf = self.hnf
+        d, kappa = self.d, self.kappa
         emb_f = self.emb_f
-        cb_int = [math.floor(cb) for cb in coord_bound]
         ranges = self._ranges
         tabs = ranges.tables(boxes, m_sq, m_val, coord_bound)
 
         found = {}
         self._rep_norm = {}  # enclosure of ||x||_F^2 of each class representative
         visited = 0
-        c_vals = [0] * dim
 
         def block_values(c, l):
             base = l * d
@@ -328,52 +311,43 @@ class Enumerator:
         widths = [tabs.width0, None, None]  # per-node W_s of blocks 0..2
         orbit_from = self._orbit_from
 
-        def descend(j, partial_vec, tied):
-            # tied: the coordinates of the current orbit rule so far are all 0
-            nonlocal visited
-            if visited > cap_nodes:
-                raise CapExceeded(f"enumeration exceeded {cap_nodes} nodes")
-            if j == 3 * d:
-                self._leaf(c_vals, x_places, partial_vec, tabs, found, m_sq)
-                return
-            # the static range: the integers c_j = p + n h with |c_j| <= coord_bound[j]
-            h = hnf[j][j]
-            b = cb_int[j]
-            p = partial_vec[j]
-            lo = -((b + p) // h)
-            hi = (b - p) // h
+        def node_ranges(j, c):
             l, k = divmod(j, d)
             if l and not k:
+                x_places[l - 1] = block_values(c, l - 1)
                 widths[l] = ranges.block_widths(l, x_places, tabs)
+            lo, hi = -math.inf, math.inf
             # block 0 has only the static box, so the sum rule adds nothing there
             if j and (l or k >= d - 2):
-                c_lo, c_hi = ranges.coordinate_range(l, k, c_vals[j - k:j], widths[l], tabs)
-                lo = max(lo, (math.ceil(c_lo) - p + h - 1) // h)
-                hi = min(hi, (math.floor(c_hi) - p) // h)
-            if tied and j >= orbit_from:
-                hi = min(hi, (-p) // h)  # the orbit member with c_j <= 0
-            steps = range(lo, hi + 1)
-            if prefixes is not None and j < d:
-                # the values c_j of the prefixes that agree with c_0 .. c_(j-1)
-                fixed = tuple(c_vals[:j])
-                pinned = {(q[j] - p) // h for q in prefixes
-                          if q[:j] == fixed and (q[j] - p) % h == 0}
-                steps = sorted(n for n in pinned if lo <= n <= hi)
-            for n in steps:
-                visited += 1
-                new_partial = [pv + n * hv for pv, hv in zip(partial_vec, hnf[j])] \
-                    if n else list(partial_vec)
-                c_vals[j] = new_partial[j]
-                if (j + 1) % d == 0:
-                    x_places[l] = block_values(new_partial, l)
-                descend(j + 1, new_partial, j + 1 == d or (tied and not c_vals[j]))
+                lo, hi = ranges.rule_range(k, c[j - k:j], widths[l], tabs.nu[l][k])
+            # the orbit member with c_j <= 0, while the rule's run of zeros holds;
+            # the run starts again at c_d
+            if j >= orbit_from and not any(c[d if l else 0:j]):
+                hi = min(hi, 0)
+            if prefixes is None or l:
+                return [(lo, hi)]
+            # the values c_j of the prefixes that agree with c_0 .. c_(j-1)
+            fixed = tuple(c[:j])
+            return [(q, q) for q in sorted({q[j] for q in prefixes if q[:j] == fixed})
+                    if lo <= q <= hi]
 
-        descend(0, list(self.offset), True)
+        def count_node():
+            nonlocal visited
+            visited += 1
+            if visited > cap_nodes:
+                raise CapExceeded(f"enumeration exceeded {cap_nodes} nodes")
+
+        for vec in walk(self._walk_rows, self.offset, [math.floor(b) for b in coord_bound],
+                        node_ranges, count_node):
+            x_places[2] = block_values(vec, 2)
+            self._leaf(vec, x_places, tabs, found, m_sq)
         return found, visited
 
     # -- leaf: recover the last coefficient --------------------------------------
 
-    def _leaf(self, c_vals, x_places, partial_vec, tabs, found, m_sq):
+    def _leaf(self, vec, x_places, tabs, found, m_sq):
+        """The elements at a leaf: vec holds the walked coordinates c_0 .. c_(3d-1)
+        and the partial sums of the congruence rows in its tail."""
         counters = self.counters
         counters["leaves"] += 1
         ranges = self._ranges
@@ -383,9 +357,9 @@ class Enumerator:
             return
         d, kappa = self.d, self.kappa
         kf = self.field
-        x0e = FieldElement(kf, c_vals[0:d], kappa)
-        x1e = FieldElement(kf, c_vals[d:2 * d], kappa)
-        x2e = FieldElement(kf, c_vals[2 * d:3 * d], kappa)
+        x0e = FieldElement(kf, vec[0:d], kappa)
+        x1e = FieldElement(kf, vec[d:2 * d], kappa)
+        x2e = FieldElement(kf, vec[2 * d:3 * d], kappa)
         v_elem = None
         if targets is None:
             # the floats cannot decide: certified recovery, roots already verified;
@@ -399,7 +373,7 @@ class Enumerator:
             counters["float_candidates"] += 1
             verified = False
         for target in targets:
-            if not self._congruence_tail(partial_vec, target):
+            if not self._congruence_tail(vec, target):
                 continue
             x3e = FieldElement(kf, target, kappa)
             if not verified:
@@ -534,12 +508,8 @@ class Enumerator:
         x3 = x.coords[3].embed(0, bits)
         # sqrt(a) and b no coarser than the walk's enclosures, which exclude 0
         split_bits = max(bits, self._ab_bits)
-        split = self._split.get(split_bits)
-        if split is None:
-            split = self._split[split_bits] = (
-                iv_sqrt(self.algebra.a.embed(0, split_bits), split_bits),
-                self.algebra.b.embed(0, split_bits))
-        ra, b0 = split
+        ra = iv_sqrt(self.algebra.a.embed(0, split_bits), split_bits)
+        b0 = self.algebra.b.embed(0, split_bits)
         u = x0 + x1 * ra
         ub = x0 - x1 * ra
         v = x2 + x3 * ra

@@ -23,9 +23,10 @@ polynomial are bisected from its isolating interval and cached per precision,
 so an embedding depends on the element, the place and the precision alone,
 not on what ran before.  Embeddings are indexed in decreasing root order;
 index 0 is the distinguished one used for geometry.  The elements of a
-lattice coset whose embeddings lie in a given box are listed by one walk
-(`box_walk`), whose last two coordinates get per-node ranges from the
-field's float table of theta_s^m (`place_table`, `walkranges`).
+lattice coset whose embeddings lie in a given box are listed by `box_walk`,
+a caller of the package's one lattice walk (`walkranges.walk`), whose last
+two coordinates get per-node ranges from the field's float table of
+theta_s^m (`place_table`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .intervals import START_BITS, RatInterval, interval_solve, refine
 from .polys import (det_fraction, discriminant, factorint, gf_factor, gf_gcd, gf_reduce,
                     isprime, poly_mul, poly_sub, poly_xgcd_mod, real_rooted_irreducible)
 from .realroots import isolate_real_roots, poly_eval_interval, refine_root
-from .walkranges import PlaceTable
+from .walkranges import PlaceTable, walk
 
 Q0 = Fraction(0)
 # The irreducibility certificate tries all 2^(d-1) root subsets of size <= d/2
@@ -250,17 +251,17 @@ class NumberField:
 
         L is the integer lattice of the upper-triangular row HNF `hnf`,
         Z[theta] by default; callers decide the exact condition on each
-        element.  Coordinate m runs over the static range of
-        `coordinate_bounds`, cut at the last two coordinates by the per-node
-        ranges of `walkranges` (`PlaceTable.rule_range`): given c_0 .. c_(m-1),
-        `pair_range` (m = d - 2) and `slice_range` (m = d - 1) give every c_m
-        for which some real completion has |sum_k c_k emb_f[s][k]| <= W_s at
-        every place, with W_s and their rounding widening from
-        `PlaceTable.box_ranges`.  So every element of the box is walked, in the
-        order of the static range; a point the ranges drop lies outside the box.
-        A box beyond the double range keeps the static range alone.
-        `on_node()`, if given, is called at every node of the walk (each value
-        tried for each coordinate), so a caller can bound its work.
+        element.  One `walkranges.walk` over the integers of the static range
+        of `coordinate_bounds`, cut at the last two coordinates by the ranges
+        of `PlaceTable.rule_range`: given c_0 .. c_(m-1), `pair_range`
+        (m = d - 2) and `slice_range` (m = d - 1) give every c_m for which some
+        real completion has |sum_k c_k emb_f[s][k]| <= W_s at every place,
+        with W_s and their rounding widening from `PlaceTable.box_ranges`.
+        So every element of the box is walked, in the order of the static
+        range; a point the ranges drop lies outside the box.  A box beyond the
+        double range keeps the static range alone.  `on_node()`, if given, is
+        called at every node (each value tried for each coordinate), so a
+        caller can bound its work.
         """
         d = self.degree
         if hnf is None:
@@ -272,26 +273,14 @@ class NumberField:
         except OverflowError:
             widths = None
 
-        def walk(m, vec):
-            h = hnf[m][m]
-            lo = math.ceil((-bound[m] - vec[m]) / h)
-            hi = math.floor((bound[m] - vec[m]) / h)
-            if widths is not None and m >= d - 2:  # before it the sum rule is the static range
-                c_lo, c_hi = table.rule_range(m, vec[:m], widths, nu[m])
-                if math.isfinite(c_lo):
-                    lo = max(lo, (math.ceil(c_lo) - vec[m] + h - 1) // h)
-                if math.isfinite(c_hi):
-                    hi = min(hi, (math.floor(c_hi) - vec[m]) // h)
-            for n in range(lo, hi + 1):
-                if on_node is not None:
-                    on_node()
-                nxt = [v + n * r for v, r in zip(vec, hnf[m])] if n else vec
-                if m + 1 == d:
-                    yield FieldElement(self, nxt)
-                else:
-                    yield from walk(m + 1, nxt)
+        def node_ranges(m, vec):  # before d - 2 the sum rule is the static range
+            if widths is None or m < d - 2:
+                return None
+            return [table.rule_range(m, vec, widths, nu[m])]
 
-        yield from walk(0, [shift] + [0] * (d - 1))
+        for vec in walk(hnf, [shift] + [0] * (d - 1), [math.floor(b) for b in bound],
+                        node_ranges, on_node):
+            yield FieldElement(self, vec)
 
     def cached(self, key: str, build):
         """build(), computed once per field and kept under `key`.

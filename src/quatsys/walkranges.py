@@ -1,11 +1,16 @@
-"""Per-node coordinate ranges for the walks of the enumerator and the box walk.
+"""One lattice walk, and the per-node coordinate ranges it takes.
 
-A block x_l = (1/kappa) sum_m c_m theta^m of a quaternion coefficient is
-walked coordinate by coordinate.  Each node asks for every integer c_k that
-can still satisfy |sum_m c_m emb_f[s][m]| <= W_s at every place s, given the
-block's first k coordinates; this is the per-level bound of Fincke-Pohst
-(Math. Comp. 44, 1985) for a box instead of an ellipsoid.  Three rules
-answer it over the reals:
+`walk` lists a coset of an HNF lattice depth first, in increasing coordinate
+order, under an exact static range cut by per-node real intervals from its
+two callers, `NumberField.box_walk` and `geodesics.Enumerator.run`.
+
+A block x_l = (1/kappa) sum_m c_m theta^m of a quaternion coefficient (a
+field element for the box walk) is walked coordinate by coordinate.  Each
+node asks for every integer c_k that can still satisfy
+|sum_m c_m emb_f[s][m]| <= W_s at every place s, given the block's first k
+coordinates; this is the per-level bound of Fincke-Pohst (Math. Comp. 44,
+1985) for a box instead of an ellipsoid.  Three rules answer it over the
+reals:
 
 * the last coordinate, `slice_range`: intersect the places' intervals;
 * the last-but-one, `pair_range`: eliminate the last coordinate
@@ -13,7 +18,7 @@ answer it over the reals:
 * earlier ones, `sum_range`: the inverse embedding matrix.
 
 `PlaceTable.rule_range` applies the rule for coordinate k.  Each rule
-returns (lo, hi) widened by `nu`, the bound on its own float rounding
+returns (lo, hi) widened by nu[k], the bound on its own float rounding
 (`PlaceTable.widenings`).  A `PlaceTable` holds what depends on the field
 alone; `NumberField.box_walk` runs the rules with the widths of a fixed box
 (`PlaceTable.box_ranges`), and `PlaceTable.vs_two` compares |sigma_s x|
@@ -53,6 +58,42 @@ def _gamma(n):
     return n * _UNIT / (1 - n * _UNIT)
 
 
+def walk(rows, start, bound, node_ranges, on_node=None):
+    """start + L in increasing coordinate order, depth first.
+
+    `rows` is upper-triangular with a positive integer diagonal; the walk
+    fixes c_j for j < len(rows) and carries any later coordinates along.
+    Given the partial vector c (c[:j] fixed, c[j:] the row sums so far), c_j
+    runs over the integers c[j] + n rows[j][j] with |c_j| <= bound[j] that lie
+    in the real intervals `node_ranges(j, c)` returns: disjoint (lo, hi) in
+    increasing order, or None for the static range alone; an endpoint that
+    is not finite leaves its side static.  `on_node()`, if given, runs at
+    every node before the walk goes below it.  Each full vector is yielded;
+    a step of 0 shares its parent's list, so callers must not change it.
+    """
+    dim = len(rows)
+    whole = ((-math.inf, math.inf),)
+
+    def descend(j, vec):
+        row = rows[j]
+        h, p, b = row[j], vec[j], bound[j]
+        lo, hi = -((b + p) // h), (b - p) // h
+        spans = node_ranges(j, vec)
+        for c_lo, c_hi in whole if spans is None else spans:
+            n_lo = max(lo, (math.ceil(c_lo) - p + h - 1) // h) if math.isfinite(c_lo) else lo
+            n_hi = min(hi, (math.floor(c_hi) - p) // h) if math.isfinite(c_hi) else hi
+            for n in range(n_lo, n_hi + 1):
+                if on_node is not None:
+                    on_node()
+                nxt = [v + n * r for v, r in zip(vec, row)] if n else vec
+                if j + 1 == dim:
+                    yield nxt
+                else:
+                    yield from descend(j + 1, nxt)
+
+    yield from descend(0, list(start))
+
+
 @dataclass
 class WalkTables:
     """Per-run constants: static boxes, error bounds and rule widenings."""
@@ -62,9 +103,7 @@ class WalkTables:
     eps: list          # eps[l][s]: error of a float block value
     delta: list        # delta[l][s]: widening of the per-node bound B_s
     width0: list       # W_s of block 0 (static box)
-    nu_slice: list     # nu_*[l]: rounding widening of each rule's endpoints
-    nu_pair: list
-    nu_sum: list       # nu_sum[l][k]
+    nu: list           # nu[l][k]: rounding widening of coordinate k's rule endpoints
     v0_max: float      # boxes[3][0]^2 rounded up: beyond it x3 fails the radius cut
 
 
@@ -110,7 +149,7 @@ class PlaceTable:
         self.gamma = [float(_gamma(n)) for n in range(d + 6)]  # gamma_n as floats
 
     def widenings(self, lam):
-        """(nu_slice, nu_pair, nu_sum[k]): the rounding widening of each rule.
+        """nu[k]: the rounding widening of the rule of coordinate k.
 
         lam[s] bounds every magnitude a rule meets at place s (its prefix sums,
         the widths W_s and their (1 + O(u)) factors); each endpoint is a fixed
@@ -125,8 +164,8 @@ class PlaceTable:
             ((reach[s] + reach[t]) * inv_g
              for (s, t, _), inv_g in zip(self.pairs, self.pair_inv_g)), default=0))
         nu_sum = [_up(_gamma(2 * d + 1) * sum(e * x for e, x in zip(self.einv_up[k], lam)))
-                  for k in range(d)]
-        return nu_slice, nu_pair, nu_sum
+                  for k in range(d - 2)]
+        return nu_sum + [nu_pair, nu_slice][-d:]
 
     def rule_range(self, k, fixed, widths, nu):
         """Real range of coordinate k given the first k, `fixed`, with widening nu."""
@@ -152,14 +191,11 @@ class PlaceTable:
         the box.  The rules' magnitudes are lam = 2 (mag + W), mag[s] bounding
         sum_m |c_m emb_f[s][m]|, as in `WalkRanges.tables`.
         """
-        d = self.d
         widths = [limit + sum(b * e for b, e in zip(bound, row))
                   for limit, row in zip(limits, self.emb_err)]
         mag = [sum(b * abs(q) for b, q in zip(bound, row)) for row in self.emb_q]
-        nu_slice, nu_pair, nu_sum = self.widenings([2 * (m + w) for m, w in zip(mag, widths)])
-        nu = [nu_sum[k] if k < d - 2 else nu_pair if k == d - 2 else nu_slice
-              for k in range(d)]
-        return [_up(w) for w in widths], nu
+        return ([_up(w) for w in widths],
+                self.widenings([2 * (m + w) for m, w in zip(mag, widths)]))
 
     def vs_two(self, num, s):
         """Sign of |sigma_s x| - 2 for x = sum_m num[m] theta^m, or None if the
@@ -275,13 +311,12 @@ class WalkRanges(PlaceTable):
         lam = [[2 * (mag[l][s] + (width0[s] if l == 0 else kappa * (cap[l][s] + delta[l][s])))
                 for s in range(d)] for l in range(3)]
 
-        nu_slice, nu_pair, nu_sum = zip(*(self.widenings(row) for row in lam))
         return WalkTables(
             mf=mf, m_sq_f=m_sq_f, box_up=box_up,
             eps=[[_up(x) for x in row] for row in eps],
             delta=[[_up(x) for x in row] for row in delta],
             width0=[_up(x) for x in width0],
-            nu_slice=list(nu_slice), nu_pair=list(nu_pair), nu_sum=list(nu_sum),
+            nu=[self.widenings(row) for row in lam],
             v0_max=_up(boxes[3][0] ** 2))
 
     def block_widths(self, l, x_places, tabs):
@@ -315,13 +350,6 @@ class WalkRanges(PlaceTable):
                 bounds.append(math.sqrt(q) if q > 0 else 0.0)
         return [kappa * (min(b, c) + e)
                 for b, c, e in zip(bounds, tabs.box_up[l], tabs.delta[l])]
-
-    def coordinate_range(self, l, k, fixed, widths, tabs):
-        """Real range of coordinate k of block l given its first k, `fixed`."""
-        d = self.d
-        nu = (tabs.nu_sum[l][k] if k < d - 2 else tabs.nu_pair[l] if k == d - 2
-              else tabs.nu_slice[l])
-        return self.rule_range(k, fixed, widths, nu)
 
     def leaf_squares(self, x_places, tabs):
         """Float x3^2 = (1 - x0^2 + a x1^2 + b x2^2) / (ab) at each place, with

@@ -283,9 +283,8 @@ def test_range_rules_contain_every_filter_passer(walk, data):
         assume(all(b <= cap for b, cap in zip(bound, tabs.box_up[l])))
     widths = [_up(kappa * (Fraction(b) + Fraction(e))) for b, e in zip(bound, tabs.eps[l])]
     prefix = point[:k]
-    lo, hi = enum._ranges.coordinate_range(l, k, prefix, widths, tabs)
-    nu = (tabs.nu_sum[l][k] if k < d - 2 else tabs.nu_pair[l] if k == d - 2
-          else tabs.nu_slice[l])
+    nu = tabs.nu[l][k]
+    lo, hi = enum._ranges.rule_range(k, prefix, widths, nu)
 
     for tail in itertools.product(*(range(-c, c + 1) for c in cmax[k:])):
         c = prefix + list(tail)
@@ -725,6 +724,9 @@ COSET_MINIMA = {"P7": (7.29590, 3.936), "P2": (18.19567, 5.796), "P13#0": (19.19
 # the nodes of its pinned walk there
 CERTIFYING_RADIUS = {"P7": 4.5, "P2": 6.5, "P13#0": 6.5, "P13#1": 7.5, "P13#2": 6.5}
 PINNED_VISITED = {"P7": 101, "P2": 130, "P13#0": 235, "P13#1": 177, "P13#2": 187}
+# the nodes of `trace_coset_minimum`'s box walks, all cap doublings together;
+# its CapExceeded (`--cap`) depends on them
+COSET_NODES = {"P7": 23, "P2": 36, "P13#0": 289, "P13#1": 289, "P13#2": 289, "(7)": 558}
 
 
 @pytest.fixture(scope="module")
@@ -752,6 +754,15 @@ def test_trace_coset_minimum_at_the_table_levels(QH, levels):
     assert len(trace_coset_minimum(QH, levels["P7"]).traces) == 1
 
 
+def test_trace_coset_walk_visits_the_pinned_nodes(QH, levels, K):
+    ideals = dict(levels, **{"(7)": IdealHNF.principal(K, K.from_rational(7))})
+    for name, ideal in ideals.items():
+        nodes = COSET_NODES[name]
+        trace_coset_minimum(QH, ideal, cap_nodes=nodes)
+        with pytest.raises(CapExceeded, match=f"exceeded {nodes - 1} nodes"):
+            trace_coset_minimum(QH, ideal, cap_nodes=nodes - 1)
+
+
 def test_trace_coset_minimum_needs_a_cocompact_presentation(K):
     from quatsys.orders import standard_order
     from quatsys.quatalg import QuaternionAlgebra
@@ -764,7 +775,7 @@ def test_trace_coset_minimum_needs_a_cocompact_presentation(K):
 def test_enumerator_narrows_the_structure_constants_until_their_signs_show(QH, P7):
     from quatsys.numfield import NumberField
     from quatsys.orders import standard_order
-    from quatsys.quatalg import QuaternionAlgebra
+    from quatsys.quatalg import QuatElement, QuaternionAlgebra
 
     K2 = NumberField([1, 0, -2])
     a = K2.element([1, 1]) ** 61   # sigma_1(a) = (1 - sqrt 2)^61 ~ -4.5e-24
@@ -773,7 +784,13 @@ def test_enumerator_narrows_the_structure_constants_until_their_signs_show(QH, P
     assert a.embed(1, START_BITS).sign() is None
     enum = Enumerator(standard_order(algebra), IdealHNF.principal(K2, K2.from_rational(3)))
     assert all(e.sign() is not None for e in enum.a_emb + enum.b_emb)
-    assert list(enum._split) == [enum._ab_bits] and enum._ab_bits > START_BITS
+    assert enum._ab_bits > START_BITS
+    # the split place's sqrt(a) and b are never coarser than the walk's: at
+    # START_BITS _frob_sq encloses them at _ab_bits, so for x = 1 + i + ij
+    # (rational coordinates, exact embeddings) both precisions agree
+    x = QuatElement(algebra, (K2.one(), K2.one(), K2.zero(), K2.one()))
+    coarse, fine = enum._frob_sq(x, START_BITS), enum._frob_sq(x, enum._ab_bits)
+    assert (coarse.lo, coarse.hi) == (fine.lo, fine.hi)
     _found, visited = enum.run(3.0)
     assert visited == 11_177
     # the Hurwitz signs show at the start precision: its walk is unchanged
