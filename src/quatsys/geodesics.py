@@ -34,18 +34,28 @@ sign fixed at place 0, and the inverse embedding matrix give the candidate
 coordinates of each sign pattern, each under an error bound derived from the
 walk's rounding bounds.  A pattern with a coordinate farther than its bound
 from every integer has no root; any other has exactly one candidate, which
-the exact checks below then settle (x3^2 = v among them).  Only where a
-bound cannot decide (x3^2 within its bound of 0 at some place, or a bound
-reaching 1/2) does `NumberField.element_from_embeddings`, fed certified
-interval square roots, recover x3 or prove there is none.  Every emitted
-element passes exact integer/rational checks (norm one, congruence, not
-central).  The radius cut is decided in floats under a derived bound on the
-split-place Frobenius norm, and by refinable interval arithmetic where that
-bound cannot, which terminates because an algebraic squared norm can never
-equal the transcendental 2 cosh L.  Each class |trace| keeps its element of
-least Frobenius norm, the first one met in walk order on a tie, decided
-exactly (`Enumerator._frob_less`), so the representatives do not depend on
-what ran before in the process.
+the integer checks below then settle.  Only where a bound cannot decide
+(x3^2 within its bound of 0 at some place, or a bound reaching 1/2) does
+`NumberField.element_from_embeddings`, fed certified interval square roots,
+recover x3 or prove there is none.
+
+A leaf works on the walk's integers, c_(l d + m) = kappa times coefficient m
+of x_l.  A candidate passes the congruence rows, then one integer check of
+norm one: the order's table of the norm form gives D kappa^2 Nrd(x) as a sum
+of products c_i c_j times integer vectors (`_IntegerForm`), which must equal
+D kappa^2, for one common denominator D; x is central exactly when
+c_d .. c_(4d-1) are 0.  The radius cut is decided in floats under a derived
+bound on the split-place Frobenius norm, and by refinable interval
+arithmetic where that bound cannot, which terminates because an algebraic
+squared norm can never equal the transcendental 2 cosh L.  Each class
+|trace|, read from block 0 (trd x = 2 x0), keeps its element of least
+Frobenius norm, the first one met in walk order on a tie, decided exactly
+(`Enumerator._frob_less`): float enclosures first; where they overlap, a
+tie is read from the integer tables of that norm, and otherwise exact
+enclosures are refined.  So the representatives do not depend on what ran
+before in the process.  A
+`QuatElement` is built only where a refinement needs one and once per final
+representative, whose trace gives the class its side of 2 and its length.
 
 The walk visits one member of each symmetry orbit.  Gamma(I) is closed under
 x -> conj(x) = trd x - x (I*Q is certified stable under the involution), and
@@ -68,9 +78,10 @@ gamma in Gamma(I) has trd gamma in 2 + I^2 with |sigma_s(trd gamma)| < 2 at
 the ramified places, so the least admissible |sigma_0| over that coset
 (`bounds.trace_coset_minimum`) gives a floor L* on every translation length,
 and an enumerated element whose trace is a minimiser proves sys = L*.
-`systole_search` starts at the first scheduled radius not below L* and
-labels each result `certified` with its `certificate` (`trace-coset`) or,
-failing that, `stabilized` (minimum unchanged across two radius increments).
+`systole_search` starts at the first scheduled radius not below L* (a
+schedule without one is refused before any walk) and labels each result
+`certified` with its `certificate` (`trace-coset`) or, failing that,
+`stabilized` (minimum unchanged across two radius increments).
 
 That element is searched for first by a pinned walk.  An element of trace
 t has x0 = t/2, so its block 0 is the prefix c_0 .. c_(d-1) = kappa t/2;
@@ -87,6 +98,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -96,7 +108,7 @@ from .bounds import compare_abs0, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .intervals import START_BITS, RatInterval, iv_acosh, iv_cosh, iv_log, iv_sqrt, refine
 from .numfield import FieldElement, IdealHNF
-from .orders import OrderLattice
+from .orders import OrderLattice, unflatten
 from .quatalg import QuatElement
 from .walkranges import WalkRanges, walk
 
@@ -157,6 +169,74 @@ class EnumerationResult:
         return out
 
 
+class _OrderHalf:
+    """What an `Enumerator` needs of its order alone, built once per order
+    (`OrderLattice.cached`) under the attribute names the enumerator reads.
+
+    The enclosures of a and b at `_ab_bits`, sqrt(a) at the split place, the
+    radius-free parts of the boxes, the walk's float tables (`WalkRanges`),
+    and the integer tables (`_IntegerForm`) of the norm form and of the
+    split-place Frobenius norm on the walk's coordinates.
+    """
+
+    def __init__(self, order: OrderLattice):
+        algebra = order.algebra
+        field = algebra.field
+        d = field.degree
+
+        # enclosures of a and b that exclude 0, as the walk divides by them; the
+        # signs are those the presentation checks of `Enumerator` decided
+        def signed(ab_bits):
+            embs = [[x.embed(s, ab_bits) for s in range(d)] for x in (algebra.a, algebra.b)]
+            return None if any(e.sign() is None for row in embs for e in row) \
+                else (ab_bits, *embs)
+
+        self._ab_bits, self.a_emb, self.b_emb = refine(signed, START_BITS)
+        self.sqrt_a0 = iv_sqrt(self.a_emb[0], self._ab_bits)
+        # the radius-free parts of the boxes (`Enumerator._boxes`): 1/sqrt(a) and
+        # 1 + 1/b^2 at the split place, and the unit-ball rows 1, 1/sqrt|a|,
+        # 1/sqrt|b|, 1/sqrt|ab| at the ramified places
+        unit = RatInterval.exact(1)
+        self._inv_sqrt_a0 = (unit / self.sqrt_a0).hi
+        self._one_plus_inv_b2 = unit + unit / (self.b_emb[0] * self.b_emb[0])
+        a_abs = [x.abs() for x in self.a_emb[1:]]
+        b_abs = [x.abs() for x in self.b_emb[1:]]
+        self._ramified_boxes = [[Fraction(1)] * (d - 1)] + [
+            [(unit / iv_sqrt(x, START_BITS)).hi for x in row]
+            for row in (a_abs, b_abs, [a * b for a, b in zip(a_abs, b_abs)])]
+        one, a, b = field.one(), algebra.a, algebra.b
+        self._inv_ab = (a * b).inverse()
+        # the field's float table at START_BITS, the enumerator's bits
+        self._ranges = WalkRanges(field.place_table(), self.a_emb, self.b_emb,
+                                  self.sqrt_a0, order.kappa)
+        self.emb_f = self._ranges.emb_f  # float table of the walk's block values
+
+        # Nrd(x) = x0^2 - a x1^2 - b x2^2 + ab x3^2: norm one is D kappa^2 there
+        self._norm_form = _IntegerForm(field, {(0, 0): one, (1, 1): -a, (2, 2): -b,
+                                               (3, 3): a * b})
+        self._norm_one = [self._norm_form.den * order.kappa ** 2] + [0] * (d - 1)
+        # ||x||_F^2 = alpha + beta sqrt(a) at the split place (`_frob_parts`)
+        b2 = b * b
+        self._alpha_form = _IntegerForm(field, {(0, 0): one * 2, (1, 1): a * 2,
+                                                (2, 2): one + b2, (3, 3): (one + b2) * a})
+        self._beta_form = _IntegerForm(field, {(2, 3): (one - b2) * 2})
+
+
+class _Rep:
+    """An element that passed a run's radius cut: its walk coordinates
+    c_0 .. c_(4d-1) (kappa x over the scaled basis), an enclosure of
+    ||x||_F^2 (floats (lo, hi), or a `RatInterval` once refined), and its
+    `QuatElement`, built only when a decision needs it (`Enumerator._element`).
+    """
+
+    __slots__ = ("coords", "norm", "element")
+
+    def __init__(self, coords, norm):
+        self.coords = coords
+        self.norm = norm
+        self.element = None
+
+
 class Enumerator:
     """Reusable exact enumerator for one (order, ideal) pair.
 
@@ -190,36 +270,9 @@ class Enumerator:
         # at block 0 when x -> -x maps Gamma(I) to itself too
         self._orbit_from = 0 if order.minus_one_in_gamma(ideal) else d
         self.offset = [self.kappa] + [0] * (4 * d - 1)
-
-        # enclosures of a and b that exclude 0, as the walk divides by them; the
-        # signs are those the presentation checks above decided
-        def signed(ab_bits):
-            embs = [[x.embed(s, ab_bits) for s in range(d)] for x in (algebra.a, algebra.b)]
-            return None if any(e.sign() is None for row in embs for e in row) \
-                else (ab_bits, *embs)
-
-        self._ab_bits, self.a_emb, self.b_emb = refine(signed, START_BITS)
-        self.sqrt_a0 = iv_sqrt(self.a_emb[0], self._ab_bits)
-        # the radius-free parts of the boxes (`_boxes`): 1/sqrt(a) and 1 + 1/b^2
-        # at the split place, and the unit-ball rows 1, 1/sqrt|a|, 1/sqrt|b|,
-        # 1/sqrt|ab| at the ramified places
-        unit = RatInterval.exact(1)
-        self._inv_sqrt_a0 = (unit / self.sqrt_a0).hi
-        self._one_plus_inv_b2 = unit + unit / (self.b_emb[0] * self.b_emb[0])
-        a_abs = [x.abs() for x in self.a_emb[1:]]
-        b_abs = [x.abs() for x in self.b_emb[1:]]
-        self._ramified_boxes = [[Fraction(1)] * (d - 1)] + [
-            [(unit / iv_sqrt(x, self.bits)).hi for x in row]
-            for row in (a_abs, b_abs, [a * b for a, b in zip(a_abs, b_abs)])]
-        one, a, b = field.one(), algebra.a, algebra.b
-        self._inv_ab = (a * b).inverse()
-        self._one_plus_b2 = one + b * b
-        self._two_one_minus_b2 = (one - b * b) * 2
         self.counters = Counter(dict.fromkeys(LEAF_COUNTERS, 0))
-        # the field's float table at START_BITS = self.bits
-        self._ranges = WalkRanges(field.place_table(), self.a_emb, self.b_emb,
-                                  self.sqrt_a0, self.kappa)
-        self.emb_f = self._ranges.emb_f  # float table of the walk's block values
+        # the order-only half, under the same names
+        vars(self).update(vars(order.cached("enumerator", lambda: _OrderHalf(order))))
 
     # -- radius-dependent boxes ---------------------------------------------
 
@@ -292,8 +345,8 @@ class Enumerator:
         ranges = self._ranges
         tabs = ranges.tables(boxes, m_sq, m_val, coord_bound)
 
-        found = {}
-        self._rep_norm = {}  # enclosure of ||x||_F^2 of each class representative
+        reps = {}  # block-0 class key -> _Rep of the class representative so far
+        cut = (m_sq, *RatInterval.exact(m_sq).as_floats())
         visited = 0
 
         def block_values(c, l):
@@ -340,14 +393,24 @@ class Enumerator:
         for vec in walk(self._walk_rows, self.offset, [math.floor(b) for b in coord_bound],
                         node_ranges, count_node):
             x_places[2] = block_values(vec, 2)
-            self._leaf(vec, x_places, tabs, found, m_sq)
+            self._leaf(vec, x_places, tabs, reps, cut)
+        found = {}
+        for rep in reps.values():
+            cand = self._candidate(self._element(rep))
+            found[_class_key(cand.trace)] = cand
         return found, visited
 
     # -- leaf: recover the last coefficient --------------------------------------
 
-    def _leaf(self, vec, x_places, tabs, found, m_sq):
+    def _leaf(self, vec, x_places, tabs, reps, cut):
         """The elements at a leaf: vec holds the walked coordinates c_0 .. c_(3d-1)
-        and the partial sums of the congruence rows in its tail."""
+        and the partial sums of the congruence rows in its tail.
+
+        Each x3 that meets the congruence is settled on the integers: one check
+        of D kappa^2 Nrd(x) against D kappa^2 (`_IntegerForm`).  A candidate
+        of the floats that fails it has no root there; a root of the certified
+        fallback must pass it.
+        """
         counters = self.counters
         counters["leaves"] += 1
         ranges = self._ranges
@@ -356,37 +419,29 @@ class Enumerator:
             counters["float_rejected"] += 1
             return
         d, kappa = self.d, self.kappa
-        kf = self.field
-        x0e = FieldElement(kf, vec[0:d], kappa)
-        x1e = FieldElement(kf, vec[d:2 * d], kappa)
-        x2e = FieldElement(kf, vec[2 * d:3 * d], kappa)
-        v_elem = None
-        if targets is None:
+        verified = targets is None
+        if verified:
             # the floats cannot decide: certified recovery, roots already verified;
             # a root outside (1/kappa) Z[theta] is off the lattice
             counters["fallbacks"] += 1
-            v_elem = self._x3_square(x0e, x1e, x2e)
+            x0e, x1e, x2e = (FieldElement(self.field, vec[l * d:(l + 1) * d], kappa)
+                             for l in range(3))
             targets = [[n * (kappa // x3e.den) for n in x3e.num]
-                       for x3e in self._field_sqrt(v_elem) if kappa % x3e.den == 0]
-            verified = True
+                       for x3e in self._field_sqrt(self._x3_square(x0e, x1e, x2e))
+                       if kappa % x3e.den == 0]
         else:
             counters["float_candidates"] += 1
-            verified = False
         for target in targets:
             if not self._congruence_tail(vec, target):
                 continue
-            x3e = FieldElement(kf, target, kappa)
-            if not verified:
-                if v_elem is None:
-                    v_elem = self._x3_square(x0e, x1e, x2e)
-                if x3e * x3e != v_elem:
-                    continue
-            x = QuatElement(self.algebra, (x0e, x1e, x2e, x3e))
-            if x.reduced_norm() != kf.one():
-                raise InvariantViolation("norm-one identity failed at an exact leaf")
-            if x.is_central():
+            c = vec[:3 * d] + target
+            if self._norm_form.value(c) != self._norm_one:
+                if verified:
+                    raise InvariantViolation("norm-one identity failed at an exact leaf")
+                continue
+            if not any(c[d:]):
                 continue  # +-1 are the only central norm-one elements on the coset
-            self._emit(x, found, m_sq, ranges.split_norm(x_places, target, tabs))
+            self._emit(c, reps, cut, ranges.split_norm(x_places, target, tabs))
 
     def _x3_square(self, x0e, x1e, x2e):
         """x3^2 from the norm-one equation: (1 - x0^2 + a x1^2 + b x2^2) / (ab)."""
@@ -432,26 +487,48 @@ class Enumerator:
 
         return refine(roots_at, self.bits, 8 * self.bits)
 
-    def _emit(self, x: QuatElement, found, m_sq, approx):
-        """Keep x if ||x||_F^2 <= m_sq, as its class representative if it is one.
+    def _emit(self, c, reps, cut, approx):
+        """Keep the element of walk coordinates c if ||x||_F^2 <= m_sq, as its
+        class representative if it is one.
 
-        approx: floats lo <= ||x||_F^2 <= hi (`WalkRanges.split_norm`); where
-        they cannot decide the radius cut, certified enclosures are refined.
+        cut: (m_sq, lo, hi) with floats lo <= m_sq <= hi; approx: floats
+        lo <= ||x||_F^2 <= hi (`WalkRanges.split_norm`).  Floats decide the
+        cut where they can (`_float_cut`); elsewhere certified enclosures are
+        refined.  The class of |trace| is read from block 0, as trd x = 2 x0.
         """
-        def cut(box):
-            return box if box.certainly_le(m_sq) or box.certainly_gt(m_sq) else None
+        rep = _Rep(c, approx)
+        inside = _float_cut(approx, cut)
+        if inside is None:
+            m_sq = cut[0]
 
-        norm = cut(RatInterval(*approx))
-        if norm is None:
-            norm = refine(lambda bits: cut(self._frob_sq(x, bits)), self.bits, 4096)
-        if norm.certainly_gt(m_sq):
+            def decide(box):
+                return box if box.certainly_le(m_sq) or box.certainly_gt(m_sq) else None
+
+            norm = decide(RatInterval(*approx))
+            if norm is None:
+                norm = refine(lambda bits: decide(self._frob_sq(self._element(rep), bits)),
+                              self.bits, 4096)
+            rep.norm = norm
+            inside = not norm.certainly_gt(m_sq)
+        if not inside:
             return
+        block0 = tuple(c[:self.d])
+        key = max(block0, tuple(-n for n in block0))
+        prev = reps.get(key)
+        if prev is None or self._frob_less(rep, prev):
+            reps[key] = rep
+
+    def _element(self, rep: _Rep) -> QuatElement:
+        """The `QuatElement` of rep, built on first use."""
+        if rep.element is None:
+            rep.element = unflatten(self.algebra, rep.coords, self.kappa)
+        return rep.element
+
+    def _candidate(self, x: QuatElement) -> GeodesicCandidate:
+        """A class representative's candidate: its trace t, the side of 2 of
+        |sigma_0 t| and, if hyperbolic, its length.  Every element of a class
+        has the same |sigma_0 t|, so a parabolic class shows here."""
         trace = x.reduced_trace()
-        key = _class_key(trace)
-        prev = found.get(key)
-        if prev is not None and not self._frob_less(x, prev.element, norm, self._rep_norm[key]):
-            return
-        self._rep_norm[key] = norm
 
         def side_and_box(bits):
             # one enclosure of |sigma_0 t| (exact if t is rational) for side and length
@@ -463,38 +540,42 @@ class Enumerator:
         if side == 0:
             raise InvariantViolation(f"parabolic element {x} in a cocompact group")
         length = iv_acosh(tr_box / 2, self.bits) * 2 if side > 0 else None
-        found[key] = GeodesicCandidate(
+        return GeodesicCandidate(
             element=x,
-            trace=trace if key[0] == trace.num else -trace,
+            trace=trace if _class_key(trace)[0] == trace.num else -trace,
             abs_trace=float(tr_box.mid),
             length=length,
             is_elliptic=side < 0,
         )
 
-    def _frob_parts(self, x: QuatElement):
-        """(alpha, beta) in K with ||x||_F^2 = alpha + beta sqrt(a) at the split place:
+    def _frob_parts(self, c):
+        """D kappa^2 (alpha, beta) over the power basis from the walk coordinates
+        c, with ||x||_F^2 = alpha + beta sqrt(a) at the split place:
         alpha = 2 (x0^2 + a x1^2) + (1 + b^2)(x2^2 + a x3^2), beta = 2 (1 - b^2) x2 x3."""
-        x0, x1, x2, x3 = x.coords
-        a = self.algebra.a
-        alpha = ((x0 * x0 + a * (x1 * x1)) * 2
-                 + self._one_plus_b2 * (x2 * x2 + a * (x3 * x3)))
-        return alpha.coords, (self._two_one_minus_b2 * (x2 * x3)).coords
+        return self._alpha_form.value(c), self._beta_form.value(c)
 
-    def _frob_less(self, x: QuatElement, y: QuatElement, fx, fy) -> bool:
+    def _frob_less(self, x: _Rep, y: _Rep) -> bool:
         """Whether ||x||_F^2 < ||y||_F^2 at the split place, decided exactly.
 
-        fx, fy: enclosures of the two norms.  a is not a square in K
-        (it is negative at the other places), so the two norms are equal
-        exactly when their (alpha, beta) are; otherwise they differ and
-        refining their enclosures separates them.  This is the representative
-        rule of a class: the least norm, the first one met on a tie.
+        Two float enclosures that separate decide (`_float_less`).  Otherwise,
+        as a is not a square in K (it is negative at the other places), the
+        two norms are equal exactly when their (alpha, beta) are, a tie; if
+        not, they differ and refining their enclosures separates them.  This
+        is the representative rule of a class: the least norm, the first one
+        met on a tie.
         """
-        if (fx - fy).sign() is None and self._frob_parts(x) == self._frob_parts(y):
+        if isinstance(x.norm, tuple) and isinstance(y.norm, tuple):
+            less = _float_less(x.norm, y.norm)
+            if less is not None:
+                return less
+        if self._frob_parts(x.coords) == self._frob_parts(y.coords):
             return False
+        fx, fy = _enclosure(x.norm), _enclosure(y.norm)
 
         def less(bits):
             if bits > self.bits:
-                gap = (self._frob_sq(x, bits) - self._frob_sq(y, bits)).sign()
+                gap = (self._frob_sq(self._element(x), bits)
+                       - self._frob_sq(self._element(y), bits)).sign()
             else:
                 gap = (fx - fy).sign()
             return None if gap is None else gap < 0
@@ -578,7 +659,9 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
     is a minimiser t* of `bounds.trace_coset_minimum`, so the systole is
     L* = 2 acosh(|sigma_0 t*|/2).  Radii below L* are skipped: a hyperbolic
     element displaces the basepoint by at least its translation length, and
-    the search starts at the index of the first radius not below L*.
+    the search starts at the index of the first radius not below L*.  A
+    schedule with no such radius is refused before any walk (CapExceeded
+    naming L* and that radius).
     stabilized: the certificate does not apply, and the minimal |trace|
     survived two radius increments.
 
@@ -594,18 +677,23 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
     after each enumerated radius (visited nodes, current minimum, mode so far).
     """
     coset = trace_coset_minimum(order, ideal, cap_nodes)
+    start, step = Fraction(schedule.start), Fraction(schedule.step)
+    # within one of the first radius not below L*; the enclosure of L* settles it
+    first = max(0, math.floor((coset.length.lo - start) / step))
+    while first < schedule.count() and \
+            coset.length.certainly_gt(schedule.start + first * schedule.step):
+        first += 1
+    if first >= schedule.count():
+        need = max(0, math.ceil((coset.length.hi - start) / step))
+        raise CapExceeded(f"radius schedule exhausted below L*={float(coset.length.mid):.6f}: "
+                          f"its first radius not below L* is "
+                          f"{schedule.start + need * schedule.step!r}")
     enumerator = Enumerator(order, ideal)
     prefixes = enumerator.block0_prefixes(coset.traces)
-    # within one of the first radius not below L*; the check in the loop settles it
-    first = max(0, math.floor(
-        (coset.length.lo - Fraction(schedule.start)) / Fraction(schedule.step)))
     best_key = None
     streak = 0
-    last = None
     for k in range(first, schedule.count()):
         radius = schedule.start + k * schedule.step
-        if coset.length.certainly_gt(radius):
-            continue
         cands, visited = enumerate_gamma(order, ideal, radius, cap_nodes,
                                          enumerator=enumerator, prefixes=prefixes)
         realised = _coset_realised(coset, cands)
@@ -646,8 +734,67 @@ def systole_search(order: OrderLattice, ideal: IdealHNF,
             progress(last)
         if mode in ("certified", "stabilized"):
             return last
-    raise CapExceeded(f"radius schedule exhausted; best so far: "
-                      f"{last.records() if last else 'nothing found'}")
+    raise CapExceeded(f"radius schedule exhausted; best so far: {last.records()}")
+
+
+class _IntegerForm:
+    """A quadratic form on the walk's integer coordinates, as integer tables.
+
+    coefs maps block pairs (l, l') with l <= l' to field elements; the form
+    is q(x) = sum coefs[l, l'] x_l x_l' with x_l = (1/kappa) sum_m
+    c[l d + m] theta^m.  So kappa^2 q(x) = sum over i <= j of c_i c_j w_ij
+    for field elements w_ij, and with den a common denominator of the w_ij,
+    `value(c)` gives den kappa^2 q(x) over the power basis as d integers.
+    """
+
+    def __init__(self, field, coefs):
+        d = field.degree
+        powers = [field.one()]
+        for _ in range(2 * d - 2):
+            powers.append(powers[-1] * field.gen())
+        terms = []
+        for (l, l2), coef in coefs.items():
+            scaled = [coef * p for p in powers]
+            for m, m2 in itertools.product(range(d), repeat=2):
+                if l == l2 and m > m2:
+                    continue  # a square's cross term c_m c_m2 comes twice, below
+                w = scaled[m + m2] * (2 if l == l2 and m < m2 else 1)
+                if not w.is_zero():
+                    terms.append(((l * d + m, l2 * d + m2), w))
+        self.den = math.lcm(*(w.den for _key, w in terms))
+        self._pairs = [key for key, _w in terms]
+        # column k: coordinate k of den w_ij, term by term
+        self._cols = [[w.num[k] * (self.den // w.den) for _key, w in terms] for k in range(d)]
+
+    def value(self, c):
+        prods = [c[i] * c[j] for i, j in self._pairs]
+        return [sum(map(operator.mul, prods, col)) for col in self._cols]
+
+
+def _float_cut(approx, cut):
+    """Whether floats lo <= ||x||_F^2 <= hi put x inside the radius cut
+    (True) or outside it (False), given floats lo <= m_sq <= hi in
+    cut = (m_sq, lo, hi); None if they cannot tell."""
+    if approx[1] <= cut[1]:
+        return True
+    if approx[0] > cut[2]:
+        return False
+    return None
+
+
+def _float_less(fx, fy):
+    """Whether the norm in float enclosure fx is below that in fy, or None if
+    they overlap; floats compare exactly."""
+    if fx[1] < fy[0]:
+        return True
+    if fx[0] > fy[1]:
+        return False
+    return None
+
+
+def _enclosure(norm) -> RatInterval:
+    """A `_Rep`'s norm enclosure as a RatInterval."""
+    return norm if isinstance(norm, RatInterval) else RatInterval(*norm)
 
 
 def _class_key(trace: FieldElement):

@@ -111,6 +111,7 @@ class OrderLattice:
         self._certify(tables)
         self.tables = tables
         self._congruence = {}  # ideal -> CongruenceIdealLattice
+        self._cache = {}  # facts about the order alone that other modules compute (`cached`)
 
     # -- certification ------------------------------------------------------
 
@@ -194,6 +195,17 @@ class OrderLattice:
 
     def is_norm_one(self, x: QuatElement) -> bool:
         return self.contains(x) and x.reduced_norm() == self.algebra.field.one()
+
+    def cached(self, key: str, build):
+        """build(), computed once per order and kept under `key`.
+
+        For facts that depend on the order alone, such as the enumerator's
+        enclosures and integer forms (`geodesics.Enumerator`).  A build that
+        raises stores nothing.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def __eq__(self, other):
         return (isinstance(other, OrderLattice) and self.algebra == other.algebra

@@ -261,6 +261,25 @@ def test_cli_cap_bounds_the_trace_coset_walk(capsys):
         "20475.192932 19.853939"
 
 
+def test_cli_refuses_a_schedule_that_ends_below_the_coset_floor(capsys):
+    # at (7) L* = 19.85 lies past the default schedule 5:1:12: the search is
+    # refused before any walk, naming L* and the first radius of the schedule's
+    # progression that reaches it
+    started = time.monotonic()
+    code, out = _run(capsys, "--hurwitz", "systole", "--ideal", "7")
+    assert code == 2
+    assert _records(out) == ["error=cap radius schedule exhausted below L*=19.853939: "
+                             "its first radius not below L* is 20.0"]
+    code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7", "--radius", "1:0.5:3.5")
+    assert _records(out) == ["error=cap radius schedule exhausted below L*=3.935946: "
+                             "its first radius not below L* is 4.0"]
+    # one radius whose step is far below the float spacing at L*: the search
+    # for the first radius stops at the schedule's end
+    code, out = _run(capsys, "--hurwitz", "systole", "--prime", "7", "--radius", "0:1e-30:0")
+    assert code == 2 and _records(out)[0].startswith("error=cap radius schedule exhausted below")
+    assert time.monotonic() - started < 5.0
+
+
 def test_cli_quotient_count_gives_up_factoring_a_large_norm_fast(tmp_path, capsys):
     # the norm of 10^300 + sqrt 2 has 600 digits: each Pollard-Brent step
     # multiplies numbers of that size, so its budget shrinks with them

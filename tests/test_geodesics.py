@@ -17,10 +17,13 @@ from quatsys import geodesics
 from conftest import static_box_walk
 from quatsys.bounds import compare_abs0, hurwitz_context, trace_coset_minimum, trace_lower_bound
 from quatsys.errors import CapExceeded, InputError, InvariantViolation, PrecisionError
-from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
+from quatsys.geodesics import (Enumerator, RadiusSchedule, _Rep, enumerate_gamma,
+                               systole_search)
 from quatsys.intervals import START_BITS, RatInterval
 from quatsys.numfield import FieldElement, IdealHNF, abs_vs_two, factor_rational_prime
-from quatsys.walkranges import _up, slice_range
+from quatsys.orders import scaled_row, unflatten
+from quatsys.quatalg import QuatElement
+from quatsys.walkranges import WalkRanges, _up, slice_range
 
 
 @pytest.fixture(scope="module")
@@ -455,7 +458,8 @@ def test_orbit_maps_keep_the_coset_the_norm_and_the_class(QH, orbit_ideals, data
     mates = [x.conj()] + ([-x, -x.conj()] if QH.minus_one_in_gamma(ideal) else [])
     for y in mates:
         assert cong.contains(y - 1)
-        assert enum._frob_parts(y) == enum._frob_parts(x)
+        assert (enum._frob_parts(scaled_row(y, enum.kappa))
+                == enum._frob_parts(scaled_row(x, enum.kappa)))
         assert (geodesics._class_key(y.reduced_trace())
                 == geodesics._class_key(x.reduced_trace()))
 
@@ -487,7 +491,6 @@ def test_emit_keeps_the_refinement_schedule_of_its_trace(monkeypatch, QH, P7, si
     # side of 2 and gives the length
     K = QH.algebra.field
     enum = Enumerator(QH, P7)
-    enum._rep_norm = {}
     t = 2 * sign + (K.gen() ** 2 - 2) ** 80
     asked = []
     embed = FieldElement.embed
@@ -497,10 +500,9 @@ def test_emit_keeps_the_refinement_schedule_of_its_trace(monkeypatch, QH, P7, si
         return embed(self, place, bits)
 
     monkeypatch.setattr(FieldElement, "embed", spy)
-    found = {}
-    enum._emit(QH.algebra.element(t / 2, 0, 0, 0), found, Fraction(10 ** 6), (0.0, 0.0))
+    cand = enum._candidate(QH.algebra.element(t / 2, 0, 0, 0))
     assert [bits for coords, bits in asked if coords == t.coords] == [60, 120]
-    assert [c.is_elliptic for c in found.values()] == [sign < 0]
+    assert cand.is_elliptic == (sign < 0)
 
 
 def test_refinement_caps_at_the_enumerator_sites(QH, P7, K, monkeypatch):
@@ -518,19 +520,28 @@ def test_refinement_caps_at_the_enumerator_sites(QH, P7, K, monkeypatch):
     asked.clear()
     monkeypatch.setattr(Enumerator, "_frob_sq",
                         lambda self, y, bits=None: asked.append(bits) or RatInterval(0, 10))
+    one = [enum.kappa] + [0] * (4 * enum.d - 1)
     with pytest.raises(PrecisionError):
-        enum._emit(QH.algebra.one(), {}, Fraction(5), (0.0, 10.0))
+        enum._emit(one, {}, (Fraction(5), 5.0, 5.0), (0.0, 10.0))
     assert asked == [60, 120, 240, 480, 960, 1920, 3840]  # radius cut: 4096 bits
 
 
 def test_frob_less_refines_only_what_the_given_enclosures_leave_open(QH, P7, D, monkeypatch):
     enum = Enumerator(QH, P7)
-    x, y = D.one(), D.gen_i()
+    x, y = (scaled_row(q, enum.kappa) for q in (D.one(), D.gen_i()))
     monkeypatch.setattr(Enumerator, "_frob_sq", lambda *args: pytest.fail("refined"))
-    assert enum._frob_less(x, y, RatInterval(1, 2), RatInterval(3, 4))
-    assert not enum._frob_less(y, x, RatInterval(3, 4), RatInterval(1, 2))
+    # float enclosures that separate decide alone, with no exact enclosure
+    with monkeypatch.context() as floats_only:
+        floats_only.setattr(geodesics, "_enclosure", lambda *args: pytest.fail("exact"))
+        assert enum._frob_less(_Rep(x, (1.0, 2.0)), _Rep(y, (3.0, 4.0)))
+        assert not enum._frob_less(_Rep(y, (3.0, 4.0)), _Rep(x, (1.0, 2.0)))
+    # a refined enclosure on either side goes to the exact comparison
+    for low, high in ((RatInterval(1, 2), RatInterval(3, 4)), ((1.0, 2.0), RatInterval(3, 4))):
+        assert enum._frob_less(_Rep(x, low), _Rep(y, high))
+        assert not enum._frob_less(_Rep(y, high), _Rep(x, low))
     # overlapping enclosures of equal (alpha, beta): a tie, decided exactly
-    assert not enum._frob_less(x, x, RatInterval(1, 4), RatInterval(2, 3))
+    assert not enum._frob_less(_Rep(x, (1.0, 4.0)), _Rep(x, (2.0, 3.0)))
+    assert not enum._frob_less(_Rep(x, RatInterval(1, 4)), _Rep(x, RatInterval(2, 3)))
 
 
 def test_frob_sq_reuses_split_place_data(run7, QH, P7):
@@ -680,6 +691,74 @@ def test_leaf_counters_partition_the_leaves(QH, P7):
                                 + counts["fallbacks"])
     assert counts["field_sqrt"] == counts["fallbacks"]
     assert counts["float_rejected"] > counts["fallbacks"]
+
+
+# -- leaves settled on the walk's integers -------------------------------------
+
+@pytest.fixture(scope="module")
+def form_enums(QH, B6, Q2max):
+    return {name: Enumerator(order, order.algebra.field.whole_ring())
+            for name, order in (("QH", QH), ("B6", B6), ("Q2max", Q2max))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_forms_match_the_field_arithmetic(form_enums, data):
+    # D kappa^2 Nrd(x), and (alpha, beta) of ||x||_F^2, from the integer tables
+    # against QuatElement arithmetic on random walk vectors, x3 included
+    enum = form_enums[data.draw(st.sampled_from(sorted(form_enums)), label="order")]
+    d, kappa, algebra = enum.d, enum.kappa, enum.algebra
+    c = data.draw(st.lists(st.integers(-40, 40), min_size=4 * d, max_size=4 * d), label="c")
+    x = unflatten(algebra, c, kappa)
+    scale = enum._norm_form.den * kappa ** 2
+    assert enum._norm_one == [scale] + [0] * (d - 1)
+    assert x.reduced_norm() * scale == FieldElement(algebra.field, enum._norm_form.value(c))
+    # a, b and theta are integral in all three fields, so D = 1 for every form
+    assert enum._norm_form.den == enum._alpha_form.den == enum._beta_form.den == 1
+    x0, x1, x2, x3 = x.coords
+    a, b = algebra.a, algebra.b
+    alpha = (x0 * x0 + a * (x1 * x1)) * 2 + (1 + b * b) * (x2 * x2 + a * (x3 * x3))
+    beta = (1 - b * b) * 2 * (x2 * x3)
+    parts = enum._frob_parts(c)
+    assert (alpha, beta) == tuple(FieldElement(algebra.field, p, scale) for p in parts)
+
+
+@pytest.mark.parametrize("name", ["whole ring", "P7"])
+def test_exact_leaf_decisions_agree_with_the_floats(QH, K, P7, name, monkeypatch):
+    # every float decision of the leaf and of _emit left open: x3 recovered by
+    # _field_sqrt at every leaf, the radius cut and the representative rule
+    # decided by exact enclosures; the candidates and representatives stay
+    _ideal, radius, _visited, counters, expected = REGRESSION[name]
+    monkeypatch.setattr(WalkRanges, "leaf_roots", lambda self, squares, tabs: None)
+    monkeypatch.setattr(geodesics, "_float_cut", lambda *args: None)
+    monkeypatch.setattr(geodesics, "_float_less", lambda *args: None)
+    enum = Enumerator(QH, K.whole_ring() if name == "whole ring" else P7)
+    found, _ = enum.run(radius)
+    cands = sorted(found.values(), key=lambda c: (c.abs_trace, c.trace.coords))
+    assert [(c.record(), str(c.element)) for c in cands] == expected
+    assert enum.counters["fallbacks"] == enum.counters["leaves"] == counters[0]
+
+
+def test_orbifold_leaves_stay_on_the_integers(QH, K, monkeypatch):
+    # no exact norm at any leaf, and x3^2 in the field only where the floats
+    # defer to the certified recovery
+    calls = dict.fromkeys(["reduced_norm", "_x3_square"], 0)
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    enum = Enumerator(QH, K.whole_ring())
+    spy(QuatElement, "reduced_norm")
+    spy(Enumerator, "_x3_square")
+    enum.run(3.0)
+    assert enum.counters["fallbacks"] == 17
+    assert calls == {"reduced_norm": 0, "_x3_square": 17}
 
 
 def test_class_representatives_do_not_depend_on_history(QH, P7, K, ring3):
