@@ -119,9 +119,9 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
     goes to the exact `numfield.abs_vs_two`, which refines certified
     embeddings until they separate (|sigma_s t| = 2 only for t = +-2).  The
     order by |sigma_0| is decided exactly: |sigma_0 t| = |sigma_0 t'| in K
-    only for t = +-t'.  Raises `InputError` unless the algebra is split at
-    place 0 and ramified at every other real place, and `CapExceeded` once
-    the walks, counted together, pass `cap_nodes` nodes.
+    only for t = +-t'.  Raises `InputError` unless the presentation is
+    cocompact (`QuaternionAlgebra.is_cocompact_presentation`), and
+    `CapExceeded` once the walks, counted together, pass `cap_nodes` nodes.
     """
     algebra = order.algebra
     if not algebra.is_cocompact_presentation():

@@ -44,18 +44,19 @@ of x_l.  A candidate passes the congruence rows, then one integer check of
 norm one: the order's table of the norm form gives D kappa^2 Nrd(x) as a sum
 of products c_i c_j times integer vectors (`_IntegerForm`), which must equal
 D kappa^2, for one common denominator D; x is central exactly when
-c_d .. c_(4d-1) are 0.  The radius cut is decided in floats under a derived
-bound on the split-place Frobenius norm, and by refinable interval
-arithmetic where that bound cannot, which terminates because an algebraic
-squared norm can never equal the transcendental 2 cosh L.  Each class
-|trace|, read from block 0 (trd x = 2 x0), keeps its element of least
-Frobenius norm, the first one met in walk order on a tie, decided exactly
-(`Enumerator._frob_less`): float enclosures first; where they overlap, a
-tie is read from the integer tables of that norm, and otherwise exact
-enclosures are refined.  So the representatives do not depend on what ran
-before in the process.  A
-`QuatElement` is built only where a refinement needs one and once per final
-representative, whose trace gives the class its side of 2 and its length.
+c_d .. c_(4d-1) are 0.  Two more integer tables give the split-place
+Frobenius norm as ||x||_F^2 = alpha + beta sqrt(a) with alpha, beta in K
+(`Enumerator._frob_parts`).  The radius cut ||x||_F^2 <= m_sq, with m_sq
+the rational upper bound of 2 cosh L that the boxes use, is decided in
+floats under a derived bound on that norm, and where the bound cannot
+decide, by one exact sign test of A + B sqrt(a) at place 0 for A, B in K
+(`Enumerator._frob_sign`).  Each class |trace|, read from block 0
+(trd x = 2 x0), keeps its element of least Frobenius norm, the first one
+met in walk order on a tie, decided the same way (`Enumerator._frob_less`):
+float bounds first, the exact sign test where they overlap.  So the
+representatives do not depend on what ran before in the process.  A
+`QuatElement` is built once per final representative, whose trace gives
+the class its side of 2 and its length.
 
 The walk visits one member of each symmetry orbit.  Gamma(I) is closed under
 x -> conj(x) = trd x - x (I*Q is certified stable under the involution), and
@@ -206,7 +207,7 @@ class _OrderHalf:
             for row in (a_abs, b_abs, [a * b for a, b in zip(a_abs, b_abs)])]
         one, a, b = field.one(), algebra.a, algebra.b
         self._inv_ab = (a * b).inverse()
-        # the field's float table at START_BITS, the enumerator's bits
+        # the field's float table at START_BITS
         self._ranges = WalkRanges(field.place_table(), self.a_emb, self.b_emb,
                                   self.sqrt_a0, order.kappa)
         self.emb_f = self._ranges.emb_f  # float table of the walk's block values
@@ -220,21 +221,6 @@ class _OrderHalf:
         self._alpha_form = _IntegerForm(field, {(0, 0): one * 2, (1, 1): a * 2,
                                                 (2, 2): one + b2, (3, 3): (one + b2) * a})
         self._beta_form = _IntegerForm(field, {(2, 3): (one - b2) * 2})
-
-
-class _Rep:
-    """An element that passed a run's radius cut: its walk coordinates
-    c_0 .. c_(4d-1) (kappa x over the scaled basis), an enclosure of
-    ||x||_F^2 (floats (lo, hi), or a `RatInterval` once refined), and its
-    `QuatElement`, built only when a decision needs it (`Enumerator._element`).
-    """
-
-    __slots__ = ("coords", "norm", "element")
-
-    def __init__(self, coords, norm):
-        self.coords = coords
-        self.norm = norm
-        self.element = None
 
 
 class Enumerator:
@@ -257,7 +243,6 @@ class Enumerator:
         self.ideal = ideal
         self.algebra = algebra
         self.field = field
-        self.bits = START_BITS
         d = field.degree
         self.d = d
         self.kappa = order.kappa
@@ -288,15 +273,15 @@ class Enumerator:
         # the exact binary value of the radius is the radius; box and emission
         # cut use the same enclosure, so the visited set is well defined
         radius = Fraction(radius)
-        if radius > iv_log(DOUBLE_MAX, self.bits).hi:
+        if radius > iv_log(DOUBLE_MAX, START_BITS).hi:
             raise InputError(f"radius {float(radius):g} is too large: 2 cosh L "
                              f"exceeds the largest double")
-        t_encl = iv_cosh(radius, self.bits) * 2
+        t_encl = iv_cosh(radius, START_BITS) * 2
         m_sq = t_encl.hi                      # upper bound for 2 cosh L
-        m_val = iv_sqrt(RatInterval.exact(m_sq), self.bits).hi
-        half_m2 = iv_sqrt(RatInterval.exact(m_sq / 2), self.bits).hi
+        m_val = iv_sqrt(RatInterval.exact(m_sq), START_BITS).hi
+        half_m2 = iv_sqrt(RatInterval.exact(m_sq / 2), START_BITS).hi
         # |x2|, |x3| from v^2 + w^2 <= 2 cosh L via Cauchy-Schwarz
-        vw = iv_sqrt(RatInterval.exact(m_sq) * self._one_plus_inv_b2, self.bits).hi / 2
+        vw = iv_sqrt(RatInterval.exact(m_sq) * self._one_plus_inv_b2, START_BITS).hi / 2
         split = [half_m2, half_m2 * self._inv_sqrt_a0, vw, vw * self._inv_sqrt_a0]
         boxes = [[x] + row for x, row in zip(split, self._ramified_boxes)]
         if max(m_sq, boxes[3][0] ** 2) > DOUBLE_MAX:
@@ -336,7 +321,7 @@ class Enumerator:
         emitted, and each class representative, are those of the full walk
         under it.
 
-        Returns (candidates keyed by |trace|, visited node count).
+        Returns (candidates by the block-0 key of their class, visited node count).
         """
         boxes, m_sq, m_val = self._boxes(radius)
         coord_bound = self._coord_bounds(boxes)
@@ -345,7 +330,7 @@ class Enumerator:
         ranges = self._ranges
         tabs = ranges.tables(boxes, m_sq, m_val, coord_bound)
 
-        reps = {}  # block-0 class key -> _Rep of the class representative so far
+        reps = {}  # block-0 class key -> (coords, float norm bounds) of its representative
         cut = (m_sq, *RatInterval.exact(m_sq).as_floats())
         visited = 0
 
@@ -394,11 +379,7 @@ class Enumerator:
                         node_ranges, count_node):
             x_places[2] = block_values(vec, 2)
             self._leaf(vec, x_places, tabs, reps, cut)
-        found = {}
-        for rep in reps.values():
-            cand = self._candidate(self._element(rep))
-            found[_class_key(cand.trace)] = cand
-        return found, visited
+        return {key: self._candidate(c, key) for key, (c, _norm) in reps.items()}, visited
 
     # -- leaf: recover the last coefficient --------------------------------------
 
@@ -424,10 +405,8 @@ class Enumerator:
             # the floats cannot decide: certified recovery, roots already verified;
             # a root outside (1/kappa) Z[theta] is off the lattice
             counters["fallbacks"] += 1
-            x0e, x1e, x2e = (FieldElement(self.field, vec[l * d:(l + 1) * d], kappa)
-                             for l in range(3))
             targets = [[n * (kappa // x3e.den) for n in x3e.num]
-                       for x3e in self._field_sqrt(self._x3_square(x0e, x1e, x2e))
+                       for x3e in self._field_sqrt(self._x3_square(vec))
                        if kappa % x3e.den == 0]
         else:
             counters["float_candidates"] += 1
@@ -443,10 +422,12 @@ class Enumerator:
                 continue  # +-1 are the only central norm-one elements on the coset
             self._emit(c, reps, cut, ranges.split_norm(x_places, target, tabs))
 
-    def _x3_square(self, x0e, x1e, x2e):
-        """x3^2 from the norm-one equation: (1 - x0^2 + a x1^2 + b x2^2) / (ab)."""
-        a, b = self.algebra.a, self.algebra.b
-        return (self.field.one() - x0e * x0e + a * (x1e * x1e) + b * (x2e * x2e)) * self._inv_ab
+    def _x3_square(self, vec):
+        """x3^2 from the norm-one equation, (1 - Nrd(x0 + x1 i + x2 j)) / (ab), for
+        the walked coordinates c_0 .. c_(3d-1) of vec, on the norm form's table."""
+        c = vec[:3 * self.d] + [0] * self.d
+        nrd = FieldElement(self.field, self._norm_form.value(c), self._norm_one[0])
+        return (self.field.one() - nrd) * self._inv_ab
 
     def _congruence_tail(self, partial_vec, target) -> bool:
         d = self.d
@@ -485,7 +466,7 @@ class Enumerator:
                 return None
             return list(out.values())
 
-        return refine(roots_at, self.bits, 8 * self.bits)
+        return refine(roots_at, START_BITS, 8 * START_BITS)
 
     def _emit(self, c, reps, cut, approx):
         """Keep the element of walk coordinates c if ||x||_F^2 <= m_sq, as its
@@ -493,42 +474,30 @@ class Enumerator:
 
         cut: (m_sq, lo, hi) with floats lo <= m_sq <= hi; approx: floats
         lo <= ||x||_F^2 <= hi (`WalkRanges.split_norm`).  Floats decide the
-        cut where they can (`_float_cut`); elsewhere certified enclosures are
-        refined.  The class of |trace| is read from block 0, as trd x = 2 x0.
+        cut where they can (`_float_cut`), the exact sign test elsewhere.  The
+        class of |trace| is read from block 0, as trd x = 2 x0.
         """
-        rep = _Rep(c, approx)
         inside = _float_cut(approx, cut)
         if inside is None:
-            m_sq = cut[0]
-
-            def decide(box):
-                return box if box.certainly_le(m_sq) or box.certainly_gt(m_sq) else None
-
-            norm = decide(RatInterval(*approx))
-            if norm is None:
-                norm = refine(lambda bits: decide(self._frob_sq(self._element(rep), bits)),
-                              self.bits, 4096)
-            rep.norm = norm
-            inside = not norm.certainly_gt(m_sq)
+            alpha, beta = self._frob_parts(c)
+            inside = self._frob_sign(alpha - cut[0], beta) <= 0
         if not inside:
             return
         block0 = tuple(c[:self.d])
         key = max(block0, tuple(-n for n in block0))
+        rep = (c, approx)
         prev = reps.get(key)
         if prev is None or self._frob_less(rep, prev):
             reps[key] = rep
 
-    def _element(self, rep: _Rep) -> QuatElement:
-        """The `QuatElement` of rep, built on first use."""
-        if rep.element is None:
-            rep.element = unflatten(self.algebra, rep.coords, self.kappa)
-        return rep.element
-
-    def _candidate(self, x: QuatElement) -> GeodesicCandidate:
-        """A class representative's candidate: its trace t, the side of 2 of
-        |sigma_0 t| and, if hyperbolic, its length.  Every element of a class
-        has the same |sigma_0 t|, so a parabolic class shows here."""
-        trace = x.reduced_trace()
+    def _candidate(self, c, key) -> GeodesicCandidate:
+        """The candidate of a class representative of walk coordinates c and
+        block-0 key (`_emit`): its element, the trace t = 2 key / kappa of the
+        class, the side of 2 of |sigma_0 t| and, if hyperbolic, its length.
+        Every element of a class has the same |sigma_0 t|, so a parabolic
+        class shows here."""
+        x = unflatten(self.algebra, c, self.kappa)
+        trace = FieldElement(self.field, [2 * n for n in key], self.kappa)
 
         def side_and_box(bits):
             # one enclosure of |sigma_0 t| (exact if t is rational) for side and length
@@ -536,66 +505,54 @@ class Enumerator:
             side = (box - 2).sign()
             return None if side is None else (side, box)
 
-        side, tr_box = refine(side_and_box, self.bits)
+        side, tr_box = refine(side_and_box, START_BITS)
         if side == 0:
             raise InvariantViolation(f"parabolic element {x} in a cocompact group")
-        length = iv_acosh(tr_box / 2, self.bits) * 2 if side > 0 else None
+        length = iv_acosh(tr_box / 2, START_BITS) * 2 if side > 0 else None
         return GeodesicCandidate(
             element=x,
-            trace=trace if _class_key(trace)[0] == trace.num else -trace,
+            trace=trace,
             abs_trace=float(tr_box.mid),
             length=length,
             is_elliptic=side < 0,
         )
 
     def _frob_parts(self, c):
-        """D kappa^2 (alpha, beta) over the power basis from the walk coordinates
-        c, with ||x||_F^2 = alpha + beta sqrt(a) at the split place:
-        alpha = 2 (x0^2 + a x1^2) + (1 + b^2)(x2^2 + a x3^2), beta = 2 (1 - b^2) x2 x3."""
-        return self._alpha_form.value(c), self._beta_form.value(c)
+        """(alpha, beta) in K from the walk coordinates c, with ||x||_F^2 =
+        alpha + beta sqrt(a) at the split place: alpha = 2 (x0^2 + a x1^2) +
+        (1 + b^2)(x2^2 + a x3^2), beta = 2 (1 - b^2) x2 x3."""
+        k2 = self.kappa ** 2
+        return tuple(FieldElement(self.field, form.value(c), form.den * k2)
+                     for form in (self._alpha_form, self._beta_form))
 
-    def _frob_less(self, x: _Rep, y: _Rep) -> bool:
-        """Whether ||x||_F^2 < ||y||_F^2 at the split place, decided exactly.
+    def _frob_sign(self, A, B) -> int:
+        """The sign of sigma_0 A + sigma_0 B sqrt(sigma_0 a) for A, B in K.
 
-        Two float enclosures that separate decide (`_float_less`).  Otherwise,
-        as a is not a square in K (it is negative at the other places), the
-        two norms are equal exactly when their (alpha, beta) are, a tie; if
-        not, they differ and refining their enclosures separates them.  This
-        is the representative rule of a class: the least norm, the first one
-        met on a tie.
+        Where the two terms have opposite signs, the sign of A^2 - a B^2 at
+        place 0 says which one is larger.  That sign is never 0 there: a is
+        not a square in K, as (a, b) is a division algebra
+        (`QuaternionAlgebra.is_cocompact_presentation`).  So the result is 0
+        only at A = B = 0.
         """
-        if isinstance(x.norm, tuple) and isinstance(y.norm, tuple):
-            less = _float_less(x.norm, y.norm)
-            if less is not None:
-                return less
-        if self._frob_parts(x.coords) == self._frob_parts(y.coords):
-            return False
-        fx, fy = _enclosure(x.norm), _enclosure(y.norm)
+        sa, sb = A.sign_at(0), B.sign_at(0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa * (A * A - self.algebra.a * (B * B)).sign_at(0)
 
-        def less(bits):
-            if bits > self.bits:
-                gap = (self._frob_sq(self._element(x), bits)
-                       - self._frob_sq(self._element(y), bits)).sign()
-            else:
-                gap = (fx - fy).sign()
-            return None if gap is None else gap < 0
+    def _frob_less(self, x, y) -> bool:
+        """Whether ||x||_F^2 < ||y||_F^2 at the split place, decided exactly, for
+        the (coords, float bounds) pairs x and y of `_emit`.
 
-        return refine(less, self.bits, 4096)
-
-    def _frob_sq(self, x: QuatElement, bits: int) -> RatInterval:
-        x0 = x.coords[0].embed(0, bits)
-        x1 = x.coords[1].embed(0, bits)
-        x2 = x.coords[2].embed(0, bits)
-        x3 = x.coords[3].embed(0, bits)
-        # sqrt(a) and b no coarser than the walk's enclosures, which exclude 0
-        split_bits = max(bits, self._ab_bits)
-        ra = iv_sqrt(self.algebra.a.embed(0, split_bits), split_bits)
-        b0 = self.algebra.b.embed(0, split_bits)
-        u = x0 + x1 * ra
-        ub = x0 - x1 * ra
-        v = x2 + x3 * ra
-        w = b0 * (x2 - x3 * ra)
-        return u * u + ub * ub + v * v + w * w
+        Float bounds that separate decide (`_float_less`); where they
+        overlap, the sign of the difference does (`_frob_sign`), 0 on a tie.
+        This is the representative rule of a class: the least norm, the first
+        one met on a tie.
+        """
+        less = _float_less(x[1], y[1])
+        if less is None:
+            (ax, bx), (ay, by) = self._frob_parts(x[0]), self._frob_parts(y[0])
+            less = self._frob_sign(ax - ay, bx - by) < 0
+        return less
 
 
 # ---------------------------------------------------------------------------
@@ -790,16 +747,6 @@ def _float_less(fx, fy):
     if fx[0] > fy[1]:
         return False
     return None
-
-
-def _enclosure(norm) -> RatInterval:
-    """A `_Rep`'s norm enclosure as a RatInterval."""
-    return norm if isinstance(norm, RatInterval) else RatInterval(*norm)
-
-
-def _class_key(trace: FieldElement):
-    """The class of |trace| in `Enumerator.run`'s result: t and -t share it."""
-    return (max(trace.num, tuple(-n for n in trace.num)), trace.den)
 
 
 def _coset_realised(coset, cands):

@@ -92,8 +92,14 @@ class QuaternionAlgebra:
         return [s for s, status in enumerate(self._real_status) if status == RAMIFIED]
 
     def is_cocompact_presentation(self) -> bool:
-        """Split at the distinguished place, division algebra at all others."""
-        return self._real_status == (SPLIT,) + (RAMIFIED,) * (self.field.degree - 1)
+        """Split at the distinguished place, division algebra at all others.
+
+        Over Q there is no other real place, and the algebra is a division
+        algebra, not M_2(Q), exactly when some prime ramifies.
+        """
+        if self._real_status != (SPLIT,) + (RAMIFIED,) * (self.field.degree - 1):
+            return False
+        return self.field.degree > 1 or bool(self._finite_ramified())
 
     # -- ramification at finite primes -------------------------------------
 
@@ -133,15 +139,19 @@ class QuaternionAlgebra:
                 symbol *= _tame_symbol(self.a, b, r)
         return symbol
 
+    def _finite_ramified(self) -> list:
+        """The ramified primes, by norm; every one divides 2ab."""
+        K = self.field
+        return sorted((r for r, _v in factor_ideal(K, IdealHNF.principal(K, self.ab * 2))
+                       if self.finite_prime_status(r) == RAMIFIED),
+                      key=lambda r: (r.norm, r.mat))
+
     def ramification_report(self, norm_bound: int = 50) -> "RamificationReport":
         """Ramified places; the finite ones listed up to `norm_bound`.
 
         Every ramified prime divides 2ab, so the parity runs over all of them.
         """
-        K = self.field
-        finite = sorted((r for r, _v in factor_ideal(K, IdealHNF.principal(K, self.ab * 2))
-                         if self.finite_prime_status(r) == RAMIFIED),
-                        key=lambda r: (r.norm, r.mat))
+        finite = self._finite_ramified()
         real = self.real_ramified_places()
         return RamificationReport(
             real_ramified=real,

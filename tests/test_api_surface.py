@@ -11,8 +11,10 @@ inside the quotient-counting kernel and mpmath, a test oracle, nowhere.  A
 fresh interpreter checks that set-up leaves mpmath unloaded.
 
 A third keeps one start precision: every `refine` loop in src/quatsys starts
-at `intervals.START_BITS`, or at `self.bits` inside `Enumerator`, which sets
-it to START_BITS.  Each other start must be on its allowlist with its reason.
+at `intervals.START_BITS`.  Each other start must be on its allowlist with its
+reason.  The same scan pins every `refine` call that passes a `max_bits` cap,
+as those can raise `PrecisionError`, each with its reason; so the
+enumerator's radius cut and class decisions stay free of caps.
 
 A fourth keeps the retired assumption knobs out: class number one and
 maximality are worked out from the field and the order, and no systole is
@@ -152,10 +154,19 @@ REFINE_STARTS = {
 }
 
 
-def refine_starts() -> list:
-    """(module, enclosing class and function, start argument) of every
-    refine(...) call in src/quatsys that starts neither at START_BITS nor at
-    self.bits inside Enumerator."""
+REFINE_CAPS = {
+    ("bounds.py", "hurwitz_43_check", "1536"):
+        "the genus chain against (4/3) log g, whose enclosures would never "
+        "separate at a tie; past 1536 bits a PrecisionError reports it instead",
+    ("geodesics.py", "Enumerator._field_sqrt", "8 * START_BITS"):
+        "the certified recovery of x3 at a leaf: four attempts, 60 to 480 bits, "
+        "then a PrecisionError instead of an open-ended loop on ambiguous boxes",
+}
+
+
+def refine_calls() -> list:
+    """(module, enclosing class and function, start argument, max_bits argument
+    or None) of every refine(...) call in src/quatsys."""
     out = []
 
     def visit(node, module, scope):
@@ -163,21 +174,27 @@ def refine_starts() -> list:
             scope = scope + (node.name,)
         if isinstance(node, ast.Call) and \
                 getattr(node.func, "id", getattr(node.func, "attr", None)) == "refine":
-            start = ast.unparse((node.args[1:2] or [k.value for k in node.keywords
-                                                    if k.arg == "bits"])[0])
-            if start != "START_BITS" and not (scope[:1] == ("Enumerator",)
-                                              and start == "self.bits"):
-                out.append((module, ".".join(scope), start))
+            def arg(i, name):
+                found = node.args[i:i + 1] or [k.value for k in node.keywords if k.arg == name]
+                return ast.unparse(found[0]) if found else None
+
+            out.append((module, ".".join(scope), arg(1, "bits"), arg(2, "max_bits")))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.name, ())
-    return sorted(out)
+    return sorted(out, key=str)
 
 
 def test_every_refine_loop_starts_at_start_bits():
-    assert refine_starts() == sorted(REFINE_STARTS)
+    assert sorted(call[:3] for call in refine_calls()
+                  if call[2] != "START_BITS") == sorted(REFINE_STARTS)
+
+
+def test_every_capped_refine_loop_is_listed():
+    assert sorted((module, scope, cap) for module, scope, _start, cap in refine_calls()
+                  if cap is not None) == sorted(REFINE_CAPS)
 
 
 ASSUMPTION_KNOBS = {"class_number_one", "assume_maximal", "reference_maximal",

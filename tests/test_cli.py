@@ -231,6 +231,19 @@ def test_cli_refuses_a_negative_a_at_the_split_place(capsys, tmp_path):
     assert _records(out) == ["error=input need a > 0 at place 0; present the algebra as (b, a)"]
 
 
+@pytest.mark.parametrize("quat", ["1 | 1", "4 | -1"])
+def test_cli_refuses_a_split_algebra_over_q(capsys, tmp_path, quat):
+    # presentations of M_2(Q): split at the one real place and at every prime,
+    # so Gamma(I) is not cocompact and is refused before any walk
+    path = tmp_path / "m2q.txt"
+    path.write_text(f"minpoly: 1 0\nquat: {quat}\norder: standard\n")
+    code, out = _run(capsys, "--field", str(path), "systole", "--prime", "5",
+                     "--radius", "7:1:9")
+    assert code == 1
+    assert _records(out) == ["error=input need the algebra split at place 0 and "
+                             "ramified elsewhere"]
+
+
 def test_cli_bounds_refuses_a_trace_floor_beyond_the_double_range(capsys):
     # norm 10^156: the sharp floor is about 10^312 / 2^10
     code, out = _run(capsys, "--hurwitz", "bounds", "--ideal", "1e52")

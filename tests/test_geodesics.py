@@ -17,9 +17,8 @@ from quatsys import geodesics
 from conftest import static_box_walk
 from quatsys.bounds import compare_abs0, hurwitz_context, trace_coset_minimum, trace_lower_bound
 from quatsys.errors import CapExceeded, InputError, InvariantViolation, PrecisionError
-from quatsys.geodesics import (Enumerator, RadiusSchedule, _Rep, enumerate_gamma,
-                               systole_search)
-from quatsys.intervals import START_BITS, RatInterval
+from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
+from quatsys.intervals import START_BITS, RatInterval, iv_sqrt
 from quatsys.numfield import FieldElement, IdealHNF, abs_vs_two, factor_rational_prime
 from quatsys.orders import scaled_row, unflatten
 from quatsys.quatalg import QuatElement
@@ -138,7 +137,7 @@ def box_bounds(order, ideal, radius):
 
 def _inside_box(enum, elem, bound):
     for s in range(enum.d):
-        box = elem.embed(s, enum.bits).abs()
+        box = elem.embed(s, START_BITS).abs()
         limit = Fraction(bound[s])
         if box.certainly_le(limit):
             continue
@@ -149,7 +148,7 @@ def _inside_box(enum, elem, bound):
             if abs(elem.coords[0]) <= limit:
                 continue
             return False
-        box = elem.embed(s, enum.bits * 8).abs()
+        box = elem.embed(s, START_BITS * 8).abs()
         if not box.certainly_le(limit):
             return False
     return True
@@ -303,7 +302,7 @@ def test_range_rules_contain_every_filter_passer(walk, data):
             for end in exact:
                 assert _last_coordinate_interval(enum, prefix + [end], widths) is not None
     else:
-        inv = enum.field.embedding_inverse(enum.bits)[k]
+        inv = enum.field.embedding_inverse(START_BITS)[k]
         reach_lo = sum(min(abs(e.lo), abs(e.hi)) * Fraction(w) for e, w in zip(inv, widths))
         reach_hi = sum(max(abs(e.lo), abs(e.hi)) * Fraction(w) for e, w in zip(inv, widths))
         assert -Fraction(lo) >= reach_hi and Fraction(hi) >= reach_hi
@@ -458,10 +457,15 @@ def test_orbit_maps_keep_the_coset_the_norm_and_the_class(QH, orbit_ideals, data
     mates = [x.conj()] + ([-x, -x.conj()] if QH.minus_one_in_gamma(ideal) else [])
     for y in mates:
         assert cong.contains(y - 1)
-        assert (enum._frob_parts(scaled_row(y, enum.kappa))
-                == enum._frob_parts(scaled_row(x, enum.kappa)))
-        assert (geodesics._class_key(y.reduced_trace())
-                == geodesics._class_key(x.reduced_trace()))
+        cx, cy = scaled_row(x, enum.kappa), scaled_row(y, enum.kappa)
+        assert enum._frob_parts(cy) == enum._frob_parts(cx)
+        assert _class_key(enum, cy) == _class_key(enum, cx)
+
+
+def _class_key(enum, c):
+    """The class key of `Enumerator._emit`: block 0 of c up to sign."""
+    block0 = tuple(c[:enum.d])
+    return max(block0, tuple(-n for n in block0))
 
 
 # -- leaf recovery and search bookkeeping ---------------------------------------
@@ -499,9 +503,10 @@ def test_emit_keeps_the_refinement_schedule_of_its_trace(monkeypatch, QH, P7, si
         asked.append((self.coords, bits))
         return embed(self, place, bits)
 
+    c = scaled_row(QH.algebra.element(t / 2, 0, 0, 0), enum.kappa)
     monkeypatch.setattr(FieldElement, "embed", spy)
-    cand = enum._candidate(QH.algebra.element(t / 2, 0, 0, 0))
-    assert [bits for coords, bits in asked if coords == t.coords] == [60, 120]
+    cand = enum._candidate(c, _class_key(enum, c))
+    assert [bits for coords, bits in asked if coords in (t.coords, (-t).coords)] == [60, 120]
     assert cand.is_elliptic == (sign < 0)
 
 
@@ -517,39 +522,23 @@ def test_refinement_caps_at_the_enumerator_sites(QH, P7, K, monkeypatch):
     with pytest.raises(PrecisionError):
         enum._field_sqrt(K.element([2, 1, 0]))
     assert asked == [60, 120, 240, 480]  # four attempts
-    asked.clear()
-    monkeypatch.setattr(Enumerator, "_frob_sq",
-                        lambda self, y, bits=None: asked.append(bits) or RatInterval(0, 10))
-    one = [enum.kappa] + [0] * (4 * enum.d - 1)
-    with pytest.raises(PrecisionError):
-        enum._emit(one, {}, (Fraction(5), 5.0, 5.0), (0.0, 10.0))
-    assert asked == [60, 120, 240, 480, 960, 1920, 3840]  # radius cut: 4096 bits
 
 
 def test_frob_less_refines_only_what_the_given_enclosures_leave_open(QH, P7, D, monkeypatch):
     enum = Enumerator(QH, P7)
-    x, y = (scaled_row(q, enum.kappa) for q in (D.one(), D.gen_i()))
-    monkeypatch.setattr(Enumerator, "_frob_sq", lambda *args: pytest.fail("refined"))
-    # float enclosures that separate decide alone, with no exact enclosure
+    one, i = D.one(), D.gen_i()
+    x, y = (scaled_row(q, enum.kappa) for q in (one, i))
+    # float bounds that separate decide alone, with no exact test
     with monkeypatch.context() as floats_only:
-        floats_only.setattr(geodesics, "_enclosure", lambda *args: pytest.fail("exact"))
-        assert enum._frob_less(_Rep(x, (1.0, 2.0)), _Rep(y, (3.0, 4.0)))
-        assert not enum._frob_less(_Rep(y, (3.0, 4.0)), _Rep(x, (1.0, 2.0)))
-    # a refined enclosure on either side goes to the exact comparison
-    for low, high in ((RatInterval(1, 2), RatInterval(3, 4)), ((1.0, 2.0), RatInterval(3, 4))):
-        assert enum._frob_less(_Rep(x, low), _Rep(y, high))
-        assert not enum._frob_less(_Rep(y, high), _Rep(x, low))
-    # overlapping enclosures of equal (alpha, beta): a tie, decided exactly
-    assert not enum._frob_less(_Rep(x, (1.0, 4.0)), _Rep(x, (2.0, 3.0)))
-    assert not enum._frob_less(_Rep(x, RatInterval(1, 4)), _Rep(x, RatInterval(2, 3)))
-
-
-def test_frob_sq_reuses_split_place_data(run7, QH, P7):
-    enum = Enumerator(QH, P7)
-    for c in run7[0]:
-        coarse = enum._frob_sq(c.element, enum.bits)
-        fine = enum._frob_sq(c.element, 4 * enum.bits)
-        assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+        floats_only.setattr(Enumerator, "_frob_sign", lambda *args: pytest.fail("exact"))
+        assert enum._frob_less((x, (1.0, 2.0)), (y, (3.0, 4.0)))
+        assert not enum._frob_less((y, (3.0, 4.0)), (x, (1.0, 2.0)))
+    # overlapping bounds go to the exact test, which follows the norms
+    less = (_frob_sq(enum, one, 200) - _frob_sq(enum, i, 200)).sign() < 0
+    assert enum._frob_less((x, (1.0, 9.0)), (y, (1.0, 9.0))) == less
+    assert enum._frob_less((y, (1.0, 9.0)), (x, (1.0, 9.0))) == (not less)
+    # overlapping bounds of one element: a tie, decided exactly
+    assert not enum._frob_less((x, (1.0, 4.0)), (x, (2.0, 3.0)))
 
 
 def test_search_enumerates_once_per_radius_and_keeps_precision(QH, P7, monkeypatch):
@@ -623,7 +612,7 @@ def test_leaf_roots_agree_with_field_sqrt(leaf_walk, K, data):
     assume(all(abs(c * enum.kappa) <= bounds[2 * enum.d + m] for m, c in enumerate(x2.coords)))
     ranges = enum._ranges
     got = ranges.leaf_roots(ranges.leaf_squares(_leaf_floats(enum, x0, x1, x2), tabs), tabs)
-    v = enum._x3_square(x0, x1, x2)
+    v = enum._x3_square([int(c * enum.kappa) for q in (x0, x1, x2) for c in q.coords])
     exact = [[c * enum.kappa for c in r.coords] for r in enum._field_sqrt(v)]
     if got is None:
         # deferred: only where v is within the bound of 0 at some place
@@ -719,15 +708,81 @@ def test_integer_forms_match_the_field_arithmetic(form_enums, data):
     a, b = algebra.a, algebra.b
     alpha = (x0 * x0 + a * (x1 * x1)) * 2 + (1 + b * b) * (x2 * x2 + a * (x3 * x3))
     beta = (1 - b * b) * 2 * (x2 * x3)
-    parts = enum._frob_parts(c)
-    assert (alpha, beta) == tuple(FieldElement(algebra.field, p, scale) for p in parts)
+    assert (alpha, beta) == enum._frob_parts(c)
+
+
+def _frob_sq(enum, x: QuatElement, bits: int) -> RatInterval:
+    """Oracle: an enclosure of ||x||_F^2 at the split place, from the four
+    matrix entries u, ub, v, w of x, with sqrt(a) and b at no fewer bits than
+    the walk's enclosures of them."""
+    x0, x1, x2, x3 = (q.embed(0, bits) for q in x.coords)
+    split_bits = max(bits, enum._ab_bits)
+    ra = iv_sqrt(enum.algebra.a.embed(0, split_bits), split_bits)
+    b0 = enum.algebra.b.embed(0, split_bits)
+    u, ub = x0 + x1 * ra, x0 - x1 * ra
+    v, w = x2 + x3 * ra, b0 * (x2 - x3 * ra)
+    return u * u + ub * ub + v * v + w * w
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_frob_sign_follows_the_enclosures_of_the_norms(form_enums, data):
+    # the sign of A + B sqrt(a) at the split place for A, B the differences of
+    # the (alpha, beta) of two walk vectors, against the norms at 200 bits; the
+    # same vector, its conjugate and its negative give A = B = 0
+    enum = form_enums[data.draw(st.sampled_from(sorted(form_enums)), label="order")]
+    d, kappa, algebra = enum.d, enum.kappa, enum.algebra
+    draw = st.lists(st.integers(-40, 40), min_size=4 * d, max_size=4 * d)
+    c = data.draw(draw, label="c")
+    mate = data.draw(st.sampled_from(["random", "same", "conj", "negative"]), label="mate")
+    c2 = {"random": lambda: data.draw(draw, label="c2"), "same": lambda: list(c),
+          "conj": lambda: c[:d] + [-n for n in c[d:]], "negative": lambda: [-n for n in c]}[mate]()
+    (ax, bx), (ay, by) = enum._frob_parts(c), enum._frob_parts(c2)
+    sign = enum._frob_sign(ax - ay, bx - by)
+    gap = (_frob_sq(enum, unflatten(algebra, c, kappa), 200)
+           - _frob_sq(enum, unflatten(algebra, c2, kappa), 200)).sign()
+    if gap is None:
+        assert sign == 0 and (ax, bx) == (ay, by)
+    else:
+        assert sign == gap
+    if mate != "random":
+        assert sign == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_frob_sign_matches_the_split_place_enclosure(form_enums, data):
+    # random A, B in K, B = A, and A = B = 0, against the sign of the 200-bit
+    # enclosure of sigma_0 A + sigma_0 B sqrt(sigma_0 a); the walk's norms
+    # above have B = 0 in Q2max and B6 (b = -1), so the mixed signs are drawn here
+    enum = form_enums[data.draw(st.sampled_from(sorted(form_enums)), label="order")]
+    field, d = enum.field, enum.d
+    coef = st.lists(st.integers(-60, 60), min_size=d, max_size=d)
+    kind = data.draw(st.sampled_from(["random", "equal", "zero"]), label="kind")
+    A = FieldElement(field, [0] * d if kind == "zero" else data.draw(coef, label="A"))
+    B = A if kind != "random" else FieldElement(field, data.draw(coef, label="B"))
+    ra = iv_sqrt(enum.algebra.a.embed(0, 200), 200)
+    assert enum._frob_sign(A, B) == (A.embed(0, 200) + B.embed(0, 200) * ra).sign()
+
+
+def test_emit_decides_a_norm_equal_to_the_cut(form_enums):
+    # x = sqrt 2 in Q(sqrt 2) has ||x||_F^2 = 2 x0^2 = 4 exactly: no enclosure
+    # separates it from m_sq = 4, and the exact sign test keeps it inside
+    enum = form_enums["Q2max"]
+    c = scaled_row(enum.algebra.element(enum.field.gen(), 0, 0, 0), enum.kappa)
+    reps = {}
+    enum._emit(c, reps, (Fraction(4), 4.0, 4.0), (3.9, 4.1))
+    assert list(reps.values()) == [(c, (3.9, 4.1))]
+    below = {}
+    enum._emit(c, below, (4 - Fraction(1, 2 ** 300), 4.0, 4.0), (3.9, 4.1))
+    assert below == {}
 
 
 @pytest.mark.parametrize("name", ["whole ring", "P7"])
 def test_exact_leaf_decisions_agree_with_the_floats(QH, K, P7, name, monkeypatch):
     # every float decision of the leaf and of _emit left open: x3 recovered by
     # _field_sqrt at every leaf, the radius cut and the representative rule
-    # decided by exact enclosures; the candidates and representatives stay
+    # decided by the exact sign test; the candidates and representatives stay
     _ideal, radius, _visited, counters, expected = REGRESSION[name]
     monkeypatch.setattr(WalkRanges, "leaf_roots", lambda self, squares, tabs: None)
     monkeypatch.setattr(geodesics, "_float_cut", lambda *args: None)
@@ -778,7 +833,7 @@ def test_split_norm_encloses_the_frobenius_norm(leaf_walk):
     ranges, d, kappa = enum._ranges, enum.d, enum.kappa
     for x in group[::5]:
         exact = [x.coords[l].embed(0, 120) for l in range(4)]
-        true = enum._frob_sq(x, 200)
+        true = _frob_sq(enum, x, 200)
         a0, b0 = ranges.a_f[0], ranges.b_f[0]
         slopes = [exact[0].mid, a0 * exact[1].mid,
                   exact[2].mid * (1 + b0 * b0) + exact[3].mid * ranges.ra0_mid * (1 - b0 * b0)]
@@ -864,12 +919,12 @@ def test_enumerator_narrows_the_structure_constants_until_their_signs_show(QH, P
     enum = Enumerator(standard_order(algebra), IdealHNF.principal(K2, K2.from_rational(3)))
     assert all(e.sign() is not None for e in enum.a_emb + enum.b_emb)
     assert enum._ab_bits > START_BITS
-    # the split place's sqrt(a) and b are never coarser than the walk's: at
-    # START_BITS _frob_sq encloses them at _ab_bits, so for x = 1 + i + ij
-    # (rational coordinates, exact embeddings) both precisions agree
+    # the exact sign test needs no precision of its own: for x = 1 + i + ij it
+    # puts ||x||_F^2 between the ends of the oracle's enclosure at _ab_bits
     x = QuatElement(algebra, (K2.one(), K2.one(), K2.zero(), K2.one()))
-    coarse, fine = enum._frob_sq(x, START_BITS), enum._frob_sq(x, enum._ab_bits)
-    assert (coarse.lo, coarse.hi) == (fine.lo, fine.hi)
+    box = _frob_sq(enum, x, enum._ab_bits)
+    alpha, beta = enum._frob_parts(scaled_row(x, enum.kappa))
+    assert enum._frob_sign(alpha - box.lo, beta) > 0 > enum._frob_sign(alpha - box.hi, beta)
     _found, visited = enum.run(3.0)
     assert visited == 11_177
     # the Hurwitz signs show at the start precision: its walk is unchanged

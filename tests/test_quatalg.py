@@ -62,6 +62,13 @@ def test_real_places(D, QQ):
     assert D.is_cocompact_presentation()
     Dq = QuaternionAlgebra(QQ, QQ.from_rational(2), QQ.from_rational(3))
     assert Dq.real_place_status(0) == SPLIT
+    # over Q the only other places are the primes: (2, 3) ramifies at 2 and 3,
+    # and (1, 1), (4, -1) are M_2(Q)
+    assert Dq.is_cocompact_presentation()
+    for a, b in ((1, 1), (4, -1)):
+        split = QuaternionAlgebra(QQ, QQ.from_rational(a), QQ.from_rational(b))
+        assert split.ramification_report().finite_ramified == []
+        assert not split.is_cocompact_presentation()
 
 
 def test_finite_ramification_hurwitz_empty(D, P7, P2, P13s):
