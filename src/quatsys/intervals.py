@@ -282,7 +282,9 @@ def interval_solve(mat, rhs):
     of (point matrix inside mat) x = (point vector inside rhs).
 
     Raises PrecisionError when a pivot interval straddles zero, which a
-    caller fixes by refining its inputs.
+    caller fixes by refining its inputs.  No module of the package calls it:
+    `NumberField.embedding_inverse` reads the trace-dual basis, and this stays
+    as the tests' oracle for that inverse and as a benchmark tracer hook.
     """
     n = len(mat)
     rows = [list(r) + [v] for r, v in zip(mat, rhs)]

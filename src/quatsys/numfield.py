@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import lattice
 from .errors import InputError, InvariantViolation, PrecisionError
-from .intervals import START_BITS, RatInterval, interval_solve, refine
+from .intervals import START_BITS, RatInterval, refine
 from .polys import (det_fraction, discriminant, factorint, gf_factor, gf_gcd, gf_reduce,
                     isprime, poly_mul, poly_sub, poly_xgcd_mod, real_rooted_irreducible)
 from .realroots import isolate_real_roots, poly_eval_interval, refine_root
@@ -85,8 +85,6 @@ class NumberField:
         # M = (d!/d^d) sqrt|d_K|, so M < 2 proves h = 1; False leaves h open
         d = self.degree
         self.class_number_one = math.factorial(d) ** 2 * abs(self.disc) < 4 * d ** (2 * d)
-        # bits -> certified enclosure of the inverse embedding matrix
-        self._inverse_embedding = {}
         # facts about the field alone that other modules compute (`cached`)
         self._cache = {}
 
@@ -187,21 +185,19 @@ class NumberField:
     def embedding_inverse(self, bits: int):
         """Certified enclosure of the inverse of E = [theta_s^m] (rows: places).
 
-        Entry [m][s] encloses (E^-1)[m][s]: coordinate m of an element x is
-        the sum over places s of (E^-1)[m][s] * sigma_s(x).  Computed once per
-        precision and cached on the field.
-        """
-        inv = self._inverse_embedding.get(bits)
-        if inv is None:
-            d = self.degree
-            theta = [self.embedding_interval(s, bits) for s in range(d)]
-            emb = [[theta[s] ** m for m in range(d)] for s in range(d)]
-            cols = [interval_solve(emb, [RatInterval.exact(1 if s == k else 0)
-                                         for s in range(d)])
-                    for k in range(d)]
-            inv = tuple(tuple(cols[s][m] for s in range(d)) for m in range(d))
-            self._inverse_embedding[bits] = inv
-        return inv
+        Entry [m][s] encloses (E^-1)[m][s], the weight of sigma_s(x) in coordinate m
+        of x: sigma_s(b_m) for the trace-dual basis b_m = c_m(theta) / f'(theta) of the
+        powers of theta, f(x) / (x - theta) = sum_m c_m x^m (Euler's lemma; Serre, Local
+        Fields, III 6), formed once per field; entries (width <= 2^-bits) kept per bits."""
+        f, d = self.min_poly, self.degree
+
+        def dual_basis():  # f'(theta) and each c_m(theta) have exponents below d
+            inv = FieldElement(self, [k * f[k] for k in range(1, d + 1)]).inverse()
+            return tuple(FieldElement(self, f[m + 1:] + [0] * m) * inv for m in range(d))
+
+        dual = self.cached("dual_basis", dual_basis)
+        return self.cached(("embedding_inverse", bits),
+                           lambda: tuple(tuple(b.embed(s, bits) for s in range(d)) for b in dual))
 
     def element_from_embeddings(self, boxes, den: int, bits: int):
         """The unique element of (1/den) Z[theta] with sigma_s(x) in boxes[s].
@@ -282,7 +278,7 @@ class NumberField:
                         node_ranges, on_node):
             yield FieldElement(self, vec)
 
-    def cached(self, key: str, build):
+    def cached(self, key, build):
         """build(), computed once per field and kept under `key`.
 
         For facts that depend on the field alone, such as the torsion traces

@@ -20,6 +20,7 @@ Ramification
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,7 +100,7 @@ class QuaternionAlgebra:
         """
         if self._real_status != (SPLIT,) + (RAMIFIED,) * (self.field.degree - 1):
             return False
-        return self.field.degree > 1 or bool(self._finite_ramified())
+        return self.field.degree > 1 or bool(self._finite_ramified)
 
     # -- ramification at finite primes -------------------------------------
 
@@ -139,8 +140,9 @@ class QuaternionAlgebra:
                 symbol *= _tame_symbol(self.a, b, r)
         return symbol
 
+    @functools.cached_property
     def _finite_ramified(self) -> list:
-        """The ramified primes, by norm; every one divides 2ab."""
+        """The ramified primes, by norm, found once per algebra; each divides 2ab."""
         K = self.field
         return sorted((r for r, _v in factor_ideal(K, IdealHNF.principal(K, self.ab * 2))
                        if self.finite_prime_status(r) == RAMIFIED),
@@ -151,7 +153,7 @@ class QuaternionAlgebra:
 
         Every ramified prime divides 2ab, so the parity runs over all of them.
         """
-        finite = self._finite_ramified()
+        finite = self._finite_ramified
         real = self.real_ramified_places()
         return RamificationReport(
             real_ramified=real,

@@ -8,7 +8,8 @@ the rest; each one kept must be on the allowlist below with its reason.
 
 A second scan keeps third-party imports where `IMPORTERS` lists them: numpy
 inside the quotient-counting kernel and mpmath, a test oracle, nowhere.  A
-fresh interpreter checks that set-up leaves mpmath unloaded.
+fresh interpreter checks that set-up leaves mpmath unloaded and builds none of
+the Hurwitz field's constants (its trace-dual basis, `place_table`).
 
 A third keeps one start precision: every `refine` loop in src/quatsys starts
 at `intervals.START_BITS`.  Each other start must be on its allowlist with its
@@ -16,7 +17,12 @@ reason.  The same scan pins every `refine` call that passes a `max_bits` cap,
 as those can raise `PrecisionError`, each with its reason; so the
 enumerator's radius cut and class decisions stay free of caps.
 
-A fourth keeps the retired assumption knobs out: class number one and
+A fourth pins the functions src/ keeps only because perfbench's tracer wraps
+them by name: no module of src/quatsys but the one defining each refers to it
+(`__init__` may export it), so none is wired back into the library and each
+waits, with its reason, for the benchmark refresh that drops its span.
+
+A fifth keeps the retired assumption knobs out: class number one and
 maximality are worked out from the field and the order, and no systole is
 certified from a diameter bound the caller types in, so no call in
 src/quatsys passes them and no function there accepts them.
@@ -31,6 +37,7 @@ import sys
 from pathlib import Path
 
 import quatsys
+from test_bench_hooks import TARGETS as TRACER_TARGETS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quatsys"
@@ -146,6 +153,19 @@ def test_set_up_leaves_mpmath_unloaded():
     assert out.splitlines()[-1] == "False"
 
 
+def test_set_up_builds_no_field_constants():
+    paths = (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    script = ("import quatsys, quatsys.cli\n"
+              "field = quatsys.hurwitz_context().order.algebra.field\n"
+              "print(sorted(map(repr, field._cache)))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    built = ast.literal_eval(out.splitlines()[-1])
+    assert not [key for key in built if "dual_basis" in key or "place_table" in key
+                or "embedding_inverse" in key]
+
+
 REFINE_STARTS = {
     ("polys.py", "real_rooted_irreducible", "8"):
         "most subset factors of a degree-d polynomial are ruled out at 8 bits; "
@@ -195,6 +215,35 @@ def test_every_refine_loop_starts_at_start_bits():
 def test_every_capped_refine_loop_is_listed():
     assert sorted((module, scope, cap) for module, scope, _start, cap in refine_calls()
                   if cap is not None) == sorted(REFINE_CAPS)
+
+
+# name -> (the module of src/quatsys that defines it, why it stays there)
+BENCH_HOOKS = {
+    "interval_solve": ("intervals.py",
+                       "the interval Gauss-Jordan that embedding_inverse's trace-dual basis "
+                       "replaced; the tests' oracle for E^-1, and the tracer's "
+                       "intervals.interval_solve span until the benchmark refresh drops it"),
+    "roots_in_field": ("torsion.py",
+                       "exported, and the tracer's torsion.roots_in_field span until the "
+                       "benchmark refresh wraps torsion_traces in its place"),
+}
+
+
+def library_users(name: str, home: str) -> list:
+    """The modules of src/quatsys, other than home and __init__, that refer to name."""
+    return [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in (home, "__init__.py")
+            and name in _referenced(ast.parse(path.read_text()))]
+
+
+def test_bench_hooks_are_wrapped_by_the_tracer():
+    wrapped = {(module, attr) for _span, module, attr in TRACER_TARGETS}
+    assert {(f"quatsys.{home[:-3]}", name) for name, (home, _r) in BENCH_HOOKS.items()} <= wrapped
+
+
+def test_no_library_module_calls_a_bench_hook():
+    assert {name: library_users(name, home) for name, (home, _r) in BENCH_HOOKS.items()} == \
+        {name: [] for name in BENCH_HOOKS}
 
 
 ASSUMPTION_KNOBS = {"class_number_one", "assume_maximal", "reference_maximal",

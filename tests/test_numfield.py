@@ -13,7 +13,7 @@ from mpmath import mp
 from conftest import static_box_walk
 from quatsys.bounds import compare_abs0
 from quatsys.errors import InputError, PrecisionError
-from quatsys.intervals import START_BITS, RatInterval, refine
+from quatsys.intervals import START_BITS, RatInterval, interval_solve, refine
 from quatsys.numfield import (MAX_DEGREE, FieldElement, IdealHNF, NumberField,
                               abs_vs_two, factor_ideal, factor_rational_prime, hurwitz_field,
                               primes_up_to_norm, rationals)
@@ -325,6 +325,52 @@ def test_embedding_inverse_cached_per_precision():
             entry = sum((inv[m][s] * theta[s] ** k for s in range(3)),
                         RatInterval.exact(0))
             assert (1 if m == k else 0) in entry
+
+
+# Q(eta), Q (B6), Q(sqrt 2) (Q2max), and the real subfields of Q(zeta_11), Q(zeta_13)
+DUAL_FIELDS = {"eta": [1, 1, -2, -1], "Q": [1, 0], "sqrt2": [1, 0, -2],
+               "zeta11+": [1, 1, -4, -3, 3, 1], "zeta13+": [1, 1, -5, -4, 6, 3, -1]}
+
+
+@functools.lru_cache(maxsize=None)
+def _dual_field(name):
+    K = NumberField(DUAL_FIELDS[name])
+    return K, K.embedding_inverse(START_BITS)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_FIELDS))
+def test_embedding_inverse_reads_the_trace_dual_basis(name):
+    K, inv = _dual_field(name)
+    d = K.degree
+    dual = K.cached("dual_basis", None)  # formed by the first embedding_inverse
+    assert len(dual) == d
+    theta = K.gen()
+    for i in range(d):
+        for m in range(d):
+            assert (theta ** i * dual[m]).trace() == (1 if i == m else 0)
+    for m in range(d):
+        for s in range(d):
+            assert _ends(inv[m][s]) == _ends(dual[m].embed(s, START_BITS))
+    K.embedding_inverse(2 * START_BITS)
+    assert K.cached("dual_basis", None) is dual  # once per field, whatever the precision
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_FIELDS))
+def test_embedding_inverse_entries_are_narrow(name):
+    _K, inv = _dual_field(name)
+    assert all(e.width <= Fraction(1, 2 ** START_BITS) for row in inv for e in row)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_FIELDS))
+def test_embedding_inverse_meets_the_interval_gauss_jordan(name):
+    K, inv = _dual_field(name)
+    d = K.degree
+    theta = [K.embedding_interval(s, START_BITS) for s in range(d)]
+    emb = [[theta[s] ** m for m in range(d)] for s in range(d)]
+    for k in range(d):
+        col = interval_solve(emb, [RatInterval.exact(int(s == k)) for s in range(d)])
+        for m in range(d):
+            assert max(inv[m][k].lo, col[m].lo) <= min(inv[m][k].hi, col[m].hi)
 
 
 # -- certified comparisons ---------------------------------------------------------

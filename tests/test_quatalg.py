@@ -5,12 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import quatsys.quatalg as quatalg
+from conftest import B6_SPEC
+from quatsys.geodesics import RadiusSchedule, systole_search
 from quatsys.lattice import reduce_mod
 from quatsys.numfield import (FieldElement, IdealHNF, NumberField, factor_ideal,
                               factor_rational_prime, hurwitz_field, primes_up_to_norm,
                               rationals)
 from quatsys.orders import hurwitz_j_prime
 from quatsys.quatalg import RAMIFIED, SPLIT, QuaternionAlgebra
+from quatsys.specfile import parse_spec_text
 
 
 def _random_quat(D, rng, spread=5, denom=1):
@@ -409,3 +413,25 @@ def is_isotropy_witness(algebra, prime: IdealHNF, level: int, lam) -> bool:
         if 2 * v < level:
             return True
     return False
+
+
+def test_finite_ramification_is_found_once_per_algebra(monkeypatch):
+    """`systole_search` asks whether a B6 presentation is cocompact twice (the
+    trace-coset minimum and the enumerator), and the ramification report asks
+    for the ramified primes again; 2ab is factored once for all three."""
+    order = parse_spec_text(B6_SPEC)["order"]  # fresh, so nothing is cached yet
+    D, q = order.algebra, order.algebra.field
+    two_ab = IdealHNF.principal(q, D.ab * 2)
+    factored = []
+    factor = quatalg.factor_ideal
+
+    def spy(field, ideal):
+        factored.append(ideal == two_ab)
+        return factor(field, ideal)
+
+    monkeypatch.setattr(quatalg, "factor_ideal", spy)
+    result = systole_search(order, IdealHNF.principal(q, q.from_rational(5)),
+                            RadiusSchedule(2.0, 1.0, 22.0))
+    assert result.mode == "certified"
+    assert [p.norm for p in D.ramification_report().finite_ramified] == [2, 3]
+    assert factored.count(True) == 1
