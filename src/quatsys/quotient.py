@@ -7,60 +7,50 @@ identities are the claims being validated against them.
 
 Every ring of one order reads the order's tables (structure constants,
 involution, norm form, identity; `OrderLattice.tables`, Python integers),
-built once per order.  A ring adds its norm form as a read-only int64
-array (a table that does not fit int64 raises `CapExceeded`), its
-congruence lattice in order coordinates, and the classification of the
-central residues O_K/p^t into units.  It counts its residues at most once.
+built once per order.  A ring adds the residue ring R = O_K/p^t
+(`_ResidueRing`) and four order-basis vectors that are an R-basis of
+Q/p^tQ.  It counts its residues at most once, in Python integers.
 
-Counting.  The reduced residues are the product set {0 <= x_j < diag_j}.
-Coordinates with diag_j == 1 are always 0; the others split into leading
-ones h and trailing ones l, each set of about sqrt(card) points, and the
-scaled norm S = kappa * nu is quadratic:
+Counting.  The reduced norm nu is a quadratic form on the free R-module
+Q/p^tQ of rank 4, and every residue count is read off its histogram: how
+many residues have each norm in R.  R is a chain ring, so the form splits
+orthogonally into pieces of rank at most 2 (O'Meara, Introduction to
+Quadratic Forms, sections 91-93), and the histogram is the convolution of
+the pieces' histograms over the additive group of R: O(|R|^2) integer
+operations in place of the |R|^4 residues.  The count works in five steps.
 
-    S(h + l) = S(h) + S(l) + h^T (T_k + T_k^T) l,   T = norm_tensor.
-
-S is computed over each half once, and the cross coefficients
-c_a(l) = (T + T^T)[a] l once for every leading a.  Divisibility by kappa is
-checked on these parts: every norm value is divisible exactly when S(h),
-S(l) and the cross coefficients are, since S(e_a + l) - S(e_a) - S(l) is
-the coefficient of h_a.  Central values are reduced by the HNF of the
-ideal.  Its rows with pivot 1 act linearly (the entries above a pivot 1
-are 0), so they are applied to the parts once, leaving r coordinates, those
-with pivot p_k > 1; the rest of the HNF (`_center_reduce`) then puts each
-part's coordinate k in [0, p_k), the cross coefficients included, as h_a
-is an integer.  The raw value of a pair,
-
-    v_k = sum_a h_a c_ak(l) + S(h)_k + S(l)_k,
-
-is then a sum of non-negative terms below V_k = (p_k - 1)(D + 2) + 1, with
-D the sum of diag_a - 1 over the leading a, and its mixed-radix raw code in
-the V_k is below M = prod V_k.  A block of leading residues, each row
-[h | S(h) | 1], times the fixed matrix [cross; r indicator rows; S(l)] in
-that radix gives the raw codes of all its pairs in one matrix product,
-tallied by one `bincount` into a histogram of M bins.  Once per ring the
-nonzero bins are decoded, reduced and keyed by central class.  Every
-partial sum of a code lies in [0, M), so the product runs in float64/BLAS
-when M < 2^53 and in int64 otherwise; a ring with M above its cap, or at
-2^63 or more, is refused with `CapExceeded`.  Each block holds at most
-`_CHUNK` residues.
+1. Four order-basis vectors e_a whose O_K-span together with pQ is all of Q
+   (an HNF index of 1, `_residue_basis`) are an R-basis of Q/p^tQ for every
+   t, by Nakayama.
+2. Their Gram data over R, nu(e_a) and B(e_a, e_b) = trd(e_a conj(e_b)), is
+   read off the norm tensor T, after checking that nu is integral on all of
+   Q: kappa divides every T[a][a] and every T[a][b] + T[b][a].
+3. `_split` takes the entry of least valuation among B(e_a, e_a) = 2 nu(e_a)
+   and the B(e_a, e_b).  A diagonal pivot splits e_a off with rank 1, an
+   off-diagonal one (both diagonal entries then have larger valuation) e_a
+   and e_b as a binary block.  Once B vanishes on what is left, each vector
+   left is a piece of rank 1.  Every projection divides by the pivot, whose
+   valuation is the least, so it is solved exactly in R.
+4. `_piece_forms` recomputes each piece's form from the Gram data and raises
+   `InvariantViolation` unless vectors of distinct pieces are orthogonal;
+   the histogram must hold q^(4t) residues.
+5. The pieces' histograms (R or R^2 points) are convolved over R.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-
-import numpy as np
+from itertools import combinations, product
 
 from . import lattice
 from .errors import CapExceeded, InputError, InvariantViolation
-from .numfield import IdealHNF, factor_ideal
+from .numfield import FieldElement, IdealHNF, factor_ideal
 from .orders import OrderLattice
 from .quatalg import RAMIFIED, QuaternionAlgebra
 
 DEFAULT_CAP = 10 ** 7
-_CHUNK = 1 << 15
 
 
 class FiniteQuotRing:
@@ -85,157 +75,52 @@ class FiniteQuotRing:
         self.center_dim = order.algebra.field.degree
         self.kappa = order.kappa
         self.tables = order.tables
-        self.norm_tensor = _int64(self.tables.norm_tensor)
-
-        # the congruence lattice in order-basis coordinates
-        mod_mat = order.congruence_lattice(self.ideal).coord_mat
-        if lattice.det_upper_triangular(mod_mat) != self.cardinality:
-            raise InvariantViolation("congruence lattice index mismatch")
-        self.diag = np.array([mod_mat[k][k] for k in range(self.dim)], dtype=np.int64)
-
-        # float64 fast path, exact while every accumulated integer stays
-        # below 2^53 (a reduced residue has coordinates below max diag)
-        self._norm_exact_float = _float_exact(
-            self._tensor_bound(self.norm_tensor, int(self.diag.max())))
-
-        # the split of the counting pass: the last nontrivial coordinate and
-        # as many before it as keep the product of their radices at most
-        # sqrt(card) and _CHUNK are trailing
-        active = [j for j in range(self.dim) if self.diag[j] > 1]
-        size, m = 1, len(active)
-        limit = min(isqrt(self.cardinality), _CHUNK)
-        while m > 0 and (size == 1 or size * int(self.diag[active[m - 1]]) <= limit):
-            m -= 1
-            size *= int(self.diag[active[m]])
-        self._lead, self._trail = active[:m], active[m:]
-
-        # central residues.  HNF rows with pivot 1 act linearly (the entries
-        # above a pivot 1 are 0, so its quotient is the coordinate itself):
-        # `_center_fold` applies all of them at once and keeps the columns
-        # whose pivot exceeds 1, which `_center_sub`, the HNF restricted to
-        # those columns, finishes reducing.
-        hnf = np.array(self.ideal.mat, dtype=np.int64)
-        self._center_cols = [k for k in range(self.center_dim) if hnf[k, k] > 1]
-        fold = np.eye(self.center_dim, dtype=np.int64)
-        for j in range(self.center_dim):
-            if hnf[j, j] == 1:
-                fold[j] -= hnf[j]
-        self._center_fold = fold[:, self._center_cols]
-        self._center_sub = hnf[np.ix_(self._center_cols, self._center_cols)]
-        self._center_index, self._center_units, self._center_one = \
-            self._classify_center()
-
-        # the raw range of the counting pass: coordinate k of a raw value is
-        # below V_k = (p_k - 1)(D + 2) + 1, D the sum of diag_a - 1 over the
-        # leading a, and a raw code is below M = prod V_k
-        spread = sum(int(self.diag[a]) - 1 for a in self._lead) + 2
-        radices = [(int(p) - 1) * spread + 1 for p in np.diag(self._center_sub)]
-        weights = [1] * len(radices)
-        for k in range(len(radices) - 2, -1, -1):
-            weights[k] = weights[k + 1] * radices[k + 1]
-        self._raw_range = weights[0] * radices[0]
-        if self._raw_range > cap:
-            raise CapExceeded(f"the counting pass has M = {self._raw_range} raw codes, "
-                              f"above the cap {cap}")
-        # every partial sum of a raw code is a non-negative integer below M
-        self._cross_exact_float = _float_exact(self._raw_range)
-        self._raw_radices = np.array(radices, dtype=np.int64)
-        self._raw_weights = np.array(weights, dtype=np.int64)
+        self.norm_tensor = self.tables.norm_tensor
+        self.residues = _ResidueRing(prime, t, self.ideal)
+        self._basis = _residue_basis(order, prime)
         self._counts = None
-
-    @staticmethod
-    def _tensor_bound(tensor, max_coord):
-        # in Python integers, so the bound itself cannot wrap
-        worst = int(np.abs(np.array(tensor, dtype=object)).sum(axis=(0, 1)).max())
-        return worst * max_coord * max_coord
-
-    def _divide_kappa(self, scaled: np.ndarray) -> np.ndarray:
-        if (scaled % self.kappa).any():
-            raise InvariantViolation("norm values are not integral")
-        return scaled // self.kappa
-
-    def _center_reduce(self, folded: np.ndarray) -> np.ndarray:
-        """Finish reducing folded central coordinates by `_center_sub`, in place."""
-        for i, row in enumerate(self._center_sub):
-            if row[i + 1:].any():
-                q = folded[:, i] // row[i]
-                folded[:, i:] -= q[:, None] * row[i:]
-            else:
-                folded[:, i] %= row[i]
-        return folded
-
-    def _classify_center(self):
-        field = self.order.algebra.field
-        diag = [self.ideal.mat[k][k] for k in range(self.center_dim)]
-        strides = np.ones(self.center_dim, dtype=np.int64)
-        for j in range(self.center_dim - 2, -1, -1):
-            strides[j] = strides[j + 1] * diag[j + 1]
-        units = np.zeros(int(np.prod([int(x) for x in diag])), dtype=bool)
-        for rep in self.ideal.residues():
-            code = int(sum(int(v) * int(s) for v, s in zip(rep, strides)))
-            # a residue of O_K/p^t is a unit exactly when it is not in p
-            units[code] = not self.prime.contains(field.element(rep))
-        one_rep = self.ideal.reduce([1] + [0] * (self.center_dim - 1))
-        one_code = int(sum(int(v) * int(s) for v, s in zip(one_rep, strides)))
-        # reduced coordinates vanish in the columns with pivot 1
-        return strides[self._center_cols], units, one_code
-
-    def _center_keys(self, classes: np.ndarray) -> np.ndarray:
-        """Mixed-radix codes of reduced central classes, vectorized."""
-        return classes @ self._center_index
 
     # -- counting -----------------------------------------------------------
 
-    def _norm_histogram(self) -> np.ndarray:
-        """Number of residues x with nu(x) in each central class, by class key.
+    def _gram(self):
+        """(nu(e_a), B(e_a, e_b)) over R on the residue basis, as residue keys.
 
-        The split-form pass of the module docstring.
+        Every entry of the norm tensor is checked first, so a form that is not
+        integral on Q is refused even where the basis does not read it.
         """
-        tensor = self.norm_tensor
-        lead, trail = self._lead, self._trail
-        r = len(self._center_cols)
-        lows = _digits(0, int(np.prod(self.diag[trail])), self.diag[trail])
-        highs = _digits(0, int(np.prod(self.diag[lead])), self.diag[lead])
+        kappa, tensor = self.kappa, self.norm_tensor
+        for a, plane in enumerate(tensor):
+            if any(c % kappa for c in plane[a]) or any(
+                    (x + y) % kappa for b in range(a) for x, y in zip(plane[b], tensor[b][a])):
+                raise InvariantViolation("norm values are not integral")
+        reduce = self.residues.reduce
+        basis = self._basis
+        norms = [reduce([c // kappa for c in tensor[a][a]]) for a in basis]
+        polar = [[reduce([(x + y) // kappa for x, y in zip(tensor[a][b], tensor[b][a])])
+                  for b in basis] for a in basis]
+        return norms, polar
 
-        def half_norms(half, idx):
-            """S over one half, folded and reduced."""
-            scaled = _quad(half, half, tensor[np.ix_(idx, idx)], self._norm_exact_float)
-            return self._center_reduce(self._divide_kappa(scaled) @ self._center_fold)
+    def _norm_histogram(self) -> dict:
+        """Number of residues x with nu(x) = r, for every residue key r that occurs.
 
-        s_low, s_high = half_norms(lows, trail), half_norms(highs, lead)
-        # the cross coefficients (T + T^T)[a, trail] . l for every leading a,
-        # folded and reduced
-        sym = tensor[np.ix_(lead, trail)] + tensor[np.ix_(trail, lead)].transpose(1, 0, 2)
-        cross = self._divide_kappa(np.einsum("ajk,nj->ank", sym, lows)) @ self._center_fold
-        cross = self._center_reduce(cross.reshape(-1, r)).reshape(len(lead), len(lows), r)
-        # [cross; one indicator row per k; S(l)] in the raw radix: a leading
-        # residue's row [h | S(h) | 1] times it is the raw code of every pair
-        indicators = np.broadcast_to(np.eye(r, dtype=np.int64)[:, None, :], (r, len(lows), r))
-        dtype = np.float64 if self._cross_exact_float else np.int64
-        right = (np.concatenate([cross, indicators, s_low[None]]) @ self._raw_weights).astype(dtype)
-        left = np.concatenate([highs, s_high, np.ones((len(highs), 1), dtype=np.int64)],
-                              axis=1, dtype=dtype)
-
-        raw = np.zeros(self._raw_range, dtype=np.int64)
-        rows = max(1, _CHUNK // len(lows))
-        for start in range(0, len(left), rows):
-            codes = (left[start:start + rows] @ right).astype(np.int64, copy=False)
-            raw += np.bincount(codes.ravel(), minlength=self._raw_range)
-
-        # fold the raw codes into central classes, once for the ring
-        seen = np.flatnonzero(raw)
-        classes = self._center_reduce(seen[:, None] // self._raw_weights % self._raw_radices)
-        hist = np.zeros(len(self._center_units), dtype=np.int64)
-        np.add.at(hist, self._center_keys(classes), raw[seen])
-        if int(hist.sum()) != self.cardinality:
-            raise InvariantViolation("the split pass missed residues")
+        The split count of the module docstring.
+        """
+        ring = self.residues
+        norms, polar = self._gram()
+        hist = {ring.zero: 1}
+        for piece in _piece_forms(ring, norms, polar, _split(ring, norms, polar)):
+            hist = ring.convolve(hist, ring.histogram(*piece))
+        if sum(hist.values()) != self.cardinality:
+            raise InvariantViolation("the split count missed residues")
         return hist
 
     def count_units_and_norm_one(self):
         """(units, norm-one residues), counted on the first call only."""
         if self._counts is None:
             hist = self._norm_histogram()
-            self._counts = int(hist[self._center_units].sum()), int(hist[self._center_one])
+            units = self.residues.units
+            self._counts = (sum(n for r, n in hist.items() if r in units),
+                            hist.get(self.residues.one, 0))
         return self._counts
 
     def count_norm_one(self) -> int:
@@ -277,51 +162,247 @@ class FiniteQuotRing:
             f"{units} units match none of the admissible semisimple types")
 
 
-def _float_exact(bound: int) -> bool:
-    """Whether float64 is exact for integer sums of magnitude at most `bound`.
+class _ResidueRing:
+    """R = O_K/p^t, its elements as integer keys.
 
-    Below 2^53 every such integer is a float64; otherwise the int64 path is
-    taken, which is exact below 2^63.  Past that even int64 would wrap, so
-    the ring is refused.
+    A residue is its coordinate vector c reduced by the HNF of p^t
+    (0 <= c_k < h_k, h the HNF's diagonal), and its key is sum c_k W_k in the
+    radix 2 h_k - 1.  Two keys then add with no carry between digits, and
+    `_sums`, one reduction per digit vector, maps the sum to the key of the
+    reduced sum: an addition is one table lookup.  Every nonzero residue is
+    pi^s u with u a unit and s < t, pi in p outside p^2; `_factored` keeps one
+    such (s, u) per residue, which gives valuations and exact division.
     """
-    if bound >= 2 ** 63:
-        raise CapExceeded(f"integer sums up to {bound} would overflow int64")
-    return bound < 2 ** 53
+
+    def __init__(self, prime: IdealHNF, t: int, ideal: IdealHNF):
+        self.field = field = prime.field
+        self.t = t
+        self.mat = ideal.mat
+        diag = [row[k] for k, row in enumerate(ideal.mat)]
+        radix = [2 * h - 1 for h in diag]
+        self._weights = [1] * len(diag)
+        for k in range(len(diag) - 2, -1, -1):
+            self._weights[k] = self._weights[k + 1] * radix[k + 1]
+        # keys are increasing in the product order, last coordinate fastest
+        self._sums = [self.reduce(raw) for raw in product(*map(range, radix))]
+        self._coords = {self.key(c): c for c in product(*map(range, diag))}
+        self.elements = list(self._coords)
+        self.zero = 0
+        self.one = self.reduce([1] + [0] * (field.degree - 1))
+        # the active columns' basis elements theta^k, whose integer combinations
+        # with coefficients below h_k are the residues (`multiples`)
+        self._steps = [(h, self.key([int(j == k) for j in range(len(diag))]))
+                       for k, h in enumerate(diag) if h > 1]
+        self.units = frozenset(x for x, c in self._coords.items()
+                               if not prime.contains(FieldElement(field, c)))
+        self._factored = {u: (0, u) for u in self.units}
+        self._pi_powers = [self.one]
+        if t > 1:
+            square = prime * prime
+            pi = next(self.reduce(row) for row in prime.mat
+                      if not square.contains(FieldElement(field, row)))
+            for s in range(1, t):
+                self._pi_powers.append(self.mul(self._pi_powers[-1], pi))
+                for u in self.units:
+                    self._factored.setdefault(self.mul(self._pi_powers[-1], u), (s, u))
+        if len(self._factored) != len(self.elements) - 1:
+            raise InvariantViolation("a nonzero residue is no unit times a power of pi")
+        self._inverses = {}
+        self._squares = None
+
+    def key(self, coords) -> int:
+        return sum(c * w for c, w in zip(coords, self._weights))
+
+    def reduce(self, vec) -> int:
+        """The key of the residue of an integral coordinate vector."""
+        return self.key(lattice.reduce_mod(self.mat, vec))
+
+    def add(self, x: int, y: int) -> int:
+        return self._sums[x + y]
+
+    def neg(self, x: int) -> int:
+        return self.reduce([-c for c in self._coords[x]])
+
+    def mul(self, x: int, y: int) -> int:
+        if x == self.zero or y == self.one:
+            return x
+        if y == self.zero or x == self.one:
+            return y
+        field = self.field
+        return self.reduce((FieldElement(field, self._coords[x])
+                            * FieldElement(field, self._coords[y])).num)
+
+    def valuation(self, x: int) -> int:
+        return self.t if x == self.zero else self._factored[x][0]
+
+    def inverse(self, u: int) -> int:
+        """u^-1 = u^(|R^x| - 1) for a unit u."""
+        if u not in self._inverses:
+            out, base, n = self.one, u, len(self.units) - 1
+            while n:
+                if n & 1:
+                    out = self.mul(out, base)
+                base = self.mul(base, base)
+                n >>= 1
+            self._inverses[u] = out
+        return self._inverses[u]
+
+    def div(self, x: int, y: int) -> int:
+        """Some z with y z = x, for y != 0 and v(x) >= v(y)."""
+        if x == self.zero:
+            return x
+        (r, u), (s, w) = self._factored[x], self._factored[y]
+        if r < s:
+            raise InvariantViolation("a projection divides by a pivot of larger valuation")
+        return self.mul(self._pi_powers[r - s], self.mul(u, self.inverse(w)))
+
+    def multiples(self, m: int) -> list:
+        """[m * y for y in elements], one product per active column: m * y is
+        the sum of the m * theta^k that y's coordinates count."""
+        out = [self.zero]
+        for h, step in self._steps:
+            mk = self.mul(m, step)
+            row = [self.zero]
+            for _ in range(h - 1):
+                row.append(self._sums[row[-1] + mk])
+            out = [self._sums[x + y] for x in out for y in row]
+        return out
+
+    def squares(self) -> list:
+        """[y^2 for y in elements], computed once."""
+        if self._squares is None:
+            self._squares = [self.mul(y, y) for y in self.elements]
+        return self._squares
+
+    def histogram(self, norms, polar) -> dict:
+        """How many points of R (one norm) or R^2 (two norms and their polar
+        value) take each value of the piece's form."""
+        position = {y: i for i, y in enumerate(self.elements)}
+
+        def scaled_squares(c):  # c * y^2 for y in elements
+            by_c = self.multiples(c)
+            return [by_c[position[s]] for s in self.squares()]
+
+        if len(norms) == 1:
+            return Counter(scaled_squares(norms[0]))
+        sums, first, second = self._sums, scaled_squares(norms[0]), scaled_squares(norms[1])
+        hist = Counter()
+        for x, ax in zip(self.elements, first):
+            hist.update(sums[sums[ax + cy] + bxy]
+                        for cy, bxy in zip(second, self.multiples(self.mul(polar, x))))
+        return hist
+
+    def convolve(self, left: dict, right: dict) -> dict:
+        """The histogram of x + y, x and y drawn from the two histograms."""
+        sums, out = self._sums, {}
+        for x, m in left.items():
+            for y, n in right.items():
+                z = sums[x + y]
+                out[z] = out.get(z, 0) + m * n
+        return out
 
 
-def _int64(table) -> np.ndarray:
-    """A read-only int64 array of an order table; `CapExceeded` if it does not fit."""
-    try:
-        arr = np.array(table, dtype=np.int64)
-    except OverflowError as exc:
-        raise CapExceeded("an order table entry does not fit int64") from exc
-    arr.setflags(write=False)
-    return arr
+def _residue_basis(order: OrderLattice, prime: IdealHNF) -> list:
+    """Four order-basis indices a whose O_K w_a span Q together with pQ.
+
+    Greedy over the basis: w_a is kept when it lowers the HNF index of the
+    span; each kept vector lowers it by a factor q, and the index must end
+    at 1.  By Nakayama the four are then an R-basis of Q/p^tQ for every t.
+    """
+    field = order.algebra.field
+    theta = order.left_matrix(order.algebra.element(field.gen(), 0, 0, 0))
+    rows = [list(row) for row in order.congruence_lattice(prime).coord_mat]
+    index = lattice.det_upper_triangular(rows)
+    chosen = []
+    for a in range(order.dim):
+        if index == 1:
+            break
+        span = [[int(b == a) for b in range(order.dim)]]
+        for _ in range(field.degree - 1):  # theta^m w_a, from x -> theta x
+            span.append([sum(x * y for x, y in zip(span[-1], col)) for col in zip(*theta)])
+        span = lattice.hnf(rows + span, order.dim)
+        det = lattice.det_upper_triangular(span)
+        if det < index:
+            rows, index = span, det
+            chosen.append(a)
+    if index != 1 or len(chosen) != 4:
+        raise InvariantViolation("no four order-basis vectors span Q modulo pQ")
+    return chosen
 
 
-def _digits(start: int, stop: int, radices) -> np.ndarray:
-    """Mixed-radix digits of start .. stop-1, last digit fastest."""
-    rest = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, len(radices)), dtype=np.int64)
-    for j in range(len(radices) - 1, -1, -1):
-        out[:, j] = rest % radices[j]
-        rest = rest // radices[j]
-    return out
+def _split(ring: _ResidueRing, norms, polar) -> list:
+    """An orthogonal splitting of the form with nu(e_a) = norms[a] and
+    B(e_a, e_b) = polar[a][b] over R, into pieces of rank 1 or 2.
+
+    Returns the pieces as lists of coefficient vectors over the e_a (the
+    module docstring's step 3); each step is an e_c += lam e_x, so the
+    vectors stay an R-basis.
+    """
+    norms, polar = list(norms), [list(row) for row in polar]
+    n = len(norms)
+    vecs = [[ring.one if a == b else ring.zero for b in range(n)] for a in range(n)]
+    rest, pieces = list(range(n)), []
+    add, mul, div, neg = ring.add, ring.mul, ring.div, ring.neg
+
+    def shift(c, lam, x):
+        """e_c += lam e_x, keeping the Gram data of the vectors in `rest`."""
+        norms[c] = add(add(norms[c], mul(mul(lam, lam), norms[x])), mul(lam, polar[c][x]))
+        for y in rest:
+            if y != c:
+                polar[c][y] = polar[y][c] = add(polar[c][y], mul(lam, polar[x][y]))
+        polar[c][c] = add(norms[c], norms[c])
+        vecs[c] = [add(u, mul(lam, w)) for u, w in zip(vecs[c], vecs[x])]
+
+    while rest:
+        val, off, a, b = min((ring.valuation(polar[x][y]), x != y, x, y)
+                             for i, x in enumerate(rest) for y in rest[i:])
+        if val >= ring.t:  # B vanishes on what is left
+            pieces += [[vecs[x]] for x in rest]
+            break
+        others = [c for c in rest if c not in (a, b)]
+        if not off:
+            for c in others:
+                shift(c, neg(div(polar[c][a], polar[a][a])), a)
+            pieces.append([vecs[a]])
+        else:
+            # f = e_b - w e_a is orthogonal to e_b, and B(f, e_a) has valuation val
+            w = div(polar[b][b], polar[a][b])
+            f_a = add(polar[a][b], neg(mul(w, polar[a][a])))
+            for c in others:
+                shift(c, neg(div(polar[c][b], polar[a][b])), a)  # now B(e_c, e_b) = 0
+                lam = neg(div(polar[c][a], f_a))
+                shift(c, lam, b)  # e_c += lam f
+                shift(c, neg(mul(lam, w)), a)
+            pieces.append([vecs[a], vecs[b]])
+        rest = others
+    return pieces
 
 
-def _quad(x: np.ndarray, y: np.ndarray, tensor: np.ndarray, float_ok: bool) -> np.ndarray:
-    """einsum('ni,nj,ijk->nk') exactly; float64/BLAS when provably lossless."""
-    if float_ok:
-        xf = x.astype(np.float64)
-        yf = y.astype(np.float64)
-        tf = tensor.astype(np.float64)
-        dim = tensor.shape[0]
-        k = tensor.shape[2]
-        tmp = xf @ tf.reshape(dim, dim * k)          # n x (dim*k)
-        tmp = tmp.reshape(-1, dim, k)
-        out = np.einsum("nj,njk->nk", yf, tmp, optimize=True)
-        return np.rint(out).astype(np.int64)
-    return np.einsum("ni,nj,ijk->nk", x, y, tensor, optimize=True)
+def _piece_forms(ring: _ResidueRing, norms, polar, pieces) -> list:
+    """(the norms of a piece's vectors, their polar value or None) for every
+    piece, from the Gram data of the basis.
+
+    Raises `InvariantViolation` unless vectors of distinct pieces are
+    orthogonal, so a split is used only once it is checked.
+    """
+    add, mul = ring.add, ring.mul
+
+    def form(v, w, quadratic):
+        out = ring.zero
+        for a, x in enumerate(v):
+            if x != ring.zero:
+                for b, y in enumerate(w):
+                    if y != ring.zero and (not quadratic or a <= b):
+                        out = add(out, mul(mul(x, y), norms[a] if quadratic and a == b
+                                           else polar[a][b]))
+        return out
+
+    tagged = [(k, v) for k, piece in enumerate(pieces) for v in piece]
+    for (k, v), (l, w) in combinations(tagged, 2):
+        if k != l and form(v, w, False) != ring.zero:
+            raise InvariantViolation("the split of the norm form is not orthogonal")
+    return [([form(v, v, True) for v in piece],
+             form(*piece, False) if len(piece) == 2 else None) for piece in pieces]
 
 
 # ---------------------------------------------------------------------------

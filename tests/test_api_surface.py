@@ -6,10 +6,12 @@ that belongs in tests/.  Dunders and overrides of a base-class method are
 called by the language or the base class and are not listed.  The scan lists
 the rest; each one kept must be on the allowlist below with its reason.
 
-A second scan keeps third-party imports where `IMPORTERS` lists them: numpy
-inside the quotient-counting kernel and mpmath, a test oracle, nowhere.  A
-fresh interpreter checks that set-up leaves mpmath unloaded and builds none of
-the Hurwitz field's constants (its trace-dual basis, `place_table`).
+A second scan keeps third-party imports where `IMPORTERS` lists them:
+nowhere, as the library runs on the standard library alone; numpy and
+mpmath serve only the tests' oracles and the benchmark's tracer.  Fresh
+interpreters check that set-up, and a quotient count after it, leave numpy
+and mpmath unloaded, and that set-up builds none of the Hurwitz field's
+constants (its trace-dual basis, `place_table`).
 
 A third keeps one start precision: every `refine` loop in src/quatsys starts
 at `intervals.START_BITS`.  Each other start must be on its allowlist with its
@@ -114,7 +116,7 @@ def test_every_uncalled_function_is_allowlisted():
 
 
 # the modules of src/quatsys that may import each third-party package
-IMPORTERS = {"numpy": ["quotient.py"], "mpmath": []}
+IMPORTERS = {"numpy": [], "mpmath": []}
 
 
 def importers(package: str) -> list:
@@ -135,6 +137,7 @@ def importers(package: str) -> list:
 
 
 def test_only_the_quotient_kernel_imports_numpy():
+    # the quotient count was the last numpy kernel; it now counts in Python integers
     assert importers("numpy") == IMPORTERS["numpy"]
 
 
@@ -146,11 +149,15 @@ def test_set_up_leaves_mpmath_unloaded():
     paths = (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     script = ("import sys, quatsys, quatsys.cli\n"
+              "def loaded(): return [m for m in ('mpmath', 'numpy') if m in sys.modules]\n"
               "quatsys.hurwitz_context()\n"
-              "print('mpmath' in sys.modules)")
+              "after_set_up = loaded()\n"
+              "code = quatsys.cli.main(['--hurwitz', 'quotient-count', '--prime', '7'])\n"
+              "print(after_set_up, code, loaded())")
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    assert "norm_one=336" in out
+    assert out.splitlines()[-1] == "[] 0 []"
 
 
 def test_set_up_builds_no_field_constants():

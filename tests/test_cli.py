@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import os
 import re
 import signal
@@ -136,8 +137,8 @@ def test_cli_quotient_count_counts_the_quotient_once(capsys, monkeypatch):
 
 
 def test_cli_quotient_count_at_the_largest_raw_range(capsys):
-    # (4) = P2^2: 16.8 M residues, three central coordinates with pivot 4 and
-    # M = 61^3 = 226,981 raw codes, the largest of any Hurwitz ring below 2e7
+    # (4) = P2^2: 16.8 M residues, the largest Hurwitz quotient below 2e7, with
+    # three central coordinates of pivot 4 and two binary blocks over R = O_K/(4)
     code, out = _run(capsys, "--hurwitz", "quotient-count", "--ideal", "4,0,0",
                      "--cap", "20000000")
     assert code == 0
@@ -146,16 +147,22 @@ def test_cli_quotient_count_at_the_largest_raw_range(capsys):
 
 
 def test_cli_order_with_tables_beyond_int64(tmp_path, capsys):
-    # ab = 10^20 exceeds 2^63: the order's tables are Python integers, and
-    # only the quotient count, which needs int64, refuses the order
+    # ab = 10^20 exceeds 2^63: the order's tables and the quotient count are
+    # Python integers, so every command handles the order
+    a = b = 10 ** 10
     path = tmp_path / "field.txt"
-    path.write_text("minpoly: 1 0\nquat: 10000000000 | 10000000000\n"
+    path.write_text(f"minpoly: 1 0\nquat: {a} | {b}\n"
                     "order: 1 | 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\n")
     for command in ("field-info", "ramification"):
         code, out = _run(capsys, "--field", str(path), command)
         assert code == 0 and "error=" not in out, command
+    # the 81 residues x0 + x1 i + x2 j + x3 ij of Z<i, j>/3, one by one
+    norms = [(x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3) % 3
+             for x0, x1, x2, x3 in itertools.product(range(3), repeat=4)]
+    units, norm_one = sum(n != 0 for n in norms), norms.count(1)
     code, out = _run(capsys, "--field", str(path), "quotient-count", "--prime", "3")
-    assert code == 2 and _records(out)[-1].startswith("error=cap")
+    assert code == 0
+    assert f"units={units} norm_one={norm_one} " in _records(out)[0]
 
 
 def test_cli_quotient_count_by_ideal_generators(capsys):

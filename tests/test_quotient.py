@@ -5,48 +5,89 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatsys import lattice, quotient
+from quatsys import lattice
 from quatsys.errors import CapExceeded, InputError, InvariantViolation
 from quatsys.numfield import NumberField, factor_rational_prime
 from quatsys.orders import OrderLattice, scaled_row, standard_order
 from quatsys.polys import factorint
 from quatsys.quatalg import QuaternionAlgebra
-from quatsys.quotient import (_CHUNK, FiniteQuotRing, _digits, _float_exact, _quad,
-                              count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
-                              maxim_formula, norm_one_envelope, squares_count)
+from quatsys.quotient import (FiniteQuotRing, _piece_forms, count_norm_one_ideal, index_bound,
+                              lambda_factor, lemma44_check, maxim_formula, norm_one_envelope,
+                              squares_count)
 
 from conftest import lattice_index
 
+_CHUNK = 1 << 15
+
+
+# -- numpy helpers of the oracles ---------------------------------------------------
+
+def _digits(start: int, stop: int, radices) -> np.ndarray:
+    """Mixed-radix digits of start .. stop-1, last digit fastest."""
+    rest = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, len(radices)), dtype=np.int64)
+    for j in range(len(radices) - 1, -1, -1):
+        out[:, j] = rest % radices[j]
+        rest = rest // radices[j]
+    return out
+
+
+def float_exact(tensor: np.ndarray, max_coord: int) -> bool:
+    """Whether float64 is exact for sum x_i y_j tensor[i, j] over |x|, |y| <= max_coord."""
+    worst = int(np.abs(np.array(tensor, dtype=object)).sum(axis=(0, 1)).max())
+    return worst * max_coord * max_coord < 2 ** 53
+
+
+def _quad(x: np.ndarray, y: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """einsum('ni,nj,ijk->nk') exactly; float64/BLAS when provably lossless."""
+    max_coord = int(max(np.abs(x).max(initial=0), np.abs(y).max(initial=0)))
+    if float_exact(tensor, max_coord):
+        tf = tensor.astype(np.float64)
+        dim, k = tensor.shape[0], tensor.shape[2]
+        tmp = (x.astype(np.float64) @ tf.reshape(dim, dim * k)).reshape(-1, dim, k)
+        return np.rint(np.einsum("nj,njk->nk", y.astype(np.float64), tmp,
+                                 optimize=True)).astype(np.int64)
+    return np.einsum("ni,nj,ijk->nk", x, y, tensor, optimize=True)
+
 
 # -- ring operations that only the tests use ------------------------------------
-
-def residue_blocks(ring, chunk: int = _CHUNK):
-    """Deterministic mixed-radix enumeration of all residues, in blocks."""
-    total = int(ring.cardinality)
-    for start in range(0, total, chunk):
-        yield _digits(start, min(start + chunk, total), ring.diag)
-
-
-def all_residues(ring) -> np.ndarray:
-    return np.concatenate(list(residue_blocks(ring)))
-
 
 def mod_mat(ring) -> np.ndarray:
     """The congruence lattice's row HNF over the order basis."""
     return np.array(ring.order.congruence_lattice(ring.ideal).coord_mat, dtype=np.int64)
 
 
+def diag(ring) -> np.ndarray:
+    """The radices of the reduced residues, the congruence lattice's diagonal."""
+    return np.diag(mod_mat(ring))
+
+
+def residue_blocks(ring, chunk: int = _CHUNK):
+    """Deterministic mixed-radix enumeration of all residues, in blocks."""
+    total = int(ring.cardinality)
+    radices = diag(ring)
+    for start in range(0, total, chunk):
+        yield _digits(start, min(start + chunk, total), radices)
+
+
+def all_residues(ring) -> np.ndarray:
+    return np.concatenate(list(residue_blocks(ring)))
+
+
+def reduce_rows(rows: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Canonical representatives modulo the row HNF `rows` (vectorized)."""
+    out = arr.copy()
+    for j, row in enumerate(rows):
+        out -= (out[:, j] // row[j])[:, None] * row[None, :]
+    return out
+
+
 def reduce(ring, arr: np.ndarray) -> np.ndarray:
     """Canonical representatives modulo the congruence lattice (vectorized)."""
-    out = arr.copy()
-    rows = mod_mat(ring)
-    for j in range(ring.dim):
-        q = out[:, j] // ring.diag[j]
-        nz = q != 0
-        if nz.any():
-            out[nz] -= q[nz, None] * rows[j][None, :]
-    return out
+    return reduce_rows(mod_mat(ring), arr)
 
 
 def struct(ring) -> np.ndarray:
@@ -54,51 +95,48 @@ def struct(ring) -> np.ndarray:
     return np.array(ring.tables.struct, dtype=np.int64)
 
 
-def mul_exact_float(ring) -> bool:
-    """Whether float64 is exact for products of reduced residues."""
-    return _float_exact(ring._tensor_bound(struct(ring), int(ring.diag.max())))
-
-
-def exact_mat(a: np.ndarray, b: np.ndarray, float_ok: bool) -> np.ndarray:
+def exact_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b exactly; float64/BLAS when provably lossless."""
-    if not float_ok:
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).sum(axis=0).max(initial=0))
+    if bound >= 2 ** 53:
         return a @ b
     return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def mul(ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Componentwise ring product of two residue arrays."""
-    return reduce(ring, _quad(x, y, struct(ring), mul_exact_float(ring)))
+    return reduce(ring, _quad(x, y, struct(ring)))
 
 
 def involution(ring, x: np.ndarray) -> np.ndarray:
     return reduce(ring, x @ np.array(ring.tables.invol, dtype=np.int64))
 
 
-def norm_classes(ring, x: np.ndarray) -> np.ndarray:
-    """Reduced central coordinates of nu(x) in the columns with pivot > 1."""
-    scaled = _quad(x, x, ring.norm_tensor, ring._norm_exact_float)
-    return ring._center_reduce(ring._divide_kappa(scaled) @ ring._center_fold)
-
-
 def norm_map(ring, x: np.ndarray) -> np.ndarray:
     """Central coordinates of nu(x) = x * x^*, reduced modulo the ideal."""
-    out = np.zeros((len(x), ring.center_dim), dtype=np.int64)
-    out[:, ring._center_cols] = norm_classes(ring, x)
-    return out
+    scaled = _quad(x, x, np.array(ring.norm_tensor, dtype=np.int64))
+    if (scaled % ring.kappa).any():
+        raise InvariantViolation("norm values are not integral")
+    return reduce_rows(np.array(ring.ideal.mat, dtype=np.int64), scaled // ring.kappa)
+
+
+def is_unit(ring, coords) -> bool:
+    """Whether a central residue lies outside the prime, by exact field arithmetic."""
+    field = ring.order.algebra.field
+    return not ring.prime.contains(field.element([int(c) for c in coords]))
 
 
 # -- oracles: slow definitions that the library's paths are checked against -----
 
 def norm_image_size(ring) -> int:
     """Number of central unit classes that are norms of residues."""
-    return int(np.count_nonzero(ring._norm_histogram()[ring._center_units]))
+    return sum(1 for r in ring._norm_histogram() if r in ring.residues.units)
 
 
 def involution_well_defined_sample(ring, rng, samples: int = 64) -> bool:
     """The involution of a residue must not depend on the lift."""
     for _ in range(samples):
-        x = np.array([[rng.randrange(0, int(d)) for d in ring.diag]], dtype=np.int64)
+        x = np.array([[rng.randrange(0, int(d)) for d in diag(ring)]], dtype=np.int64)
         shift = np.zeros((1, ring.dim), dtype=np.int64)
         for row in mod_mat(ring):
             shift += rng.randrange(-2, 3) * row[None, :]
@@ -120,20 +158,20 @@ def radical_unit_definition(ring) -> set:
     assert ring.cardinality < 10 ** 4, "unit-perturbation radical limited to rings below 10^4"
     ell = min(f for f in range(2, ring.q + 1) if ring.q % f == 0)
     res = all_residues(ring)
-    strides = np.array([int(np.prod(ring.diag[j + 1:])) for j in range(ring.dim)])
+    radices = diag(ring)
+    strides = np.array([int(np.prod(radices[j + 1:])) for j in range(ring.dim)])
     # struct_c[a, b] = (w_a * w_b) @ C
     struct_c = struct(ring) @ reduce(ring, np.eye(ring.dim, dtype=np.int64))
-    float_ok = _float_exact(ring._tensor_bound(struct_c, int(ring.diag.max())))
     # res[k] is the residue of code k
-    one_minus_is_unit = ring._center_units[
-        ring._center_keys(norm_classes(ring, np.array([ring.tables.one]) - res))]
+    one_minus_is_unit = np.array([is_unit(ring, nu) for nu in
+                                  norm_map(ring, np.array([ring.tables.one]) - res)])
     out = set()
     batch = max(1, _CHUNK // len(res))
     for start in range(0, len(res), batch):
         xs = res[start:start + batch]
         # column block c of `left` maps r to (r * xs[c]) @ C
         left = np.einsum("cj,ijl->icl", xs, struct_c).reshape(ring.dim, -1)
-        codes = (exact_mat(res, left, float_ok) % ell).reshape(-1, ring.dim) @ strides
+        codes = (exact_mat(res, left) % ell).reshape(-1, ring.dim) @ strides
         units = one_minus_is_unit[codes].reshape(len(res), len(xs))
         out.update(tuple(int(v) for v in x) for x in xs[units.all(axis=0)])
     return out
@@ -189,9 +227,12 @@ def test_maxim_formula_values():
     assert maxim_formula(7, 2, False) == 115248
 
 
-def test_headline_counts_match_formula(QH, P7, P2, P13s):
+def test_headline_counts_match_formula(QH, K, P7, P2, P13s):
+    # with the inert prime 3 (q = 27, a residue field of degree 3) and a
+    # prime above 43, the largest q the benchmark's survey counts
+    P27, P43 = (factor_rational_prime(K, p)[0][0] for p in (3, 43))
     for prime, expected in [(P7, 336), (P2, 504), (P13s[0], 2184),
-                            (P13s[1], 2184), (P13s[2], 2184)]:
+                            (P13s[1], 2184), (P13s[2], 2184), (P27, 19656), (P43, 79464)]:
         ring = FiniteQuotRing(QH, prime, 1)
         units, norm_one = ring.count_units_and_norm_one()
         assert norm_one == expected
@@ -373,35 +414,37 @@ def test_quotient_rejects_bad_t(QH, P7):
         FiniteQuotRing(QH, P7, 0)
 
 
-# -- the split-form count against the per-residue loop ---------------------------
+# -- the split count against the per-residue loop -------------------------------
 
 def residue_loop_counts(ring):
     """Oracle: (units, norm-one) from the norm of every residue, block by block.
 
-    The per-residue loop the split pass replaced: exact int64 norm values,
-    the kappa check, reduction by the ideal's HNF in Python integers, and
-    classification by exact field arithmetic (no class key or unit mask).
+    The per-residue count the split count replaced: exact norm values of all
+    q^(4t) residues, the kappa check, reduction by the ideal's HNF, and
+    classification of the classes met by exact field arithmetic.
     """
-    from collections import Counter
-
-    field = ring.order.algebra.field
-    tally = Counter()
+    tensor = np.array(ring.norm_tensor, dtype=np.int64)
+    hnf = np.array(ring.ideal.mat, dtype=np.int64)
+    radices = np.diag(hnf)
+    strides = np.array([int(np.prod(radices[j + 1:])) for j in range(len(radices))])
+    tally = np.zeros(int(np.prod(radices)), dtype=np.int64)
     for block in residue_blocks(ring):
-        scaled = np.einsum("ni,nj,ijk->nk", block, block, ring.norm_tensor)
+        scaled = _quad(block, block, tensor)
         if (scaled % ring.kappa).any():
             raise InvariantViolation("norm values are not integral")
-        tally.update(tuple(ring.ideal.reduce(row)) for row in (scaled // ring.kappa).tolist())
-    one = tuple(ring.ideal.reduce([1] + [0] * (ring.center_dim - 1)))
-    units = sum(n for rep, n in tally.items()
-                if not ring.prime.contains(field.element(list(rep))))
-    return units, tally[one]
+        tally += np.bincount(reduce_rows(hnf, scaled // ring.kappa) @ strides,
+                             minlength=len(tally))
+    classes = _digits(0, len(tally), radices)
+    one = ring.ideal.reduce([1] + [0] * (ring.center_dim - 1))
+    units = sum(int(n) for c, n in zip(classes, tally) if n and is_unit(ring, c))
+    return units, int(tally[int(np.dot(one, strides))])
 
 
 def sqrt3_ring():
     """The standard order of (-1, -1) over Q(sqrt 3) at P2^3, P2 = (1 + sqrt 3).
 
-    Its central HNF [[2, 2], [0, 4]] is not diagonal, so the reduction of the
-    central classes subtracts a whole row, not only a residue mod the pivot.
+    Its central HNF [[2, 2], [0, 4]] is not diagonal, so reducing a sum of
+    residues subtracts a whole row, not only a residue mod the pivot.
     """
     field = NumberField([1, 0, -3])
     algebra = QuaternionAlgebra(field, field.from_rational(-1), field.from_rational(-1))
@@ -409,10 +452,18 @@ def sqrt3_ring():
 
 
 @pytest.fixture(scope="module")
-def small_rings(QH, O_std, P7, P2, P13s):
-    rings = {name: FiniteQuotRing(order, prime, 1) for name, order, prime in [
-        ("QH/P7", QH, P7), ("QH/P2", QH, P2), ("QH/P13", QH, P13s[0]),
-        ("O_std/P7", O_std, P7), ("O_std/P2", O_std, P2)]}
+def small_rings(QH, O_std, P7, P2, P13s, B6, Q2max):
+    """One ring per case of the split: diagonal pivots at odd primes, binary
+    blocks at dyadic ones, a degenerate Gram matrix mod p (B6 at its
+    ramified primes), a ramified dyadic prime (Q2max), a non-maximal order
+    (O_std at 2), prime powers and a non-diagonal central HNF."""
+    rings = {name: FiniteQuotRing(order, prime, t) for name, order, prime, t in [
+        ("QH/P7", QH, P7, 1), ("QH/P2", QH, P2, 1), ("QH/P13", QH, P13s[0], 1),
+        ("QH/P7^2", QH, P7, 2), ("O_std/P7", O_std, P7, 1), ("O_std/P2", O_std, P2, 1)]}
+    for name, order, p in [("B6/2", B6, 2), ("B6/3", B6, 3), ("Q2max/P2", Q2max, 2)]:
+        prime = factor_rational_prime(order.algebra.field, p)[0][0]
+        for t in (1, 2, 3):
+            rings[f"{name}^{t}"] = FiniteQuotRing(order, prime, t)
     rings["Q(sqrt3)/P2^3"] = sqrt3_ring()
     return rings
 
@@ -422,8 +473,10 @@ def fresh(ring):
     return FiniteQuotRing(ring.order, ring.prime, ring.t)
 
 
-@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P7", "O_std/P2",
-                                  "Q(sqrt3)/P2^3"])
+@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "QH/P7^2", "O_std/P7",
+                                  "O_std/P2", "B6/2^1", "B6/2^2", "B6/2^3", "B6/3^1",
+                                  "B6/3^2", "B6/3^3", "Q2max/P2^1", "Q2max/P2^2",
+                                  "Q2max/P2^3", "Q(sqrt3)/P2^3"])
 def test_split_count_equals_residue_loop(small_rings, name):
     ring = small_rings[name]
     assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
@@ -431,87 +484,52 @@ def test_split_count_equals_residue_loop(small_rings, name):
 
 def test_a_non_diagonal_central_hnf(small_rings):
     ring = small_rings["Q(sqrt3)/P2^3"]
-    assert ring._center_sub.tolist() == [[2, 2], [0, 4]]
+    assert [list(row) for row in ring.ideal.mat] == [[2, 2], [0, 4]]
     assert ring.cardinality == 4096
-    # raw values, as the fold meets them, reduce as the ideal's HNF does
-    raw = np.array([(a, b) for a in range(12) for b in range(12)], dtype=np.int64)
-    assert ring._center_reduce(raw.copy()).tolist() == \
-        [ring.ideal.reduce([int(a), int(b)]) for a, b in raw]
+    # residue sums and products reduce as the ideal's HNF does
+    residues = ring.residues
+    field = ring.order.algebra.field
+    coords = residues._coords
+    for x in residues.elements:
+        for y in residues.elements:
+            assert list(coords[residues.add(x, y)]) == \
+                ring.ideal.reduce([a + b for a, b in zip(coords[x], coords[y])])
+            assert list(coords[residues.mul(x, y)]) == \
+                ring.ideal.reduce((field.element(coords[x]) * field.element(coords[y])).num)
     assert ring.count_units_and_norm_one() == (2048, 1024)
-
-
-@pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "O_std/P2", "Q(sqrt3)/P2^3"])
-def test_float_and_int64_paths_agree(small_rings, name, monkeypatch):
-    expected = small_rings[name].count_units_and_norm_one()
-    ring = fresh(small_rings[name])  # a ring counts once; this one has not
-    assert ring._cross_exact_float and ring._norm_exact_float
-    monkeypatch.setattr(ring, "_cross_exact_float", False)
-    monkeypatch.setattr(ring, "_norm_exact_float", False)
-    assert ring.count_units_and_norm_one() == expected
-    assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
-
-
-def test_split_keeps_blocks_small(QH, P7):
-    # a block is max(1, _CHUNK // |L|) leading residues times the |L| trailing ones
-    ring = FiniteQuotRing(QH, P7, 2)
-    lows = 1
-    for j in ring._trail:
-        lows *= int(ring.diag[j])
-    assert ring._lead and ring._trail
-    assert lows <= min(_CHUNK, 49 ** 2)
-
-
-def test_raw_codes_stay_below_the_raw_range(QH, K, P7, monkeypatch):
-    # M = prod V_k, V_k = (p_k - 1)(D + 2) + 1: every raw code of a full pass
-    # lies in [0, M)
-    P27 = factor_rational_prime(K, 3)[0][0]
-    P43 = factor_rational_prime(K, 43)[0][0]
-    bincount = np.bincount
-    for prime, t, raw_range in [(P7, 2, 24_649), (P27, 1, 24_389), (P43, 1, 3_613)]:
-        ring = FiniteQuotRing(QH, prime, t)
-        assert ring._raw_range == raw_range
-        bounds = []
-        monkeypatch.setattr(np, "bincount", lambda codes, minlength=0: bounds.append(
-            (int(codes.min()), int(codes.max()))) or bincount(codes, minlength=minlength))
-        expected = maxim_formula(ring.q, t, False)
-        assert ring.count_norm_one() == expected
-        monkeypatch.undo()
-        assert bounds and min(lo for lo, _ in bounds) >= 0
-        assert max(hi for _, hi in bounds) < raw_range
-
-
-def test_a_raw_range_above_the_cap_is_refused(monkeypatch):
-    # no ring here has more raw codes than residues, but a split with one
-    # trailing coordinate gives Q(zeta_15)^+ at its inert prime (2) (65,536
-    # residues) M = 18^4 = 104,976 raw codes
-    field = NumberField([1, -1, -4, 4, 1])
-    algebra = QuaternionAlgebra(field, field.from_rational(-1), field.from_rational(-1))
-    order = standard_order(algebra)
-    two = factor_rational_prime(field, 2)[0][0]
-    assert FiniteQuotRing(order, two, 1)._raw_range == 11 ** 4
-    monkeypatch.setattr(quotient, "_CHUNK", 1)
-    assert FiniteQuotRing(order, two, 1, cap=18 ** 4)._raw_range == 18 ** 4
-    with pytest.raises(CapExceeded, match="M = 104976 raw codes, above the cap 70000"):
-        FiniteQuotRing(order, two, 1, cap=70_000)
 
 
 def test_kappa_check_covers_every_part_of_the_split(small_rings, monkeypatch):
     # one odd entry in the norm tensor makes some norm value odd (kappa = 2);
-    # the split pass must notice it whether the entry sits in the leading
-    # half, the trailing half or the cross term, as the residue loop does
+    # the count must notice it whether the entry sits on the residue basis,
+    # where the Gram matrix reads it, or off it, where only the check does
     ring = small_rings["QH/P13"]
-    a, b = ring._lead[0], ring._trail[0]
-    for i, j in [(a, a), (b, b), (a, b)]:
+    a, b = ring._basis[:2]
+    off = next(k for k in range(ring.dim) if k not in ring._basis)
+    for i, j in [(a, b), (off, off)]:
         ring = fresh(ring)  # a ring counts once; this one has not
-        bad = ring.norm_tensor.copy()
-        bad[i, j, 0] += 1
+        bad = [[list(entry) for entry in plane] for plane in ring.norm_tensor]
+        bad[i][j][0] += 1
         monkeypatch.setattr(ring, "norm_tensor", bad)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="not integral"):
             ring.count_units_and_norm_one()
-        with pytest.raises(InvariantViolation):
-            residue_loop_counts(ring)
     monkeypatch.undo()
-    assert np.array_equal(ring.norm_tensor, ring.tables.norm_tensor)
+    assert ring.norm_tensor is ring.tables.norm_tensor
+    assert ring.count_units_and_norm_one() == (26208, 2184)
+
+
+def test_a_split_that_is_not_orthogonal_is_refused(small_rings):
+    ring = small_rings["QH/P7"]
+    residues = ring.residues
+    norms, polar = ring._gram()
+    # the residue basis itself is not orthogonal at P7
+    assert any(polar[a][b] != residues.zero for a in range(4) for b in range(a))
+    basis = [[residues.one if a == b else residues.zero for b in range(4)] for a in range(4)]
+    with pytest.raises(InvariantViolation, match="not orthogonal"):
+        _piece_forms(residues, norms, polar, [[v] for v in basis])
+    # as one piece of rank 2 and two of rank 1 it is still not orthogonal
+    with pytest.raises(InvariantViolation, match="not orthogonal"):
+        _piece_forms(residues, norms, polar, [basis[:2], [basis[2]], [basis[3]]])
 
 
 def test_order_tables_built_once(QH, P7, P13s):
@@ -519,30 +537,27 @@ def test_order_tables_built_once(QH, P7, P13s):
     r13 = FiniteQuotRing(QH, P13s[0], 1)
     assert r7.tables is r13.tables is QH.tables
     tables = r7.tables
-    # the tables are Python integers; a ring holds its norm form as int64
+    # the tables are Python integers, and a ring reads its norm form from them
     for table in (tables.struct, tables.invol, tables.norm_tensor, tables.one):
         assert isinstance(table, tuple)
-    assert np.array_equal(r7.norm_tensor, tables.norm_tensor)
-    assert r7.norm_tensor.dtype == np.int64 and not r7.norm_tensor.flags.writeable
-
-
-def test_float_exact_guard_on_a_synthetic_tensor():
-    tensor = np.zeros((2, 2, 2), dtype=np.int64)
-    tensor[:, :, 0] = 2 ** 41  # worst column sum 2^43
-    tensor[:, :, 1] = -3
-    bound = FiniteQuotRing._tensor_bound
-    assert bound(tensor, 2 ** 5) == 2 ** 53
-    assert _float_exact(bound(tensor, 2 ** 5) - 1)      # float64 is exact
-    assert not _float_exact(bound(tensor, 2 ** 5))      # int64
-    assert not _float_exact(bound(tensor, 2 ** 10) - 1)
-    with pytest.raises(CapExceeded):
-        _float_exact(bound(tensor, 2 ** 10))            # 2^63 would wrap
+    assert r7.norm_tensor is tables.norm_tensor
 
 
 def test_central_units_of_a_prime_square(QH, P7):
     # O_K/p^2 has q^2 - q units: exactly the residues outside p
-    ring = FiniteQuotRing(QH, P7, 2)
-    assert len(ring._center_units) == 49
-    assert int(ring._center_units.sum()) == 49 - 7
-    assert ring._center_units[ring._center_one]
+    residues = FiniteQuotRing(QH, P7, 2).residues
+    assert len(residues.elements) == 49
+    assert len(residues.units) == 49 - 7
+    assert residues.one in residues.units
 
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(a=st.integers(-30, 30).filter(bool), b=st.integers(-30, 30).filter(bool),
+       level=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]))
+def test_split_count_equals_residue_loop_on_rational_standard_orders(QQ, a, b, level):
+    # Z<i, j> in (a, b): p may divide a, b or both, to any power, so the Gram
+    # matrix mod p ranges from invertible to zero, with pivots of every valuation
+    algebra = QuaternionAlgebra(QQ, QQ.from_rational(a), QQ.from_rational(b))
+    p, t = level
+    ring = FiniteQuotRing(standard_order(algebra), factor_rational_prime(QQ, p)[0][0], t)
+    assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
