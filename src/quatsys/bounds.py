@@ -97,8 +97,11 @@ class TraceCosetMinimum:
         return any(trace == t for t in self.traces)
 
 
+CAP_NODES = 30_000_000  # the default node cap of the trace-coset walk and the enumerator
+
+
 def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
-                        cap_nodes: int = 30_000_000) -> TraceCosetMinimum:
+                        cap_nodes: int = CAP_NODES) -> TraceCosetMinimum:
     """The systole floor L* of Gamma(I) from the trace coset 2 + I^2 (exact).
 
     For gamma = 1 + q in Gamma(I), q in I*Q, nrd gamma = 1 gives

@@ -105,7 +105,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import compare_abs0, trace_coset_minimum
+from .bounds import CAP_NODES, compare_abs0, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .intervals import START_BITS, RatInterval, iv_acosh, iv_cosh, iv_log, iv_sqrt, refine
 from .numfield import FieldElement, IdealHNF
@@ -194,23 +194,18 @@ class _OrderHalf:
 
         self._ab_bits, self.a_emb, self.b_emb = refine(signed, START_BITS)
         self.sqrt_a0 = iv_sqrt(self.a_emb[0], self._ab_bits)
-        # the radius-free parts of the boxes (`Enumerator._boxes`): 1/sqrt(a) and
-        # 1 + 1/b^2 at the split place, and the unit-ball rows 1, 1/sqrt|a|,
-        # 1/sqrt|b|, 1/sqrt|ab| at the ramified places
+        # the field's float table at START_BITS, and the constants derived from a, b
+        self._ranges = ranges = WalkRanges(field.place_table(), self.a_emb, self.b_emb,
+                                           self.sqrt_a0, order.kappa)
+        self.emb_f = ranges.emb_f  # float table of the walk's block values
+        # the boxes' unit-ball rows 1, 1/sqrt|a|, 1/sqrt|b|, 1/sqrt|ab| at the ramified places
         unit = RatInterval.exact(1)
-        self._inv_sqrt_a0 = (unit / self.sqrt_a0).hi
-        self._one_plus_inv_b2 = unit + unit / (self.b_emb[0] * self.b_emb[0])
-        a_abs = [x.abs() for x in self.a_emb[1:]]
-        b_abs = [x.abs() for x in self.b_emb[1:]]
+        a_abs, b_abs = ranges.a_abs[1:], ranges.b_abs[1:]
         self._ramified_boxes = [[Fraction(1)] * (d - 1)] + [
             [(unit / iv_sqrt(x, START_BITS)).hi for x in row]
             for row in (a_abs, b_abs, [a * b for a, b in zip(a_abs, b_abs)])]
         one, a, b = field.one(), algebra.a, algebra.b
         self._inv_ab = (a * b).inverse()
-        # the field's float table at START_BITS
-        self._ranges = WalkRanges(field.place_table(), self.a_emb, self.b_emb,
-                                  self.sqrt_a0, order.kappa)
-        self.emb_f = self._ranges.emb_f  # float table of the walk's block values
 
         # Nrd(x) = x0^2 - a x1^2 - b x2^2 + ab x3^2: norm one is D kappa^2 there
         self._norm_form = _IntegerForm(field, {(0, 0): one, (1, 1): -a, (2, 2): -b,
@@ -281,8 +276,9 @@ class Enumerator:
         m_val = iv_sqrt(RatInterval.exact(m_sq), START_BITS).hi
         half_m2 = iv_sqrt(RatInterval.exact(m_sq / 2), START_BITS).hi
         # |x2|, |x3| from v^2 + w^2 <= 2 cosh L via Cauchy-Schwarz
-        vw = iv_sqrt(RatInterval.exact(m_sq) * self._one_plus_inv_b2, START_BITS).hi / 2
-        split = [half_m2, half_m2 * self._inv_sqrt_a0, vw, vw * self._inv_sqrt_a0]
+        ranges = self._ranges
+        vw = iv_sqrt(RatInterval.exact(m_sq) * ranges.one_plus_inv_b2, START_BITS).hi / 2
+        split = [half_m2, half_m2 * ranges.inv_sqrt_a0, vw, vw * ranges.inv_sqrt_a0]
         boxes = [[x] + row for x, row in zip(split, self._ramified_boxes)]
         if max(m_sq, boxes[3][0] ** 2) > DOUBLE_MAX:
             raise InputError(f"radius {float(radius):g} is too large: the walk's "
@@ -307,7 +303,7 @@ class Enumerator:
                 out.add(tuple(n // (2 * t.den) for n in num))
         return sorted(out)
 
-    def run(self, radius, cap_nodes: int = 30_000_000, prefixes=None):
+    def run(self, radius, cap_nodes: int = CAP_NODES, prefixes=None):
         """All congruence elements with ||gamma||_F^2 <= 2 cosh(radius).
 
         One `walkranges.walk` of x0, x1, x2, whose `node_ranges` give each
@@ -328,10 +324,10 @@ class Enumerator:
         d, kappa = self.d, self.kappa
         emb_f = self.emb_f
         ranges = self._ranges
-        tabs = ranges.tables(boxes, m_sq, m_val, coord_bound)
-
-        reps = {}  # block-0 class key -> (coords, float norm bounds) of its representative
+        # the radius cut's floats lo <= m_sq <= hi; hi also bounds the walk's B_s
         cut = (m_sq, *RatInterval.exact(m_sq).as_floats())
+        tabs = ranges.tables(boxes, cut[2], m_val, coord_bound)
+        reps = {}  # block-0 class key -> (coords, float norm bounds) of its representative
         visited = 0
 
         def block_values(c, l):
@@ -561,7 +557,7 @@ class Enumerator:
 
 
 def enumerate_gamma(order: OrderLattice, ideal: IdealHNF, radius,
-                    cap_nodes: int = 30_000_000, enumerator=None, prefixes=None):
+                    cap_nodes: int = CAP_NODES, enumerator=None, prefixes=None):
     """Sorted GeodesicCandidate list for the given displacement radius.
 
     enumerator: an `Enumerator` of (order, ideal) to reuse, else a new one;
@@ -608,7 +604,7 @@ class RadiusSchedule:
 
 def systole_search(order: OrderLattice, ideal: IdealHNF,
                    schedule: RadiusSchedule = RadiusSchedule(5.0, 1.0, 12.0),
-                   cap_nodes: int = 30_000_000,
+                   cap_nodes: int = CAP_NODES,
                    progress=None) -> EnumerationResult:
     """Increasing-radius search until certified or stabilized.
 

@@ -238,16 +238,21 @@ class OrderLattice:
             cong = self._congruence[ideal] = CongruenceIdealLattice(self, ideal)
         return cong
 
-    def in_gamma(self, ideal: IdealHNF, x: QuatElement,
-                 _cong: "CongruenceIdealLattice | None" = None) -> bool:
+    def in_gamma(self, ideal: IdealHNF, x: QuatElement) -> bool:
         """Norm-one and congruent to 1 modulo ideal*self."""
         if not self.is_norm_one(x):
             return False
-        cong = _cong if _cong is not None else self.congruence_lattice(ideal)
-        return cong.contains(x - self.algebra.one())
+        return self.congruence_lattice(ideal).contains(x - self.algebra.one())
 
     def minus_one_in_gamma(self, ideal: IdealHNF) -> bool:
-        return self.in_gamma(ideal, -self.algebra.one())
+        """Whether -1 lies in Gamma(I): exactly when 2 lies in I.
+
+        -1 has norm one, so it lies in Gamma(I) iff -2 lies in I*Q.  Q meets K
+        in O_K (its elements are integral), so at each prime p, Q_p / O_K,p is
+        torsion-free, hence free over the DVR O_K,p: Q_p = O_K,p (+) M.  Then
+        I_p Q_p = I_p (+) I_p M meets O_K,p in I_p, so I*Q meets O_K in I.
+        """
+        return ideal.contains(self.algebra.field.from_rational(2))
 
 
 class CongruenceIdealLattice:
@@ -393,7 +398,7 @@ def verify_trace_norm_containment(order: OrderLattice, ideal: IdealHNF,
     one = order.algebra.one()
     checked = 0
     for x in gamma_elements:
-        if not order.in_gamma(ideal, x, _cong=cong):
+        if not order.in_gamma(ideal, x):
             raise InvariantViolation(f"{x} is not in the congruence group")
         y0 = x.coords[0] - K.one()
         if not target.contains(y0):

@@ -22,15 +22,20 @@ returns (lo, hi) widened by nu[k], the bound on its own float rounding
 (`PlaceTable.widenings`).  A `PlaceTable` holds what depends on the field
 alone; `NumberField.box_walk` runs the rules with the widths of a fixed box
 (`PlaceTable.box_ranges`), and `PlaceTable.vs_two` compares |sigma_s x|
-with 2 in floats under the same rounding model.  For the enumerator,
-`WalkRanges` adds its algebra's constants: `WalkRanges.tables` the per-run
-widenings, and `WalkRanges.block_widths` the widths W_s from per-place
-bounds B_s derived from the blocks already fixed.
-
-At a leaf the last coefficient x3 is recovered in floats under the same
-rounding model: `WalkRanges.leaf_squares` gives x3^2 at each place with a
-derived error bound, and `WalkRanges.leaf_roots` the only integer vectors
+with 2 in floats.  For the enumerator, `WalkRanges` adds its algebra's
+constants: `WalkRanges.tables` the per-run widenings, and
+`WalkRanges.block_widths` the widths W_s from per-place bounds B_s derived
+from the blocks already fixed.  At a leaf the last coefficient x3 is
+recovered in floats: `WalkRanges.leaf_squares` gives x3^2 at each place with
+a derived error bound, and `WalkRanges.leaf_roots` the only integer vectors
 kappa x3 those floats leave, or None where the bound cannot decide.
+
+One rounding model serves every bound (Higham, Accuracy and Stability of
+Numerical Algorithms, 3.1): u = 2^-53, and gamma_n = n u / (1 - n u) bounds
+the relative error of n roundings.  A bound evaluated in floats from
+non-negative terms on float upper bounds, in n < 100 roundings, is at least
+its real value over 1 + gamma_n; times _OWN >= 1 + gamma_100 it is an upper
+bound.  Exact inputs are rounded up once, by `_up`.
 """
 
 from __future__ import annotations
@@ -43,19 +48,10 @@ from fractions import Fraction
 from .errors import InvariantViolation
 from .intervals import RatInterval
 
-_UNIT = Fraction(1, 2 ** 53)
 _U = 2.0 ** -53
-# the leaf bounds are evaluated in floats from non-negative terms (and the
-# sum sqrt(V) + sqrt(V - Delta), a few roundings from its real value) with
-# fewer than 100 roundings each; times 1 + 2^-44 > 1 + gamma_100 they stay upper bounds
-_OWN = 1 + 2.0 ** -44
+_OWN = 1 + 2.0 ** -44  # >= 1 + gamma_100: the rounding model of the module docstring
 # every integer of magnitude at most 2^53 is a float
 _EXACT_INT = 2 ** 53
-
-
-def _gamma(n):
-    """n u / (1 - n u): the relative error of n roundings."""
-    return n * _UNIT / (1 - n * _UNIT)
 
 
 def walk(rows, start, bound, node_ranges, on_node=None):
@@ -98,7 +94,7 @@ def walk(rows, start, bound, node_ranges, on_node=None):
 class WalkTables:
     """Per-run constants: static boxes, error bounds and rule widenings."""
     mf: float          # M >= |u|, |ub| rounded up, the M of B_s
-    m_sq_f: float      # 2 cosh L rounded up
+    m_sq_f: float      # 2 cosh L rounded up, the upper end of the radius cut
     box_up: list       # box_up[l][s]: static box rounded up
     eps: list          # eps[l][s]: error of a float block value
     delta: list        # delta[l][s]: widening of the per-node bound B_s
@@ -112,9 +108,10 @@ class PlaceTable:
 
     `powers[s][m]` encloses theta_s^m and `inverse` is the certified inverse
     embedding matrix.  `emb_f` is the float table of the powers (the sums the
-    rules and the walk form), `emb_q` the same floats as exact rationals and
-    `emb_err` their distance to theta_s^m.  A field keeps one table for its
-    box walks (`NumberField.place_table`); each enumerator's `WalkRanges`
+    rules and the walk form) and `emb_err_f` bounds its distance to
+    theta_s^m.  `gamma[n]` is gamma_n in floats, within one rounding of it,
+    which every rounding count includes.  A field keeps one table for its box
+    walks (`NumberField.place_table`); each enumerator's `WalkRanges`
     extends one with the structure constants of its algebra.
     """
 
@@ -122,48 +119,46 @@ class PlaceTable:
         d = len(powers)
         self.d = d
         self.emb_f = [[float(p.mid) for p in row] for row in powers]
-        self.emb_q = [[Fraction(f) for f in row] for row in self.emb_f]
-        self.emb_err = [[max(abs(q - p.lo), abs(q - p.hi)) for q, p in zip(qrow, prow)]
-                        for qrow, prow in zip(self.emb_q, powers)]
-        self.emb_err_f = [[_up(e) for e in row] for row in self.emb_err]
+        emb_q = [[Fraction(f) for f in row] for row in self.emb_f]
+        self.emb_err_f = [[_up(max(abs(q - p.lo), abs(q - p.hi))) for q, p in zip(qrow, prow)]
+                          for qrow, prow in zip(emb_q, powers)]
         self.einv_up = [[_up(max(abs(e.lo), abs(e.hi))) for e in row] for row in inverse]
-        lead = [row[d - 1] for row in self.emb_q]
-        if any(e == 0 for e in lead):
-            raise InvariantViolation("zero leading embedding power")
         self.lead = [row[d - 1] for row in self.emb_f]
-        self.inv_lead = [float(1 / e) for e in lead]
+        if not all(self.lead):
+            raise InvariantViolation("zero leading embedding power")
+        self.inv_lead = [1 / e for e in self.lead]
         # eliminating a block's last coordinate leaves, for each pair of places,
         # a slope difference 1/theta_s - 1/theta_t; taken exactly from the
         # rational table, so its sign is certain, and nonzero as the theta_s differ
         self.pairs = []
-        self.pair_inv_g = []
+        self.pair_inv_g = []  # |1/g| rounded up
         if d >= 2:
-            slope = [row[d - 2] / e for row, e in zip(self.emb_q, lead)]
+            slope = [row[d - 2] / row[d - 1] for row in emb_q]
             for s, t in itertools.combinations(range(d), 2):
                 g = slope[s] - slope[t]
                 if g == 0:
                     raise InvariantViolation("two places share a slope")
                 self.pairs.append((s, t, float(1 / g)))
-                self.pair_inv_g.append(abs(1 / g))
+                self.pair_inv_g.append(_up(abs(1 / g)))
         self.einv = [_mid_and_error(row) for row in inverse]
-        self.gamma = [float(_gamma(n)) for n in range(d + 6)]  # gamma_n as floats
+        self.gamma = [n * _U / (1 - n * _U) for n in range(2 * d + 6)]
 
     def widenings(self, lam):
         """nu[k]: the rounding widening of the rule of coordinate k.
 
-        lam[s] bounds every magnitude a rule meets at place s (its prefix sums,
-        the widths W_s and their (1 + O(u)) factors); each endpoint is a fixed
-        expression in them, so nu is gamma of its rounding count times the
-        endpoint's absolute-value counterpart (`WalkRanges.tables`).
+        lam[s] is a float upper bound on every magnitude a rule meets at place
+        s (its prefix sums, the widths W_s and their (1 + O(u)) factors); each
+        endpoint is a fixed expression in them, so nu is gamma of its rounding
+        count times the endpoint's absolute-value counterpart
+        (`WalkRanges.tables`), in at most d + 4 roundings of its own.
         """
-        d = self.d
-        lead = [row[d - 1] for row in self.emb_q]
-        reach = [x / abs(e) for x, e in zip(lam, lead)]
-        nu_slice = _up(_gamma(d + 3) * max(reach))
-        nu_pair = _up(_gamma(d + 5) * max(
-            ((reach[s] + reach[t]) * inv_g
-             for (s, t, _), inv_g in zip(self.pairs, self.pair_inv_g)), default=0))
-        nu_sum = [_up(_gamma(2 * d + 1) * sum(e * x for e, x in zip(self.einv_up[k], lam)))
+        d, g = self.d, self.gamma
+        reach = [x / abs(e) for x, e in zip(lam, self.lead)]
+        nu_slice = g[d + 3] * max(reach) * _OWN
+        nu_pair = g[d + 5] * max(((reach[s] + reach[t]) * inv_g
+                                  for (s, t, _), inv_g in zip(self.pairs, self.pair_inv_g)),
+                                 default=0.0) * _OWN
+        nu_sum = [g[2 * d + 1] * sum(e * x for e, x in zip(self.einv_up[k], lam)) * _OWN
                   for k in range(d - 2)]
         return nu_sum + [nu_pair, nu_slice][-d:]
 
@@ -187,15 +182,20 @@ class PlaceTable:
 
         The walk's points x = sum_m c_m theta^m have |c_m| <= bound[m] (its
         static range), so |sum_m c_m emb_f[s][m] - sigma_s x| <= sum_m bound[m]
-        emb_err[s][m], and W_s = limits[s] plus that sum holds every point of
+        emb_err_f[s][m], and W_s = limits[s] plus that sum holds every point of
         the box.  The rules' magnitudes are lam = 2 (mag + W), mag[s] bounding
-        sum_m |c_m emb_f[s][m]|, as in `WalkRanges.tables`.
+        sum_m |c_m emb_f[s][m]|, as in `WalkRanges.tables`; W_s and mag take
+        d + 2 roundings, lam two more.  Raises OverflowError for a box whose
+        constants leave the double range.
         """
-        widths = [limit + sum(b * e for b, e in zip(bound, row))
-                  for limit, row in zip(limits, self.emb_err)]
-        mag = [sum(b * abs(q) for b, q in zip(bound, row)) for row in self.emb_q]
-        return ([_up(w) for w in widths],
-                self.widenings([2 * (m + w) for m, w in zip(mag, widths)]))
+        bound = [_up(b) for b in bound]
+        widths = [(_up(limit) + sum(b * e for b, e in zip(bound, row))) * _OWN
+                  for limit, row in zip(limits, self.emb_err_f)]
+        mag = [sum(b * abs(f) for b, f in zip(bound, row)) * _OWN for row in self.emb_f]
+        nu = self.widenings([2 * (m + w) * _OWN for m, w in zip(mag, widths)])
+        if not all(map(math.isfinite, widths + nu)):
+            raise OverflowError("the box's float constants leave the double range")
+        return widths, nu
 
     def vs_two(self, num, s):
         """Sign of |sigma_s x| - 2 for x = sum_m num[m] theta^m, or None if the
@@ -203,7 +203,7 @@ class PlaceTable:
 
         X = sum_m num[m] emb_f[s][m] takes d products and d - 1 additions,
         exact in its inputs while every |num[m]| <= 2^53, so |X - sigma_s x| <=
-        E = sum_m |num[m]| emb_err[s][m] + gamma_d sum_m |num[m] emb_f[s][m]|;
+        E = sum_m |num[m]| emb_err_f[s][m] + gamma_d sum_m |num[m] emb_f[s][m]|;
         E is formed from non-negative terms and rounded up by _OWN.  Rounding
         is monotone and 2 is a float, so fl(|X| + E) < 2 proves |sigma_s x| < 2
         and fl(|X| - E) > 2 proves |sigma_s x| > 2.  Never 0: |sigma_s x| = 2
@@ -228,34 +228,38 @@ class WalkRanges(PlaceTable):
     """Field and algebra data of the per-node ranges for one enumerator.
 
     `table` is the field's `PlaceTable`, whose data it shares; `a_emb`,
-    `b_emb` and `sqrt_a0` enclose the structure constants.
+    `b_emb` and `sqrt_a0` enclose the structure constants.  Their exact
+    derived constants, read by the enumerator's boxes too (`Enumerator._boxes`),
+    are formed here once: `a_abs`, `b_abs`, `inv_sqrt_a0`, `one_plus_inv_b2`.
     """
 
     def __init__(self, table, a_emb, b_emb, sqrt_a0, kappa):
         vars(self).update(vars(table))
         self.kappa = kappa
+        unit = RatInterval.exact(1)
+        self.a_abs = [x.abs() for x in a_emb]
+        self.b_abs = [x.abs() for x in b_emb]
+        self.inv_sqrt_a0 = (unit / sqrt_a0).hi
+        self.one_plus_inv_b2 = unit + unit / (b_emb[0] * b_emb[0])
         # directed float constants of the per-node bounds
-        a_abs = [x.abs() for x in a_emb]
-        b_abs = [x.abs() for x in b_emb]
-        self.a_hi = [x.hi for x in a_abs]
-        self.a_lo_f = [_down(x.lo) for x in a_abs]
-        self.ra_f = [_up(1 / x.lo) for x in a_abs]
-        self.rb_f = [_up(1 / x.lo) for x in b_abs]
-        self.ra0_f = _up(1 / sqrt_a0.lo)
-        self.cb_f = _up((RatInterval.exact(1) / (b_emb[0] * b_emb[0])).hi + 1)
+        self.a_hi_f = [_up(x.hi) for x in self.a_abs]
+        self.a_lo_f = [_down(x.lo) for x in self.a_abs]
+        self.ra_f = [_up(1 / x.lo) for x in self.a_abs]
+        self.rb_f = [_up(1 / x.lo) for x in self.b_abs]
+        self.ra0_f = _up(self.inv_sqrt_a0)
+        self.cb_f = _up(self.one_plus_inv_b2.hi)
         # leaf recovery: float tables of a and b and their distance to the truth
         self.a_f, self.ea = _mid_and_error(a_emb)
         self.b_f, self.eb = _mid_and_error(b_emb)
         (self.ra0_mid,), (self.ra0_err,) = _mid_and_error([sqrt_a0])
 
-    def tables(self, boxes, m_sq, m_val, coord_bound) -> WalkTables:
-        """Per-run constants for the static boxes and the bound M = m_val on |u|, |ub|.
+    def tables(self, boxes, m_sq_f, m_val, coord_bound) -> WalkTables:
+        """Per-run constants for the static boxes, 2 cosh L <= m_sq_f (a float)
+        and the bound M = m_val on |u|, |ub|.
 
-        Rounding model: u = 2^-53, gamma_n = n u / (1 - n u) bounds the
-        relative error of n roundings, and a float sum of products is within
-        gamma_n of its exact value times the sum of the absolute values of its
-        terms.  The walk's coordinates obey |c_j| <= coord_bound[j] (the
-        static range is exact), so every such sum is bounded by a run constant:
+        The walk's coordinates obey |c_j| <= coord_bound[j] (the static range
+        is exact), so each float sum of products in it, within gamma_n of its
+        absolute-value counterpart, is bounded by a run constant:
 
         * eps[l][s] bounds |X - sigma_s(x_l)| for a float block value X of the
           walk (d products, d - 1 additions, one division), counting the table
@@ -276,48 +280,45 @@ class WalkRanges(PlaceTable):
           sums and the W_s; nu_* is gamma of its rounding count times its
           absolute-value counterpart, with magnitudes lam = 2 (mag + W) that
           absorb every (1 + O(u)) factor on them.
+
+        Each is formed in floats under the module's rounding model, in at most
+        these roundings (d <= 12): mag d + 1, eps d + 4, delta 20, width0 3,
+        lam 4, nu d + 4 more; gamma_n comes before each square, so nothing
+        overflows where the boxes fit.
         """
-        d, kappa = self.d, self.kappa
-        emb_q = self.emb_q
-        mag = [[sum(coord_bound[l * d + m] * abs(emb_q[s][m]) for m in range(d))
-                for s in range(d)] for l in range(3)]
-        eps = [[(sum(coord_bound[l * d + m] * self.emb_err[s][m] for m in range(d))
-                 + _gamma(d + 2) * mag[l][s]) / kappa for s in range(d)] for l in range(3)]
-        ymax = [[(1 + _gamma(d + 2)) * x / kappa for x in row] for row in mag[:2]]
-        box_up = [[_up(boxes[l][s]) for s in range(d)] for l in range(3)]
-        cap = [[Fraction(x) for x in row] for row in box_up]
+        d, kappa, g = self.d, self.kappa, self.gamma
+        bound = [[_up(b) for b in coord_bound[l * d:(l + 1) * d]] for l in range(3)]
+        box_up = [[_up(x) for x in row] for row in boxes[:3]]
         mf = _up(m_val)
-        m_sq_f = _up(m_sq)
-
-        unit = _UNIT
-        beta = [[Fraction(0)] * d for _ in range(3)]
-        # block 1, split place: (M - y0) / sqrt(a), two roundings
-        beta[1][0] = 3 * unit * (Fraction(mf) + ymax[0][0]) * Fraction(self.ra0_f)
-        # block 2, split place: (M^2 - 2 y0^2 - 2 a y1^2) (1 + 1/b^2), six roundings
-        beta[2][0] = (_sqrt_up(_gamma(6) * (Fraction(m_sq_f) + 2 * ymax[0][0] ** 2
-                                            + 2 * self.a_hi[0] * ymax[1][0] ** 2)
-                               * Fraction(self.cb_f)) / 2 + 2 * unit * cap[2][0])
+        mag = [[sum(b * abs(f) for b, f in zip(blk, row)) * _OWN for row in self.emb_f]
+               for blk in bound]
+        eps = [[(sum(b * e for b, e in zip(blk, err)) + g[d + 2] * x) / kappa * _OWN
+                for x, err in zip(row, self.emb_err_f)] for blk, row in zip(bound, mag)]
+        y0, y1 = ([(1 + g[d + 2]) * x / kappa for x in row] for row in mag[:2])
+        # beta[l][s]: the widening of B_s beyond eps, block 0 having none
+        gc = g[6] * self.cb_f
+        beta = [[0.0] * d,
+                # block 1, split place: (M - y0) / sqrt(a), two roundings
+                [3 * _U * (mf + y0[0]) * self.ra0_f],
+                # block 2, split place: (M^2 - 2 y0^2 - 2 a y1^2) (1 + 1/b^2), six roundings
+                [0.5 * math.sqrt(gc * m_sq_f + 2 * gc * y0[0] * y0[0]
+                                 + 2 * gc * self.a_hi_f[0] * y1[0] * y1[0])
+                 + 2 * _U * box_up[2][0]]]
         for s in range(1, d):
-            # (1 - y0^2) / |a|, three roundings
-            beta[1][s] = (_sqrt_up(_gamma(3) * (1 + ymax[0][s] ** 2) * Fraction(self.ra_f[s]))
-                          + 2 * unit * cap[1][s])
-            # (1 - y0^2 - |a| y1^2) / |b|, six roundings
-            beta[2][s] = (_sqrt_up(_gamma(6) * (1 + ymax[0][s] ** 2
-                                                + self.a_hi[s] * ymax[1][s] ** 2)
-                                   * Fraction(self.rb_f[s])) + 2 * unit * cap[2][s])
-        delta = [[e + b + 3 * unit * (c + e + b) for e, b, c in zip(eps[l], beta[l], cap[l])]
-                 for l in range(3)]
-        width0 = [kappa * (boxes[0][s] + eps[0][s]) for s in range(d)]
-        lam = [[2 * (mag[l][s] + (width0[s] if l == 0 else kappa * (cap[l][s] + delta[l][s])))
-                for s in range(d)] for l in range(3)]
-
-        return WalkTables(
-            mf=mf, m_sq_f=m_sq_f, box_up=box_up,
-            eps=[[_up(x) for x in row] for row in eps],
-            delta=[[_up(x) for x in row] for row in delta],
-            width0=[_up(x) for x in width0],
-            nu=[self.widenings(row) for row in lam],
-            v0_max=_up(boxes[3][0] ** 2))
+            # (1 - y0^2) / |a|, three roundings; (1 - y0^2 - |a| y1^2) / |b|, six
+            ga, gb = g[3] * self.ra_f[s], g[6] * self.rb_f[s]
+            beta[1].append(math.sqrt(ga + ga * y0[s] * y0[s]) + 2 * _U * box_up[1][s])
+            beta[2].append(math.sqrt(gb + gb * y0[s] * y0[s]
+                                     + gb * self.a_hi_f[s] * y1[s] * y1[s])
+                           + 2 * _U * box_up[2][s])
+        delta = [[(e + b + 3 * _U * (c + e + b)) * _OWN
+                  for e, b, c in zip(eps[l], beta[l], box_up[l])] for l in range(3)]
+        width0 = [kappa * (c + e) * _OWN for c, e in zip(box_up[0], eps[0])]
+        lam = [[2 * (m + (w if l == 0 else kappa * (c + e))) * _OWN
+                for m, w, c, e in zip(mag[l], width0, box_up[l], delta[l])] for l in range(3)]
+        return WalkTables(mf=mf, m_sq_f=m_sq_f, box_up=box_up, eps=eps, delta=delta,
+                          width0=width0, nu=[self.widenings(row) for row in lam],
+                          v0_max=_up(boxes[3][0] ** 2))
 
     def block_widths(self, l, x_places, tabs):
         """Widths W_s = kappa (B_s + delta) of block l >= 1 at the current node.
@@ -436,14 +437,15 @@ class WalkRanges(PlaceTable):
             beta.append(kappa * acc * _OWN)
         if any(b >= 0.5 for b in beta):
             return None
+        # F[m][s] R_s once per leaf; flipping its sign per pattern is exact
+        terms = [[f * r for f, r in zip(f_row, roots)] for f_row, _e in self.einv]
         out = []
         for signs in itertools.product((1.0, -1.0), repeat=self.d - 1):
-            signed = [r * sg for r, sg in zip(roots, (1.0,) + signs)]
             cand = []
-            for (f_row, _e), b in zip(self.einv, beta):
+            for row, b in zip(terms, beta):
                 acc = 0.0
-                for f, x in zip(f_row, signed):
-                    acc += f * x
+                for t, sg in zip(row, (1.0,) + signs):
+                    acc += sg * t
                 c = kappa * acc
                 k = round(c)
                 if abs(c - k) > b:
@@ -560,11 +562,3 @@ def _up(x) -> float:
 def _down(x) -> float:
     """The greatest float <= x."""
     return RatInterval.exact(x).as_floats()[0]
-
-
-def _sqrt_up(x: Fraction) -> float:
-    """A float >= sqrt(x), checked exactly."""
-    r = math.sqrt(float(x))
-    while Fraction(r) ** 2 < x:
-        r = math.nextafter(r, math.inf)
-    return r

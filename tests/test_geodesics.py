@@ -225,7 +225,7 @@ def walk(QH, K):
     enum = Enumerator(QH, K.whole_ring())
     boxes, m_sq, m_val = enum._boxes(3.0)
     bounds = enum._coord_bounds(boxes)
-    return enum, bounds, enum._ranges.tables(boxes, m_sq, m_val, bounds)
+    return enum, bounds, enum._ranges.tables(boxes, _up(m_sq), m_val, bounds)
 
 
 def _block_values(enum, c):
@@ -239,10 +239,15 @@ def _block_values(enum, c):
     return vals
 
 
+def _emb_q(enum):
+    """The walk's float table of theta_s^m as exact rationals."""
+    return [[Fraction(f) for f in row] for row in enum.emb_f]
+
+
 def _last_coordinate_interval(enum, prefix_and_c, widths):
     """Exact real interval of the last coordinate, or None when it is empty."""
     lo, hi = None, None
-    for row, w in zip(enum._ranges.emb_q, widths):
+    for row, w in zip(_emb_q(enum), widths):
         a = sum(c * row[m] for m, c in enumerate(prefix_and_c))
         e = row[enum.d - 1]
         x, y = sorted(((-Fraction(w) - a) / e, (Fraction(w) - a) / e))
@@ -253,7 +258,7 @@ def _last_coordinate_interval(enum, prefix_and_c, widths):
 
 def _exact_pair_interval(enum, prefix, widths):
     """Exact projection of the last two coordinates' region onto the first of them."""
-    d, q = enum.d, enum._ranges.emb_q
+    d, q = enum.d, _emb_q(enum)
     alpha = [sum(c * row[m] for m, c in enumerate(prefix)) / row[d - 1] for row in q]
     slope = [row[d - 2] / row[d - 1] for row in q]
     half = [Fraction(w) / abs(row[d - 1]) for w, row in zip(widths, q)]
@@ -547,7 +552,7 @@ def test_search_enumerates_once_per_radius_and_keeps_precision(QH, P7, monkeypat
     runs, built = [], []
     run_once, init_once = Enumerator.run, Enumerator.__init__
 
-    def counting_run(self, radius, cap_nodes=30_000_000, prefixes=None):
+    def counting_run(self, radius, cap_nodes=geodesics.CAP_NODES, prefixes=None):
         runs.append((radius, "pinned" if prefixes is not None else "full"))
         return run_once(self, radius, cap_nodes, prefixes)
 
@@ -583,7 +588,7 @@ def leaf_walk(QH, K, ring3):
     enum = Enumerator(QH, K.whole_ring())
     boxes, m_sq, m_val = enum._boxes(7.0)
     bounds = enum._coord_bounds(boxes)
-    tabs = enum._ranges.tables(boxes, m_sq, m_val, bounds)
+    tabs = enum._ranges.tables(boxes, _up(m_sq), m_val, bounds)
     group = [c.element for c in ring3[0]]
     group += [x.conj() for x in group]
     group += [x * y for x in group[:12] for y in group]

@@ -6,7 +6,7 @@ import pytest
 
 from quatsys import lattice
 from quatsys.errors import InputError, InvariantViolation
-from quatsys.numfield import IdealHNF
+from quatsys.numfield import IdealHNF, factor_rational_prime
 from quatsys.orders import (OrderLattice, _combine, hurwitz_j_prime, hurwitz_order,
                             scaled_row, standard_order, verify_trace_norm_containment)
 from quatsys.quatalg import QuatElement
@@ -128,6 +128,22 @@ def test_gamma_membership_of_center(QH, D, P7, P2, P13s):
     assert not QH.minus_one_in_gamma(P7)
     assert QH.minus_one_in_gamma(P2)
     assert not QH.minus_one_in_gamma(P13s[0])
+
+
+def test_minus_one_in_gamma_is_two_in_the_ideal(QH, O_std, B6, Q2max):
+    # against the lattice query in_gamma(I, -1), at the whole ring and at p,
+    # p^2 and p^3 for every prime p above 2, 3, 5, 7 and 13
+    verdicts = []
+    for order in (QH, O_std, B6, Q2max):
+        field, minus = order.algebra.field, -order.algebra.one()
+        ideals = [field.whole_ring()]
+        for q in (2, 3, 5, 7, 13):
+            for prime, _e, _f in factor_rational_prime(field, q):
+                ideals += [prime, prime * prime, prime * prime * prime]
+        for ideal in ideals:
+            verdicts.append(order.minus_one_in_gamma(ideal))
+            assert verdicts[-1] == order.in_gamma(ideal, minus), (order.name, str(ideal))
+    assert len(verdicts) == 79 and set(verdicts) == {True, False}
 
 
 def test_trace_norm_containment_random(QH, P7, P2):
