@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CapExceeded, InputError, InvariantViolation
 from .intervals import START_BITS, RatInterval, iv_acosh, iv_log, iv_pi, iv_pow, iv_sqrt, refine
@@ -23,8 +23,7 @@ from .numfield import IdealHNF, abs_vs_two
 from .orders import OrderLattice, hurwitz_preset
 
 
-@dataclass
-class GeometryContext:
+class GeometryContext(NamedTuple):
     """Everything the surface-level evaluators need about the base quotient."""
 
     order: OrderLattice
@@ -81,8 +80,7 @@ def trace_bound_pair(ctx: GeometryContext, ideal: IdealHNF):
     return sharp, coarse
 
 
-@dataclass
-class TraceCosetMinimum:
+class TraceCosetMinimum(NamedTuple):
     """Least |sigma_0(t)| over the traces a hyperbolic element of Gamma(I) can have.
 
     traces: the minimisers t* (t and -t when both lie in 2 + I^2).
@@ -347,8 +345,7 @@ def v3_enclosure() -> RatInterval:
     return total + RatInterval(0, Fraction(1, 36 ** count))
 
 
-@dataclass
-class KleinianReport:
+class KleinianReport(NamedTuple):
     norm_i: int
     lambda_value: Fraction
     base_simplicial_volume: Fraction

@@ -11,6 +11,7 @@ exhaustion, 3 violated invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -71,7 +72,9 @@ def _global_flags(parser, defaults: bool):
                         help="also print the asymptotic-form strings (display only)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = _Parser(prog="quatsys", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     _global_flags(p, defaults=True)

@@ -102,8 +102,8 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import CAP_NODES, compare_abs0, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
@@ -122,8 +122,7 @@ MAX_RADII = 10_000
 LEAF_COUNTERS = ("leaves", "float_rejected", "float_candidates", "fallbacks", "field_sqrt")
 
 
-@dataclass
-class GeodesicCandidate:
+class GeodesicCandidate(NamedTuple):
     element: QuatElement
     trace: FieldElement
     abs_trace: float
@@ -139,8 +138,7 @@ class GeodesicCandidate:
         return f"trace={self.trace} abs_trace={self.abs_trace:.6f} {kind}"
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     ideal_hnf: str
     ideal_norm: int
     radius: float
@@ -569,8 +567,7 @@ def enumerate_gamma(order: OrderLattice, ideal: IdealHNF, radius,
     return cands, visited
 
 
-@dataclass
-class RadiusSchedule:
+class RadiusSchedule(NamedTuple):
     """The radii start + k step for k = 0, 1, ..., up to stop plus 1e-9 of a step."""
 
     start: float

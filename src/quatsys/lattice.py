@@ -85,21 +85,21 @@ def det_upper_triangular(mat) -> int:
 def solve_triangular(mat, vec):
     """Integer coordinates n with n @ mat == vec, or None.
 
-    `mat` must be a full-rank square row HNF (upper triangular), so row j is
-    the only row with a nonzero entry in column j among rows >= j; eliminate
-    columns left to right.
+    `mat` must be a row HNF.  Row j pivots in column j when mat[j][j] != 0,
+    as in every row of a full-rank square one (upper triangular), and
+    otherwise in its first nonzero column, which lies right of j; so
+    eliminating by rows in order clears each pivot column once.
     """
-    n = len(mat)
     vec = list(map(int, vec))
-    coords = [0] * n
-    for j in range(n):
-        r = vec[j]
-        if r % mat[j][j] != 0:
+    coords = [0] * len(mat)
+    for j, row in enumerate(mat):
+        col = j if row[j] else next(k for k, x in enumerate(row) if x)
+        r, p = vec[col], row[col]
+        if r % p:
             return None
-        c = r // mat[j][j]
-        coords[j] = c
+        c = coords[j] = r // p
         if c:
-            vec = [a - c * b for a, b in zip(vec, mat[j])]
+            vec = [a - c * b for a, b in zip(vec, row)]
     if any(vec):
         return None
     return coords

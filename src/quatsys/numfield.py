@@ -602,6 +602,11 @@ class IdealHNF:
     def is_whole_ring(self) -> bool:
         return self.norm == 1
 
+    def residue_characteristic(self) -> int:
+        """The rational prime l below a prime ideal: O_K/p is elementary
+        abelian of exponent l, so every HNF diagonal entry is 1 or l."""
+        return max(self.mat[i][i] for i in range(self.field.degree))
+
     def __repr__(self):
         return f"IdealHNF(norm={self.norm}, mat={[list(r) for r in self.mat]})"
 

@@ -3,18 +3,22 @@
 An order is stored over the scaled standard basis (1/kappa) * {1,i,j,ij} x
 (power basis of K), with kappa the least positive integer clearing all
 denominators of the supplied basis.  Construction never trusts its input:
-module generators are closed under multiplication until the lattice
-stabilizes, and the last closure pass multiplied every pair of basis
-elements of the final lattice.
+the O_K-module spanned by the generators is closed under multiplication
+pass by pass.  A pass multiplies every pair of basis rows on the algebra's
+integer multiplication table (`QuaternionAlgebra.mul_table`), with no
+quaternion arithmetic; when every product solves against the lattice, that
+pass is the closure certificate, and otherwise the lattice is re-spanned
+with the products.
 
 Order-level tables: the structure constants, the involution, the norm form
 and the identity over the order's own basis are tuples of Python integers
-that depend on the order alone.  The constructor builds them
-(`OrderLattice.tables`) from that pass's products and certifies the order
-from them: it contains 1, is closed under multiplication and the standard
-involution, has integral reduced traces and norms, and kappa | 2ab.  Every
-finite quotient and congruence lattice of the order reads the same tables,
-and so does the maximality test on its discriminant (`nonmaximal_primes`).
+that depend on the order alone.  The structure constants are the
+certifying pass's solutions; the constructor builds the others
+(`OrderLattice.tables`) and certifies the order from them: it contains 1,
+is closed under multiplication and the standard involution, has integral
+reduced traces and norms, and kappa | 2ab.  Every finite quotient and
+congruence lattice of the order reads the same tables, and so does the
+maximality test on its discriminant (`nonmaximal_primes`).
 
 Congruence structure: for an ideal I of the center, I*Q is the two-sided
 ideal spanned by products of an ideal basis with an order basis, and the
@@ -28,9 +32,9 @@ integer lattice solves, hence exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 from . import lattice
 from .errors import InputError, InvariantViolation
@@ -63,8 +67,7 @@ def unflatten(algebra: QuaternionAlgebra, row, den: int = 1) -> QuatElement:
                                  for l in range(4)])
 
 
-@dataclass(frozen=True)
-class OrderTables:
+class OrderTables(NamedTuple):
     """Integer tables of an order over its basis w_0 .. w_{n-1}, as tuples of ints.
 
     struct[a][b]       coordinates of w_a * w_b
@@ -89,12 +92,9 @@ class OrderLattice:
         self.generators = generators = tuple(generators)
         self.name = name or "order"
         kappa, mat = _module_span(algebra, generators)
-        # `_hnf_span` is canonical, so the span stops growing when it repeats
         for _ in range(_MAX_CLOSE_ITERS):
-            basis = [unflatten(algebra, row, kappa) for row in mat]
-            products = [w1 * w2 for w1 in basis for w2 in basis]
-            span = _hnf_span(algebra, basis + products)
-            if span == (kappa, mat):
+            struct, span = _closure_pass(algebra, kappa, mat)
+            if struct is not None:
                 break
             kappa, mat = span
         else:
@@ -107,7 +107,7 @@ class OrderLattice:
             raise InvariantViolation("order lattice lost rank during normalization")
         if not self.contains(algebra.one()):
             raise InputError("generators span a ring without 1: order does not contain 1")
-        tables = _build_tables(self, basis, products)
+        tables = _build_tables(self, struct)
         self._certify(tables)
         self.tables = tables
         self._congruence = {}  # ideal -> CongruenceIdealLattice
@@ -420,13 +420,12 @@ def verify_trace_norm_containment(order: OrderLattice, ideal: IdealHNF,
 # ---------------------------------------------------------------------------
 
 
-def _build_tables(order: OrderLattice, basis, products) -> OrderTables:
-    """The order's tables from `products` = [w_a * w_b for w_a, w_b in basis].
+def _build_tables(order: OrderLattice, struct) -> OrderTables:
+    """The order's tables from its structure constants `struct`.
 
-    `basis` is the order's basis (the rows of `mat` over kappa).  A table
-    with an entry outside the order raises `InvariantViolation`, so the
-    tables exist only for a lattice that contains 1 and is closed under
-    multiplication and under the involution.
+    A table with an entry outside the order raises `InvariantViolation`, so
+    the tables exist only for a lattice that contains 1 and is closed under
+    the involution; `struct` exists only for one closed under multiplication.
     """
     n, d = order.dim, order.algebra.field.degree
 
@@ -437,9 +436,8 @@ def _build_tables(order: OrderLattice, basis, products) -> OrderTables:
         return tuple(tuple(r) for r in rows)
 
     (one,) = table([order.algebra.one()], "order does not contain 1")
-    flat = table(products, "order is not closed under multiplication")
-    struct = tuple(flat[a * n:(a + 1) * n] for a in range(n))
-    invol = table([w.conj() for w in basis], "order is not closed under the involution")
+    invol = table([w.conj() for w in order.basis_elements()],
+                  "order is not closed under the involution")
     # w_a * conj(w_b) = sum_c invol[b][c] w_a w_c, and the first d scaled
     # standard coordinates of an element are kappa times its 1-component
     head = [row[:d] for row in order.mat]
@@ -457,6 +455,41 @@ def _combine(coeffs, rows) -> list:
         if c:
             out = [x + c * y for x, y in zip(out, row)]
     return out
+
+
+def _closure_pass(algebra, kappa, mat):
+    """One closure pass over the lattice spanned by the rows of `mat` over kappa.
+
+    Forms kappa^2 w_a w_b for every pair of basis rows on the algebra's
+    integer multiplication table (`QuaternionAlgebra.mul_table`).  When each
+    is kappa times a vector that solves against `mat`, every product lies in
+    the lattice, which is then closed: the pass returns its structure
+    constants (struct, None).  Otherwise it returns (None, (kappa', mat')),
+    the canonical span of the rows and the products as in `_hnf_span`: the
+    least kappa' that makes it integral is kappa^2 over the gcd of kappa^2
+    and the content of the span's HNF at scale kappa^2.
+    """
+    n = 4 * algebra.field.degree
+    table = algebra.mul_table
+    products = []
+    for row in mat:
+        left = _combine(row, table)  # left[q n + c]: coordinate c of kappa w_a e_q
+        left = [left[q * n:(q + 1) * n] for q in range(n)]
+        products.extend(_combine(other, left) for other in mat)
+    closed = []
+    for vec in products:
+        if any(x % kappa for x in vec):
+            break
+        coords = lattice.solve_triangular(mat, [x // kappa for x in vec])
+        if coords is None:
+            break
+        closed.append(tuple(coords))
+    else:
+        m = len(mat)
+        return tuple(tuple(closed[a * m:(a + 1) * m]) for a in range(m)), None
+    span = lattice.hnf([[kappa * x for x in row] for row in mat] + products, n)
+    g = gcd(kappa * kappa, lattice.content(span))
+    return None, (kappa * kappa // g, tuple(tuple(x // g for x in row) for row in span))
 
 
 def _module_span(algebra, generators):

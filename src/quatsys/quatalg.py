@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import lattice
 from .errors import InputError, InvariantViolation
@@ -31,6 +31,15 @@ from .numfield import (FieldElement, IdealHNF, NumberField, factor_ideal,
 
 SPLIT = "split"
 RAMIFIED = "ramified"
+
+# u_l u_n = sign * c * u_s for u = (1, i, j, ij), as (s, sign, c) with c an
+# index into (1, a, b, ab): i^2 = a, j^2 = b, ji = -ij
+_UNIT_PRODUCTS = (
+    ((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)),
+    ((1, 1, 0), (0, 1, 1), (3, 1, 0), (2, 1, 1)),
+    ((2, 1, 0), (3, -1, 0), (0, 1, 2), (1, -1, 2)),
+    ((3, 1, 0), (2, -1, 1), (1, 1, 2), (0, -1, 3)),
+)
 
 
 class QuaternionAlgebra:
@@ -82,6 +91,41 @@ class QuaternionAlgebra:
 
     def __repr__(self):
         return f"QuaternionAlgebra(a={self.a}, b={self.b} over {self.field.name})"
+
+    @functools.cached_property
+    def mul_table(self) -> tuple:
+        """The integer multiplication table of the standard basis.
+
+        e_{l d + k} = theta^k u_l with u = (1, i, j, ij), the basis that
+        orders scale by 1/kappa.  Row p is the concatenation over q of the
+        coordinates of e_p e_q: entry q n + r (n = 4d) is coordinate r of
+        e_p e_q.  For e_q = theta^m u_n, e_p e_q = c theta^(k + m) u_s with
+        u_l u_n = c u_s and c one of 1, a, b, ab up to sign
+        (`_UNIT_PRODUCTS`); a and b are integral, so every entry is an
+        integer.  Built once per algebra.
+        """
+        K, theta = self.field, self.field.gen()
+        d = K.degree
+        n = 4 * d
+        # c theta^t for t = 0 .. 2d - 2, for c = 1, a, b, ab
+        powers = []
+        for c in (K.one(), self.a, self.b, self.ab):
+            row = []
+            for _ in range(2 * d - 1):
+                row.append(c.num)
+                c = c * theta
+            powers.append(row)
+        table = []
+        for l in range(4):
+            for k in range(d):
+                row = []
+                for s, sign, const in _UNIT_PRODUCTS[l]:
+                    for m in range(d):
+                        vec = [0] * n
+                        vec[s * d:(s + 1) * d] = [sign * x for x in powers[const][k + m]]
+                        row.extend(vec)
+                table.append(tuple(row))
+        return tuple(table)
 
     # -- ramification at the real places ---------------------------------
 
@@ -163,8 +207,7 @@ class QuaternionAlgebra:
         )
 
 
-@dataclass
-class RamificationReport:
+class RamificationReport(NamedTuple):
     real_ramified: list
     finite_ramified: list
     norm_bound: int
@@ -198,8 +241,7 @@ def _residue_symbol(c: FieldElement, prime: IdealHNF) -> int:
     is prime to l, and c t^2 D^2 is integral.
     """
     K = prime.field
-    # O_K/p is elementary abelian: every HNF diagonal entry is 1 or l
-    ell = max(prime.mat[i][i] for i in range(K.degree))
+    ell = prime.residue_characteristic()
     k, den = 0, c.denominator()
     while den % ell == 0:
         k, den = k + 1, den // ell

@@ -40,9 +40,9 @@ operations in place of the |R|^4 residues.  The count works in five steps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from . import lattice
 from .errors import CapExceeded, InputError, InvariantViolation
@@ -305,29 +305,58 @@ class _ResidueRing:
 def _residue_basis(order: OrderLattice, prime: IdealHNF) -> list:
     """Four order-basis indices a whose O_K w_a span Q together with pQ.
 
-    Greedy over the basis: w_a is kept when it lowers the HNF index of the
-    span; each kept vector lowers it by a factor q, and the index must end
-    at 1.  By Nakayama the four are then an R-basis of Q/p^tQ for every t.
+    pQ contains lQ, l the rational prime below p, so every lattice L
+    between them has [Q : L] = l^(4d - r), r the rank over F_l of its rows
+    reduced mod l.  Greedy over the basis: w_a is kept when its O_K-span
+    raises that rank, which lowers the index (by a factor q); one HNF of
+    index 1 certifies the four kept.  By Nakayama they are then an R-basis
+    of Q/p^tQ for every t.
     """
     field = order.algebra.field
+    ell = prime.residue_characteristic()
     theta = order.left_matrix(order.algebra.element(field.gen(), 0, 0, 0))
+    columns = list(zip(*theta))
     rows = [list(row) for row in order.congruence_lattice(prime).coord_mat]
-    index = lattice.det_upper_triangular(rows)
+    echelon = []
+    for row in rows:
+        _extend_echelon(echelon, row, ell)
     chosen = []
     for a in range(order.dim):
-        if index == 1:
+        if len(echelon) == order.dim:
             break
         span = [[int(b == a) for b in range(order.dim)]]
         for _ in range(field.degree - 1):  # theta^m w_a, from x -> theta x
-            span.append([sum(x * y for x, y in zip(span[-1], col)) for col in zip(*theta)])
-        span = lattice.hnf(rows + span, order.dim)
-        det = lattice.det_upper_triangular(span)
-        if det < index:
-            rows, index = span, det
+            span.append([sum(x * y for x, y in zip(span[-1], col)) for col in columns])
+        added = [_extend_echelon(echelon, vec, ell) for vec in span]
+        if any(added):
+            rows += span
             chosen.append(a)
-    if index != 1 or len(chosen) != 4:
+    certificate = lattice.hnf(rows, order.dim)
+    if (len(chosen) != 4 or not lattice.is_full_rank_hnf(certificate, order.dim)
+            or lattice.det_upper_triangular(certificate) != 1):
         raise InvariantViolation("no four order-basis vectors span Q modulo pQ")
     return chosen
+
+
+def _extend_echelon(echelon: list, vec, ell: int) -> bool:
+    """Add vec mod ell to `echelon` unless it lies in its span over F_ell.
+
+    `echelon` holds (column, row) pairs in the order they were added, each
+    row 1 at its column and 0 at the columns of the rows before it, so
+    reducing in that order clears every column once.  Returns whether vec
+    was added.
+    """
+    vec = [x % ell for x in vec]
+    for col, row in echelon:
+        c = vec[col]
+        if c:
+            vec = [(x - c * y) % ell for x, y in zip(vec, row)]
+    col = next((k for k, x in enumerate(vec) if x), None)
+    if col is None:
+        return False
+    inverse = pow(vec[col], -1, ell)
+    echelon.append((col, [x * inverse % ell for x in vec]))
+    return True
 
 
 def _split(ring: _ResidueRing, norms, polar) -> list:
@@ -454,8 +483,7 @@ def norm_one_envelope(q: int, t: int, division_case: bool, diadic_e: int = 0) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SquaresReport:
+class SquaresReport(NamedTuple):
     prime_norm: int
     t: int
     diadic_e: int
@@ -526,8 +554,7 @@ def lemma44_check(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> SquaresRep
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LambdaFactor:
+class LambdaFactor(NamedTuple):
     t1_norms: list
     t2_norms: list
     diadic_exponents: dict

@@ -25,7 +25,7 @@ separate exact membership query on the orders module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .numfield import FieldElement, IdealHNF, NumberField, abs_vs_two
@@ -84,8 +84,7 @@ def candidate_orders(field: NumberField) -> list:
     return sorted({n for n, _x in torsion_traces(field)})
 
 
-@dataclass
-class ObstructionRecord:
+class ObstructionRecord(NamedTuple):
     n: int
     trace_value: FieldElement
     unit_shortcircuit: bool
@@ -93,8 +92,7 @@ class ObstructionRecord:
     blocks: bool
 
 
-@dataclass
-class TorsionCertificate:
+class TorsionCertificate(NamedTuple):
     ideal_norm: int
     strong_form: bool
     records: list

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
@@ -90,17 +89,23 @@ def walk(rows, start, bound, node_ranges, on_node=None):
     yield from descend(0, list(start))
 
 
-@dataclass
 class WalkTables:
-    """Per-run constants: static boxes, error bounds and rule widenings."""
-    mf: float          # M >= |u|, |ub| rounded up, the M of B_s
-    m_sq_f: float      # 2 cosh L rounded up, the upper end of the radius cut
-    box_up: list       # box_up[l][s]: static box rounded up
-    eps: list          # eps[l][s]: error of a float block value
-    delta: list        # delta[l][s]: widening of the per-node bound B_s
-    width0: list       # W_s of block 0 (static box)
-    nu: list           # nu[l][k]: rounding widening of coordinate k's rule endpoints
-    v0_max: float      # boxes[3][0]^2 rounded up: beyond it x3 fails the radius cut
+    """Per-run constants: static boxes, error bounds and rule widenings.
+
+    A plain class with slots, as the walk reads its fields at every node.
+    """
+
+    __slots__ = ("mf", "m_sq_f", "box_up", "eps", "delta", "width0", "nu", "v0_max")
+
+    def __init__(self, mf, m_sq_f, box_up, eps, delta, width0, nu, v0_max):
+        self.mf = mf                # M >= |u|, |ub| rounded up, the M of B_s
+        self.m_sq_f = m_sq_f        # 2 cosh L rounded up, the upper end of the radius cut
+        self.box_up = box_up        # box_up[l][s]: static box rounded up
+        self.eps = eps              # eps[l][s]: error of a float block value
+        self.delta = delta          # delta[l][s]: widening of the per-node bound B_s
+        self.width0 = width0        # W_s of block 0 (static box)
+        self.nu = nu                # nu[l][k]: rounding widening of coordinate k's rule endpoints
+        self.v0_max = v0_max        # boxes[3][0]^2 rounded up: beyond it x3 fails the radius cut
 
 
 class PlaceTable:

@@ -8,10 +8,12 @@ the rest; each one kept must be on the allowlist below with its reason.
 
 A second scan keeps third-party imports where `IMPORTERS` lists them:
 nowhere, as the library runs on the standard library alone; numpy and
-mpmath serve only the tests' oracles and the benchmark's tracer.  Fresh
-interpreters check that set-up, and a quotient count after it, leave numpy
-and mpmath unloaded, and that set-up builds none of the Hurwitz field's
-constants (its trace-dual basis, `place_table`).
+mpmath serve only the tests' oracles and the benchmark's tracer.  The
+standard library's dataclasses is listed too, as importing it loads inspect
+and each decorated class runs generated code.  Fresh interpreters check
+that set-up, and a quotient count after it, leave these four modules
+unloaded, and that set-up builds none of the Hurwitz field's constants (its
+trace-dual basis, `place_table`).
 
 A third keeps one start precision: every `refine` loop in src/quatsys starts
 at `intervals.START_BITS`.  Each other start must be on its allowlist with its
@@ -116,7 +118,7 @@ def test_every_uncalled_function_is_allowlisted():
 
 
 # the modules of src/quatsys that may import each third-party package
-IMPORTERS = {"numpy": [], "mpmath": []}
+IMPORTERS = {"numpy": [], "mpmath": [], "dataclasses": []}
 
 
 def importers(package: str) -> list:
@@ -145,11 +147,16 @@ def test_no_module_imports_mpmath():
     assert importers("mpmath") == IMPORTERS["mpmath"]
 
 
+def test_no_module_imports_dataclasses():
+    assert importers("dataclasses") == IMPORTERS["dataclasses"]
+
+
 def test_set_up_leaves_mpmath_unloaded():
     paths = (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     script = ("import sys, quatsys, quatsys.cli\n"
-              "def loaded(): return [m for m in ('mpmath', 'numpy') if m in sys.modules]\n"
+              "def loaded(): return [m for m in ('mpmath', 'numpy', 'dataclasses', 'inspect')\n"
+              "                      if m in sys.modules]\n"
               "quatsys.hurwitz_context()\n"
               "after_set_up = loaded()\n"
               "code = quatsys.cli.main(['--hurwitz', 'quotient-count', '--prime', '7'])\n"

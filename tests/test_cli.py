@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quatsys import cli
 from quatsys.bounds import hurwitz_context, trace_coset_minimum
 from quatsys.cli import COMMANDS, build_parser, main
 from quatsys.errors import InputError
@@ -35,6 +36,8 @@ MINUS1_3_SPEC = "minpoly: 1 0\nquat: -1 | 3\norder: standard\n"
 IDENTITY_ROWS = "; ".join(" ".join("1" if i == j else "0" for j in range(12))
                           for i in range(12))
 NON_INTEGER_ROWS = IDENTITY_ROWS.replace("1", "x", 1)
+SPAN_1_I_ROWS = "; ".join(" ".join("1" if j == i and i in (0, 3) else "0" for j in range(12))
+                          for i in range(12))
 
 
 def _run(capsys, *argv):
@@ -75,11 +78,13 @@ def test_parse_errors():
 
 
 def test_cli_bad_order_line(tmp_path, capsys):
-    for order in (f"1 | {NON_INTEGER_ROWS}", f"0 | {IDENTITY_ROWS}"):
+    for order in (f"1 | {NON_INTEGER_ROWS}", f"0 | {IDENTITY_ROWS}", f"1 | {SPAN_1_I_ROWS}"):
         path = tmp_path / "field.txt"
         path.write_text(f"{QUAT_SPEC}\norder: {order}\n")
         code, out = _run(capsys, "--field", str(path), "field-info")
         assert code == 1 and "error=input" in out
+    # the rows span O_K + O_K i, a ring of rank 6
+    assert out.splitlines()[0] == "error=input order lattice has rank 6, expected 12"
 
 
 def test_element_parsing(K):
@@ -446,17 +451,21 @@ def _records(text):
     return [ln for ln in text.splitlines() if not ln.startswith("elapsed=")]
 
 
+def _fresh_records(argv):
+    """The records of `quatsys argv` in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return _records(subprocess.run([sys.executable, "-m", "quatsys.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=300,
+                                   check=True).stdout)
+
+
 def test_cli_builds_the_hurwitz_order_once_and_matches_a_fresh_interpreter(capsys,
                                                                             monkeypatch):
     from quatsys import orders
 
-    src = str(Path(orders.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    fresh = [_records(subprocess.run([sys.executable, "-m", "quatsys.cli", *argv],
-                                     env=env, capture_output=True, text=True,
-                                     timeout=300, check=True).stdout)
-             for argv in SYSTOLE_ARGV]
+    fresh = [_fresh_records(argv) for argv in SYSTOLE_ARGV]
     builds = []
     build = orders.hurwitz_order
 
@@ -472,6 +481,35 @@ def test_cli_builds_the_hurwitz_order_once_and_matches_a_fresh_interpreter(capsy
             assert code == 0 and _records(out) == expected
     assert len(builds) == 1
     assert "certificate=trace-coset" in fresh[0]
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert _run(capsys, "--hurwitz", "ramification")[0] == 0
+    assert built.count("quatsys") == 1
+
+
+def test_cli_parser_reuse_keeps_the_defaults(capsys):
+    # each plain call runs after one that set its flags, and prints what it
+    # prints in a fresh interpreter
+    for rich, plain in (
+            (["--hurwitz", "--asymptotic", "--cap", "9000000", "quotient-count", "--prime",
+              "7", "--t", "2"], ["--hurwitz", "quotient-count", "--prime", "7"]),
+            (["--hurwitz", "ramification", "--norm-bound", "3"], ["--hurwitz", "ramification"])):
+        fresh = _fresh_records(plain)
+        assert _run(capsys, *rich)[0] == 0
+        code, out = _run(capsys, *plain)
+        assert code == 0 and _records(out) == fresh
+    assert "norm_bound=50" in fresh
 
 
 def test_cli_systole_leaves_sympy_unimported():

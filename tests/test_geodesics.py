@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -980,7 +979,7 @@ def test_search_starts_at_the_first_radius_not_below_the_floor(QH, levels):
 
 def test_trace_below_the_coset_minimum_is_an_invariant_violation(QH, P7, K, monkeypatch):
     true = trace_coset_minimum(QH, P7)
-    fake = dataclasses.replace(true, traces=[K.from_rational(100)])
+    fake = true._replace(traces=[K.from_rational(100)])
     monkeypatch.setattr(geodesics, "trace_coset_minimum", lambda *args: fake)
     with pytest.raises(InvariantViolation):
         systole_search(QH, P7, RadiusSchedule(4.5, 1.0, 9.0))

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatsys import lattice
+from quatsys import lattice, orders
 from quatsys.errors import InputError, InvariantViolation
 from quatsys.numfield import IdealHNF, factor_rational_prime
 from quatsys.orders import (OrderLattice, _combine, hurwitz_j_prime, hurwitz_order,
-                            scaled_row, standard_order, verify_trace_norm_containment)
+                            scaled_row, standard_order, unflatten,
+                            verify_trace_norm_containment)
 from quatsys.quatalg import QuatElement
 
 from conftest import lattice_index
@@ -62,16 +65,113 @@ def test_certification_catches_non_orders(D):
 
 
 def test_order_and_tables_take_one_closure_pass(D, monkeypatch):
-    # module span (4 generators times 1, eta, eta^2), then n^2 products per
-    # closure pass: Hurwitz 9^2 + 12^2, standard 12^2; the last pass gives
-    # the tables and the certificate, so nothing is multiplied again
-    calls = []
+    # quaternions are multiplied only for the module span (4 generators times
+    # 1, eta, eta^2); the closure passes read the integer multiplication
+    # table, Hurwitz in 2 passes (9 rows, then 12) and the standard order in
+    # 1; a pass that certifies closure gives the tables and runs no HNF
+    calls, events = [], []
     product = QuatElement.__mul__
     monkeypatch.setattr(QuatElement, "__mul__", lambda x, y: calls.append(1) or product(x, y))
-    for build, expected in ((hurwitz_order, 12 + 81 + 144), (standard_order, 12 + 144)):
+    hnf, close = lattice.hnf, orders._closure_pass
+    monkeypatch.setattr(lattice, "hnf", lambda *args: events.append("hnf") or hnf(*args))
+    monkeypatch.setattr(orders, "_closure_pass",
+                        lambda *args: events.append("pass") or close(*args))
+    for build, expected in ((hurwitz_order, ["hnf", "pass", "hnf", "pass"]),
+                            (standard_order, ["hnf", "pass"])):
         calls.clear()
+        events.clear()
         assert np.array(build(D).tables.struct, dtype=np.int64).shape == (12, 12, 12)
-        assert len(calls) == expected
+        assert len(calls) == 12
+        assert events == expected
+
+
+def _oracle_order(algebra, generators):
+    """The closure on quaternion products, as the constructor ran it before
+    the integer multiplication table: (kappa, mat, struct, invol,
+    norm_tensor, one), or the constructor's `InputError`."""
+    kappa, mat = orders._module_span(algebra, generators)
+    for _ in range(orders._MAX_CLOSE_ITERS):
+        basis = [unflatten(algebra, row, kappa) for row in mat]
+        products = [w1 * w2 for w1 in basis for w2 in basis]
+        span = orders._hnf_span(algebra, basis + products)
+        if span == (kappa, mat):
+            break
+        kappa, mat = span
+    else:
+        raise InputError("generators do not span an order: closure did not stabilize")
+    dim = 4 * algebra.field.degree
+    if len(mat) != dim:
+        raise InputError(f"order lattice has rank {len(mat)}, expected {dim}")
+
+
+    def table(elems):
+        rows = [lattice.solve_triangular(mat, scaled_row(x, kappa)) for x in elems]
+        return None if None in rows else tuple(map(tuple, rows))
+
+    one = table([algebra.one()])
+    if one is None:
+        raise InputError("generators span a ring without 1: order does not contain 1")
+    struct = table(products)
+    norm_tensor = tuple(tuple(tuple(int(c * kappa) for c in (a * b.conj()).coords[0].coords)
+                              for b in basis) for a in basis)
+    return (kappa, mat, tuple(struct[a * dim:(a + 1) * dim] for a in range(dim)),
+            table(w.conj() for w in basis), norm_tensor, one[0])
+
+
+def _built(order):
+    return (order.kappa, order.mat, *order.tables)
+
+
+def test_closure_on_the_multiplication_table_matches_quaternion_products(QH, O_std, B6,
+                                                                         Q2max):
+    for order in (QH, O_std, B6, Q2max):
+        assert _built(order) == _oracle_order(order.algebra, order.generators)
+
+
+def test_multiplication_table_holds_the_products_of_the_standard_basis(D, B6, Q2max):
+    for algebra in (D, B6.algebra, Q2max.algebra):
+        n = 4 * algebra.field.degree
+        basis = [unflatten(algebra, [int(k == p) for k in range(n)]) for p in range(n)]
+        assert [list(row) for row in algebra.mul_table] == [
+            [c for y in basis for c in scaled_row(x * y, 1)] for x in basis]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closure_matches_quaternion_products_on_random_generators(B6, Q2max, data):
+    # integer combinations of a maximal order's basis: both closures stop, in
+    # an order, or in a rank-deficient ring or a ring without 1
+    maximal = data.draw(st.sampled_from([B6, Q2max]))
+    algebra, basis = maximal.algebra, maximal.basis_elements()
+    coefficients = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+    gens = [sum((c * w for c, w in zip(coeffs, basis)), algebra.zero())
+            for coeffs in data.draw(st.lists(coefficients, min_size=2, max_size=4))]
+    if data.draw(st.booleans()):
+        gens.append(algebra.one())
+    try:
+        expected = _oracle_order(algebra, gens)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            OrderLattice(algebra, gens)
+        assert str(info.value) == str(exc)
+    else:
+        assert _built(OrderLattice(algebra, gens)) == expected
+
+
+@pytest.mark.parametrize("gens, message", [
+    (lambda D: [D.one(), D.gen_i()], "order lattice has rank 6, expected 12"),
+    (lambda D: [D.gen_i() * 2, D.gen_j() * 2],
+     "generators span a ring without 1: order does not contain 1"),
+    (lambda D: [D.one(), D.element(Fraction(1, 3), 0, 0, 0), D.gen_i(), D.gen_j()],
+     "generators do not span an order: closure did not stabilize"),
+])
+def test_closure_errors_keep_their_messages(D, gens, message):
+    with pytest.raises(InputError) as info:
+        OrderLattice(D, gens(D))
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        _oracle_order(D, gens(D))
+    assert str(info.value) == message
 
 
 def test_tables_equal_exact_products_of_the_basis(QH, O_std, D):

@@ -14,9 +14,9 @@ from quatsys.numfield import NumberField, factor_rational_prime
 from quatsys.orders import OrderLattice, scaled_row, standard_order
 from quatsys.polys import factorint
 from quatsys.quatalg import QuaternionAlgebra
-from quatsys.quotient import (FiniteQuotRing, _piece_forms, count_norm_one_ideal, index_bound,
-                              lambda_factor, lemma44_check, maxim_formula, norm_one_envelope,
-                              squares_count)
+from quatsys.quotient import (FiniteQuotRing, _piece_forms, _residue_basis,
+                              count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
+                              maxim_formula, norm_one_envelope, squares_count)
 
 from conftest import lattice_index
 
@@ -561,3 +561,37 @@ def test_split_count_equals_residue_loop_on_rational_standard_orders(QQ, a, b, l
     p, t = level
     ring = FiniteQuotRing(standard_order(algebra), factor_rational_prime(QQ, p)[0][0], t)
     assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
+
+
+def _hnf_greedy_basis(order, prime) -> list:
+    """Oracle: the residue basis by one HNF per tried vector, keeping w_a
+    when it lowers the HNF index of the span."""
+    field = order.algebra.field
+    theta = order.left_matrix(order.algebra.element(field.gen(), 0, 0, 0))
+    rows = [list(row) for row in order.congruence_lattice(prime).coord_mat]
+    index = lattice.det_upper_triangular(rows)
+    chosen = []
+    for a in range(order.dim):
+        if index == 1:
+            break
+        span = [[int(b == a) for b in range(order.dim)]]
+        for _ in range(field.degree - 1):
+            span.append([sum(x * y for x, y in zip(span[-1], col)) for col in zip(*theta)])
+        span = lattice.hnf(rows + span, order.dim)
+        det = lattice.det_upper_triangular(span)
+        if det < index:
+            rows, index = span, det
+            chosen.append(a)
+    assert index == 1
+    return chosen
+
+
+def test_residue_basis_by_rank_over_the_residue_field_matches_the_hnf_greedy(QH, O_std, B6,
+                                                                             Q2max):
+    # the primes of norm below 50 above 2, 3, 5, 7, 13, 29 and 43: ramified,
+    # split and inert ones, dyadic ones among them
+    for order in (QH, O_std, B6, Q2max):
+        for p in (2, 3, 5, 7, 13, 29, 43):
+            for prime, _e, _f in factor_rational_prime(order.algebra.field, p):
+                if prime.norm < 50:
+                    assert _residue_basis(order, prime) == _hnf_greedy_basis(order, prime)
