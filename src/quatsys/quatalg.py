@@ -353,9 +353,6 @@ class QuatElement:
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
 
-    def is_central(self):
-        return all(c.is_zero() for c in self.coords[1:])
-
     def denominator(self) -> int:
         den = 1
         for c in self.coords:

@@ -21,7 +21,9 @@ operations in place of the |R|^4 residues.  The count works in five steps.
 
 1. Four order-basis vectors e_a whose O_K-span together with pQ is all of Q
    (an HNF index of 1, `_residue_basis`) are an R-basis of Q/p^tQ for every
-   t, by Nakayama.
+   t, by Nakayama.  pQ enters through its generators beta * w_b, beta in a
+   Z-basis of p, read off the structure constants, so a count builds no
+   congruence lattice I*Q.
 2. Their Gram data over R, nu(e_a) and B(e_a, e_b) = trd(e_a conj(e_b)), is
    read off the norm tensor T, after checking that nu is integral on all of
    Q: kappa divides every T[a][a] and every T[a][b] + T[b][a].
@@ -305,18 +307,20 @@ class _ResidueRing:
 def _residue_basis(order: OrderLattice, prime: IdealHNF) -> list:
     """Four order-basis indices a whose O_K w_a span Q together with pQ.
 
-    pQ contains lQ, l the rational prime below p, so every lattice L
-    between them has [Q : L] = l^(4d - r), r the rank over F_l of its rows
-    reduced mod l.  Greedy over the basis: w_a is kept when its O_K-span
-    raises that rank, which lowers the index (by a factor q); one HNF of
-    index 1 certifies the four kept.  By Nakayama they are then an R-basis
-    of Q/p^tQ for every t.
+    pQ is spanned by the beta * w_b, beta in a Z-basis of p: the rows of
+    `order.left_matrix(beta)`, so no I*Q is built.  It contains lQ, l the
+    rational prime below p, so every lattice L between them has
+    [Q : L] = l^(4d - r), r the rank over F_l of its rows reduced mod l.
+    Greedy over the basis: w_a is kept when its O_K-span raises that rank,
+    which lowers the index (by a factor q); one HNF of index 1 certifies the
+    four kept.  By Nakayama they are then an R-basis of Q/p^tQ for every t.
     """
     field = order.algebra.field
     ell = prime.residue_characteristic()
     theta = order.left_matrix(order.algebra.element(field.gen(), 0, 0, 0))
     columns = list(zip(*theta))
-    rows = [list(row) for row in order.congruence_lattice(prime).coord_mat]
+    rows = [list(row) for beta in prime.basis_elements()
+            for row in order.left_matrix(order.algebra.element(beta, 0, 0, 0))]
     echelon = []
     for row in rows:
         _extend_echelon(echelon, row, ell)

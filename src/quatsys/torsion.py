@@ -1,21 +1,20 @@
 """Torsion certificates for congruence groups via root-of-unity traces.
 
 A non-central torsion element of the norm-one group generates a quadratic
-extension by a root of unity x, and forces the congruence ideal to divide
-the obstruction ideal <x + 1/x - 2>.  Working only with the real trace
-value x + 1/x (never constructing the extension), the certifier:
+extension by a root of unity x, and forces the square of the congruence
+ideal to divide the obstruction ideal <x + 1/x - 2>.  Working only with the
+real trace value x + 1/x (never constructing the extension), the certifier:
 
 * finds every cosine trace 2*cos(2*pi*k/n) in K, once per field, by
   Kronecker's theorem: they are exactly the integers of K whose conjugates
   all lie in [-2, 2], which one box walk over Z[theta] lists; the order n
   of each follows exactly from the recurrence for x^k + x^-k;
 * forms each obstruction ideal once per field, and for each congruence
-  ideal tests the divisibility it would impose;
-  in a field whose Minkowski bound proves class number one
-  (`NumberField.class_number_one`) the stronger square-divisibility test
-  applies (any violating ideal would contain a principal one with the
-  same obstruction, forcing I^2 to divide it); in any other field the
-  divisibility test, which is sound for every class number;
+  ideal I tests whether I^2 divides it.  The square test holds for every
+  field and every I: for gamma = 1 + delta in the level-I group,
+  nrd gamma = 1 gives trd delta = -nrd delta, and locally delta lies in
+  I*Q_p = pi Q_p, so nrd delta lies in I^2; hence I^2 | (t - 2) for the
+  trace t of gamma;
 * short-circuits obstruction values that are units.
 
 A "torsion-free" verdict is therefore a certificate that the congruence
@@ -94,14 +93,13 @@ class ObstructionRecord(NamedTuple):
 
 class TorsionCertificate(NamedTuple):
     ideal_norm: int
-    strong_form: bool
     records: list
     torsion_free: bool
     blocking_orders: list
 
     def lines(self):
-        out = [f"ideal_norm={self.ideal_norm}",
-               f"strong_form={str(self.strong_form).lower()}"]
+        # strong_form names the square-divisibility test, which every certificate uses
+        out = [f"ideal_norm={self.ideal_norm}", "strong_form=true"]
         for r in self.records:
             tag = "unit" if r.unit_shortcircuit else str(r.obstruction_norm)
             out.append(f"candidate_n={r.n} trace={r.trace_value} obstruction_norm={tag} "
@@ -115,15 +113,18 @@ class TorsionCertificate(NamedTuple):
 def certify_torsion_free(order: OrderLattice, ideal: IdealHNF) -> TorsionCertificate:
     """Certificate that the level-I congruence group has no non-central torsion.
 
-    The strong (square-divisibility) form applies when Minkowski's bound
-    proves that the field has class number one; otherwise the weak
-    (divisibility) form, which holds for every class number.
+    A torsion element gamma of order n > 2 has trace t = x + 1/x for a
+    primitive n-th root of unity x.  Write gamma = 1 + delta with delta in
+    I*Q.  nrd gamma = 1 gives trd delta = -nrd delta.  At each prime p of K,
+    I*Q_p = pi Q_p for a local generator pi of I, as I is central and
+    locally principal; so nrd delta lies in pi^2 O_K,p, hence in I^2.  Then
+    t - 2 = trd delta lies in I^2: I^2 divides <t - 2>, for every field and
+    every ideal, and a candidate n blocks only where it does.
     """
     field = order.algebra.field
     if ideal.is_whole_ring():
         raise InputError("the improper ideal defines the full group; certificate undefined")
-    strong = field.class_number_one
-    divisor = ideal * ideal if strong else ideal
+    divisor = ideal * ideal
     records = []
     for n, trace_value, obstruction in _obstructions(field):
         unit = obstruction is None
@@ -133,7 +134,6 @@ def certify_torsion_free(order: OrderLattice, ideal: IdealHNF) -> TorsionCertifi
     blocking = sorted({r.n for r in records if r.blocks})
     return TorsionCertificate(
         ideal_norm=ideal.norm,
-        strong_form=strong,
         records=records,
         torsion_free=not blocking,
         blocking_orders=blocking,

@@ -17,6 +17,19 @@ def lattice_index(outer, inner) -> int:
     return di // do
 
 
+def is_central(x) -> bool:
+    """Whether the quaternion x lies in K: its i, j and ij coordinates vanish."""
+    return all(c.is_zero() for c in x.coords[1:])
+
+
+def congruence_coord_hnf(order, ideal) -> tuple:
+    """Oracle: the row HNF of I*Q over the order basis, from the products
+    alpha * w_b, alpha in I's Z-basis, read off the structure constants."""
+    rows = [row for alpha in ideal.basis_elements()
+            for row in order.left_matrix(order.algebra.element(alpha, 0, 0, 0))]
+    return tuple(tuple(r) for r in lattice.hnf(rows, order.dim))
+
+
 def static_box_walk(field, limits, hnf=None, shift=0):
     """Oracle: every element of shift + L in the static box of
     `NumberField.coordinate_bounds`, in coordinate order, with no per-node range."""
@@ -107,3 +120,22 @@ def Q2max():
     from quatsys.specfile import parse_spec_text
 
     return parse_spec_text(Q2MAX_SPEC)["order"]
+
+
+Q10MAX_SPEC = """name: Q10max
+minpoly: 1 0 -10
+quat: -3 1 | -1 0
+order: 2 | 1 0 1 0 1 1 1 1 ; 0 1 0 0 0 1 0 0 ; 0 0 2 0 0 0 0 0 ; 0 0 0 1 0 0 0 1 ; 0 0 0 0 2 0 0 0 ; 0 0 0 0 0 2 0 0 ; 0 0 0 0 0 0 2 0 ; 0 0 0 0 0 0 0 2
+"""
+
+
+@pytest.fixture(scope="session")
+def Q10max():
+    """A maximal order of (sqrt 10 - 3, -1) over Q(sqrt 10), as a `--field` file.
+
+    Q(sqrt 10) has class number 2, so both primes above 3 are non-principal
+    levels; the algebra ramifies at one real place and at P2 = (2, sqrt 10),
+    which is not principal either, so the order is not free over O_K."""
+    from quatsys.specfile import parse_spec_text
+
+    return parse_spec_text(Q10MAX_SPEC)["order"]

@@ -20,6 +20,8 @@ from quatsys.quotient import (FiniteQuotRing, index_bound, lambda_factor,
                               lemma44_check, maxim_formula)
 from quatsys.torsion import certify_torsion_free
 
+from conftest import is_central
+
 SL_COUNTS = {7: 336, 8: 504, 13: 2184}
 REFERENCE_SYSTOLES = {7: [3.936], 8: [5.796], 13: [5.903, 6.393, 6.887]}
 GENERA = {7: 3, 8: 7, 13: 14}
@@ -111,7 +113,7 @@ def test_criterion_5_proof_chain_suites(QH, ideals, searches, K):
         # strict conjugate-coefficient bound on the whole sample, except the
         # central -1 that a product of an element and its inverse can hit
         for x in gammas + words:
-            if x.is_central():
+            if is_central(x):
                 continue
             for s in range(1, K.degree):
                 assert x.coords[0].embed(s, 80).abs().certainly_lt(1)

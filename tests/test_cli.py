@@ -20,7 +20,7 @@ from quatsys.errors import InputError
 from quatsys.numfield import IdealHNF, hurwitz_field
 from quatsys.specfile import parse_element, parse_spec_text
 
-from conftest import B6_SPEC, Q2MAX_SPEC
+from conftest import B6_SPEC, Q10MAX_SPEC, Q2MAX_SPEC
 
 HURWITZ_SPEC = """
 # the real subfield of the 7th cyclotomic field
@@ -189,17 +189,53 @@ def test_cli_torsion_check(capsys):
     (Q2MAX_SPEC, "0,2", "torsion-free"),            # P2^3
     (B6_SPEC, "2", "torsion-free"),
     (B6_SPEC, "3", "torsion-free"),
+    # Q(sqrt 10) has class number 2, and both primes above 3 are non-principal:
+    # t - 2 = -3, -2 and -1 for the traces -1, 0 and 1, none of them in P3^2
+    (Q10MAX_SPEC, "3;1,1", "torsion-free"),
+    (Q10MAX_SPEC, "3;2,1", "torsion-free"),
 ])
 def test_cli_torsion_check_in_the_strong_form_over_field_files(tmp_path, capsys, spec, ideal,
                                                                  verdict):
-    # Q and Q(sqrt 2) have Minkowski bounds 1 and 1.414, below 2, so class
-    # number one is proved and the square-divisibility test applies
+    # the square-divisibility test applies over every field
     path = tmp_path / "field.txt"
     path.write_text(spec)
     code, out = _run(capsys, "--field", str(path), "torsion-check", "--ideal", ideal)
     assert code == 0
     assert "strong_form=true" in out.splitlines()
     assert f"verdict={verdict}" in out.splitlines()
+
+
+@pytest.fixture
+def q10max_file(tmp_path):
+    path = tmp_path / "q10max.txt"
+    path.write_text(Q10MAX_SPEC)
+    return str(path)
+
+
+def test_cli_q10max_ramification_and_count_at_3(capsys, q10max_file):
+    code, out = _run(capsys, "--field", q10max_file, "ramification")
+    assert code == 0
+    assert {"real_ramified=1", "finite_ramified_norm=2",
+            "parity_consistent=true"} <= set(out.splitlines())
+    code, out = _run(capsys, "--field", q10max_file, "quotient-count", "--prime", "3")
+    assert code == 0
+    assert _records(out) == ["prime=3 t=1 q=3 units=48 norm_one=24 formula=24 match=true "
+                             "type=M2(F_q) radical=1"]
+
+
+@pytest.mark.parametrize("index, ideal, trace, length, visited", [
+    (0, "1 1; 0 3", "(3, 1)", "3.582014", 66),
+    (1, "1 2; 0 3", "(5, 2)", "4.838166", 99),
+])
+def test_cli_q10max_certifies_the_systoles_at_both_non_principal_primes_above_3(
+        capsys, q10max_file, index, ideal, trace, length, visited):
+    code, out = _run(capsys, "--field", q10max_file, "systole", "--prime", "3",
+                     "--index", str(index), "--radius", "2:1:14")
+    assert code == 0
+    lines = out.splitlines()
+    for line in (f"ideal={ideal}", f"min_trace={trace}", f"min_length=[{length},{length}]",
+                 "mode=certified", f"visited={visited}"):
+        assert line in lines
 
 
 def test_cli_bounds(capsys):

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatsys import lattice, orders
-from quatsys.errors import InputError, InvariantViolation
-from quatsys.numfield import IdealHNF, factor_rational_prime
-from quatsys.orders import (OrderLattice, _combine, hurwitz_j_prime, hurwitz_order,
-                            scaled_row, standard_order, unflatten,
+from quatsys.errors import InputError
+from quatsys.numfield import IdealHNF, factor_rational_prime, primes_up_to_norm
+from quatsys.orders import (CongruenceIdealLattice, OrderLattice, _combine, hurwitz_j_prime,
+                            hurwitz_order, scaled_row, standard_order, unflatten,
                             verify_trace_norm_containment)
 from quatsys.quatalg import QuatElement
 
-from conftest import lattice_index
+from conftest import congruence_coord_hnf, is_central, lattice_index
 
 
 def test_standard_order_shape(O_std, D):
@@ -284,80 +284,116 @@ def test_custom_order_roundtrip(D, O_std):
     assert rebuilt.mat == O_std.mat
 
 
-def _fake_congruence_lattice(order, rows):
-    from quatsys import lattice
-    from quatsys.orders import CongruenceIdealLattice
+def _ring_multipliers(order):
+    """`left_matrix` of theta and of each non-integer generator.  With 1 they
+    generate the order as a ring: the closure loop builds the ring generated
+    by the g * theta^k, which holds 1 and so theta."""
+    theta = order.algebra.element(order.algebra.field.gen(), 0, 0, 0)
+    return [order.left_matrix(x) for x in (theta, *order.generators)
+            if not (is_central(x) and x.coords[0].is_rational())]
 
-    fake = object.__new__(CongruenceIdealLattice)
-    fake.order = order
-    fake.coord_mat = tuple(tuple(r) for r in lattice.hnf(rows, order.dim))
-    return fake
+
+def _generator_certificate(order, coord_mat):
+    """The former per-ideal certificate of I*Q, kept as the oracle: conj(z) and
+    g * z lie in the lattice for every basis z of it (order-basis HNF) and
+    every g of `_ring_multipliers`.  The failure it finds first, or None.
+
+    {x in Q : x * L lies in L} is a subring of Q holding 1, theta and the
+    generators, hence Q, so L is a left ideal; Q is stable under the
+    involution, so z * w = conj(conj(w) conj(z)) and L is two-sided.
+    """
+    multipliers = _ring_multipliers(order)
+    for z in coord_mat:
+        if not lattice.contains(coord_mat, _combine(z, order.tables.invol)):
+            return "involution"
+        if not all(lattice.contains(coord_mat, _combine(z, m)) for m in multipliers):
+            return "two-sided"
+    return None
+
+
+def _oracle_congruence_mat(order, ideal):
+    """The former construction of I*Q, kept as the oracle: the order-basis HNF
+    of the products alpha * w_b, certified two-sided, then mapped to scaled
+    standard coordinates by a second HNF."""
+    coord_mat = congruence_coord_hnf(order, ideal)
+    assert lattice.is_full_rank_hnf(coord_mat, order.dim)
+    assert _generator_certificate(order, coord_mat) is None
+    return tuple(tuple(r) for r in lattice.hnf([_combine(r, order.mat) for r in coord_mat],
+                                               order.dim))
+
+
+def test_congruence_lattice_matches_the_certified_oracle(QH, O_std, B6, Q2max, Q10max):
+    # every prime of norm <= 100 and its square; Q10max's levels above 2, 3
+    # and 5 are non-principal, and the order is not free over O_K
+    count = 0
+    for order in (QH, O_std, B6, Q2max, Q10max):
+        for prime in primes_up_to_norm(order.algebra.field, 100):
+            for ideal in (prime, prime * prime):
+                assert order.congruence_lattice(ideal).mat == _oracle_congruence_mat(order, ideal)
+                count += 1
+    assert count == 250
+
+
+def _fake_lattice(order, rows):
+    return tuple(tuple(r) for r in lattice.hnf(rows, order.dim))
 
 
 def test_congruence_certificate_rejects_non_ideals(QH, D):
-    from quatsys.errors import InvariantViolation
-
     seven_q = [[7 if a == b else 0 for b in range(QH.dim)] for a in range(QH.dim)]
     # Z*1 + 7Q is stable under the involution but not an ideal
-    ring_like = _fake_congruence_lattice(QH, seven_q + [QH.coords(D.one())])
-    with pytest.raises(InvariantViolation, match="two-sided"):
-        ring_like._certify()
+    ring_like = _fake_lattice(QH, seven_q + [QH.coords(D.one())])
+    assert _generator_certificate(QH, ring_like) == "two-sided"
     # Z*(1 + i) + 7Q does not contain conj(1 + i) = 2 - (1 + i)
-    skew = _fake_congruence_lattice(QH, seven_q + [QH.coords(D.one() + D.gen_i())])
-    with pytest.raises(InvariantViolation, match="involution"):
-        skew._certify()
+    skew = _fake_lattice(QH, seven_q + [QH.coords(D.one() + D.gen_i())])
+    assert _generator_certificate(QH, skew) == "involution"
     # 7Q itself passes
-    _fake_congruence_lattice(QH, seven_q)._certify()
+    assert _generator_certificate(QH, _fake_lattice(QH, seven_q)) is None
 
 
 def test_congruence_lattice_in_order_coordinates(QH, O_std, P7, P2):
-    from quatsys import lattice
-
     for order in (QH, O_std):
         basis = order.basis_elements()
         for ideal in (P7, P2):
             cong = order.congruence_lattice(ideal)
-            assert lattice.det_upper_triangular(cong.coord_mat) == ideal.norm ** 4
-            for row in cong.coord_mat:
+            coord_mat = congruence_coord_hnf(order, ideal)
+            assert lattice.det_upper_triangular(coord_mat) == ideal.norm ** 4
+            for row in coord_mat:
                 z = sum((c * w for c, w in zip(row, basis)), order.algebra.zero())
                 assert cong.contains(z)
 
 
 def test_congruence_lattice_equals_the_span_of_products(QH, O_std, P7, P2, P13s):
-    # I*Q from the structure constants is the span of the products alpha * w
+    # I*Q from the field multiplication is the span of the quaternion products alpha * w
     for order in (QH, O_std):
         for ideal in [P7, P2, P7 * P7] + P13s:
             rows = [scaled_row(alpha * w, order.kappa) for alpha in ideal.basis_elements()
                     for w in order.basis_elements()]
             mat = lattice.hnf(rows, order.dim)
-            coord_rows = [lattice.solve_triangular(order.mat, row) for row in mat]
-            cong = order.congruence_lattice(ideal)
-            assert cong.mat == tuple(tuple(r) for r in mat)
-            assert cong.coord_mat == tuple(tuple(r) for r in lattice.hnf(coord_rows, order.dim))
+            assert order.congruence_lattice(ideal).mat == tuple(tuple(r) for r in mat)
 
 
-def _all_maps_verdict(cong):
-    """The former certificate, kept as the oracle: conj(z), w*z and z*w for
-    every basis z of the lattice and every basis element w of the order
-    (25 maps on a rank-12 order).  The failure it finds first, or None."""
-    tables = cong.order.tables
+def test_left_matrix_rows_are_the_products(QH, D):
+    basis = QH.basis_elements()
+    x = hurwitz_j_prime(D)
+    for b, row in enumerate(QH.left_matrix(x)):
+        assert tuple(row) == tuple(QH.coords(x * basis[b]))
+
+
+def _all_maps_verdict(order, coord_mat):
+    """The certificate before it was cut to the ring generators, kept as the
+    oracle: conj(z), w*z and z*w for every basis z of the lattice and every
+    basis element w of the order (25 maps on a rank-12 order).  The failure
+    it finds first, or None."""
+    tables = order.tables
     columns = list(zip(*tables.struct))  # columns[a][b] = struct[b][a]
-    for z in cong.coord_mat:
-        if not lattice.contains(cong.coord_mat, _combine(z, tables.invol)):
+    for z in coord_mat:
+        if not lattice.contains(coord_mat, _combine(z, tables.invol)):
             return "involution"
         # w_a * z = sum_b z_b struct[a][b]; z * w_a = sum_b z_b struct[b][a]
         for plane, column in zip(tables.struct, columns):
-            if not (lattice.contains(cong.coord_mat, _combine(z, plane))
-                    and lattice.contains(cong.coord_mat, _combine(z, column))):
+            if not (lattice.contains(coord_mat, _combine(z, plane))
+                    and lattice.contains(coord_mat, _combine(z, column))):
                 return "two-sided"
-    return None
-
-
-def _certificate_verdict(cong):
-    try:
-        cong._certify()
-    except InvariantViolation as exc:
-        return "involution" if "involution" in str(exc) else "two-sided"
     return None
 
 
@@ -370,26 +406,26 @@ def _fake_lattices(order, rng):
            for alpha in alg.field.whole_ring().basis_elements()]
     extras = [[], [order.coords(alg.one())], o_k, [order.coords(alg.one() + alg.gen_i())]]
     extras += [[[rng.randrange(-3, 4) for _ in range(order.dim)]] for _ in range(6)]
-    return [_fake_congruence_lattice(order, seven_q + extra) for extra in extras]
+    return [_fake_lattice(order, seven_q + extra) for extra in extras]
 
 
 def test_generator_certificate_agrees_with_all_maps(QH, O_std, B6, P2, P7, P13s):
     rng = random.Random(20)
     for order in (QH, O_std):
         for ideal in [P2, P7, P7 * P7, P2 * P2] + P13s:
-            cong = order.congruence_lattice(ideal)
-            assert _certificate_verdict(cong) is None
-            assert _all_maps_verdict(cong) is None
+            coord_mat = congruence_coord_hnf(order, ideal)
+            assert _generator_certificate(order, coord_mat) is None
+            assert _all_maps_verdict(order, coord_mat) is None
     QQ = B6.algebra.field
     for p in (2, 3, 5):
-        cong = B6.congruence_lattice(IdealHNF.principal(QQ, QQ.from_rational(p)))
-        assert _certificate_verdict(cong) is None
-        assert _all_maps_verdict(cong) is None
+        coord_mat = congruence_coord_hnf(B6, IdealHNF.principal(QQ, QQ.from_rational(p)))
+        assert _generator_certificate(B6, coord_mat) is None
+        assert _all_maps_verdict(B6, coord_mat) is None
     verdicts = []
     for order in (QH, O_std, B6):
         for fake in _fake_lattices(order, rng):
-            verdicts.append(_certificate_verdict(fake))
-            assert verdicts[-1] == _all_maps_verdict(fake)
+            verdicts.append(_generator_certificate(order, fake))
+            assert verdicts[-1] == _all_maps_verdict(order, fake)
     assert set(verdicts) == {None, "involution", "two-sided"}
 
 
@@ -399,51 +435,33 @@ def test_generator_certificate_catches_a_failure_at_a_generator(QH, O_std, D):
         seven_q = [[7 if a == b else 0 for b in range(order.dim)] for a in range(order.dim)]
         o_k = [order.coords(D.element(alpha, 0, 0, 0))
                for alpha in D.field.whole_ring().basis_elements()]
-        fake = _fake_congruence_lattice(order, seven_q + o_k)
+        fake = _fake_lattice(order, seven_q + o_k)
         theta = order.left_matrix(D.element(D.field.gen(), 0, 0, 0))
-        for z in fake.coord_mat:
-            assert lattice.contains(fake.coord_mat, _combine(z, order.tables.invol))
-            assert lattice.contains(fake.coord_mat, _combine(z, theta))
-        assert not lattice.contains(fake.coord_mat, order.coords(D.gen_i()))
-        with pytest.raises(InvariantViolation, match="two-sided"):
-            fake._certify()
-        assert _all_maps_verdict(fake) == "two-sided"
+        for z in fake:
+            assert lattice.contains(fake, _combine(z, order.tables.invol))
+            assert lattice.contains(fake, _combine(z, theta))
+        assert not lattice.contains(fake, order.coords(D.gen_i()))
+        assert _generator_certificate(order, fake) == "two-sided"
+        assert _all_maps_verdict(order, fake) == "two-sided"
 
 
-def test_ring_multipliers_are_theta_and_the_generators(QH, O_std, B6, D):
-    # 1 is skipped, and so is theta = 0 over Q
-    gens = {"hurwitz": [D.gen_i(), D.gen_j(), hurwitz_j_prime(D)],
-            "standard": [D.gen_i(), D.gen_j(), D.gen_ij()]}
-    for order in (QH, O_std):
-        theta = D.element(D.field.gen(), 0, 0, 0)
-        assert order.ring_multipliers == tuple(order.left_matrix(x)
-                                               for x in [theta] + gens[order.name])
-    assert len(B6.ring_multipliers) == 3
-    basis = QH.basis_elements()
-    x = hurwitz_j_prime(D)
-    for b, row in enumerate(QH.left_matrix(x)):
-        assert tuple(row) == tuple(QH.coords(x * basis[b]))
-
-
-def test_congruence_lattice_at_p7_makes_sixty_membership_solves(QH, P7, monkeypatch):
-    from quatsys.orders import CongruenceIdealLattice
-
-    QH.ring_multipliers  # built with the first congruence lattice and kept
+def test_congruence_lattice_at_p7_makes_one_hnf_and_no_membership_solve(QH, P7, monkeypatch):
     calls = []
-    solve = lattice.contains
-
-    def counting(mat, vec):
-        calls.append(1)
-        return solve(mat, vec)
-
-    monkeypatch.setattr(lattice, "contains", counting)
+    hnf, contains = lattice.hnf, lattice.contains
+    monkeypatch.setattr(lattice, "hnf", lambda *args: calls.append("hnf") or hnf(*args))
+    monkeypatch.setattr(lattice, "contains",
+                        lambda *args: calls.append("contains") or contains(*args))
     CongruenceIdealLattice(QH, P7)
-    # 12 basis rows times conj, theta, i, j and j'; all 25 maps made 300
-    assert len(calls) == 60
+    # the former construction made two HNFs and 60 membership solves
+    assert calls == ["hnf"]
 
 
-def test_ring_multipliers_wait_for_the_first_congruence_lattice(D, P7):
-    order = hurwitz_order(D)
-    assert "ring_multipliers" not in vars(order)
-    order.congruence_lattice(P7)
-    assert "ring_multipliers" in vars(order)
+def test_trace_norm_containment_at_a_non_principal_level(Q10max):
+    # both primes above 3 of Q(sqrt 10) are non-principal
+    rng = random.Random(20261019)
+    field = Q10max.algebra.field
+    primes = [prime for prime, _e, _f in factor_rational_prime(field, 3)]
+    assert len(primes) == 2
+    for prime in primes:
+        report = verify_trace_norm_containment(Q10max, prime, 300, rng)
+        assert report["trace_in_ideal"] and report["norm_in_ideal_square"]

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from quatsys import lattice
 from quatsys.errors import CapExceeded, InputError, InvariantViolation
-from quatsys.numfield import NumberField, factor_rational_prime
-from quatsys.orders import OrderLattice, scaled_row, standard_order
+from quatsys.numfield import NumberField, factor_rational_prime, primes_up_to_norm
+from quatsys.orders import OrderLattice, hurwitz_order, scaled_row, standard_order
 from quatsys.polys import factorint
 from quatsys.quatalg import QuaternionAlgebra
 from quatsys.quotient import (FiniteQuotRing, _piece_forms, _residue_basis,
                               count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
                               maxim_formula, norm_one_envelope, squares_count)
 
-from conftest import lattice_index
+from conftest import congruence_coord_hnf, lattice_index
 
 _CHUNK = 1 << 15
 
@@ -57,7 +57,7 @@ def _quad(x: np.ndarray, y: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
 def mod_mat(ring) -> np.ndarray:
     """The congruence lattice's row HNF over the order basis."""
-    return np.array(ring.order.congruence_lattice(ring.ideal).coord_mat, dtype=np.int64)
+    return np.array(congruence_coord_hnf(ring.order, ring.ideal), dtype=np.int64)
 
 
 def diag(ring) -> np.ndarray:
@@ -568,7 +568,7 @@ def _hnf_greedy_basis(order, prime) -> list:
     when it lowers the HNF index of the span."""
     field = order.algebra.field
     theta = order.left_matrix(order.algebra.element(field.gen(), 0, 0, 0))
-    rows = [list(row) for row in order.congruence_lattice(prime).coord_mat]
+    rows = [list(row) for row in congruence_coord_hnf(order, prime)]
     index = lattice.det_upper_triangular(rows)
     chosen = []
     for a in range(order.dim):
@@ -587,11 +587,19 @@ def _hnf_greedy_basis(order, prime) -> list:
 
 
 def test_residue_basis_by_rank_over_the_residue_field_matches_the_hnf_greedy(QH, O_std, B6,
-                                                                             Q2max):
-    # the primes of norm below 50 above 2, 3, 5, 7, 13, 29 and 43: ramified,
-    # split and inert ones, dyadic ones among them
-    for order in (QH, O_std, B6, Q2max):
-        for p in (2, 3, 5, 7, 13, 29, 43):
-            for prime, _e, _f in factor_rational_prime(order.algebra.field, p):
-                if prime.norm < 50:
-                    assert _residue_basis(order, prime) == _hnf_greedy_basis(order, prime)
+                                                                             Q2max, Q10max):
+    # every prime of norm <= 100: ramified, split and inert ones, dyadic ones
+    # among them, and Q10max's non-principal primes above 2, 3 and 5; the
+    # greedy reads pQ's generators, the oracle its order-basis HNF
+    count = 0
+    for order in (QH, O_std, B6, Q2max, Q10max):
+        for prime in primes_up_to_norm(order.algebra.field, 100):
+            assert _residue_basis(order, prime) == _hnf_greedy_basis(order, prime)
+            count += 1
+    assert count == 125
+
+
+def test_a_count_builds_no_congruence_lattice(D, P7):
+    order = hurwitz_order(D)
+    assert FiniteQuotRing(order, P7, 1).count_norm_one() == 336
+    assert order._congruence == {}

@@ -147,7 +147,7 @@ def test_unit_identity_backs_shortcircuit(K):
 def test_prime_seven_certified(QH, P7):
     cert = certify_torsion_free(QH, P7)
     assert cert.torsion_free
-    assert cert.strong_form
+    assert cert.lines()[1] == "strong_form=true"
     sevens = [r for r in cert.records if r.n == 7]
     assert sevens and all(r.obstruction_norm == 7 for r in sevens)
 
@@ -159,21 +159,26 @@ def test_all_small_primes_certified(QH, K):
 
 def sqrt6_standard_order():
     """The standard order of (-1, -1) over Q(sqrt 6), whose Minkowski bound
-    sqrt 6 is above 2, so that its class number is left undecided."""
+    sqrt 6 is above 2, so that its class number is left undecided; the
+    square test applies all the same."""
     field = NumberField([1, 0, -6])
     minus_one = field.from_rational(-1)
     return standard_order(QuaternionAlgebra(field, minus_one, minus_one))
 
 
 def test_weak_form_blocks_at_obstruction(QH, P2):
-    # without a proof of class number one only the divisibility test
-    # applies, and (2) is blocked by the order-4 trace: <2> divides <0 - 2>
+    # the square test holds without a proof of class number one: <2> divides
+    # <0 - 2>, but <4> does not, so -2 is no trace difference t - 2 in
+    # Gamma(2) and the order-4 trace 0 does not block
     order = sqrt6_standard_order()
     field = order.algebra.field
+    assert not field.class_number_one
     cert = certify_torsion_free(order, IdealHNF.principal(field, field.from_rational(2)))
-    assert not cert.strong_form
-    assert cert.lines()[-1] == "verdict=possibly-torsion(n=4)"
-    # the strong square form certifies the Hurwitz group at P2
+    assert cert.lines()[1] == "strong_form=true"
+    assert [(r.n, r.obstruction_norm, r.blocks) for r in cert.records if r.n == 4] == [
+        (4, 4, False)]
+    assert cert.lines()[-1] == "verdict=torsion-free"
+    # the square form certifies the Hurwitz group at P2 too
     assert certify_torsion_free(QH, P2).torsion_free
 
 
@@ -235,7 +240,6 @@ def uncached_certificate_lines(order, ideal):
     """The certificate as computed before the obstructions were kept per field:
     every obstruction ideal is formed afresh for the ideal at hand."""
     field = order.algebra.field
-    strong = field.class_number_one
     i_sq = ideal * ideal
     records, blocking = [], []
     for n, trace_value in torsion_traces(field):
@@ -248,11 +252,11 @@ def uncached_certificate_lines(order, ideal):
             records.append(ObstructionRecord(n, trace_value, True, None, False))
             continue
         obstruction = IdealHNF.principal(field, c)
-        blocks = (i_sq if strong else ideal).divides(obstruction)
+        blocks = i_sq.divides(obstruction)
         records.append(ObstructionRecord(n, trace_value, False, obstruction.norm, blocks))
         if blocks:
             blocking.append(n)
-    return TorsionCertificate(ideal.norm, strong, records, not blocking,
+    return TorsionCertificate(ideal.norm, records, not blocking,
                               sorted(set(blocking))).lines()
 
 
@@ -263,7 +267,7 @@ def test_certificate_matches_the_uncached_oracle(QH, K, P7, B6):
     for p in (2, 3, 4, 5, 7, 9):
         ideal = IdealHNF.principal(QQ, QQ.from_rational(p))
         assert certify_torsion_free(B6, ideal).lines() == uncached_certificate_lines(B6, ideal)
-    # the weak form, over a field without a proof of class number one
+    # over a field without a proof of class number one
     order = sqrt6_standard_order()
     plain = order.algebra.field
     assert not plain.class_number_one
