@@ -59,7 +59,8 @@ representatives do not depend on what ran before in the process.  A
 the class its side of 2 and its length.
 
 The walk visits one member of each symmetry orbit.  Gamma(I) is closed under
-x -> conj(x) = trd x - x (I*Q is certified stable under the involution), and
+x -> conj(x) = trd x - x (I*Q is stable under the involution by construction,
+`orders.CongruenceIdealLattice`), and
 under x -> -x exactly when -1 is in Gamma(I), that is when 2 is in I*Q.  Both
 maps keep ||x||_F (||conj(x)||_F = ||x^-1||_F = ||x||_F in SL_2) and the
 class |trace|.  In the scaled coordinates conj negates blocks 1-3 and -x all

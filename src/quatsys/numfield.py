@@ -105,6 +105,26 @@ class NumberField:
                 out[k] -= top * self.min_poly[k]
         return out
 
+    def mul_vec(self, x, y) -> list:
+        """Integer coordinates of x * y for integer coordinate vectors x and y
+        over the power basis: their convolution, with theta^k for k >= d
+        folded back through the power table."""
+        d = self.degree
+        conv = [0] * (2 * d - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    if b:
+                        conv[i + j] += a * b
+        out = conv[:d]
+        for k in range(d, 2 * d - 1):
+            c = conv[k]
+            if c:
+                for m, w in enumerate(self._pow[k]):
+                    if w:
+                        out[m] += c * w
+        return out
+
     def _certify_power_basis_maximal(self):
         """Dedekind criterion at every prime p with p^2 | disc(m)."""
         if self.degree == 1:
@@ -381,23 +401,8 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.field
-        d = field.degree
-        conv = [0] * (2 * d - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        conv[i + j] += a * b
-        # theta^k for k >= d folds back through the power table
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                for m, w in enumerate(field._pow[k]):
-                    if w:
-                        out[m] += c * w
-        return FieldElement(field, out, self.den * other.den)
+        return FieldElement(self.field, self.field.mul_vec(self.num, other.num),
+                            self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -628,13 +633,14 @@ class IdealHNF:
     def __pow__(self, n: int) -> "IdealHNF":
         if n < 0:
             raise InputError("negative ideal powers are fractional; use inverse()")
-        result = self.field.whole_ring()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.field.whole_ring()
+        # square and multiply from the leading bit, which is self itself
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def intersect(self, other: "IdealHNF") -> "IdealHNF":

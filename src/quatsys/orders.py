@@ -216,12 +216,6 @@ class OrderLattice:
 
     # -- congruence structure ---------------------------------------------------
 
-    def left_matrix(self, x: QuatElement) -> tuple:
-        """Rows x * w_b = sum_a x_a struct[a][b] over the order basis, for x in
-        the order; x * z = sum_b z_b (x * w_b)."""
-        coords = self.coords(x)
-        return tuple(tuple(_combine(coords, column)) for column in zip(*self.tables.struct))
-
     def congruence_lattice(self, ideal: IdealHNF) -> "CongruenceIdealLattice":
         """I*Q, built once per ideal."""
         cong = self._congruence.get(ideal)

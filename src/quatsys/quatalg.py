@@ -253,14 +253,13 @@ def _residue_symbol(c: FieldElement, prime: IdealHNF) -> int:
         t = next(x for x in clear.basis_elements() if not prime.contains(x))
         c = c * t * t
     c = c * c.denominator() ** 2
-    residue = lambda x: K.element(prime.reduce([int(v) for v in x.coords]))
-    power, base, n = K.one(), residue(c), (prime.norm - 1) // 2
+    power, base, n = prime.reduce(K.one().num), prime.reduce(c.num), (prime.norm - 1) // 2
     while n:
         if n & 1:
-            power = residue(power * base)
-        base, n = residue(base * base), n >> 1
+            power = prime.reduce(K.mul_vec(power, base))
+        base, n = prime.reduce(K.mul_vec(base, base)), n >> 1
     for sign in (1, -1):
-        if power == residue(K.from_rational(sign)):
+        if power == prime.reduce(K.from_rational(sign).num):
             return sign
     raise InvariantViolation("Euler's criterion gave neither 1 nor -1")
 

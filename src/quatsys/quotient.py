@@ -19,11 +19,13 @@ Quadratic Forms, sections 91-93), and the histogram is the convolution of
 the pieces' histograms over the additive group of R: O(|R|^2) integer
 operations in place of the |R|^4 residues.  The count works in five steps.
 
-1. Four order-basis vectors e_a whose O_K-span together with pQ is all of Q
-   (an HNF index of 1, `_residue_basis`) are an R-basis of Q/p^tQ for every
-   t, by Nakayama.  pQ enters through its generators beta * w_b, beta in a
-   Z-basis of p, read off the structure constants, so a count builds no
-   congruence lattice I*Q.
+1. Four order-basis vectors e_a are an R-basis of Q/p^tQ for every t
+   (`_residue_basis`).  The order's HNF is block upper triangular, so Q has
+   a filtration by O_K-modules whose steps are the coefficient ideals B_l
+   of its quaternion blocks; e_l is the first HNF row pivoting in block l
+   whose block-l part lies outside B_l p, and it generates that step at p.
+   The B_l depend on the order alone, so a count builds no congruence
+   lattice I*Q and no HNF of Q's rank.
 2. Their Gram data over R, nu(e_a) and B(e_a, e_b) = trd(e_a conj(e_b)), is
    read off the norm tensor T, after checking that nu is integral on all of
    Q: kappa divides every T[a][a] and every T[a][b] + T[b][a].
@@ -230,9 +232,7 @@ class _ResidueRing:
             return x
         if y == self.zero or x == self.one:
             return y
-        field = self.field
-        return self.reduce((FieldElement(field, self._coords[x])
-                            * FieldElement(field, self._coords[y])).num)
+        return self.reduce(self.field.mul_vec(self._coords[x], self._coords[y]))
 
     def valuation(self, x: int) -> int:
         return self.t if x == self.zero else self._factored[x][0]
@@ -305,62 +305,48 @@ class _ResidueRing:
 
 
 def _residue_basis(order: OrderLattice, prime: IdealHNF) -> list:
-    """Four order-basis indices a whose O_K w_a span Q together with pQ.
+    """Four order-basis indices a_0 .. a_3 whose w_a are an R-basis of Q/p^tQ
+    for every t, read off the order's HNF block filtration.
 
-    pQ is spanned by the beta * w_b, beta in a Z-basis of p: the rows of
-    `order.left_matrix(beta)`, so no I*Q is built.  It contains lQ, l the
-    rational prime below p, so every lattice L between them has
-    [Q : L] = l^(4d - r), r the rank over F_l of its rows reduced mod l.
-    Greedy over the basis: w_a is kept when its O_K-span raises that rank,
-    which lowers the index (by a factor q); one HNF of index 1 certifies the
-    four kept.  By Nakayama they are then an R-basis of Q/p^tQ for every t.
+    Let Q_l be the elements of Q whose quaternion blocks 0 .. l-1 vanish.  O_K
+    acts block by block, so Q_l is an O_K-module, and projection to block l
+    is O_K-linear with kernel Q_(l+1).  The HNF is upper triangular, so Q_l
+    is spanned by the rows that pivot in blocks l and later, and the image of
+    the projection, scaled by kappa, is B_l: the span over Z of the block-l
+    parts of the d rows that pivot in block l (`_block_ideals`), an integral
+    ideal (Cohen, GTM 193, ch. 1, HNF over Dedekind domains).  As
+    B_l p != B_l, one of those d rows, w_(a_l), has its block-l part outside
+    B_l p; that part generates B_l at p.  So
+    Q_(l,p) = O_(K,p) w_(a_l) (+) Q_(l+1,p), and by induction the four rows
+    are an O_(K,p)-basis of Q_p, hence an R-basis of Q/p^tQ.
+
+    The checks are exact: `IdealHNF` certifies that each B_l is an ideal,
+    and `contains` decides membership in B_l p.  If no row of a block
+    qualifies, the argument above is broken and `InvariantViolation` is raised.
     """
     field = order.algebra.field
-    ell = prime.residue_characteristic()
-    theta = order.left_matrix(order.algebra.element(field.gen(), 0, 0, 0))
-    columns = list(zip(*theta))
-    rows = [list(row) for beta in prime.basis_elements()
-            for row in order.left_matrix(order.algebra.element(beta, 0, 0, 0))]
-    echelon = []
-    for row in rows:
-        _extend_echelon(echelon, row, ell)
+    d = field.degree
+    blocks = order.cached("block_ideals", lambda: _block_ideals(order))
+    # the B_l repeat (O_K, O_K, 2 O_K, 2 O_K for the Hurwitz order)
+    scaled = {block: block * prime for block in set(blocks)}
     chosen = []
-    for a in range(order.dim):
-        if len(echelon) == order.dim:
-            break
-        span = [[int(b == a) for b in range(order.dim)]]
-        for _ in range(field.degree - 1):  # theta^m w_a, from x -> theta x
-            span.append([sum(x * y for x, y in zip(span[-1], col)) for col in columns])
-        added = [_extend_echelon(echelon, vec, ell) for vec in span]
-        if any(added):
-            rows += span
-            chosen.append(a)
-    certificate = lattice.hnf(rows, order.dim)
-    if (len(chosen) != 4 or not lattice.is_full_rank_hnf(certificate, order.dim)
-            or lattice.det_upper_triangular(certificate) != 1):
-        raise InvariantViolation("no four order-basis vectors span Q modulo pQ")
+    for l, block in enumerate(blocks):
+        cols = slice(l * d, (l + 1) * d)
+        a = next((a for a in range(l * d, (l + 1) * d)
+                  if not scaled[block].contains(FieldElement(field, order.mat[a][cols]))), None)
+        if a is None:
+            raise InvariantViolation(f"no row of block {l} generates its coefficient ideal at p")
+        chosen.append(a)
     return chosen
 
 
-def _extend_echelon(echelon: list, vec, ell: int) -> bool:
-    """Add vec mod ell to `echelon` unless it lies in its span over F_ell.
-
-    `echelon` holds (column, row) pairs in the order they were added, each
-    row 1 at its column and 0 at the columns of the rows before it, so
-    reducing in that order clears every column once.  Returns whether vec
-    was added.
-    """
-    vec = [x % ell for x in vec]
-    for col, row in echelon:
-        c = vec[col]
-        if c:
-            vec = [(x - c * y) % ell for x, y in zip(vec, row)]
-    col = next((k for k, x in enumerate(vec) if x), None)
-    if col is None:
-        return False
-    inverse = pow(vec[col], -1, ell)
-    echelon.append((col, [x * inverse % ell for x in vec]))
-    return True
+def _block_ideals(order: OrderLattice) -> list:
+    """B_0 .. B_3: B_l is spanned by the block-l parts of the d HNF rows of
+    the order that pivot in block l (`_residue_basis`)."""
+    field = order.algebra.field
+    d = field.degree
+    return [IdealHNF(field, [row[l * d:(l + 1) * d] for row in order.mat[l * d:(l + 1) * d]])
+            for l in range(4)]
 
 
 def _split(ring: _ResidueRing, norms, polar) -> list:

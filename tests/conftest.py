@@ -5,7 +5,7 @@ import pytest
 from quatsys import lattice
 from quatsys.numfield import (FieldElement, IdealHNF, factor_rational_prime, hurwitz_field,
                               rationals)
-from quatsys.orders import hurwitz_algebra, hurwitz_order, standard_order
+from quatsys.orders import _combine, hurwitz_algebra, hurwitz_order, standard_order
 
 
 def lattice_index(outer, inner) -> int:
@@ -22,11 +22,18 @@ def is_central(x) -> bool:
     return all(c.is_zero() for c in x.coords[1:])
 
 
+def left_matrix(order, x) -> tuple:
+    """Rows x * w_b = sum_a x_a struct[a][b] over the order basis, for x in
+    the order; x * z = sum_b z_b (x * w_b)."""
+    coords = order.coords(x)
+    return tuple(tuple(_combine(coords, column)) for column in zip(*order.tables.struct))
+
+
 def congruence_coord_hnf(order, ideal) -> tuple:
     """Oracle: the row HNF of I*Q over the order basis, from the products
     alpha * w_b, alpha in I's Z-basis, read off the structure constants."""
     rows = [row for alpha in ideal.basis_elements()
-            for row in order.left_matrix(order.algebra.element(alpha, 0, 0, 0))]
+            for row in left_matrix(order, order.algebra.element(alpha, 0, 0, 0))]
     return tuple(tuple(r) for r in lattice.hnf(rows, order.dim))
 
 

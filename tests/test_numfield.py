@@ -238,6 +238,20 @@ def test_divides_is_containment(K, P7, P2):
     assert (P7 * P7).divides(P7 ** 3)
 
 
+def test_ideal_powers_start_from_the_first_factor(K, P7, P13s, monkeypatch):
+    assert P7 ** 0 == K.whole_ring()
+    products = []
+    multiply = IdealHNF.__mul__
+    monkeypatch.setattr(IdealHNF, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+    assert P7 ** 1 == P7 and products == []
+    monkeypatch.undo()
+    for prime in (P7, P13s[0]):
+        repeated = prime
+        for n in range(1, 6):
+            assert prime ** n == repeated
+            repeated = repeated * prime
+
+
 def test_factor_ideal_composite(K, P7, P2, P13s):
     ideal = P7 * P2 * P13s[0]
     fac = dict((pr.mat, v) for pr, v in factor_ideal(K, ideal))

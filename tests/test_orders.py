@@ -14,7 +14,7 @@ from quatsys.orders import (CongruenceIdealLattice, OrderLattice, _combine, hurw
                             verify_trace_norm_containment)
 from quatsys.quatalg import QuatElement
 
-from conftest import congruence_coord_hnf, is_central, lattice_index
+from conftest import congruence_coord_hnf, is_central, lattice_index, left_matrix
 
 
 def test_standard_order_shape(O_std, D):
@@ -289,7 +289,7 @@ def _ring_multipliers(order):
     generate the order as a ring: the closure loop builds the ring generated
     by the g * theta^k, which holds 1 and so theta."""
     theta = order.algebra.element(order.algebra.field.gen(), 0, 0, 0)
-    return [order.left_matrix(x) for x in (theta, *order.generators)
+    return [left_matrix(order, x) for x in (theta, *order.generators)
             if not (is_central(x) and x.coords[0].is_rational())]
 
 
@@ -375,7 +375,7 @@ def test_congruence_lattice_equals_the_span_of_products(QH, O_std, P7, P2, P13s)
 def test_left_matrix_rows_are_the_products(QH, D):
     basis = QH.basis_elements()
     x = hurwitz_j_prime(D)
-    for b, row in enumerate(QH.left_matrix(x)):
+    for b, row in enumerate(left_matrix(QH, x)):
         assert tuple(row) == tuple(QH.coords(x * basis[b]))
 
 
@@ -436,7 +436,7 @@ def test_generator_certificate_catches_a_failure_at_a_generator(QH, O_std, D):
         o_k = [order.coords(D.element(alpha, 0, 0, 0))
                for alpha in D.field.whole_ring().basis_elements()]
         fake = _fake_lattice(order, seven_q + o_k)
-        theta = order.left_matrix(D.element(D.field.gen(), 0, 0, 0))
+        theta = left_matrix(order, D.element(D.field.gen(), 0, 0, 0))
         for z in fake:
             assert lattice.contains(fake, _combine(z, order.tables.invol))
             assert lattice.contains(fake, _combine(z, theta))

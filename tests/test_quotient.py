@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from quatsys import lattice
 from quatsys.errors import CapExceeded, InputError, InvariantViolation
-from quatsys.numfield import NumberField, factor_rational_prime, primes_up_to_norm
+from quatsys.numfield import IdealHNF, NumberField, factor_rational_prime, primes_up_to_norm
 from quatsys.orders import OrderLattice, hurwitz_order, scaled_row, standard_order
 from quatsys.polys import factorint
 from quatsys.quatalg import QuaternionAlgebra
-from quatsys.quotient import (FiniteQuotRing, _piece_forms, _residue_basis,
+from quatsys.quotient import (FiniteQuotRing, _block_ideals, _piece_forms, _residue_basis,
                               count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
                               maxim_formula, norm_one_envelope, squares_count)
 
-from conftest import congruence_coord_hnf, lattice_index
+from conftest import congruence_coord_hnf, lattice_index, left_matrix
 
 _CHUNK = 1 << 15
 
@@ -452,11 +452,12 @@ def sqrt3_ring():
 
 
 @pytest.fixture(scope="module")
-def small_rings(QH, O_std, P7, P2, P13s, B6, Q2max):
+def small_rings(QH, O_std, P7, P2, P13s, B6, Q2max, Q10max):
     """One ring per case of the split: diagonal pivots at odd primes, binary
     blocks at dyadic ones, a degenerate Gram matrix mod p (B6 at its
     ramified primes), a ramified dyadic prime (Q2max), a non-maximal order
-    (O_std at 2), prime powers and a non-diagonal central HNF."""
+    (O_std at 2), prime powers, a non-diagonal central HNF, and an order
+    that is not free over O_K at non-principal primes (Q10max)."""
     rings = {name: FiniteQuotRing(order, prime, t) for name, order, prime, t in [
         ("QH/P7", QH, P7, 1), ("QH/P2", QH, P2, 1), ("QH/P13", QH, P13s[0], 1),
         ("QH/P7^2", QH, P7, 2), ("O_std/P7", O_std, P7, 1), ("O_std/P2", O_std, P2, 1)]}
@@ -465,6 +466,11 @@ def small_rings(QH, O_std, P7, P2, P13s, B6, Q2max):
         for t in (1, 2, 3):
             rings[f"{name}^{t}"] = FiniteQuotRing(order, prime, t)
     rings["Q(sqrt3)/P2^3"] = sqrt3_ring()
+    q10 = Q10max.algebra.field
+    for name, p, exponents in [("Q10max/P2", 2, (1, 2, 3)), ("Q10max/P3", 3, (1, 2))]:
+        prime = factor_rational_prime(q10, p)[0][0]
+        for t in exponents:
+            rings[f"{name}^{t}"] = FiniteQuotRing(Q10max, prime, t)
     return rings
 
 
@@ -476,10 +482,20 @@ def fresh(ring):
 @pytest.mark.parametrize("name", ["QH/P7", "QH/P2", "QH/P13", "QH/P7^2", "O_std/P7",
                                   "O_std/P2", "B6/2^1", "B6/2^2", "B6/2^3", "B6/3^1",
                                   "B6/3^2", "B6/3^3", "Q2max/P2^1", "Q2max/P2^2",
-                                  "Q2max/P2^3", "Q(sqrt3)/P2^3"])
+                                  "Q2max/P2^3", "Q(sqrt3)/P2^3", "Q10max/P2^1",
+                                  "Q10max/P2^2", "Q10max/P2^3", "Q10max/P3^1",
+                                  "Q10max/P3^2"])
 def test_split_count_equals_residue_loop(small_rings, name):
     ring = small_rings[name]
     assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
+
+
+def test_counts_of_an_order_that_is_not_free(small_rings):
+    # Q10max at P2 = (2, sqrt 10) and at a prime above 3, both non-principal
+    counts = {"P2^1": (12, 12), "P2^2": (192, 96), "P2^3": (3072, 768),
+              "P3^1": (48, 24), "P3^2": (3888, 648)}
+    for level, expected in counts.items():
+        assert small_rings[f"Q10max/{level}"].count_units_and_norm_one() == expected
 
 
 def test_a_non_diagonal_central_hnf(small_rings):
@@ -563,21 +579,85 @@ def test_split_count_equals_residue_loop_on_rational_standard_orders(QQ, a, b, l
     assert ring.count_units_and_norm_one() == residue_loop_counts(ring)
 
 
+def _theta_span(order, a) -> list:
+    """theta^m w_a for m < d over the order basis, from x -> theta x."""
+    field = order.algebra.field
+    theta = left_matrix(order, order.algebra.element(field.gen(), 0, 0, 0))
+    span = [[int(b == a) for b in range(order.dim)]]
+    for _ in range(field.degree - 1):
+        span.append([sum(x * y for x, y in zip(span[-1], col)) for col in zip(*theta)])
+    return span
+
+
+def _prime_multiples(order, prime) -> list:
+    """pQ's generators beta * w_b, beta in a Z-basis of p, over the order basis."""
+    return [list(row) for beta in prime.basis_elements()
+            for row in left_matrix(order, order.algebra.element(beta, 0, 0, 0))]
+
+
+def _extend_echelon(echelon: list, vec, ell: int) -> bool:
+    """Add vec mod ell to `echelon` unless it lies in its span over F_ell.
+
+    `echelon` holds (column, row) pairs in the order they were added, each
+    row 1 at its column and 0 at the columns of the rows before it, so
+    reducing in that order clears every column once.  Returns whether vec
+    was added.
+    """
+    vec = [x % ell for x in vec]
+    for col, row in echelon:
+        c = vec[col]
+        if c:
+            vec = [(x - c * y) % ell for x, y in zip(vec, row)]
+    col = next((k for k, x in enumerate(vec) if x), None)
+    if col is None:
+        return False
+    inverse = pow(vec[col], -1, ell)
+    echelon.append((col, [x * inverse % ell for x in vec]))
+    return True
+
+
+def _rank_greedy_basis(order, prime) -> list:
+    """Oracle: the residue basis by rank over F_l, l the rational prime below p.
+
+    pQ contains lQ, so every lattice L between them has [Q : L] = l^(4d - r),
+    r the rank over F_l of its rows reduced mod l.  Greedy over the basis:
+    w_a is kept when its O_K-span raises that rank, which lowers the index.
+    """
+    ell = prime.residue_characteristic()
+    echelon = []
+    for row in _prime_multiples(order, prime):
+        _extend_echelon(echelon, row, ell)
+    chosen = []
+    for a in range(order.dim):
+        if len(echelon) == order.dim:
+            break
+        added = [_extend_echelon(echelon, vec, ell) for vec in _theta_span(order, a)]
+        if any(added):
+            chosen.append(a)
+    return chosen
+
+
+def _spans_q_modulo_pq(order, prime, chosen) -> bool:
+    """Certificate: the O_K w_a, a in `chosen`, span Q together with pQ (one
+    HNF of index 1), so by Nakayama four of them are an R-basis of Q/p^tQ."""
+    rows = _prime_multiples(order, prime)
+    for a in chosen:
+        rows += _theta_span(order, a)
+    certificate = lattice.hnf(rows, order.dim)
+    return (len(chosen) == 4 and lattice.is_full_rank_hnf(certificate, order.dim)
+            and lattice.det_upper_triangular(certificate) == 1)
+
+
 def _hnf_greedy_basis(order, prime) -> list:
     """Oracle: the residue basis by one HNF per tried vector, keeping w_a
     when it lowers the HNF index of the span."""
-    field = order.algebra.field
-    theta = order.left_matrix(order.algebra.element(field.gen(), 0, 0, 0))
     rows = [list(row) for row in congruence_coord_hnf(order, prime)]
     index = lattice.det_upper_triangular(rows)
     chosen = []
     for a in range(order.dim):
         if index == 1:
             break
-        span = [[int(b == a) for b in range(order.dim)]]
-        for _ in range(field.degree - 1):
-            span.append([sum(x * y for x, y in zip(span[-1], col)) for col in zip(*theta)])
-        span = lattice.hnf(rows + span, order.dim)
+        span = lattice.hnf(rows + _theta_span(order, a), order.dim)
         det = lattice.det_upper_triangular(span)
         if det < index:
             rows, index = span, det
@@ -586,17 +666,41 @@ def _hnf_greedy_basis(order, prime) -> list:
     return chosen
 
 
-def test_residue_basis_by_rank_over_the_residue_field_matches_the_hnf_greedy(QH, O_std, B6,
-                                                                             Q2max, Q10max):
+def test_residue_basis_from_the_block_filtration_spans_q_modulo_pq(QH, O_std, B6, Q2max,
+                                                                    Q10max):
     # every prime of norm <= 100: ramified, split and inert ones, dyadic ones
     # among them, and Q10max's non-principal primes above 2, 3 and 5; the
-    # greedy reads pQ's generators, the oracle its order-basis HNF
-    count = 0
+    # filtration basis and both greedy oracles pass the index-1 certificate
+    count = differ = 0
     for order in (QH, O_std, B6, Q2max, Q10max):
         for prime in primes_up_to_norm(order.algebra.field, 100):
-            assert _residue_basis(order, prime) == _hnf_greedy_basis(order, prime)
+            basis = _residue_basis(order, prime)
+            assert _spans_q_modulo_pq(order, prime, basis)
+            greedy = _rank_greedy_basis(order, prime)
+            assert greedy == _hnf_greedy_basis(order, prime)
+            assert _spans_q_modulo_pq(order, prime, greedy)
+            differ += basis != greedy
             count += 1
     assert count == 125
+    assert differ == 75  # a count does not depend on which basis it reads
+
+
+def test_residue_basis_takes_one_row_per_block(QH, Q10max, P7, monkeypatch):
+    # the certificate is not vacuous: rows whose blocks 0 and 1 vanish do not span
+    d = QH.algebra.field.degree
+    assert not _spans_q_modulo_pq(QH, P7, list(range(2 * d, 2 * d + 4)))
+    assert [a // d for a in _residue_basis(QH, P7)] == [0, 1, 2, 3]
+    # Q10max's block 1 has the non-principal ideal P2 = (2, sqrt 10); at P2
+    # the basis takes the sqrt 10 row, whose block-1 part lies outside P2^2
+    field = Q10max.algebra.field
+    p2 = factor_rational_prime(field, 2)[0][0]
+    assert _block_ideals(Q10max)[1] == p2 and not field.class_number_one
+    a = _residue_basis(Q10max, p2)[1]
+    assert Q10max.mat[a][2:4] == (0, 1)
+    # a block whose rows all lie in B p is refused, not skipped
+    monkeypatch.setattr(IdealHNF, "contains", lambda self, x: True)
+    with pytest.raises(InvariantViolation, match="generates its coefficient ideal"):
+        _residue_basis(QH, P7)
 
 
 def test_a_count_builds_no_congruence_lattice(D, P7):
