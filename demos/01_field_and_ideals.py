@@ -28,9 +28,9 @@ print("<7> == <2 - eta>^3:", IdealHNF.principal(K, K.from_rational(7)) == p7 ** 
 print("factorization of 2: ", [(pr.norm, e, f) for pr, e, f in factor_rational_prime(K, 2)])
 print("factorization of 13:", [(pr.norm, e, f) for pr, e, f in factor_rational_prime(K, 13)])
 
-# fractional inverses and the ideal lattice operations
-inv = p7.inverse()
-print("\n<2-eta>^-1 * <2-eta> is the whole ring:", (inv * p7).is_whole_ring())
+# valuations and the ideal lattice operations
+seven = IdealHNF.principal(K, K.from_rational(7))
+print("\nv_<2-eta>(<7>) =", seven.valuation(p7))
 p2 = IdealHNF.principal(K, K.from_rational(2))
 print("(I+J)(I con J) == IJ:", (p7 + p2) * p7.intersect(p2) == p7 * p2)
 

@@ -9,13 +9,11 @@ eta = 2 cos(2 pi / 7); `hurwitz_context()` wires it up in one call.
 from .errors import (CapExceeded, InputError, InvariantViolation, PrecisionError,
                      QuatsysError)
 from .intervals import RatInterval
-from .numfield import (FieldElement, FractionalIdeal, IdealHNF, NumberField,
-                       factor_ideal, factor_rational_prime, hurwitz_field,
-                       primes_up_to_norm, rationals)
+from .numfield import (FieldElement, IdealHNF, NumberField, factor_ideal,
+                       factor_rational_prime, hurwitz_field, primes_up_to_norm, rationals)
 from .quatalg import QuatElement, QuaternionAlgebra, RamificationReport
 from .orders import (CongruenceIdealLattice, OrderLattice, hurwitz_algebra,
-                     hurwitz_j_prime, hurwitz_order, hurwitz_preset, standard_order,
-                     verify_trace_norm_containment)
+                     hurwitz_j_prime, hurwitz_order, hurwitz_preset, standard_order)
 from .quotient import (FiniteQuotRing, LambdaFactor, count_norm_one_ideal,
                        index_bound, lambda_factor, lemma44_check, maxim_formula,
                        squares_count)
@@ -30,5 +28,3 @@ from .geodesics import (EnumerationResult, GeodesicCandidate, RadiusSchedule,
                         enumerate_gamma, systole_search)
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

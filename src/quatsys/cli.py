@@ -233,6 +233,8 @@ def cmd_bounds(args, env, emit):
     if ctx is None:
         raise InputError("bounds needs the base covolume; use --hurwitz")
     ideal = _pick_ideal(args, env["field"])
+    if ideal.is_whole_ring():
+        raise InputError("the improper ideal defines the full group; certificate undefined")
     sharp, coarse = trace_bound_pair(ctx, ideal)
     emit(f"ideal_norm={ideal.norm}")
     try:

@@ -15,8 +15,7 @@ The discriminant, the irreducibility certificate, the factorisations
 modulo p (Dedekind-Kummer) and the rational primes come from `polys`.
 
 Integral ideals are integer lattices in row Hermite normal form over the
-power basis; fractional ideals are an integral numerator with a minimal
-positive integer denominator.
+power basis.
 
 Real embeddings are certified: enclosures of each root of the minimal
 polynomial are bisected from its isolating interval and cached per precision,
@@ -624,6 +623,11 @@ class IdealHNF:
         return IdealHNF(self.field, self.mat + other.mat)
 
     def __mul__(self, other: "IdealHNF") -> "IdealHNF":
+        # O_K is the identity, and an ideal is immutable with a canonical HNF
+        if self.norm == 1:
+            return other
+        if other.norm == 1:
+            return self
         rows = []
         for a in self.basis_elements():
             for b in other.basis_elements():
@@ -632,7 +636,7 @@ class IdealHNF:
 
     def __pow__(self, n: int) -> "IdealHNF":
         if n < 0:
-            raise InputError("negative ideal powers are fractional; use inverse()")
+            raise InputError("negative ideal powers are fractional")
         if n == 0:
             return self.field.whole_ring()
         # square and multiply from the leading bit, which is self itself
@@ -650,27 +654,6 @@ class IdealHNF:
         """self | other, equivalently other is contained in self."""
         return all(lattice.contains(self.mat, row) for row in other.mat)
 
-    def inverse(self) -> "FractionalIdeal":
-        """The fractional ideal {u in K : u * self is integral}."""
-        d = self.field.degree
-        n = self.norm
-        basis = self.basis_elements()
-        # membership of w: w * b ranges over N * O_K for every ideal basis element b
-        big = []
-        for k in range(d):
-            theta_k = self.field.element([1 if i == k else 0 for i in range(d)])
-            row = []
-            for b in basis:
-                prod = theta_k * b
-                row.extend(prod.num)
-            big.append(row)
-        ncols = d * d
-        stacked = big + [[n if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-        ker = lattice.kernel(stacked, ncols)
-        num_rows = [u[:d] for u in ker if any(u[:d])]
-        num = IdealHNF(self.field, num_rows)
-        return FractionalIdeal(num, n).normalize()
-
     def valuation(self, prime: "IdealHNF") -> int:
         """Exponent of a prime ideal in self (by repeated divisibility)."""
         v = 0
@@ -679,54 +662,6 @@ class IdealHNF:
             v += 1
             power = power * prime
         return v
-
-
-class FractionalIdeal:
-    """Integral numerator over a positive integer denominator, kept minimal."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: IdealHNF, den: int = 1):
-        if den <= 0:
-            raise InputError("denominator must be positive")
-        self.num = num
-        self.den = int(den)
-
-    def normalize(self) -> "FractionalIdeal":
-        g = math.gcd(lattice.content([list(r) for r in self.num.mat]), self.den)
-        if g <= 1:
-            return self
-        rows = [[x // g for x in row] for row in self.num.mat]
-        return FractionalIdeal(IdealHNF(self.num.field, rows), self.den // g)
-
-    @classmethod
-    def from_integral(cls, ideal: IdealHNF) -> "FractionalIdeal":
-        return cls(ideal, 1)
-
-    def contains(self, elem: FieldElement) -> bool:
-        scaled = elem * self.den
-        return scaled.is_integral() and self.num.contains(scaled)
-
-    def __mul__(self, other):
-        if isinstance(other, IdealHNF):
-            other = FractionalIdeal.from_integral(other)
-        return FractionalIdeal(self.num * other.num, self.den * other.den).normalize()
-
-    def __eq__(self, other):
-        if isinstance(other, IdealHNF):
-            other = FractionalIdeal.from_integral(other)
-        a = self.normalize()
-        b = other.normalize()
-        return a.den == b.den and a.num == b.num
-
-    def is_whole_ring(self) -> bool:
-        return self.den == 1 and self.num.is_whole_ring()
-
-    def norm(self) -> Fraction:
-        return Fraction(self.num.norm, self.den ** self.num.field.degree)
-
-    def __repr__(self):
-        return f"FractionalIdeal(1/{self.den} * {self.num!r})"
 
 
 # ---------------------------------------------------------------------------

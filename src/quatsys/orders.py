@@ -193,9 +193,6 @@ class OrderLattice:
     def contains(self, x: QuatElement) -> bool:
         return self.coords(x) is not None
 
-    def is_norm_one(self, x: QuatElement) -> bool:
-        return self.contains(x) and x.reduced_norm() == self.algebra.field.one()
-
     def cached(self, key: str, build):
         """build(), computed once per order and kept under `key`.
 
@@ -222,12 +219,6 @@ class OrderLattice:
         if cong is None:
             cong = self._congruence[ideal] = CongruenceIdealLattice(self, ideal)
         return cong
-
-    def in_gamma(self, ideal: IdealHNF, x: QuatElement) -> bool:
-        """Norm-one and congruent to 1 modulo ideal*self."""
-        if not self.is_norm_one(x):
-            return False
-        return self.congruence_lattice(ideal).contains(x - self.algebra.one())
 
     def minus_one_in_gamma(self, ideal: IdealHNF) -> bool:
         """Whether -1 lies in Gamma(I): exactly when 2 lies in I.
@@ -279,10 +270,6 @@ class CongruenceIdealLattice:
     def contains(self, x: QuatElement) -> bool:
         vec = scaled_row(x, self.order.kappa)
         return vec is not None and lattice.contains(self.mat, vec)
-
-    def random_element(self, rng) -> QuatElement:
-        coeffs = [rng.randrange(-6, 7) for _ in range(self.order.dim)]
-        return unflatten(self.order.algebra, _combine(coeffs, self.mat), self.order.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -341,57 +328,6 @@ def hurwitz_j_prime(algebra: QuaternionAlgebra) -> QuatElement:
     tau = K.one() + eta + eta * eta
     half = Fraction(1, 2)
     return QuatElement(algebra, (K.from_rational(half), eta * half, tau * half, K.zero()))
-
-
-# ---------------------------------------------------------------------------
-# Trace/norm containment checks for congruence ideals
-# ---------------------------------------------------------------------------
-
-
-def verify_trace_norm_containment(order: OrderLattice, ideal: IdealHNF,
-                                  n_samples: int, rng, gamma_elements=()):
-    """Certify, on random I*Q samples and supplied congruence-group elements:
-
-    * Tr(z) in I and N(z) in I^2 for z in I*Q;
-    * x0 - 1 in (<2> + kappa*I)^{-1} * I^2 for x in the congruence group;
-    * the identity 2*y0 = -N(x - 1) with y0 = x0 - 1, exactly.
-
-    Raises InvariantViolation with the witness on any failure; returns a
-    summary dict otherwise.
-    """
-    K = order.algebra.field
-    cong = order.congruence_lattice(ideal)
-    i_sq = ideal * ideal
-    for _ in range(n_samples):
-        z = cong.random_element(rng)
-        if not ideal.contains(z.reduced_trace()):
-            raise InvariantViolation(f"trace of {z} escapes the ideal")
-        if not i_sq.contains(z.reduced_norm()):
-            raise InvariantViolation(f"norm of {z} escapes the ideal square")
-
-    two = IdealHNF.principal(K, K.from_rational(2))
-    kappa_ideal = IdealHNF.principal(K, order.kappa_element())
-    denom = two + kappa_ideal * ideal
-    target = denom.inverse() * i_sq
-
-    one = order.algebra.one()
-    checked = 0
-    for x in gamma_elements:
-        if not order.in_gamma(ideal, x):
-            raise InvariantViolation(f"{x} is not in the congruence group")
-        y0 = x.coords[0] - K.one()
-        if not target.contains(y0):
-            raise InvariantViolation(f"x0-1 of {x} escapes (2+kappa*I)^-1 * I^2")
-        if y0 * 2 != -((x - one).reduced_norm()):
-            raise InvariantViolation(f"2*y0 != -N(x-1) for {x}")
-        checked += 1
-    return {
-        "random_samples": n_samples,
-        "gamma_checked": checked,
-        "trace_in_ideal": True,
-        "norm_in_ideal_square": True,
-        "coefficient_membership": True,
-    }
 
 
 # ---------------------------------------------------------------------------

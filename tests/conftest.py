@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -20,6 +21,43 @@ def lattice_index(outer, inner) -> int:
 def is_central(x) -> bool:
     """Whether the quaternion x lies in K: its i, j and ij coordinates vanish."""
     return all(c.is_zero() for c in x.coords[1:])
+
+
+def is_norm_one(order, x) -> bool:
+    return order.contains(x) and x.reduced_norm() == order.algebra.field.one()
+
+
+def in_gamma(order, ideal, x) -> bool:
+    """Norm-one and congruent to 1 modulo ideal*order."""
+    if not is_norm_one(order, x):
+        return False
+    return order.congruence_lattice(ideal).contains(x - order.algebra.one())
+
+
+def trace_norm_contained(basis, ideal) -> bool:
+    """Oracle: Tr(L) in I and nrd(L) in I^2 for the lattice L spanned by basis, exactly.
+
+    trd is Z-linear and nrd a quadratic form, nrd(sum c_i z_i) =
+    sum c_i^2 nrd(z_i) + sum_{i<j} c_i c_j (nrd(z_i + z_j) - nrd(z_i) - nrd(z_j)),
+    so the three checks on the basis cover every element of L."""
+    square = ideal * ideal
+    norms = [z.reduced_norm() for z in basis]
+    return (all(ideal.contains(z.reduced_trace()) for z in basis)
+            and all(square.contains(n) for n in norms)
+            and all(square.contains((basis[i] + basis[j]).reduced_norm() - norms[i] - norms[j])
+                    for i, j in itertools.combinations(range(len(basis)), 2)))
+
+
+def coefficient_ideal_test(order, ideal):
+    """Oracle: the test y in J^-1 I^2 with J = (2) + kappa*I, without an inverse.
+
+    J is an invertible integral ideal, so y lies in J^-1 I^2 exactly when
+    y J lies in I^2, that is when y g does for each g in a Z-basis of J."""
+    field = order.algebra.field
+    J = (IdealHNF.principal(field, field.from_rational(2))
+         + IdealHNF.principal(field, order.kappa_element()) * ideal)
+    square, basis = ideal * ideal, J.basis_elements()
+    return lambda y: all(square.contains(y * g) for g in basis)
 
 
 def left_matrix(order, x) -> tuple:

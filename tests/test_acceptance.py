@@ -14,13 +14,12 @@ from quatsys.bounds import (four_thirds_log_genus, genus_from_index, hurwitz_43_
                             trace_lower_bound)
 from quatsys.geodesics import RadiusSchedule, systole_search
 from quatsys.numfield import factor_rational_prime, primes_up_to_norm
-from quatsys.orders import verify_trace_norm_containment
 from quatsys.quatalg import QuaternionAlgebra
 from quatsys.quotient import (FiniteQuotRing, index_bound, lambda_factor,
                               lemma44_check, maxim_formula)
 from quatsys.torsion import certify_torsion_free
 
-from conftest import is_central
+from conftest import coefficient_ideal_test, in_gamma, is_central, trace_norm_contained
 
 SL_COUNTS = {7: 336, 8: 504, 13: 2184}
 REFERENCE_SYSTOLES = {7: [3.936], 8: [5.796], 13: [5.903, 6.393, 6.887]}
@@ -93,23 +92,28 @@ def test_criterion_4_trace_floor_soundness(searches, ideals):
 
 def test_criterion_5_proof_chain_suites(QH, ideals, searches, K):
     rng = random.Random(20260810)
+    one = QH.algebra.one()
     total_gamma = 0
     for ideal in ideals:
+        # Tr(I*Q) in I and nrd(I*Q) in I^2, exactly on the HNF basis of I*Q
+        assert trace_norm_contained(QH.congruence_lattice(ideal).basis_elements(), ideal)
         gammas = [c.element for c in searches[ideal.mat].candidates]
         # enlarge the congruence-group sample with random short words in the
         # enumerated generators (still exact members, verified below)
         pool = list(gammas) + [g.conj() for g in gammas]  # conj = inverse here
         words = []
+        in_target = coefficient_ideal_test(QH, ideal)
         while len(words) < 200 and pool:
             x = rng.choice(pool)
             for _ in range(rng.randrange(1, 3)):
                 x = x * rng.choice(pool)
             words.append(x)
-        report = verify_trace_norm_containment(QH, ideal, 1000, rng,
-                                               gamma_elements=gammas + words)
-        assert report["trace_in_ideal"] and report["norm_in_ideal_square"]
-        assert report["coefficient_membership"]
-        total_gamma += report["gamma_checked"]
+        for x in gammas + words:
+            assert in_gamma(QH, ideal, x)
+            y0 = x.coords[0] - K.one()
+            assert in_target(y0)
+            assert y0 * 2 == -((x - one).reduced_norm())
+        total_gamma += len(gammas) + len(words)
         # strict conjugate-coefficient bound on the whole sample, except the
         # central -1 that a product of an element and its inverse can hit
         for x in gammas + words:
@@ -123,8 +127,8 @@ def test_criterion_5_proof_chain_suites(QH, ideals, searches, K):
         for w in order.basis_elements():
             assert order.contains(w.conj())
     assert total_gamma >= 1000
-    print(f"ACCEPTANCE 5 PASS: containment lemmas on 1000 random lattice "
-          f"elements per ideal, membership + 2y0 = -N(x-1) + |sigma(x0)| < 1 "
+    print(f"ACCEPTANCE 5 PASS: containment lemmas exactly on the basis of I*Q, "
+          f"membership + 2y0 = -N(x-1) + |sigma(x0)| < 1 "
           f"on {total_gamma} congruence-group elements, involution-stable bases")
 
 

@@ -245,6 +245,14 @@ def test_cli_bounds(capsys):
     assert "four_thirds_log_genus=1.465" in out
 
 
+def test_cli_bounds_refuses_the_whole_ring_before_any_record(capsys):
+    code, out = _run(capsys, "--hurwitz", "bounds", "--ideal", "1")
+    assert code == 1
+    assert _records(out) == ["error=input the improper ideal defines the full group; "
+                             "certificate undefined"]
+    assert out.splitlines()[-1].startswith("elapsed=")
+
+
 def test_cli_exit_codes(capsys):
     code, out = _run(capsys, "--hurwitz", "quotient-count")   # no ideal selected
     assert code == 1 and "error=input" in out

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatsys import geodesics
-from conftest import is_central, static_box_walk
+from conftest import coefficient_ideal_test, is_central, static_box_walk
 from quatsys.bounds import compare_abs0, hurwitz_context, trace_coset_minimum, trace_lower_bound
 from quatsys.errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
@@ -77,14 +77,10 @@ def test_first_coefficient_identity(run7, D):
 
 
 def test_whereisy_membership(run7, QH, P7, K):
-    from quatsys.numfield import IdealHNF
-
-    two = IdealHNF.principal(K, K.from_rational(2))
-    kap = IdealHNF.principal(K, QH.kappa_element())
-    target = (two + kap * P7).inverse() * (P7 * P7)
+    # y0 = x0 - 1 in ((2) + kappa*P7)^-1 * P7^2
+    in_target = coefficient_ideal_test(QH, P7)
     for c in run7[0]:
-        y0 = c.element.coords[0] - K.one()
-        assert target.contains(y0)
+        assert in_target(c.element.coords[0] - K.one())
 
 
 def test_trace_symmetry_and_dedup(run7):

@@ -213,22 +213,16 @@ def test_dedekind_identity_random(K):
         assert (i1 * i2).norm == i1.norm * i2.norm
 
 
-def test_fractional_inverse_identities(K, P7, P2):
-    rng = random.Random(41)
-    for ideal in [P7, P2, _random_ideal(K, rng), _random_ideal(K, rng)]:
-        inv = ideal.inverse()
-        assert (inv * ideal).is_whole_ring()
-    half = P2.inverse()
-    assert half.den == 2 and half.num.is_whole_ring()
-
-
-def test_fractional_membership(K, P7):
-    inv = P7.inverse()
-    eta = K.gen()
-    gen = (K.from_rational(2) - eta).inverse()
-    assert inv.contains(gen)
-    assert inv.contains(K.one())
-    assert not inv.contains(gen * gen)
+def test_product_with_the_whole_ring_is_the_other_factor(K):
+    whole = K.whole_ring()
+    for prime in primes_up_to_norm(K, 50):
+        # the product from every pair of basis elements, with no shortcut
+        general = [IdealHNF(K, [list((a * b).num) for a in x.basis_elements()
+                                for b in y.basis_elements()])
+                   for x, y in ((whole, prime), (prime, whole))]
+        assert whole * prime == prime * whole == prime == general[0] == general[1]
+    with pytest.raises(InputError):
+        prime ** -1
 
 
 def test_divides_is_containment(K, P7, P2):

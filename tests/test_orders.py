@@ -10,11 +10,11 @@ from quatsys import lattice, orders
 from quatsys.errors import InputError
 from quatsys.numfield import IdealHNF, factor_rational_prime, primes_up_to_norm
 from quatsys.orders import (CongruenceIdealLattice, OrderLattice, _combine, hurwitz_j_prime,
-                            hurwitz_order, scaled_row, standard_order, unflatten,
-                            verify_trace_norm_containment)
+                            hurwitz_order, scaled_row, standard_order, unflatten)
 from quatsys.quatalg import QuatElement
 
-from conftest import congruence_coord_hnf, is_central, lattice_index, left_matrix
+from conftest import (coefficient_ideal_test, congruence_coord_hnf, in_gamma, is_central,
+                      is_norm_one, lattice_index, left_matrix, trace_norm_contained)
 
 
 def test_standard_order_shape(O_std, D):
@@ -200,12 +200,12 @@ def test_involution_stability_of_bases(QH, O_std):
 
 def test_norm_one_membership(QH, D):
     K = D.field
-    assert QH.is_norm_one(D.one())
-    assert QH.is_norm_one(-D.one())
+    assert is_norm_one(QH, D.one())
+    assert is_norm_one(QH, -D.one())
     i = D.gen_i()
     assert QH.contains(i)
     assert i.reduced_norm() == -K.gen()
-    assert not QH.is_norm_one(i)
+    assert not is_norm_one(QH, i)
 
 
 def test_congruence_lattice_index(QH, P7, P2, P13s):
@@ -224,7 +224,7 @@ def test_congruence_lattice_built_once_per_ideal(QH, K, P7):
 def test_gamma_membership_of_center(QH, D, P7, P2, P13s):
     one = D.one()
     for ideal in (P7, P2, P13s[0]):
-        assert QH.in_gamma(ideal, one)
+        assert in_gamma(QH, ideal, one)
     assert not QH.minus_one_in_gamma(P7)
     assert QH.minus_one_in_gamma(P2)
     assert not QH.minus_one_in_gamma(P13s[0])
@@ -242,15 +242,27 @@ def test_minus_one_in_gamma_is_two_in_the_ideal(QH, O_std, B6, Q2max):
                 ideals += [prime, prime * prime, prime * prime * prime]
         for ideal in ideals:
             verdicts.append(order.minus_one_in_gamma(ideal))
-            assert verdicts[-1] == order.in_gamma(ideal, minus), (order.name, str(ideal))
+            assert verdicts[-1] == in_gamma(order, ideal, minus), (order.name, str(ideal))
     assert len(verdicts) == 79 and set(verdicts) == {True, False}
 
 
-def test_trace_norm_containment_random(QH, P7, P2):
-    rng = random.Random(20240809)
-    for ideal in (P7, P2):
-        report = verify_trace_norm_containment(QH, ideal, 400, rng)
-        assert report["trace_in_ideal"] and report["norm_in_ideal_square"]
+def _levels(field) -> list:
+    """Every prime of norm <= 50 and the square of every prime of norm <= 13."""
+    primes = primes_up_to_norm(field, 50)
+    return primes + [p * p for p in primes if p.norm <= 13]
+
+
+def test_trace_norm_containment_exact(QH, O_std, B6, Q2max, P7, P2):
+    # Tr(I*Q) in I and nrd(I*Q) in I^2, exactly on the HNF basis of I*Q
+    levels = 0
+    for order in (QH, O_std, B6, Q2max):
+        for ideal in _levels(order.algebra.field):
+            assert trace_norm_contained(order.congruence_lattice(ideal).basis_elements(), ideal), \
+                (order.name, str(ideal))
+            levels += 1
+    assert levels == 80
+    # the certificate rejects a lattice outside the level: P7*Q against P2
+    assert not trace_norm_contained(QH.congruence_lattice(P7).basis_elements(), P2)
 
 
 def test_containment_specific_example(QH, D, P7):
@@ -265,16 +277,18 @@ def test_containment_specific_example(QH, D, P7):
 
 
 def test_whereisy_ideal_identity(QH, P2):
-    # (<2> + kappa*<2>)^{-1} <2>^2 = <2> when kappa = 2
+    # (<2> + kappa*<2>)^{-1} <2>^2 = <2> when kappa = 2: J = <2> + kappa*<2> is
+    # <2>, and J * <2> = <2>^2, so <2> is J^-1 <2>^2 by cancellation
     K = QH.algebra.field
     two = IdealHNF.principal(K, K.from_rational(2))
     kap = IdealHNF.principal(K, QH.kappa_element())
     denom = two + kap * P2
     assert denom == two
-    target = denom.inverse() * (P2 * P2)
-    from quatsys.numfield import FractionalIdeal
-
-    assert target == FractionalIdeal.from_integral(P2)
+    assert denom * P2 == P2 * P2
+    in_target = coefficient_ideal_test(QH, P2)
+    assert all(in_target(member) for member in P2.basis_elements())
+    assert not in_target(K.one())
+    assert not in_target(K.from_rational(Fraction(1, 2)))
 
 
 def test_custom_order_roundtrip(D, O_std):
@@ -457,11 +471,11 @@ def test_congruence_lattice_at_p7_makes_one_hnf_and_no_membership_solve(QH, P7, 
 
 
 def test_trace_norm_containment_at_a_non_principal_level(Q10max):
-    # both primes above 3 of Q(sqrt 10) are non-principal
-    rng = random.Random(20261019)
+    # both primes above 3 of Q(sqrt 10) are non-principal levels
     field = Q10max.algebra.field
-    primes = [prime for prime, _e, _f in factor_rational_prime(field, 3)]
-    assert len(primes) == 2
-    for prime in primes:
-        report = verify_trace_norm_containment(Q10max, prime, 300, rng)
-        assert report["trace_in_ideal"] and report["norm_in_ideal_square"]
+    levels = _levels(field)
+    assert len(levels) == 21
+    assert all(prime in levels for prime, _e, _f in factor_rational_prime(field, 3))
+    for ideal in levels:
+        assert trace_norm_contained(Q10max.congruence_lattice(ideal).basis_elements(), ideal), \
+            str(ideal)
