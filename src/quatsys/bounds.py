@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, InputError, InvariantViolation
 from .intervals import START_BITS, RatInterval, iv_acosh, iv_log, iv_pi, iv_pow, iv_sqrt, refine
-from .numfield import IdealHNF, abs_vs_two
+from .numfield import IdealHNF, compare_abs
 from .orders import OrderLattice, hurwitz_preset
 
 
@@ -33,10 +33,6 @@ class GeometryContext(NamedTuple):
     @property
     def degree(self) -> int:
         return self.order.algebra.field.degree
-
-    @property
-    def kappa(self) -> int:
-        return self.order.kappa
 
     def two_plus_kappa_ideal(self, ideal: IdealHNF) -> IdealHNF:
         field = self.order.algebra.field
@@ -117,12 +113,13 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
     E = sum_m |t_m| |emb_f - theta_s^m| + gamma_d sum_m |t_m emb_f[s][m]| of
     sigma_s t (the table error plus d products and d - 1 additions), so
     |X| + E < 2 or |X| - E > 2 decides it; only a point where neither holds
-    goes to the exact `numfield.abs_vs_two`, which refines certified
-    embeddings until they separate (|sigma_s t| = 2 only for t = +-2).  The
-    order by |sigma_0| is decided exactly: |sigma_0 t| = |sigma_0 t'| in K
-    only for t = +-t'.  Raises `InputError` unless the presentation is
-    cocompact (`QuaternionAlgebra.is_cocompact_presentation`), and
-    `CapExceeded` once the walks, counted together, pass `cap_nodes` nodes.
+    goes to the exact `numfield.compare_abs` against the integer 2, which
+    refines certified embeddings until they separate (|sigma_s t| = 2 only
+    for t = +-2).  The same function orders by |sigma_0|, exactly:
+    |sigma_0 t| = |sigma_0 t'| in K only for t = +-t'.  Raises `InputError`
+    unless the presentation is cocompact
+    (`QuaternionAlgebra.is_cocompact_presentation`), and `CapExceeded` once
+    the walks, counted together, pass `cap_nodes` nodes.
     """
     algebra = order.algebra
     if not algebra.is_cocompact_presentation():
@@ -134,7 +131,7 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
     walked = 0
 
     def vs_two(t, s):  # the walk's points are integral: t = sum_m t.num[m] theta^m
-        return table.vs_two(t.num, s) or abs_vs_two(t, s)
+        return table.vs_two(t.num, s) or compare_abs(t, 2, s)
 
     def count_node():
         nonlocal walked
@@ -148,7 +145,7 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
         for t in field.box_walk(limits, square.mat, shift=2, on_node=count_node):
             if any(vs_two(t, s) >= 0 for s in range(1, field.degree)) or vs_two(t, 0) <= 0:
                 continue
-            cmp = compare_abs0(t, best[0]) if best else -1
+            cmp = compare_abs(t, best[0]) if best else -1
             if cmp < 0:
                 best = [t]
             elif cmp == 0:
@@ -158,13 +155,6 @@ def trace_coset_minimum(order: OrderLattice, ideal: IdealHNF,
             if box.certainly_le(cap):
                 return TraceCosetMinimum(best, box, length_from_trace(box))
         cap *= 2
-
-
-def compare_abs0(t, u) -> int:
-    """Sign of |sigma_0 t| - |sigma_0 u|, exact: equal only when t = +-u."""
-    if t == u or t == -u:
-        return 0
-    return refine(lambda b: (t.embed(0, b).abs() - u.embed(0, b).abs()).sign(), START_BITS)
 
 
 def kleinian_trace_bounds(d: int, norm_i: int, norm_two_plus_kappa: int | None = None):

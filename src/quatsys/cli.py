@@ -95,7 +95,7 @@ def build_parser() -> _Parser:
 
     sp = add("quotient-count", "unit/norm-one counts of Q/(p^t Q)")
     _ideal_flags(sp)
-    sp.add_argument("--t", type=int, default=1)
+    sp.add_argument("--t", type=int, help="exponent of --prime (default 1)")
 
     sp = add("torsion-check", "torsion-freeness certificate for an ideal")
     _ideal_flags(sp)
@@ -114,8 +114,8 @@ def build_parser() -> _Parser:
 def _ideal_flags(sp, prime_only=False):
     sp.add_argument("--prime", type=int, help="rational prime")
     if not prime_only:
-        sp.add_argument("--index", type=int, default=0,
-                        help="which prime ideal above --prime (sorted order)")
+        sp.add_argument("--index", type=int,
+                        help="which prime ideal above --prime (sorted order, default 0)")
         sp.add_argument("--ideal", help="generators, e.g. \"2\" or \"2,-1,0;3\"")
 
 
@@ -137,12 +137,15 @@ def _load(args):
 
 def _pick_ideal(args, field) -> IdealHNF:
     ideal_text = getattr(args, "ideal", None)
+    if ideal_text is not None and any(getattr(args, flag, None) is not None
+                                      for flag in ("prime", "index", "t")):
+        raise InputError("--ideal names the ideal alone; drop --prime, --index and --t")
     if ideal_text:
         gens = [parse_element(field, chunk) for chunk in ideal_text.split(";")]
         ideal = IdealHNF.from_generators(field, gens)
     elif getattr(args, "prime", None):
         factors = factor_rational_prime(field, args.prime)
-        idx = getattr(args, "index", 0)
+        idx = getattr(args, "index", None) or 0
         if not 0 <= idx < len(factors):
             raise InputError(f"--index must lie in [0, {len(factors)}): "
                              f"{len(factors)} primes above {args.prime}")
@@ -204,7 +207,7 @@ def cmd_quotient_count(args, env, emit):
     if len(prime_factors) != 1:
         raise InputError("quotient-count expects a prime-power ideal")
     prime, t_from_ideal = prime_factors[0]
-    t = args.t if getattr(args, "ideal", None) is None else t_from_ideal
+    t = t_from_ideal if args.t is None else args.t  # a --prime level has t_from_ideal = 1
     ring = FiniteQuotRing(order, prime, t, cap=args.cap)
     units, norm_one = ring.count_units_and_norm_one()
     division = env["algebra"].finite_prime_status(prime) == "ramified"

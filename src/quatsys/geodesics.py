@@ -40,23 +40,23 @@ the integer checks below then settle.  Only where a bound cannot decide
 recover x3 or prove there is none.
 
 A leaf works on the walk's integers, c_(l d + m) = kappa times coefficient m
-of x_l.  A candidate passes the congruence rows, then one integer check of
-norm one: the order's table of the norm form gives D kappa^2 Nrd(x) as a sum
-of products c_i c_j times integer vectors (`_IntegerForm`), which must equal
-D kappa^2, for one common denominator D; x is central exactly when
-c_d .. c_(4d-1) are 0.  Two more integer tables give the split-place
-Frobenius norm as ||x||_F^2 = alpha + beta sqrt(a) with alpha, beta in K
-(`Enumerator._frob_parts`).  The radius cut ||x||_F^2 <= m_sq, with m_sq
-the rational upper bound of 2 cosh L that the boxes use, is decided in
-floats under a derived bound on that norm, and where the bound cannot
-decide, by one exact sign test of A + B sqrt(a) at place 0 for A, B in K
-(`Enumerator._frob_sign`).  Each class |trace|, read from block 0
-(trd x = 2 x0), keeps its element of least Frobenius norm, the first one
-met in walk order on a tie, decided the same way (`Enumerator._frob_less`):
-float bounds first, the exact sign test where they overlap.  So the
-representatives do not depend on what ran before in the process.  A
-`QuatElement` is built once per final representative, whose trace gives
-the class its side of 2 and its length.
+of x_l.  A candidate passes the congruence rows, a triangular solve on the
+last d rows and columns of I*Q's HNF (`lattice.contains`), then one integer
+check of norm one: the order's table of the norm form gives D kappa^2
+Nrd(x) as a sum of products c_i c_j times integer vectors (`_IntegerForm`),
+which must equal D kappa^2, for one common denominator D; x is central
+exactly when c_d .. c_(4d-1) are 0.  Two more integer tables give the
+split-place Frobenius norm as ||x||_F^2 = alpha + beta sqrt(a) with alpha,
+beta in K (`Enumerator._frob_parts`).  One float comparison (`_float_less`)
+of derived enclosures decides the radius cut ||x||_F^2 <= m_sq, with m_sq
+the rational upper bound of 2 cosh L that the boxes use, and which of two
+elements of a class |trace| (read from block 0, as trd x = 2 x0) has the
+smaller norm; where the enclosures touch or overlap, one exact sign test of
+A + B sqrt(a) at place 0 for A, B in K does (`Enumerator._frob_sign`).
+Each class keeps its element of least norm, the first one met in walk order
+on a tie (`Enumerator._frob_less`), so the representatives do not depend on
+what ran before in the process.  A `QuatElement` is built once per final
+representative, whose trace gives the class its side of 2 and its length.
 
 The walk visits one member of each symmetry orbit.  Gamma(I) is closed under
 x -> conj(x) = trd x - x (I*Q is stable under the involution by construction,
@@ -106,10 +106,11 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import CAP_NODES, compare_abs0, trace_coset_minimum
+from . import lattice
+from .bounds import CAP_NODES, trace_coset_minimum
 from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from .intervals import START_BITS, RatInterval, iv_acosh, iv_cosh, iv_log, iv_sqrt, refine
-from .numfield import FieldElement, IdealHNF
+from .numfield import FieldElement, IdealHNF, compare_abs
 from .orders import OrderLattice, unflatten
 from .quatalg import QuatElement
 from .walkranges import WalkRanges, walk
@@ -406,7 +407,8 @@ class Enumerator:
         else:
             counters["float_candidates"] += 1
         for target in targets:
-            if not self._congruence_tail(vec, target):
+            if not lattice.contains(self._tail_rows,
+                                    [t - p for t, p in zip(target, vec[3 * d:])]):
                 continue
             c = vec[:3 * d] + target
             if self._norm_form.value(c) != self._norm_one:
@@ -423,18 +425,6 @@ class Enumerator:
         c = vec[:3 * self.d] + [0] * self.d
         nrd = FieldElement(self.field, self._norm_form.value(c), self._norm_one[0])
         return (self.field.one() - nrd) * self._inv_ab
-
-    def _congruence_tail(self, partial_vec, target) -> bool:
-        d = self.d
-        res = [t - p for t, p in zip(target, partial_vec[3 * d:])]
-        rows = self._tail_rows
-        for k in range(d):
-            if res[k] % rows[k][k]:
-                return False
-            q = res[k] // rows[k][k]
-            if q:
-                res = [r - q * v for r, v in zip(res, rows[k])]
-        return not any(res)
 
     def _field_sqrt(self, v: FieldElement):
         """The square roots of v in K (possibly none), certified then verified."""
@@ -469,10 +459,11 @@ class Enumerator:
 
         cut: (m_sq, lo, hi) with floats lo <= m_sq <= hi; approx: floats
         lo <= ||x||_F^2 <= hi (`WalkRanges.split_norm`).  Floats decide the
-        cut where they can (`_float_cut`), the exact sign test elsewhere.  The
-        class of |trace| is read from block 0, as trd x = 2 x0.
+        cut where they separate (`_float_less`), the exact sign test elsewhere,
+        a float tie included.  The class of |trace| is read from block 0, as
+        trd x = 2 x0.
         """
-        inside = _float_cut(approx, cut)
+        inside = _float_less(approx, cut[1:])
         if inside is None:
             alpha, beta = self._frob_parts(c)
             inside = self._frob_sign(alpha - cut[0], beta) <= 0
@@ -722,20 +713,9 @@ class _IntegerForm:
         return [sum(map(operator.mul, prods, col)) for col in self._cols]
 
 
-def _float_cut(approx, cut):
-    """Whether floats lo <= ||x||_F^2 <= hi put x inside the radius cut
-    (True) or outside it (False), given floats lo <= m_sq <= hi in
-    cut = (m_sq, lo, hi); None if they cannot tell."""
-    if approx[1] <= cut[1]:
-        return True
-    if approx[0] > cut[2]:
-        return False
-    return None
-
-
 def _float_less(fx, fy):
-    """Whether the norm in float enclosure fx is below that in fy, or None if
-    they overlap; floats compare exactly."""
+    """Whether the value in float enclosure fx is below that in fy, or None if
+    they overlap or touch; floats compare exactly."""
     if fx[1] < fy[0]:
         return True
     if fx[0] > fy[1]:
@@ -757,7 +737,7 @@ def _coset_realised(coset, cands):
         if coset.is_minimiser(trace):
             realised = realised or cand
             continue
-        if compare_abs0(trace, coset.traces[0]) <= 0:
+        if compare_abs(trace, coset.traces[0]) <= 0:
             raise InvariantViolation(
                 f"trace {trace} of {cand.element} is not above the coset minimum "
                 f"{coset.traces[0]} of 2 + I^2")

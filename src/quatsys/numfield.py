@@ -30,7 +30,6 @@ theta_s^m (`place_table`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -521,10 +520,13 @@ class FieldElement:
         return f"FieldElement{self}"
 
 
-def abs_vs_two(t: FieldElement, place: int) -> int:
-    """Sign of |sigma_place(t)| - 2, exact: zero only for t = +-2 (`embed` is
-    exact on rationals)."""
-    return refine(lambda b: (t.embed(place, b).abs() - 2).sign(), START_BITS)
+def compare_abs(t: FieldElement, u, place: int = 0) -> int:
+    """Sign of |sigma_place(t)| - |sigma_place(u)|, exact: zero only for t = +-u.
+    An integer u, such as the 2 of the trace tests, is compared unembedded."""
+    if t == u or t == -u:
+        return 0
+    other = (lambda b: abs(u)) if isinstance(u, int) else (lambda b: u.embed(place, b).abs())
+    return refine(lambda b: (t.embed(place, b).abs() - other(b)).sign(), START_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +591,6 @@ class IdealHNF:
 
     def reduce(self, coords):
         return lattice.reduce_mod(self.mat, coords)
-
-    def residues(self):
-        """Deterministic iterator over coset representatives of O_K modulo self."""
-        diag = [self.mat[i][i] for i in range(self.field.degree)]
-        for tup in itertools.product(*(range(x) for x in diag)):
-            yield self.reduce(list(tup))
 
     def __eq__(self, other):
         return (isinstance(other, IdealHNF) and self.field == other.field
@@ -673,9 +669,14 @@ def factor_rational_prime(field: NumberField, p: int):
     """Factor pO_K into primes; returns [(prime ideal, e, f)] deterministically.
 
     Valid because construction certified Z[theta] maximal: the factorization
-    mirrors the factorization of the minimal polynomial modulo p.
+    mirrors the factorization of the minimal polynomial modulo p.  Certified
+    once per field and p; each call gets a new list.
     """
     p = int(p)
+    return list(field.cached(("factor_rational_prime", p), lambda: _factor(field, p)))
+
+
+def _factor(field: NumberField, p: int) -> tuple:
     if not isprime(p):
         raise InputError(f"{p} is not a rational prime")
     out = []
@@ -699,7 +700,7 @@ def factor_rational_prime(field: NumberField, p: int):
         recombined = recombined * prime ** e
     if recombined != IdealHNF.principal(field, field.from_rational(p)):
         raise InvariantViolation(f"prime factors of {p} do not recombine")
-    return out
+    return tuple(out)
 
 
 def primes_up_to_norm(field: NumberField, bound: int):

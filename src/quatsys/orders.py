@@ -16,7 +16,7 @@ that depend on the order alone.  The structure constants are the
 certifying pass's solutions; the constructor builds the others
 (`OrderLattice.tables`) and certifies the order from them: it contains 1,
 is closed under multiplication and the standard involution, has integral
-reduced traces and norms, and kappa | 2ab.  Every finite quotient and
+reduced traces and norm form, and kappa | 2ab.  Every finite quotient and
 congruence lattice of the order reads the same tables, and so does the
 maximality test on its discriminant (`nonmaximal_primes`).
 
@@ -120,13 +120,17 @@ class OrderLattice:
 
         The tables exist, so the lattice contains 1 and is closed under
         multiplication and the involution.  The reduced trace of w_a is
-        2 head_a / kappa and its reduced norm norm_tensor[a][a] / kappa,
-        with head_a the first d entries of row a of `mat`.
+        2 head_a / kappa, with head_a the first d entries of row a of `mat`;
+        with T the norm tensor, its reduced norm is T[a][a] / kappa and the
+        polar value trd(w_a conj(w_b)) is (T[a][b] + T[b][a]) / kappa, the
+        trace of an order element, so no order fails that check.  No finite
+        quotient checks the norm form again.
         """
-        d = self.algebra.field.degree
-        if (any(2 * c % self.kappa for row in self.mat for c in row[:d])
-                or any(c % self.kappa for a, plane in enumerate(tables.norm_tensor)
-                       for c in plane[a])):
+        d, kappa, tensor = self.algebra.field.degree, self.kappa, tables.norm_tensor
+        if (any(2 * c % kappa for row in self.mat for c in row[:d])
+                or any(c % kappa for a, plane in enumerate(tensor) for c in plane[a])
+                or any((x + y) % kappa for a, plane in enumerate(tensor) for b in range(a)
+                       for x, y in zip(plane[b], tensor[b][a]))):
             raise InvariantViolation("order element with non-integral trace or norm")
         quota = self.algebra.a * self.algebra.b * 2
         if quota.den != 1 or any(c % self.kappa for c in quota.num):
@@ -263,13 +267,6 @@ class CongruenceIdealLattice:
         if not lattice.is_full_rank_hnf(mat, order.dim):
             raise InvariantViolation("congruence lattice lost rank")
         self.mat = tuple(tuple(r) for r in mat)
-
-    def basis_elements(self):
-        return [unflatten(self.order.algebra, row, self.order.kappa) for row in self.mat]
-
-    def contains(self, x: QuatElement) -> bool:
-        vec = scaled_row(x, self.order.kappa)
-        return vec is not None and lattice.contains(self.mat, vec)
 
 
 # ---------------------------------------------------------------------------

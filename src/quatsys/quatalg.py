@@ -15,7 +15,8 @@ Ramification
   in particular p splits when it divides neither a nor b.  At a dyadic p
   Hilbert reciprocity gives it from the real places and the odd primes,
   after b is moved by the local square theorem so that it is a square at
-  every other dyadic prime.  Every status is decided; none is searched.
+  every other dyadic prime.  The symbol is taken once per algebra at each
+  prime dividing 2ab; a status is a lookup in the ramified set.
 """
 
 from __future__ import annotations
@@ -149,12 +150,15 @@ class QuaternionAlgebra:
     # -- ramification at finite primes -------------------------------------
 
     def finite_prime_status(self, prime: IdealHNF) -> str:
-        """`ramified` exactly when the Hilbert symbol (a, b)_p is -1."""
+        """`ramified` exactly when the Hilbert symbol (a, b)_p is -1: when p is
+        one of the ramified primes (`_finite_ramified`), as each divides 2ab."""
+        return RAMIFIED if prime in self._finite_ramified else SPLIT
+
+    def _symbol(self, prime: IdealHNF) -> int:
+        """The Hilbert symbol (a, b)_p at a finite prime p."""
         if prime.norm % 2:
-            symbol = _tame_symbol(self.a, self.b, prime)
-        else:
-            symbol = self._dyadic_symbol(prime)
-        return RAMIFIED if symbol < 0 else SPLIT
+            return _tame_symbol(self.a, self.b, prime)
+        return self._dyadic_symbol(prime)
 
     def _dyadic_symbol(self, prime: IdealHNF) -> int:
         """(a, b)_p at a dyadic p by Hilbert reciprocity on (a, b').
@@ -186,10 +190,11 @@ class QuaternionAlgebra:
 
     @functools.cached_property
     def _finite_ramified(self) -> list:
-        """The ramified primes, by norm, found once per algebra; each divides 2ab."""
+        """The ramified primes, by norm, found once per algebra on the first status
+        query; each divides 2ab, as (a, b)_p = 1 at an odd p dividing neither a nor b."""
         K = self.field
         return sorted((r for r, _v in factor_ideal(K, IdealHNF.principal(K, self.ab * 2))
-                       if self.finite_prime_status(r) == RAMIFIED),
+                       if self._symbol(r) < 0),
                       key=lambda r: (r.norm, r.mat))
 
     def ramification_report(self, norm_bound: int = 50) -> "RamificationReport":

@@ -27,8 +27,8 @@ operations in place of the |R|^4 residues.  The count works in five steps.
    The B_l depend on the order alone, so a count builds no congruence
    lattice I*Q and no HNF of Q's rank.
 2. Their Gram data over R, nu(e_a) and B(e_a, e_b) = trd(e_a conj(e_b)), is
-   read off the norm tensor T, after checking that nu is integral on all of
-   Q: kappa divides every T[a][a] and every T[a][b] + T[b][a].
+   read off the norm tensor T, which the order's certificate shows integral
+   on all of Q (`OrderLattice._certify`).
 3. `_split` takes the entry of least valuation among B(e_a, e_a) = 2 nu(e_a)
    and the B(e_a, e_b).  A diagonal pivot splits e_a off with rank 1, an
    off-diagonal one (both diagonal entries then have larger valuation) e_a
@@ -76,7 +76,6 @@ class FiniteQuotRing:
         self.cardinality = self.ideal.norm ** 4
 
         self.dim = order.dim
-        self.center_dim = order.algebra.field.degree
         self.kappa = order.kappa
         self.tables = order.tables
         self.norm_tensor = self.tables.norm_tensor
@@ -87,16 +86,9 @@ class FiniteQuotRing:
     # -- counting -----------------------------------------------------------
 
     def _gram(self):
-        """(nu(e_a), B(e_a, e_b)) over R on the residue basis, as residue keys.
-
-        Every entry of the norm tensor is checked first, so a form that is not
-        integral on Q is refused even where the basis does not read it.
-        """
+        """(nu(e_a), B(e_a, e_b)) over R on the residue basis, as residue keys;
+        kappa divides each entry read, by the order's certificate."""
         kappa, tensor = self.kappa, self.norm_tensor
-        for a, plane in enumerate(tensor):
-            if any(c % kappa for c in plane[a]) or any(
-                    (x + y) % kappa for b in range(a) for x, y in zip(plane[b], tensor[b][a])):
-                raise InvariantViolation("norm values are not integral")
         reduce = self.residues.reduce
         basis = self._basis
         norms = [reduce([c // kappa for c in tensor[a][a]]) for a in basis]
@@ -495,21 +487,13 @@ class SquaresReport(NamedTuple):
 
 
 def squares_count(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> int:
-    """Exhaustive count of squares in the unit group of O_K/p^t."""
-    field = prime.field
+    """Exhaustive count of squares in the unit group of O_K/p^t (`_ResidueRing`)."""
     q = prime.norm
     # as q >= 2, q^t > cap exactly when q^min(t, bits of cap) > cap
     if q ** min(t, cap.bit_length()) > cap:
         raise CapExceeded(f"O_K/p^t has q^t = {q}^{t} residues, above the cap {cap}")
-    power = prime ** t
-    squares = set()
-    for rep in power.residues():
-        elem = field.element(rep)
-        if prime.contains(elem):
-            continue  # not a unit of O_K/p^t
-        key = tuple(power.reduce([int(c) for c in (elem * elem).coords]))
-        squares.add(key)
-    return len(squares)
+    ring = _ResidueRing(prime, t, prime ** t)
+    return len({s for y, s in zip(ring.elements, ring.squares()) if y in ring.units})
 
 
 def lemma44_check(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> SquaresReport:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError
-from .numfield import FieldElement, IdealHNF, NumberField, abs_vs_two
+from .numfield import FieldElement, IdealHNF, NumberField, compare_abs
 from .orders import OrderLattice
 from .realroots import isolate_real_roots, poly_eval
 
@@ -65,7 +65,7 @@ def torsion_traces(field: NumberField) -> tuple:
         d = field.degree
         found = [(_root_of_unity_order(t), t)
                  for t in field.box_walk([2] * d)
-                 if all(abs_vs_two(t, s) <= 0 for s in range(d))]
+                 if all(compare_abs(t, 2, s) <= 0 for s in range(d))]
         return tuple(sorted(found, key=lambda nt: (nt[0], nt[1].coords)))
 
     return field.cached("torsion_traces", build)

@@ -6,7 +6,8 @@ import pytest
 from quatsys import lattice
 from quatsys.numfield import (FieldElement, IdealHNF, factor_rational_prime, hurwitz_field,
                               rationals)
-from quatsys.orders import _combine, hurwitz_algebra, hurwitz_order, standard_order
+from quatsys.orders import (_combine, hurwitz_algebra, hurwitz_order, scaled_row, standard_order,
+                            unflatten)
 
 
 def lattice_index(outer, inner) -> int:
@@ -27,11 +28,30 @@ def is_norm_one(order, x) -> bool:
     return order.contains(x) and x.reduced_norm() == order.algebra.field.one()
 
 
+def in_congruence(order, ideal, x) -> bool:
+    """Whether the quaternion x lies in I*Q, by one solve against its HNF."""
+    vec = scaled_row(x, order.kappa)
+    return vec is not None and lattice.contains(order.congruence_lattice(ideal).mat, vec)
+
+
+def congruence_basis(order, ideal) -> list:
+    """The quaternions of the HNF basis of I*Q."""
+    return [unflatten(order.algebra, row, order.kappa)
+            for row in order.congruence_lattice(ideal).mat]
+
+
 def in_gamma(order, ideal, x) -> bool:
     """Norm-one and congruent to 1 modulo ideal*order."""
     if not is_norm_one(order, x):
         return False
-    return order.congruence_lattice(ideal).contains(x - order.algebra.one())
+    return in_congruence(order, ideal, x - order.algebra.one())
+
+
+def coset_reps(ideal) -> list:
+    """Oracle: a coset representative of each class of O_K modulo the ideal,
+    in coordinate order, from the diagonal of its HNF."""
+    diag = [row[k] for k, row in enumerate(ideal.mat)]
+    return [ideal.reduce(list(c)) for c in itertools.product(*map(range, diag))]
 
 
 def trace_norm_contained(basis, ideal) -> bool:

@@ -7,6 +7,9 @@ the tests call is listed too.  Dunders and overrides of a base-class method are
 called by the language or the base class and are not listed.  The scan lists
 the rest; each one kept must be on the allowlist below with its reason.
 
+Names defined more than once are a blind spot of that scan, as one caller
+of a name keeps every definer of it; each definer of such a name is pinned.
+
 A second scan keeps third-party imports where `IMPORTERS` lists them:
 nowhere, as the library runs on the standard library alone; numpy and
 mpmath serve only the tests' oracles and the benchmark's tracer.  The
@@ -120,6 +123,55 @@ def uncalled_functions() -> list:
 
 def test_every_uncalled_function_is_allowlisted():
     assert uncalled_functions() == sorted(ALLOWED)
+
+
+# The scan above matches callers by name, so it cannot tell apart the definers
+# of a name defined more than once: one caller of `contains` keeps every
+# `contains`.  Each definer of a shared name is pinned here; a new shared name,
+# or a new definer of one, fails until its callers are checked and it is added.
+SHARED_NAMES = {
+    "_coerce": ["numfield.FieldElement._coerce", "quatalg.QuatElement._coerce"],
+    "_split": ["polys._split", "quotient._split"],
+    "basis_elements": ["numfield.IdealHNF.basis_elements", "orders.OrderLattice.basis_elements"],
+    "cached": ["numfield.NumberField.cached", "orders.OrderLattice.cached"],
+    "contains": ["lattice.contains", "numfield.IdealHNF.contains",
+                 "orders.OrderLattice.contains"],
+    "coords": ["numfield.FieldElement.coords", "orders.OrderLattice.coords"],
+    "denominator": ["numfield.FieldElement.denominator", "quatalg.QuatElement.denominator"],
+    "element": ["numfield.NumberField.element", "quatalg.QuaternionAlgebra.element"],
+    "intersect": ["lattice.intersect", "numfield.IdealHNF.intersect"],
+    "inverse": ["numfield.FieldElement.inverse", "quotient._ResidueRing.inverse"],
+    "is_zero": ["numfield.FieldElement.is_zero", "quatalg.QuatElement.is_zero"],
+    "lines": ["bounds.KleinianReport.lines", "torsion.TorsionCertificate.lines"],
+    "one": ["numfield.NumberField.one", "quatalg.QuaternionAlgebra.one"],
+    "records": ["geodesics.EnumerationResult.records", "quatalg.RamificationReport.records",
+                "quotient.LambdaFactor.records", "quotient.SquaresReport.records"],
+    "reduce": ["numfield.IdealHNF.reduce", "quotient._ResidueRing.reduce"],
+    "valuation": ["numfield.IdealHNF.valuation", "quotient._ResidueRing.valuation"],
+    "zero": ["numfield.NumberField.zero", "quatalg.QuaternionAlgebra.zero"],
+}
+
+
+def shared_names() -> dict:
+    """name -> sorted definers (module.function or module.Class.method) of each
+    non-dunder name that more than one module-level function or method of
+    src/quatsys defines; nested functions are local and not counted."""
+    definers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                scoped = [(f"{node.name}.", item) for item in node.body]
+            else:
+                scoped = [("", node)]
+            for prefix, item in scoped:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                        not (item.name.startswith("__") and item.name.endswith("__")):
+                    definers.setdefault(item.name, []).append(f"{path.stem}.{prefix}{item.name}")
+    return {name: sorted(found) for name, found in definers.items() if len(found) > 1}
+
+
+def test_every_definer_of_a_shared_name_is_pinned():
+    assert shared_names() == SHARED_NAMES
 
 
 # the modules of src/quatsys that may import each third-party package

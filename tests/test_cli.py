@@ -176,6 +176,30 @@ def test_cli_quotient_count_by_ideal_generators(capsys):
     assert "norm_one=336" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--prime", "7", "--ideal", "2"],
+    ["quotient-count", "--ideal", "2,-1,0", "--t", "2"],
+    ["quotient-count", "--ideal", "2,-1,0", "--t", "1"],
+    ["systole", "--prime", "7", "--index", "0", "--ideal", "2"],
+    ["torsion-check", "--index", "0", "--ideal", "7"],
+])
+def test_cli_refuses_an_ideal_named_twice(capsys, argv):
+    # --ideal names the level alone: with --prime, an explicit --index or an
+    # explicit --t one of them would be ignored, so the run stops first
+    code, out = _run(capsys, "--hurwitz", *argv)
+    assert code == 1
+    assert out.splitlines()[0] == ("error=input --ideal names the ideal alone; "
+                                   "drop --prime, --index and --t")
+
+
+def test_cli_prime_alone_takes_the_first_ideal_and_t_1(capsys):
+    runs = [_run(capsys, "--hurwitz", "quotient-count", "--prime", "13", *extra)
+            for extra in ([], ["--index", "0", "--t", "1"])]
+    assert [code for code, _out in runs] == [0, 0]
+    first, explicit = (out.splitlines()[0] for _code, out in runs)
+    assert first == explicit and first.startswith("prime=13 t=1 q=13 ")
+
+
 def test_cli_torsion_check(capsys):
     code, out = _run(capsys, "--hurwitz", "torsion-check", "--prime", "2")
     assert code == 0
@@ -356,7 +380,7 @@ def test_cli_quotient_count_gives_up_factoring_a_large_norm_fast(tmp_path, capsy
     path.write_text(Q2MAX_SPEC)
     started = time.monotonic()
     code, out = _run(capsys, "--field", str(path), "quotient-count", "--ideal", "1e300,1",
-                     "--t", "5", "--cap", "1000")
+                     "--cap", "1000")
     assert code == 2
     (line,) = _records(out)
     assert re.fullmatch(r"error=cap no factor of \d+ found in \d+ Pollard-Brent steps", line)

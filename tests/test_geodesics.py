@@ -13,12 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatsys import geodesics
-from conftest import coefficient_ideal_test, is_central, static_box_walk
-from quatsys.bounds import compare_abs0, hurwitz_context, trace_coset_minimum, trace_lower_bound
+from conftest import (coefficient_ideal_test, congruence_basis, in_congruence, is_central,
+                      static_box_walk)
+from quatsys.bounds import hurwitz_context, trace_coset_minimum, trace_lower_bound
 from quatsys.errors import CapExceeded, InputError, InvariantViolation, PrecisionError
 from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
 from quatsys.intervals import START_BITS, RatInterval, iv_sqrt
-from quatsys.numfield import FieldElement, IdealHNF, abs_vs_two, factor_rational_prime
+from quatsys.numfield import FieldElement, IdealHNF, compare_abs, factor_rational_prime
 from quatsys.orders import scaled_row, unflatten
 from quatsys.quatalg import QuatElement
 from quatsys.walkranges import WalkRanges, _up, slice_range
@@ -42,11 +43,10 @@ def test_minimum_matches_published_value(run7):
 def test_all_emitted_are_exact_members(run7, QH, P7, D):
     cands, _ = run7
     one = D.one()
-    cong = QH.congruence_lattice(P7)
     for c in cands:
         x = c.element
         assert x.reduced_norm() == D.field.one()
-        assert cong.contains(x - one)
+        assert in_congruence(QH, P7, x - one)
         assert not is_central(x)
 
 
@@ -449,14 +449,13 @@ def test_orbit_maps_keep_the_coset_the_norm_and_the_class(QH, orbit_ideals, data
     # x -> conj(x), and x -> -x when -1 is in Gamma(I), map the coset 1 + IQ to
     # itself with the same split-place Frobenius norm and the same |trace| class
     ideal = orbit_ideals[data.draw(st.sampled_from(sorted(orbit_ideals)), label="ideal")]
-    cong = QH.congruence_lattice(ideal)
     enum = Enumerator(QH, ideal)
     x = QH.algebra.one()
-    for b in cong.basis_elements():
+    for b in congruence_basis(QH, ideal):
         x = x + b * data.draw(st.integers(-6, 6))
     mates = [x.conj()] + ([-x, -x.conj()] if QH.minus_one_in_gamma(ideal) else [])
     for y in mates:
-        assert cong.contains(y - 1)
+        assert in_congruence(QH, ideal, y - 1)
         cx, cy = scaled_row(x, enum.kappa), scaled_row(y, enum.kappa)
         assert enum._frob_parts(cy) == enum._frob_parts(cx)
         assert _class_key(enum, cy) == _class_key(enum, cx)
@@ -776,6 +775,11 @@ def test_emit_decides_a_norm_equal_to_the_cut(form_enums):
     below = {}
     enum._emit(c, below, (4 - Fraction(1, 2 ** 300), 4.0, 4.0), (3.9, 4.1))
     assert below == {}
+    # an enclosure whose top equals the cut's bottom is a float tie: the exact
+    # test decides it, inside as ||x||_F^2 <= 4 = m_sq
+    tie = {}
+    enum._emit(c, tie, (Fraction(4), 4.0, 4.0), (3.5, 4.0))
+    assert list(tie.values()) == [(c, (3.5, 4.0))]
 
 
 @pytest.mark.parametrize("name", ["whole ring", "P7"])
@@ -785,7 +789,6 @@ def test_exact_leaf_decisions_agree_with_the_floats(QH, K, P7, name, monkeypatch
     # decided by the exact sign test; the candidates and representatives stay
     _ideal, radius, _visited, counters, expected = REGRESSION[name]
     monkeypatch.setattr(WalkRanges, "leaf_roots", lambda self, squares, tabs: None)
-    monkeypatch.setattr(geodesics, "_float_cut", lambda *args: None)
     monkeypatch.setattr(geodesics, "_float_less", lambda *args: None)
     enum = Enumerator(QH, K.whole_ring() if name == "whole ring" else P7)
     found, _ = enum.run(radius)
@@ -1020,9 +1023,9 @@ def static_box_coset_traces(order, ideal):
     while True:
         best = []
         for t in static_box_walk(field, [cap] + [Fraction(2)] * (d - 1), square.mat, 2):
-            if any(abs_vs_two(t, s) >= 0 for s in range(1, d)) or abs_vs_two(t, 0) <= 0:
+            if any(compare_abs(t, 2, s) >= 0 for s in range(1, d)) or compare_abs(t, 2, 0) <= 0:
                 continue
-            cmp = compare_abs0(t, best[0]) if best else -1
+            cmp = compare_abs(t, best[0]) if best else -1
             if cmp < 0:
                 best = [t]
             elif cmp == 0:

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import static_box_walk
-from quatsys.bounds import compare_abs0
+from conftest import coset_reps, static_box_walk
+from quatsys import numfield
 from quatsys.errors import InputError, PrecisionError
 from quatsys.intervals import START_BITS, RatInterval, interval_solve, refine
 from quatsys.numfield import (MAX_DEGREE, FieldElement, IdealHNF, NumberField,
-                              abs_vs_two, factor_ideal, factor_rational_prime, hurwitz_field,
+                              compare_abs, factor_ideal, factor_rational_prime, hurwitz_field,
                               primes_up_to_norm, rationals)
 
 T = sympy.Symbol("t")
@@ -177,7 +177,7 @@ def test_two_is_inert_with_f8_residue(K, P2):
     # O_K/<2> is a field iff every nonzero residue is invertible mod <2>
     field_like = all(
         (IdealHNF.principal(K, K.element(r)) + P2).is_whole_ring()
-        for r in P2.residues() if any(r))
+        for r in coset_reps(P2) if any(r))
     assert field_like
 
 
@@ -202,6 +202,26 @@ def test_factorizations_recombine(K):
             prod = prod * prime ** e
             assert prime.contains(K.from_rational(p))
         assert prod == IdealHNF.principal(K, K.from_rational(p))
+
+
+def test_factorizations_are_certified_once_per_field_and_prime(monkeypatch):
+    K = hurwitz_field()  # fresh, so nothing is kept yet
+    made = []
+    build = numfield.IdealHNF.from_generators
+    monkeypatch.setattr(numfield.IdealHNF, "from_generators",
+                        lambda *args: made.append(1) or build(*args))
+    first = factor_rational_prime(K, 13)
+    assert len(made) == 4  # three primes, and the (13) they must recombine to
+    second = factor_rational_prime(K, 13)
+    assert len(made) == 4  # no ideal built or checked again
+    # each call gets its own list, so a caller's edit reaches no later call
+    assert second == first and second is not first
+    first.clear()
+    assert factor_rational_prime(K, 13) == second
+    with pytest.raises(InputError):
+        factor_rational_prime(K, 12)
+    with pytest.raises(InputError):  # a refusal is not kept
+        factor_rational_prime(K, 12)
 
 
 def test_dedekind_identity_random(K):
@@ -402,13 +422,13 @@ def embed_spy(monkeypatch):
 # below needs several refinements; the schedules start at START_BITS, double,
 # and stop at the first enclosure that separates
 REFINEMENT_SCHEDULES = [
-    (lambda eta: abs_vs_two(2 - eta ** 150, 1), -1, [60, 120, 240]),
-    (lambda eta: abs_vs_two(2 + eta ** 150, 1), 1, [60, 120, 240]),
+    (lambda eta: compare_abs(2 - eta ** 150, 2, 1), -1, [60, 120, 240]),
+    (lambda eta: compare_abs(2 + eta ** 150, 2, 1), 1, [60, 120, 240]),
     (lambda eta: (eta ** 100).sign_at(1), 1, [60, 120]),
     (lambda eta: (-eta ** 31).sign_at(1), 1, [60]),
-    (lambda eta: compare_abs0(eta.field.from_rational(3), 3 + (eta * eta - 2) ** 150),
+    (lambda eta: compare_abs(eta.field.from_rational(3), 3 + (eta * eta - 2) ** 150),
      -1, [60, 60, 120, 120, 240, 240]),
-    (lambda eta: compare_abs0(-3 - (eta * eta - 2) ** 150, eta.field.from_rational(3)),
+    (lambda eta: compare_abs(-3 - (eta * eta - 2) ** 150, eta.field.from_rational(3)),
      1, [60, 60, 120, 120, 240, 240]),
 ]
 
@@ -436,15 +456,21 @@ def _sign(v):
     return 0 if abs(v) < mp.mpf(2) ** -200 else (1 if v > 0 else -1)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_COORDS, _COORDS, st.integers(0, 2))
-def test_comparisons_agree_with_300_bit_conjugates(K, tc, uc, place):
-    t, u = K.element(tc), K.element(uc)
+@settings(max_examples=120, deadline=None)
+@given(_COORDS, st.one_of(_COORDS, st.integers(-12, 12)), st.sampled_from(["u", "t", "-t"]),
+       st.integers(0, 2))
+def test_comparisons_agree_with_300_bit_conjugates(K, tc, uc, mate, place):
+    # compare_abs at every place, against u a field element or an integer, and
+    # at the ties u = t and u = -t, where it must say 0
+    t = K.element(tc)
+    u = {"u": uc if isinstance(uc, int) else K.element(uc), "t": t, "-t": -t}[mate]
     with mp.workprec(300):
-        ct, cu = _conjugates(t), _conjugates(u)
+        ct, cu = _conjugates(t), _conjugates(K.from_rational(u) if isinstance(u, int) else u)
         assert t.sign_at(place) == _sign(ct[place])
-        assert abs_vs_two(t, place) == _sign(abs(ct[place]) - 2)
-        assert compare_abs0(t, u) == _sign(abs(ct[0]) - abs(cu[0]))
+        assert compare_abs(t, 2, place) == _sign(abs(ct[place]) - 2)
+        assert compare_abs(t, u, place) == _sign(abs(ct[place]) - abs(cu[place]))
+    if mate != "u":
+        assert compare_abs(t, u, place) == 0
 
 
 # -- history independence --------------------------------------------------------
@@ -505,17 +531,17 @@ def test_float_check_agrees_with_abs_vs_two_at_the_edges(K):
     for t in _vs_two_cases(K):
         for s in range(3):
             got = table.vs_two(t.num, s)
-            assert got in (None, abs_vs_two(t, s)), (str(t), s)
+            assert got in (None, compare_abs(t, 2, s)), (str(t), s)
             decided += got is not None
             if max(abs(n) for n in t.num) > 2 ** 53:
                 assert got is None  # beyond 2^53 a coordinate is not a float
     # +-2 sit on the boundary: only the exact test can say 0
     for t in (K.from_rational(2), K.from_rational(-2)):
         assert [table.vs_two(t.num, s) for s in range(3)] == [None] * 3
-        assert [abs_vs_two(t, s) for s in range(3)] == [0] * 3
+        assert [compare_abs(t, 2, s) for s in range(3)] == [0] * 3
     # eta^40 is ~1e-14 at place 1, below the float error of its ~1e10 coordinates
     eta40 = K.gen() ** 40
-    assert table.vs_two((2 - eta40).num, 1) is None and abs_vs_two(2 - eta40, 1) == -1
+    assert table.vs_two((2 - eta40).num, 1) is None and compare_abs(2 - eta40, 2, 1) == -1
     assert decided > 0
 
 
@@ -527,7 +553,7 @@ def test_float_check_agrees_with_abs_vs_two_near_two(K, small, k, sign, at_zero,
     unit = (eta * eta - 2 if at_zero else eta) ** k
     t = K.from_rational(2 * sign) + K.element(small) * unit
     got = K.place_table().vs_two(t.num, place)
-    assert got in (None, abs_vs_two(t, place))
+    assert got in (None, compare_abs(t, 2, place))
 
 
 # -- the ranged box walk ----------------------------------------------------------

@@ -13,8 +13,9 @@ from quatsys.orders import (CongruenceIdealLattice, OrderLattice, _combine, hurw
                             hurwitz_order, scaled_row, standard_order, unflatten)
 from quatsys.quatalg import QuatElement
 
-from conftest import (coefficient_ideal_test, congruence_coord_hnf, in_gamma, is_central,
-                      is_norm_one, lattice_index, left_matrix, trace_norm_contained)
+from conftest import (coefficient_ideal_test, congruence_basis, congruence_coord_hnf,
+                      in_congruence, in_gamma, is_central, is_norm_one, lattice_index,
+                      left_matrix, trace_norm_contained)
 
 
 def test_standard_order_shape(O_std, D):
@@ -257,12 +258,12 @@ def test_trace_norm_containment_exact(QH, O_std, B6, Q2max, P7, P2):
     levels = 0
     for order in (QH, O_std, B6, Q2max):
         for ideal in _levels(order.algebra.field):
-            assert trace_norm_contained(order.congruence_lattice(ideal).basis_elements(), ideal), \
+            assert trace_norm_contained(congruence_basis(order, ideal), ideal), \
                 (order.name, str(ideal))
             levels += 1
     assert levels == 80
     # the certificate rejects a lattice outside the level: P7*Q against P2
-    assert not trace_norm_contained(QH.congruence_lattice(P7).basis_elements(), P2)
+    assert not trace_norm_contained(congruence_basis(QH, P7), P2)
 
 
 def test_containment_specific_example(QH, D, P7):
@@ -272,8 +273,7 @@ def test_containment_specific_example(QH, D, P7):
     z = (K.from_rational(2) - eta) * jp
     assert P7.contains(z.reduced_trace())
     assert (P7 * P7).contains(z.reduced_norm())
-    cong = QH.congruence_lattice(P7)
-    assert cong.contains(z)
+    assert in_congruence(QH, P7, z)
 
 
 def test_whereisy_ideal_identity(QH, P2):
@@ -368,12 +368,11 @@ def test_congruence_lattice_in_order_coordinates(QH, O_std, P7, P2):
     for order in (QH, O_std):
         basis = order.basis_elements()
         for ideal in (P7, P2):
-            cong = order.congruence_lattice(ideal)
             coord_mat = congruence_coord_hnf(order, ideal)
             assert lattice.det_upper_triangular(coord_mat) == ideal.norm ** 4
             for row in coord_mat:
                 z = sum((c * w for c, w in zip(row, basis)), order.algebra.zero())
-                assert cong.contains(z)
+                assert in_congruence(order, ideal, z)
 
 
 def test_congruence_lattice_equals_the_span_of_products(QH, O_std, P7, P2, P13s):
@@ -477,5 +476,5 @@ def test_trace_norm_containment_at_a_non_principal_level(Q10max):
     assert len(levels) == 21
     assert all(prime in levels for prime, _e, _f in factor_rational_prime(field, 3))
     for ideal in levels:
-        assert trace_norm_contained(Q10max.congruence_lattice(ideal).basis_elements(), ideal), \
+        assert trace_norm_contained(congruence_basis(Q10max, ideal), ideal), \
             str(ideal)

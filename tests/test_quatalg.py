@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quatsys.quatalg as quatalg
-from conftest import B6_SPEC, is_central
+from conftest import B6_SPEC, coset_reps, is_central
 from quatsys.geodesics import RadiusSchedule, systole_search
 from quatsys.lattice import reduce_mod
 from quatsys.numfield import (FieldElement, IdealHNF, NumberField, factor_ideal,
@@ -171,6 +171,25 @@ def test_hilbert_symbol_matches_search_oracle(field, a, b):
     assert decided > 0
 
 
+def test_prime_status_is_read_off_the_ramified_set(QH, B6, Q2max, Q10max, monkeypatch):
+    # the lookup rests on a theorem: (a, b)_p = 1 at an odd p dividing neither
+    # a nor b; the symbol is taken here at every prime of norm <= 200 (O_std is
+    # an order of QH's algebra)
+    algebras = [order.algebra for order in (QH, B6, Q2max, Q10max)]
+    expected = {}
+    for algebra in algebras:
+        for prime in primes_up_to_norm(algebra.field, 200):
+            expected[algebra, prime] = RAMIFIED if algebra._symbol(prime) < 0 else SPLIT
+    assert len(expected) == 178
+    assert sum(status == RAMIFIED for status in expected.values()) == 4
+    # once the ramified set is built, a status takes no symbol
+    for algebra in algebras:
+        algebra.finite_prime_status(algebra.field.whole_ring())
+    monkeypatch.setattr(QuaternionAlgebra, "_symbol", lambda *args: pytest.fail("symbol"))
+    for (algebra, prime), status in expected.items():
+        assert algebra.finite_prime_status(prime) == status, (algebra, str(prime))
+
+
 def test_sqrt17_algebra_ramifies_at_one_dyadic_prime():
     algebra = _algebra(SQRT17, [1, 2], [-3, 1])
     dyadic = [p for p, _e, _f in factor_rational_prime(SQRT17, 2)]
@@ -299,7 +318,7 @@ def _search_level(algebra, prime: IdealHNF, k: int):
     K = algebra.field
     P = prime ** k
     c1, c2, c3, c4 = norm_form_coeffs(algebra)
-    residues = [tuple(r) for r in P.residues()]
+    residues = [tuple(r) for r in coset_reps(P)]
     powers = [prime ** v for v in range(1, k + 1)]
 
     def val_below_k(elem: FieldElement) -> int:

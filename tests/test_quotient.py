@@ -435,7 +435,7 @@ def residue_loop_counts(ring):
         tally += np.bincount(reduce_rows(hnf, scaled // ring.kappa) @ strides,
                              minlength=len(tally))
     classes = _digits(0, len(tally), radices)
-    one = ring.ideal.reduce([1] + [0] * (ring.center_dim - 1))
+    one = ring.ideal.reduce([1] + [0] * (ring.prime.field.degree - 1))
     units = sum(int(n) for c, n in zip(classes, tally) if n and is_unit(ring, c))
     return units, int(tally[int(np.dot(one, strides))])
 
@@ -516,21 +516,25 @@ def test_a_non_diagonal_central_hnf(small_rings):
 
 
 def test_kappa_check_covers_every_part_of_the_split(small_rings, monkeypatch):
-    # one odd entry in the norm tensor makes some norm value odd (kappa = 2);
-    # the count must notice it whether the entry sits on the residue basis,
-    # where the Gram matrix reads it, or off it, where only the check does
+    # the order's certificate checks the norm form once (kappa = 2): one odd
+    # polar entry T[a][b], or one odd diagonal entry T[a][a], is refused,
+    # whether or not a ring's residue basis would read it
     ring = small_rings["QH/P13"]
+    order, tables = ring.order, ring.order.tables
     a, b = ring._basis[:2]
     off = next(k for k in range(ring.dim) if k not in ring._basis)
     for i, j in [(a, b), (off, off)]:
-        ring = fresh(ring)  # a ring counts once; this one has not
-        bad = [[list(entry) for entry in plane] for plane in ring.norm_tensor]
+        bad = [[list(entry) for entry in plane] for plane in tables.norm_tensor]
         bad[i][j][0] += 1
-        monkeypatch.setattr(ring, "norm_tensor", bad)
-        with pytest.raises(InvariantViolation, match="not integral"):
-            ring.count_units_and_norm_one()
-    monkeypatch.undo()
-    assert ring.norm_tensor is ring.tables.norm_tensor
+        with pytest.raises(InvariantViolation, match="non-integral trace or norm"):
+            order._certify(tables._replace(norm_tensor=bad))
+    order._certify(tables)
+    # so a ring reads the certified tensor and scans none: an odd entry off
+    # its residue basis goes unread
+    ring = fresh(ring)
+    bad = [[list(entry) for entry in plane] for plane in ring.norm_tensor]
+    bad[off][off][0] += 1
+    monkeypatch.setattr(ring, "norm_tensor", bad)
     assert ring.count_units_and_norm_one() == (26208, 2184)
 
 
