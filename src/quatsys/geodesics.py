@@ -691,12 +691,10 @@ class _IntegerForm:
 
     def __init__(self, field, coefs):
         d = field.degree
-        powers = [field.one()]
-        for _ in range(2 * d - 2):
-            powers.append(powers[-1] * field.gen())
         terms = []
         for (l, l2), coef in coefs.items():
-            scaled = [coef * p for p in powers]
+            scaled = [FieldElement(field, row, coef.den)
+                      for row in field.theta_rows(coef.num, 2 * d - 1)]
             for m, m2 in itertools.product(range(d), repeat=2):
                 if l == l2 and m > m2:
                     continue  # a square's cross term c_m c_m2 comes twice, below

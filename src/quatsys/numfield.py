@@ -15,7 +15,10 @@ The discriminant, the irreducibility certificate, the factorisations
 modulo p (Dedekind-Kummer) and the rational primes come from `polys`.
 
 Integral ideals are integer lattices in row Hermite normal form over the
-power basis.
+power basis.  Arithmetic in O_K works on integer coordinate rows, in one
+place: `theta_rows` gives the rows vec * theta^k, the multiplication matrix
+of an integer, from which ideals take their generators' rows and module
+check, and `power_mod` raises an integer to a power modulo an ideal's HNF.
 
 Real embeddings are certified: enclosures of each root of the minimal
 polynomial are bisected from its isolating interval and cached per precision,
@@ -86,22 +89,20 @@ class NumberField:
         # facts about the field alone that other modules compute (`cached`)
         self._cache = {}
 
-        # theta^k for k = 0 .. 2d-2 as integer coordinate vectors
-        self._pow = []
-        vec = [0] * d
-        vec[0] = 1
-        for k in range(2 * d - 1):
-            self._pow.append(list(vec))
-            vec = self._shift_reduce(vec)
+        # theta^k for k < 2d: the folds of `mul_vec` and the g(theta) of `_factor`
+        self._pow = self.theta_rows([1] + [0] * (d - 1), 2 * d)
 
-    def _shift_reduce(self, vec):
-        d = self.degree
-        out = [0] + vec[:-1]
-        top = vec[-1]
-        if top:
-            for k in range(d):
-                out[k] -= top * self.min_poly[k]
-        return out
+    def theta_rows(self, vec, count=None) -> list:
+        """The integer coordinate vectors of vec * theta^k for k < count
+        (count >= 1, d by default): with count = d, the rows of the matrix of
+        multiplication by the integer vec on the power basis (Cohen, GTM 138,
+        4.2).  Each row is the last shifted up one power, theta^d folded back
+        by the minimal polynomial."""
+        rows = [list(vec)]
+        for _ in range((count or self.degree) - 1):
+            top, out = rows[-1][-1], [0] + rows[-1][:-1]
+            rows.append([x - top * c for x, c in zip(out, self.min_poly)] if top else out)
+        return rows
 
     def mul_vec(self, x, y) -> list:
         """Integer coordinates of x * y for integer coordinate vectors x and y
@@ -121,6 +122,18 @@ class NumberField:
                 for m, w in enumerate(self._pow[k]):
                     if w:
                         out[m] += c * w
+        return out
+
+    def power_mod(self, vec, n: int, mat) -> list:
+        """vec^n for n >= 0, reduced modulo the integer lattice of the
+        upper-triangular row HNF `mat` (an ideal's): square and multiply,
+        each product reduced by `lattice.reduce_mod`."""
+        out = lattice.reduce_mod(mat, [1] + [0] * (self.degree - 1))
+        base = lattice.reduce_mod(mat, vec)
+        while n:
+            if n & 1:
+                out = lattice.reduce_mod(mat, self.mul_vec(out, base))
+            base, n = lattice.reduce_mod(mat, self.mul_vec(base, base)), n >> 1
         return out
 
     def _certify_power_basis_maximal(self):
@@ -452,23 +465,11 @@ class FieldElement:
     def is_integral(self):
         return self.den == 1
 
-    def denominator(self) -> int:
-        """The least positive integer n with n * self integral."""
-        return self.den
-
     # -- invariants ---------------------------------------------------------
 
     def mult_matrix(self):
         """Matrix of multiplication by self on the power basis (rows = images)."""
-        d = self.field.degree
-        rows = []
-        theta = self.field.gen()
-        cur = self
-        for k in range(d):
-            rows.append(list(cur.coords))
-            if k < d - 1:
-                cur = cur * theta
-        return rows
+        return [[Fraction(n, self.den) for n in row] for row in self.field.theta_rows(self.num)]
 
     def norm(self) -> Fraction:
         return det_fraction(self.mult_matrix())
@@ -550,10 +551,8 @@ class IdealHNF:
         self._check_module()
 
     def _check_module(self):
-        theta = self.field.gen()
         for row in self.mat:
-            elem = self.field.element(row) * theta
-            if not self.contains(elem):
+            if not lattice.contains(self.mat, self.field.theta_rows(row, 2)[1]):
                 raise InvariantViolation("lattice is not closed under multiplication by theta")
 
     # -- constructors ------------------------------------------------------
@@ -566,14 +565,7 @@ class IdealHNF:
         for g in gens:
             if not g.is_integral():
                 raise InputError(f"generator {g} is not an algebraic integer")
-        rows = []
-        theta = field.gen()
-        for g in gens:
-            cur = g
-            for _ in range(field.degree):
-                rows.append(list(cur.num))
-                cur = cur * theta
-        return cls(field, rows)
+        return cls(field, [row for g in gens for row in field.theta_rows(g.num)])
 
     @classmethod
     def principal(cls, field: NumberField, g) -> "IdealHNF":
@@ -624,11 +616,8 @@ class IdealHNF:
             return other
         if other.norm == 1:
             return self
-        rows = []
-        for a in self.basis_elements():
-            for b in other.basis_elements():
-                rows.append(list((a * b).num))
-        return IdealHNF(self.field, rows)
+        mul = self.field.mul_vec
+        return IdealHNF(self.field, [mul(a, b) for a in self.mat for b in other.mat])
 
     def __pow__(self, n: int) -> "IdealHNF":
         if n < 0:
@@ -680,14 +669,10 @@ def _factor(field: NumberField, p: int) -> tuple:
     if not isprime(p):
         raise InputError(f"{p} is not a rational prime")
     out = []
-    theta = field.gen()
     for asc, e in gf_factor(field.min_poly, p):
-        g_theta = field.zero()
-        power = field.one()
-        for c in asc:
-            g_theta = g_theta + power * c
-            power = power * theta
-        prime = IdealHNF.from_generators(field, [field.from_rational(p), g_theta])
+        g_theta = [sum(c * power[m] for c, power in zip(asc, field._pow))
+                   for m in range(field.degree)]
+        prime = IdealHNF.from_generators(field, [p, FieldElement(field, g_theta)])
         f = len(asc) - 1
         out.append((prime, e, f))
     out.sort(key=lambda t: (t[2], t[0].mat))

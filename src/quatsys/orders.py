@@ -110,7 +110,6 @@ class OrderLattice:
         tables = _build_tables(self, struct)
         self._certify(tables)
         self.tables = tables
-        self._congruence = {}  # ideal -> CongruenceIdealLattice
         self._cache = {}  # facts about the order alone that other modules compute (`cached`)
 
     # -- certification ------------------------------------------------------
@@ -218,11 +217,9 @@ class OrderLattice:
     # -- congruence structure ---------------------------------------------------
 
     def congruence_lattice(self, ideal: IdealHNF) -> "CongruenceIdealLattice":
-        """I*Q, built once per ideal."""
-        cong = self._congruence.get(ideal)
-        if cong is None:
-            cong = self._congruence[ideal] = CongruenceIdealLattice(self, ideal)
-        return cong
+        """I*Q, built once per ideal (`cached`)."""
+        return self.cached(("congruence_lattice", ideal),
+                           lambda: CongruenceIdealLattice(self, ideal))
 
     def minus_one_in_gamma(self, ideal: IdealHNF) -> bool:
         """Whether -1 lies in Gamma(I): exactly when 2 lies in I.
@@ -254,13 +251,10 @@ class CongruenceIdealLattice:
             raise InputError("ideal and order live over different fields")
         self.order = order
         self.ideal = ideal
-        theta, d = ideal.field.gen(), ideal.field.degree
+        d = ideal.field.degree
         rows = []
-        for alpha in ideal.basis_elements():
-            times, power = [], alpha  # times[k]: coordinates of alpha * theta^k
-            for _ in range(d):
-                times.append(power.num)
-                power = power * theta
+        for alpha in ideal.mat:
+            times = ideal.field.theta_rows(alpha)  # times[k]: coordinates of alpha * theta^k
             rows.extend([x for l in range(4) for x in _combine(w[l * d:(l + 1) * d], times)]
                         for w in order.mat)
         mat = lattice.hnf(rows, order.dim)
@@ -377,7 +371,7 @@ def _closure_pass(algebra, kappa, mat):
     is kappa times a vector that solves against `mat`, every product lies in
     the lattice, which is then closed: the pass returns its structure
     constants (struct, None).  Otherwise it returns (None, (kappa', mat')),
-    the canonical span of the rows and the products as in `_hnf_span`: the
+    the canonical span of the rows and the products as in `_module_span`: the
     least kappa' that makes it integral is kappa^2 over the gcd of kappa^2
     and the content of the span's HNF at scale kappa^2.
     """
@@ -405,24 +399,20 @@ def _closure_pass(algebra, kappa, mat):
 
 
 def _module_span(algebra, generators):
-    theta = algebra.field.gen()
-    d = algebra.field.degree
-    elems = []
-    for g in generators:
-        cur = g
-        for _ in range(d):
-            elems.append(cur)
-            cur = cur * theta
-    return _hnf_span(algebra, elems)
+    """(kappa, HNF rows) of the O_K-module spanned by `generators` over the
+    scaled standard basis: the Z-span of the g theta^k for k < d.
 
-
-def _hnf_span(algebra, elems):
-    """(kappa, HNF rows) of the Z-span of `elems` over the scaled standard basis.
-
-    kappa, the least common denominator of the elements' coordinates, is
-    the least positive integer that makes the span integral, so the pair
-    is canonical for the lattice.
+    kappa, the least common denominator of the generators' coordinates, is
+    the least positive integer that makes the span integral (theta^k is
+    integral), so the pair is canonical for the lattice.  Row g theta^k is,
+    block by block, row k of the multiplication matrix of kappa g's block
+    (`NumberField.theta_rows`).
     """
-    kappa = lcm(*(c.den for e in elems for c in e.coords))
-    rows = [scaled_row(e, kappa) for e in elems]
-    return kappa, tuple(tuple(r) for r in lattice.hnf(rows, 4 * algebra.field.degree))
+    field, d = algebra.field, algebra.field.degree
+    kappa = lcm(*(c.den for g in generators for c in g.coords))
+    rows = []
+    for g in generators:
+        row = scaled_row(g, kappa)
+        blocks = [field.theta_rows(row[l * d:(l + 1) * d]) for l in range(4)]
+        rows.extend([x for block in blocks for x in block[k]] for k in range(d))
+    return kappa, tuple(tuple(r) for r in lattice.hnf(rows, 4 * d))

@@ -11,7 +11,8 @@ Ramification
   structure constants are negative there; decided from certified signs.
 * at a finite prime p: ramified exactly when the Hilbert symbol (a, b)_p
   is -1 (Voight, Quaternion Algebras, ch. 12 and 14).  At odd p it is the
-  tame symbol, a quadratic residue symbol in O_K/p from Euler's criterion;
+  tame symbol, a quadratic residue symbol in O_K/p from Euler's criterion
+  (c^((N p - 1)/2) by `NumberField.power_mod`);
   in particular p splits when it divides neither a nor b.  At a dyadic p
   Hilbert reciprocity gives it from the real places and the odd primes,
   after b is moved by the local square theorem so that it is a square at
@@ -22,7 +23,6 @@ Ramification
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 from . import lattice
@@ -105,17 +105,11 @@ class QuaternionAlgebra:
         (`_UNIT_PRODUCTS`); a and b are integral, so every entry is an
         integer.  Built once per algebra.
         """
-        K, theta = self.field, self.field.gen()
+        K = self.field
         d = K.degree
         n = 4 * d
         # c theta^t for t = 0 .. 2d - 2, for c = 1, a, b, ab
-        powers = []
-        for c in (K.one(), self.a, self.b, self.ab):
-            row = []
-            for _ in range(2 * d - 1):
-                row.append(c.num)
-                c = c * theta
-            powers.append(row)
+        powers = [K.theta_rows(c.num, 2 * d - 1) for c in (K.one(), self.a, self.b, self.ab)]
         table = []
         for l in range(4):
             for k in range(d):
@@ -237,7 +231,8 @@ def _tame_symbol(a: FieldElement, b: FieldElement, prime: IdealHNF) -> int:
 
 
 def _residue_symbol(c: FieldElement, prime: IdealHNF) -> int:
-    """(c | p) for a p-unit c at an odd p, by Euler's criterion in O_K/p.
+    """(c | p) for a p-unit c at an odd p, by Euler's criterion in O_K/p:
+    c^((N p - 1)/2) = +-1 modulo p, by `NumberField.power_mod`.
 
     Multiplying c by squares of p-units leaves the symbol unchanged.  An
     element t of the product of the other primes p' | l, each to the power
@@ -247,7 +242,7 @@ def _residue_symbol(c: FieldElement, prime: IdealHNF) -> int:
     """
     K = prime.field
     ell = prime.residue_characteristic()
-    k, den = 0, c.denominator()
+    k, den = 0, c.den
     while den % ell == 0:
         k, den = k + 1, den // ell
     if k:
@@ -257,12 +252,8 @@ def _residue_symbol(c: FieldElement, prime: IdealHNF) -> int:
                 clear = clear * other ** (k * e)
         t = next(x for x in clear.basis_elements() if not prime.contains(x))
         c = c * t * t
-    c = c * c.denominator() ** 2
-    power, base, n = prime.reduce(K.one().num), prime.reduce(c.num), (prime.norm - 1) // 2
-    while n:
-        if n & 1:
-            power = prime.reduce(K.mul_vec(power, base))
-        base, n = prime.reduce(K.mul_vec(base, base)), n >> 1
+    c = c * c.den ** 2
+    power = K.power_mod(c.num, (prime.norm - 1) // 2, prime.mat)
     for sign in (1, -1):
         if power == prime.reduce(K.from_rational(sign).num):
             return sign
@@ -356,13 +347,6 @@ class QuatElement:
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
-
-    def denominator(self) -> int:
-        den = 1
-        for c in self.coords:
-            d = c.denominator()
-            den = math.lcm(den, d)
-        return den
 
     def __str__(self):
         x0, x1, x2, x3 = self.coords

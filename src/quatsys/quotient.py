@@ -43,6 +43,7 @@ operations in place of the |R|^4 residues.  The count works in five steps.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -167,20 +168,22 @@ class _ResidueRing:
     `_sums`, one reduction per digit vector, maps the sum to the key of the
     reduced sum: an addition is one table lookup.  Every nonzero residue is
     pi^s u with u a unit and s < t, pi in p outside p^2; `_factored` keeps one
-    such (s, u) per residue, which gives valuations and exact division.
+    such (s, u) per residue, which gives valuations and exact division.  Both
+    tables are built on first use, so a square count builds neither.  Units
+    and pi are found by membership of coordinates in the HNFs of p and p^2,
+    and inverses by `NumberField.power_mod`, all on integer vectors.
     """
 
     def __init__(self, prime: IdealHNF, t: int, ideal: IdealHNF):
         self.field = field = prime.field
+        self.prime = prime
         self.t = t
         self.mat = ideal.mat
         diag = [row[k] for k, row in enumerate(ideal.mat)]
-        radix = [2 * h - 1 for h in diag]
+        self._radix = radix = [2 * h - 1 for h in diag]
         self._weights = [1] * len(diag)
         for k in range(len(diag) - 2, -1, -1):
             self._weights[k] = self._weights[k + 1] * radix[k + 1]
-        # keys are increasing in the product order, last coordinate fastest
-        self._sums = [self.reduce(raw) for raw in product(*map(range, radix))]
         self._coords = {self.key(c): c for c in product(*map(range, diag))}
         self.elements = list(self._coords)
         self.zero = 0
@@ -190,21 +193,36 @@ class _ResidueRing:
         self._steps = [(h, self.key([int(j == k) for j in range(len(diag))]))
                        for k, h in enumerate(diag) if h > 1]
         self.units = frozenset(x for x, c in self._coords.items()
-                               if not prime.contains(FieldElement(field, c)))
-        self._factored = {u: (0, u) for u in self.units}
-        self._pi_powers = [self.one]
-        if t > 1:
-            square = prime * prime
-            pi = next(self.reduce(row) for row in prime.mat
-                      if not square.contains(FieldElement(field, row)))
-            for s in range(1, t):
-                self._pi_powers.append(self.mul(self._pi_powers[-1], pi))
-                for u in self.units:
-                    self._factored.setdefault(self.mul(self._pi_powers[-1], u), (s, u))
-        if len(self._factored) != len(self.elements) - 1:
-            raise InvariantViolation("a nonzero residue is no unit times a power of pi")
+                               if not lattice.contains(prime.mat, c))
         self._inverses = {}
         self._squares = None
+
+    @functools.cached_property
+    def _sums(self) -> list:
+        # keys are increasing in the product order, last coordinate fastest
+        return [self.reduce(raw) for raw in product(*map(range, self._radix))]
+
+    @functools.cached_property
+    def _pi_powers(self) -> list:
+        """pi^s for s < t."""
+        powers = [self.one]
+        if self.t > 1:
+            square = (self.prime * self.prime).mat
+            pi = next(self.reduce(row) for row in self.prime.mat
+                      if not lattice.contains(square, row))
+            for _ in range(1, self.t):
+                powers.append(self.mul(powers[-1], pi))
+        return powers
+
+    @functools.cached_property
+    def _factored(self) -> dict:
+        factored = {u: (0, u) for u in self.units}
+        for s, power in enumerate(self._pi_powers[1:], 1):
+            for u in self.units:
+                factored.setdefault(self.mul(power, u), (s, u))
+        if len(factored) != len(self.elements) - 1:
+            raise InvariantViolation("a nonzero residue is no unit times a power of pi")
+        return factored
 
     def key(self, coords) -> int:
         return sum(c * w for c, w in zip(coords, self._weights))
@@ -232,13 +250,8 @@ class _ResidueRing:
     def inverse(self, u: int) -> int:
         """u^-1 = u^(|R^x| - 1) for a unit u."""
         if u not in self._inverses:
-            out, base, n = self.one, u, len(self.units) - 1
-            while n:
-                if n & 1:
-                    out = self.mul(out, base)
-                base = self.mul(base, base)
-                n >>= 1
-            self._inverses[u] = out
+            self._inverses[u] = self.key(self.field.power_mod(self._coords[u],
+                                                              len(self.units) - 1, self.mat))
         return self._inverses[u]
 
     def div(self, x: int, y: int) -> int:
@@ -476,15 +489,6 @@ class SquaresReport(NamedTuple):
     matches: bool
     discrepancy: bool
 
-    def records(self):
-        kind = "lower_bound" if self.is_lower_bound else "exact"
-        return [f"q={self.prime_norm}", f"t={self.t}", f"e={self.diadic_e}",
-                f"squares={self.count}", f"formula={self.formula_value}",
-                f"formula_kind={kind}",
-                f"equality_claimed={str(self.equality_claimed).lower()}",
-                f"match={str(self.matches).lower()}",
-                f"discrepancy={str(self.discrepancy).lower()}"]
-
 
 def squares_count(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> int:
     """Exhaustive count of squares in the unit group of O_K/p^t (`_ResidueRing`)."""
@@ -493,7 +497,7 @@ def squares_count(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> int:
     if q ** min(t, cap.bit_length()) > cap:
         raise CapExceeded(f"O_K/p^t has q^t = {q}^{t} residues, above the cap {cap}")
     ring = _ResidueRing(prime, t, prime ** t)
-    return len({s for y, s in zip(ring.elements, ring.squares()) if y in ring.units})
+    return len({ring.mul(u, u) for u in ring.units})
 
 
 def lemma44_check(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> SquaresReport:
@@ -533,13 +537,6 @@ class LambdaFactor(NamedTuple):
     t2_norms: list
     diadic_exponents: dict
     value: Fraction
-
-    def records(self):
-        return [
-            f"t1={','.join(map(str, self.t1_norms)) or '-'}",
-            f"t2={','.join(map(str, self.t2_norms)) or '-'}",
-            f"lambda={self.value}",
-        ]
 
 
 def lambda_factor(algebra: QuaternionAlgebra, order: OrderLattice,

@@ -137,15 +137,13 @@ SHARED_NAMES = {
     "contains": ["lattice.contains", "numfield.IdealHNF.contains",
                  "orders.OrderLattice.contains"],
     "coords": ["numfield.FieldElement.coords", "orders.OrderLattice.coords"],
-    "denominator": ["numfield.FieldElement.denominator", "quatalg.QuatElement.denominator"],
     "element": ["numfield.NumberField.element", "quatalg.QuaternionAlgebra.element"],
     "intersect": ["lattice.intersect", "numfield.IdealHNF.intersect"],
     "inverse": ["numfield.FieldElement.inverse", "quotient._ResidueRing.inverse"],
     "is_zero": ["numfield.FieldElement.is_zero", "quatalg.QuatElement.is_zero"],
     "lines": ["bounds.KleinianReport.lines", "torsion.TorsionCertificate.lines"],
     "one": ["numfield.NumberField.one", "quatalg.QuaternionAlgebra.one"],
-    "records": ["geodesics.EnumerationResult.records", "quatalg.RamificationReport.records",
-                "quotient.LambdaFactor.records", "quotient.SquaresReport.records"],
+    "records": ["geodesics.EnumerationResult.records", "quatalg.RamificationReport.records"],
     "reduce": ["numfield.IdealHNF.reduce", "quotient._ResidueRing.reduce"],
     "valuation": ["numfield.IdealHNF.valuation", "quotient._ResidueRing.valuation"],
     "zero": ["numfield.NumberField.zero", "quatalg.QuaternionAlgebra.zero"],

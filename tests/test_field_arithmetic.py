@@ -3,6 +3,8 @@
 The oracle is the rational-coordinate arithmetic FieldElement used before it
 moved to integer numerators over one common denominator: one Fraction per
 power-basis coordinate, products reduced through the field's power table.
+FieldElement arithmetic is in turn the oracle of the field's arithmetic on
+integer rows (`NumberField.theta_rows`, `NumberField.power_mod`).
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatsys.numfield import FieldElement, NumberField, hurwitz_field, rationals
+from quatsys.numfield import FieldElement, IdealHNF, NumberField, hurwitz_field, rationals
 from quatsys.polys import poly_xgcd_mod
 
 FIELDS = {"Q(eta)": hurwitz_field(), "Q": rationals(),
@@ -94,7 +96,7 @@ def _assert_matches(elem, oracle):
     assert list(elem.num) == [c * elem.den for c in oracle.coords]
     assert str(elem) == str(oracle)
     assert elem.is_integral() == oracle.is_integral()
-    assert elem.denominator() == oracle.denominator()
+    assert elem.den == oracle.denominator()
     assert elem.is_zero() == oracle.is_zero()
 
 
@@ -168,3 +170,28 @@ def test_ring_operations_construct_no_fraction(name):
     finally:
         Fraction.__new__ = saved
     assert made == []
+
+
+ROW_FIELDS = {"Q(eta)": hurwitz_field(), "Q": rationals(),
+              "Q(sqrt2)": NumberField([1, 0, -2], name="Q(sqrt2)"),
+              "Q(sqrt10)": NumberField([1, 0, -10], name="Q(sqrt10)")}
+
+
+@st.composite
+def integer_rows(draw):
+    field = ROW_FIELDS[draw(st.sampled_from(sorted(ROW_FIELDS)))]
+    coords = st.lists(st.integers(-60, 60), min_size=field.degree, max_size=field.degree)
+    return field, draw(coords), draw(coords.filter(any)), draw(st.integers(1, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows(), st.integers(0, 40))
+def test_integer_rows_match_field_element_arithmetic(case, n):
+    field, vec, gen, modulus = case
+    v, theta = FieldElement(field, vec), field.gen()
+    rows = field.theta_rows(vec, n + 1)
+    assert len(rows) == n + 1
+    assert all(row == list((v * theta ** k).num) for k, row in enumerate(rows))
+    assert field.theta_rows(vec) == field.theta_rows(vec, field.degree)
+    ideal = IdealHNF.from_generators(field, [FieldElement(field, gen), modulus])
+    assert field.power_mod(vec, n, ideal.mat) == ideal.reduce((v ** n).num)

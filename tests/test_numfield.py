@@ -17,6 +17,8 @@ from quatsys.intervals import START_BITS, RatInterval, interval_solve, refine
 from quatsys.numfield import (MAX_DEGREE, FieldElement, IdealHNF, NumberField,
                               compare_abs, factor_ideal, factor_rational_prime, hurwitz_field,
                               primes_up_to_norm, rationals)
+from quatsys.orders import hurwitz_order
+from quatsys.quotient import _ResidueRing
 
 T = sympy.Symbol("t")
 
@@ -264,6 +266,24 @@ def test_ideal_powers_start_from_the_first_factor(K, P7, P13s, monkeypatch):
         for n in range(1, 6):
             assert prime ** n == repeated
             repeated = repeated * prime
+
+
+def test_integer_arithmetic_in_O_K_builds_no_field_element(D, P7, P13s, monkeypatch):
+    """Ideal products, the module check, I*Q and O_K/p^t work on integer rows
+    (`NumberField.theta_rows`, `mul_vec`, `power_mod`), not on FieldElements."""
+    order, square = hurwitz_order(D), P7 ** 2
+    made = []
+    init = FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, *args: made.append(1) or init(self, *args))
+    assert (P7 * P13s[0]).norm == 7 * 13
+    P13s[0]._check_module()
+    assert order.congruence_lattice(P13s[0]).mat
+    ring = _ResidueRing(P7, 2, square)
+    assert len(ring.units) == 42 and ring.valuation(ring.reduce(P7.mat[0])) == 1
+    unit = max(ring.units)
+    assert ring.mul(ring.inverse(unit), unit) == ring.one
+    assert made == []
 
 
 def test_factor_ideal_composite(K, P7, P2, P13s):

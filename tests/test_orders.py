@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -66,10 +67,11 @@ def test_certification_catches_non_orders(D):
 
 
 def test_order_and_tables_take_one_closure_pass(D, monkeypatch):
-    # quaternions are multiplied only for the module span (4 generators times
-    # 1, eta, eta^2); the closure passes read the integer multiplication
-    # table, Hurwitz in 2 passes (9 rows, then 12) and the standard order in
-    # 1; a pass that certifies closure gives the tables and runs no HNF
+    # no quaternion is multiplied: the module span reads the multiplication
+    # matrices of the generators' blocks, and the closure passes read the
+    # integer multiplication table, Hurwitz in 2 passes (9 rows, then 12) and
+    # the standard order in 1; a pass that certifies closure gives the tables
+    # and runs no HNF
     calls, events = [], []
     product = QuatElement.__mul__
     monkeypatch.setattr(QuatElement, "__mul__", lambda x, y: calls.append(1) or product(x, y))
@@ -82,19 +84,34 @@ def test_order_and_tables_take_one_closure_pass(D, monkeypatch):
         calls.clear()
         events.clear()
         assert np.array(build(D).tables.struct, dtype=np.int64).shape == (12, 12, 12)
-        assert len(calls) == 12
+        assert calls == []
         assert events == expected
+
+
+def _hnf_span(algebra, elems):
+    """(kappa, HNF rows) of the Z-span of the quaternions `elems` over the
+    scaled standard basis, kappa their coordinates' least common denominator."""
+    kappa = lcm(*(c.den for e in elems for c in e.coords))
+    rows = [scaled_row(e, kappa) for e in elems]
+    return kappa, tuple(tuple(r) for r in lattice.hnf(rows, 4 * algebra.field.degree))
 
 
 def _oracle_order(algebra, generators):
     """The closure on quaternion products, as the constructor ran it before
     the integer multiplication table: (kappa, mat, struct, invol,
-    norm_tensor, one), or the constructor's `InputError`."""
-    kappa, mat = orders._module_span(algebra, generators)
+    norm_tensor, one), or the constructor's `InputError`.  The first span is
+    that of the quaternion products g theta^k, k < d."""
+    theta = algebra.element(algebra.field.gen(), 0, 0, 0)
+    elems = []
+    for g in generators:
+        for _ in range(algebra.field.degree):
+            elems.append(g)
+            g = g * theta
+    kappa, mat = _hnf_span(algebra, elems)
     for _ in range(orders._MAX_CLOSE_ITERS):
         basis = [unflatten(algebra, row, kappa) for row in mat]
         products = [w1 * w2 for w1 in basis for w2 in basis]
-        span = orders._hnf_span(algebra, basis + products)
+        span = _hnf_span(algebra, basis + products)
         if span == (kappa, mat):
             break
         kappa, mat = span

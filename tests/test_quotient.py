@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from quatsys import lattice
 from quatsys.errors import CapExceeded, InputError, InvariantViolation
 from quatsys.numfield import IdealHNF, NumberField, factor_rational_prime, primes_up_to_norm
-from quatsys.orders import OrderLattice, hurwitz_order, scaled_row, standard_order
+from quatsys.orders import (CongruenceIdealLattice, OrderLattice, hurwitz_order, scaled_row,
+                            standard_order)
 from quatsys.polys import factorint
 from quatsys.quatalg import QuaternionAlgebra
 from quatsys.quotient import (FiniteQuotRing, _block_ideals, _piece_forms, _residue_basis,
@@ -710,4 +711,4 @@ def test_residue_basis_takes_one_row_per_block(QH, Q10max, P7, monkeypatch):
 def test_a_count_builds_no_congruence_lattice(D, P7):
     order = hurwitz_order(D)
     assert FiniteQuotRing(order, P7, 1).count_norm_one() == 336
-    assert order._congruence == {}
+    assert not any(isinstance(v, CongruenceIdealLattice) for v in order._cache.values())
