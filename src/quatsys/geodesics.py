@@ -34,10 +34,11 @@ sign fixed at place 0, and the inverse embedding matrix give the candidate
 coordinates of each sign pattern, each under an error bound derived from the
 walk's rounding bounds.  A pattern with a coordinate farther than its bound
 from every integer has no root; any other has exactly one candidate, which
-the integer checks below then settle.  Only where a bound cannot decide
-(x3^2 within its bound of 0 at some place, or a bound reaching 1/2) does
-`NumberField.element_from_embeddings`, fed certified interval square roots,
-recover x3 or prove there is none.
+the integer checks below then settle.  Where x3^2 lies within its bound of
+0 at some place, the integral norm decides x3 = 0: kappa x3 is in Z[theta],
+and a nonzero one has |N| >= 1, which the bounds on x3^2 may rule out.  Only
+where neither decides (or a bound reaches 1/2) does a box walk of Z[theta]
+under those bounds (`NumberField.box_walk`) list the candidates.
 
 A leaf works on the walk's integers, c_(l d + m) = kappa times coefficient m
 of x_l.  A candidate passes the congruence rows, a triangular solve on the
@@ -108,7 +109,7 @@ from typing import NamedTuple
 
 from . import lattice
 from .bounds import CAP_NODES, trace_coset_minimum
-from .errors import CapExceeded, InputError, InvariantViolation, PrecisionError
+from .errors import CapExceeded, InputError, InvariantViolation
 from .intervals import START_BITS, RatInterval, iv_acosh, iv_cosh, iv_log, iv_sqrt, refine
 from .numfield import FieldElement, IdealHNF, compare_abs
 from .orders import OrderLattice, unflatten
@@ -121,7 +122,7 @@ DOUBLE_MAX = Fraction(sys.float_info.max)
 MAX_RADII = 10_000
 
 # Enumerator.counters: leaves = float_rejected + float_candidates + fallbacks
-LEAF_COUNTERS = ("leaves", "float_rejected", "float_candidates", "fallbacks", "field_sqrt")
+LEAF_COUNTERS = ("leaves", "float_rejected", "float_candidates", "fallbacks")
 
 
 class GeodesicCandidate(NamedTuple):
@@ -174,10 +175,10 @@ class _OrderHalf:
     """What an `Enumerator` needs of its order alone, built once per order
     (`OrderLattice.cached`) under the attribute names the enumerator reads.
 
-    The enclosures of a and b at `_ab_bits`, sqrt(a) at the split place, the
-    radius-free parts of the boxes, the walk's float tables (`WalkRanges`),
-    and the integer tables (`_IntegerForm`) of the norm form and of the
-    split-place Frobenius norm on the walk's coordinates.
+    The walk's float tables (`WalkRanges`) on enclosures of a and b at
+    `_ab_bits`, the radius-free parts of the boxes, and the integer tables
+    (`_IntegerForm`) of the norm form and of the split-place Frobenius norm on
+    the walk's coordinates.
     """
 
     def __init__(self, order: OrderLattice):
@@ -185,18 +186,19 @@ class _OrderHalf:
         field = algebra.field
         d = field.degree
 
-        # enclosures of a and b that exclude 0, as the walk divides by them; the
-        # signs are those the presentation checks of `Enumerator` decided
-        def signed(ab_bits):
+        # enclosures of a and b that exclude 0, as the walk divides by them, and
+        # whose floats bound every leaf's division by ab (`WalkRanges.ab_ok`);
+        # the signs are those the presentation checks of `Enumerator` decided
+        def ranges_at(ab_bits):
             embs = [[x.embed(s, ab_bits) for s in range(d)] for x in (algebra.a, algebra.b)]
-            return None if any(e.sign() is None for row in embs for e in row) \
-                else (ab_bits, *embs)
+            if any(e.sign() is None for row in embs for e in row):
+                return None
+            ranges = WalkRanges(field.place_table(), *embs, iv_sqrt(embs[0][0], ab_bits),
+                                order.kappa)
+            return (ab_bits, ranges) if ranges.ab_ok else None
 
-        self._ab_bits, self.a_emb, self.b_emb = refine(signed, START_BITS)
-        self.sqrt_a0 = iv_sqrt(self.a_emb[0], self._ab_bits)
-        # the field's float table at START_BITS, and the constants derived from a, b
-        self._ranges = ranges = WalkRanges(field.place_table(), self.a_emb, self.b_emb,
-                                           self.sqrt_a0, order.kappa)
+        self._ab_bits, ranges = refine(ranges_at, START_BITS)
+        self._ranges = ranges
         self.emb_f = ranges.emb_f  # float table of the walk's block values
         # the boxes' unit-ball rows 1, 1/sqrt|a|, 1/sqrt|b|, 1/sqrt|ab| at the ramified places
         unit = RatInterval.exact(1)
@@ -205,7 +207,6 @@ class _OrderHalf:
             [(unit / iv_sqrt(x, START_BITS)).hi for x in row]
             for row in (a_abs, b_abs, [a * b for a, b in zip(a_abs, b_abs)])]
         one, a, b = field.one(), algebra.a, algebra.b
-        self._inv_ab = (a * b).inverse()
 
         # Nrd(x) = x0^2 - a x1^2 - b x2^2 + ab x3^2: norm one is D kappa^2 there
         self._norm_form = _IntegerForm(field, {(0, 0): one, (1, 1): -a, (2, 2): -b,
@@ -223,8 +224,9 @@ class Enumerator:
 
     `counters` accumulates over runs, per name in LEAF_COUNTERS: leaves
     reached; leaves whose floats rule out every x3 (`float_rejected`), leave
-    a candidate for the exact checks (`float_candidates`) or cannot decide
-    (`fallbacks`, recovered by `_field_sqrt`); and `_field_sqrt` calls.
+    candidates for the exact checks (`float_candidates`, x3 = 0 by the norm
+    included) or cannot decide (`fallbacks`, whose candidates a box walk of
+    Z[theta] lists).
     """
 
     def __init__(self, order: OrderLattice, ideal: IdealHNF):
@@ -383,27 +385,30 @@ class Enumerator:
         """The elements at a leaf: vec holds the walked coordinates c_0 .. c_(3d-1)
         and the partial sums of the congruence rows in its tail.
 
-        Each x3 that meets the congruence is settled on the integers: one check
-        of D kappa^2 Nrd(x) against D kappa^2 (`_IntegerForm`).  A candidate
-        of the floats that fails it has no root there; a root of the certified
-        fallback must pass it.
+        The candidates kappa x3 come from the floats (`WalkRanges.leaf_roots`)
+        or, where they cannot decide, from a box walk of Z[theta] with
+        |sigma_s y| <= kappa sqrt(V_s + Delta_s), which holds every root.  Its
+        points go positive at place 0 first, the order of `leaf_roots`, so the
+        first element met on a tie is the same.  Each candidate that meets the
+        congruence is settled on the integers: one check of D kappa^2 Nrd(x)
+        against D kappa^2 (`_IntegerForm`).
         """
         counters = self.counters
         counters["leaves"] += 1
         ranges = self._ranges
-        targets = ranges.leaf_roots(ranges.leaf_squares(x_places, tabs), tabs)
+        squares = ranges.leaf_squares(x_places, tabs)
+        targets = ranges.leaf_roots(squares, tabs)
         if targets == []:
             counters["float_rejected"] += 1
             return
         d, kappa = self.d, self.kappa
-        verified = targets is None
-        if verified:
-            # the floats cannot decide: certified recovery, roots already verified;
-            # a root outside (1/kappa) Z[theta] is off the lattice
+        if targets is None:
             counters["fallbacks"] += 1
-            targets = [[n * (kappa // x3e.den) for n in x3e.num]
-                       for x3e in self._field_sqrt(self._x3_square(vec))
-                       if kappa % x3e.den == 0]
+            # kappa sqrt(V_s + Delta_s) rounded up, 0 where no root is left
+            limits = [Fraction(math.nextafter(math.sqrt(max(math.nextafter(v + dv, math.inf), 0)),
+                                              math.inf)) * kappa for v, dv in squares]
+            targets = [list(y.num) for y in sorted(self.field.box_walk(limits),
+                                                   key=lambda y: -y.sign_at(0))]
         else:
             counters["float_candidates"] += 1
         for target in targets:
@@ -412,46 +417,10 @@ class Enumerator:
                 continue
             c = vec[:3 * d] + target
             if self._norm_form.value(c) != self._norm_one:
-                if verified:
-                    raise InvariantViolation("norm-one identity failed at an exact leaf")
                 continue
             if not any(c[d:]):
                 continue  # +-1 are the only central norm-one elements on the coset
             self._emit(c, reps, cut, ranges.split_norm(x_places, target, tabs))
-
-    def _x3_square(self, vec):
-        """x3^2 from the norm-one equation, (1 - Nrd(x0 + x1 i + x2 j)) / (ab), for
-        the walked coordinates c_0 .. c_(3d-1) of vec, on the norm form's table."""
-        c = vec[:3 * self.d] + [0] * self.d
-        nrd = FieldElement(self.field, self._norm_form.value(c), self._norm_one[0])
-        return (self.field.one() - nrd) * self._inv_ab
-
-    def _field_sqrt(self, v: FieldElement):
-        """The square roots of v in K (possibly none), certified then verified."""
-        self.counters["field_sqrt"] += 1
-        if v.is_zero():
-            return [self.field.zero()]
-
-        def roots_at(bits):
-            boxes = [v.embed(s, bits) for s in range(self.d)]
-            if any(b.certainly_lt(0) for b in boxes):
-                return []
-            roots = [iv_sqrt(RatInterval(max(box.lo, 0), box.hi), bits)
-                     if box.hi > 0 else RatInterval.exact(0) for box in boxes]
-            out = {}
-            try:
-                # the roots are x and -x: fix the sign at place 0, then negate
-                for signs in itertools.product((1, -1), repeat=self.d - 1):
-                    elem = self.field.element_from_embeddings(
-                        [r * sg for r, sg in zip(roots, (1,) + signs)], self.kappa, bits)
-                    if elem is not None and elem * elem == v:
-                        out[elem] = elem
-                        out[-elem] = -elem
-            except PrecisionError:
-                return None
-            return list(out.values())
-
-        return refine(roots_at, START_BITS, 8 * START_BITS)
 
     def _emit(self, c, reps, cut, approx):
         """Keep the element of walk coordinates c if ||x||_F^2 <= m_sq, as its

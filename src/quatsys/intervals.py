@@ -174,10 +174,6 @@ class RatInterval:
             return 0
         return None
 
-    def certainly_lt(self, other) -> bool:
-        hi = other.lo if isinstance(other, RatInterval) else _frac(other)
-        return self.hi < hi
-
     def certainly_le(self, other) -> bool:
         hi = other.lo if isinstance(other, RatInterval) else _frac(other)
         return self.hi <= hi

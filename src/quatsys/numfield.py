@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from . import lattice
-from .errors import InputError, InvariantViolation, PrecisionError
+from .errors import InputError, InvariantViolation
 from .intervals import START_BITS, RatInterval, refine
 from .polys import (det_fraction, discriminant, factorint, gf_factor, gf_gcd, gf_reduce,
                     isprime, poly_mul, poly_sub, poly_xgcd_mod, real_rooted_irreducible)
@@ -213,53 +213,28 @@ class NumberField:
                                                    Fraction(1, 2 ** bits)))
         return boxes[bits]
 
-    def embedding_inverse(self, bits: int):
+    def embedding_inverse(self):
         """Certified enclosure of the inverse of E = [theta_s^m] (rows: places).
 
         Entry [m][s] encloses (E^-1)[m][s], the weight of sigma_s(x) in coordinate m
         of x: sigma_s(b_m) for the trace-dual basis b_m = c_m(theta) / f'(theta) of the
         powers of theta, f(x) / (x - theta) = sum_m c_m x^m (Euler's lemma; Serre, Local
-        Fields, III 6), formed once per field; entries (width <= 2^-bits) kept per bits."""
+        Fields, III 6).  Formed once per field, with entries of width <= 2^-START_BITS."""
         f, d = self.min_poly, self.degree
 
-        def dual_basis():  # f'(theta) and each c_m(theta) have exponents below d
+        def build():  # f'(theta) and each c_m(theta) have exponents below d
             inv = FieldElement(self, [k * f[k] for k in range(1, d + 1)]).inverse()
-            return tuple(FieldElement(self, f[m + 1:] + [0] * m) * inv for m in range(d))
+            dual = [FieldElement(self, f[m + 1:] + [0] * m) * inv for m in range(d)]
+            return tuple(tuple(b.embed(s, START_BITS) for s in range(d)) for b in dual)
 
-        dual = self.cached("dual_basis", dual_basis)
-        return self.cached(("embedding_inverse", bits),
-                           lambda: tuple(tuple(b.embed(s, bits) for s in range(d)) for b in dual))
-
-    def element_from_embeddings(self, boxes, den: int, bits: int):
-        """The unique element of (1/den) Z[theta] with sigma_s(x) in boxes[s].
-
-        Returns None when some coordinate enclosure holds no multiple of
-        1/den (no such element exists); raises PrecisionError when one holds
-        several (refine the boxes or raise `bits`).  The answer is certified
-        but callers still verify whatever exact identity they need.
-        """
-        num = []
-        ambiguous = False
-        for row in self.embedding_inverse(bits):
-            acc = RatInterval.exact(0)
-            for entry, box in zip(row, boxes):
-                acc = acc + entry * box
-            lo = math.ceil(acc.lo * den)
-            hi = math.floor(acc.hi * den)
-            if lo > hi:
-                return None
-            ambiguous = ambiguous or lo < hi
-            num.append(lo)
-        if ambiguous:
-            raise PrecisionError("coordinate enclosure holds several lattice points")
-        return FieldElement(self, num, den)
+        return self.cached("embedding_inverse", build)
 
     def coordinate_bounds(self, limits) -> list:
         """|c_m| <= sum_s |E^-1[m][s]| * limits[s] for every x = sum_m c_m theta^m
-        with |sigma_s x| <= limits[s]; E^-1 is the certified `embedding_inverse`
-        at START_BITS, so the bounds are exact Fractions that hold."""
+        with |sigma_s x| <= limits[s]; E^-1 is the certified `embedding_inverse`,
+        so the bounds are exact Fractions that hold."""
         return [sum(max(abs(e.lo), abs(e.hi)) * b for e, b in zip(row, limits))
-                for row in self.embedding_inverse(START_BITS)]
+                for row in self.embedding_inverse()]
 
     def place_table(self) -> PlaceTable:
         """The float table of theta_s^m at START_BITS and its range-rule constants
@@ -268,7 +243,7 @@ class NumberField:
             d = self.degree
             theta = [self.embedding_interval(s, START_BITS) for s in range(d)]
             powers = [[theta[s] ** m for m in range(d)] for s in range(d)]
-            return PlaceTable(powers, self.embedding_inverse(START_BITS))
+            return PlaceTable(powers, self.embedding_inverse())
 
         return self.cached("place_table", build)
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from . import lattice
 from .errors import CapExceeded, InputError, InvariantViolation
-from .numfield import FieldElement, IdealHNF, factor_ideal
+from .numfield import IdealHNF, factor_ideal
 from .orders import OrderLattice
 from .quatalg import RAMIFIED, QuaternionAlgebra
 
@@ -326,11 +326,11 @@ def _residue_basis(order: OrderLattice, prime: IdealHNF) -> list:
     are an O_(K,p)-basis of Q_p, hence an R-basis of Q/p^tQ.
 
     The checks are exact: `IdealHNF` certifies that each B_l is an ideal,
-    and `contains` decides membership in B_l p.  If no row of a block
-    qualifies, the argument above is broken and `InvariantViolation` is raised.
+    and `lattice.contains` decides membership in B_l p on the integer row.
+    If no row of a block qualifies, the argument above is broken and
+    `InvariantViolation` is raised.
     """
-    field = order.algebra.field
-    d = field.degree
+    d = order.algebra.field.degree
     blocks = order.cached("block_ideals", lambda: _block_ideals(order))
     # the B_l repeat (O_K, O_K, 2 O_K, 2 O_K for the Hurwitz order)
     scaled = {block: block * prime for block in set(blocks)}
@@ -338,7 +338,7 @@ def _residue_basis(order: OrderLattice, prime: IdealHNF) -> list:
     for l, block in enumerate(blocks):
         cols = slice(l * d, (l + 1) * d)
         a = next((a for a in range(l * d, (l + 1) * d)
-                  if not scaled[block].contains(FieldElement(field, order.mat[a][cols]))), None)
+                  if not lattice.contains(scaled[block].mat, order.mat[a][cols])), None)
         if a is None:
             raise InvariantViolation(f"no row of block {l} generates its coefficient ideal at p")
         chosen.append(a)

@@ -28,7 +28,8 @@ constants: `WalkRanges.tables` the per-run widenings, and
 from the blocks already fixed.  At a leaf the last coefficient x3 is
 recovered in floats: `WalkRanges.leaf_squares` gives x3^2 at each place with
 a derived error bound, and `WalkRanges.leaf_roots` the only integer vectors
-kappa x3 those floats leave, or None where the bound cannot decide.
+kappa x3 those floats leave, x3 = 0 by the integral norm where x3^2 is near 0,
+or None where the bounds cannot decide.
 
 One rounding model serves every bound (Higham, Accuracy and Stability of
 Numerical Algorithms, 3.1): u = 2^-53, and gamma_n = n u / (1 - n u) bounds
@@ -257,6 +258,12 @@ class WalkRanges(PlaceTable):
         self.a_f, self.ea = _mid_and_error(a_emb)
         self.b_f, self.eb = _mid_and_error(b_emb)
         (self.ra0_mid,), (self.ra0_err,) = _mid_and_error([sqrt_a0])
+        # D = fl(AB) within E_d = 2u|D| + |A| e_b + |B| e_a + e_a e_b of ab (`leaf_squares`)
+        self.ab_f = [a * b for a, b in zip(self.a_f, self.b_f)]
+        self.ab_err = [2 * _U * abs(ab) + abs(a) * eb + abs(b) * ea + ea * eb for ab, a, b, ea, eb
+                       in zip(self.ab_f, self.a_f, self.b_f, self.ea, self.eb)]
+        # whether 4 E_d <= |D| at every place, which `leaf_squares` needs
+        self.ab_ok = all(4 * e <= abs(ab) for ab, e in zip(self.ab_f, self.ab_err))
 
     def tables(self, boxes, m_sq_f, m_val, coord_bound) -> WalkTables:
         """Per-run constants for the static boxes, 2 cosh L <= m_sq_f (a float)
@@ -359,7 +366,7 @@ class WalkRanges(PlaceTable):
 
     def leaf_squares(self, x_places, tabs):
         """Float x3^2 = (1 - x0^2 + a x1^2 + b x2^2) / (ab) at each place, with
-        a bound on its error: a list of (V_s, Delta_s), or None if a bound fails.
+        a bound on its error: a list of (V_s, Delta_s).
 
         Inputs at place s: the walk's block values X_l with |X_l - sigma_s(x_l)|
         <= e_l = eps[l][s] (`tables`), and the float tables A, B of a, b, within
@@ -369,8 +376,9 @@ class WalkRanges(PlaceTable):
         |B| X2^2.  That real value is within
         e_0 (2|X0| + e_0) + |A| e_1 (2|X1| + e_1) + e_a (|X1| + e_1)^2 + (same for x2)
         of the exact n, since A X1^2 - a x1^2 = A (X1^2 - x1^2) + (A - a) x1^2;
-        the sum with gamma_5 S is E_n.  D = fl(AB) is within E_d = 2u|D| + |A| e_b
-        + |B| e_a + e_a e_b of ab; requiring 4 E_d <= |D| keeps |ab| >= |D|/2, so
+        the sum with gamma_5 S is E_n.  D = fl(AB) is within E_d of ab
+        (`ab_err`), and the enumerator takes a and b at a precision with
+        4 E_d <= |D| (`ab_ok`), which keeps |ab| >= |D|/2, so
         |N/D - n/ab| <= E_n/|D| + 2 (|N| + E_n) E_d/|D|^2, and the division adds
         2u|V|.  Delta_s is that sum.
         """
@@ -379,16 +387,13 @@ class WalkRanges(PlaceTable):
             x0, x1, x2 = x_places[0][s], x_places[1][s], x_places[2][s]
             e0, e1, e2 = tabs.eps[0][s], tabs.eps[1][s], tabs.eps[2][s]
             a, b, ea, eb = self.a_f[s], self.b_f[s], self.ea[s], self.eb[s]
+            den, err_d = self.ab_f[s], self.ab_err[s]
             num = 1 - x0 * x0 + a * x1 * x1 + b * x2 * x2
-            den = a * b
             v = num / den
             y0, y1, y2, aa, ab_, ad = abs(x0), abs(x1), abs(x2), abs(a), abs(b), abs(den)
             err_n = (e0 * (2 * y0 + e0) + aa * e1 * (2 * y1 + e1) + ea * (y1 + e1) ** 2
                      + ab_ * e2 * (2 * y2 + e2) + eb * (y2 + e2) ** 2
                      + self.gamma[5] * (1 + y0 * y0 + aa * y1 * y1 + ab_ * y2 * y2))
-            err_d = 2 * _U * ad + aa * eb + ab_ * ea + ea * eb
-            if 4 * err_d > ad:
-                return None
             out.append((v, (err_n / ad + 2 * (abs(num) + err_n) * err_d / (ad * ad)
                             + 2 * _U * abs(v)) * _OWN))
         return out
@@ -397,16 +402,21 @@ class WalkRanges(PlaceTable):
         """The integer vectors kappa x3 with x3^2 = v that the floats leave.
 
         Returns [] when the floats prove there is none, None when they cannot
-        decide (a bound failed, some V_s is within Delta_s of 0, or a
-        coordinate bound reaches 1/2), and otherwise one vector per sign
-        pattern that the floats admit, followed by its negative, in the order
-        of `Enumerator._field_sqrt`: signs fixed positive at place 0, the
-        other places running through (+, -) lexicographically.  A candidate
-        still needs the exact check x3^2 = v.
+        decide (some V_s is within Delta_s of 0 and the norm leaves x3 != 0
+        open, or a coordinate bound reaches 1/2), and otherwise the candidates:
+        [0] * d alone where the norm proves x3 = 0, else one vector per sign
+        pattern that the floats admit, followed by its negative, the signs
+        fixed positive at place 0 and the other places running through (+, -)
+        lexicographically.  A candidate still needs the exact check x3^2 = v.
 
         Some V_s + Delta_s < 0 means v is negative at s, and V_0 - Delta_0 above
         boxes[3][0]^2 means x3 fails the radius cut (the box bounds |x3| for
-        every element within the radius).  Otherwise every V_s > Delta_s, so
+        every element within the radius).  Where some V_s is within Delta_s
+        of 0, the norm decides: y = kappa x3 lies in Z[theta] = O_K, and y != 0
+        has N(y)^2 = prod_s sigma_s(y)^2 >= 1 with sigma_s(y)^2 <= kappa^2
+        (V_s + Delta_s).  The product of these non-negative factors in floats
+        takes at most 3d + 1 roundings, so times _OWN it bounds the real one,
+        and below 1 it leaves x3 = 0 alone.  Otherwise every V_s > Delta_s, so
         v_s >= V_s - Delta_s > 0 and R = fl(sqrt(V)) has
         |R - sqrt(v)| <= |V - v| / (sqrt(V) + sqrt(v)) + u sqrt(V)
                       <= Delta / (sqrt(V) + sqrt(V - Delta)) + 2u R = rho,
@@ -420,14 +430,15 @@ class WalkRanges(PlaceTable):
         pattern with a coordinate farther than beta_m from every integer has
         no root in (1/kappa) Z[theta], and any other has only round(C).
         """
-        if squares is None:
-            return None
         if any(v + dv < 0 for v, dv in squares):
             return []
         if squares[0][0] - squares[0][1] > tabs.v0_max:
             return []
         if not all(v - dv > 0 for v, dv in squares):
-            return None
+            k2, norm_sq = float(self.kappa * self.kappa), 1.0
+            for v, dv in squares:
+                norm_sq *= k2 * (v + dv)
+            return [[0] * self.d] if norm_sq * _OWN < 1 else None
         roots, rho = [], []
         for v, dv in squares:
             r = math.sqrt(v)

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import math
 
 import pytest
 
 from quatsys import lattice
+from quatsys.errors import PrecisionError
+from quatsys.intervals import START_BITS, RatInterval, iv_sqrt, refine
 from quatsys.numfield import (FieldElement, IdealHNF, factor_rational_prime, hurwitz_field,
                               rationals)
 from quatsys.orders import (_combine, hurwitz_algebra, hurwitz_order, scaled_row, standard_order,
@@ -114,6 +117,79 @@ def static_box_walk(field, limits, hnf=None, shift=0):
                 yield from walk(m + 1, nxt)
 
     yield from walk(0, [shift] + [0] * (d - 1))
+
+
+def trace_dual_basis(field) -> list:
+    """Oracle: the trace-dual basis b_m = c_m(theta) / f'(theta) of the powers
+    of theta, f(x) / (x - theta) = sum_m c_m x^m (Euler's lemma), whose
+    embeddings `NumberField.embedding_inverse` encloses."""
+    f, d = field.min_poly, field.degree
+    inv = FieldElement(field, [k * f[k] for k in range(1, d + 1)]).inverse()
+    return [FieldElement(field, f[m + 1:] + [0] * m) * inv for m in range(d)]
+
+
+@functools.lru_cache(maxsize=None)
+def embedding_inverse_at(field, bits: int) -> tuple:
+    """Oracle: E^-1 at any precision, entry [m][s] = sigma_s(b_m) of width
+    at most 2^-bits (`trace_dual_basis`)."""
+    return tuple(tuple(b.embed(s, bits) for s in range(field.degree))
+                 for b in trace_dual_basis(field))
+
+
+def element_from_embeddings(field, boxes, den: int, bits: int):
+    """Oracle: the unique element of (1/den) Z[theta] with sigma_s(x) in boxes[s].
+
+    Returns None when some coordinate enclosure holds no multiple of
+    1/den (no such element exists); raises PrecisionError when one holds
+    several (refine the boxes or raise `bits`).  The answer is certified
+    but callers still verify whatever exact identity they need.
+    """
+    num = []
+    ambiguous = False
+    for row in embedding_inverse_at(field, bits):
+        acc = RatInterval.exact(0)
+        for entry, box in zip(row, boxes):
+            acc = acc + entry * box
+        lo = math.ceil(acc.lo * den)
+        hi = math.floor(acc.hi * den)
+        if lo > hi:
+            return None
+        ambiguous = ambiguous or lo < hi
+        num.append(lo)
+    if ambiguous:
+        raise PrecisionError("coordinate enclosure holds several lattice points")
+    return FieldElement(field, num, den)
+
+
+def field_sqrt(v: FieldElement, den: int) -> list:
+    """Oracle: the square roots of v in (1/den) Z[theta] (possibly none),
+    certified then verified: certified interval square roots of v's
+    embeddings, the sign fixed positive at place 0 and the other places
+    running through (+, -), recovered by `element_from_embeddings`; each root
+    is followed by its negative."""
+    field = v.field
+    if v.is_zero():
+        return [field.zero()]
+
+    def roots_at(bits):
+        boxes = [v.embed(s, bits) for s in range(field.degree)]
+        if any(b.hi < 0 for b in boxes):
+            return []
+        roots = [iv_sqrt(RatInterval(max(box.lo, 0), box.hi), bits)
+                 if box.hi > 0 else RatInterval.exact(0) for box in boxes]
+        out = {}
+        try:
+            for signs in itertools.product((1, -1), repeat=field.degree - 1):
+                elem = element_from_embeddings(
+                    field, [r * sg for r, sg in zip(roots, (1,) + signs)], den, bits)
+                if elem is not None and elem * elem == v:
+                    out[elem] = elem
+                    out[-elem] = -elem
+        except PrecisionError:
+            return None
+        return list(out.values())
+
+    return refine(roots_at, START_BITS, 8 * START_BITS)
 
 
 @pytest.fixture(scope="session")

@@ -121,7 +121,7 @@ def test_criterion_5_proof_chain_suites(QH, ideals, searches, K):
             if is_central(x):
                 continue
             for s in range(1, K.degree):
-                assert x.coords[0].embed(s, 80).abs().certainly_lt(1)
+                assert x.coords[0].embed(s, 80).abs().hi < 1
     from quatsys.orders import standard_order
 
     for order in (QH, standard_order(QH.algebra)):

@@ -23,7 +23,7 @@ A third keeps one start precision: every `refine` loop in src/quatsys starts
 at `intervals.START_BITS`.  Each other start must be on its allowlist with its
 reason.  The same scan pins every `refine` call that passes a `max_bits` cap,
 as those can raise `PrecisionError`, each with its reason; so the
-enumerator's radius cut and class decisions stay free of caps.
+enumerator's leaves, radius cut and class decisions stay free of caps.
 
 A fourth pins the functions src/ keeps only because perfbench's tracer wraps
 them by name: no module of src/quatsys but the one defining each refers to it
@@ -247,9 +247,6 @@ REFINE_CAPS = {
     ("bounds.py", "hurwitz_43_check", "1536"):
         "the genus chain against (4/3) log g, whose enclosures would never "
         "separate at a tie; past 1536 bits a PrecisionError reports it instead",
-    ("geodesics.py", "Enumerator._field_sqrt", "8 * START_BITS"):
-        "the certified recovery of x3 at a leaf: four attempts, 60 to 480 bits, "
-        "then a PrecisionError instead of an open-ended loop on ambiguous boxes",
 }
 
 
@@ -284,6 +281,8 @@ def test_every_refine_loop_starts_at_start_bits():
 def test_every_capped_refine_loop_is_listed():
     assert sorted((module, scope, cap) for module, scope, _start, cap in refine_calls()
                   if cap is not None) == sorted(REFINE_CAPS)
+    # the enumerator's leaves decide on floats and integers: none can raise PrecisionError
+    assert not [key for key in REFINE_CAPS if key[0] == "geodesics.py"]
 
 
 # name -> (the module of src/quatsys that defines it, why it stays there)

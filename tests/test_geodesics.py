@@ -13,13 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatsys import geodesics
-from conftest import (coefficient_ideal_test, congruence_basis, in_congruence, is_central,
-                      static_box_walk)
+from conftest import (coefficient_ideal_test, congruence_basis, field_sqrt, in_congruence,
+                      is_central, static_box_walk)
 from quatsys.bounds import hurwitz_context, trace_coset_minimum, trace_lower_bound
-from quatsys.errors import CapExceeded, InputError, InvariantViolation, PrecisionError
+from quatsys.errors import CapExceeded, InputError, InvariantViolation
 from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systole_search
 from quatsys.intervals import START_BITS, RatInterval, iv_sqrt
-from quatsys.numfield import FieldElement, IdealHNF, compare_abs, factor_rational_prime
+from quatsys.numfield import (FieldElement, IdealHNF, NumberField, compare_abs,
+                              factor_rational_prime)
 from quatsys.orders import scaled_row, unflatten
 from quatsys.quatalg import QuatElement
 from quatsys.walkranges import WalkRanges, _up, slice_range
@@ -63,7 +64,7 @@ def test_conjugate_coefficient_bound(run7):
     for c in run7[0]:
         x0 = c.element.coords[0]
         for s in (1, 2):
-            assert x0.embed(s, 80).abs().certainly_lt(1)
+            assert x0.embed(s, 80).abs().hi < 1
 
 
 def test_first_coefficient_identity(run7, D):
@@ -178,7 +179,7 @@ def test_orbifold_elliptic_alarms(QH, K):
     elliptic = [c for c in cands if c.is_elliptic]
     assert elliptic, "the full norm-one group contains torsion"
     for c in elliptic:
-        assert c.trace.embed(0, 80).abs().certainly_lt(2)
+        assert c.trace.embed(0, 80).abs().hi < 2
     traces = sorted(c.abs_trace for c in elliptic)
     # the (2,3,7) torsion traces: 0, 1 and |2cos(k pi/7)|
     for val in traces:
@@ -302,7 +303,7 @@ def test_range_rules_contain_every_filter_passer(walk, data):
             for end in exact:
                 assert _last_coordinate_interval(enum, prefix + [end], widths) is not None
     else:
-        inv = enum.field.embedding_inverse(START_BITS)[k]
+        inv = enum.field.embedding_inverse()[k]
         reach_lo = sum(min(abs(e.lo), abs(e.hi)) * Fraction(w) for e, w in zip(inv, widths))
         reach_hi = sum(max(abs(e.lo), abs(e.hi)) * Fraction(w) for e, w in zip(inv, widths))
         assert -Fraction(lo) >= reach_hi and Fraction(hi) >= reach_hi
@@ -328,29 +329,29 @@ def test_slice_range_handles_negative_leading_powers():
 # Candidates of the static-box walk: record() and str(element) of each.  The
 # per-node ranges and the orbit rule must find the same ones, with exactly this
 # many visited nodes and leaf counters (LEAF_COUNTERS order: leaves,
-# float_rejected, float_candidates, fallbacks, field_sqrt); without the orbit
+# float_rejected, float_candidates, fallbacks); without the orbit
 # rule the walk visited 11,485, 14,554, 54,265 and 5,323 nodes, and the
 # static-box walk 128,407, 199,872 and 42,991 for P7, P13 and the whole ring.
 # Each class is represented by its element of least Frobenius norm, the first
 # one met in walk order on a tie (trace (2, 0, -1) is such a tie).
 REGRESSION = {
-    "P7": ("P7", 6.5, 5_885, (141, 107, 29, 5, 5), [
+    "P7": ("P7", 6.5, 5_885, (141, 107, 34, 0), [
         ("trace=(2, 3, 1) abs_trace=7.295897 length=[3.935946,3.935946]",
          "(-1, -3/2, -1/2) + (-3/2, -1, 0)*i + (-1/2, 1, 1/2)*j + (0, 0, 0)*ij"),
         ("trace=(3, 6, 2) abs_trace=13.591794 length=[5.208017,5.208017]",
          "(3/2, 3, 1) + (0, -3/2, -1)*i + (-1/2, 5/2, 3/2)*j + (0, 0, 0)*ij"),
     ]),
-    "P13": ("P13", 7.5, 7_463, (81, 70, 8, 3, 3), [
+    "P13": ("P13", 7.5, 7_463, (81, 70, 11, 0), [
         ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
          "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
     ]),
-    "P13 at 8.5": ("P13", 8.5, 27_432, (381, 354, 22, 5, 5), [
+    "P13 at 8.5": ("P13", 8.5, 27_432, (381, 354, 27, 0), [
         ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
          "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
         ("trace=(12, 29, 12) abs_trace=66.821906 length=[8.403614,8.403614]",
          "(-6, -29/2, -6) + (0, 0, 0)*i + (-11/2, -13, -11/2)*j + (-3/2, -3/2, -1/2)*ij"),
     ]),
-    "whole ring": ("whole ring", 3.0, 1_486, (191, 25, 149, 17, 17), [
+    "whole ring": ("whole ring", 3.0, 1_486, (191, 25, 166, 0), [
         ("trace=(0, 0, 0) abs_trace=0.000000 elliptic=true",
          "(0, 0, 0) + (0, 0, 0)*i + (0, 0, 0)*j + (-2, 1, 1)*ij"),
         ("trace=(2, 0, -1) abs_trace=0.445042 elliptic=true",
@@ -469,20 +470,23 @@ def _class_key(enum, c):
 
 # -- leaf recovery and search bookkeeping ---------------------------------------
 
-def test_field_sqrt_fixes_the_sign_at_place_0(QH, P7, K, monkeypatch):
-    enum = Enumerator(QH, P7)
+def test_field_sqrt_fixes_the_sign_at_place_0(K, monkeypatch):
+    # the oracle of `leaf_roots` lists x positive at place 0, then -x, after
+    # one recovery per sign pattern of the other places
+    import conftest
+
     x = K.element([Fraction(-3, 2), 1, Fraction(1, 2)])
     if x.sign_at(0) < 0:
         x = -x
     calls = []
-    recover = type(K).element_from_embeddings
+    recover = conftest.element_from_embeddings
 
-    def counting(self, *args):
+    def counting(*args):
         calls.append(args)
-        return recover(self, *args)
+        return recover(*args)
 
-    monkeypatch.setattr(type(K), "element_from_embeddings", counting)
-    roots = enum._field_sqrt(x * x)
+    monkeypatch.setattr(conftest, "element_from_embeddings", counting)
+    roots = field_sqrt(x * x, 2)
     assert [r.coords for r in roots] == [x.coords, (-x).coords]
     assert len(calls) == 2 ** (K.degree - 1)
 
@@ -507,20 +511,6 @@ def test_emit_keeps_the_refinement_schedule_of_its_trace(monkeypatch, QH, P7, si
     cand = enum._candidate(c, _class_key(enum, c))
     assert [bits for coords, bits in asked if coords in (t.coords, (-t).coords)] == [60, 120]
     assert cand.is_elliptic == (sign < 0)
-
-
-def test_refinement_caps_at_the_enumerator_sites(QH, P7, K, monkeypatch):
-    enum = Enumerator(QH, P7)
-    asked = []
-
-    def undecided(self, boxes, den, bits):
-        asked.append(bits)
-        raise PrecisionError("forced")
-
-    monkeypatch.setattr(type(K), "element_from_embeddings", undecided)
-    with pytest.raises(PrecisionError):
-        enum._field_sqrt(K.element([2, 1, 0]))
-    assert asked == [60, 120, 240, 480]  # four attempts
 
 
 def test_frob_less_refines_only_what_the_given_enclosures_leave_open(QH, P7, D, monkeypatch):
@@ -597,29 +587,115 @@ def _leaf_floats(enum, x0, x1, x2):
     return [_block_values(enum, [int(c * enum.kappa) for c in x.coords]) for x in (x0, x1, x2)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_leaf_roots_agree_with_field_sqrt(leaf_walk, K, data):
-    # exact squares from products of group elements, and nearby non-squares
-    enum, tabs, group, bounds = leaf_walk
+def _x3_square(enum, x0, x1, x2):
+    """x3^2 from the norm-one equation, (1 - Nrd(x0 + x1 i + x2 j)) / (ab)."""
+    algebra = enum.algebra
+    nrd = algebra.element(x0, x1, x2, enum.field.zero()).reduced_norm()
+    return (1 - nrd) / (algebra.a * algebra.b)
+
+
+def _random_leaf(enum, group, bounds, data):
+    """x0, x1, x2 of a drawn group element inside the walk's box, x2 sometimes
+    moved by a few lattice steps, so that x3^2 need not be a square."""
     x = data.draw(st.sampled_from(group), label="element")
     x0, x1, x2 = x.coords[:3]
     if data.draw(st.booleans(), label="perturb"):
-        shift = K.element([Fraction(data.draw(st.integers(-2, 2)), enum.kappa)
-                           for _ in range(enum.d)])
+        shift = enum.field.element([Fraction(data.draw(st.integers(-2, 2)), enum.kappa)
+                                    for _ in range(enum.d)])
         x2 = x2 + shift
     assume(all(abs(c * enum.kappa) <= bounds[2 * enum.d + m] for m, c in enumerate(x2.coords)))
+    return x0, x1, x2
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_leaf_roots_agree_with_field_sqrt(leaf_walk, K, data):
+    # exact squares from products of group elements, and nearby non-squares,
+    # against the certified recovery of the tests' oracle
+    enum, tabs, group, bounds = leaf_walk
+    x0, x1, x2 = _random_leaf(enum, group, bounds, data)
     ranges = enum._ranges
     got = ranges.leaf_roots(ranges.leaf_squares(_leaf_floats(enum, x0, x1, x2), tabs), tabs)
-    v = enum._x3_square([int(c * enum.kappa) for q in (x0, x1, x2) for c in q.coords])
-    exact = [[c * enum.kappa for c in r.coords] for r in enum._field_sqrt(v)]
+    v = _x3_square(enum, x0, x1, x2)
+    exact = [[c * enum.kappa for c in r.coords] for r in field_sqrt(v, enum.kappa)]
     if got is None:
-        # deferred: only where v is within the bound of 0 at some place
+        # deferred: only where v is nonzero and within the bound of 0 at some place
+        assert not v.is_zero()
         assert any(abs(float(v.embed(s, 80).mid)) < 1e-9 for s in range(enum.d))
         return
     roots = [c for c in got
              if K.element([Fraction(t, enum.kappa) for t in c]) ** 2 == v]
     assert roots == exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fallback_box_holds_every_root(leaf_walk, data):
+    # leaf_roots forced to defer: the box walk of the leaf lists every exact
+    # root of the oracle among its points
+    enum, tabs, group, bounds = leaf_walk
+    x0, x1, x2 = _random_leaf(enum, group, bounds, data)
+    kappa, d = enum.kappa, enum.d
+    exact = [tuple(int(c * kappa) for c in r.coords)
+             for r in field_sqrt(_x3_square(enum, x0, x1, x2), kappa)]
+    walked = []
+    box_walk = NumberField.box_walk
+
+    def spy(self, limits, *args):
+        points = list(box_walk(self, limits, *args))
+        walked.extend(y.num for y in points)
+        return iter(points)
+
+    vec = [int(c * kappa) for x in (x0, x1, x2) for c in x.coords] + [0] * d
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WalkRanges, "leaf_roots", lambda self, squares, tabs: None)
+        patch.setattr(NumberField, "box_walk", spy)
+        patch.setattr(Enumerator, "_emit", lambda *args: None)
+        enum._leaf(vec, _leaf_floats(enum, x0, x1, x2), tabs, {}, None)
+    assert enum.counters["fallbacks"] >= 1
+    assert set(exact) <= set(walked), (exact, walked)
+
+
+_NORM_UNITS = {"QH": [0, 1, 0], "B6": [1], "Q2max": [1, 1]}  # eta, 1, 1 + sqrt 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_norm_rule_answers_zero_only_at_zero(form_enums, data):
+    # x3 = y / kappa for y in Z[theta]: squares V_s within Delta_s of
+    # sigma_s(x3)^2, at least one Delta_s reaching V_s so that the norm
+    # decides.  A nonzero y (units, with a tiny place, among them) is never
+    # answered [0] * d, and y = 0 always is
+    name = data.draw(st.sampled_from(sorted(form_enums)), label="order")
+    enum = form_enums[name]
+    field, d, kappa = enum.field, enum.d, enum.kappa
+    boxes, m_sq, m_val = enum._boxes(12.0)
+    tabs = enum._ranges.tables(boxes, _up(m_sq), m_val, enum._coord_bounds(boxes))
+    kind = data.draw(st.sampled_from(["random", "unit", "zero"]), label="kind")
+    if kind == "zero":
+        y = field.zero()
+    elif kind == "unit":
+        y = FieldElement(field, _NORM_UNITS[name]) ** data.draw(st.integers(0, 8), label="k")
+        y = y * data.draw(st.sampled_from([1, -1]), label="sign")
+    else:
+        y = FieldElement(field, data.draw(st.lists(st.integers(-30, 30), min_size=d,
+                                                   max_size=d), label="y"))
+    squares = []
+    for s in range(d):
+        v = (y.embed(s, 120) / kappa) ** 2
+        mid = float(v.mid)
+        # err covers the enclosure, the float mid and the roundings of V below
+        err = float(abs(Fraction(mid) - v.mid) + v.width) * 2 + mid * 2.0 ** -48 + 2.0 ** -1070
+        loose = data.draw(st.booleans(), label="loose") or s == d - 1
+        dv = err + (mid * data.draw(st.floats(1.0, 4.0), label="reach") if loose else 0.0)
+        # V below the truth, toward the smaller norm the rule could misread
+        shift = data.draw(st.floats(0.0, 1.0), label="shift") * (dv - err)
+        squares.append((mid - shift, dv))
+    got = enum._ranges.leaf_roots(squares, tabs)
+    if y.is_zero():
+        assert got == [[0] * d]
+    else:
+        assert got != [[0] * d]
 
 
 def test_leaf_bound_covers_inputs_at_the_edge_of_their_error(leaf_walk):
@@ -654,31 +730,37 @@ def test_leaf_bound_covers_inputs_at_the_edge_of_their_error(leaf_walk):
 
 def test_leaf_defers_near_zero_and_when_bounds_reach_half(leaf_walk, K):
     enum, tabs, group, _bounds = leaf_walk
-    ranges = enum._ranges
-    # x3 = 0: v is 0 at every place, which the floats cannot tell from a tiny v
+    ranges, d, kappa = enum._ranges, enum.d, enum.kappa
+    # x3 = 0: v is 0 at every place, and the norm proves x3 = 0 from the floats
     flat = next(x for x in group if x.coords[3].is_zero())
     squares = ranges.leaf_squares(_leaf_floats(enum, *flat.coords[:3]), tabs)
-    assert ranges.leaf_roots(squares, tabs) is None
-    # v_s just above its bound at one place still defers; just below 0 rejects
-    ok = [(1.0, 1e-12)] * enum.d
-    assert ranges.leaf_roots([(1e-12, 1e-12)] + ok[1:], tabs) is None
-    assert ranges.leaf_roots(ok[:1] + [(-2e-12, 1e-12)] + ok[2:], tabs) == []
+    assert not all(v - dv > 0 for v, dv in squares)
+    assert ranges.leaf_roots(squares, tabs) == [[0] * d]
+    # V_0 within its bound of 0: a nonzero kappa x3 has N^2 >= 1, which the
+    # product kappa^(2d) prod_s (V_s + Delta_s) rules out only below 1
+    ok = [(1.0, 0.0)] * (d - 1)
+    scale = kappa ** (2 * d)
+    assert ranges.leaf_roots([(0.0, 0.99 / scale)] + ok, tabs) == [[0] * d]
+    assert ranges.leaf_roots([(0.0, 1.01 / scale)] + ok, tabs) is None
+    # just below 0 at one place rejects
+    assert ranges.leaf_roots(ok[:1] + [(-2e-12, 1e-12)] + ok[1:], tabs) == []
     # a root with a half-integer coordinate: rejected under tight bounds,
     # deferred once the bounds reach 1/2 and both neighbours are in reach
     half = K.element([Fraction(3, 4), Fraction(-1, 2), Fraction(1, 2)])
-    vals = [float(half.embed(s, 80).mid) ** 2 for s in range(enum.d)]
+    vals = [float(half.embed(s, 80).mid) ** 2 for s in range(d)]
     assert ranges.leaf_roots([(v, v * 1e-14) for v in vals], tabs) == []
     assert ranges.leaf_roots([(v, v * 0.99) for v in vals], tabs) is None
 
 
 def test_leaf_counters_partition_the_leaves(QH, P7):
+    # the floats and the norm decide every leaf of this run
     enum = Enumerator(QH, P7)
     enum.run(5.5)
     counts = enum.counters
     assert counts["leaves"] == (counts["float_rejected"] + counts["float_candidates"]
                                 + counts["fallbacks"])
-    assert counts["field_sqrt"] == counts["fallbacks"]
-    assert counts["float_rejected"] > counts["fallbacks"]
+    assert counts["float_rejected"] > 0 and counts["float_candidates"] > 0
+    assert counts["fallbacks"] == 0
 
 
 # -- leaves settled on the walk's integers -------------------------------------
@@ -784,8 +866,8 @@ def test_emit_decides_a_norm_equal_to_the_cut(form_enums):
 
 @pytest.mark.parametrize("name", ["whole ring", "P7"])
 def test_exact_leaf_decisions_agree_with_the_floats(QH, K, P7, name, monkeypatch):
-    # every float decision of the leaf and of _emit left open: x3 recovered by
-    # _field_sqrt at every leaf, the radius cut and the representative rule
+    # every float decision of the leaf and of _emit left open: x3 listed by
+    # the box walk at every leaf, the radius cut and the representative rule
     # decided by the exact sign test; the candidates and representatives stay
     _ideal, radius, _visited, counters, expected = REGRESSION[name]
     monkeypatch.setattr(WalkRanges, "leaf_roots", lambda self, squares, tabs: None)
@@ -797,26 +879,45 @@ def test_exact_leaf_decisions_agree_with_the_floats(QH, K, P7, name, monkeypatch
     assert enum.counters["fallbacks"] == enum.counters["leaves"] == counters[0]
 
 
-def test_orbifold_leaves_stay_on_the_integers(QH, K, monkeypatch):
-    # no exact norm at any leaf, and x3^2 in the field only where the floats
-    # defer to the certified recovery
-    calls = dict.fromkeys(["reduced_norm", "_x3_square"], 0)
+def test_orbifold_leaves_stay_on_the_integers(QH, K, levels, monkeypatch):
+    # no exact norm and no box walk at any leaf: the floats and the norm decide
+    # every leaf of the orbifold run and of the systole workload's pinned
+    # searches at P7 and P13
+    calls = dict.fromkeys(["reduced_norm", "box_walk"], 0)
+    in_leaf = []
 
     def spy(cls, name):
         method = getattr(cls, name)
 
-        def counted(*args):
-            calls[name] += 1
-            return method(*args)
+        def counted(*args, **kwargs):
+            calls[name] += bool(in_leaf)
+            return method(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
 
-    enum = Enumerator(QH, K.whole_ring())
+    leaf, enums, init = Enumerator._leaf, [], Enumerator.__init__
+
+    def flagged(self, *args):
+        in_leaf.append(True)
+        try:
+            leaf(self, *args)
+        finally:
+            in_leaf.pop()
+
+    def kept(self, *args):
+        init(self, *args)
+        enums.append(self)
+
     spy(QuatElement, "reduced_norm")
-    spy(Enumerator, "_x3_square")
-    enum.run(3.0)
-    assert enum.counters["fallbacks"] == 17
-    assert calls == {"reduced_norm": 0, "_x3_square": 17}
+    spy(NumberField, "box_walk")
+    monkeypatch.setattr(Enumerator, "_leaf", flagged)
+    monkeypatch.setattr(Enumerator, "__init__", kept)
+    Enumerator(QH, K.whole_ring()).run(3.0)
+    for name in ("P7", "P13#0"):
+        assert systole_search(QH, levels[name], RadiusSchedule(4.5, 1.0, 14.0)).mode == "certified"
+    assert [e.counters["leaves"] for e in enums] == [191, 6, 6]
+    assert [e.counters["fallbacks"] for e in enums] == [0, 0, 0]
+    assert calls == {"reduced_norm": 0, "box_walk": 0}
 
 
 def test_class_representatives_do_not_depend_on_history(QH, P7, K, ring3):
@@ -885,7 +986,7 @@ def test_trace_coset_minimum_at_the_table_levels(QH, levels):
         for t in coset.traces:
             assert square.contains(t - 2)
             assert t.embed(0, 80).abs().certainly_gt(2)
-            assert all(t.embed(s, 80).abs().certainly_lt(2) for s in (1, 2))
+            assert all(t.embed(s, 80).abs().hi < 2 for s in (1, 2))
     # t and -t both lie in 2 + I^2 exactly when 4 lies in I^2, as at <2>
     assert len(trace_coset_minimum(QH, levels["P2"]).traces) == 2
     assert len(trace_coset_minimum(QH, levels["P7"]).traces) == 1
@@ -910,9 +1011,8 @@ def test_trace_coset_minimum_needs_a_cocompact_presentation(K):
 
 
 def test_enumerator_narrows_the_structure_constants_until_their_signs_show(QH, P7):
-    from quatsys.numfield import NumberField
     from quatsys.orders import standard_order
-    from quatsys.quatalg import QuatElement, QuaternionAlgebra
+    from quatsys.quatalg import QuaternionAlgebra
 
     K2 = NumberField([1, 0, -2])
     a = K2.element([1, 1]) ** 61   # sigma_1(a) = (1 - sqrt 2)^61 ~ -4.5e-24
@@ -920,7 +1020,7 @@ def test_enumerator_narrows_the_structure_constants_until_their_signs_show(QH, P
     assert algebra.is_cocompact_presentation()
     assert a.embed(1, START_BITS).sign() is None
     enum = Enumerator(standard_order(algebra), IdealHNF.principal(K2, K2.from_rational(3)))
-    assert all(e.sign() is not None for e in enum.a_emb + enum.b_emb)
+    assert all(x.lo > 0 for x in enum._ranges.a_abs + enum._ranges.b_abs)
     assert enum._ab_bits > START_BITS
     # the exact sign test needs no precision of its own: for x = 1 + i + ij it
     # puts ||x||_F^2 between the ends of the oracle's enclosure at _ab_bits
@@ -946,8 +1046,8 @@ def test_enumerated_traces_lie_in_the_coset(QH, levels, name, radius):
     for c in hyper:
         t = c.element.reduced_trace()
         assert square.contains(t - 2)
-        assert all(t.embed(s, 80).abs().certainly_lt(2) for s in (1, 2))
-        assert not t.embed(0, 80).abs().certainly_lt(coset.abs_trace.lo)
+        assert all(t.embed(s, 80).abs().hi < 2 for s in (1, 2))
+        assert t.embed(0, 80).abs().hi >= coset.abs_trace.lo
 
 
 def test_certified_search_skips_radii_below_the_coset_floor(QH, levels):
@@ -960,8 +1060,8 @@ def test_certified_search_skips_radii_below_the_coset_floor(QH, levels):
     coset = trace_coset_minimum(QH, levels["P13#0"])
     assert coset.is_minimiser(result.candidates[0].element.reduced_trace())
     # both enclose L*
-    assert not result.min_length.certainly_lt(coset.length)
-    assert not coset.length.certainly_lt(result.min_length)
+    assert result.min_length.hi >= coset.length.lo
+    assert coset.length.hi >= result.min_length.lo
 
 
 def test_search_starts_at_the_first_radius_not_below_the_floor(QH, levels):

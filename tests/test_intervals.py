@@ -43,9 +43,10 @@ def test_certified_sign_and_compare():
     assert RatInterval(-2, -1).sign() == -1
     assert RatInterval(0, 0).sign() == 0
     assert RatInterval(-1, 1).sign() is None
-    assert RatInterval(1, 2).certainly_lt(3)
-    assert not RatInterval(1, 2).certainly_lt(2)
     assert RatInterval(1, 2).certainly_le(2)
+    assert not RatInterval(1, 2).certainly_le(Fraction(3, 2))
+    assert RatInterval(1, 2).certainly_gt(Fraction(1, 2))
+    assert not RatInterval(1, 2).certainly_gt(1)
 
 
 def _fractions(lo, hi):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import coset_reps, static_box_walk
+from conftest import (coset_reps, element_from_embeddings, embedding_inverse_at,
+                      static_box_walk, trace_dual_basis)
 from quatsys import numfield
 from quatsys.errors import InputError, PrecisionError
 from quatsys.intervals import START_BITS, RatInterval, interval_solve, refine
@@ -336,7 +337,7 @@ def _lattice_elements(draw):
 def test_element_from_embeddings_roundtrip(case):
     field, den, x = case
     boxes = [x.embed(s, BITS) for s in range(field.degree)]
-    assert field.element_from_embeddings(boxes, den, BITS) == x
+    assert element_from_embeddings(field, boxes, den, BITS) == x
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,7 +347,7 @@ def test_element_from_embeddings_off_lattice_is_none(case):
     # every coordinate of x + shift sits halfway between multiples of 1/den
     shifted = x + field.element([Fraction(1, 2 * den)] * field.degree)
     boxes = [shifted.embed(s, BITS) for s in range(field.degree)]
-    assert field.element_from_embeddings(boxes, den, BITS) is None
+    assert element_from_embeddings(field, boxes, den, BITS) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,16 +359,18 @@ def test_element_from_embeddings_wide_box_is_ambiguous(case, extra):
     width = Fraction(1, den) + extra
     boxes = [x.embed(s, BITS) + RatInterval(0, width) for s in range(field.degree)]
     with pytest.raises(PrecisionError):
-        field.element_from_embeddings(boxes, den, BITS)
+        element_from_embeddings(field, boxes, den, BITS)
 
 
-def test_embedding_inverse_cached_per_precision():
+def test_embedding_inverse_cached_per_field():
+    # one table per field, at START_BITS; the oracle's wider tables are formed in tests
     K = hurwitz_field()
-    inv = K.embedding_inverse(BITS)
-    assert K.embedding_inverse(BITS) is inv
-    assert K.embedding_inverse(2 * BITS) is not inv
+    inv = K.embedding_inverse()
+    assert K.embedding_inverse() is inv
+    assert [[_ends(e) for e in row] for row in inv] == \
+        [[_ends(e) for e in row] for row in embedding_inverse_at(K, START_BITS)]
     # the enclosure really inverts the embedding matrix
-    theta = [K.embedding_interval(s, BITS) for s in range(3)]
+    theta = [K.embedding_interval(s, START_BITS) for s in range(3)]
     for m in range(3):
         for k in range(3):
             entry = sum((inv[m][s] * theta[s] ** k for s in range(3)),
@@ -383,14 +386,14 @@ DUAL_FIELDS = {"eta": [1, 1, -2, -1], "Q": [1, 0], "sqrt2": [1, 0, -2],
 @functools.lru_cache(maxsize=None)
 def _dual_field(name):
     K = NumberField(DUAL_FIELDS[name])
-    return K, K.embedding_inverse(START_BITS)
+    return K, K.embedding_inverse()
 
 
 @pytest.mark.parametrize("name", sorted(DUAL_FIELDS))
 def test_embedding_inverse_reads_the_trace_dual_basis(name):
     K, inv = _dual_field(name)
     d = K.degree
-    dual = K.cached("dual_basis", None)  # formed by the first embedding_inverse
+    dual = trace_dual_basis(K)
     assert len(dual) == d
     theta = K.gen()
     for i in range(d):
@@ -399,8 +402,6 @@ def test_embedding_inverse_reads_the_trace_dual_basis(name):
     for m in range(d):
         for s in range(d):
             assert _ends(inv[m][s]) == _ends(dual[m].embed(s, START_BITS))
-    K.embedding_inverse(2 * START_BITS)
-    assert K.cached("dual_basis", None) is dual  # once per field, whatever the precision
 
 
 @pytest.mark.parametrize("name", sorted(DUAL_FIELDS))
@@ -514,11 +515,13 @@ def test_embeddings_do_not_depend_on_earlier_calls(xc, yc, place, other_place, b
 @settings(max_examples=15, deadline=None)
 @given(_COORDS, st.integers(0, 2), _PRECISION, _PRECISION)
 def test_embedding_inverse_does_not_depend_on_earlier_calls(yc, place, b1, b2):
+    # embeddings at other precisions, the trace-dual basis's included, before it
     fresh, used = hurwitz_field(), hurwitz_field()
     used.element(yc).embed(place, b2)
-    used.embedding_inverse(b2)
-    assert [[_ends(e) for e in row] for row in used.embedding_inverse(b1)] == \
-        [[_ends(e) for e in row] for row in fresh.embedding_inverse(b1)]
+    for b in trace_dual_basis(used):
+        b.embed(place, b1)
+    assert [[_ends(e) for e in row] for row in used.embedding_inverse()] == \
+        [[_ends(e) for e in row] for row in fresh.embedding_inverse()]
 
 
 def test_a_fine_embedding_leaves_coarse_ones_and_the_roots_alone():

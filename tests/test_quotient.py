@@ -702,8 +702,8 @@ def test_residue_basis_takes_one_row_per_block(QH, Q10max, P7, monkeypatch):
     assert _block_ideals(Q10max)[1] == p2 and not field.class_number_one
     a = _residue_basis(Q10max, p2)[1]
     assert Q10max.mat[a][2:4] == (0, 1)
-    # a block whose rows all lie in B p is refused, not skipped
-    monkeypatch.setattr(IdealHNF, "contains", lambda self, x: True)
+    # a block whose rows all lie in B p is refused, not skipped: B_l p made O_K
+    monkeypatch.setattr(IdealHNF, "__mul__", lambda self, other: self.field.whole_ring())
     with pytest.raises(InvariantViolation, match="generates its coefficient ideal"):
         _residue_basis(QH, P7)
 

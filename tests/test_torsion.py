@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conftest import element_from_embeddings
 from quatsys.errors import InputError, PrecisionError
 from quatsys.intervals import RatInterval
 from quatsys.numfield import IdealHNF, NumberField, primes_up_to_norm
@@ -70,7 +71,7 @@ def placed_roots(field, asc_coeffs, bits=80):
              for lo, hi in isolate_real_roots(asc_coeffs)]
     found = {}
     for assign in itertools.product(boxes, repeat=field.degree):
-        x = field.element_from_embeddings(list(assign), 1, bits)
+        x = element_from_embeddings(field, list(assign), 1, bits)
         if x is not None and sum((x ** k * c for k, c in enumerate(asc_coeffs)),
                                  field.zero()).is_zero():
             found[x.coords] = x
