@@ -8,7 +8,7 @@ identities are the claims being validated against them.
 Every ring of one order reads the order's tables (structure constants,
 involution, norm form, identity; `OrderLattice.tables`, Python integers),
 built once per order.  A ring adds the residue ring R = O_K/p^t
-(`_ResidueRing`) and four order-basis vectors that are an R-basis of
+(`_residue_ring`) and four order-basis vectors that are an R-basis of
 Q/p^tQ.  It counts its residues at most once, in Python integers.
 
 Counting.  The reduced norm nu is a quadratic form on the free R-module
@@ -17,7 +17,9 @@ many residues have each norm in R.  R is a chain ring, so the form splits
 orthogonally into pieces of rank at most 2 (O'Meara, Introduction to
 Quadratic Forms, sections 91-93), and the histogram is the convolution of
 the pieces' histograms over the additive group of R: O(|R|^2) integer
-operations in place of the |R|^4 residues.  The count works in five steps.
+operations in place of the |R|^4 residues.  Where the HNF of p^t has one
+diagonal entry n > 1, R is Z/n in integers (`_CyclicRing`; every ring over
+Q), else `_ResidueRing`.  The count works in five steps.
 
 1. Four order-basis vectors e_a are an R-basis of Q/p^tQ for every t
    (`_residue_basis`).  The order's HNF is block upper triangular, so Q has
@@ -80,7 +82,7 @@ class FiniteQuotRing:
         self.kappa = order.kappa
         self.tables = order.tables
         self.norm_tensor = self.tables.norm_tensor
-        self.residues = _ResidueRing(prime, t, self.ideal)
+        self.residues = _residue_ring(prime, t, self.ideal)
         self._basis = _residue_basis(order, prime)
         self._counts = None
 
@@ -114,10 +116,9 @@ class FiniteQuotRing:
     def count_units_and_norm_one(self):
         """(units, norm-one residues), counted on the first call only."""
         if self._counts is None:
-            hist = self._norm_histogram()
-            units = self.residues.units
-            self._counts = (sum(n for r, n in hist.items() if r in units),
-                            hist.get(self.residues.one, 0))
+            hist, ring = self._norm_histogram(), self.residues
+            self._counts = (sum(n for r, n in hist.items() if ring.is_unit(r)),
+                            hist.get(ring.one, 0))
         return self._counts
 
     def count_norm_one(self) -> int:
@@ -159,7 +160,23 @@ class FiniteQuotRing:
             f"{units} units match none of the admissible semisimple types")
 
 
-class _ResidueRing:
+class _KeySums:
+    """Addition of residue keys by one lookup: `_sums[x + y]` is the key of x + y."""
+
+    def add(self, x: int, y: int) -> int:
+        return self._sums[x + y]
+
+    def convolve(self, left: dict, right: dict) -> dict:
+        """The histogram of x + y, x and y drawn from the two histograms."""
+        sums, out = self._sums, {}
+        for x, m in left.items():
+            for y, n in right.items():
+                z = sums[x + y]
+                out[z] = out.get(z, 0) + m * n
+        return out
+
+
+class _ResidueRing(_KeySums):
     """R = O_K/p^t, its elements as integer keys.
 
     A residue is its coordinate vector c reduced by the HNF of p^t
@@ -197,6 +214,9 @@ class _ResidueRing:
         self._inverses = {}
         self._squares = None
 
+    def is_unit(self, x: int) -> bool:
+        return x in self.units
+
     @functools.cached_property
     def _sums(self) -> list:
         # keys are increasing in the product order, last coordinate fastest
@@ -230,9 +250,6 @@ class _ResidueRing:
     def reduce(self, vec) -> int:
         """The key of the residue of an integral coordinate vector."""
         return self.key(lattice.reduce_mod(self.mat, vec))
-
-    def add(self, x: int, y: int) -> int:
-        return self._sums[x + y]
 
     def neg(self, x: int) -> int:
         return self.reduce([-c for c in self._coords[x]])
@@ -299,14 +316,73 @@ class _ResidueRing:
                         for cy, bxy in zip(second, self.multiples(self.mul(polar, x))))
         return hist
 
-    def convolve(self, left: dict, right: dict) -> dict:
-        """The histogram of x + y, x and y drawn from the two histograms."""
-        sums, out = self._sums, {}
-        for x, m in left.items():
-            for y, n in right.items():
-                z = sums[x + y]
-                out[z] = out.get(z, 0) + m * n
-        return out
+
+class _CyclicRing(_KeySums):
+    """R = O_K/p^t = Z/n, its elements as the integers 0 <= m < n.
+
+    `_residue_ring` builds it exactly when the HNF of p^t has one diagonal
+    entry n > 1, at column k.  The reduced residues are then c theta^k,
+    0 <= c < n, so the additive group of R is cyclic, and a unital ring with
+    a cyclic additive group is Z/n: m 1 = 0 forces m x = 0 for every x, so 1
+    has additive order n.  Hence f = 1 and n = p^t; a residue is the m with
+    x = m 1, the units are the m prime to p and the valuation is v_p.
+    """
+
+    def __init__(self, prime: IdealHNF, t: int, ideal: IdealHNF, k: int):
+        self.t, self.p, self.n = t, prime.norm, ideal.mat[k][k]
+        if self.n != self.p ** t:
+            raise InvariantViolation("a cyclic O_K/p^t has no p^t residues")
+        # x reduces to c theta^k; 1 to c_1 theta^k, so x = c c_1^-1 1
+        self._mat, self._k = ideal.mat, k
+        one = [int(j == 0) for j in range(prime.field.degree)]
+        self._scale = pow(lattice.reduce_mod(ideal.mat, one)[k], -1, self.n)
+        self.elements, self.zero, self.one = range(self.n), 0, 1
+
+    @functools.cached_property
+    def _sums(self) -> list:
+        return [z % self.n for z in range(2 * self.n - 1)]
+
+    def is_unit(self, x: int) -> bool:
+        return x % self.p != 0
+
+    def reduce(self, vec) -> int:
+        return lattice.reduce_mod(self._mat, vec)[self._k] * self._scale % self.n
+
+    def neg(self, x: int) -> int:
+        return -x % self.n
+
+    def mul(self, x: int, y: int) -> int:
+        return x * y % self.n
+
+    def valuation(self, x: int) -> int:
+        return next((s for s in range(self.t) if x % self.p ** (s + 1)), self.t)
+
+    def div(self, x: int, y: int) -> int:
+        """x/p^s (y/p^s)^-1 with s = v(y), for y != 0 and v(x) >= v(y)."""
+        s = self.valuation(y)
+        if self.valuation(x) < s:
+            raise InvariantViolation("a projection divides by a pivot of larger valuation")
+        return x // self.p ** s * pow(y // self.p ** s, -1, self.n) % self.n
+
+    def histogram(self, norms, polar) -> dict:
+        """As `_ResidueRing.histogram`: a y^2 over R, or a y^2 + b x y + c x^2 over R^2."""
+        n = self.n
+        first = [norms[0] * y * y % n for y in self.elements]
+        if len(norms) == 1:
+            return Counter(first)
+        hist = Counter()
+        for x in self.elements:
+            cx, bx = norms[1] * x * x, polar * x
+            hist.update((ay + bx * y + cx) % n for y, ay in enumerate(first))
+        return hist
+
+
+def _residue_ring(prime: IdealHNF, t: int, ideal: IdealHNF):
+    """R = O_K/p^t for ideal = p^t: Z/n (`_CyclicRing`) when the HNF of p^t has
+    one diagonal entry n > 1, else `_ResidueRing`."""
+    active = [k for k, row in enumerate(ideal.mat) if row[k] > 1]
+    cyclic = len(active) == 1
+    return _CyclicRing(prime, t, ideal, active[0]) if cyclic else _ResidueRing(prime, t, ideal)
 
 
 def _residue_basis(order: OrderLattice, prime: IdealHNF) -> list:
@@ -354,7 +430,7 @@ def _block_ideals(order: OrderLattice) -> list:
             for l in range(4)]
 
 
-def _split(ring: _ResidueRing, norms, polar) -> list:
+def _split(ring: _ResidueRing | _CyclicRing, norms, polar) -> list:
     """An orthogonal splitting of the form with nu(e_a) = norms[a] and
     B(e_a, e_b) = polar[a][b] over R, into pieces of rank 1 or 2.
 
@@ -402,7 +478,7 @@ def _split(ring: _ResidueRing, norms, polar) -> list:
     return pieces
 
 
-def _piece_forms(ring: _ResidueRing, norms, polar, pieces) -> list:
+def _piece_forms(ring: _ResidueRing | _CyclicRing, norms, polar, pieces) -> list:
     """(the norms of a piece's vectors, their polar value or None) for every
     piece, from the Gram data of the basis.
 
@@ -491,13 +567,13 @@ class SquaresReport(NamedTuple):
 
 
 def squares_count(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> int:
-    """Exhaustive count of squares in the unit group of O_K/p^t (`_ResidueRing`)."""
+    """Exhaustive count of squares in the unit group of O_K/p^t (`_residue_ring`)."""
     q = prime.norm
     # as q >= 2, q^t > cap exactly when q^min(t, bits of cap) > cap
     if q ** min(t, cap.bit_length()) > cap:
         raise CapExceeded(f"O_K/p^t has q^t = {q}^{t} residues, above the cap {cap}")
-    ring = _ResidueRing(prime, t, prime ** t)
-    return len({ring.mul(u, u) for u in ring.units})
+    ring = _residue_ring(prime, t, prime ** t)
+    return len({ring.mul(x, x) for x in ring.elements if ring.is_unit(x)})
 
 
 def lemma44_check(prime: IdealHNF, t: int, cap: int = DEFAULT_CAP) -> SquaresReport:

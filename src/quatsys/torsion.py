@@ -7,14 +7,16 @@ real trace value x + 1/x (never constructing the extension), the certifier:
 
 * finds every cosine trace 2*cos(2*pi*k/n) in K, once per field, by
   Kronecker's theorem: they are exactly the integers of K whose conjugates
-  all lie in [-2, 2], which one box walk over Z[theta] lists; the order n
-  of each follows exactly from the recurrence for x^k + x^-k;
+  all lie in [-2, 2], which one box walk over Z[theta] lists (compared with
+  2 in floats first); the order n of each follows exactly from the
+  recurrence for x^k + x^-k;
 * forms each obstruction ideal once per field, and for each congruence
-  ideal I tests whether I^2 divides it.  The square test holds for every
-  field and every I: for gamma = 1 + delta in the level-I group,
-  nrd gamma = 1 gives trd delta = -nrd delta, and locally delta lies in
-  I*Q_p = pi Q_p, so nrd delta lies in I^2; hence I^2 | (t - 2) for the
-  trace t of gamma;
+  ideal I tests whether I^2 divides it, but only where N(I)^2 divides its
+  norm, which I^2 | <t - 2> implies; elsewhere it does not block.
+  The square test holds for every field and every I: for gamma = 1 + delta
+  in the level-I group, nrd gamma = 1 gives trd delta = -nrd delta, and
+  locally delta lies in I*Q_p = pi Q_p, so nrd delta lies in I^2; hence
+  I^2 | (t - 2) for the trace t of gamma;
 * short-circuits obstruction values that are units.
 
 A "torsion-free" verdict is therefore a certificate that the congruence
@@ -63,9 +65,15 @@ def torsion_traces(field: NumberField) -> tuple:
     """
     def build():
         d = field.degree
+        table = field.place_table()
+
+        def vs_two(t, s):  # floats first; the box's points are integral
+            assert t.den == 1
+            return table.vs_two(t.num, s) or compare_abs(t, 2, s)
+
         found = [(_root_of_unity_order(t), t)
                  for t in field.box_walk([2] * d)
-                 if all(compare_abs(t, 2, s) <= 0 for s in range(d))]
+                 if all(vs_two(t, s) <= 0 for s in range(d))]
         return tuple(sorted(found, key=lambda nt: (nt[0], nt[1].coords)))
 
     return field.cached("torsion_traces", build)
@@ -124,13 +132,16 @@ def certify_torsion_free(order: OrderLattice, ideal: IdealHNF) -> TorsionCertifi
     field = order.algebra.field
     if ideal.is_whole_ring():
         raise InputError("the improper ideal defines the full group; certificate undefined")
-    divisor = ideal * ideal
+    divisor = None  # I^2, formed only where N(I)^2 | N(t - 2), which I^2 | <t - 2> implies
     records = []
     for n, trace_value, obstruction in _obstructions(field):
         unit = obstruction is None
+        blocks = not unit and obstruction.norm % ideal.norm ** 2 == 0
+        if blocks:
+            divisor = divisor or ideal * ideal
+            blocks = divisor.divides(obstruction)
         records.append(ObstructionRecord(n, trace_value, unit,
-                                         None if unit else obstruction.norm,
-                                         not unit and divisor.divides(obstruction)))
+                                         None if unit else obstruction.norm, blocks))
     blocking = sorted({r.n for r in records if r.blocks})
     return TorsionCertificate(
         ideal_norm=ideal.norm,

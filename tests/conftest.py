@@ -11,6 +11,7 @@ from quatsys.numfield import (FieldElement, IdealHNF, factor_rational_prime, hur
                               rationals)
 from quatsys.orders import (_combine, hurwitz_algebra, hurwitz_order, scaled_row, standard_order,
                             unflatten)
+from quatsys.torsion import ObstructionRecord, TorsionCertificate, torsion_traces
 
 
 def lattice_index(outer, inner) -> int:
@@ -81,6 +82,31 @@ def coefficient_ideal_test(order, ideal):
          + IdealHNF.principal(field, order.kappa_element()) * ideal)
     square, basis = ideal * ideal, J.basis_elements()
     return lambda y: all(square.contains(y * g) for g in basis)
+
+
+def unscreened_certificate_lines(order, ideal) -> list:
+    """Oracle: the torsion certificate's lines with every obstruction ideal
+    formed afresh for the ideal at hand and I^2 tested against each one,
+    with no norm screen."""
+    field = order.algebra.field
+    i_sq = ideal * ideal
+    records, blocking = [], []
+    for n, trace_value in torsion_traces(field):
+        if n <= 2:
+            continue
+        c = trace_value - field.from_rational(2)
+        if c.is_zero():
+            continue
+        if abs(c.norm()) == 1:
+            records.append(ObstructionRecord(n, trace_value, True, None, False))
+            continue
+        obstruction = IdealHNF.principal(field, c)
+        blocks = i_sq.divides(obstruction)
+        records.append(ObstructionRecord(n, trace_value, False, obstruction.norm, blocks))
+        if blocks:
+            blocking.append(n)
+    return TorsionCertificate(ideal.norm, records, not blocking,
+                              sorted(set(blocking))).lines()
 
 
 def left_matrix(order, x) -> tuple:

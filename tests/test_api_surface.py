@@ -132,20 +132,28 @@ def test_every_uncalled_function_is_allowlisted():
 SHARED_NAMES = {
     "_coerce": ["numfield.FieldElement._coerce", "quatalg.QuatElement._coerce"],
     "_split": ["polys._split", "quotient._split"],
+    "_sums": ["quotient._CyclicRing._sums", "quotient._ResidueRing._sums"],
     "basis_elements": ["numfield.IdealHNF.basis_elements", "orders.OrderLattice.basis_elements"],
     "cached": ["numfield.NumberField.cached", "orders.OrderLattice.cached"],
     "contains": ["lattice.contains", "numfield.IdealHNF.contains",
                  "orders.OrderLattice.contains"],
     "coords": ["numfield.FieldElement.coords", "orders.OrderLattice.coords"],
+    "div": ["quotient._CyclicRing.div", "quotient._ResidueRing.div"],
     "element": ["numfield.NumberField.element", "quatalg.QuaternionAlgebra.element"],
+    "histogram": ["quotient._CyclicRing.histogram", "quotient._ResidueRing.histogram"],
     "intersect": ["lattice.intersect", "numfield.IdealHNF.intersect"],
     "inverse": ["numfield.FieldElement.inverse", "quotient._ResidueRing.inverse"],
+    "is_unit": ["quotient._CyclicRing.is_unit", "quotient._ResidueRing.is_unit"],
     "is_zero": ["numfield.FieldElement.is_zero", "quatalg.QuatElement.is_zero"],
     "lines": ["bounds.KleinianReport.lines", "torsion.TorsionCertificate.lines"],
+    "mul": ["quotient._CyclicRing.mul", "quotient._ResidueRing.mul"],
+    "neg": ["quotient._CyclicRing.neg", "quotient._ResidueRing.neg"],
     "one": ["numfield.NumberField.one", "quatalg.QuaternionAlgebra.one"],
     "records": ["geodesics.EnumerationResult.records", "quatalg.RamificationReport.records"],
-    "reduce": ["numfield.IdealHNF.reduce", "quotient._ResidueRing.reduce"],
-    "valuation": ["numfield.IdealHNF.valuation", "quotient._ResidueRing.valuation"],
+    "reduce": ["numfield.IdealHNF.reduce", "quotient._CyclicRing.reduce",
+               "quotient._ResidueRing.reduce"],
+    "valuation": ["numfield.IdealHNF.valuation", "quotient._CyclicRing.valuation",
+                  "quotient._ResidueRing.valuation"],
     "zero": ["numfield.NumberField.zero", "quatalg.QuaternionAlgebra.zero"],
 }
 

@@ -15,9 +15,10 @@ from quatsys.orders import (CongruenceIdealLattice, OrderLattice, hurwitz_order,
                             standard_order)
 from quatsys.polys import factorint
 from quatsys.quatalg import QuaternionAlgebra
-from quatsys.quotient import (FiniteQuotRing, _block_ideals, _piece_forms, _residue_basis,
-                              count_norm_one_ideal, index_bound, lambda_factor, lemma44_check,
-                              maxim_formula, norm_one_envelope, squares_count)
+from quatsys.quotient import (FiniteQuotRing, _block_ideals, _CyclicRing, _piece_forms,
+                              _residue_basis, _residue_ring, _ResidueRing, count_norm_one_ideal,
+                              index_bound, lambda_factor, lemma44_check, maxim_formula,
+                              norm_one_envelope, squares_count)
 
 from conftest import congruence_coord_hnf, lattice_index, left_matrix
 
@@ -131,7 +132,7 @@ def is_unit(ring, coords) -> bool:
 
 def norm_image_size(ring) -> int:
     """Number of central unit classes that are norms of residues."""
-    return sum(1 for r in ring._norm_histogram() if r in ring.residues.units)
+    return sum(1 for r in ring._norm_histogram() if ring.residues.is_unit(r))
 
 
 def involution_well_defined_sample(ring, rng, samples: int = 64) -> bool:
@@ -570,6 +571,78 @@ def test_central_units_of_a_prime_square(QH, P7):
     assert len(residues.elements) == 49
     assert len(residues.units) == 49 - 7
     assert residues.one in residues.units
+
+
+# -- Z/n against the general residue ring -------------------------------------
+
+def cyclic_levels(K, QQ, small_rings) -> list:
+    """(prime, t) of every cyclic ring of `small_rings`, of the Hurwitz field's
+    primes of norm at most 43, and of Q at p^t for p <= 5, t <= 3."""
+    levels = [(ring.prime, ring.t) for ring in small_rings.values()
+              if isinstance(ring.residues, _CyclicRing)]
+    levels += [(prime, 1) for prime in primes_up_to_norm(K, 43) if prime.norm not in (8, 27)]
+    levels += [(factor_rational_prime(QQ, p)[0][0], t) for p in (2, 3, 5) for t in (1, 2, 3)]
+    return levels
+
+
+def test_the_cyclic_ring_agrees_with_the_general_ring(K, QQ, small_rings):
+    # x -> image(x), the Z/n residue of x's coordinates, is a ring isomorphism
+    # that keeps valuations and units; a quotient is unique modulo p^(t - v(y))
+    for prime, t in cyclic_levels(K, QQ, small_rings):
+        ideal = prime ** t
+        cyclic, general = _residue_ring(prime, t, ideal), _ResidueRing(prime, t, ideal)
+        assert isinstance(cyclic, _CyclicRing) and cyclic.n == prime.norm ** t
+        image = {x: cyclic.reduce(c) for x, c in general._coords.items()}
+        assert sorted(image.values()) == list(cyclic.elements)
+        assert image[general.one] == cyclic.one and image[general.zero] == cyclic.zero
+        assert {image[u] for u in general.units} == set(filter(cyclic.is_unit, cyclic.elements))
+        d = prime.field.degree
+        for vec in [[int(i == j) for i in range(d)] for j in range(d)] + \
+                [[3, -7, 11][:d], [-100, 45, 2][:d]]:
+            assert cyclic.reduce(vec) == image[general.reduce(vec)]
+        for x in general.elements:
+            assert image[general.neg(x)] == cyclic.neg(image[x])
+            assert general.valuation(x) == cyclic.valuation(image[x])
+            for y in general.elements:
+                assert image[general.add(x, y)] == cyclic.add(image[x], image[y])
+                assert image[general.mul(x, y)] == cyclic.mul(image[x], image[y])
+                s = general.valuation(y)
+                if s < t and general.valuation(x) >= s:
+                    z = cyclic.div(image[x], image[y])
+                    assert cyclic.mul(image[y], z) == image[x]
+                    assert (image[general.div(x, y)] - z) % prime.norm ** (t - s) == 0
+
+
+def test_the_ring_is_cyclic_exactly_when_one_hnf_entry_exceeds_one(K, QQ, P7, small_rings):
+    for ring in small_rings.values():
+        active = sum(row[k] > 1 for k, row in enumerate(ring.ideal.mat))
+        assert isinstance(ring.residues, _CyclicRing) == (active == 1)
+    # the Hurwitz field's inert primes and the ramified P7 at t = 2 stay general
+    inert = [prime for prime in primes_up_to_norm(K, 27) if prime.norm in (8, 27)]
+    assert len(inert) == 2
+    for prime, t in [(inert[0], 1), (inert[1], 1), (P7, 2)]:
+        assert type(_residue_ring(prime, t, prime ** t)) is _ResidueRing
+    for prime in primes_up_to_norm(K, 100):
+        cyclic = isinstance(_residue_ring(prime, 1, prime), _CyclicRing)
+        assert cyclic == (prime.norm not in (8, 27))
+    # every ring over Q is Z/p^t
+    for p, t in [(2, 1), (2, 5), (3, 4), (7, 2), (101, 1)]:
+        prime = factor_rational_prime(QQ, p)[0][0]
+        assert isinstance(_residue_ring(prime, t, prime ** t), _CyclicRing)
+
+
+def test_a_pivot_of_larger_valuation_is_refused(QQ, small_rings):
+    prime = factor_rational_prime(QQ, 3)[0][0]
+    ring = _residue_ring(prime, 3, prime ** 3)
+    assert ring.div(18, 9) == 2 and ring.mul(ring.div(9, 18), 18) == 9
+    with pytest.raises(InvariantViolation, match="pivot of larger valuation"):
+        ring.div(1, 3)
+    # on the general ring as well
+    general = small_rings["QH/P7^2"].residues
+    pi = general.reduce(small_rings["QH/P7^2"].prime.mat[0])
+    assert general.valuation(pi) == 1
+    with pytest.raises(InvariantViolation, match="pivot of larger valuation"):
+        general.div(general.one, pi)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

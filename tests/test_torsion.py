@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import element_from_embeddings
+from conftest import element_from_embeddings, unscreened_certificate_lines
 from quatsys.errors import InputError, PrecisionError
 from quatsys.intervals import RatInterval
-from quatsys.numfield import IdealHNF, NumberField, primes_up_to_norm
+from quatsys.numfield import IdealHNF, NumberField, factor_rational_prime, primes_up_to_norm
 from quatsys.orders import hurwitz_algebra, hurwitz_order, standard_order
 from quatsys.quatalg import QuaternionAlgebra
 from quatsys.realroots import isolate_real_roots, refine_root
-from quatsys.torsion import (ObstructionRecord, TorsionCertificate, candidate_orders,
-                             certify_torsion_free, roots_in_field, torsion_traces)
+from quatsys.torsion import (candidate_orders, certify_torsion_free, roots_in_field,
+                             torsion_traces)
 
 _T = sympy.Symbol("t")
 
@@ -237,44 +237,21 @@ def test_precision_failure_is_not_cached(monkeypatch):
     assert candidate_orders(field) == [1, 2, 3, 4, 6, 7, 14]
 
 
-def uncached_certificate_lines(order, ideal):
-    """The certificate as computed before the obstructions were kept per field:
-    every obstruction ideal is formed afresh for the ideal at hand."""
-    field = order.algebra.field
-    i_sq = ideal * ideal
-    records, blocking = [], []
-    for n, trace_value in torsion_traces(field):
-        if n <= 2:
-            continue
-        c = trace_value - field.from_rational(2)
-        if c.is_zero():
-            continue
-        if abs(c.norm()) == 1:
-            records.append(ObstructionRecord(n, trace_value, True, None, False))
-            continue
-        obstruction = IdealHNF.principal(field, c)
-        blocks = i_sq.divides(obstruction)
-        records.append(ObstructionRecord(n, trace_value, False, obstruction.norm, blocks))
-        if blocks:
-            blocking.append(n)
-    return TorsionCertificate(ideal.norm, records, not blocking,
-                              sorted(set(blocking))).lines()
-
-
 def test_certificate_matches_the_uncached_oracle(QH, K, P7, B6):
     for prime in primes_up_to_norm(K, 100) + [P7 * P7]:
-        assert certify_torsion_free(QH, prime).lines() == uncached_certificate_lines(QH, prime)
+        assert certify_torsion_free(QH, prime).lines() == unscreened_certificate_lines(QH, prime)
     QQ = B6.algebra.field
     for p in (2, 3, 4, 5, 7, 9):
         ideal = IdealHNF.principal(QQ, QQ.from_rational(p))
-        assert certify_torsion_free(B6, ideal).lines() == uncached_certificate_lines(B6, ideal)
+        assert certify_torsion_free(B6, ideal).lines() == unscreened_certificate_lines(B6, ideal)
     # over a field without a proof of class number one
     order = sqrt6_standard_order()
     plain = order.algebra.field
     assert not plain.class_number_one
     for p in (2, 3, 5):
         ideal = IdealHNF.principal(plain, plain.from_rational(p))
-        assert certify_torsion_free(order, ideal).lines() == uncached_certificate_lines(order, ideal)
+        assert certify_torsion_free(order, ideal).lines() == \
+            unscreened_certificate_lines(order, ideal)
 
 
 def test_obstruction_ideals_built_once_per_field(monkeypatch):
@@ -294,3 +271,49 @@ def test_obstruction_ideals_built_once_per_field(monkeypatch):
     second = certify_torsion_free(order, p13)
     assert len(calls) == 5
     assert second.ideal_norm == 13 and second.torsion_free
+
+
+def ideals_up_to_norm(field, bound: int) -> list:
+    """Every integral ideal other than O_K of norm at most `bound`."""
+    out = []
+
+    def extend(ideal, primes):
+        for k, prime in enumerate(primes):
+            if ideal.norm * prime.norm <= bound:
+                product = ideal * prime
+                out.append(product)
+                extend(product, primes[k:])
+
+    extend(field.whole_ring(), primes_up_to_norm(field, bound))
+    return out
+
+
+def test_norm_screen_matches_the_unscreened_oracle(QH, K, Q2max, Q10max):
+    # I^2 | <t - 2> is tested only where N(I)^2 | N(t - 2); elsewhere "does not block"
+    ideals = ideals_up_to_norm(K, 200)
+    assert len({ideal.mat for ideal in ideals}) == len(ideals) > 30
+    for ideal in ideals:
+        assert certify_torsion_free(QH, ideal).lines() == unscreened_certificate_lines(QH, ideal)
+    # P2 = (sqrt 2) blocks n = 4: N(P2)^2 = 4 = N(0 - 2), so the screen passes it on
+    p2 = factor_rational_prime(Q2max.algebra.field, 2)[0][0]
+    certificates = [certify_torsion_free(Q2max, ideal) for ideal in (p2, p2 * p2, p2 ** 3)]
+    assert certificates[0].blocking_orders == [4]
+    for ideal, cert in zip((p2, p2 * p2, p2 ** 3), certificates):
+        assert cert.lines() == unscreened_certificate_lines(Q2max, ideal)
+    # 3 splits in Q(sqrt 10): N(P3)^2 = 9 = N(-1 - 2), yet P3^2 does not divide (3)
+    for p3, _e, _f in factor_rational_prime(Q10max.algebra.field, 3):
+        cert = certify_torsion_free(Q10max, p3)
+        assert [(r.obstruction_norm, r.blocks) for r in cert.records if r.n == 3] == [(9, False)]
+        assert cert.lines() == unscreened_certificate_lines(Q10max, p3)
+
+
+def test_the_norm_screen_forms_no_square_where_no_norm_allows_it(QH, K, monkeypatch):
+    prime = primes_up_to_norm(K, 97)[-1]
+    assert prime.norm == 97
+    certify_torsion_free(QH, prime)  # the obstructions are kept on the field
+    products = []
+    mul = IdealHNF.__mul__
+    monkeypatch.setattr(IdealHNF, "__mul__",
+                        lambda self, other: products.append((self, other)) or mul(self, other))
+    assert certify_torsion_free(QH, prime).torsion_free
+    assert products == []
