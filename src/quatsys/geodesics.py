@@ -61,17 +61,27 @@ representative, whose trace gives the class its side of 2 and its length.
 
 The walk visits one member of each symmetry orbit.  Gamma(I) is closed under
 x -> conj(x) = trd x - x (I*Q is stable under the involution by construction,
-`orders.CongruenceIdealLattice`), and
-under x -> -x exactly when -1 is in Gamma(I), that is when 2 is in I*Q.  Both
-maps keep ||x||_F (||conj(x)||_F = ||x^-1||_F = ||x||_F in SL_2) and the
-class |trace|.  In the scaled coordinates conj negates blocks 1-3 and -x all
-four, and the walk meets coordinates in increasing lexicographic order (the
-HNF diagonal is positive).  So the member met first is the one whose blocks
-1-2, and block 0 as well when -x is in the group, are lexicographically
-non-positive: for d <= j < 3d, c_j is capped at 0 while c_d .. c_{j-1} are
-all 0, and likewise for j < d while c_0 .. c_{j-1} are.  The first
-least-norm element of a class is the first member of its own orbit, so it
-survives the cut and every representative is the full walk's.
+`orders.CongruenceIdealLattice`), under x -> -x exactly when -1 is in
+Gamma(I), that is when 2 is in I*Q, and under sigma: x1 -> -x1 exactly when
+sigma maps I*Q onto itself.  sigma is conj after conjugation by i, and its
+product with conj is tau: x -> i x i^-1, which negates x2 and x3.  Each map
+keeps ||x||_F (||conj(x)||_F = ||x^-1||_F = ||x||_F in SL_2; x1 enters
+||x||_F^2 = 2 (x0^2 + a x1^2) + (1 + b^2)(x2^2 + a x3^2) + 2 (1 - b^2) x2 x3
+sqrt(a) only squared) and the class |trace|.  `Enumerator` tests sigma on
+the HNF rows of I*Q (`lattice.contains`); an involution that maps the
+lattice into itself maps it onto itself.  In the scaled coordinates conj
+negates blocks 1-3, -x all four, sigma block 1 and tau blocks 2-3, and the
+walk meets coordinates in increasing lexicographic order (the HNF diagonal
+is positive).  The members of an orbit differ only in the signs of whole
+blocks, so the member met first is the one whose blocks 1 and 2 (blocks 1-2
+together when sigma is not in the group), and block 0 as well when -x is,
+are lexicographically non-positive: c_j is capped at 0 while the run of
+zeros from the start of its block (from c_d for j in block 2 without sigma)
+to c_{j-1} holds.  Where block 2 is 0, tau flips x3 alone: both members
+sit at the same leaf, and the first-on-a-tie rule picks between them as in
+the full walk.  The first least-norm element of a class is the first member
+of its own orbit, so it survives the cut and every representative is the
+full walk's.
 
 Completeness of the visited region is certified: outward rounding
 everywhere, an exact static range, and per-node ranges and leaf decisions
@@ -251,6 +261,12 @@ class Enumerator:
         # the orbit rule (module docstring) starts at block 1 for x -> conj(x),
         # at block 0 when x -> -x maps Gamma(I) to itself too
         self._orbit_from = 0 if order.minus_one_in_gamma(ideal) else d
+        # its runs of zeros start at blocks 0, 1 and 2, and blocks 1 and 2 share
+        # one unless x1 -> -x1 maps I*Q into (so onto) itself, row by HNF row
+        sigma = order.cached(("sigma_stable", ideal), lambda: all(
+            lattice.contains(hnf, row[:d] + [-n for n in row[d:2 * d]] + row[2 * d:])
+            for row in hnf))
+        self._run_starts = (0, d, 2 * d if sigma else d)
         self.offset = [self.kappa] + [0] * (4 * d - 1)
         self.counters = Counter(dict.fromkeys(LEAF_COUNTERS, 0))
         # the order-only half, under the same names
@@ -345,7 +361,7 @@ class Enumerator:
 
         x_places = [None] * 3  # float embedding rows for blocks 0..2
         widths = [tabs.width0, None, None]  # per-node W_s of blocks 0..2
-        orbit_from = self._orbit_from
+        orbit_from, run_starts = self._orbit_from, self._run_starts
 
         def node_ranges(j, c):
             l, k = divmod(j, d)
@@ -356,9 +372,8 @@ class Enumerator:
             # block 0 has only the static box, so the sum rule adds nothing there
             if j and (l or k >= d - 2):
                 lo, hi = ranges.rule_range(k, c[j - k:j], widths[l], tabs.nu[l][k])
-            # the orbit member with c_j <= 0, while the rule's run of zeros holds;
-            # the run starts again at c_d
-            if j >= orbit_from and not any(c[d if l else 0:j]):
+            # the orbit member with c_j <= 0, while the rule's run of zeros holds
+            if j >= orbit_from and not any(c[run_starts[l]:j]):
                 hi = min(hi, 0)
             if prefixes is None or l:
                 return [(lo, hi)]
@@ -411,6 +426,7 @@ class Enumerator:
                                                    key=lambda y: -y.sign_at(0))]
         else:
             counters["float_candidates"] += 1
+        head = None  # `WalkRanges.split_head`, once per leaf that emits
         for target in targets:
             if not lattice.contains(self._tail_rows,
                                     [t - p for t, p in zip(target, vec[3 * d:])]):
@@ -420,7 +436,8 @@ class Enumerator:
                 continue
             if not any(c[d:]):
                 continue  # +-1 are the only central norm-one elements on the coset
-            self._emit(c, reps, cut, ranges.split_norm(x_places, target, tabs))
+            head = head or ranges.split_head(x_places, tabs)
+            self._emit(c, reps, cut, ranges.split_norm(x_places, target, tabs, head))
 
     def _emit(self, c, reps, cut, approx):
         """Keep the element of walk coordinates c if ||x||_F^2 <= m_sq, as its

@@ -471,7 +471,18 @@ class WalkRanges(PlaceTable):
                 out += [cand, [-k for k in cand]]
         return out
 
-    def split_norm(self, x_places, target, tabs):
+    def split_head(self, x_places, tabs):
+        """(u^2 + ub^2, e_u (2|u| + e_u) + e_ub (2|ub| + e_ub)) for `split_norm`,
+        which depend on x0 and x1 alone, so once per leaf."""
+        x0, x1, e1 = x_places[0][0], x_places[1][0], tabs.eps[1][0]
+        ra = self.ra0_mid
+        z = x1 * ra
+        u, ub = x0 + z, x0 - z
+        e = (tabs.eps[0][0] + ra * e1 + self.ra0_err * (abs(x1) + e1)
+             + self.gamma[2] * (abs(x0) + abs(z)))
+        return u * u + ub * ub, e * (2 * abs(u) + e) + e * (2 * abs(ub) + e)
+
+    def split_norm(self, x_places, target, tabs, head):
         """Floats lo <= ||x||_F^2 <= hi at the split place for the leaf's x.
 
         x0, x1, x2 are the walk's block values at place 0 (errors e_l =
@@ -479,9 +490,11 @@ class WalkRanges(PlaceTable):
         (sum_m |t_m| |emb_f - theta^m| + gamma_{d+2} sum_m |t_m emb_f|) / kappa.
         Each of u, ub = X0 +- X1 R and v, q = X2 +- X3 R, with R the float of
         sqrt(a) at place 0 (within e_R), is within e_Y + R e_Z + e_R (|Z| + e_Z)
-        + gamma_2 (|Y| + |Z R|) of its exact value; w = fl(B q) within |B| e_q +
-        e_b (|q| + e_q) + 2u|w|.  A square P^2 is within e_P (2|P| + e_P) of the
-        exact one, and the sum of the four squares adds gamma_4 times itself.
+        + gamma_2 (|Y| + |Z R|) of its exact value, one bound for both signs;
+        w = fl(B q) within |B| e_q + e_b (|q| + e_q) + 2u|w|.  A square P^2 is
+        within e_P (2|P| + e_P) of the exact one, and the sum of the four
+        squares adds gamma_4 times itself.  head: `split_head` of the leaf, the
+        terms of u and ub.
         """
         d, kappa, gamma = self.d, self.kappa, self.gamma
         acc = mag = tab = 0.0
@@ -491,24 +504,16 @@ class WalkRanges(PlaceTable):
             tab += abs(t) * e
         x3 = acc / kappa
         e3 = (tab + gamma[d + 2] * mag) / kappa * _OWN
-        x0, x1, x2 = x_places[0][0], x_places[1][0], x_places[2][0]
-        e0, e1, e2 = tabs.eps[0][0], tabs.eps[1][0], tabs.eps[2][0]
-        ra, era = self.ra0_mid, self.ra0_err
-        parts = []
-        for y, ey, z, ez in ((x0, e0, x1, e1), (x0, e0, -x1, e1),
-                             (x2, e2, x3, e3), (x2, e2, -x3, e3)):
-            p = y + z * ra
-            parts.append((p, ey + ra * ez + era * (abs(z) + ez)
-                          + gamma[2] * (abs(y) + abs(z * ra))))
-        q, eq = parts.pop()
+        x2, ra = x_places[2][0], self.ra0_mid
+        z = x3 * ra
+        v, q = x2 + z, x2 - z
+        ev = (tabs.eps[2][0] + ra * e3 + self.ra0_err * (abs(x3) + e3)
+              + gamma[2] * (abs(x2) + abs(z)))
         b, eb = self.b_f[0], self.eb[0]
         w = b * q
-        parts.append((w, abs(b) * eq + eb * (abs(q) + eq) + 2 * _U * abs(w)))
-        total = 0.0
-        err = 0.0
-        for p, ep in parts:
-            total += p * p
-            err += ep * (2 * abs(p) + ep)
+        ew = abs(b) * ev + eb * (abs(q) + ev) + 2 * _U * abs(w)
+        total = head[0] + v * v + w * w
+        err = head[1] + ev * (2 * abs(v) + ev) + ew * (2 * abs(w) + ew)
         err = (err + gamma[4] * total) * _OWN
         return math.nextafter(total - err, -math.inf), math.nextafter(total + err, math.inf)
 

@@ -248,8 +248,8 @@ def test_cli_q10max_ramification_and_count_at_3(capsys, q10max_file):
 
 
 @pytest.mark.parametrize("index, ideal, trace, length, visited", [
-    (0, "1 1; 0 3", "(3, 1)", "3.582014", 66),
-    (1, "1 2; 0 3", "(5, 2)", "4.838166", 99),
+    (0, "1 1; 0 3", "(3, 1)", "3.582014", 45),
+    (1, "1 2; 0 3", "(5, 2)", "4.838166", 67),
 ])
 def test_cli_q10max_certifies_the_systoles_at_both_non_principal_primes_above_3(
         capsys, q10max_file, index, ideal, trace, length, visited):

@@ -21,7 +21,7 @@ from quatsys.geodesics import Enumerator, RadiusSchedule, enumerate_gamma, systo
 from quatsys.intervals import START_BITS, RatInterval, iv_sqrt
 from quatsys.numfield import (FieldElement, IdealHNF, NumberField, compare_abs,
                               factor_rational_prime)
-from quatsys.orders import scaled_row, unflatten
+from quatsys.orders import OrderLattice, scaled_row, unflatten
 from quatsys.quatalg import QuatElement
 from quatsys.walkranges import WalkRanges, _up, slice_range
 
@@ -335,23 +335,23 @@ def test_slice_range_handles_negative_leading_powers():
 # Each class is represented by its element of least Frobenius norm, the first
 # one met in walk order on a tie (trace (2, 0, -1) is such a tie).
 REGRESSION = {
-    "P7": ("P7", 6.5, 5_885, (141, 107, 34, 0), [
+    "P7": ("P7", 6.5, 4_194, (88, 68, 20, 0), [
         ("trace=(2, 3, 1) abs_trace=7.295897 length=[3.935946,3.935946]",
          "(-1, -3/2, -1/2) + (-3/2, -1, 0)*i + (-1/2, 1, 1/2)*j + (0, 0, 0)*ij"),
         ("trace=(3, 6, 2) abs_trace=13.591794 length=[5.208017,5.208017]",
          "(3/2, 3, 1) + (0, -3/2, -1)*i + (-1/2, 5/2, 3/2)*j + (0, 0, 0)*ij"),
     ]),
-    "P13": ("P13", 7.5, 7_463, (81, 70, 11, 0), [
+    "P13": ("P13", 7.5, 5_508, (54, 47, 7, 0), [
         ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
          "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
     ]),
-    "P13 at 8.5": ("P13", 8.5, 27_432, (381, 354, 27, 0), [
+    "P13 at 8.5": ("P13", 8.5, 18_164, (228, 212, 16, 0), [
         ("trace=(3, 8, 4) abs_trace=19.195669 length=[5.903919,5.903919]",
          "(-3/2, -4, -2) + (0, -7/2, -2)*i + (-3/2, -3/2, -1/2)*j + (0, 0, 0)*ij"),
         ("trace=(12, 29, 12) abs_trace=66.821906 length=[8.403614,8.403614]",
          "(-6, -29/2, -6) + (0, 0, 0)*i + (-11/2, -13, -11/2)*j + (-3/2, -3/2, -1/2)*ij"),
     ]),
-    "whole ring": ("whole ring", 3.0, 1_486, (191, 25, 166, 0), [
+    "whole ring": ("whole ring", 3.0, 1_063, (113, 16, 97, 0), [
         ("trace=(0, 0, 0) abs_trace=0.000000 elliptic=true",
          "(0, 0, 0) + (0, 0, 0)*i + (0, 0, 0)*j + (-2, 1, 1)*ij"),
         ("trace=(2, 0, -1) abs_trace=0.445042 elliptic=true",
@@ -411,11 +411,16 @@ def test_per_node_ranges_keep_every_candidate(name):
     assert (visited, tuple(counters)) == (expected_visited, expected_counters)
 
 
-# -- the orbit rule: one member of each {x, conj(x)} (and {+-x, +-conj(x)}) ----
+# -- the orbit rule: one member of each orbit of the sign group --------------
+# conj(x), -x when -1 is in Gamma(I), and sigma: x1 -> -x1 when it maps I*Q
+# onto itself, with tau = sigma conj: x -> i x i^-1
 
-# the five table1 levels at their certifying radii, the orbifold list, and P7 at 6.5
+# the five table1 levels at their certifying radii, the orbifold list, P7 at
+# 6.5, and levels of the orders over Q and Q(sqrt 2), Q(sqrt 10) (B6 at 2,
+# Q2max at P2: -1 in Gamma(I))
 ORBIT_LEVELS = [("P7", 4.5), ("P8", 6.5), ("P13 0", 6.5), ("P13 1", 7.5), ("P13 2", 6.5),
-                ("whole ring", 3.0), ("P7", 6.5)]
+                ("whole ring", 3.0), ("P7", 6.5), ("B6 5", 8.0), ("B6 2", 7.0),
+                ("Q2max 2", 5.0), ("Q10max 3", 7.0)]
 
 
 @pytest.fixture(scope="module")
@@ -424,14 +429,20 @@ def orbit_ideals(K, P7, P2, P13s):
             "whole ring": K.whole_ring()}
 
 
-@pytest.mark.parametrize("level, radius", ORBIT_LEVELS)
-def test_orbit_rule_keeps_every_class_representative(QH, orbit_ideals, level, radius,
-                                                      monkeypatch):
-    # the oracle is the full walk: the orbit rule switched off past the last
-    # walked coordinate
-    ideal = orbit_ideals[level]
-    found, visited = Enumerator(QH, ideal).run(radius)
-    oracle = Enumerator(QH, ideal)
+@pytest.fixture(scope="module")
+def orbit_levels(QH, B6, Q2max, Q10max, orbit_ideals):
+    levels = {name: (QH, ideal) for name, ideal in orbit_ideals.items()}
+    for name, order, p in (("B6", B6, 5), ("B6", B6, 2), ("Q2max", Q2max, 2),
+                           ("Q10max", Q10max, 3)):
+        levels[f"{name} {p}"] = (order, factor_rational_prime(order.algebra.field, p)[0][0])
+    return levels
+
+
+def assert_orbit_rule_keeps_the_classes(order, ideal, radius, monkeypatch):
+    """The classes of the walk are the full walk's: the oracle switches the
+    orbit rule off past the last walked coordinate.  Returns both node counts."""
+    found, visited = Enumerator(order, ideal).run(radius)
+    oracle = Enumerator(order, ideal)
     monkeypatch.setattr(oracle, "_orbit_from", 3 * oracle.d)
     full, full_visited = oracle.run(radius)
     assert found.keys() == full.keys()
@@ -440,21 +451,54 @@ def test_orbit_rule_keeps_every_class_representative(QH, orbit_ideals, level, ra
         assert found[key].record() == cand.record()
     assert (sum(c.is_elliptic for c in found.values())
             == sum(c.is_elliptic for c in full.values()))
-    share = 0.30 if QH.minus_one_in_gamma(ideal) else 0.55
+    return visited, full_visited
+
+
+@pytest.mark.parametrize("level, radius", ORBIT_LEVELS)
+def test_orbit_rule_keeps_every_class_representative(orbit_levels, level, radius,
+                                                      monkeypatch):
+    order, ideal = orbit_levels[level]
+    enum = Enumerator(order, ideal)
+    # every order here is sigma-stable: blocks 1 and 2 run their own zeros
+    assert enum._run_starts == (0, enum.d, 2 * enum.d)
+    visited, full_visited = assert_orbit_rule_keeps_the_classes(order, ideal, radius,
+                                                                monkeypatch)
+    share = 0.25 if order.minus_one_in_gamma(ideal) else 0.50
     assert visited <= share * full_visited, (visited, full_visited)
+
+
+def test_orbit_rule_without_sigma_keeps_the_conj_rule(B6, monkeypatch):
+    # in (3, -1) over Q, the order of 1, -1 + 2i - 2j and -2 + i + j + ij has
+    # the HNF row i + j + ij, whose sigma image -i + j + ij it does not hold:
+    # blocks 1 and 2 share one run of zeros, as under conj alone
+    algebra = B6.algebra
+    one, i, j, ij = algebra.one(), algebra.gen_i(), algebra.gen_j(), algebra.gen_ij()
+    order = OrderLattice(algebra, [one, -one + i * 2 - j * 2, -one * 2 + i + j + ij])
+    assert order.contains(i + j + ij) and not order.contains(-i + j + ij)
+    ideal = algebra.field.whole_ring()
+    assert Enumerator(order, ideal)._run_starts == (0, 1, 1)
+    visited, full_visited = assert_orbit_rule_keeps_the_classes(order, ideal, 6.0,
+                                                                monkeypatch)
+    assert (visited, full_visited) == (590, 2_161)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_orbit_maps_keep_the_coset_the_norm_and_the_class(QH, orbit_ideals, data):
-    # x -> conj(x), and x -> -x when -1 is in Gamma(I), map the coset 1 + IQ to
-    # itself with the same split-place Frobenius norm and the same |trace| class
+    # x -> conj(x), sigma(x), tau(x) = i x i^-1, and x -> -x when -1 is in
+    # Gamma(I), map the coset 1 + IQ to itself with the same split-place
+    # Frobenius norm and the same |trace| class
     ideal = orbit_ideals[data.draw(st.sampled_from(sorted(orbit_ideals)), label="ideal")]
     enum = Enumerator(QH, ideal)
-    x = QH.algebra.one()
+    algebra = QH.algebra
+    x = algebra.one()
     for b in congruence_basis(QH, ideal):
         x = x + b * data.draw(st.integers(-6, 6))
-    mates = [x.conj()] + ([-x, -x.conj()] if QH.minus_one_in_gamma(ideal) else [])
+    x0, x1, x2, x3 = x.coords
+    sigma, tau = algebra.element(x0, -x1, x2, x3), algebra.element(x0, x1, -x2, -x3)
+    i = algebra.gen_i()
+    assert tau * algebra.a == i * x * i and sigma == tau.conj()
+    mates = [x.conj(), sigma, tau] + ([-x, -x.conj()] if QH.minus_one_in_gamma(ideal) else [])
     for y in mates:
         assert in_congruence(QH, ideal, y - 1)
         cx, cy = scaled_row(x, enum.kappa), scaled_row(y, enum.kappa)
@@ -915,7 +959,7 @@ def test_orbifold_leaves_stay_on_the_integers(QH, K, levels, monkeypatch):
     Enumerator(QH, K.whole_ring()).run(3.0)
     for name in ("P7", "P13#0"):
         assert systole_search(QH, levels[name], RadiusSchedule(4.5, 1.0, 14.0)).mode == "certified"
-    assert [e.counters["leaves"] for e in enums] == [191, 6, 6]
+    assert [e.counters["leaves"] for e in enums] == [113, 4, 4]
     assert [e.counters["fallbacks"] for e in enums] == [0, 0, 0]
     assert calls == {"reduced_norm": 0, "box_walk": 0}
 
@@ -949,7 +993,7 @@ def test_split_norm_encloses_the_frobenius_norm(leaf_walk):
                 floats[l][0] = float(exact[l].mid + Fraction(0.95 * e) * push
                                      * (1 if slopes[l] > 0 else -1))
                 assert abs(Fraction(floats[l][0]) - exact[l].mid) + exact[l].width <= e
-            lo, hi = ranges.split_norm(floats, target, tabs)
+            lo, hi = ranges.split_norm(floats, target, tabs, ranges.split_head(floats, tabs))
             assert Fraction(lo) <= true.lo and true.hi <= Fraction(hi), (str(x), push)
 
 
@@ -961,7 +1005,7 @@ COSET_MINIMA = {"P7": (7.29590, 3.936), "P2": (18.19567, 5.796), "P13#0": (19.19
 # the radius at which `table1`'s schedule 4.5:1:14 certifies each level, and
 # the nodes of its pinned walk there
 CERTIFYING_RADIUS = {"P7": 4.5, "P2": 6.5, "P13#0": 6.5, "P13#1": 7.5, "P13#2": 6.5}
-PINNED_VISITED = {"P7": 101, "P2": 130, "P13#0": 235, "P13#1": 177, "P13#2": 187}
+PINNED_VISITED = {"P7": 79, "P2": 92, "P13#0": 183, "P13#1": 137, "P13#2": 144}
 # the nodes of `trace_coset_minimum`'s box walks, all cap doublings together;
 # its CapExceeded (`--cap`) depends on them
 COSET_NODES = {"P7": 23, "P2": 36, "P13#0": 289, "P13#1": 289, "P13#2": 289, "(7)": 558}
